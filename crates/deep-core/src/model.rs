@@ -271,6 +271,38 @@ pub struct EstimationContext<'t> {
     fatal_memo: Mutex<HashMap<(u64, RegistryId), u32>>,
 }
 
+/// A clone walks on from the same barrier state as the original and
+/// prices bit for bit what the original would: caches, route loads,
+/// clock, pull numbering, gossip plane and peer views are all copied.
+/// The scheduler opens one context per call (construction plus the
+/// first barrier — at fleet scale the opening gossip round dominates)
+/// and clones it for every walk instead of reopening.
+impl Clone for EstimationContext<'_> {
+    fn clone(&self) -> Self {
+        EstimationContext {
+            testbed: self.testbed,
+            app: self.app,
+            caches: self.caches.clone(),
+            route_load: self.route_load.clone(),
+            assigned: self.assigned.clone(),
+            peer_sharing: self.peer_sharing,
+            peer_snapshots: self.peer_snapshots.clone(),
+            gossip: self.gossip.clone(),
+            price_faults: self.price_faults,
+            scenario: self.scenario,
+            clock: self.clock,
+            wave_peak: self.wave_peak,
+            wave_exec: self.wave_exec,
+            pulls_committed: self.pulls_committed,
+            initial_route_load: self.initial_route_load.clone(),
+            scoped: self.scoped.clone(),
+            entries: self.entries.clone(),
+            manifests: self.manifests.clone(),
+            fatal_memo: Mutex::new(self.fatal_memo.lock().expect("fatal memo poisoned").clone()),
+        }
+    }
+}
+
 /// The pull mesh one estimated/committed pull runs through: the
 /// placement's registry as primary (slowed by its route load), plus the
 /// device's peer sources when peer sharing is on (one per advertising

@@ -18,7 +18,13 @@
 //!    solution into a pure Nash equilibrium of the joint deployment game.
 //!    This is where the prisoner's-dilemma structure bites: two
 //!    microservices that would individually pick the same route are pushed
-//!    to split across registries.
+//!    to split across registries. A refinement pass over the unchanged
+//!    sequential profile re-prices each member's grid in exactly the state
+//!    its stage game priced, so the pass runs only when it can move
+//!    something: the congestion warm start moved the profile, or a dense
+//!    stage game's mixed equilibrium rounded off its grid minimum. Every
+//!    other solve (every sparse one whose warm start is rejected) skips
+//!    it.
 //!
 //! Both layers run over the *whole mesh*: the registry side of every
 //! strategy ranges over [`Testbed::registry_choices`] (the paper pair plus
@@ -64,7 +70,11 @@
 //! only on placements committed strictly before it in the barrier walk,
 //! so one prefix replay per member prices every candidate directly —
 //! float-identical to the seed's full-profile replays at 1/n-th the
-//! walks. A 1,000-device, 10-registry synthetic fleet
+//! walks (the equilibrium checks, whose profile never moves, price
+//! every member in one walk). Each call opens one estimation context —
+//! construction plus the first barrier, whose gossip round dominates at
+//! fleet scale — and every walk starts from a clone of it. A
+//! 1,000-device, 10-registry synthetic fleet
 //! ([`crate::continuum::synthetic_fleet_testbed`]) solves in well under
 //! a second (`examples/fleet_scale.rs`, PERF.md).
 
@@ -255,6 +265,30 @@ struct FleetWorkspace {
     descent: DescentWorkspace,
 }
 
+/// The energy margin a deviation must beat to count as an improvement,
+/// in the refinement, the equilibrium checks and the exact-cost guards.
+const MARGIN: f64 = 1e-9;
+
+/// One stage game's pick and what its grid says about it.
+struct StagePick {
+    placement: Placement,
+    /// The member's estimated energy at the pick.
+    cost: f64,
+    /// No cell of the member's grid is cheaper by more than [`MARGIN`].
+    best_response: bool,
+}
+
+/// The sequential stage games' profile with the costs they computed.
+struct Sequential {
+    profile: Vec<Placement>,
+    /// Each member's estimated energy under `profile`, by id — exactly
+    /// what [`DeepScheduler::profile_costs`] would return, since each
+    /// stage game priced its member in the profile's own walk.
+    costs: Vec<f64>,
+    /// Every pick is a best response on its own grid.
+    best_responses: bool,
+}
+
 /// The DEEP scheduler.
 #[derive(Debug, Clone)]
 pub struct DeepScheduler {
@@ -293,8 +327,10 @@ pub struct DeepScheduler {
     /// resulting profile replaces the sequential one as the refinement's
     /// start *iff* it strictly improves the exact total cost. When the
     /// jump doesn't pay (the common case: the sequential stage games
-    /// already sit at a congestion equilibrium) the refinement runs
-    /// exactly as before, preserving the seed-parity contract.
+    /// already sit at a congestion equilibrium) the refinement starts
+    /// from the sequential profile exactly as before, preserving the
+    /// seed-parity contract — and skips its passes when every stage pick
+    /// is a best response on its grid, since they could move nothing.
     pub congestion_warm_start: bool,
     /// The estimator clock at which the deployment starts. An online
     /// plane admitting applications mid-soak sets this to the
@@ -387,15 +423,23 @@ impl DeepScheduler {
         DeepScheduler { scenario: Some(ScenarioPricing { draws, seed }), ..Self::default() }
     }
 
-    /// A fresh estimation context under this scheduler's configuration.
-    fn context<'t>(&self, testbed: &'t Testbed, app: &'t Application) -> EstimationContext<'t> {
-        EstimationContext::new(testbed, app)
+    /// An estimation context under this scheduler's configuration,
+    /// opened at the first barrier with every member's manifests
+    /// memoized. A barrier walk from it (or from a clone) therefore
+    /// opens every wave but the first.
+    fn open<'t>(&self, testbed: &'t Testbed, app: &'t Application) -> EstimationContext<'t> {
+        let mut ctx = EstimationContext::new(testbed, app)
             .peer_sharing(self.peer_sharing)
             .peer_discovery(self.peer_discovery, self.discovery_seed)
             .price_faults(self.price_faults)
             .scenario_pricing(self.scenario)
             .at_clock(self.start_clock)
-            .starting_pull(self.start_pull)
+            .starting_pull(self.start_pull);
+        ctx.begin_wave();
+        for id in app.ids() {
+            ctx.prefetch_manifests(id);
+        }
+        ctx
     }
 
     /// Does `testbed`'s joint strategy space put this scheduler on the
@@ -404,25 +448,33 @@ impl DeepScheduler {
         testbed.registry_choices().len() * testbed.devices.len() >= self.sparse_threshold
     }
 
-    /// Play the per-microservice stage games in barrier order.
+    /// Play the per-microservice stage games in barrier order on a clone
+    /// of `opened`.
     fn sequential_assignment(
         &self,
+        opened: &EstimationContext<'_>,
         app: &Application,
         testbed: &Testbed,
         ws: &mut FleetWorkspace,
-    ) -> Vec<Placement> {
-        let mut ctx = self.context(testbed, app);
+    ) -> Sequential {
+        let mut ctx = opened.clone();
         let mut placements: Vec<Option<Placement>> = vec![None; app.len()];
-        for stage in stages(app) {
-            ctx.begin_wave();
+        let mut costs = vec![0.0; app.len()];
+        let mut best_responses = true;
+        for (w, stage) in stages(app).iter().enumerate() {
+            if w > 0 {
+                ctx.begin_wave();
+            }
             for &id in &stage.members {
-                ctx.prefetch_manifests(id);
-                let placement = self.stage_game(&ctx, testbed, id, ws);
-                ctx.commit(id, placement);
-                placements[id.0] = Some(placement);
+                let pick = self.stage_game(&ctx, testbed, id, ws);
+                ctx.commit(id, pick.placement);
+                placements[id.0] = Some(pick.placement);
+                costs[id.0] = pick.cost;
+                best_responses &= pick.best_response;
             }
         }
-        placements.into_iter().map(|p| p.expect("all stages visited")).collect()
+        let profile = placements.into_iter().map(|p| p.expect("all stages visited")).collect();
+        Sequential { profile, costs, best_responses }
     }
 
     /// Solve one microservice's |R|×|D| common-interest game over every
@@ -435,7 +487,7 @@ impl DeepScheduler {
         testbed: &Testbed,
         id: MicroserviceId,
         ws: &mut FleetWorkspace,
-    ) -> Placement {
+    ) -> StagePick {
         let registries = ctx.registry_choices();
         ctx.admissible_devices_into(id, &mut ws.devices);
         assert!(
@@ -462,7 +514,15 @@ impl DeepScheduler {
                 pa.partial_cmp(&pb).expect("payoffs are not NaN")
             })
             .expect("common-interest games always have a pure equilibrium");
-        Placement { registry: registries[x.mode()], device: devices[y.mode()] }
+        let (r, c) = (x.mode(), y.mode());
+        let cost = -game.a[(r, c)];
+        StagePick {
+            placement: Placement { registry: registries[r], device: devices[c] },
+            cost,
+            // A mixed equilibrium can round to a cell off the grid
+            // minimum; the joint refinement then has a move to make.
+            best_response: -game.a.max() >= cost - MARGIN,
+        }
     }
 
     /// The fleet-scale stage game: payoff evaluation fans out across
@@ -480,13 +540,14 @@ impl DeepScheduler {
     /// which is what the `<=` scan below keeps. (A degenerate mixed
     /// equilibrium tying the global optimum to the last bit could in
     /// principle round elsewhere; the parity suite has never produced
-    /// one.)
+    /// one.) The scanned cell is the grid minimum, so it is always a
+    /// best response.
     fn stage_game_sparse(
         ctx: &EstimationContext<'_>,
         id: MicroserviceId,
         registries: &[RegistryChoice],
         ws: &mut FleetWorkspace,
-    ) -> Placement {
+    ) -> StagePick {
         Self::candidate_costs(ctx, id, registries, true, ws);
         let r_count = registries.len();
         let mut best = (f64::INFINITY, 0usize, 0usize);
@@ -498,7 +559,11 @@ impl DeepScheduler {
                 }
             }
         }
-        Placement { registry: registries[best.1], device: ws.devices[best.2] }
+        StagePick {
+            placement: Placement { registry: registries[best.1], device: ws.devices[best.2] },
+            cost: best.0,
+            best_response: true,
+        }
     }
 
     /// Replay `profile`'s barrier walk up to (but not including)
@@ -513,20 +578,20 @@ impl DeepScheduler {
     /// `profile` only at `target` equals a direct
     /// [`EstimationContext::estimate`] against this context —
     /// float-identical, one `O(members)` walk instead of one per
-    /// candidate.
+    /// candidate. The walk runs on a clone of `opened`.
     fn context_at<'t>(
-        &self,
-        app: &'t Application,
-        testbed: &'t Testbed,
+        opened: &EstimationContext<'t>,
+        app: &Application,
         profile: &[Placement],
         target: MicroserviceId,
     ) -> EstimationContext<'t> {
-        let mut ctx = self.context(testbed, app);
-        for stage in stages(app) {
-            ctx.begin_wave();
+        let mut ctx = opened.clone();
+        for (w, stage) in stages(app).iter().enumerate() {
+            if w > 0 {
+                ctx.begin_wave();
+            }
             for &id in &stage.members {
                 if id == target {
-                    ctx.prefetch_manifests(target);
                     return ctx;
                 }
                 ctx.commit(id, profile[id.0]);
@@ -536,25 +601,36 @@ impl DeepScheduler {
     }
 
     /// Evaluate every microservice's estimated energy under a full
-    /// profile, replaying the stage walk under this scheduler's
-    /// configuration.
+    /// profile, walking a clone of `opened`.
     fn profile_costs(
-        &self,
+        opened: &EstimationContext<'_>,
         app: &Application,
-        testbed: &Testbed,
         profile: &[Placement],
     ) -> Vec<f64> {
-        let mut ctx = self.context(testbed, app);
+        let mut ctx = opened.clone();
         let mut costs = vec![0.0; app.len()];
-        for stage in stages(app) {
-            ctx.begin_wave();
+        for (w, stage) in stages(app).iter().enumerate() {
+            if w > 0 {
+                ctx.begin_wave();
+            }
             for &id in &stage.members {
-                let p = profile[id.0];
-                costs[id.0] = ctx.estimate(id, p.registry, p.device).ec.as_f64();
-                ctx.commit(id, p);
+                costs[id.0] = Self::estimate_and_commit(&mut ctx, id, profile[id.0]);
             }
         }
         costs
+    }
+
+    /// Commit `placement` for `id` and return its estimated energy just
+    /// before the commit — one step of a [`DeepScheduler::profile_costs`]
+    /// walk.
+    fn estimate_and_commit(
+        ctx: &mut EstimationContext<'_>,
+        id: MicroserviceId,
+        placement: Placement,
+    ) -> f64 {
+        let cost = ctx.estimate(id, placement.registry, placement.device).ec.as_f64();
+        ctx.commit(id, placement);
+        cost
     }
 
     /// The per-wave explicit Rosenthal games of a profile: each wave's
@@ -567,11 +643,13 @@ impl DeepScheduler {
         testbed: &Testbed,
         profile: &[Placement],
     ) -> Vec<WaveRouteGame> {
-        let mut ctx = self.context(testbed, app);
+        let mut ctx = self.open(testbed, app);
         let mut out = Vec::new();
         let parallel = self.fleet_scale(testbed);
-        for stage in stages(app) {
-            ctx.begin_wave();
+        for (w, stage) in stages(app).iter().enumerate() {
+            if w > 0 {
+                ctx.begin_wave();
+            }
             out.push(WaveRouteGame::build(&ctx, testbed, &stage.members, parallel));
             for &id in &stage.members {
                 ctx.commit(id, profile[id.0]);
@@ -584,22 +662,26 @@ impl DeepScheduler {
     /// congestion game to a pure equilibrium by best-response dynamics
     /// (every accepted move decreases Rosenthal's exact potential by the
     /// deviator's improvement, so the descent terminates without any
-    /// full-profile cost replay), then keep the jump only if the exact
-    /// total cost strictly improves.
+    /// full-profile cost replay), then return the jump only if the exact
+    /// total cost strictly improves on the sequential profile's. The walk
+    /// that commits the jump prices it on the way, and the stage games
+    /// already priced the sequential profile, so the guard walks nothing
+    /// extra.
     fn potential_warm_start(
         &self,
+        opened: &EstimationContext<'_>,
         app: &Application,
         testbed: &Testbed,
-        profile: &[Placement],
+        sequential: &Sequential,
         ws: &mut FleetWorkspace,
-    ) -> Vec<Placement> {
-        let mut ctx = self.context(testbed, app);
-        let mut out = profile.to_vec();
+    ) -> Option<Vec<Placement>> {
+        let mut ctx = opened.clone();
+        let mut out = sequential.profile.clone();
+        let mut costs = vec![0.0; app.len()];
         let fleet = self.fleet_scale(testbed);
-        for stage in stages(app) {
-            ctx.begin_wave();
-            for &id in &stage.members {
-                ctx.prefetch_manifests(id);
+        for (w, stage) in stages(app).iter().enumerate() {
+            if w > 0 {
+                ctx.begin_wave();
             }
             let wave = WaveRouteGame::build(&ctx, testbed, &stage.members, fleet);
             if !wave.resources.is_empty() {
@@ -624,18 +706,12 @@ impl DeepScheduler {
                 }
             }
             for &id in &stage.members {
-                ctx.commit(id, out[id.0]);
+                costs[id.0] = Self::estimate_and_commit(&mut ctx, id, out[id.0]);
             }
         }
-        if out == profile {
-            return out;
-        }
-        let exact = |p: &[Placement]| -> f64 { self.profile_costs(app, testbed, p).iter().sum() };
-        if exact(&out) < exact(profile) - 1e-9 {
-            out
-        } else {
-            profile.to_vec()
-        }
+        let total = |costs: &[f64]| -> f64 { costs.iter().sum() };
+        (out != sequential.profile && total(&costs) < total(&sequential.costs) - MARGIN)
+            .then_some(out)
     }
 
     /// Incrementally re-equilibrate from an incumbent schedule.
@@ -653,13 +729,20 @@ impl DeepScheduler {
     /// The repaired profile is adopted only if it strictly improves the
     /// exact total cost (the same guard as the congestion warm start),
     /// so repairing an incumbent that is still an equilibrium is an
-    /// exact no-op with zero deviations.
+    /// exact no-op with zero deviations. The repair opens one context
+    /// and walks two clones of it at most: the repair walk, which also
+    /// prices the repaired profile, and — only when the repair moved
+    /// something — the incumbent's exact-cost walk. Neither runs a
+    /// refinement pass.
     ///
     /// Falls back to a full re-solve (`fell_back = true`) when the
     /// incumbent no longer fits the mesh (length mismatch, a registry
     /// that left the strategy space, an inadmissible device), when the
     /// descent spends more than `budget` deviations, or when it fails
     /// to converge within [`DeepScheduler::max_refine_passes`] passes.
+    /// The re-solve runs the full [`Scheduler::schedule`], whose joint
+    /// refinement still runs when its warm start moved the profile or a
+    /// dense stage game rounded off its grid minimum.
     pub fn incremental_repair(
         &self,
         app: &Application,
@@ -676,28 +759,50 @@ impl DeepScheduler {
             return full(0);
         }
         let profile: Vec<Placement> = app.ids().map(|id| incumbent.placement(id)).collect();
-        {
-            // The incumbent must live inside today's strategy space:
-            // mirrors may have joined or retired and admissibility may
-            // have shifted since it was solved.
-            let ctx = self.context(testbed, app);
-            let registries = ctx.registry_choices();
-            for id in app.ids() {
-                let p = profile[id.0];
-                if !registries.contains(&p.registry)
-                    || !ctx.admissible_devices(id).contains(&p.device)
-                {
-                    return full(0);
-                }
-            }
+        // The incumbent must live inside today's strategy space: mirrors
+        // may have joined or retired and admissibility may have shifted
+        // since it was solved.
+        let registries = testbed.registry_choices();
+        let fits = app.ids().all(|id| {
+            let p = profile[id.0];
+            let req = &app.microservice(id).requirements;
+            registries.contains(&p.registry)
+                && testbed.devices.iter().any(|d| d.id == p.device && d.admits(req))
+        });
+        if !fits {
+            return full(0);
         }
+        // The walk's contexts are gone before a fallback opens its own.
+        match self.repair_walk(app, testbed, profile, budget) {
+            Ok((out, deviations)) => {
+                RepairOutcome { schedule: Schedule::new(out), deviations, fell_back: false }
+            }
+            Err(deviations) => full(deviations),
+        }
+    }
+
+    /// The walk of [`DeepScheduler::incremental_repair`] over an
+    /// incumbent that fits the mesh: the repaired profile with its
+    /// deviation count, or `Err(deviations)` when the descent blew the
+    /// budget or did not converge.
+    fn repair_walk(
+        &self,
+        app: &Application,
+        testbed: &Testbed,
+        profile: Vec<Placement>,
+        budget: usize,
+    ) -> Result<(Vec<Placement>, usize), usize> {
+        let opened = self.open(testbed, app);
         let mut out = profile.clone();
+        let mut costs = vec![0.0; app.len()];
         let mut deviations = 0usize;
-        let mut ctx = self.context(testbed, app);
-        for stage in stages(app) {
-            ctx.begin_wave();
-            let wave =
-                WaveRouteGame::build(&ctx, testbed, &stage.members, self.fleet_scale(testbed));
+        let fleet = self.fleet_scale(testbed);
+        let mut ctx = opened.clone();
+        for (w, stage) in stages(app).iter().enumerate() {
+            if w > 0 {
+                ctx.begin_wave();
+            }
+            let wave = WaveRouteGame::build(&ctx, testbed, &stage.members, fleet);
             if !wave.resources.is_empty() {
                 let game = wave.game();
                 let mut current: Vec<usize> = wave
@@ -714,7 +819,7 @@ impl DeepScheduler {
                     // hamming distance counts the pass's moves exactly.
                     deviations += current.iter().zip(&step.profile).filter(|(a, b)| a != b).count();
                     if deviations > budget {
-                        return full(deviations);
+                        return Err(deviations);
                     }
                     current = step.profile;
                     if step.converged {
@@ -723,27 +828,26 @@ impl DeepScheduler {
                     }
                 }
                 if !converged {
-                    return full(deviations);
+                    return Err(deviations);
                 }
                 for (p, &id) in wave.members.iter().enumerate() {
                     out[id.0] = wave.strategies[p][current[p]];
                 }
             }
             for &id in &stage.members {
-                ctx.commit(id, out[id.0]);
+                costs[id.0] = Self::estimate_and_commit(&mut ctx, id, out[id.0]);
             }
         }
+        drop(ctx);
         if out != profile {
-            let exact =
-                |p: &[Placement]| -> f64 { self.profile_costs(app, testbed, p).iter().sum() };
-            if exact(&out) >= exact(&profile) - 1e-9 {
+            let total = |costs: &[f64]| -> f64 { costs.iter().sum() };
+            if total(&costs) >= total(&Self::profile_costs(&opened, app, &profile)) - MARGIN {
                 // The wave-game moves don't pay under the exact payoffs
                 // — keep the incumbent (the seed-parity guard).
-                out = profile;
-                deviations = 0;
+                return Ok((profile, 0));
             }
         }
-        RepairOutcome { schedule: Schedule::new(out), deviations, fell_back: false }
+        Ok((out, deviations))
     }
 
     /// Joint best-response refinement to a pure Nash equilibrium.
@@ -758,48 +862,78 @@ impl DeepScheduler {
     /// out across devices on the rayon pool; the selection scan stays
     /// serial so the dense tie-breaks (first strict improvement in
     /// registry-major order) are preserved exactly.
+    ///
+    /// The passes run only when they can move something. By the
+    /// `context_at` keystone, a pass over the sequential profile prices
+    /// each member's grid in exactly the state its stage game did, so
+    /// when the warm start kept that profile and every stage pick is a
+    /// best response on its grid, the pass is a no-op and is skipped.
+    /// It still runs when the warm start moved the profile, or when a
+    /// dense stage game's mixed equilibrium rounded off its grid minimum.
     fn refine_joint(
         &self,
+        opened: &EstimationContext<'_>,
         app: &Application,
         testbed: &Testbed,
-        mut profile: Vec<Placement>,
+        sequential: Sequential,
         ws: &mut FleetWorkspace,
     ) -> Vec<Placement> {
-        if self.congestion_warm_start {
-            profile = self.potential_warm_start(app, testbed, &profile, ws);
-        }
-        let registries = testbed.registry_choices();
-        let fleet = self.fleet_scale(testbed);
+        let jumped = if self.congestion_warm_start {
+            self.potential_warm_start(opened, app, testbed, &sequential, ws)
+        } else {
+            None
+        };
+        let mut profile = match jumped {
+            Some(profile) => profile,
+            None if sequential.best_responses => return sequential.profile,
+            None => sequential.profile,
+        };
         for _ in 0..self.max_refine_passes {
-            let mut changed = false;
-            for id in app.ids() {
-                let ctx = self.context_at(app, testbed, &profile, id);
-                let current = profile[id.0];
-                let current_cost = ctx.estimate(id, current.registry, current.device).ec.as_f64();
-                Self::candidate_costs(&ctx, id, &registries, fleet, ws);
-                let mut best = (current_cost, current);
-                for (ri, &registry) in registries.iter().enumerate() {
-                    for (di, &device) in ws.devices.iter().enumerate() {
-                        let candidate = Placement { registry, device };
-                        if candidate == current {
-                            continue;
-                        }
-                        let cost = ws.payoffs[di * registries.len() + ri];
-                        if cost < best.0 - 1e-9 {
-                            best = (cost, candidate);
-                        }
-                    }
-                }
-                if best.1 != profile[id.0] {
-                    profile[id.0] = best.1;
-                    changed = true;
-                }
-            }
-            if !changed {
+            if !self.refine_pass(opened, app, testbed, &mut profile, ws) {
                 break;
             }
         }
         profile
+    }
+
+    /// One refinement pass: each member in id order moves to its best
+    /// strict improvement given everyone else. Returns whether anyone
+    /// moved.
+    fn refine_pass(
+        &self,
+        opened: &EstimationContext<'_>,
+        app: &Application,
+        testbed: &Testbed,
+        profile: &mut [Placement],
+        ws: &mut FleetWorkspace,
+    ) -> bool {
+        let registries = testbed.registry_choices();
+        let fleet = self.fleet_scale(testbed);
+        let mut changed = false;
+        for id in app.ids() {
+            let ctx = Self::context_at(opened, app, profile, id);
+            let current = profile[id.0];
+            let current_cost = ctx.estimate(id, current.registry, current.device).ec.as_f64();
+            Self::candidate_costs(&ctx, id, &registries, fleet, ws);
+            let mut best = (current_cost, current);
+            for (ri, &registry) in registries.iter().enumerate() {
+                for (di, &device) in ws.devices.iter().enumerate() {
+                    let candidate = Placement { registry, device };
+                    if candidate == current {
+                        continue;
+                    }
+                    let cost = ws.payoffs[di * registries.len() + ri];
+                    if cost < best.0 - MARGIN {
+                        best = (cost, candidate);
+                    }
+                }
+            }
+            if best.1 != current {
+                profile[id.0] = best.1;
+                changed = true;
+            }
+        }
+        changed
     }
 
     /// Fill `ws.payoffs` (device-major) with `id`'s estimated energy for
@@ -839,29 +973,17 @@ impl DeepScheduler {
         testbed: &Testbed,
         schedule: &Schedule,
     ) -> bool {
-        let profile: Vec<Placement> = app.ids().map(|id| schedule.placement(id)).collect();
         let registries = testbed.registry_choices();
-        for id in app.ids() {
-            // One prefix replay prices every deviation of this member
-            // (float-identical to the seed's per-candidate full
-            // replays; see `context_at`).
-            let ctx = self.context_at(app, testbed, &profile, id);
+        let opened = self.open(testbed, app);
+        Self::no_improving_deviation(opened, app, schedule, |ctx, id| {
             let devices = ctx.admissible_devices(id);
-            let p = profile[id.0];
-            let current = ctx.estimate(id, p.registry, p.device).ec.as_f64();
-            for &registry in &registries {
-                for &device in &devices {
-                    let candidate = Placement { registry, device };
-                    if candidate == p {
-                        continue;
-                    }
-                    if ctx.estimate(id, registry, device).ec.as_f64() < current - 1e-9 {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+            registries
+                .iter()
+                .flat_map(|&registry| {
+                    devices.iter().map(move |&device| Placement { registry, device })
+                })
+                .collect()
+        })
     }
 
     /// Equilibrium check over a seeded sample of unilateral deviations
@@ -870,8 +992,9 @@ impl DeepScheduler {
     /// candidates per member, while a few dozen seeded samples per
     /// member already catch a non-equilibrium with overwhelming
     /// probability (any improving deviation that exists is sampled
-    /// uniformly). Deterministic in `seed` (splitmix64 stream); the
-    /// member's current placement resamples to a no-op.
+    /// uniformly). Deterministic in `seed` (splitmix64 stream, drawn
+    /// member by member in id order); the member's current placement
+    /// resamples to a no-op.
     pub fn is_equilibrium_sampled(
         &self,
         app: &Application,
@@ -880,24 +1003,56 @@ impl DeepScheduler {
         deviations_per_member: usize,
         seed: u64,
     ) -> bool {
-        let profile: Vec<Placement> = app.ids().map(|id| schedule.placement(id)).collect();
         let registries = testbed.registry_choices();
+        let opened = self.open(testbed, app);
         let mut state = seed;
+        let mut sampled: Vec<Vec<Placement>> = Vec::with_capacity(app.len());
+        let mut devices = Vec::new();
         for id in app.ids() {
-            let ctx = self.context_at(app, testbed, &profile, id);
-            let devices = ctx.admissible_devices(id);
-            let p = profile[id.0];
-            let current = ctx.estimate(id, p.registry, p.device).ec.as_f64();
-            for _ in 0..deviations_per_member {
+            opened.admissible_devices_into(id, &mut devices);
+            let draws = (0..deviations_per_member).map(|_| {
                 let registry =
                     registries[(splitmix64(&mut state) % registries.len() as u64) as usize];
                 let device = devices[(splitmix64(&mut state) % devices.len() as u64) as usize];
-                if (Placement { registry, device }) == p {
-                    continue;
+                Placement { registry, device }
+            });
+            sampled.push(draws.collect());
+        }
+        Self::no_improving_deviation(opened, app, schedule, |_, id| {
+            std::mem::take(&mut sampled[id.0])
+        })
+    }
+
+    /// Walk `schedule` once from the opened `ctx`, barrier by barrier,
+    /// and check that none of the `candidates` of each member improves on
+    /// its placement by more than [`MARGIN`]. A member's payoff depends
+    /// only on placements committed strictly before it (see
+    /// [`DeepScheduler::context_at`]), so the walk's context at each
+    /// member prices its deviations exactly; the profile never moves, so
+    /// one walk serves every member, and the verdict does not depend on
+    /// the order members are checked in.
+    fn no_improving_deviation(
+        mut ctx: EstimationContext<'_>,
+        app: &Application,
+        schedule: &Schedule,
+        mut candidates: impl FnMut(&EstimationContext<'_>, MicroserviceId) -> Vec<Placement>,
+    ) -> bool {
+        for (w, stage) in stages(app).iter().enumerate() {
+            if w > 0 {
+                ctx.begin_wave();
+            }
+            for &id in &stage.members {
+                let p = schedule.placement(id);
+                let current = ctx.estimate(id, p.registry, p.device).ec.as_f64();
+                for candidate in candidates(&ctx, id) {
+                    if candidate != p
+                        && ctx.estimate(id, candidate.registry, candidate.device).ec.as_f64()
+                            < current - MARGIN
+                    {
+                        return false;
+                    }
                 }
-                if ctx.estimate(id, registry, device).ec.as_f64() < current - 1e-9 {
-                    return false;
-                }
+                ctx.commit(id, p);
             }
         }
         true
@@ -919,11 +1074,12 @@ impl Scheduler for DeepScheduler {
 
     fn schedule(&self, app: &Application, testbed: &Testbed) -> Schedule {
         let mut ws = FleetWorkspace::default();
-        let sequential = self.sequential_assignment(app, testbed, &mut ws);
+        let opened = self.open(testbed, app);
+        let sequential = self.sequential_assignment(&opened, app, testbed, &mut ws);
         let profile = if self.refine {
-            self.refine_joint(app, testbed, sequential, &mut ws)
+            self.refine_joint(&opened, app, testbed, sequential, &mut ws)
         } else {
-            sequential
+            sequential.profile
         };
         Schedule::new(profile)
     }
@@ -945,6 +1101,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 mod tests {
     use super::*;
     use crate::calibration::calibrated_testbed;
+    use crate::model::Estimate;
     use deep_dataflow::apps;
     use deep_simulator::{RegistryChoice, DEVICE_MEDIUM, DEVICE_SMALL};
 
@@ -1017,7 +1174,8 @@ mod tests {
             let refined = DeepScheduler::paper().schedule(&app, &tb);
             let cost = |s: &Schedule| -> f64 {
                 let profile: Vec<Placement> = app.ids().map(|id| s.placement(id)).collect();
-                DeepScheduler::paper().profile_costs(&app, &tb, &profile).iter().sum()
+                let paper = DeepScheduler::paper();
+                DeepScheduler::profile_costs(&paper.open(&tb, &app), &app, &profile).iter().sum()
             };
             // Best-response refinement follows the exact potential of the
             // congestion game, which here equals each player's own cost
@@ -1164,7 +1322,7 @@ mod tests {
         assert!(out.deviations > 0, "repair must move off the contended profile");
         let exact = |s: &Schedule| -> f64 {
             let p: Vec<Placement> = app.ids().map(|id| s.placement(id)).collect();
-            sched.profile_costs(&app, &tb, &p).iter().sum()
+            DeepScheduler::profile_costs(&sched.open(&tb, &app), &app, &p).iter().sum()
         };
         assert!(
             exact(&out.schedule) < exact(&contended) - 1e-9,
@@ -1209,17 +1367,18 @@ mod tests {
         let tb = calibrated_testbed();
         let app = apps::text_processing();
         let sched = DeepScheduler { sparse_threshold: 1, ..DeepScheduler::paper() };
+        let opened = sched.open(&tb, &app);
         let mut ws = FleetWorkspace::default();
-        let warm = sched.sequential_assignment(&app, &tb, &mut ws);
-        let warm = sched.refine_joint(&app, &tb, warm, &mut ws);
+        let warm = sched.sequential_assignment(&opened, &app, &tb, &mut ws);
+        let warm = sched.refine_joint(&opened, &app, &tb, warm, &mut ws);
         let fp = (
             ws.payoffs.as_ptr(),
             ws.payoffs.capacity(),
             ws.devices.as_ptr(),
             ws.devices.capacity(),
         );
-        let again = sched.sequential_assignment(&app, &tb, &mut ws);
-        let again = sched.refine_joint(&app, &tb, again, &mut ws);
+        let again = sched.sequential_assignment(&opened, &app, &tb, &mut ws);
+        let again = sched.refine_joint(&opened, &app, &tb, again, &mut ws);
         assert_eq!(warm, again, "workspace reuse must not change the schedule");
         assert_eq!(
             fp,
@@ -1244,8 +1403,9 @@ mod tests {
         for app in apps::case_studies() {
             let schedule = sched.schedule(&app, &tb);
             let profile: Vec<Placement> = app.ids().map(|id| schedule.placement(id)).collect();
+            let opened = sched.open(&tb, &app);
             for id in app.ids() {
-                let ctx = sched.context_at(&app, &tb, &profile, id);
+                let ctx = DeepScheduler::context_at(&opened, &app, &profile, id);
                 let mut serial = FleetWorkspace::default();
                 let mut parallel = FleetWorkspace::default();
                 DeepScheduler::candidate_costs(&ctx, id, &registries, false, &mut serial);
@@ -1288,5 +1448,123 @@ mod tests {
             let schedule = DeepScheduler::paper().schedule(&app, &tb);
             assert_eq!(schedule.len(), app.len(), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn refinement_pass_over_best_response_sequential_profiles_is_a_no_op() {
+        // The refinement skip rests on this: when every stage pick is a
+        // best response on its grid, a full pass over the sequential
+        // profile re-prices each member in its stage game's own state
+        // and moves nobody.
+        let fleet = || {
+            let mut tb = crate::continuum::synthetic_fleet_testbed(200, 2, 42);
+            apps::case_studies().iter().for_each(|app| tb.publish_application(app));
+            tb
+        };
+        let testbeds = [
+            ("calibrated", calibrated_testbed()),
+            ("continuum", crate::continuum::continuum_testbed()),
+            ("fleet-200", fleet()),
+        ];
+        for (name, tb) in &testbeds {
+            for (path, threshold) in [("sparse", 1), ("dense", usize::MAX)] {
+                let sched = DeepScheduler { sparse_threshold: threshold, ..DeepScheduler::paper() };
+                for app in apps::case_studies() {
+                    let opened = sched.open(tb, &app);
+                    let mut ws = FleetWorkspace::default();
+                    let seq = sched.sequential_assignment(&opened, &app, tb, &mut ws);
+                    let at = format!("{name}/{path}/{}", app.name());
+                    assert!(seq.best_responses, "{at}: a stage pick is off its grid minimum");
+                    assert_eq!(
+                        seq.costs,
+                        DeepScheduler::profile_costs(&opened, &app, &seq.profile),
+                        "{at}: stage-game costs are the profile's exact costs"
+                    );
+                    let mut profile = seq.profile.clone();
+                    let moved = sched.refine_pass(&opened, &app, tb, &mut profile, &mut ws);
+                    assert!(!moved, "{at}: the pass moved a member");
+                    assert_eq!(profile, seq.profile, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cloned_opened_context_walks_like_a_freshly_opened_one() {
+        use deep_registry::FaultRates;
+        // Gossip discovery and scenario pricing carry the most walk
+        // state: a gossip plane, per-device peer views, the estimator
+        // clock, the pull numbering and the draw memo.
+        let mut tb = crate::continuum::synthetic_fleet_testbed(40, 3, 5);
+        tb.fault_model = tb.fault_model.clone().with_source(
+            RegistryChoice::Regional.registry_id(),
+            FaultRates { fatal_per_pull: 0.2, transient_per_fetch: 0.1 },
+        );
+        let gen = deep_dataflow::DagGenerator {
+            stages: 2,
+            width: (2, 2),
+            ..deep_dataflow::DagGenerator::default()
+        };
+        let app = gen.generate(4);
+        tb.publish_application(&app);
+        let discovery = PeerDiscovery::Gossip { fanout: 3, view_size: 8, rounds_per_wave: 1 };
+        let cfg = deep_simulator::ExecutorConfig {
+            seed: 9,
+            peer_sharing: true,
+            peer_discovery: discovery,
+            ..deep_simulator::ExecutorConfig::default()
+        };
+        // One holder of every layer for gossip to advertise.
+        let warm = Schedule::uniform(app.len(), RegistryChoice::Hub, DEVICE_MEDIUM);
+        deep_simulator::execute(&mut tb, &app, &warm, &cfg).unwrap();
+        let sched = DeepScheduler {
+            peer_sharing: true,
+            peer_discovery: discovery,
+            discovery_seed: 9,
+            ..DeepScheduler::scenario_priced(16, 9)
+        };
+        let schedule = sched.schedule(&app, &tb);
+        let stages = stages(&app);
+        assert_eq!(stages.len(), 2, "a two-wave walk");
+        let registries = tb.registry_choices();
+        // Walk the original, its clone and a freshly opened context in
+        // lockstep: a clone sharing state with its original would see
+        // every commit twice.
+        let mut original = sched.open(&tb, &app);
+        let mut cloned = original.clone();
+        let mut fresh = sched.open(&tb, &app);
+        let mut peer_planned = false;
+        let bits = |e: Estimate| {
+            (e.td.as_f64().to_bits(), e.tc.as_f64().to_bits(), e.tp.as_f64().to_bits())
+        };
+        for (w, stage) in stages.iter().enumerate() {
+            for ctx in [&mut original, &mut cloned, &mut fresh] {
+                if w > 0 {
+                    ctx.begin_wave();
+                }
+            }
+            for &id in &stage.members {
+                for &registry in &registries {
+                    for device in fresh.admissible_devices(id) {
+                        let want = fresh.estimate(id, registry, device);
+                        peer_planned |= fresh
+                            .plan(id, registry, device)
+                            .per_source
+                            .iter()
+                            .any(|b| b.source >= deep_simulator::REGISTRY_PEER_BASE);
+                        for ctx in [&original, &cloned] {
+                            let got = ctx.estimate(id, registry, device);
+                            assert_eq!(bits(got), bits(want), "{id:?} on {registry}/{device:?}");
+                            assert_eq!(got.ec.as_f64().to_bits(), want.ec.as_f64().to_bits());
+                            assert_eq!(got.downloaded, want.downloaded);
+                        }
+                    }
+                }
+                for ctx in [&mut original, &mut cloned, &mut fresh] {
+                    ctx.commit(id, schedule.placement(id));
+                }
+            }
+        }
+        assert!(peer_planned, "the gossip views never priced a peer holder");
     }
 }

@@ -69,4 +69,11 @@ echo "==> arrival plane smoke (online admissions + incremental repair)"
 # checked-in arrival fixture stays wired to the example entry point.
 cargo run --quiet --release --example arrival_runner -- scenarios/arrival_soak.toml >/dev/null
 
+echo "==> perfbench self-test (smallest rung of both benchmark workloads)"
+# perfbench is its own cargo workspace (see perfbench/README.md). Its
+# self-test runs each workload on a tiny fleet and round, timed and
+# traced, and fails on a missing metric or a failed output check, so a
+# library change that breaks the benchmark fails tier 1.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "tier-1 OK"
