@@ -8,6 +8,10 @@
 //!   n-device fleet (ad refresh scan + fanout-bounded push/pull
 //!   exchanges). Each iteration clones a fresh plane: rounds converge,
 //!   and a converged plane would measure the no-op refresh path.
+//! * `barrier_round_sparse/*` — the same converging barrier over the
+//!   fleet shape admissions actually see: 800 devices of which only 8
+//!   hold any layer. Empty caches stay silent, so the plane carries 8
+//!   epoch columns instead of 800 and exchanges walk only those.
 //! * `barrier_round_unchanged/*` — the steady-state barrier on a fleet
 //!   whose caches have not moved since the last wave: the delta plane's
 //!   stale counters turn every exchange into an O(1) no-op, so this is
@@ -52,6 +56,34 @@ fn bench_barrier_round(c: &mut Criterion) {
             })
         });
     }
+    group.finish();
+}
+
+/// An n-device fleet where only `warm` evenly spaced devices hold
+/// layers and every other cache is empty.
+fn sparse_caches(devices: usize, warm: usize) -> Vec<LayerCache> {
+    let mut caches = vec![LayerCache::new(DataSize::gigabytes(64.0)); devices];
+    for (j, cache) in caches.iter_mut().enumerate().step_by(devices / warm).take(warm) {
+        for layer in 0..4u8 {
+            cache.insert(Digest::of(&[(j % 251) as u8, layer]), DataSize::megabytes(40.0));
+        }
+    }
+    caches
+}
+
+fn bench_barrier_round_sparse(c: &mut Criterion) {
+    let mut group = c.benchmark_group("barrier_round_sparse");
+    let (devices, warm) = (800usize, 8usize);
+    let caches = sparse_caches(devices, warm);
+    let refs: Vec<&LayerCache> = caches.iter().collect();
+    let plane = GossipPlane::new(devices, FANOUT, 8, 1, 42);
+    group.bench_function(format!("devices_{devices}_warm_{warm}").as_str(), |b| {
+        b.iter(|| {
+            let mut fresh = plane.clone();
+            fresh.barrier_round(black_box(&refs));
+            black_box(fresh.rounds_run())
+        })
+    });
     group.finish();
 }
 
@@ -116,5 +148,11 @@ fn bench_mesh_view(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_barrier_round, bench_barrier_round_unchanged, bench_mesh_view);
+criterion_group!(
+    benches,
+    bench_barrier_round,
+    bench_barrier_round_sparse,
+    bench_barrier_round_unchanged,
+    bench_mesh_view
+);
 criterion_main!(benches);

@@ -54,9 +54,13 @@
 //!   the congestion warm start runs dense best-response dynamics. This
 //!   is the seed path, preserved bit for bit.
 //! * **Sparse (fleet-scale, at or above it)** — stage-game payoffs fan
-//!   out across devices on the rayon pool into a reused flat buffer
-//!   (estimates are `&self`, so one context serves every worker), and
-//!   the equilibrium cell is selected by a single scan replicating the
+//!   out across devices through rayon's `par_iter` surface into a
+//!   reused flat buffer (estimates are `&self`, so one context could
+//!   serve every worker). The workspace's `vendor/rayon` is a *serial*
+//!   stand-in, so today the fan-out runs on the calling thread; a
+//!   scoped-thread shim was measured slower on the 800-device
+//!   admission benchmark on a 2-vCPU host.
+//!   The equilibrium cell is selected by a single scan replicating the
 //!   dense tie-breaks (support enumeration lists pure equilibria
 //!   row-major and `max_by` keeps the *last* maximum, so the scan keeps
 //!   the last minimal-energy cell registry-major). The warm start runs
@@ -127,10 +131,10 @@ pub struct WaveRouteGame {
 impl WaveRouteGame {
     /// Derive the wave's game from the context's current state (call at
     /// the wave barrier, before committing any member). With `parallel`
-    /// the per-placement pull plans fan out over the rayon pool
-    /// (order-preserving collect; the observed-cost sums still
-    /// accumulate serially in strategy order, so every float matches
-    /// the serial build exactly).
+    /// the per-placement pull plans fan out over rayon's `par_iter`
+    /// surface (serial in this workspace; order-preserving collect; the
+    /// observed-cost sums accumulate in strategy order, so every float
+    /// matches the serial build exactly).
     fn build(
         ctx: &EstimationContext<'_>,
         testbed: &Testbed,
@@ -250,8 +254,8 @@ pub struct RepairOutcome {
 pub const DEFAULT_SPARSE_THRESHOLD: usize = 64;
 
 /// Reused buffers for the hot solve loop: per-member admissible-device
-/// lists, the flat stage-game payoff grid the rayon workers fill, and
-/// the sparse-descent counters. One workspace serves a whole
+/// lists, the flat stage-game payoff grid the `par_iter` fan-out
+/// fills, and the sparse-descent counters. One workspace serves a whole
 /// [`Scheduler::schedule`] call across members, waves and refinement
 /// rounds; steady state allocates nothing (asserted in this module's
 /// tests via capacity/pointer stability, the gf256 idiom).
@@ -526,10 +530,11 @@ impl DeepScheduler {
     }
 
     /// The fleet-scale stage game: payoff evaluation fans out across
-    /// devices on the rayon pool (the context is `&self`-shared — route
-    /// loads, caches and peer snapshots are all read-only during
-    /// estimation), then one serial scan selects the equilibrium cell
-    /// with exactly the dense path's tie-breaks.
+    /// devices through `par_iter` (serial in this workspace; the
+    /// context is `&self`-shared — route loads, caches and peer
+    /// snapshots are all read-only during estimation), then one scan
+    /// selects the equilibrium cell with exactly the dense path's
+    /// tie-breaks.
     ///
     /// Why a scan suffices: in a common-interest game the global payoff
     /// maximum is always a pure Nash equilibrium, support enumeration
@@ -859,8 +864,8 @@ impl DeepScheduler {
     /// (the member's payoff never depends on its own or later commits),
     /// at `O(members)` walks per pass instead of `O(members² ×
     /// candidates)`. On the fleet-scale path the candidate grid fans
-    /// out across devices on the rayon pool; the selection scan stays
-    /// serial so the dense tie-breaks (first strict improvement in
+    /// out across devices through `par_iter` (serial in this
+    /// workspace); the selection scan is serial regardless, so the dense tie-breaks (first strict improvement in
     /// registry-major order) are preserved exactly.
     ///
     /// The passes run only when they can move something. By the

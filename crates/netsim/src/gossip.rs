@@ -19,9 +19,16 @@
 //! (`barrier_round/devices_800` spent ~288 ms copying advertisement
 //! maps). The protocol is now anti-entropy over **version vectors**:
 //!
-//! * each viewer's knowledge is a dense per-holder epoch vector
-//!   (`known[viewer][holder]`, 0 = never heard of it) — the
-//!   version-vector *summary* both sides of an exchange compare first;
+//! * each viewer's knowledge is a per-holder epoch vector (0 = never
+//!   heard of it) — the version-vector *summary* both sides of an
+//!   exchange compare first. It is stored holder-major, one `n`-long
+//!   epoch column per *advertiser*, appended on the holder's first
+//!   advertisement: a holder that never advertised has epoch 0 in every
+//!   view and owns no column. `advertise`, `exchange` and `known` walk
+//!   only the advertisers, so an 800-device fleet with a few dozen
+//!   holders pays O(advertisers × n) memory and work, not O(n²)
+//!   (consumers keep it that way by not advertising empty payloads —
+//!   see the simulator's `GossipPlane`);
 //! * the *delta* is only the advertisements one side holds strictly
 //!   newer than the other: the exchange copies the winning epoch
 //!   numbers across (plain `u64` stores, symmetric max-merge) and never
@@ -80,8 +87,8 @@ pub struct GossipWorkspace {
 }
 
 /// The fleet-wide gossip state: every device's partial view of every
-/// other device's freshest advertisement, held as epoch vectors over a
-/// shared payload store.
+/// advertiser's freshest advertisement, held as per-advertiser epoch
+/// columns over a shared payload store.
 ///
 /// `T` is the advertised payload (DEEP advertises layer-cache digest
 /// sets; the unit tests use plain integers). Payloads are stored once
@@ -95,11 +102,18 @@ pub struct GossipState<T: Clone> {
     /// no viewer's vector references them (checked on each
     /// re-advertisement, which already scans the holder's column).
     store: Vec<Vec<(u64, T)>>,
-    /// Dense viewer-major epoch matrix: `known[viewer * n + holder]` is
-    /// the freshest epoch `viewer` holds of `holder`'s advertisement
-    /// (0 = never heard of it). This is the version-vector summary an
-    /// exchange compares.
+    /// Holder-major epoch columns, one `n`-long column per advertiser,
+    /// appended when it first advertises: `known[c * n + viewer]` is
+    /// the freshest epoch `viewer` holds of column `c`'s holder (0 =
+    /// never heard of it). This is the version-vector summary an
+    /// exchange compares. Holders that never advertised own no column.
     known: Vec<u64>,
+    /// `owners[c]` — the holder behind column `c` (first-advertisement
+    /// order).
+    owners: Vec<usize>,
+    /// `(holder, column)` for every advertiser, in ascending holder
+    /// order — the walk order of [`GossipState::known`].
+    advertisers: Vec<(usize, usize)>,
     /// `epochs[holder]` — the holder's own advertisement counter;
     /// 0 means it has never advertised.
     epochs: Vec<u64>,
@@ -124,7 +138,9 @@ impl<T: Clone> GossipState<T> {
     pub fn new(devices: usize, seed: u64) -> Self {
         GossipState {
             store: vec![Vec::new(); devices],
-            known: vec![0; devices * devices],
+            known: Vec::new(),
+            owners: Vec::new(),
+            advertisers: Vec::new(),
             epochs: vec![0; devices],
             stale: vec![0; devices],
             round: 0,
@@ -156,9 +172,22 @@ impl<T: Clone> GossipState<T> {
 
     /// Publish a fresh advertisement for `holder`: bumps its epoch and
     /// installs the payload in the shared store (and the holder's own
-    /// vector), whence gossip spreads it. Returns the new epoch.
+    /// vector), whence gossip spreads it. A first advertisement appends
+    /// the holder's epoch column. Returns the new epoch.
     pub fn advertise(&mut self, holder: usize, payload: T) -> u64 {
         let n = self.devices();
+        let at = self.advertisers.partition_point(|&(h, _)| h < holder);
+        let column = match self.advertisers.get(at) {
+            Some(&(h, c)) if h == holder => c,
+            _ => {
+                let c = self.owners.len();
+                self.owners.push(holder);
+                self.advertisers.insert(at, (holder, c));
+                self.known.resize((c + 1) * n, 0);
+                c
+            }
+        };
+        let column = &mut self.known[column * n..(column + 1) * n];
         let previous = self.epochs[holder];
         let epoch = previous + 1;
         self.epochs[holder] = epoch;
@@ -167,11 +196,10 @@ impl<T: Clone> GossipState<T> {
         // The same column scan finds the oldest epoch any viewer still
         // references, which bounds what the store must keep.
         let mut min_referenced = epoch;
-        for viewer in 0..n {
+        for (viewer, &held) in column.iter().enumerate() {
             if viewer == holder {
                 continue;
             }
-            let held = self.known[viewer * n + holder];
             if held == previous {
                 self.stale[viewer] += 1;
             }
@@ -179,7 +207,7 @@ impl<T: Clone> GossipState<T> {
                 min_referenced = min_referenced.min(held);
             }
         }
-        self.known[holder * n + holder] = epoch;
+        column[holder] = epoch;
         self.store[holder].retain(|&(e, _)| e >= min_referenced);
         self.store[holder].push((epoch, payload));
         self.generation += 1;
@@ -208,11 +236,11 @@ impl<T: Clone> GossipState<T> {
 
     /// Everything `viewer` currently knows, in ascending holder order:
     /// `(holder, epoch, payload)` triples, the viewer's own entry
-    /// included.
+    /// included. Walks only the holders that ever advertised.
     pub fn known(&self, viewer: usize) -> impl Iterator<Item = (usize, u64, &T)> {
         let n = self.devices();
-        (0..n).filter_map(move |holder| {
-            let epoch = self.known[viewer * n + holder];
+        self.advertisers.iter().filter_map(move |&(holder, column)| {
+            let epoch = self.known[column * n + viewer];
             (epoch > 0).then(|| (holder, epoch, self.payload(holder, epoch)))
         })
     }
@@ -271,11 +299,11 @@ impl<T: Clone> GossipState<T> {
         self.round += 1;
     }
 
-    /// Symmetric anti-entropy merge: compare the two epoch vectors and
-    /// copy each advertisement's higher epoch across — after the
-    /// exchange, `a` and `b` both hold the freshest version of every
-    /// advertisement either knew. Ships only the delta (holders whose
-    /// epochs differ), touches no payload, and short-circuits to a
+    /// Symmetric anti-entropy merge: compare the two partners' epochs in
+    /// every advertiser's column and copy each higher epoch across —
+    /// after the exchange, `a` and `b` both hold the freshest version of
+    /// every advertisement either knew. Ships only the delta (holders
+    /// whose epochs differ), touches no payload, and short-circuits to a
     /// no-op when both partners are fully fresh.
     fn exchange(&mut self, a: usize, b: usize) {
         debug_assert_ne!(a, b);
@@ -286,20 +314,19 @@ impl<T: Clone> GossipState<T> {
         }
         let n = self.devices();
         let mut moved = false;
-        for holder in 0..n {
-            let ea = self.known[a * n + holder];
-            let eb = self.known[b * n + holder];
+        for (column, &holder) in self.known.chunks_exact_mut(n).zip(&self.owners) {
+            let (ea, eb) = (column[a], column[b]);
             if ea == eb {
                 continue;
             }
             let freshest = self.epochs[holder];
             if ea > eb {
-                self.known[b * n + holder] = ea;
+                column[b] = ea;
                 if ea == freshest {
                     self.stale[b] -= 1;
                 }
             } else {
-                self.known[a * n + holder] = eb;
+                column[a] = eb;
                 if eb == freshest {
                     self.stale[a] -= 1;
                 }
@@ -657,6 +684,50 @@ mod tests {
             42,
             &[(0, 0, 1), (0, 3, 2), (1, 0, 1), (0, 3, 5), (1, 0, 2), (0, 8, 1), (1, 0, u32::MAX)],
         );
+    }
+
+    #[test]
+    fn late_first_advertisements_in_descending_order_match_the_oracle() {
+        // Columns append in first-advertisement order, which here is the
+        // reverse of holder order and interleaved with rounds: `known()`
+        // must still walk holders ascending, as the oracle's map does.
+        assert_matches_oracle(
+            10,
+            7,
+            &[
+                (1, 0, 2),
+                (1, 0, 1),
+                (0, 9, 3),
+                (1, 0, 1),
+                (0, 6, 4),
+                (0, 4, 1),
+                (1, 0, 2),
+                (0, 1, 8),
+                (0, 6, 2),
+                (1, 0, 1),
+                (0, 0, 5),
+                (1, 0, u32::MAX),
+            ],
+        );
+    }
+
+    #[test]
+    fn only_advertisers_own_epoch_columns() {
+        let n = 5_000;
+        let mut state: GossipState<u32> = GossipState::new(n, 3);
+        state.run_round(2);
+        for holder in [4_321, 17, 2_500] {
+            state.advertise(holder, holder as u32);
+        }
+        state.run_rounds(4, 3);
+        assert_eq!(state.owners, [4_321, 17, 2_500], "one column per advertiser");
+        assert_eq!(state.known.len(), 3 * n, "exactly three epoch columns");
+        for viewer in [0, 17, 1_000, 4_999] {
+            let view: Vec<usize> = state.known(viewer).map(|(h, _, _)| h).collect();
+            assert!(view.len() <= 3, "viewer {viewer} knows {} holders", view.len());
+            assert!(view.windows(2).all(|w| w[0] < w[1]), "ascending holder order");
+        }
+        assert_eq!(state.known(17).next().map(|(h, e, _)| (h, e)), Some((17, 1)));
     }
 
     proptest! {

@@ -35,6 +35,7 @@ use crate::retry::RetryPolicy;
 use crate::{BlobSource, ManifestSource, Registry};
 use deep_netsim::{transfer_time, Bandwidth, DataSize, RegistryId, Seconds};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Route cost parameters for one mesh source, as seen from the pulling
 /// device (the netsim cost model: route bandwidth + per-source overhead).
@@ -575,13 +576,23 @@ impl CacheAccess<'_> {
 ///   under its own mesh id, so a [`PullSession`] sees each holder's real
 ///   per-pair link and the simulator can charge upload contention on the
 ///   holder's NIC.
+///
+/// Cloning is cheap: the advertised digest set is shared
+/// (`Arc<HashSet<Digest>>`) and copied only when a clone [`absorb`]s
+/// new layers (copy-on-write), so gossip views, cached mesh views and
+/// the estimator's per-device snapshots all hand the same set around.
+/// Retractions are per clone and never touch the shared set.
+///
+/// [`absorb`]: PeerCacheSource::absorb
 #[derive(Debug, Clone, Default)]
 pub struct PeerCacheSource {
     label: String,
     /// The serving device behind this snapshot, when the source models a
     /// single holder rather than the aggregated fleet.
     holder: Option<deep_netsim::DeviceId>,
-    blobs: HashSet<Digest>,
+    /// Every advertised digest, shared between clones until one of them
+    /// absorbs more layers.
+    blobs: Arc<HashSet<Digest>>,
     /// Layers evicted from the holder *after* the snapshot gossip round:
     /// still advertised (`has_blob` is the stale gossip view a session
     /// plans against), but a fetch finds them gone and fails over — the
@@ -621,9 +632,10 @@ impl PeerCacheSource {
     /// Add every layer of `cache` to the snapshot (and re-validate any
     /// earlier retraction the cache has since re-acquired).
     pub fn absorb(&mut self, cache: &LayerCache) {
+        let blobs = Arc::make_mut(&mut self.blobs);
         for digest in cache.digests() {
             self.retracted.remove(digest);
-            self.blobs.insert(digest.clone());
+            blobs.insert(digest.clone());
         }
     }
 
@@ -779,6 +791,36 @@ mod tests {
         assert!((out.overhead.as_f64() - 26.0).abs() < 1e-12);
         // Download time: 5200/80 + 580/13 = 65 + 44.615…
         assert!((out.download_time.as_f64() - (5200.0 / 80.0 + 580.0 / 13.0)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn peer_source_clones_copy_the_digest_set_on_write() {
+        let (a, b, c) = (Digest::of(b"a"), Digest::of(b"b"), Digest::of(b"c"));
+        let mut held = cache();
+        held.insert(a.clone(), DataSize::megabytes(10.0));
+        held.insert(b.clone(), DataSize::megabytes(10.0));
+        let original = PeerCacheSource::for_holder(deep_netsim::DeviceId(3), &held);
+        let mut clone = original.clone();
+        assert!(Arc::ptr_eq(&original.blobs, &clone.blobs), "a clone shares the set");
+
+        let mut more = cache();
+        more.insert(c.clone(), DataSize::megabytes(10.0));
+        clone.absorb(&more);
+        assert!(clone.retract(&a));
+        assert!(!Arc::ptr_eq(&original.blobs, &clone.blobs), "absorb copied the set");
+        assert!(clone.has_blob(&c));
+        assert!(matches!(clone.fetch_blob(&a), Err(RegistryError::Unavailable(_))));
+
+        let mut digests: Vec<&Digest> = original.digests().collect();
+        digests.sort();
+        let mut expected = vec![&a, &b];
+        expected.sort();
+        assert_eq!(digests, expected, "the original's digests are untouched");
+        assert_eq!(original.len(), 2);
+        assert!(original.has_blob(&a) && original.has_blob(&b) && !original.has_blob(&c));
+        assert!(original.fetch_blob(&a).is_ok(), "a clone's retraction stays its own");
+        assert!(original.fetch_blob(&b).is_ok());
+        assert!(matches!(original.fetch_blob(&c), Err(RegistryError::MissingBlob(_))));
     }
 
     #[test]

@@ -26,6 +26,18 @@
 //!   and the session fails over. Without this, a stale ad would let a
 //!   simulated fetch succeed against bytes that no longer exist.
 //!
+//! **Empty caches stay silent.** A device that has never advertised
+//! does not publish while its cache is empty, on either backend (one
+//! refresh rule serves both). Views are unaffected — materialization
+//! drops empty advertisements, and skipping them relabels a holder's
+//! epochs monotonically (an empty first epoch becomes "absent", later
+//! epoch `e` becomes `e - 1`), which commutes with the max-merge — but
+//! an idle fleet no longer pays for it: only the holders with something
+//! to share own an epoch column or cost an exchange anything. A holder
+//! that advertised and then emptied still re-advertises, so its stale
+//! ad ages out. Convergence is reached sooner, since empty ads no
+//! longer circulate.
+//!
 //! Materialized views are cached per target and keyed on the gossip
 //! state's [generation](deep_netsim::gossip::GossipState::generation):
 //! between two barriers of an unchanged fleet no epoch moves, so every
@@ -64,6 +76,47 @@ type CachedView = Option<(u64, Vec<(RegistryId, PeerCacheSource)>)>;
 enum Backend {
     Delta { state: GossipState<PeerCacheSource>, views: Vec<CachedView> },
     Oracle(oracle::GossipState<PeerCacheSource>),
+}
+
+impl Backend {
+    fn devices(&self) -> usize {
+        match self {
+            Backend::Delta { state, .. } => state.devices(),
+            Backend::Oracle(state) => state.devices(),
+        }
+    }
+
+    /// Publish `holder`'s cache when its advertisement is out of date,
+    /// or unconditionally with `force` (the chaos re-advertisement) —
+    /// the one refresh rule both engines share, so they cannot drift.
+    /// Empty caches stay silent (see the module doc): a holder that
+    /// never advertised does not publish while it holds nothing.
+    fn refresh(&mut self, holder: usize, cache: &LayerCache, force: bool) {
+        let last = match self {
+            Backend::Delta { state, .. } => state.self_ad(holder),
+            Backend::Oracle(state) => state.self_ad(holder),
+        };
+        let publish = match last {
+            Some(ad) => {
+                force || ad.len() != cache.len() || cache.digests().any(|d| !ad.has_blob(d))
+            }
+            None => !cache.is_empty(),
+        };
+        if publish {
+            let ad = PeerCacheSource::for_holder(DeviceId(holder), cache);
+            match self {
+                Backend::Delta { state, .. } => state.advertise(holder, ad),
+                Backend::Oracle(state) => state.advertise(holder, ad),
+            };
+        }
+    }
+
+    fn run_rounds(&mut self, rounds: u32, fanout: u32) {
+        match self {
+            Backend::Delta { state, .. } => state.run_rounds(rounds, fanout),
+            Backend::Oracle(state) => state.run_rounds(rounds, fanout),
+        }
+    }
 }
 
 /// The fleet-wide gossip discovery plane: epidemic state plus the knobs
@@ -122,41 +175,16 @@ impl GossipPlane {
     /// advertise what they held when the wave began": every device whose
     /// cache diverged from its own last advertisement re-advertises
     /// (epoch bump), then `rounds_per_wave` epidemic rounds spread the
-    /// freshest epochs. `caches[j]` is device `j`'s layer cache. On an
-    /// unchanged fleet nothing re-advertises and every round
-    /// short-circuits — the barrier allocates nothing and the cached
-    /// mesh views stay live.
+    /// freshest epochs. `caches[j]` is device `j`'s layer cache. A
+    /// device that never advertised stays silent while its cache is
+    /// empty (views cannot tell the difference). On an unchanged fleet
+    /// nothing re-advertises and every round short-circuits — the
+    /// barrier allocates nothing and the cached mesh views stay live.
     pub fn barrier_round(&mut self, caches: &[&LayerCache]) {
-        match &mut self.backend {
-            Backend::Delta { state, .. } => {
-                for (j, cache) in caches.iter().enumerate() {
-                    let fresh = match state.self_ad(j) {
-                        Some(ad) => {
-                            ad.len() != cache.len() || cache.digests().any(|d| !ad.has_blob(d))
-                        }
-                        None => true,
-                    };
-                    if fresh {
-                        state.advertise(j, PeerCacheSource::for_holder(DeviceId(j), cache));
-                    }
-                }
-                state.run_rounds(self.rounds_per_wave, self.fanout);
-            }
-            Backend::Oracle(state) => {
-                for (j, cache) in caches.iter().enumerate() {
-                    let fresh = match state.self_ad(j) {
-                        Some(ad) => {
-                            ad.len() != cache.len() || cache.digests().any(|d| !ad.has_blob(d))
-                        }
-                        None => true,
-                    };
-                    if fresh {
-                        state.advertise(j, PeerCacheSource::for_holder(DeviceId(j), cache));
-                    }
-                }
-                state.run_rounds(self.rounds_per_wave, self.fanout);
-            }
+        for (j, cache) in caches.iter().enumerate() {
+            self.backend.refresh(j, cache, false);
         }
+        self.backend.run_rounds(self.rounds_per_wave, self.fanout);
     }
 
     /// Immediate re-advertisement after an out-of-band cache change —
@@ -166,19 +194,10 @@ impl GossipPlane {
     /// viewers acting on the lie pay a failover, never a wrong estimate.
     /// (The bump also moves the generation, invalidating every cached
     /// mesh view — which is why out-of-band mutations must come through
-    /// here.)
+    /// here.) A holder that never advertised and is empty stays silent.
     pub fn readvertise(&mut self, holder: DeviceId, cache: &LayerCache) {
-        match &mut self.backend {
-            Backend::Delta { state, .. } => {
-                if holder.0 < state.devices() {
-                    state.advertise(holder.0, PeerCacheSource::for_holder(holder, cache));
-                }
-            }
-            Backend::Oracle(state) => {
-                if holder.0 < state.devices() {
-                    state.advertise(holder.0, PeerCacheSource::for_holder(holder, cache));
-                }
-            }
+        if holder.0 < self.backend.devices() {
+            self.backend.refresh(holder.0, cache, true);
         }
     }
 
@@ -194,7 +213,8 @@ impl GossipPlane {
     ///
     /// Views are cached per target for as long as the gossip generation
     /// holds still: between barriers of an unchanged fleet this is a
-    /// clone of the stored vector, not a rebuild.
+    /// clone of the stored vector, not a rebuild — and a cheap one, as
+    /// each source shares its digest set with the advertisement.
     pub fn mesh_view(
         &mut self,
         caches: &[&LayerCache],

@@ -16,8 +16,10 @@
 //!    exactly what the executor measures, lag and all.
 //! 3. **Protocol properties** — seeded determinism, monotone epidemic
 //!    growth (more rounds only add knowledge, epochs never regress),
-//!    all-pairs one-round convergence, and bounded views that are
-//!    subsets of the full view.
+//!    all-pairs one-round convergence, bounded views that are subsets
+//!    of the full view, and silent empty caches (never-advertised
+//!    devices with nothing to share skip their advertisement) leaving
+//!    every view's non-empty entries unchanged.
 //! 4. **Staleness safety** — a lying advertisement (the holder died, or
 //!    chaos evicted its cache after the barrier) never panics and never
 //!    serves vanished bytes: the pull pays the mesh's mid-pull failover,
@@ -33,7 +35,9 @@ use deep::core::{DeepScheduler, EstimationContext, Scheduler};
 use deep::dataflow::{self, apps, Application};
 use deep::netsim::gossip::GossipState;
 use deep::netsim::{Bandwidth, DataSize, DeviceId, Seconds};
-use deep::registry::{Digest, FaultModel, FaultRates, LayerCache, Platform};
+use deep::registry::{
+    BlobSource, Digest, FaultModel, FaultRates, LayerCache, PeerCacheSource, Platform,
+};
 use deep::simulator::{
     execute, execute_with_events, peer_source_id, ChaosEvent, ExecutorConfig, GossipPlane,
     PeerDiscovery, Placement, RegistryChoice, RunReport, Schedule, Testbed, TraceKind,
@@ -260,6 +264,96 @@ proptest! {
             for &(holder, epoch) in partial {
                 let fresh = full.get(&holder).copied();
                 prop_assert!(fresh >= Some(epoch), "epoch regressed for holder {}", holder);
+            }
+        }
+    }
+}
+
+/// One device's cache refresh at a barrier (or, with `force`, the chaos
+/// re-advertisement): publish when the last advertisement no longer
+/// matches the cache. `silent_empty` is the plane's rule — a holder that
+/// never advertised stays silent while empty; without it every device
+/// advertises at its first barrier, empty or not.
+fn refresh_ad(
+    state: &mut GossipState<PeerCacheSource>,
+    holder: usize,
+    cache: &LayerCache,
+    force: bool,
+    silent_empty: bool,
+) {
+    let publish = match state.self_ad(holder) {
+        Some(ad) => force || ad.len() != cache.len() || cache.digests().any(|d| !ad.has_blob(d)),
+        None => !(silent_empty && cache.is_empty()),
+    };
+    if publish {
+        state.advertise(holder, PeerCacheSource::for_holder(DeviceId(holder), cache));
+    }
+}
+
+/// Each viewer's non-empty advertisements as `(holder, sorted digests)`
+/// — what a mesh view can be built from.
+fn nonempty_views(state: &GossipState<PeerCacheSource>) -> Vec<Vec<(usize, Vec<Digest>)>> {
+    (0..state.devices())
+        .map(|viewer| {
+            state
+                .known(viewer)
+                .filter(|(_, _, ad)| !ad.is_empty())
+                .map(|(holder, _, ad)| {
+                    let mut digests: Vec<Digest> = ad.digests().cloned().collect();
+                    digests.sort();
+                    (holder, digests)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Silencing never-advertised empty caches is invisible to views:
+    /// driven through the same script of cache fills, evictions to
+    /// empty, chaos re-advertisements and barriers, a state where every
+    /// fresh device advertises and one where empty caches stay silent
+    /// hold the same non-empty `(holder, digest set)` entries in every
+    /// view after every step — the skipped empty epochs only relabel
+    /// each holder's epochs monotonically.
+    #[test]
+    fn silent_empty_caches_leave_every_view_unchanged(
+        devices in 2usize..10,
+        seed in any::<u64>(),
+        raw in proptest::collection::vec(any::<u64>(), 1..40),
+    ) {
+        let mut caches = vec![LayerCache::new(DataSize::gigabytes(8.0)); devices];
+        let mut every: GossipState<PeerCacheSource> = GossipState::new(devices, seed);
+        let mut silent: GossipState<PeerCacheSource> = GossipState::new(devices, seed);
+        for x in raw {
+            let device = ((x >> 2) % devices as u64) as usize;
+            match x & 3 {
+                0 => {
+                    let layer = Digest::of(&[(x >> 8) as u8 % 6]);
+                    caches[device].insert(layer, DataSize::megabytes(5.0));
+                }
+                1 => {
+                    caches[device].evict_to(DataSize::ZERO);
+                }
+                2 => {
+                    refresh_ad(&mut every, device, &caches[device], true, false);
+                    refresh_ad(&mut silent, device, &caches[device], true, true);
+                }
+                _ => {
+                    let fanout = 1 + ((x >> 16) % 3) as u32;
+                    for (j, cache) in caches.iter().enumerate() {
+                        refresh_ad(&mut every, j, cache, false, false);
+                        refresh_ad(&mut silent, j, cache, false, true);
+                    }
+                    every.run_round(fanout);
+                    silent.run_round(fanout);
+                }
+            }
+            prop_assert_eq!(nonempty_views(&every), nonempty_views(&silent));
+            for j in 0..devices {
+                prop_assert!(silent.epoch(j) <= every.epoch(j), "device {} epoch", j);
             }
         }
     }
