@@ -8,11 +8,9 @@
 //!   fleet (payoffs price split pulls) vs the peer-blind paper scheduler;
 //! * `nash_mesh_equilibrium_check` — verifying a schedule is a pure Nash
 //!   equilibrium of the mesh-wide joint game;
-//! * `nash_mesh_fleet` — the fleet axis: the auto-selected sparse path
-//!   on 50/200/1,000-device synthetic fleets at 10 registries, plus the
-//!   forced-dense path where it is still feasible (50/200 devices × 2
-//!   registries) to place the crossover. The scaling curve is recorded
-//!   in PERF.md ("Fleet-scale solver").
+//! * `nash_mesh_fleet` — the fleet axis: the solver on 50/200/1,000-device
+//!   synthetic fleets at 10 registries. The scaling curve is recorded in
+//!   PERF.md ("Fleet-scale solver").
 //!
 //! The equilibrium-quality numbers this bench's scenarios produce (split
 //! vs best-single deployment time) are printed by
@@ -82,8 +80,6 @@ fn bench_fleet(c: &mut Criterion) {
         deep_dataflow::DagGenerator { stages: 5, width: (2, 4), ..Default::default() }.generate(42);
     let mut group = c.benchmark_group("nash_mesh_fleet");
     group.sample_size(10);
-    // The sparse path across the fleet axis (auto-selected: every cell
-    // sits above DEFAULT_SPARSE_THRESHOLD).
     for devices in [50usize, 200, 1000] {
         let mut tb = synthetic_fleet_testbed(devices, 10, 42);
         tb.publish_application(&app);
@@ -91,19 +87,6 @@ fn bench_fleet(c: &mut Criterion) {
             BenchmarkId::new("sparse", format!("{devices}d_10r")),
             &app,
             |b, app| b.iter(|| black_box(DeepScheduler::paper().schedule(app, &tb))),
-        );
-    }
-    // The dense path where it is still affordable: support enumeration
-    // over the full |R|×|D| bimatrix per member. 1,000×dense is omitted
-    // on purpose — it is exactly what the sparse path exists to avoid.
-    for devices in [50usize, 200] {
-        let mut tb = synthetic_fleet_testbed(devices, 2, 42);
-        tb.publish_application(&app);
-        let dense = DeepScheduler { sparse_threshold: usize::MAX, ..DeepScheduler::paper() };
-        group.bench_with_input(
-            BenchmarkId::new("dense", format!("{devices}d_2r")),
-            &app,
-            |b, app| b.iter(|| black_box(dense.schedule(app, &tb))),
         );
     }
     group.finish();

@@ -1,8 +1,8 @@
-//! Nash-equilibrium solver performance: support enumeration vs
-//! Lemke–Howson across game sizes, plus the classic validation games.
+//! Nash-equilibrium solver performance: support enumeration across game
+//! sizes, plus the classic validation games.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use deep_game::{classic, lemke_howson, support_enumeration, Bimatrix, Matrix};
+use deep_game::{classic, support_enumeration, Bimatrix, Matrix};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -25,17 +25,6 @@ fn bench_support_enumeration(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_lemke_howson(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lemke_howson");
-    for n in [2usize, 4, 8, 16] {
-        let game = random_bimatrix(n, n, 7 + n as u64);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &game, |b, g| {
-            b.iter(|| black_box(lemke_howson(g, 0)))
-        });
-    }
-    group.finish();
-}
-
 fn bench_deployment_shaped_game(c: &mut Criterion) {
     // The 2×2 (registry × device) game DEEP solves per microservice.
     let game = random_bimatrix(2, 2, 99);
@@ -44,10 +33,5 @@ fn bench_deployment_shaped_game(c: &mut Criterion) {
     c.bench_function("prisoners_dilemma", |b| b.iter(|| black_box(support_enumeration(&pd))));
 }
 
-criterion_group!(
-    benches,
-    bench_support_enumeration,
-    bench_lemke_howson,
-    bench_deployment_shaped_game
-);
+criterion_group!(benches, bench_support_enumeration, bench_deployment_shaped_game);
 criterion_main!(benches);

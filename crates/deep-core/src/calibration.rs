@@ -30,8 +30,9 @@ use deep_netsim::Seconds;
 use deep_simulator::{Testbed, DEVICE_MEDIUM, DEVICE_SMALL};
 use serde::{Deserialize, Serialize};
 
-/// One published Table II row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One published Table II row. A static reference table: it serializes
+/// into reports but is never read back.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PaperRow {
     pub application: &'static str,
     pub microservice: &'static str,

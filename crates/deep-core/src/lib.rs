@@ -70,20 +70,17 @@
 //!   estimator's wave clock prices its full failover, so the
 //!   equilibrium routes *around a window* instead of averaging over it
 //!   (see [`soak::run_scenario`] and `docs/SCENARIOS.md`).
-//! * **Two solve paths, one scheduler** — [`nash::DeepScheduler`] keeps
-//!   the paper's dense path (per-member |R|×|D| bimatrix support
-//!   enumeration, full-replay joint refinement) for paper-sized
-//!   testbeds and switches to the fleet-scale sparse path — direct
-//!   payoff scans over a reusable workspace, rayon-parallel per-device
-//!   pricing, prefix-context incremental refinement, and
-//!   `deep-game`'s sparse potential descent for the wave warm starts —
-//!   when `|R|·|D|` reaches [`nash::DeepScheduler::sparse_threshold`]
-//!   (default [`nash::DEFAULT_SPARSE_THRESHOLD`]). Both paths produce
-//!   byte-identical schedules (`tests/fleet_solver.rs`); the default
-//!   threshold keeps every paper-sized testbed on the dense path
-//!   bit-for-bit. [`continuum::synthetic_fleet_testbed`] scales the
-//!   calibrated continuum to 10³ seeded-heterogeneous devices for the
-//!   fleet regime (`examples/fleet_scale.rs`, PERF.md).
+//! * **One solve path, paper testbed to fleet** — [`nash::DeepScheduler`]
+//!   solves each member's |R|×|D| stage game by a direct payoff scan
+//!   over a reusable workspace (the last minimal-energy cell,
+//!   registry-major: the equilibrium the paper's support enumeration
+//!   selects in a common-interest game, checked member by member by
+//!   `nash.rs`'s oracle test), with rayon-surface per-device pricing,
+//!   prefix-context incremental refinement and `deep-game`'s sparse
+//!   potential descent for the wave warm starts. The same path runs on
+//!   the paper's two-device testbed and on
+//!   [`continuum::synthetic_fleet_testbed`]'s 10³ seeded-heterogeneous
+//!   devices (`examples/fleet_scale.rs`, PERF.md).
 //!
 //! Architecture (paper Figure 1) mapped to modules:
 //!
@@ -132,7 +129,7 @@ pub use distribution::{distribution_table, DistributionRow};
 pub use experiment::{Experiments, Fig3aResult, Fig3bResult, HeadlineResult};
 pub use fleet::{run_fleet, run_fleet_cold, FleetConfig, FleetReport};
 pub use model::{Estimate, EstimationContext, ScenarioPricing};
-pub use nash::{DeepScheduler, RepairOutcome, WaveRouteGame, DEFAULT_SPARSE_THRESHOLD};
+pub use nash::{DeepScheduler, RepairOutcome, WaveRouteGame};
 pub use pareto::{distance_to_front, enumerate_profiles, pareto_front, EvaluatedProfile};
 pub use soak::{percentile, run_scenario, scenario_scheduler, scenario_testbed, ScenarioOutcome};
 

@@ -105,8 +105,8 @@ impl Estimate {
 /// (estimates never mutate loads; only commits charge them).
 ///
 /// Values are identical to the map they replace, so every estimate that
-/// reads through [`Testbed::params::contention_factor`] sees the same
-/// integers and prices the same floats.
+/// reads through [`deep_simulator::TestbedParams::contention_factor`]
+/// sees the same integers and prices the same floats.
 ///
 /// Lanes are created on first charge and *zeroed, not dropped* on wave
 /// barriers (`clear` walks the charged keys only), so steady-state waves

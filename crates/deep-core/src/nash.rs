@@ -8,9 +8,10 @@
 //!    each microservice plays a common-interest bimatrix game: the row
 //!    player picks the registry `regist(m_i)`, the column player the
 //!    device `sched(m_i)`, and both receive `−EC(m_i, r_g, d_j)` under the
-//!    current cache/contention state. The game is solved by support
-//!    enumeration (the Nashpy algorithm); among the equilibria DEEP plays
-//!    the energy-minimal one.
+//!    current cache/contention state. In a common-interest game the
+//!    global payoff maximum is always a pure Nash equilibrium, and DEEP
+//!    plays that energy-minimal one: the cell the paper's Nashpy support
+//!    enumeration selects, found by one scan of the payoff grid.
 //! 2. **Joint refinement** — the per-stage choices induce an n-player
 //!    congestion game (same-wave pulls share registry→device routes, and
 //!    sibling images share layers). Best-response dynamics over the full
@@ -20,11 +21,9 @@
 //!    microservices that would individually pick the same route are pushed
 //!    to split across registries. A refinement pass over the unchanged
 //!    sequential profile re-prices each member's grid in exactly the state
-//!    its stage game priced, so the pass runs only when it can move
-//!    something: the congestion warm start moved the profile, or a dense
-//!    stage game's mixed equilibrium rounded off its grid minimum. Every
-//!    other solve (every sparse one whose warm start is rejected) skips
-//!    it.
+//!    its stage game priced, where every pick is already the grid
+//!    minimum, so the passes run only when the congestion warm start
+//!    moved the profile.
 //!
 //! Both layers run over the *whole mesh*: the registry side of every
 //! strategy ranges over [`Testbed::registry_choices`] (the paper pair plus
@@ -42,37 +41,27 @@
 //! hub-vs-regional game exactly (regression-tested in
 //! `tests/mesh_equilibria.rs`).
 //!
-//! ## Two solve paths: dense enumeration vs sparse descent
+//! ## The solve path
 //!
-//! The scheduler auto-selects between two equivalent solve paths by
-//! joint strategy-space size (`registries × devices`, threshold
-//! [`DeepScheduler::sparse_threshold`], default
-//! [`DEFAULT_SPARSE_THRESHOLD`]):
-//!
-//! * **Dense (paper-sized, below the threshold)** — stage games build
-//!   the full |R|×|D| bimatrix and run Nashpy-style support enumeration;
-//!   the congestion warm start runs dense best-response dynamics. This
-//!   is the seed path, preserved bit for bit.
-//! * **Sparse (fleet-scale, at or above it)** — stage-game payoffs fan
-//!   out across devices through rayon's `par_iter` surface into a
-//!   reused flat buffer (estimates are `&self`, so one context could
-//!   serve every worker). The workspace's `vendor/rayon` is a *serial*
-//!   stand-in, so today the fan-out runs on the calling thread; a
-//!   scoped-thread shim was measured slower on the 800-device
-//!   admission benchmark on a 2-vCPU host.
-//!   The equilibrium cell is selected by a single scan replicating the
-//!   dense tie-breaks (support enumeration lists pure equilibria
-//!   row-major and `max_by` keeps the *last* maximum, so the scan keeps
-//!   the last minimal-energy cell registry-major). The warm start runs
-//!   [`CongestionGame::sparse_descent`] — incremental ΔΦ over
-//!   per-resource load counters, trajectory-identical to the dense
-//!   dynamics (proven in `deep-game`'s parity tests) but touching only
-//!   the deviator's resource subset per candidate.
+//! * **Stage games** — payoffs fan out across devices through rayon's
+//!   `par_iter` surface into a reused flat buffer (estimates are
+//!   `&self`, so one context could serve every worker). The workspace's
+//!   `vendor/rayon` is a *serial* stand-in, so today the fan-out runs on
+//!   the calling thread; a scoped-thread shim was measured slower on the
+//!   800-device admission benchmark on a 2-vCPU host. One scan then
+//!   selects the stage game's cell: the *last* minimal-energy cell in
+//!   registry-major order. That rule is the specification. It is the
+//!   cell support enumeration selects when it lists the pure equilibria
+//!   registry-major and keeps the last payoff maximum, which this
+//!   module's oracle test checks member by member.
+//! * **Congestion warm start** — [`CongestionGame::sparse_descent`]:
+//!   incremental ΔΦ over per-resource load counters, touching only the
+//!   deviator's resource subset per candidate.
 //!
 //! The joint refinement and equilibrium checks evaluate unilateral
-//! deviations *incrementally* on both paths: a member's payoff depends
-//! only on placements committed strictly before it in the barrier walk,
-//! so one prefix replay per member prices every candidate directly —
+//! deviations *incrementally*: a member's payoff depends only on
+//! placements committed strictly before it in the barrier walk, so one
+//! prefix replay per member prices every candidate directly —
 //! float-identical to the seed's full-profile replays at 1/n-th the
 //! walks (the equilibrium checks, whose profile never moves, price
 //! every member in one walk). Each call opens one estimation context —
@@ -85,7 +74,7 @@
 use crate::model::{EstimationContext, ScenarioPricing};
 use crate::Scheduler;
 use deep_dataflow::{stages, Application, MicroserviceId};
-use deep_game::{support_enumeration, Bimatrix, CongestionGame, DescentWorkspace, Matrix};
+use deep_game::{CongestionGame, DescentWorkspace};
 use deep_netsim::{DeviceId, RegistryId, Seconds};
 use deep_simulator::{route_key, PeerDiscovery, Placement, RegistryChoice, Schedule, Testbed};
 use rayon::prelude::*;
@@ -130,17 +119,12 @@ pub struct WaveRouteGame {
 
 impl WaveRouteGame {
     /// Derive the wave's game from the context's current state (call at
-    /// the wave barrier, before committing any member). With `parallel`
-    /// the per-placement pull plans fan out over rayon's `par_iter`
-    /// surface (serial in this workspace; order-preserving collect; the
-    /// observed-cost sums accumulate in strategy order, so every float
-    /// matches the serial build exactly).
-    fn build(
-        ctx: &EstimationContext<'_>,
-        testbed: &Testbed,
-        members: &[MicroserviceId],
-        parallel: bool,
-    ) -> Self {
+    /// the wave barrier, before committing any member). The per-placement
+    /// pull plans fan out over rayon's `par_iter` surface (serial in
+    /// this workspace; order-preserving collect; the observed-cost sums
+    /// accumulate in strategy order, so every float matches a serial
+    /// build exactly).
+    fn build(ctx: &EstimationContext<'_>, testbed: &Testbed, members: &[MicroserviceId]) -> Self {
         let registries = ctx.registry_choices();
         let threshold = testbed.params.contention_threshold;
         let mut strategies: Vec<Vec<Placement>> = Vec::with_capacity(members.len());
@@ -171,11 +155,8 @@ impl WaveRouteGame {
                 }
                 loads
             };
-            let mut per_strategy: Vec<StrategyLoads> = if parallel {
-                placements.par_iter().map(strategy_loads).collect()
-            } else {
-                placements.iter().map(strategy_loads).collect()
-            };
+            let mut per_strategy: Vec<StrategyLoads> =
+                placements.par_iter().map(strategy_loads).collect();
             for loads in &mut per_strategy {
                 for &(key, secs) in loads.iter() {
                     let entry = observed.entry(key).or_insert((0.0, 0));
@@ -245,14 +226,6 @@ pub struct RepairOutcome {
     pub fell_back: bool,
 }
 
-/// Strategy-space size (`registries × devices`) at which
-/// [`DeepScheduler`] switches from dense support enumeration to the
-/// sparse fleet-scale path. The paper testbeds top out at 5 registries
-/// × 3 devices = 15 cells, comfortably below — so the default
-/// preserves paper-sized behaviour bit for bit while a 1,000-device
-/// fleet (≥ 2,000 cells) always takes the sparse path.
-pub const DEFAULT_SPARSE_THRESHOLD: usize = 64;
-
 /// Reused buffers for the hot solve loop: per-member admissible-device
 /// lists, the flat stage-game payoff grid the `par_iter` fan-out
 /// fills, and the sparse-descent counters. One workspace serves a whole
@@ -273,24 +246,21 @@ struct FleetWorkspace {
 /// in the refinement, the equilibrium checks and the exact-cost guards.
 const MARGIN: f64 = 1e-9;
 
-/// One stage game's pick and what its grid says about it.
+/// One stage game's pick: the minimal-energy cell of the member's grid.
 struct StagePick {
     placement: Placement,
     /// The member's estimated energy at the pick.
     cost: f64,
-    /// No cell of the member's grid is cheaper by more than [`MARGIN`].
-    best_response: bool,
 }
 
 /// The sequential stage games' profile with the costs they computed.
+/// Every pick is a best response on its own grid.
 struct Sequential {
     profile: Vec<Placement>,
     /// Each member's estimated energy under `profile`, by id — exactly
     /// what [`DeepScheduler::profile_costs`] would return, since each
     /// stage game priced its member in the profile's own walk.
     costs: Vec<f64>,
-    /// Every pick is a best response on its own grid.
-    best_responses: bool,
 }
 
 /// The DEEP scheduler.
@@ -333,8 +303,8 @@ pub struct DeepScheduler {
     /// jump doesn't pay (the common case: the sequential stage games
     /// already sit at a congestion equilibrium) the refinement starts
     /// from the sequential profile exactly as before, preserving the
-    /// seed-parity contract — and skips its passes when every stage pick
-    /// is a best response on its grid, since they could move nothing.
+    /// seed-parity contract — and skips its passes, since every stage
+    /// pick is a best response on its grid and they could move nothing.
     pub congestion_warm_start: bool,
     /// The estimator clock at which the deployment starts. An online
     /// plane admitting applications mid-soak sets this to the
@@ -348,14 +318,6 @@ pub struct DeepScheduler {
     /// At 0 (the default) pricing is byte-identical to the one-shot
     /// path.
     pub start_pull: u64,
-    /// Joint strategy-space size (`registries × devices`) at which the
-    /// solver switches from dense support enumeration to the sparse
-    /// fleet-scale path (parallel payoff fan-out + sparse potential
-    /// descent). The default ([`DEFAULT_SPARSE_THRESHOLD`]) keeps every
-    /// paper-sized testbed on the dense path bit for bit; set to `1` to
-    /// force sparse everywhere (the parity tests do) or `usize::MAX` to
-    /// force dense.
-    pub sparse_threshold: usize,
     /// How the executor will discover peer holders — mirror of
     /// [`deep_simulator::ExecutorConfig::peer_discovery`]. Under
     /// [`PeerDiscovery::Gossip`] the payoffs run the same seeded
@@ -382,7 +344,6 @@ impl Default for DeepScheduler {
             congestion_warm_start: true,
             start_clock: Seconds::ZERO,
             start_pull: 0,
-            sparse_threshold: DEFAULT_SPARSE_THRESHOLD,
             peer_discovery: PeerDiscovery::Snapshot,
             discovery_seed: 0,
         }
@@ -446,114 +407,54 @@ impl DeepScheduler {
         ctx
     }
 
-    /// Does `testbed`'s joint strategy space put this scheduler on the
-    /// sparse fleet-scale path?
-    fn fleet_scale(&self, testbed: &Testbed) -> bool {
-        testbed.registry_choices().len() * testbed.devices.len() >= self.sparse_threshold
-    }
-
     /// Play the per-microservice stage games in barrier order on a clone
     /// of `opened`.
     fn sequential_assignment(
-        &self,
         opened: &EstimationContext<'_>,
         app: &Application,
-        testbed: &Testbed,
         ws: &mut FleetWorkspace,
     ) -> Sequential {
         let mut ctx = opened.clone();
         let mut placements: Vec<Option<Placement>> = vec![None; app.len()];
         let mut costs = vec![0.0; app.len()];
-        let mut best_responses = true;
         for (w, stage) in stages(app).iter().enumerate() {
             if w > 0 {
                 ctx.begin_wave();
             }
             for &id in &stage.members {
-                let pick = self.stage_game(&ctx, testbed, id, ws);
+                let pick = Self::stage_game(&ctx, id, ws);
                 ctx.commit(id, pick.placement);
                 placements[id.0] = Some(pick.placement);
                 costs[id.0] = pick.cost;
-                best_responses &= pick.best_response;
             }
         }
         let profile = placements.into_iter().map(|p| p.expect("all stages visited")).collect();
-        Sequential { profile, costs, best_responses }
+        Sequential { profile, costs }
     }
 
     /// Solve one microservice's |R|×|D| common-interest game over every
-    /// mesh registry × admissible device: dense support enumeration
-    /// below the sparse threshold (the seed path, bit for bit), the
-    /// parallel scan above it.
+    /// mesh registry × admissible device: price the grid
+    /// ([`DeepScheduler::candidate_costs`]), then play its *last*
+    /// minimal-energy cell in registry-major order.
+    ///
+    /// In a common-interest game the global payoff maximum is always a
+    /// pure Nash equilibrium, so the scanned cell is an equilibrium of
+    /// the stage game and a best response on the member's grid. The
+    /// tie-break is the specification: it is the cell Nashpy-style
+    /// support enumeration selects when it lists the pure equilibria
+    /// registry-major and keeps the last payoff maximum (this module's
+    /// oracle test checks the two member by member).
     fn stage_game(
-        &self,
         ctx: &EstimationContext<'_>,
-        testbed: &Testbed,
         id: MicroserviceId,
         ws: &mut FleetWorkspace,
     ) -> StagePick {
         let registries = ctx.registry_choices();
-        ctx.admissible_devices_into(id, &mut ws.devices);
+        Self::candidate_costs(ctx, id, &registries, ws);
         assert!(
             !ws.devices.is_empty(),
             "no device admits microservice {id}: the testbed cannot host the application"
         );
-        if self.fleet_scale(testbed) {
-            return Self::stage_game_sparse(ctx, id, &registries, ws);
-        }
-        let devices = &ws.devices;
-        let payoff = Matrix::from_fn(registries.len(), devices.len(), |r, c| {
-            -ctx.estimate(id, registries[r], devices[c]).ec.as_f64()
-        });
-        let game = Bimatrix::common_interest(payoff);
-        let equilibria = support_enumeration(&game);
-        // Among the Nash equilibria, cooperation selects the one with the
-        // best shared payoff (= minimum energy); mixed profiles round to
-        // their modal pure strategies.
-        let (x, y) = equilibria
-            .into_iter()
-            .max_by(|a, b| {
-                let pa = game.expected_payoffs(&a.0, &a.1).0;
-                let pb = game.expected_payoffs(&b.0, &b.1).0;
-                pa.partial_cmp(&pb).expect("payoffs are not NaN")
-            })
-            .expect("common-interest games always have a pure equilibrium");
-        let (r, c) = (x.mode(), y.mode());
-        let cost = -game.a[(r, c)];
-        StagePick {
-            placement: Placement { registry: registries[r], device: devices[c] },
-            cost,
-            // A mixed equilibrium can round to a cell off the grid
-            // minimum; the joint refinement then has a move to make.
-            best_response: -game.a.max() >= cost - MARGIN,
-        }
-    }
-
-    /// The fleet-scale stage game: payoff evaluation fans out across
-    /// devices through `par_iter` (serial in this workspace; the
-    /// context is `&self`-shared — route loads, caches and peer
-    /// snapshots are all read-only during estimation), then one scan
-    /// selects the equilibrium cell with exactly the dense path's
-    /// tie-breaks.
-    ///
-    /// Why a scan suffices: in a common-interest game the global payoff
-    /// maximum is always a pure Nash equilibrium, support enumeration
-    /// lists the pure equilibria first in row-major (registry-major)
-    /// order, `max_by` keeps the *last* maximal entry, and `mode()`
-    /// on a pure strategy is the identity — so the dense path selects
-    /// the last global-minimum-energy cell in registry-major order,
-    /// which is what the `<=` scan below keeps. (A degenerate mixed
-    /// equilibrium tying the global optimum to the last bit could in
-    /// principle round elsewhere; the parity suite has never produced
-    /// one.) The scanned cell is the grid minimum, so it is always a
-    /// best response.
-    fn stage_game_sparse(
-        ctx: &EstimationContext<'_>,
-        id: MicroserviceId,
-        registries: &[RegistryChoice],
-        ws: &mut FleetWorkspace,
-    ) -> StagePick {
-        Self::candidate_costs(ctx, id, registries, true, ws);
         let r_count = registries.len();
         let mut best = (f64::INFINITY, 0usize, 0usize);
         for ri in 0..r_count {
@@ -567,7 +468,6 @@ impl DeepScheduler {
         StagePick {
             placement: Placement { registry: registries[best.1], device: ws.devices[best.2] },
             cost: best.0,
-            best_response: true,
         }
     }
 
@@ -650,12 +550,11 @@ impl DeepScheduler {
     ) -> Vec<WaveRouteGame> {
         let mut ctx = self.open(testbed, app);
         let mut out = Vec::new();
-        let parallel = self.fleet_scale(testbed);
         for (w, stage) in stages(app).iter().enumerate() {
             if w > 0 {
                 ctx.begin_wave();
             }
-            out.push(WaveRouteGame::build(&ctx, testbed, &stage.members, parallel));
+            out.push(WaveRouteGame::build(&ctx, testbed, &stage.members));
             for &id in &stage.members {
                 ctx.commit(id, profile[id.0]);
             }
@@ -664,7 +563,7 @@ impl DeepScheduler {
     }
 
     /// Potential-guided warm start: drive each wave's explicit
-    /// congestion game to a pure equilibrium by best-response dynamics
+    /// congestion game to a pure equilibrium by sparse potential descent
     /// (every accepted move decreases Rosenthal's exact potential by the
     /// deviator's improvement, so the descent terminates without any
     /// full-profile cost replay), then return the jump only if the exact
@@ -683,12 +582,11 @@ impl DeepScheduler {
         let mut ctx = opened.clone();
         let mut out = sequential.profile.clone();
         let mut costs = vec![0.0; app.len()];
-        let fleet = self.fleet_scale(testbed);
         for (w, stage) in stages(app).iter().enumerate() {
             if w > 0 {
                 ctx.begin_wave();
             }
-            let wave = WaveRouteGame::build(&ctx, testbed, &stage.members, fleet);
+            let wave = WaveRouteGame::build(&ctx, testbed, &stage.members);
             if !wave.resources.is_empty() {
                 let game = wave.game();
                 let start: Vec<usize> = wave
@@ -697,15 +595,10 @@ impl DeepScheduler {
                     .enumerate()
                     .map(|(p, &id)| wave.strategy_index(p, out[id.0]))
                     .collect();
-                // Trajectory-identical engines (deep-game parity tests);
-                // the sparse one touches only the deviator's resource
-                // subset per candidate, which is what makes fleet-sized
-                // strategy spaces affordable.
-                let result = if fleet {
-                    game.sparse_descent(start, self.max_refine_passes, &mut ws.descent)
-                } else {
-                    game.best_response_dynamics(start, self.max_refine_passes)
-                };
+                // Touches only the deviator's resource subset per
+                // candidate, which is what makes fleet-sized strategy
+                // spaces affordable.
+                let result = game.sparse_descent(start, self.max_refine_passes, &mut ws.descent);
                 for (p, &id) in wave.members.iter().enumerate() {
                     out[id.0] = wave.strategies[p][result.profile[p]];
                 }
@@ -746,8 +639,7 @@ impl DeepScheduler {
     /// descent spends more than `budget` deviations, or when it fails
     /// to converge within [`DeepScheduler::max_refine_passes`] passes.
     /// The re-solve runs the full [`Scheduler::schedule`], whose joint
-    /// refinement still runs when its warm start moved the profile or a
-    /// dense stage game rounded off its grid minimum.
+    /// refinement still runs when its warm start moved the profile.
     pub fn incremental_repair(
         &self,
         app: &Application,
@@ -801,13 +693,12 @@ impl DeepScheduler {
         let mut out = profile.clone();
         let mut costs = vec![0.0; app.len()];
         let mut deviations = 0usize;
-        let fleet = self.fleet_scale(testbed);
         let mut ctx = opened.clone();
         for (w, stage) in stages(app).iter().enumerate() {
             if w > 0 {
                 ctx.begin_wave();
             }
-            let wave = WaveRouteGame::build(&ctx, testbed, &stage.members, fleet);
+            let wave = WaveRouteGame::build(&ctx, testbed, &stage.members);
             if !wave.resources.is_empty() {
                 let game = wave.game();
                 let mut current: Vec<usize> = wave
@@ -863,18 +754,17 @@ impl DeepScheduler {
     /// float-identical to the seed's per-candidate full-profile replays
     /// (the member's payoff never depends on its own or later commits),
     /// at `O(members)` walks per pass instead of `O(members² ×
-    /// candidates)`. On the fleet-scale path the candidate grid fans
-    /// out across devices through `par_iter` (serial in this
-    /// workspace); the selection scan is serial regardless, so the dense tie-breaks (first strict improvement in
-    /// registry-major order) are preserved exactly.
+    /// candidates)`. The candidate grid fans out across devices through
+    /// `par_iter` (serial in this workspace); the selection scan is
+    /// serial regardless, so the tie-break (first strict improvement in
+    /// registry-major order) is deterministic.
     ///
     /// The passes run only when they can move something. By the
     /// `context_at` keystone, a pass over the sequential profile prices
-    /// each member's grid in exactly the state its stage game did, so
-    /// when the warm start kept that profile and every stage pick is a
-    /// best response on its grid, the pass is a no-op and is skipped.
-    /// It still runs when the warm start moved the profile, or when a
-    /// dense stage game's mixed equilibrium rounded off its grid minimum.
+    /// each member's grid in exactly the state its stage game did, and
+    /// every stage pick is the minimum of that grid, so when the warm
+    /// start kept the sequential profile the pass is a no-op and is
+    /// skipped.
     fn refine_joint(
         &self,
         opened: &EstimationContext<'_>,
@@ -888,10 +778,8 @@ impl DeepScheduler {
         } else {
             None
         };
-        let mut profile = match jumped {
-            Some(profile) => profile,
-            None if sequential.best_responses => return sequential.profile,
-            None => sequential.profile,
+        let Some(mut profile) = jumped else {
+            return sequential.profile;
         };
         for _ in 0..self.max_refine_passes {
             if !self.refine_pass(opened, app, testbed, &mut profile, ws) {
@@ -913,13 +801,12 @@ impl DeepScheduler {
         ws: &mut FleetWorkspace,
     ) -> bool {
         let registries = testbed.registry_choices();
-        let fleet = self.fleet_scale(testbed);
         let mut changed = false;
         for id in app.ids() {
             let ctx = Self::context_at(opened, app, profile, id);
             let current = profile[id.0];
             let current_cost = ctx.estimate(id, current.registry, current.device).ec.as_f64();
-            Self::candidate_costs(&ctx, id, &registries, fleet, ws);
+            Self::candidate_costs(&ctx, id, &registries, ws);
             let mut best = (current_cost, current);
             for (ri, &registry) in registries.iter().enumerate() {
                 for (di, &device) in ws.devices.iter().enumerate() {
@@ -943,13 +830,13 @@ impl DeepScheduler {
 
     /// Fill `ws.payoffs` (device-major) with `id`'s estimated energy for
     /// every registry × admissible device under `ctx`'s committed
-    /// prefix; `ws.devices` is refreshed first. Parallel over devices on
-    /// the fleet path, serial otherwise — same floats either way.
+    /// prefix; `ws.devices` is refreshed first. Fans out over devices
+    /// through `par_*` (serial in this workspace; each cell is one
+    /// independent estimate, so the floats match a serial fill).
     fn candidate_costs(
         ctx: &EstimationContext<'_>,
         id: MicroserviceId,
         registries: &[RegistryChoice],
-        parallel: bool,
         ws: &mut FleetWorkspace,
     ) {
         ctx.admissible_devices_into(id, &mut ws.devices);
@@ -957,16 +844,13 @@ impl DeepScheduler {
         let r_count = registries.len();
         payoffs.clear();
         payoffs.resize(r_count * devices.len(), 0.0);
-        let fill = |(row, &device): (&mut [f64], &DeviceId)| {
-            for (ri, &registry) in registries.iter().enumerate() {
-                row[ri] = ctx.estimate(id, registry, device).ec.as_f64();
-            }
-        };
-        if parallel {
-            payoffs.par_chunks_mut(r_count).zip(devices.par_iter()).for_each(fill);
-        } else {
-            payoffs.chunks_mut(r_count).zip(devices.iter()).for_each(fill);
-        }
+        payoffs.par_chunks_mut(r_count).zip(devices.par_iter()).for_each(
+            |(row, &device): (&mut [f64], &DeviceId)| {
+                for (ri, &registry) in registries.iter().enumerate() {
+                    row[ri] = ctx.estimate(id, registry, device).ec.as_f64();
+                }
+            },
+        );
     }
 
     /// Is `schedule` a pure Nash equilibrium of the joint deployment game
@@ -1080,7 +964,7 @@ impl Scheduler for DeepScheduler {
     fn schedule(&self, app: &Application, testbed: &Testbed) -> Schedule {
         let mut ws = FleetWorkspace::default();
         let opened = self.open(testbed, app);
-        let sequential = self.sequential_assignment(&opened, app, testbed, &mut ws);
+        let sequential = Self::sequential_assignment(&opened, app, &mut ws);
         let profile = if self.refine {
             self.refine_joint(&opened, app, testbed, sequential, &mut ws)
         } else {
@@ -1108,6 +992,7 @@ mod tests {
     use crate::calibration::calibrated_testbed;
     use crate::model::Estimate;
     use deep_dataflow::apps;
+    use deep_netsim::Bandwidth;
     use deep_simulator::{RegistryChoice, DEVICE_MEDIUM, DEVICE_SMALL};
 
     fn placements(app: &Application, s: &Schedule) -> Vec<(String, Placement)> {
@@ -1371,10 +1256,10 @@ mod tests {
         // fingerprint idiom — pointer and capacity both pinned).
         let tb = calibrated_testbed();
         let app = apps::text_processing();
-        let sched = DeepScheduler { sparse_threshold: 1, ..DeepScheduler::paper() };
+        let sched = DeepScheduler::paper();
         let opened = sched.open(&tb, &app);
         let mut ws = FleetWorkspace::default();
-        let warm = sched.sequential_assignment(&opened, &app, &tb, &mut ws);
+        let warm = DeepScheduler::sequential_assignment(&opened, &app, &mut ws);
         let warm = sched.refine_joint(&opened, &app, &tb, warm, &mut ws);
         let fp = (
             ws.payoffs.as_ptr(),
@@ -1382,7 +1267,7 @@ mod tests {
             ws.devices.as_ptr(),
             ws.devices.capacity(),
         );
-        let again = sched.sequential_assignment(&opened, &app, &tb, &mut ws);
+        let again = DeepScheduler::sequential_assignment(&opened, &app, &mut ws);
         let again = sched.refine_joint(&opened, &app, &tb, again, &mut ws);
         assert_eq!(warm, again, "workspace reuse must not change the schedule");
         assert_eq!(
@@ -1395,35 +1280,6 @@ mod tests {
             ),
             "steady-state solve reallocated a workspace buffer"
         );
-    }
-
-    #[test]
-    fn parallel_candidate_costs_match_serial_exactly() {
-        // fleet.rs::rayon_must_not_change_results, one level down: the
-        // rayon fan-out over devices must price every (registry, device)
-        // candidate bit-for-bit like the serial map.
-        let tb = calibrated_testbed();
-        let sched = DeepScheduler::paper();
-        let registries = tb.registry_choices();
-        for app in apps::case_studies() {
-            let schedule = sched.schedule(&app, &tb);
-            let profile: Vec<Placement> = app.ids().map(|id| schedule.placement(id)).collect();
-            let opened = sched.open(&tb, &app);
-            for id in app.ids() {
-                let ctx = DeepScheduler::context_at(&opened, &app, &profile, id);
-                let mut serial = FleetWorkspace::default();
-                let mut parallel = FleetWorkspace::default();
-                DeepScheduler::candidate_costs(&ctx, id, &registries, false, &mut serial);
-                DeepScheduler::candidate_costs(&ctx, id, &registries, true, &mut parallel);
-                assert_eq!(serial.devices, parallel.devices, "{} {id:?}", app.name());
-                assert_eq!(
-                    serial.payoffs.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
-                    parallel.payoffs.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
-                    "{} {id:?}",
-                    app.name()
-                );
-            }
-        }
     }
 
     #[test]
@@ -1457,8 +1313,8 @@ mod tests {
 
     #[test]
     fn refinement_pass_over_best_response_sequential_profiles_is_a_no_op() {
-        // The refinement skip rests on this: when every stage pick is a
-        // best response on its grid, a full pass over the sequential
+        // The refinement skip rests on this: every stage pick is the
+        // minimum of its grid, so a full pass over the sequential
         // profile re-prices each member in its stage game's own state
         // and moves nobody.
         let fleet = || {
@@ -1471,26 +1327,93 @@ mod tests {
             ("continuum", crate::continuum::continuum_testbed()),
             ("fleet-200", fleet()),
         ];
+        let sched = DeepScheduler::paper();
         for (name, tb) in &testbeds {
-            for (path, threshold) in [("sparse", 1), ("dense", usize::MAX)] {
-                let sched = DeepScheduler { sparse_threshold: threshold, ..DeepScheduler::paper() };
-                for app in apps::case_studies() {
-                    let opened = sched.open(tb, &app);
-                    let mut ws = FleetWorkspace::default();
-                    let seq = sched.sequential_assignment(&opened, &app, tb, &mut ws);
-                    let at = format!("{name}/{path}/{}", app.name());
-                    assert!(seq.best_responses, "{at}: a stage pick is off its grid minimum");
-                    assert_eq!(
-                        seq.costs,
-                        DeepScheduler::profile_costs(&opened, &app, &seq.profile),
-                        "{at}: stage-game costs are the profile's exact costs"
-                    );
-                    let mut profile = seq.profile.clone();
-                    let moved = sched.refine_pass(&opened, &app, tb, &mut profile, &mut ws);
-                    assert!(!moved, "{at}: the pass moved a member");
-                    assert_eq!(profile, seq.profile, "{at}");
-                }
+            for app in apps::case_studies() {
+                let opened = sched.open(tb, &app);
+                let mut ws = FleetWorkspace::default();
+                let seq = DeepScheduler::sequential_assignment(&opened, &app, &mut ws);
+                let at = format!("{name}/{}", app.name());
+                assert_eq!(
+                    seq.costs,
+                    DeepScheduler::profile_costs(&opened, &app, &seq.profile),
+                    "{at}: stage-game costs are the profile's exact costs"
+                );
+                let mut profile = seq.profile.clone();
+                let moved = sched.refine_pass(&opened, &app, tb, &mut profile, &mut ws);
+                assert!(!moved, "{at}: the pass moved a member");
+                assert_eq!(profile, seq.profile, "{at}");
             }
+        }
+    }
+
+    /// Walk the sequential stage games and, at every member, check the
+    /// scan's pick against Nashpy-style support enumeration over the
+    /// member's payoff bimatrix: among all equilibria keep the last one
+    /// with the best expected shared payoff and round it to its modal
+    /// pure strategies.
+    fn assert_stage_games_match_support_enumeration(at: &str, app: &Application, tb: &Testbed) {
+        use deep_game::{support_enumeration, Bimatrix, Matrix};
+        let mut ctx = DeepScheduler::paper().open(tb, app);
+        let registries = ctx.registry_choices();
+        let mut ws = FleetWorkspace::default();
+        for (w, stage) in stages(app).iter().enumerate() {
+            if w > 0 {
+                ctx.begin_wave();
+            }
+            for &id in &stage.members {
+                let devices = ctx.admissible_devices(id);
+                let payoff = Matrix::from_fn(registries.len(), devices.len(), |r, c| {
+                    -ctx.estimate(id, registries[r], devices[c]).ec.as_f64()
+                });
+                let game = Bimatrix::common_interest(payoff);
+                let (x, y) = support_enumeration(&game)
+                    .into_iter()
+                    .max_by(|a, b| {
+                        let pa = game.expected_payoffs(&a.0, &a.1).0;
+                        let pb = game.expected_payoffs(&b.0, &b.1).0;
+                        pa.partial_cmp(&pb).expect("payoffs are not NaN")
+                    })
+                    .expect("common-interest games always have a pure equilibrium");
+                let oracle =
+                    Placement { registry: registries[x.mode()], device: devices[y.mode()] };
+                let pick = DeepScheduler::stage_game(&ctx, id, &mut ws);
+                assert_eq!(pick.placement, oracle, "{at}: {id:?}");
+                assert_eq!(pick.cost.to_bits(), (-game.a[(x.mode(), y.mode())]).to_bits(), "{at}");
+                ctx.commit(id, pick.placement);
+            }
+        }
+    }
+
+    #[test]
+    fn stage_game_picks_match_the_support_enumeration_oracle() {
+        let mirrored = || {
+            let mut tb = calibrated_testbed();
+            tb.add_regional_mirror(Bandwidth::megabytes_per_sec(9.0), Seconds::new(4.0));
+            tb.add_regional_mirror(Bandwidth::megabytes_per_sec(11.0), Seconds::new(6.0));
+            tb
+        };
+        let testbeds = [
+            ("calibrated", calibrated_testbed()),
+            ("continuum", crate::continuum::continuum_testbed()),
+            ("calibrated+2 mirrors", mirrored()),
+        ];
+        for (name, tb) in &testbeds {
+            for app in apps::case_studies() {
+                assert_stage_games_match_support_enumeration(
+                    &format!("{name}/{}", app.name()),
+                    &app,
+                    tb,
+                );
+            }
+        }
+        // 40 devices × 2 registries: a fleet-shaped grid.
+        let mut fleet = crate::continuum::synthetic_fleet_testbed(40, 2, 11);
+        let gen = deep_dataflow::DagGenerator::default();
+        for seed in 0..3u64 {
+            let app = gen.generate(seed);
+            fleet.publish_application(&app);
+            assert_stage_games_match_support_enumeration(&format!("fleet-40/{seed}"), &app, &fleet);
         }
     }
 

@@ -10,12 +10,10 @@
 //! * [`strategy`] — mixed strategies with support queries;
 //! * [`bimatrix`] — two-player games: best responses, pure-equilibrium
 //!   enumeration, equilibrium verification, expected payoffs;
-//! * [`dominance`] — iterated elimination of strictly dominated strategies;
 //! * [`support_enum`] — support enumeration of all equilibria of
-//!   nondegenerate bimatrix games (Nashpy's `support_enumeration`);
-//! * [`mod@lemke_howson`] — complementary pivoting for one equilibrium
-//!   (Nashpy's `lemke_howson`);
-//! * [`dynamics`] — best-response dynamics and fictitious play;
+//!   nondegenerate bimatrix games (Nashpy's `support_enumeration`), the
+//!   test oracle for the scheduler's stage-game scan;
+//! * [`linalg`] — the small dense solves support enumeration needs;
 //! * [`congestion`] — finite n-player games with exact potential
 //!   (deployment-contention games), solved by best-response iteration;
 //!   includes the explicit Rosenthal form with player-specific resource
@@ -23,27 +21,20 @@
 //!   sparse potential-descent solver ([`CongestionGame::sparse_descent`])
 //!   over incremental per-resource load counters — trajectory-identical
 //!   to the dense dynamics but scaling with loaded resources, not
-//!   enumerated profiles, for fleet-scale strategy spaces;
+//!   enumerated profiles — which is what the scheduler runs;
 //! * [`classic`] — canonical games (prisoner's dilemma, matching pennies,
 //!   ...) used for validation and by the paper's model.
 
 pub mod bimatrix;
 pub mod classic;
 pub mod congestion;
-pub mod dominance;
-pub mod dynamics;
-pub mod lemke_howson;
 pub mod linalg;
 pub mod matrix;
-pub mod replicator;
 pub mod strategy;
 pub mod support_enum;
 
 pub use bimatrix::Bimatrix;
 pub use congestion::{BestResponseResult, CongestionGame, DescentWorkspace, FiniteGame};
-pub use dynamics::{best_response_dynamics, fictitious_play};
-pub use lemke_howson::lemke_howson;
 pub use matrix::Matrix;
-pub use replicator::{is_ess, replicator_dynamics, replicator_step};
 pub use strategy::MixedStrategy;
 pub use support_enum::support_enumeration;

@@ -22,17 +22,13 @@
 //! simulator crate, never here.
 
 pub mod cdn;
-pub mod channel;
 pub mod gossip;
-pub mod latency;
 pub mod topology;
 pub mod transfer;
 pub mod units;
 
 pub use cdn::{CdnModel, PopClass};
-pub use channel::{Channel, ContentionPolicy};
 pub use gossip::{GossipConfig, GossipState};
-pub use latency::LatentLink;
 pub use topology::{DeviceId, RegistryId, Topology, TopologyBuilder, TopologyError};
 pub use transfer::{transfer_time, TransferPlan};
 pub use units::{Bandwidth, DataSize, Seconds};

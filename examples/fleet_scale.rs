@@ -1,12 +1,12 @@
-//! Fleet-scale solve grid: the sparse potential-descent path at 10³
-//! devices.
+//! Fleet-scale solve grid: the scheduler's payoff scan and sparse
+//! potential descent at 10³ devices.
 //!
 //! Builds seeded synthetic fleets over a devices × registries grid
 //! (calibrated continuum archetypes with splitmix64-jittered
 //! heterogeneity, regional mirrors at seeded site rates), schedules a
 //! generated dataflow on each, and prints the solve-time grid. The
-//! headline cell is the ISSUE's acceptance bar: the 1,000-device /
-//! 10-registry fleet must reach a *verified* equilibrium (sampled
+//! headline cell is the acceptance bar: the 1,000-device / 10-registry
+//! fleet must reach a *verified* equilibrium (sampled
 //! unilateral-deviation check) in under a second.
 //!
 //! Schedules are byte-deterministic in the fleet seed; the timing
@@ -15,7 +15,7 @@
 //!
 //! Run with `cargo run --release --example fleet_scale`.
 
-use deep::core::{continuum, DeepScheduler, Scheduler, DEFAULT_SPARSE_THRESHOLD};
+use deep::core::{continuum, DeepScheduler, Scheduler};
 use deep::dataflow::DagGenerator;
 use std::time::Instant;
 
@@ -26,11 +26,10 @@ fn main() {
     let app = gen.generate(42);
     let sched = DeepScheduler::paper();
 
-    println!("Fleet-scale solve grid — app `{}` ({} microservices)", app.name(), app.len());
-    println!("sparse threshold: |R|·|D| ≥ {DEFAULT_SPARSE_THRESHOLD}\n");
+    println!("Fleet-scale solve grid — app `{}` ({} microservices)\n", app.name(), app.len());
     println!(
-        "{:>8} {:>10} {:>8} {:>12} {:>12} {:>12}",
-        "devices", "registries", "path", "build", "solve", "verify"
+        "{:>8} {:>10} {:>12} {:>12} {:>12}",
+        "devices", "registries", "build", "solve", "verify"
     );
 
     for &d in &devices {
@@ -40,11 +39,6 @@ fn main() {
             tb.publish_application(&app);
             let build = t0.elapsed();
 
-            let path = if tb.registry_choices().len() * tb.devices.len() >= sched.sparse_threshold {
-                "sparse"
-            } else {
-                "dense"
-            };
             let t1 = Instant::now();
             let schedule = sched.schedule(&app, &tb);
             let solve = t1.elapsed();
@@ -54,7 +48,7 @@ fn main() {
             let verify = t2.elapsed();
             assert!(verified, "{d} devices / {r} registries: sampled deviation check failed");
 
-            println!("{d:>8} {r:>10} {path:>8} {build:>12.2?} {solve:>12.2?} {verify:>12.2?}");
+            println!("{d:>8} {r:>10} {build:>12.2?} {solve:>12.2?} {verify:>12.2?}");
 
             if d == 1000 && r == 10 {
                 let total = solve + verify;

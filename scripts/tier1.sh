@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification: formatting, lints, release build, full test suite,
-# a compile check of every criterion bench, and a smoke-run of every
-# example so the sweeps (registry_sweep's mesh/N-regional scenarios and
-# friends, fault_sweep's failure-rate × registry-count grid) cannot
-# silently rot.
+# Tier-1 verification: formatting, lints, doc links, release build, full
+# test suite, a compile check of every criterion bench, and a smoke-run
+# of every example so the sweeps (registry_sweep's mesh/N-regional
+# scenarios and friends, fault_sweep's failure-rate × registry-count
+# grid) cannot silently rot.
 #
 # Randomized suites stay deterministic in CI: the vendored proptest
 # seeds every case from the test name (no ambient RNG), and the
@@ -30,6 +30,11 @@ cargo fmt "${PKG_FLAGS[@]}" -- --check
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy "${PKG_FLAGS[@]}" --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings (intra-doc links must resolve)"
+# A doc link to a renamed or deleted item is a rustdoc warning; failing
+# on it keeps the module docs in step with the code they describe.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps "${PKG_FLAGS[@]}"
 
 echo "==> cargo build --release"
 cargo build --release

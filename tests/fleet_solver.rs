@@ -1,127 +1,69 @@
-//! Fleet-scale solver parity: the sparse potential-descent path must be
-//! an *optimisation*, never a behaviour change.
+//! The one solve path, from the paper testbeds to seeded fleets.
 //!
-//! `DeepScheduler` picks its solve path by strategy-space size
-//! (`sparse_threshold`, default keeps every paper-sized testbed dense).
-//! These tests pin the two contracts that make the fleet path safe:
+//! `DeepScheduler` solves every stage game by a payoff scan and every
+//! wave warm start by sparse potential descent, whatever the testbed's
+//! size (the scan's equivalence to support enumeration is checked member
+//! by member in `nash.rs`'s oracle test). These tests pin the two
+//! contracts that make it safe on every testbed:
 //!
-//! 1. **Byte parity** — forcing the sparse path (`sparse_threshold: 1`)
-//!    reproduces the default dense schedule byte for byte (serialized
-//!    `Schedule` and executed `RunReport`) on the paper case studies,
-//!    the continuum, a mirrored mesh, and proptest-generated apps; and
-//!    forcing the dense path (`sparse_threshold: usize::MAX`) on a
-//!    fleet that would auto-select sparse agrees too.
-//! 2. **Fleet equilibria** — on seeded synthetic fleets the sparse path
-//!    still lands on a verified pure Nash equilibrium (exhaustive and
-//!    sampled deviation checks).
+//! 1. **Executed as priced** — on the paper case studies over the
+//!    calibrated testbed, the continuum and a mirrored mesh, the
+//!    executed `RunReport` measures exactly the `(Td, Tc, Tp, EC)` the
+//!    scheduler's estimator priced for the schedule it chose.
+//! 2. **Fleet equilibria** — on seeded synthetic fleets the solver lands
+//!    on a verified pure Nash equilibrium (exhaustive and sampled
+//!    deviation checks).
 
-use deep::core::{calibration, continuum, DeepScheduler, Scheduler};
-use deep::dataflow::{apps, Application, DagGenerator};
-use deep::simulator::{execute, ExecutorConfig, RunReport, Schedule, Testbed};
-use proptest::prelude::*;
+use deep::core::{calibration, continuum, DeepScheduler, EstimationContext, Scheduler};
+use deep::dataflow::{apps, stages, DagGenerator};
+use deep::simulator::{execute, ExecutorConfig, Testbed};
 
-fn forced_sparse() -> DeepScheduler {
-    DeepScheduler { sparse_threshold: 1, ..DeepScheduler::paper() }
-}
-
-fn forced_dense() -> DeepScheduler {
-    DeepScheduler { sparse_threshold: usize::MAX, ..DeepScheduler::paper() }
-}
-
-fn schedule_json(s: &Schedule) -> String {
-    serde_json::to_string(s).expect("schedules serialize")
-}
-
-fn report_json(r: &RunReport) -> String {
-    serde_json::to_string(r).expect("reports serialize")
-}
-
-/// Execute `schedule` on a fresh copy of the testbed built by `build`.
-fn run(build: &dyn Fn() -> Testbed, app: &Application, schedule: &Schedule) -> RunReport {
-    let mut tb = build();
-    tb.publish_application(app);
-    let (report, _) =
-        execute(&mut tb, app, schedule, &ExecutorConfig::default()).expect("execution succeeds");
-    report
-}
-
-#[test]
-fn sparse_path_matches_dense_byte_for_byte_on_paper_case_studies() {
-    let builders: [(&str, &dyn Fn() -> Testbed); 2] = [
-        ("calibrated", &calibration::calibrated_testbed),
-        ("continuum", &continuum::continuum_testbed),
-    ];
-    for (name, build) in builders {
-        let tb = build();
-        for app in apps::case_studies() {
-            let dense = DeepScheduler::paper().schedule(&app, &tb);
-            let sparse = forced_sparse().schedule(&app, &tb);
-            assert_eq!(
-                schedule_json(&dense),
-                schedule_json(&sparse),
-                "{name}/{}: sparse path diverged",
-                app.name()
-            );
-            assert_eq!(
-                report_json(&run(build, &app, &dense)),
-                report_json(&run(build, &app, &sparse)),
-                "{name}/{}: executed reports diverged",
-                app.name()
-            );
+fn assert_executed_as_priced(name: &str, build: &dyn Fn() -> Testbed) {
+    let tb = build();
+    for app in apps::case_studies() {
+        let schedule = DeepScheduler::paper().schedule(&app, &tb);
+        let mut predictions = Vec::new();
+        {
+            let mut ctx = EstimationContext::new(&tb, &app);
+            for stage in stages(&app) {
+                ctx.begin_wave();
+                for &id in &stage.members {
+                    let p = schedule.placement(id);
+                    predictions.push(ctx.estimate(id, p.registry, p.device));
+                    ctx.commit(id, p);
+                }
+            }
+        }
+        let mut run_tb = build();
+        run_tb.publish_application(&app);
+        let (report, _) = execute(&mut run_tb, &app, &schedule, &ExecutorConfig::default())
+            .expect("execution succeeds");
+        assert_eq!(predictions.len(), report.microservices.len());
+        for (est, measured) in predictions.iter().zip(&report.microservices) {
+            let at = format!("{name}/{}/{}", app.name(), measured.name);
+            assert_eq!(est.td, measured.td, "{at}: td");
+            assert_eq!(est.tc, measured.tc, "{at}: tc");
+            assert_eq!(est.tp, measured.tp, "{at}: tp");
+            assert_eq!(est.ec, measured.energy, "{at}: ec");
         }
     }
 }
 
 #[test]
-fn sparse_path_matches_dense_on_a_mirrored_mesh() {
+fn case_study_schedules_execute_exactly_as_priced() {
+    assert_executed_as_priced("calibrated", &calibration::calibrated_testbed);
+    assert_executed_as_priced("continuum", &continuum::continuum_testbed);
+}
+
+#[test]
+fn mirrored_mesh_schedules_execute_exactly_as_priced() {
     use deep::netsim::{Bandwidth, Seconds};
-    let build = || {
+    assert_executed_as_priced("calibrated+2 mirrors", &|| {
         let mut tb = calibration::calibrated_testbed();
         tb.add_regional_mirror(Bandwidth::megabytes_per_sec(9.0), Seconds::new(4.0));
         tb.add_regional_mirror(Bandwidth::megabytes_per_sec(11.0), Seconds::new(6.0));
         tb
-    };
-    let tb = build();
-    for app in apps::case_studies() {
-        let dense = DeepScheduler::paper().schedule(&app, &tb);
-        let sparse = forced_sparse().schedule(&app, &tb);
-        assert_eq!(schedule_json(&dense), schedule_json(&sparse), "{}", app.name());
-    }
-}
-
-#[test]
-fn default_scheduler_stays_dense_on_paper_sized_testbeds() {
-    // The bit-for-bit seed guarantee rests on the default threshold
-    // keeping paper-sized strategy spaces on the dense path; pin the
-    // arithmetic so a threshold change cannot silently flip them.
-    for tb in [calibration::calibrated_testbed(), continuum::continuum_testbed()] {
-        let space = tb.registry_choices().len() * tb.devices.len();
-        assert!(
-            space < deep::core::DEFAULT_SPARSE_THRESHOLD,
-            "paper-sized space {space} must stay below the sparse threshold"
-        );
-    }
-}
-
-#[test]
-fn forced_dense_agrees_with_auto_sparse_on_a_fleet() {
-    // 40 devices × 2 registries = 80 ≥ the default threshold, so the
-    // default path is sparse; the dense path must still agree (it is
-    // merely too slow to be the default out there).
-    let tb = continuum::synthetic_fleet_testbed(40, 2, 11);
-    assert!(
-        tb.registry_choices().len() * tb.devices.len() >= deep::core::DEFAULT_SPARSE_THRESHOLD,
-        "fleet must sit in the sparse regime"
-    );
-    let mut tb = tb;
-    let gen = DagGenerator::default();
-    for seed in 0..3u64 {
-        let app = gen.generate(seed);
-        tb.publish_application(&app);
-        let auto = DeepScheduler::paper().schedule(&app, &tb);
-        let dense = forced_dense().schedule(&app, &tb);
-        assert_eq!(schedule_json(&auto), schedule_json(&dense), "seed {seed}");
-    }
+    });
 }
 
 #[test]
@@ -135,19 +77,5 @@ fn fleet_equilibria_verify_exhaustively_and_by_sampling() {
         let schedule = sched.schedule(&app, &tb);
         assert!(sched.is_equilibrium(&app, &tb, &schedule), "seed {seed}");
         assert!(sched.is_equilibrium_sampled(&app, &tb, &schedule, 32, seed), "seed {seed}");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn sparse_path_matches_dense_on_generated_apps(seed in 0u64..500) {
-        let mut tb = calibration::calibrated_testbed();
-        let app = DagGenerator::default().generate(seed);
-        tb.publish_application(&app);
-        let dense = DeepScheduler::paper().schedule(&app, &tb);
-        let sparse = forced_sparse().schedule(&app, &tb);
-        prop_assert_eq!(schedule_json(&dense), schedule_json(&sparse));
     }
 }

@@ -1,11 +1,9 @@
-//! Cross-validation of the game-theory toolkit: the two equilibrium
-//! solvers must agree with each other and with independent checks, on
-//! random games — the confidence basis for trusting DEEP's scheduler.
+//! Cross-validation of the game-theory toolkit: support enumeration
+//! against independent checks on random games, and the deployment
+//! waves' congestion games against the generic oracle form — the
+//! confidence basis for trusting DEEP's scheduler.
 
-use deep::game::{
-    best_response_dynamics, is_ess, lemke_howson, replicator_dynamics, support_enumeration,
-    Bimatrix, Matrix, MixedStrategy,
-};
+use deep::game::{support_enumeration, Bimatrix, Matrix};
 use proptest::prelude::*;
 // Explicit trait imports: proptest's prelude globs its own (rand 0.9)
 // `Rng`, which would otherwise shadow the workspace rand 0.8 traits.
@@ -18,28 +16,6 @@ fn random_game(rows: usize, cols: usize, seed: u64) -> Bimatrix {
     let a = Matrix::from_fn(rows, cols, |_, _| (rng.gen_range(0..200) as f64) / 10.0);
     let b = Matrix::from_fn(rows, cols, |_, _| (rng.gen_range(0..200) as f64) / 10.0);
     Bimatrix::new(a, b)
-}
-
-#[test]
-fn lemke_howson_equilibria_appear_in_support_enumeration() {
-    // For nondegenerate games every LH endpoint is an exact equilibrium;
-    // support enumeration must contain it.
-    let mut checked = 0;
-    for seed in 0..40u64 {
-        let game = random_game(3, 3, seed);
-        let all = support_enumeration(&game);
-        if all.is_empty() {
-            continue; // numerically degenerate draw
-        }
-        let (x, y) = lemke_howson(&game, 0);
-        if !game.is_nash(&x, &y) {
-            continue; // degenerate pivot; LH guarantees need nondegeneracy
-        }
-        let found = all.iter().any(|(ex, ey)| ex.approx_eq(&x, 1e-4) && ey.approx_eq(&y, 1e-4));
-        assert!(found, "seed {seed}: LH endpoint missing from support enumeration");
-        checked += 1;
-    }
-    assert!(checked > 25, "too many degenerate draws: {checked}");
 }
 
 #[test]
@@ -60,56 +36,6 @@ fn support_enumeration_finds_odd_number_of_equilibria() {
         }
     }
     assert!(odd * 10 >= total * 9, "oddness violated too often: {odd}/{total}");
-}
-
-#[test]
-fn best_response_fixed_points_are_pure_equilibria() {
-    for seed in 0..30u64 {
-        let game = random_game(4, 4, seed + 999);
-        let out = best_response_dynamics(&game, (0, 0), 200);
-        if out.converged {
-            let pures = game.pure_equilibria();
-            assert!(
-                pures.contains(&out.profile),
-                "seed {seed}: BRD fixed point {:?} not a pure NE {:?}",
-                out.profile,
-                pures
-            );
-        }
-    }
-}
-
-#[test]
-fn ess_implies_nash_in_symmetric_games() {
-    for seed in 0..30u64 {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let a = Matrix::from_fn(3, 3, |_, _| (rng.gen_range(0..100) as f64) / 10.0);
-        let game = Bimatrix::new(a.clone(), a.transpose());
-        for i in 0..3 {
-            let x = MixedStrategy::pure(i, 3);
-            if is_ess(&a, &x, 1e-9) {
-                assert!(game.is_nash(&x, &x), "seed {seed}: ESS {i} is not Nash");
-            }
-        }
-    }
-}
-
-#[test]
-fn replicator_converged_interior_points_verify_as_equilibria() {
-    for seed in 0..20u64 {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed + 77);
-        let a = Matrix::from_fn(2, 2, |_, _| (rng.gen_range(0..100) as f64) / 10.0);
-        let game = Bimatrix::new(a.clone(), a.transpose());
-        let (x, converged) =
-            replicator_dynamics(&a, &MixedStrategy::new(vec![0.6, 0.4]), 50_000, 1e-13);
-        if converged {
-            // Converged points are fixed points; interior ones must be
-            // Nash of the symmetric game.
-            if x.as_pure().is_none() {
-                assert!(game.is_nash(&x, &x), "seed {seed}: {x}");
-            }
-        }
-    }
 }
 
 proptest! {
