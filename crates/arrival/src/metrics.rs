@@ -115,12 +115,6 @@ impl ArrivalOutcome {
         self.measured().map(|j| j.queue_depth).max().unwrap_or(0)
     }
 
-    /// Mean realized makespan over measured jobs.
-    pub fn mean_makespan(&self) -> f64 {
-        let n = self.measured().count();
-        self.measured().map(|j| j.report.makespan.as_f64()).sum::<f64>() / n.max(1) as f64
-    }
-
     /// Measured microservice deployments that lost at least one source
     /// fatally.
     pub fn failovers(&self) -> usize {
@@ -134,13 +128,6 @@ impl ArrivalOutcome {
     /// re-solved from scratch.
     pub fn fallbacks(&self) -> usize {
         self.measured().filter(|j| j.repair.fell_back).count()
-    }
-
-    /// Mean wall-clock microseconds spent producing each measured
-    /// schedule — the repair-vs-full-resolve headline.
-    pub fn mean_repair_micros(&self) -> f64 {
-        let n = self.measured().count();
-        self.measured().map(|j| j.repair.micros as f64).sum::<f64>() / n.max(1) as f64
     }
 
     /// Total strategy deviations repair applied across measured jobs.

@@ -163,11 +163,6 @@ impl Application {
         self.pred[id.0].iter().map(move |&e| &self.flows[e])
     }
 
-    /// Dataflows leaving `id`.
-    pub fn outgoing(&self, id: MicroserviceId) -> impl Iterator<Item = &Dataflow> {
-        self.succ[id.0].iter().map(move |&e| &self.flows[e])
-    }
-
     /// Producers feeding `id`.
     pub fn predecessors(&self, id: MicroserviceId) -> impl Iterator<Item = MicroserviceId> + '_ {
         self.pred[id.0].iter().map(move |&e| self.flows[e].from)

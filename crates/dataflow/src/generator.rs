@@ -33,6 +33,7 @@ pub struct DagGenerator {
     pub extra_edge_prob: f64,
 }
 
+/// Shaped like the paper's case studies.
 impl Default for DagGenerator {
     fn default() -> Self {
         DagGenerator {
@@ -47,11 +48,6 @@ impl Default for DagGenerator {
 }
 
 impl DagGenerator {
-    /// A generator shaped like the paper's case studies.
-    pub fn paper_like() -> Self {
-        Self::default()
-    }
-
     /// Generate an application from `seed`. Identical seeds yield identical
     /// applications.
     pub fn generate(&self, seed: u64) -> Application {

@@ -65,7 +65,8 @@ impl Requirements {
     }
 
     /// True when a device offering `(cores, memory, storage)` can host this
-    /// microservice — the admission predicate used by the orchestrator.
+    /// microservice — the admission predicate the executor checks before
+    /// it deploys anything (via [`fits_class`](Self::fits_class)).
     pub fn fits(&self, cores: u32, memory: DataSize, storage: DataSize) -> bool {
         self.cores <= cores && self.memory <= memory && self.storage <= storage
     }

@@ -66,12 +66,6 @@ impl FleetReport {
     pub fn total_downloaded_mb(&self) -> f64 {
         self.entries.iter().map(|e| e.downloaded_mb).sum()
     }
-
-    /// Download per application, first vs. last — the cache-warming
-    /// trend.
-    pub fn first_vs_last_download(&self) -> Option<(f64, f64)> {
-        Some((self.entries.first()?.downloaded_mb, self.entries.last()?.downloaded_mb))
-    }
 }
 
 /// Generate, schedule (in parallel) and execute (sequentially, sharing

@@ -46,12 +46,6 @@ impl ScenarioOutcome {
         sum / n.max(1) as f64
     }
 
-    /// Mean realized makespan across every replication.
-    pub fn mean_makespan(&self) -> f64 {
-        let sum: f64 = self.reports.iter().map(|r| r.makespan.as_f64()).sum();
-        sum / self.reports.len().max(1) as f64
-    }
-
     /// Mean realized total energy across every replication (J).
     pub fn mean_energy(&self) -> f64 {
         let sum: f64 = self.reports.iter().map(|r| r.total_energy().as_f64()).sum();

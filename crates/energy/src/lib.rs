@@ -14,16 +14,13 @@
 //! * [`rapl`] — an emulated RAPL counter bank with the real MSR's 32-bit
 //!   wraparound semantics and a pyRAPL-style measurement API;
 //! * [`meter`] — a sampling wall-power meter in the spirit of the Ketotek
-//!   unit, integrating instantaneous power at a finite sample rate;
-//! * [`account`] — labelled energy ledgers used by the experiment drivers.
+//!   unit, integrating instantaneous power at a finite sample rate.
 
-pub mod account;
 pub mod meter;
 pub mod power;
 pub mod rapl;
 pub mod units;
 
-pub use account::EnergyAccount;
 pub use meter::PowerMeter;
 pub use power::{DevicePowerModel, ExecutionPhase};
 pub use rapl::{RaplBank, RaplDomain, RaplMeasurement};

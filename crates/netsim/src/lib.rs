@@ -30,5 +30,5 @@ pub mod units;
 pub use cdn::{CdnModel, PopClass};
 pub use gossip::{GossipConfig, GossipState};
 pub use topology::{DeviceId, RegistryId, Topology, TopologyBuilder, TopologyError};
-pub use transfer::{transfer_time, TransferPlan};
+pub use transfer::transfer_time;
 pub use units::{Bandwidth, DataSize, Seconds};

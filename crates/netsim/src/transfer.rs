@@ -1,12 +1,7 @@
-//! Transfer-time arithmetic shared by every layer above.
-//!
-//! Besides the scalar `Size / BW` helper the module provides
-//! [`TransferPlan`], a piecewise multi-segment transfer used when an image
-//! pull is split across cached/uncached layers or when a dataflow crosses a
-//! two-hop path whose bottleneck differs per segment.
+//! Transfer-time arithmetic shared by every layer above: the scalar
+//! `Size / BW` helper.
 
 use crate::units::{Bandwidth, DataSize, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// `size / bw`, returning zero for empty transfers or infinite links.
 #[inline]
@@ -16,64 +11,6 @@ pub fn transfer_time(size: DataSize, bw: Bandwidth) -> Seconds {
     } else {
         assert!(!bw.is_zero(), "cannot transfer {size} over a zero-bandwidth link");
         size / bw
-    }
-}
-
-/// One segment of a piecewise transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Segment {
-    pub size: DataSize,
-    pub bandwidth: Bandwidth,
-}
-
-/// A transfer consisting of sequential segments (e.g. the uncached layers of
-/// an image, each fetched over the registry link, followed by a local
-/// extraction stage at disk bandwidth).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TransferPlan {
-    segments: Vec<Segment>,
-}
-
-impl TransferPlan {
-    /// An empty plan that takes zero time.
-    pub fn empty() -> Self {
-        TransferPlan { segments: Vec::new() }
-    }
-
-    /// Append a segment.
-    pub fn push(&mut self, size: DataSize, bandwidth: Bandwidth) {
-        self.segments.push(Segment { size, bandwidth });
-    }
-
-    /// Builder-style [`push`](Self::push).
-    pub fn with(mut self, size: DataSize, bandwidth: Bandwidth) -> Self {
-        self.push(size, bandwidth);
-        self
-    }
-
-    /// Number of segments.
-    pub fn len(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// True when the plan has no segments.
-    pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
-    }
-
-    /// Total bytes moved across all segments.
-    pub fn total_size(&self) -> DataSize {
-        self.segments.iter().map(|s| s.size).sum()
-    }
-
-    /// Total wall time: segments are sequential.
-    pub fn total_time(&self) -> Seconds {
-        self.segments.iter().map(|s| transfer_time(s.size, s.bandwidth)).sum()
-    }
-
-    /// Iterate over segments.
-    pub fn segments(&self) -> impl Iterator<Item = &Segment> {
-        self.segments.iter()
     }
 }
 
@@ -93,32 +30,5 @@ mod tests {
     #[should_panic(expected = "zero-bandwidth")]
     fn nonzero_over_zero_link_panics() {
         transfer_time(DataSize::bytes(1), Bandwidth::bytes_per_sec(0.0));
-    }
-
-    #[test]
-    fn plan_accumulates_sequentially() {
-        let plan = TransferPlan::empty()
-            .with(DataSize::megabytes(100.0), Bandwidth::megabytes_per_sec(50.0)) // 2 s
-            .with(DataSize::megabytes(30.0), Bandwidth::megabytes_per_sec(10.0)); // 3 s
-        assert_eq!(plan.len(), 2);
-        assert!(!plan.is_empty());
-        assert_eq!(plan.total_size(), DataSize::megabytes(130.0));
-        assert!((plan.total_time().as_f64() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_plan_is_free() {
-        let plan = TransferPlan::empty();
-        assert!(plan.is_empty());
-        assert_eq!(plan.total_time(), Seconds::ZERO);
-        assert_eq!(plan.total_size(), DataSize::ZERO);
-    }
-
-    #[test]
-    fn zero_sized_segments_cost_nothing() {
-        let plan = TransferPlan::empty()
-            .with(DataSize::ZERO, Bandwidth::megabytes_per_sec(1.0))
-            .with(DataSize::megabytes(10.0), Bandwidth::megabytes_per_sec(10.0));
-        assert!((plan.total_time().as_f64() - 1.0).abs() < 1e-9);
     }
 }

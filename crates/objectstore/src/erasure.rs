@@ -190,7 +190,7 @@ impl ErasureCoder {
     }
 
     /// Core decode over borrowed shards — lets callers that already hold
-    /// shard storage (scrub sets, drive sets) decode without cloning every
+    /// shard storage (drive sets) decode without cloning every
     /// surviving shard first.
     pub fn decode_refs(
         &self,

@@ -1,6 +1,6 @@
 //! Wide 64-bit content checksums for ETags and bitrot detection.
 //!
-//! The store's original ETag/scrub hash was byte-at-a-time FNV-1a — a
+//! The store's original ETag hash was byte-at-a-time FNV-1a — a
 //! strict dependency chain of one XOR and one multiply per *byte*, which
 //! caps throughput far below memory bandwidth on multi-megabyte layer
 //! blobs. This kernel runs four independent FNV-style lanes over 32-byte
@@ -33,8 +33,8 @@ fn mix(mut z: u64) -> u64 {
 }
 
 /// Streaming four-lane checksum. Incremental updates produce the same
-/// digest as a one-shot pass over the concatenation, so callers holding an
-/// object in parts (multipart uploads) can checksum without assembling it.
+/// digest as a one-shot pass over the concatenation; [`checksum64`] is the
+/// one-shot form.
 #[derive(Debug, Clone)]
 pub struct Hash64 {
     lanes: [u64; 4],

@@ -8,9 +8,7 @@
 //!
 //! * [`store`] — buckets and objects with ETags, capacity quotas, listing
 //!   (the S3 surface the registry uses);
-//! * [`multipart`] — S3 multipart uploads (how registries push large
-//!   layers);
-//! * [`versioning`] — per-key version history, S3-style;
+//! * [`hash64`] — the wide checksum behind the ETags;
 //! * [`gf256`] / [`erasure`] — GF(2^8) arithmetic and systematic
 //!   Reed–Solomon coding, MinIO's storage-redundancy mechanism;
 //! * [`drives`] — an erasure-set of simulated drives with failure and
@@ -23,15 +21,9 @@ pub mod drives;
 pub mod erasure;
 pub mod gf256;
 pub mod hash64;
-pub mod multipart;
-pub mod scrub;
 pub mod store;
-pub mod versioning;
 
 pub use drives::{DriveSet, DriveSetError};
 pub use erasure::{ErasureCoder, ErasureError};
 pub use hash64::{checksum64, Hash64};
-pub use multipart::{MultipartError, MultipartUpload};
-pub use scrub::{ScrubReport, ScrubbedSet};
 pub use store::{Bucket, ObjectMeta, ObjectStore, StoreError};
-pub use versioning::VersionedBucket;

@@ -86,7 +86,7 @@ pub use manifest::{ImageManifest, LayerDescriptor};
 pub use mesh::{MeshSource, PeerCacheSource, PullSession, RegistryMesh, SourceParams};
 pub use pull::{PullOutcome, PullPlanner, RegistryError, SourcePull};
 pub use regional::RegionalRegistry;
-pub use retry::{pull_with_retry, FaultySource, FlakyRegistry, RetriedPull, RetryPolicy};
+pub use retry::{FaultySource, FlakyRegistry, RetryPolicy};
 
 /// Typed handle for a mesh source (`r_g` in the paper), shared with the
 /// netsim topology.

@@ -8,9 +8,8 @@
 //! [`with_retry`](crate::mesh::PullSession::with_retry); waiting time is
 //! *charged to the deployment time* (reported separately as
 //! [`crate::pull::PullOutcome::backoff_total`]) — a retried pull is a
-//! slower pull, which the energy model then prices. [`pull_with_retry`]
-//! remains as the planner-level wrapper for the seed single-registry
-//! path. [`FlakyRegistry`] injects deterministic transient *resolve*
+//! slower pull, which the energy model then prices. [`FlakyRegistry`]
+//! injects deterministic transient *resolve*
 //! failures, [`FaultySource`] deterministic *blob-fetch* failures
 //! (transient or fatal) — the fatal kind is what drives the session's
 //! mid-pull failover onto surviving mesh sources. The counter-based
@@ -18,11 +17,10 @@
 //! generalization they were promoted into lives in [`crate::fault`]
 //! ([`crate::fault::FaultPlan`] / [`crate::fault::PlannedFaults`]).
 
-use crate::cache::LayerCache;
 use crate::digest::Digest;
 use crate::image::{Platform, Reference};
 use crate::manifest::ImageManifest;
-use crate::pull::{PullOutcome, PullPlanner, RegistryError};
+use crate::pull::RegistryError;
 use crate::{BlobSource, ManifestSource, Registry};
 use deep_netsim::Seconds;
 use std::cell::Cell;
@@ -106,44 +104,6 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// Outcome of a retried pull.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetriedPull {
-    pub outcome: PullOutcome,
-    /// Attempts performed (1 = no retries needed).
-    pub attempts: usize,
-    /// Backoff time charged (mirrors `outcome.backoff_total`).
-    pub backoff_total: Seconds,
-}
-
-/// Pull with retries on transient failures (classified by
-/// [`RegistryError::is_transient`]). Permanent errors surface immediately.
-pub fn pull_with_retry(
-    planner: &PullPlanner,
-    registry: &dyn Registry,
-    reference: &Reference,
-    platform: Platform,
-    cache: &mut LayerCache,
-    policy: RetryPolicy,
-) -> Result<RetriedPull, RegistryError> {
-    assert!(policy.max_attempts >= 1, "need at least one attempt");
-    let mut backoff_total = Seconds::ZERO;
-    for attempt in 1..=policy.max_attempts {
-        match planner.pull(registry, reference, platform, cache) {
-            Ok(mut outcome) => {
-                outcome.backoff_total = backoff_total;
-                outcome.attempts = attempt;
-                return Ok(RetriedPull { outcome, attempts: attempt, backoff_total });
-            }
-            Err(e) if e.is_transient() && attempt < policy.max_attempts => {
-                backoff_total += policy.backoff(attempt);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    unreachable!("loop always returns")
 }
 
 /// A registry wrapper that fails its first `failures` resolves with a
@@ -294,95 +254,68 @@ impl<R: Registry> BlobSource for FaultySource<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::LayerCache;
     use crate::hub::HubRegistry;
+    use crate::mesh::{RegistryMesh, SourceParams};
+    use crate::pull::PullOutcome;
+    use crate::RegistryId;
     use deep_netsim::{Bandwidth, DataSize};
 
-    fn planner() -> PullPlanner {
-        PullPlanner {
-            download_bw: Bandwidth::megabytes_per_sec(10.0),
-            extract_bw: Bandwidth::megabytes_per_sec(50.0),
-            overhead: Seconds::new(5.0),
-        }
-    }
+    const HUB: RegistryId = RegistryId(0);
 
     fn cache() -> LayerCache {
         LayerCache::new(DataSize::gigabytes(64.0))
     }
 
-    fn reference() -> Reference {
-        Reference::new("docker.io", "sina88/vp-transcode", "amd64")
-    }
-
-    #[test]
-    fn clean_pull_takes_one_attempt() {
-        let hub = HubRegistry::with_paper_catalog();
-        let r = pull_with_retry(
-            &planner(),
-            &hub,
-            &reference(),
+    /// Pull `repository` through a single-source session over `registry`
+    /// under the default retry policy.
+    fn pull(
+        registry: &FlakyRegistry<HubRegistry>,
+        repository: &str,
+        cache: &mut LayerCache,
+    ) -> Result<PullOutcome, RegistryError> {
+        let params = SourceParams {
+            download_bw: Bandwidth::megabytes_per_sec(10.0),
+            overhead: Seconds::new(5.0),
+        };
+        let mut mesh = RegistryMesh::new();
+        mesh.add_registry(HUB, registry, params);
+        let reference = Reference::new("docker.io", repository, "amd64");
+        mesh.session(HUB).with_retry(RetryPolicy::default()).pull(
+            &reference,
             Platform::Amd64,
-            &mut cache(),
-            RetryPolicy::default(),
+            cache,
         )
-        .unwrap();
-        assert_eq!(r.attempts, 1);
-        assert_eq!(r.backoff_total, Seconds::ZERO);
-        assert_eq!(r.outcome.backoff_total, Seconds::ZERO);
-    }
-
-    #[test]
-    fn transient_failures_are_retried_with_exponential_backoff() {
-        let flaky = FlakyRegistry::new(HubRegistry::with_paper_catalog(), 2);
-        let r = pull_with_retry(
-            &planner(),
-            &flaky,
-            &reference(),
-            Platform::Amd64,
-            &mut cache(),
-            RetryPolicy { max_attempts: 4, base_backoff: Seconds::new(2.0), ..Default::default() },
-        )
-        .unwrap();
-        assert_eq!(r.attempts, 3);
-        // 2 + 4 = 6 s of backoff, charged into deployment time but
-        // reported separately from the fixed overhead.
-        assert!((r.backoff_total.as_f64() - 6.0).abs() < 1e-12);
-        assert!((r.outcome.backoff_total.as_f64() - 6.0).abs() < 1e-12);
-        assert!((r.outcome.overhead.as_f64() - 5.0).abs() < 1e-12, "overhead stays fixed");
-        assert!(r.outcome.deployment_time().as_f64() > 6.0);
-        assert_eq!(flaky.pending_failures(), 0);
     }
 
     #[test]
     fn retries_exhaust_into_the_transient_error() {
         let flaky = FlakyRegistry::new(HubRegistry::with_paper_catalog(), 10);
-        let err = pull_with_retry(
-            &planner(),
-            &flaky,
-            &reference(),
-            Platform::Amd64,
-            &mut cache(),
-            RetryPolicy { max_attempts: 3, base_backoff: Seconds::new(1.0), ..Default::default() },
-        )
-        .unwrap_err();
+        let err = pull(&flaky, "sina88/vp-transcode", &mut cache()).unwrap_err();
         assert!(err.is_transient());
+        // The default policy spends its three resolve attempts, no more.
         assert_eq!(flaky.pending_failures(), 7);
     }
 
     #[test]
     fn permanent_errors_fail_fast() {
         let flaky = FlakyRegistry::new(HubRegistry::with_paper_catalog(), 0);
-        let ghost = Reference::new("docker.io", "sina88/ghost", "amd64");
-        let err = pull_with_retry(
-            &planner(),
-            &flaky,
-            &ghost,
-            Platform::Amd64,
-            &mut cache(),
-            RetryPolicy::default(),
-        )
-        .unwrap_err();
+        let err = pull(&flaky, "sina88/ghost", &mut cache()).unwrap_err();
         assert!(matches!(err, RegistryError::ManifestNotFound(_)));
         assert!(!err.is_transient());
+    }
+
+    #[test]
+    fn retried_pull_still_updates_cache_once() {
+        let flaky = FlakyRegistry::new(HubRegistry::with_paper_catalog(), 1);
+        let mut c = cache();
+        let out = pull(&flaky, "sina88/vp-transcode", &mut c).unwrap();
+        assert_eq!(out.attempts, 2);
+        assert_eq!(out.layers_fetched, 3);
+        assert_eq!(c.len(), 3);
+        // A second pull hits the cache completely.
+        let again = pull(&flaky, "sina88/vp-transcode", &mut c).unwrap();
+        assert_eq!(again.downloaded, DataSize::ZERO);
     }
 
     #[test]
@@ -429,33 +362,5 @@ mod tests {
         // Different seeds decorrelate.
         let other = p.with_jitter(0.25, 43);
         assert!((1..=7).any(|k| p.backoff(k) != other.backoff(k)));
-    }
-
-    #[test]
-    fn retried_pull_still_updates_cache_once() {
-        let flaky = FlakyRegistry::new(HubRegistry::with_paper_catalog(), 1);
-        let mut c = cache();
-        let r = pull_with_retry(
-            &planner(),
-            &flaky,
-            &reference(),
-            Platform::Amd64,
-            &mut c,
-            RetryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(r.outcome.layers_fetched, 3);
-        assert_eq!(c.len(), 3);
-        // A second pull hits the cache completely.
-        let again = pull_with_retry(
-            &planner(),
-            &flaky,
-            &reference(),
-            Platform::Amd64,
-            &mut c,
-            RetryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(again.outcome.downloaded, DataSize::ZERO);
     }
 }

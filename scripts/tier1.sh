@@ -19,7 +19,7 @@ cd "$(dirname "$0")/.."
 # they mirror upstream APIs, not house style).
 CRATES=(
   deep deep-netsim deep-dataflow deep-energy deep-objectstore
-  deep-registry deep-game deep-simulator deep-orchestrator deep-scenario
+  deep-registry deep-game deep-simulator deep-scenario
   deep-core deep-arrival deep-bench
 )
 PKG_FLAGS=()

@@ -17,7 +17,6 @@
 //! | [`registry`] | `deep-registry` | Docker Hub + regional registries, pull path |
 //! | [`game`] | `deep-game` | Nash-equilibrium toolkit (Nashpy replacement) |
 //! | [`simulator`] | `deep-simulator` | discrete-event two-device testbed |
-//! | [`orchestrator`] | `deep-orchestrator` | Kubernetes-like pod controller |
 //! | [`scenario`] | `deep-scenario` | TOML chaos/soak scenario DSL |
 //! | [`core`] | `deep-core` | the DEEP scheduler, baselines, experiments |
 //! | [`arrival`] | `deep-arrival` | online arrival plane w/ incremental repair |
@@ -49,7 +48,6 @@ pub use deep_energy as energy;
 pub use deep_game as game;
 pub use deep_netsim as netsim;
 pub use deep_objectstore as objectstore;
-pub use deep_orchestrator as orchestrator;
 pub use deep_registry as registry;
 pub use deep_scenario as scenario;
 pub use deep_simulator as simulator;

@@ -4,7 +4,9 @@
 
 use deep::core::{calibration, distribution, DeepScheduler, ExclusiveRegistry, Scheduler};
 use deep::dataflow::apps;
-use deep::simulator::{execute, ExecutorConfig, RegistryChoice, DEVICE_MEDIUM, DEVICE_SMALL};
+use deep::simulator::{
+    execute, ExecutorConfig, RegistryChoice, TraceKind, DEVICE_MEDIUM, DEVICE_SMALL,
+};
 
 #[test]
 fn full_pipeline_video() {
@@ -27,7 +29,7 @@ fn full_pipeline_video() {
     assert_eq!(report.max_energy_microservice().unwrap().name, "ha-train");
 
     // Monitoring captured the full lifecycle.
-    assert_eq!(trace.of_kind(deep::simulator::TraceKind::ProcessingFinished).count(), 6);
+    assert_eq!(trace.of_kind(TraceKind::ProcessingFinished).count(), 6);
 }
 
 #[test]
@@ -77,6 +79,36 @@ fn deep_schedule_is_nash_equilibrium_of_deployment_game() {
     for app in apps::case_studies() {
         let schedule = DeepScheduler::paper().schedule(&app, &tb);
         assert!(DeepScheduler::is_joint_equilibrium(&app, &tb, &schedule), "{}", app.name());
+    }
+}
+
+#[test]
+fn processing_respects_dag_barriers() {
+    // A consumer starts processing only once every producer feeding it
+    // has finished: the stage barrier, read off the monitoring trace.
+    for app in apps::case_studies() {
+        let mut tb = calibration::calibrated_testbed();
+        let schedule = DeepScheduler::paper().schedule(&app, &tb);
+        let (_, trace) = execute(&mut tb, &app, &schedule, &ExecutorConfig::default()).unwrap();
+        let at = |kind: TraceKind, id| {
+            let name = &app.microservice(id).name;
+            let mut events = trace.of_kind(kind).filter(|e| &e.label == name);
+            let event = events.next().unwrap_or_else(|| panic!("no {kind:?} for {name}"));
+            assert!(events.next().is_none(), "{name} has two {kind:?} events");
+            event.at.as_f64()
+        };
+        assert!(!app.flows().is_empty());
+        for flow in app.flows() {
+            let finished = at(TraceKind::ProcessingFinished, flow.from);
+            let started = at(TraceKind::ProcessingStarted, flow.to);
+            assert!(
+                started >= finished,
+                "{}: {} started at {started} before {} finished at {finished}",
+                app.name(),
+                app.microservice(flow.to).name,
+                app.microservice(flow.from).name,
+            );
+        }
     }
 }
 
