@@ -8,9 +8,11 @@
 //!   fleet (payoffs price split pulls) vs the peer-blind paper scheduler;
 //! * `nash_mesh_equilibrium_check` — verifying a schedule is a pure Nash
 //!   equilibrium of the mesh-wide joint game;
-//! * `nash_mesh_fleet` — the fleet axis: the solver on 50/200/1,000-device
-//!   synthetic fleets at 10 registries. The scaling curve is recorded in
-//!   PERF.md ("Fleet-scale solver").
+//! * `nash_mesh_fleet` — the fleet axis: the solver on cold
+//!   50/200/1,000-device synthetic fleets at 10 registries (the scaling
+//!   curve is recorded in PERF.md, "Fleet-scale solver"), plus one warm
+//!   800-device, 3-registry fleet in the perfbench `fleet-admit` shape,
+//!   where the stage games' energy floors prune most of the grid.
 //!
 //! The equilibrium-quality numbers this bench's scenarios produce (split
 //! vs best-single deployment time) are printed by
@@ -22,7 +24,10 @@ use deep_core::{
 };
 use deep_dataflow::apps;
 use deep_netsim::{Bandwidth, Seconds};
-use deep_simulator::{execute, ExecutorConfig, RegistryChoice, Schedule, Testbed, DEVICE_MEDIUM};
+use deep_registry::FaultRates;
+use deep_simulator::{
+    execute, ExecutorConfig, PeerDiscovery, RegistryChoice, Schedule, Testbed, DEVICE_MEDIUM,
+};
 use std::hint::black_box;
 
 fn mirrored_testbed(mirrors: usize) -> Testbed {
@@ -89,6 +94,32 @@ fn bench_fleet(c: &mut Criterion) {
             |b, app| b.iter(|| black_box(DeepScheduler::paper().schedule(app, &tb))),
         );
     }
+    // The fleet-admit shape: a flaky regional, one warm holder of every
+    // layer, peer sharing over gossip views and 64-draw scenario pricing.
+    let mut tb = synthetic_fleet_testbed(800, 3, 42);
+    tb.publish_application(&app);
+    tb.fault_model = tb.fault_model.clone().with_source(
+        RegistryChoice::Regional.registry_id(),
+        FaultRates { fatal_per_pull: 0.2, transient_per_fetch: 0.1 },
+    );
+    let discovery = PeerDiscovery::Gossip { fanout: 3, view_size: 8, rounds_per_wave: 1 };
+    let cfg = ExecutorConfig {
+        seed: 42,
+        peer_sharing: true,
+        peer_discovery: discovery,
+        ..ExecutorConfig::default()
+    };
+    let warm = Schedule::uniform(app.len(), RegistryChoice::Hub, DEVICE_MEDIUM);
+    execute(&mut tb, &app, &warm, &cfg).expect("warm-up run");
+    let sched = DeepScheduler {
+        peer_sharing: true,
+        peer_discovery: discovery,
+        discovery_seed: 42,
+        ..DeepScheduler::scenario_priced(64, 42)
+    };
+    group.bench_with_input(BenchmarkId::new("admit", "800d_3r_warm"), &app, |b, app| {
+        b.iter(|| black_box(sched.schedule(app, &tb)))
+    });
     group.finish();
 }
 

@@ -717,6 +717,16 @@ impl<'t> EstimationContext<'t> {
                 (outcome, td)
             }
         };
+        let tc = self.transfer_in_time(id, device);
+        let scoped = &self.scoped[id.0];
+        let tp = dev.processing_time(scoped, ms.requirements.cpu);
+        let ec = dev.energy(scoped, td, tc, tp);
+        Estimate { td, tc, tp, ec, downloaded: outcome.downloaded }
+    }
+
+    /// `Tc`: the time `id`'s incoming flows take from their committed
+    /// producers to `device`.
+    fn transfer_in_time(&self, id: MicroserviceId, device: DeviceId) -> Seconds {
         let mut tc = Seconds::ZERO;
         for flow in self.app.incoming(id) {
             let producer = self.assigned[flow.from.0]
@@ -728,10 +738,83 @@ impl<'t> EstimationContext<'t> {
                 .device_transfer_time(producer, device, flow.size)
                 .expect("testbed topology covers all devices");
         }
+        tc
+    }
+
+    /// An admissible lower bound on
+    /// `self.estimate(id, registry, device).ec` for one cell.
+    pub(crate) fn energy_floor(
+        &self,
+        id: MicroserviceId,
+        registry: RegistryChoice,
+        device: DeviceId,
+    ) -> f64 {
+        let mut floor = [0.0];
+        self.energy_floors(id, device, &[registry], &mut floor);
+        floor[0]
+    }
+
+    /// Write into `out[r]` an admissible lower bound on
+    /// `self.estimate(id, registries[r], device).ec`, in joules, for one
+    /// device row of a payoff grid.
+    ///
+    /// The floor prices only the `Td` every pricing branch must pay. The
+    /// bytes missing from the device's estimated cache (the layers of the
+    /// memoized manifest it does not contain) are source-independent, and
+    /// every branch downloads and extracts exactly them: the happy pull,
+    /// the closed-form failover and each scenario draw alike. The pull
+    /// also pays at least its primary's overhead, and backoff is never
+    /// negative. So
+    /// `Td ≥ overhead(primary) + missing/extract_bw + missing/B`, where
+    /// `B` is the fastest *unloaded* route into the device over every
+    /// registry (standbys included) and, with peer sharing, every holder
+    /// in its peer snapshot: contention and degradation windows only slow
+    /// a route. Every branch bounds from below, so any mix of branches
+    /// does too, and energy is nondecreasing in `Td`. `Tc` and `Tp` are
+    /// the estimate's own. A relative slack absorbs float rounding.
+    ///
+    /// A cell whose manifest was not memoized floors at `−∞`, so it is
+    /// always priced exactly and keeps the per-call resolve's error path.
+    pub(crate) fn energy_floors(
+        &self,
+        id: MicroserviceId,
+        device: DeviceId,
+        registries: &[RegistryChoice],
+        out: &mut [f64],
+    ) {
+        /// Relative slack between the floor and any exact estimate.
+        const SLACK: f64 = 1e-9;
+        debug_assert_eq!(registries.len(), out.len());
+        let dev = self.testbed.device(device);
+        let unloaded = |choice| self.testbed.source_params(choice, device, 1.0);
+        let peers = self.peer_sharing.then(|| self.peer_snapshots[device.0].as_slice());
+        let routes =
+            self.testbed.registry_choices().into_iter().chain(
+                peers.into_iter().flatten().map(|(holder, _)| RegistryChoice::mesh(*holder)),
+            );
+        let ingress = routes
+            .map(|choice| unloaded(choice).download_bw)
+            .fold(Bandwidth::default(), |fastest, bw| if bw > fastest { bw } else { fastest });
+        let tc = self.transfer_in_time(id, device);
         let scoped = &self.scoped[id.0];
-        let tp = dev.processing_time(scoped, ms.requirements.cpu);
-        let ec = dev.energy(scoped, td, tc, tp);
-        Estimate { td, tc, tp, ec, downloaded: outcome.downloaded }
+        let tp = dev.processing_time(scoped, self.app.microservice(id).requirements.cpu);
+        let cache = &self.caches[device.0];
+        for (slot, &registry) in out.iter_mut().zip(registries) {
+            let Some((_, manifest)) = self.manifests.get(&(registry.registry_id(), id.0, dev.arch))
+            else {
+                *slot = f64::NEG_INFINITY;
+                continue;
+            };
+            let missing = manifest
+                .layers
+                .iter()
+                .filter(|layer| !cache.contains(&layer.digest))
+                .fold(DataSize::ZERO, |acc, layer| acc + layer.size);
+            let td = unloaded(registry).overhead
+                + deep_netsim::transfer_time(missing, dev.extract_bw)
+                + deep_netsim::transfer_time(missing, ingress);
+            *slot = dev.energy(scoped, td, tc, tp).as_f64() * (1.0 - SLACK);
+        }
     }
 
     /// The scenario-priced `(happy outcome, E[Td])` of one candidate
@@ -1645,6 +1728,133 @@ mod tests {
             default_ctx.as_f64().to_bits(),
             "zero carry-over is the default bit for bit"
         );
+    }
+
+    /// A testbed for the energy-floor property: the calibrated pair,
+    /// the continuum, the calibrated pair with two mirrors, or a
+    /// 40-device, 3-registry fleet with one warm holder. Every one gets a
+    /// flaky regional, a degraded hub and a dark last registry, each
+    /// window active over the whole walk.
+    fn floor_testbed(kind: usize) -> Testbed {
+        use deep_registry::{FaultRates, OutageWindow};
+        let mut tb = match kind {
+            0 => calibrated_testbed(),
+            1 => crate::continuum::continuum_testbed(),
+            2 => {
+                let mut tb = calibrated_testbed();
+                tb.add_regional_mirror(Bandwidth::megabytes_per_sec(9.0), Seconds::new(4.0));
+                tb.add_regional_mirror(Bandwidth::megabytes_per_sec(11.0), Seconds::new(6.0));
+                tb
+            }
+            _ => {
+                let mut tb = crate::continuum::synthetic_fleet_testbed(40, 3, 11);
+                apps::case_studies().iter().for_each(|app| tb.publish_application(app));
+                let app = apps::video_processing();
+                let warm = deep_simulator::Schedule::uniform(
+                    app.len(),
+                    RegistryChoice::Hub,
+                    DEVICE_MEDIUM,
+                );
+                let cfg = deep_simulator::ExecutorConfig::default();
+                deep_simulator::execute(&mut tb, &app, &warm, &cfg).unwrap();
+                tb
+            }
+        };
+        let hub = RegistryChoice::Hub.registry_id();
+        let regional = RegistryChoice::Regional.registry_id();
+        let last = tb.registry_choices().last().copied().expect("a mesh").registry_id();
+        let forever = Seconds::new(1e9);
+        tb.fault_model = FaultModel::default()
+            .with_source(regional, FaultRates { fatal_per_pull: 0.3, transient_per_fetch: 0.1 })
+            .with_window(OutageWindow::degraded(hub, Seconds::ZERO, forever, 0.5))
+            .with_window(OutageWindow::dark(last, Seconds::ZERO, forever));
+        tb
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+
+        /// The energy floor never exceeds the exact estimate. Every
+        /// testbed of [`floor_testbed`] runs under happy, closed-form
+        /// fault and scenario pricing, with peer sharing off, on with
+        /// snapshot discovery and on with gossip, and with carried-in
+        /// first-wave route load. Random cells are checked along a walk
+        /// that commits random placements, so caches, contention, peer
+        /// views and the clock all move.
+        #[test]
+        fn energy_floor_never_exceeds_the_estimate(seed in proptest::prelude::any::<u64>()) {
+            let gossip = deep_simulator::PeerDiscovery::Gossip {
+                fanout: 3,
+                view_size: 8,
+                rounds_per_wave: 1,
+            };
+            let mut state = seed;
+            let mut draw = |n: usize| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) as usize % n
+            };
+            let mut tight = 0usize;
+            let studies = apps::case_studies();
+            for kind in 0..4 {
+                let tb = floor_testbed(kind);
+                for pricing in 0..3 {
+                    for peers in 0..3 {
+                        let app = &studies[draw(2)];
+                        let carried: HashMap<_, _> =
+                            [(route_key(RegistryChoice::Hub.registry_id(), DEVICE_MEDIUM), 2)]
+                                .into_iter()
+                                .collect();
+                        let discovery = if peers == 2 {
+                            gossip
+                        } else {
+                            deep_simulator::PeerDiscovery::Snapshot
+                        };
+                        let mut ctx = EstimationContext::new(&tb, app)
+                            .peer_sharing(peers > 0)
+                            .peer_discovery(discovery, seed)
+                            .price_faults(pricing == 1)
+                            .scenario_pricing(
+                                (pricing == 2).then_some(ScenarioPricing { draws: 16, seed }),
+                            )
+                            .with_initial_route_load(carried);
+                        let cold = ctx.clone();
+                        for id in app.ids() {
+                            ctx.prefetch_manifests(id);
+                        }
+                        let registries = ctx.registry_choices();
+                        for stage in deep_dataflow::stages(app) {
+                            ctx.begin_wave();
+                            for &id in &stage.members {
+                                let devices = ctx.admissible_devices(id);
+                                for _ in 0..4 {
+                                    let registry = registries[draw(registries.len())];
+                                    let device = devices[draw(devices.len())];
+                                    let floor = ctx.energy_floor(id, registry, device);
+                                    let exact = ctx.estimate(id, registry, device).ec.as_f64();
+                                    let at = format!(
+                                        "kind {kind} pricing {pricing} peers {peers} \
+                                         {id:?} on {registry}/{device:?}"
+                                    );
+                                    assert!(floor <= exact, "{at}: floor {floor} > exact {exact}");
+                                    tight += usize::from(floor >= 0.5 * exact);
+                                }
+                                let registry = registries[draw(registries.len())];
+                                let device = devices[draw(devices.len())];
+                                ctx.commit(id, Placement { registry, device });
+                            }
+                        }
+                        // An unmemoized manifest floors at −∞: always priced.
+                        let first = app.ids().next().expect("a member");
+                        let floor = cold.energy_floor(first, RegistryChoice::Hub, DEVICE_MEDIUM);
+                        assert_eq!(floor, f64::NEG_INFINITY);
+                    }
+                }
+            }
+            // Non-vacuous: the floor is usually within 2× of the exact cost.
+            assert!(tight > 0, "every floor was below half its exact cost");
+        }
     }
 
     #[test]

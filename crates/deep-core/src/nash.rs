@@ -43,17 +43,20 @@
 //!
 //! ## The solve path
 //!
-//! * **Stage games** — payoffs fan out across devices through rayon's
-//!   `par_iter` surface into a reused flat buffer (estimates are
-//!   `&self`, so one context could serve every worker). The workspace's
-//!   `vendor/rayon` is a *serial* stand-in, so today the fan-out runs on
-//!   the calling thread; a scoped-thread shim was measured slower on the
-//!   800-device admission benchmark on a 2-vCPU host. One scan then
-//!   selects the stage game's cell: the *last* minimal-energy cell in
-//!   registry-major order. That rule is the specification. It is the
-//!   cell support enumeration selects when it lists the pure equilibria
-//!   registry-major and keeps the last payoff maximum, which this
-//!   module's oracle test checks member by member.
+//! * **Stage games** — each game plays the *last* minimal-energy cell
+//!   of its registry × device grid in registry-major order. That rule is
+//!   the specification. It is the cell support enumeration selects when
+//!   it lists the pure equilibria registry-major and keeps the last
+//!   payoff maximum, which this module's oracle test checks member by
+//!   member. Only the cells that can win are priced: every cell first
+//!   gets an admissible energy floor
+//!   (`EstimationContext::energy_floors`: the missing bytes' extract
+//!   and fastest-route download time plus the primary's overhead), and
+//!   cells are priced exactly in ascending-floor order until the next
+//!   floor exceeds the best cost found. A pruned cell costs strictly
+//!   more than the minimum, so the pick and its cost bits are those of
+//!   the fully priced grid. On a warm 800-device fleet about one cell in
+//!   ten or fewer is priced exactly (PERF.md).
 //! * **Congestion warm start** — [`CongestionGame::sparse_descent`]:
 //!   incremental ΔΦ over per-resource load counters, touching only the
 //!   deviator's resource subset per candidate.
@@ -64,7 +67,9 @@
 //! prefix replay per member prices every candidate directly —
 //! float-identical to the seed's full-profile replays at 1/n-th the
 //! walks (the equilibrium checks, whose profile never moves, price
-//! every member in one walk). Each call opens one estimation context —
+//! every member in one walk). The deviation scans skip every candidate
+//! whose energy floor is already within the improvement margin of the
+//! cost to beat. Each call opens one estimation context —
 //! construction plus the first barrier, whose gossip round dominates at
 //! fleet scale — and every walk starts from a clone of it. A
 //! 1,000-device, 10-registry synthetic fleet
@@ -227,19 +232,31 @@ pub struct RepairOutcome {
 }
 
 /// Reused buffers for the hot solve loop: per-member admissible-device
-/// lists, the flat stage-game payoff grid the `par_iter` fan-out
-/// fills, and the sparse-descent counters. One workspace serves a whole
-/// [`Scheduler::schedule`] call across members, waves and refinement
-/// rounds; steady state allocates nothing (asserted in this module's
-/// tests via capacity/pointer stability, the gf256 idiom).
+/// lists, the flat per-cell energy floors, the stage scan's pricing
+/// order, the flat payoff grid and the sparse-descent counters. One
+/// workspace serves a whole [`Scheduler::schedule`] call across members,
+/// waves and refinement rounds; steady state allocates nothing (asserted
+/// in this module's tests via capacity/pointer stability, the gf256
+/// idiom).
 #[derive(Debug, Default)]
 struct FleetWorkspace {
     /// Admissible devices of the member being solved.
     devices: Vec<DeviceId>,
-    /// Flat payoff/cost grid, device-major: `payoffs[d * R + r]`.
+    /// Flat energy-floor grid ([`EstimationContext::energy_floors`]),
+    /// device-major: `floors[d * R + r]`.
+    floors: Vec<f64>,
+    /// The stage scan's cells still able to win, in ascending-floor
+    /// order.
+    order: Vec<usize>,
+    /// Flat payoff/cost grid, device-major: `payoffs[d * R + r]`; `+∞`
+    /// at cells the stage scan pruned.
     payoffs: Vec<f64>,
     /// Load counters + dirty queue for the sparse potential descent.
     descent: DescentWorkspace,
+    /// Cells priced with an exact estimate, stage and refinement scans.
+    exact_cells: usize,
+    /// Grid cells the stage scans faced.
+    grid_cells: usize,
 }
 
 /// The energy margin a deviation must beat to count as an improvement,
@@ -433,8 +450,7 @@ impl DeepScheduler {
     }
 
     /// Solve one microservice's |R|×|D| common-interest game over every
-    /// mesh registry × admissible device: price the grid
-    /// ([`DeepScheduler::candidate_costs`]), then play its *last*
+    /// mesh registry × admissible device and play its *last*
     /// minimal-energy cell in registry-major order.
     ///
     /// In a common-interest game the global payoff maximum is always a
@@ -443,30 +459,70 @@ impl DeepScheduler {
     /// tie-break is the specification: it is the cell Nashpy-style
     /// support enumeration selects when it lists the pure equilibria
     /// registry-major and keeps the last payoff maximum (this module's
-    /// oracle test checks the two member by member).
+    /// oracle test checks the two member by member, pick and cost bits).
+    ///
+    /// Only the cells that can win are priced exactly. Every cell first
+    /// gets its admissible energy floor
+    /// ([`EstimationContext::energy_floors`]), which is far cheaper than
+    /// an estimate. The lowest-floor cell is priced, and only cells whose
+    /// floor is at most its cost stay candidates. Those are priced in
+    /// ascending-floor order until the next floor exceeds the best cost
+    /// so far. Every other cell stays at `+∞`. A pruned cell's exact cost
+    /// is at least its floor, which is strictly above the final minimum,
+    /// so it can neither win nor tie, and the unchanged scan picks the
+    /// same cell with the same cost bits as a fully priced grid.
     fn stage_game(
         ctx: &EstimationContext<'_>,
         id: MicroserviceId,
         ws: &mut FleetWorkspace,
     ) -> StagePick {
         let registries = ctx.registry_choices();
-        Self::candidate_costs(ctx, id, &registries, ws);
+        Self::fill_floors(ctx, id, &registries, ws);
         assert!(
             !ws.devices.is_empty(),
             "no device admits microservice {id}: the testbed cannot host the application"
         );
         let r_count = registries.len();
+        let FleetWorkspace { devices, floors, order, payoffs, exact_cells, grid_cells, .. } = ws;
+        let price = |cell: usize| {
+            let cost =
+                ctx.estimate(id, registries[cell % r_count], devices[cell / r_count]).ec.as_f64();
+            debug_assert!(floors[cell] <= cost, "energy floor above the exact cost");
+            cost
+        };
+        let lowest = (0..floors.len())
+            .min_by(|&a, &b| floors[a].total_cmp(&floors[b]))
+            .expect("the grid is non-empty");
+        let bound = price(lowest);
+        payoffs.clear();
+        payoffs.resize(floors.len(), f64::INFINITY);
+        payoffs[lowest] = bound;
+        order.clear();
+        order.extend((0..floors.len()).filter(|&cell| cell != lowest && floors[cell] <= bound));
+        order.sort_unstable_by(|&a, &b| floors[a].total_cmp(&floors[b]));
+        let mut best = bound;
+        let mut priced = 1;
+        for &cell in order.iter() {
+            if floors[cell] > best {
+                break;
+            }
+            payoffs[cell] = price(cell);
+            best = best.min(payoffs[cell]);
+            priced += 1;
+        }
+        *exact_cells += priced;
+        *grid_cells += floors.len();
         let mut best = (f64::INFINITY, 0usize, 0usize);
         for ri in 0..r_count {
-            for di in 0..ws.devices.len() {
-                let cost = ws.payoffs[di * r_count + ri];
+            for di in 0..devices.len() {
+                let cost = payoffs[di * r_count + ri];
                 if cost <= best.0 {
                     best = (cost, ri, di);
                 }
             }
         }
         StagePick {
-            placement: Placement { registry: registries[best.1], device: ws.devices[best.2] },
+            placement: Placement { registry: registries[best.1], device: devices[best.2] },
             cost: best.0,
         }
     }
@@ -754,10 +810,10 @@ impl DeepScheduler {
     /// float-identical to the seed's per-candidate full-profile replays
     /// (the member's payoff never depends on its own or later commits),
     /// at `O(members)` walks per pass instead of `O(members² ×
-    /// candidates)`. The candidate grid fans out across devices through
-    /// `par_iter` (serial in this workspace); the selection scan is
-    /// serial regardless, so the tie-break (first strict improvement in
-    /// registry-major order) is deterministic.
+    /// candidates)`. Each pass moves a member to its best improvement
+    /// ([`DeepScheduler::refine_pass`]): scanning registry-major, a
+    /// candidate replaces the best so far only when it beats that cost
+    /// by more than [`MARGIN`], so the outcome is deterministic.
     ///
     /// The passes run only when they can move something. By the
     /// `context_at` keystone, a pass over the sequential profile prices
@@ -791,7 +847,9 @@ impl DeepScheduler {
 
     /// One refinement pass: each member in id order moves to its best
     /// strict improvement given everyone else. Returns whether anyone
-    /// moved.
+    /// moved. A candidate whose energy floor is already within
+    /// [`MARGIN`] of the best cost so far cannot improve on it and is
+    /// never priced exactly.
     fn refine_pass(
         &self,
         opened: &EstimationContext<'_>,
@@ -801,20 +859,24 @@ impl DeepScheduler {
         ws: &mut FleetWorkspace,
     ) -> bool {
         let registries = testbed.registry_choices();
+        let r_count = registries.len();
         let mut changed = false;
         for id in app.ids() {
             let ctx = Self::context_at(opened, app, profile, id);
             let current = profile[id.0];
             let current_cost = ctx.estimate(id, current.registry, current.device).ec.as_f64();
-            Self::candidate_costs(&ctx, id, &registries, ws);
+            Self::fill_floors(&ctx, id, &registries, ws);
             let mut best = (current_cost, current);
             for (ri, &registry) in registries.iter().enumerate() {
                 for (di, &device) in ws.devices.iter().enumerate() {
                     let candidate = Placement { registry, device };
-                    if candidate == current {
+                    let floor = ws.floors[di * r_count + ri];
+                    if candidate == current || floor >= best.0 - MARGIN {
                         continue;
                     }
-                    let cost = ws.payoffs[di * registries.len() + ri];
+                    let cost = ctx.estimate(id, registry, device).ec.as_f64();
+                    debug_assert!(floor <= cost, "energy floor above the exact cost");
+                    ws.exact_cells += 1;
                     if cost < best.0 - MARGIN {
                         best = (cost, candidate);
                     }
@@ -828,29 +890,22 @@ impl DeepScheduler {
         changed
     }
 
-    /// Fill `ws.payoffs` (device-major) with `id`'s estimated energy for
-    /// every registry × admissible device under `ctx`'s committed
-    /// prefix; `ws.devices` is refreshed first. Fans out over devices
-    /// through `par_*` (serial in this workspace; each cell is one
-    /// independent estimate, so the floats match a serial fill).
-    fn candidate_costs(
+    /// Refresh `ws.devices` with `id`'s admissible devices and fill
+    /// `ws.floors` (device-major) with the energy floor of every
+    /// registry × device cell under `ctx`'s committed prefix.
+    fn fill_floors(
         ctx: &EstimationContext<'_>,
         id: MicroserviceId,
         registries: &[RegistryChoice],
         ws: &mut FleetWorkspace,
     ) {
         ctx.admissible_devices_into(id, &mut ws.devices);
-        let FleetWorkspace { devices, payoffs, .. } = ws;
         let r_count = registries.len();
-        payoffs.clear();
-        payoffs.resize(r_count * devices.len(), 0.0);
-        payoffs.par_chunks_mut(r_count).zip(devices.par_iter()).for_each(
-            |(row, &device): (&mut [f64], &DeviceId)| {
-                for (ri, &registry) in registries.iter().enumerate() {
-                    row[ri] = ctx.estimate(id, registry, device).ec.as_f64();
-                }
-            },
-        );
+        ws.floors.clear();
+        ws.floors.resize(r_count * ws.devices.len(), 0.0);
+        for (row, &device) in ws.floors.chunks_mut(r_count).zip(&ws.devices) {
+            ctx.energy_floors(id, device, registries, row);
+        }
     }
 
     /// Is `schedule` a pure Nash equilibrium of the joint deployment game
@@ -934,7 +989,11 @@ impl DeepScheduler {
                 let p = schedule.placement(id);
                 let current = ctx.estimate(id, p.registry, p.device).ec.as_f64();
                 for candidate in candidates(&ctx, id) {
+                    // The floor screens out candidates that cannot beat
+                    // the margin before any exact estimate runs.
                     if candidate != p
+                        && ctx.energy_floor(id, candidate.registry, candidate.device)
+                            < current - MARGIN
                         && ctx.estimate(id, candidate.registry, candidate.device).ec.as_f64()
                             < current - MARGIN
                     {
@@ -1253,33 +1312,33 @@ mod tests {
         // The hot fleet loop must not allocate in steady state: after a
         // warm solve has sized the workspace, a second solve through the
         // same workspace reuses every buffer in place (the `gf256`
-        // fingerprint idiom — pointer and capacity both pinned).
-        let tb = calibrated_testbed();
-        let app = apps::text_processing();
-        let sched = DeepScheduler::paper();
-        let opened = sched.open(&tb, &app);
-        let mut ws = FleetWorkspace::default();
-        let warm = DeepScheduler::sequential_assignment(&opened, &app, &mut ws);
-        let warm = sched.refine_joint(&opened, &app, &tb, warm, &mut ws);
-        let fp = (
-            ws.payoffs.as_ptr(),
-            ws.payoffs.capacity(),
-            ws.devices.as_ptr(),
-            ws.devices.capacity(),
-        );
-        let again = DeepScheduler::sequential_assignment(&opened, &app, &mut ws);
-        let again = sched.refine_joint(&opened, &app, &tb, again, &mut ws);
-        assert_eq!(warm, again, "workspace reuse must not change the schedule");
-        assert_eq!(
-            fp,
-            (
-                ws.payoffs.as_ptr(),
-                ws.payoffs.capacity(),
-                ws.devices.as_ptr(),
-                ws.devices.capacity()
-            ),
-            "steady-state solve reallocated a workspace buffer"
-        );
+        // fingerprint idiom — pointer and capacity both pinned). The
+        // warm fleet's pruned scans fill the floor and order buffers too.
+        let (fleet, fleet_app, fleet_sched) = admit_shaped_fleet(40);
+        let cases = [
+            (calibrated_testbed(), apps::text_processing(), DeepScheduler::paper(), false),
+            (fleet, fleet_app, fleet_sched, true),
+        ];
+        let fingerprint = |ws: &FleetWorkspace| {
+            [
+                (ws.payoffs.as_ptr() as usize, ws.payoffs.capacity()),
+                (ws.devices.as_ptr() as usize, ws.devices.capacity()),
+                (ws.floors.as_ptr() as usize, ws.floors.capacity()),
+                (ws.order.as_ptr() as usize, ws.order.capacity()),
+            ]
+        };
+        for (tb, app, sched, pruned) in &cases {
+            let opened = sched.open(tb, app);
+            let mut ws = FleetWorkspace::default();
+            let warm = DeepScheduler::sequential_assignment(&opened, app, &mut ws);
+            let warm = sched.refine_joint(&opened, app, tb, warm, &mut ws);
+            assert!(!pruned || ws.order.capacity() > 0, "the fleet scan ordered no candidate");
+            let fp = fingerprint(&ws);
+            let again = DeepScheduler::sequential_assignment(&opened, app, &mut ws);
+            let again = sched.refine_joint(&opened, app, tb, again, &mut ws);
+            assert_eq!(warm, again, "workspace reuse must not change the schedule");
+            assert_eq!(fp, fingerprint(&ws), "steady-state solve reallocated a workspace buffer");
+        }
     }
 
     #[test]
@@ -1347,14 +1406,19 @@ mod tests {
         }
     }
 
-    /// Walk the sequential stage games and, at every member, check the
-    /// scan's pick against Nashpy-style support enumeration over the
-    /// member's payoff bimatrix: among all equilibria keep the last one
-    /// with the best expected shared payoff and round it to its modal
-    /// pure strategies.
-    fn assert_stage_games_match_support_enumeration(at: &str, app: &Application, tb: &Testbed) {
+    /// Walk `sched`'s sequential stage games and, at every member, check
+    /// the scan's pick against Nashpy-style support enumeration over the
+    /// member's fully priced payoff bimatrix: among all equilibria keep
+    /// the last one with the best expected shared payoff and round it to
+    /// its modal pure strategies.
+    fn assert_stage_games_match_support_enumeration(
+        at: &str,
+        app: &Application,
+        tb: &Testbed,
+        sched: &DeepScheduler,
+    ) {
         use deep_game::{support_enumeration, Bimatrix, Matrix};
-        let mut ctx = DeepScheduler::paper().open(tb, app);
+        let mut ctx = sched.open(tb, app);
         let registries = ctx.registry_choices();
         let mut ws = FleetWorkspace::default();
         for (w, stage) in stages(app).iter().enumerate() {
@@ -1398,12 +1462,14 @@ mod tests {
             ("continuum", crate::continuum::continuum_testbed()),
             ("calibrated+2 mirrors", mirrored()),
         ];
+        let paper = DeepScheduler::paper();
         for (name, tb) in &testbeds {
             for app in apps::case_studies() {
                 assert_stage_games_match_support_enumeration(
                     &format!("{name}/{}", app.name()),
                     &app,
                     tb,
+                    &paper,
                 );
             }
         }
@@ -1413,17 +1479,41 @@ mod tests {
         for seed in 0..3u64 {
             let app = gen.generate(seed);
             fleet.publish_application(&app);
-            assert_stage_games_match_support_enumeration(&format!("fleet-40/{seed}"), &app, &fleet);
+            assert_stage_games_match_support_enumeration(
+                &format!("fleet-40/{seed}"),
+                &app,
+                &fleet,
+                &paper,
+            );
         }
+        // Closed-form fault pricing on the mirrored pair with a flaky
+        // regional.
+        let mut faulty = mirrored();
+        faulty.fault_model = faulty.fault_model.clone().with_source(
+            RegistryChoice::Regional.registry_id(),
+            deep_registry::FaultRates { fatal_per_pull: 0.2, transient_per_fetch: 0.1 },
+        );
+        for app in apps::case_studies() {
+            assert_stage_games_match_support_enumeration(
+                &format!("fault-aware mirrored/{}", app.name()),
+                &app,
+                &faulty,
+                &DeepScheduler::fault_aware(),
+            );
+        }
+        // The fleet-admit shape: scenario-priced draws, a flaky regional,
+        // a warm holder and peer sharing over gossip views.
+        let (fleet, app, sched) = admit_shaped_fleet(40);
+        assert_stage_games_match_support_enumeration("fleet-admit-40", &app, &fleet, &sched);
     }
 
-    #[test]
-    fn cloned_opened_context_walks_like_a_freshly_opened_one() {
+    /// A warm `devices`-device, 3-registry fleet in the fleet-admit shape,
+    /// with the scheduler that admits into it: a flaky regional, one holder
+    /// of every layer of the returned two-wave dataflow, peer sharing over
+    /// gossip views and 16-draw scenario pricing.
+    fn admit_shaped_fleet(devices: usize) -> (Testbed, Application, DeepScheduler) {
         use deep_registry::FaultRates;
-        // Gossip discovery and scenario pricing carry the most walk
-        // state: a gossip plane, per-device peer views, the estimator
-        // clock, the pull numbering and the draw memo.
-        let mut tb = crate::continuum::synthetic_fleet_testbed(40, 3, 5);
+        let mut tb = crate::continuum::synthetic_fleet_testbed(devices, 3, 5);
         tb.fault_model = tb.fault_model.clone().with_source(
             RegistryChoice::Regional.registry_id(),
             FaultRates { fatal_per_pull: 0.2, transient_per_fetch: 0.1 },
@@ -1442,7 +1532,6 @@ mod tests {
             peer_discovery: discovery,
             ..deep_simulator::ExecutorConfig::default()
         };
-        // One holder of every layer for gossip to advertise.
         let warm = Schedule::uniform(app.len(), RegistryChoice::Hub, DEVICE_MEDIUM);
         deep_simulator::execute(&mut tb, &app, &warm, &cfg).unwrap();
         let sched = DeepScheduler {
@@ -1451,6 +1540,37 @@ mod tests {
             discovery_seed: 9,
             ..DeepScheduler::scenario_priced(16, 9)
         };
+        (tb, app, sched)
+    }
+
+    #[test]
+    fn stage_scan_prices_a_fraction_of_a_warm_fleet_grid() {
+        // One holder already runs the dataflow: its cached layers undercut
+        // every cold device's floor, so most of the grid is pruned.
+        let (tb, app, sched) = admit_shaped_fleet(200);
+        let opened = sched.open(&tb, &app);
+        let mut ws = FleetWorkspace::default();
+        let seq = DeepScheduler::sequential_assignment(&opened, &app, &mut ws);
+        assert_eq!(
+            seq.costs,
+            DeepScheduler::profile_costs(&opened, &app, &seq.profile),
+            "pruned stage games price their picks exactly"
+        );
+        assert_eq!(ws.grid_cells, app.len() * 3 * 200, "every member faced the whole grid");
+        assert!(
+            ws.exact_cells * 5 <= ws.grid_cells,
+            "{} of {} cells priced exactly",
+            ws.exact_cells,
+            ws.grid_cells
+        );
+    }
+
+    #[test]
+    fn cloned_opened_context_walks_like_a_freshly_opened_one() {
+        // Gossip discovery and scenario pricing carry the most walk
+        // state: a gossip plane, per-device peer views, the estimator
+        // clock, the pull numbering and the draw memo.
+        let (tb, app, sched) = admit_shaped_fleet(40);
         let schedule = sched.schedule(&app, &tb);
         let stages = stages(&app);
         assert_eq!(stages.len(), 2, "a two-wave walk");
