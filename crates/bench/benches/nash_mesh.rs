@@ -12,13 +12,16 @@
 //!   50/200/1,000-device synthetic fleets at 10 registries (the scaling
 //!   curve is recorded in PERF.md, "Fleet-scale solver"), plus one warm
 //!   800-device, 3-registry fleet in the perfbench `fleet-admit` shape,
-//!   where the stage games' energy floors prune most of the grid.
+//!   where the stage games' energy floors prune most of the grid: the
+//!   warm app's re-admission, the admission of a dataflow no peer has
+//!   deployed, and the incremental repair of that admission.
 //!
 //! The equilibrium-quality numbers this bench's scenarios produce (split
 //! vs best-single deployment time) are printed by
 //! `examples/registry_sweep.rs` and recorded in PERF.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use deep_arrival::DEFAULT_DEVIATION_BUDGET;
 use deep_core::{
     calibration, continuum_testbed, synthetic_fleet_testbed, DeepScheduler, Scheduler,
 };
@@ -120,6 +123,25 @@ fn bench_fleet(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("admit", "800d_3r_warm"), &app, |b, app| {
         b.iter(|| black_box(sched.schedule(app, &tb)))
     });
+    // A dataflow no peer has deployed, admitted into the same fleet: the
+    // fleet-admit shape, where most wave-game cells are sole-source
+    // registry pulls. Then the incremental repair of its solved schedule.
+    let fresh =
+        deep_dataflow::DagGenerator { stages: 2, width: (2, 2), ..Default::default() }.generate(43);
+    tb.publish_application(&fresh);
+    group.bench_with_input(BenchmarkId::new("admit", "800d_3r_fresh"), &fresh, |b, app| {
+        b.iter(|| black_box(sched.schedule(app, &tb)))
+    });
+    let solved = sched.schedule(&fresh, &tb);
+    group.bench_with_input(
+        BenchmarkId::new("incremental_repair", "800d_3r_fresh"),
+        &fresh,
+        |b, app| {
+            b.iter(|| {
+                black_box(sched.incremental_repair(app, &tb, &solved, DEFAULT_DEVIATION_BUDGET))
+            })
+        },
+    );
     group.finish();
 }
 

@@ -75,9 +75,10 @@
 //!   over a reusable workspace (the last minimal-energy cell,
 //!   registry-major: the equilibrium the paper's support enumeration
 //!   selects in a common-interest game, checked member by member by
-//!   `nash.rs`'s oracle test), with rayon-surface per-device pricing,
-//!   prefix-context incremental refinement and `deep-game`'s sparse
-//!   potential descent for the wave warm starts. The same path runs on
+//!   `nash.rs`'s oracle test), with energy-floor pruning of the grid,
+//!   sole-source wave-game plans, prefix-context incremental refinement
+//!   and `deep-game`'s sparse potential descent for the wave warm starts
+//!   and repairs. The same path runs on
 //!   the paper's two-device testbed and on
 //!   [`continuum::synthetic_fleet_testbed`]'s 10³ seeded-heterogeneous
 //!   devices (`examples/fleet_scale.rs`, PERF.md).

@@ -33,8 +33,8 @@ use deep_dataflow::{Application, MicroserviceId};
 use deep_energy::Joules;
 use deep_netsim::{Bandwidth, DataSize, DeviceId, RegistryId, Seconds};
 use deep_registry::{
-    CatalogEntry, FaultModel, ImageManifest, LayerCache, PeerCacheSource, Platform, PullOutcome,
-    PullSession, Reference, RegistryMesh,
+    BlobSource, CatalogEntry, FaultModel, ImageManifest, LayerCache, LayerDescriptor,
+    PeerCacheSource, Platform, PullOutcome, PullSession, Reference, RegistryError, RegistryMesh,
 };
 use deep_simulator::{route_key, Placement, RegistryChoice, Testbed};
 use std::collections::HashMap;
@@ -98,11 +98,9 @@ impl Estimate {
 /// Both halves of a contention key ([`deep_simulator::route_key`]) have
 /// natural shard structure — the source id picks the shard, the device
 /// slot (pulling device for registry sources, serving holder for peer
-/// uplinks) indexes the lane — so the fleet-scale payoff fan-out reads
+/// uplinks) indexes the lane — so the fleet-scale payoff scan reads
 /// loads with one shard lookup plus an array index, no per-candidate key
-/// hashing, and the whole structure is `&self`-shareable across the
-/// rayon workers evaluating different devices of the same wave
-/// (estimates never mutate loads; only commits charge them).
+/// hashing. Estimates only read loads; commits charge them.
 ///
 /// Values are identical to the map they replace, so every estimate that
 /// reads through [`deep_simulator::TestbedParams::contention_factor`]
@@ -174,6 +172,26 @@ impl RouteLoads {
         }
         loads
     }
+}
+
+/// One memoized primary-manifest resolution.
+#[derive(Clone)]
+struct Resolved {
+    reference: Reference,
+    manifest: ImageManifest,
+    /// Whether the resolving registry advertises every layer of
+    /// `manifest`, so that registry alone can serve any pull of it.
+    complete: bool,
+}
+
+/// The layers of `manifest` absent from `cache`, in manifest order:
+/// exactly the layers every pull of it downloads, whichever sources serve
+/// them.
+fn missing_layers<'m>(
+    manifest: &'m ImageManifest,
+    cache: &'m LayerCache,
+) -> impl Iterator<Item = &'m LayerDescriptor> {
+    manifest.missing_layers(|digest| cache.contains(digest))
 }
 
 /// Walks the application in barrier order, mirroring the executor's cache
@@ -254,8 +272,8 @@ pub struct EstimationContext<'t> {
     /// plan against the memo through [`PullSession::preresolved`] when
     /// warm and resolve per call otherwise — identically either way: the
     /// testbed is immutably borrowed for the context's lifetime, so a
-    /// memoized resolution cannot go stale.
-    manifests: HashMap<(RegistryId, usize, Platform), (Reference, ImageManifest)>,
+    /// memoized resolution (and its completeness flag) cannot go stale.
+    manifests: HashMap<(RegistryId, usize, Platform), Resolved>,
     /// Memoized scenario-pricing fatal-draw counts keyed
     /// `(pull number, primary)`. The Monte-Carlo death frequency of a
     /// candidate depends only on the pull number it would commit as and
@@ -263,11 +281,11 @@ pub struct EstimationContext<'t> {
     /// clock — so a fleet solver evaluating thousands of `(registry,
     /// device)` candidates for one member pays the `draws`-long seed
     /// walk once per distinct `(pull, primary)`, not once per
-    /// candidate. Behind a mutex because the solver fans
-    /// [`EstimationContext::estimate`] out over rayon through `&self`;
-    /// contention is negligible (one lock per estimate, held for a map
-    /// probe). Sound across commits because the pull number is in the
-    /// key, and cleared if the pricing itself is rebound.
+    /// candidate. Behind a mutex because [`EstimationContext::estimate`]
+    /// fills it through `&self` (one uncontended lock per scenario-priced
+    /// estimate, held for a map probe). Sound across commits because the
+    /// pull number is in the key, and cleared if the pricing itself is
+    /// rebound.
     fatal_memo: Mutex<HashMap<(u64, RegistryId), u32>>,
 }
 
@@ -422,6 +440,10 @@ impl<'t> EstimationContext<'t> {
     /// per member and the round-trips dominate the estimate itself.
     /// Purely an optimisation: warm and cold estimates price bit for
     /// bit identically.
+    ///
+    /// Each memoized manifest also records whether its registry
+    /// advertises every one of its layers (one `has_blob` per layer), the
+    /// fact the wave games' sole-source plans rest on.
     pub fn prefetch_manifests(&mut self, id: MicroserviceId) {
         let Some(entry) = self.entries[id.0] else { return };
         let mut archs: Vec<Platform> = Vec::new();
@@ -437,10 +459,12 @@ impl<'t> EstimationContext<'t> {
                     continue;
                 }
                 let reference = self.testbed.reference(entry, choice, arch);
+                let registry = self.testbed.registry(choice);
                 // An unpublished variant stays unmemoized: the per-call
                 // resolve then reports it exactly as before.
-                if let Ok(m) = self.testbed.registry(choice).resolve(&reference, arch) {
-                    self.manifests.insert(key, (reference, m));
+                if let Ok(manifest) = registry.resolve(&reference, arch) {
+                    let complete = manifest.layers.iter().all(|l| registry.has_blob(&l.digest));
+                    self.manifests.insert(key, Resolved { reference, manifest, complete });
                 }
             }
         }
@@ -635,7 +659,7 @@ impl<'t> EstimationContext<'t> {
         let built;
         let (reference, preresolved) =
             match self.manifests.get(&(registry.registry_id(), id.0, dev.arch)) {
-                Some((r, m)) => (r, Some(m)),
+                Some(r) => (&r.reference, Some(&r.manifest)),
                 None => {
                     built = self.testbed.reference(entry, registry, dev.arch);
                     (&built, None)
@@ -664,6 +688,7 @@ impl<'t> EstimationContext<'t> {
                 &mesh,
                 primary,
                 reference,
+                preresolved,
                 dev.extract_bw,
                 dev.arch,
                 &self.caches[device.0],
@@ -800,15 +825,12 @@ impl<'t> EstimationContext<'t> {
         let tp = dev.processing_time(scoped, self.app.microservice(id).requirements.cpu);
         let cache = &self.caches[device.0];
         for (slot, &registry) in out.iter_mut().zip(registries) {
-            let Some((_, manifest)) = self.manifests.get(&(registry.registry_id(), id.0, dev.arch))
+            let Some(resolved) = self.manifests.get(&(registry.registry_id(), id.0, dev.arch))
             else {
                 *slot = f64::NEG_INFINITY;
                 continue;
             };
-            let missing = manifest
-                .layers
-                .iter()
-                .filter(|layer| !cache.contains(&layer.digest))
+            let missing = missing_layers(&resolved.manifest, cache)
                 .fold(DataSize::ZERO, |acc, layer| acc + layer.size);
             let td = unloaded(registry).overhead
                 + deep_netsim::transfer_time(missing, dev.extract_bw)
@@ -818,7 +840,9 @@ impl<'t> EstimationContext<'t> {
     }
 
     /// The scenario-priced `(happy outcome, E[Td])` of one candidate
-    /// pull (see [`ScenarioPricing`] for the branch semantics).
+    /// pull (see [`ScenarioPricing`] for the branch semantics). Both
+    /// branches plan against `preresolved` when the manifest is memoized,
+    /// exactly as the closed-form failover branch does.
     #[allow(clippy::too_many_arguments)]
     fn scenario_estimate(
         &self,
@@ -826,6 +850,7 @@ impl<'t> EstimationContext<'t> {
         mesh: &RegistryMesh<'_>,
         primary: RegistryId,
         reference: &Reference,
+        preresolved: Option<&ImageManifest>,
         extract_bw: Bandwidth,
         arch: Platform,
         cache: &LayerCache,
@@ -841,6 +866,9 @@ impl<'t> EstimationContext<'t> {
             .collect();
         let branch = |primary_dead: bool| -> PullOutcome {
             let mut session = PullSession::new(mesh, primary).extract_bw(extract_bw);
+            if let Some(m) = preresolved {
+                session = session.preresolved(m);
+            }
             if primary_dead {
                 session = session.presume_dead(primary);
             }
@@ -895,16 +923,28 @@ impl<'t> EstimationContext<'t> {
     /// The happy-path pull *plan* of one candidate assignment: the
     /// per-source byte buckets a session would fetch through the same
     /// mesh [`EstimationContext::estimate`] prices (no standbys, no
-    /// fault weighting, cache untouched). This is what the Rosenthal
-    /// congestion bridge ([`crate::nash::DeepScheduler`]) reads to
-    /// derive each strategy's resource subset — the routes and peer
-    /// uplinks its bytes would actually load.
+    /// fault weighting, cache untouched). The Rosenthal congestion
+    /// bridge ([`crate::nash::WaveRouteGame`]) derives each strategy's
+    /// resource subset — the routes and peer uplinks its bytes would
+    /// actually load — from this plan's buckets, read through
+    /// `plan_buckets`, which skips the session where the plan is already
+    /// decided.
     pub fn plan(
         &self,
         id: MicroserviceId,
         registry: RegistryChoice,
         device: DeviceId,
     ) -> deep_registry::PullOutcome {
+        self.session_plan(id, registry, device).expect("catalog images resolve")
+    }
+
+    /// [`EstimationContext::plan`]'s session, with its error.
+    fn session_plan(
+        &self,
+        id: MicroserviceId,
+        registry: RegistryChoice,
+        device: DeviceId,
+    ) -> Result<PullOutcome, RegistryError> {
         let ms = self.app.microservice(id);
         let dev = self.testbed.device(device);
         let entry = match self.entries[id.0] {
@@ -916,7 +956,7 @@ impl<'t> EstimationContext<'t> {
         let built;
         let (reference, preresolved) =
             match self.manifests.get(&(registry.registry_id(), id.0, dev.arch)) {
-                Some((r, m)) => (r, Some(m)),
+                Some(r) => (&r.reference, Some(&r.manifest)),
                 None => {
                     built = self.testbed.reference(entry, registry, dev.arch);
                     (&built, None)
@@ -931,9 +971,64 @@ impl<'t> EstimationContext<'t> {
         if let Some(m) = preresolved {
             session = session.preresolved(m);
         }
-        session
-            .estimate(reference, dev.arch, &self.caches[device.0])
-            .expect("catalog images resolve")
+        session.estimate(reference, dev.arch, &self.caches[device.0])
+    }
+
+    /// The `(source, downloaded)` buckets of [`EstimationContext::plan`],
+    /// in bucket order, written into `out`: all a wave game reads of a
+    /// plan.
+    ///
+    /// A *sole-source* cell skips the session. Its manifest is memoized,
+    /// its primary advertises every layer of it, and no entry of the
+    /// device's peer snapshot advertises a layer the device's estimated
+    /// cache lacks. The session plans each missing layer onto the
+    /// cheapest source that has it, and the plan's mesh holds no standby
+    /// and presumes no source dead, so the primary is the only candidate
+    /// for every missing layer whatever the bandwidths, contention and
+    /// windows. The plan is then one primary bucket of the missing bytes,
+    /// or no bucket when nothing is missing. Every other cell runs
+    /// `plan`'s session and returns its error unchanged.
+    pub(crate) fn plan_buckets(
+        &self,
+        id: MicroserviceId,
+        registry: RegistryChoice,
+        device: DeviceId,
+        out: &mut Vec<(RegistryId, DataSize)>,
+    ) -> Result<(), RegistryError> {
+        out.clear();
+        if let Some(missing) = self.sole_source_missing(id, registry, device) {
+            if missing > DataSize::ZERO {
+                out.push((registry.registry_id(), missing));
+            }
+            return Ok(());
+        }
+        let outcome = self.session_plan(id, registry, device)?;
+        out.extend(outcome.per_source.iter().map(|b| (b.source, b.downloaded)));
+        Ok(())
+    }
+
+    /// The bytes the device is missing when the cell is sole-source (see
+    /// [`EstimationContext::plan_buckets`]), `None` otherwise.
+    fn sole_source_missing(
+        &self,
+        id: MicroserviceId,
+        registry: RegistryChoice,
+        device: DeviceId,
+    ) -> Option<DataSize> {
+        let arch = self.testbed.device(device).arch;
+        let resolved = self.manifests.get(&(registry.registry_id(), id.0, arch))?;
+        if !resolved.complete {
+            return None;
+        }
+        let peers = if self.peer_sharing { self.peer_snapshots[device.0].as_slice() } else { &[] };
+        let mut missing = DataSize::ZERO;
+        for layer in missing_layers(&resolved.manifest, &self.caches[device.0]) {
+            if peers.iter().any(|(_, peer)| peer.has_blob(&layer.digest)) {
+                return None;
+            }
+            missing += layer.size;
+        }
+        Some(missing)
     }
 
     /// Commit an assignment: realise the pull against the estimated cache
@@ -970,7 +1065,7 @@ impl<'t> EstimationContext<'t> {
         let built;
         let (reference, preresolved) =
             match manifests.get(&(placement.registry.registry_id(), id.0, dev.arch)) {
-                Some((r, m)) => (r, Some(m)),
+                Some(r) => (&r.reference, Some(&r.manifest)),
                 None => {
                     built = testbed.reference(entry, placement.registry, dev.arch);
                     (&built, None)
@@ -1771,90 +1866,225 @@ mod tests {
         tb
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+    /// One sampled cell of a [`floor_walk`], with both walked contexts.
+    struct FloorCell<'w, 't> {
+        /// The context with every member's manifests prefetched.
+        warm: &'w EstimationContext<'t>,
+        /// Its clone taken before the prefetch, walked in lockstep.
+        cold: &'w EstimationContext<'t>,
+        id: MicroserviceId,
+        registry: RegistryChoice,
+        device: DeviceId,
+        /// The configuration and cell, for failure messages.
+        at: String,
+    }
 
-        /// The energy floor never exceeds the exact estimate. Every
-        /// testbed of [`floor_testbed`] runs under happy, closed-form
-        /// fault and scenario pricing, with peer sharing off, on with
-        /// snapshot discovery and on with gossip, and with carried-in
-        /// first-wave route load. Random cells are checked along a walk
-        /// that commits random placements, so caches, contention, peer
-        /// views and the clock all move.
-        #[test]
-        fn energy_floor_never_exceeds_the_estimate(seed in proptest::prelude::any::<u64>()) {
-            let gossip = deep_simulator::PeerDiscovery::Gossip {
-                fanout: 3,
-                view_size: 8,
-                rounds_per_wave: 1,
-            };
-            let mut state = seed;
-            let mut draw = |n: usize| {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                (state >> 33) as usize % n
-            };
-            let mut tight = 0usize;
-            let studies = apps::case_studies();
-            for kind in 0..4 {
-                let tb = floor_testbed(kind);
-                for pricing in 0..3 {
-                    for peers in 0..3 {
-                        let app = &studies[draw(2)];
-                        let carried: HashMap<_, _> =
-                            [(route_key(RegistryChoice::Hub.registry_id(), DEVICE_MEDIUM), 2)]
-                                .into_iter()
-                                .collect();
-                        let discovery = if peers == 2 {
-                            gossip
-                        } else {
-                            deep_simulator::PeerDiscovery::Snapshot
-                        };
-                        let mut ctx = EstimationContext::new(&tb, app)
-                            .peer_sharing(peers > 0)
-                            .peer_discovery(discovery, seed)
-                            .price_faults(pricing == 1)
-                            .scenario_pricing(
-                                (pricing == 2).then_some(ScenarioPricing { draws: 16, seed }),
-                            )
-                            .with_initial_route_load(carried);
-                        let cold = ctx.clone();
-                        for id in app.ids() {
-                            ctx.prefetch_manifests(id);
-                        }
-                        let registries = ctx.registry_choices();
-                        for stage in deep_dataflow::stages(app) {
-                            ctx.begin_wave();
-                            for &id in &stage.members {
-                                let devices = ctx.admissible_devices(id);
-                                for _ in 0..4 {
-                                    let registry = registries[draw(registries.len())];
-                                    let device = devices[draw(devices.len())];
-                                    let floor = ctx.energy_floor(id, registry, device);
-                                    let exact = ctx.estimate(id, registry, device).ec.as_f64();
-                                    let at = format!(
-                                        "kind {kind} pricing {pricing} peers {peers} \
-                                         {id:?} on {registry}/{device:?}"
-                                    );
-                                    assert!(floor <= exact, "{at}: floor {floor} > exact {exact}");
-                                    tight += usize::from(floor >= 0.5 * exact);
-                                }
+    /// Walk every configuration of the estimator properties: each
+    /// testbed of [`floor_testbed`] under happy, closed-form fault and
+    /// scenario pricing, with peer sharing off, on with snapshot
+    /// discovery and on with gossip, and with carried-in first-wave route
+    /// load. Each configuration opens a context, clones it before
+    /// prefetching the manifests (`cold`) and walks both in lockstep,
+    /// committing random placements so caches, contention, peer views and
+    /// the clock all move. `cell` sees four random cells of every member
+    /// before its commit; `committed` sees both contexts after it.
+    fn floor_walk(
+        seed: u64,
+        mut cell: impl FnMut(&FloorCell<'_, '_>),
+        mut committed: impl FnMut(&EstimationContext<'_>, &EstimationContext<'_>, &str),
+    ) {
+        let gossip =
+            deep_simulator::PeerDiscovery::Gossip { fanout: 3, view_size: 8, rounds_per_wave: 1 };
+        let mut state = seed;
+        let mut draw = |n: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % n
+        };
+        let studies = apps::case_studies();
+        for kind in 0..4 {
+            let tb = floor_testbed(kind);
+            for pricing in 0..3 {
+                for peers in 0..3 {
+                    let app = &studies[draw(2)];
+                    let carried: HashMap<_, _> =
+                        [(route_key(RegistryChoice::Hub.registry_id(), DEVICE_MEDIUM), 2)]
+                            .into_iter()
+                            .collect();
+                    let discovery =
+                        if peers == 2 { gossip } else { deep_simulator::PeerDiscovery::Snapshot };
+                    let mut warm = EstimationContext::new(&tb, app)
+                        .peer_sharing(peers > 0)
+                        .peer_discovery(discovery, seed)
+                        .price_faults(pricing == 1)
+                        .scenario_pricing(
+                            (pricing == 2).then_some(ScenarioPricing { draws: 16, seed }),
+                        )
+                        .with_initial_route_load(carried);
+                    let mut cold = warm.clone();
+                    for id in app.ids() {
+                        warm.prefetch_manifests(id);
+                    }
+                    let registries = warm.registry_choices();
+                    let config = format!("kind {kind} pricing {pricing} peers {peers}");
+                    for stage in deep_dataflow::stages(app) {
+                        warm.begin_wave();
+                        cold.begin_wave();
+                        for &id in &stage.members {
+                            let devices = warm.admissible_devices(id);
+                            for _ in 0..4 {
                                 let registry = registries[draw(registries.len())];
                                 let device = devices[draw(devices.len())];
-                                ctx.commit(id, Placement { registry, device });
+                                let at = format!("{config} {id:?} on {registry}/{device:?}");
+                                let (warm, cold) = (&warm, &cold);
+                                cell(&FloorCell { warm, cold, id, registry, device, at });
                             }
+                            let registry = registries[draw(registries.len())];
+                            let device = devices[draw(devices.len())];
+                            warm.commit(id, Placement { registry, device });
+                            cold.commit(id, Placement { registry, device });
+                            committed(&warm, &cold, &format!("{config} {id:?} committed"));
                         }
-                        // An unmemoized manifest floors at −∞: always priced.
-                        let first = app.ids().next().expect("a member");
-                        let floor = cold.energy_floor(first, RegistryChoice::Hub, DEVICE_MEDIUM);
-                        assert_eq!(floor, f64::NEG_INFINITY);
                     }
                 }
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+
+        /// The energy floor never exceeds the exact estimate, at random
+        /// cells along every [`floor_walk`]. A context without memoized
+        /// manifests floors every cell at −∞.
+        #[test]
+        fn energy_floor_never_exceeds_the_estimate(seed in proptest::prelude::any::<u64>()) {
+            let mut tight = 0usize;
+            floor_walk(
+                seed,
+                |c| {
+                    let floor = c.warm.energy_floor(c.id, c.registry, c.device);
+                    let exact = c.warm.estimate(c.id, c.registry, c.device).ec.as_f64();
+                    assert!(floor <= exact, "{}: floor {floor} > exact {exact}", c.at);
+                    tight += usize::from(floor >= 0.5 * exact);
+                    // An unmemoized manifest floors at −∞: always priced.
+                    let cold = c.cold.energy_floor(c.id, c.registry, c.device);
+                    assert_eq!(cold, f64::NEG_INFINITY, "{}", c.at);
+                },
+                |_, _, _| {},
+            );
             // Non-vacuous: the floor is usually within 2× of the exact cost.
             assert!(tight > 0, "every floor was below half its exact cost");
         }
+
+        /// Memoized manifests change no answer. Along every
+        /// [`floor_walk`] the prefetched context and its unprefetched
+        /// clone agree bit for bit on every field of every sampled
+        /// estimate and on what every commit leaves behind, and
+        /// [`EstimationContext::plan_buckets`] returns exactly the
+        /// `(source, downloaded)` buckets of [`EstimationContext::plan`],
+        /// whether it answered from the missing bytes (sole-source) or ran
+        /// the session.
+        #[test]
+        fn prefetched_contexts_price_like_cold_ones_and_plan_like_sessions(
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let bits = |e: Estimate| {
+                (
+                    e.td.as_f64().to_bits(),
+                    e.tc.as_f64().to_bits(),
+                    e.tp.as_f64().to_bits(),
+                    e.ec.as_f64().to_bits(),
+                    e.downloaded,
+                )
+            };
+            let (mut sole, mut session) = (0usize, 0usize);
+            let mut buckets = Vec::new();
+            floor_walk(
+                seed,
+                |c| {
+                    let warm = c.warm.estimate(c.id, c.registry, c.device);
+                    let cold = c.cold.estimate(c.id, c.registry, c.device);
+                    assert_eq!(bits(warm), bits(cold), "{}", c.at);
+                    c.warm
+                        .plan_buckets(c.id, c.registry, c.device, &mut buckets)
+                        .expect("catalog images resolve");
+                    let want: Vec<_> = c
+                        .warm
+                        .plan(c.id, c.registry, c.device)
+                        .per_source
+                        .iter()
+                        .map(|b| (b.source, b.downloaded))
+                        .collect();
+                    assert_eq!(buckets, want, "{}", c.at);
+                    match c.warm.sole_source_missing(c.id, c.registry, c.device) {
+                        Some(_) => sole += 1,
+                        None => session += 1,
+                    }
+                },
+                |warm, cold, at| assert_eq!(walk_state(warm), walk_state(cold), "{at}"),
+            );
+            // Both kinds of cell occur: peers holding missing layers (the
+            // fleet's warm holder) send cells to the session.
+            assert!(sole > 0 && session > 0, "{sole} sole-source cells, {session} session cells");
+        }
+    }
+
+    /// What commits leave in a context, bit for bit: every device's
+    /// cached bytes and layer count, the charged route loads, the clock
+    /// inputs, the pull numbering and the placements.
+    #[allow(clippy::type_complexity)]
+    fn walk_state(
+        ctx: &EstimationContext<'_>,
+    ) -> (
+        Vec<(DataSize, usize)>,
+        Vec<((RegistryId, usize), usize)>,
+        [u64; 3],
+        u64,
+        Vec<Option<Placement>>,
+    ) {
+        let caches = ctx.caches.iter().map(|c| (c.used(), c.len())).collect();
+        let loads =
+            ctx.route_load.touched.iter().map(|&key| (key, ctx.route_load.get(key))).collect();
+        let clock = [ctx.clock, ctx.wave_peak, ctx.wave_exec].map(|t| t.as_f64().to_bits());
+        (caches, loads, clock, ctx.pulls_committed, ctx.assigned.clone())
+    }
+
+    #[test]
+    fn a_registry_missing_a_blob_plans_through_the_session_and_keeps_its_error() {
+        use deep_registry::ManifestSource;
+        let mut tb = calibrated_testbed();
+        let app = apps::text_processing();
+        let retrieve = app.by_name("retrieve").unwrap();
+        let entry = tb.entry("text-processing", "retrieve").unwrap().clone();
+        let arch = tb.device(DEVICE_MEDIUM).arch;
+        let reference = tb.reference(&entry, RegistryChoice::Regional, arch);
+        let lost = tb.regional.resolve(&reference, arch).unwrap().layers[0].digest.clone();
+        tb.regional.delete_blob(&lost).unwrap();
+        let mut ctx = EstimationContext::new(&tb, &app);
+        ctx.prefetch_manifests(retrieve);
+        ctx.begin_wave();
+        // The manifest still resolves, so it is memoized, but incomplete.
+        assert!(ctx
+            .sole_source_missing(retrieve, RegistryChoice::Regional, DEVICE_MEDIUM)
+            .is_none());
+        let mut buckets = Vec::new();
+        let err = ctx
+            .plan_buckets(retrieve, RegistryChoice::Regional, DEVICE_MEDIUM, &mut buckets)
+            .unwrap_err();
+        let session = tb
+            .pull_mesh(RegistryChoice::Regional, DEVICE_MEDIUM, 1.0)
+            .session(RegistryChoice::Regional.registry_id())
+            .estimate(&reference, arch, &tb.device(DEVICE_MEDIUM).cache)
+            .unwrap_err();
+        assert!(matches!(&err, RegistryError::MissingBlob(d) if *d == lost), "{err:?}");
+        assert_eq!(format!("{err:?}"), format!("{session:?}"));
+        // The hub still holds every layer: its cell stays sole-source.
+        let hub = ctx.sole_source_missing(retrieve, RegistryChoice::Hub, DEVICE_MEDIUM);
+        assert!(hub.is_some_and(|missing| missing > DataSize::ZERO));
+        ctx.plan_buckets(retrieve, RegistryChoice::Hub, DEVICE_MEDIUM, &mut buckets).unwrap();
+        assert_eq!(buckets, [(RegistryChoice::Hub.registry_id(), hub.unwrap())]);
     }
 
     #[test]

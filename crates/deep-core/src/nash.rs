@@ -57,9 +57,22 @@
 //!   more than the minimum, so the pick and its cost bits are those of
 //!   the fully priced grid. On a warm 800-device fleet about one cell in
 //!   ten or fewer is priced exactly (PERF.md).
-//! * **Congestion warm start** — [`CongestionGame::sparse_descent`]:
-//!   incremental ΔΦ over per-resource load counters, touching only the
-//!   deviator's resource subset per candidate.
+//! * **Wave games** — each wave's [`WaveRouteGame`] reads every
+//!   strategy's resource subset off its pull plan, but most fleet cells
+//!   need no pull session to know it. A cell is *sole-source* when its
+//!   manifest is memoized, its registry advertises every layer of it, and
+//!   no peer in the device's snapshot advertises a layer the device is
+//!   missing. The session only plans a layer onto a source that has it,
+//!   so every missing layer of such a cell goes to its registry: the
+//!   plan is one bucket of the missing bytes (none when nothing is
+//!   missing). Only the other cells, those a peer could serve, run the
+//!   session (`EstimationContext::plan_buckets`, pinned to
+//!   [`EstimationContext::plan`] by a property test).
+//! * **Congestion warm start and repair** —
+//!   [`CongestionGame::sparse_descent`]: incremental ΔΦ over
+//!   per-resource load counters, touching only the deviator's resource
+//!   subset per candidate. The repair runs it one pass at a time to
+//!   count and budget its deviations.
 //!
 //! The joint refinement and equilibrium checks evaluate unilateral
 //! deviations *incrementally*: a member's payoff depends only on
@@ -82,12 +95,6 @@ use deep_dataflow::{stages, Application, MicroserviceId};
 use deep_game::{CongestionGame, DescentWorkspace};
 use deep_netsim::{DeviceId, RegistryId, Seconds};
 use deep_simulator::{route_key, PeerDiscovery, Placement, RegistryChoice, Schedule, Testbed};
-use rayon::prelude::*;
-use std::collections::BTreeMap;
-
-/// One strategy's loaded contention keys with their unloaded bucket
-/// transfer times, as read off a pull plan.
-type StrategyLoads = Vec<((RegistryId, usize), f64)>;
 
 /// One deployment wave of the joint game in explicit Rosenthal form,
 /// derived from actual split-pull plans.
@@ -124,69 +131,76 @@ pub struct WaveRouteGame {
 
 impl WaveRouteGame {
     /// Derive the wave's game from the context's current state (call at
-    /// the wave barrier, before committing any member). The per-placement
-    /// pull plans fan out over rayon's `par_iter` surface (serial in
-    /// this workspace; order-preserving collect; the observed-cost sums
-    /// accumulate in strategy order, so every float matches a serial
-    /// build exactly).
+    /// the wave barrier, before committing any member).
+    ///
+    /// Each placement's bucket bytes come from
+    /// [`EstimationContext::plan_buckets`], which answers a sole-source
+    /// cell (every missing layer can only come from the primary) from the
+    /// missing bytes alone and runs the pull session for every other
+    /// cell. The loaded keys land in one flat list in strategy order; the
+    /// resources are its sorted distinct keys, and each resource's
+    /// observed transfer times are summed in strategy order.
     fn build(ctx: &EstimationContext<'_>, testbed: &Testbed, members: &[MicroserviceId]) -> Self {
         let registries = ctx.registry_choices();
         let threshold = testbed.params.contention_threshold;
         let mut strategies: Vec<Vec<Placement>> = Vec::with_capacity(members.len());
-        // (player, strategy) → loaded keys with their unloaded bucket
-        // transfer times; resource indexing deferred until all keys are
-        // known (BTreeMap keeps it deterministic).
-        let mut plans: Vec<Vec<StrategyLoads>> = Vec::with_capacity(members.len());
-        let mut observed: BTreeMap<(RegistryId, usize), (f64, usize)> = BTreeMap::new();
+        // Every strategy's loaded keys with their unloaded bucket
+        // transfer times, flat in strategy order; `ends[k]` closes
+        // strategy k's run.
+        let mut loads: Vec<((RegistryId, usize), f64)> = Vec::new();
+        let mut ends: Vec<usize> = Vec::new();
+        let mut buckets = Vec::new();
+        let mut devices = Vec::new();
         for &id in members {
-            let mut placements = Vec::new();
-            for &registry in &registries {
-                for &device in &ctx.admissible_devices(id) {
-                    placements.push(Placement { registry, device });
-                }
-            }
-            let strategy_loads = |placement: &Placement| -> StrategyLoads {
-                let outcome = ctx.plan(id, placement.registry, placement.device);
-                let mut loads = Vec::new();
-                for bucket in &outcome.per_source {
-                    if bucket.downloaded < threshold {
+            ctx.admissible_devices_into(id, &mut devices);
+            let placements: Vec<Placement> = registries
+                .iter()
+                .flat_map(|&registry| {
+                    devices.iter().map(move |&device| Placement { registry, device })
+                })
+                .collect();
+            for placement in &placements {
+                ctx.plan_buckets(id, placement.registry, placement.device, &mut buckets)
+                    .expect("catalog images resolve");
+                for &(source, downloaded) in &buckets {
+                    if downloaded < threshold {
                         continue;
                     }
-                    let key = route_key(bucket.source, placement.device);
                     let bw = testbed
-                        .source_params(RegistryChoice::mesh(bucket.source), placement.device, 1.0)
+                        .source_params(RegistryChoice::mesh(source), placement.device, 1.0)
                         .download_bw;
-                    loads.push((key, deep_netsim::transfer_time(bucket.downloaded, bw).as_f64()));
+                    let secs = deep_netsim::transfer_time(downloaded, bw).as_f64();
+                    loads.push((route_key(source, placement.device), secs));
                 }
-                loads
-            };
-            let mut per_strategy: Vec<StrategyLoads> =
-                placements.par_iter().map(strategy_loads).collect();
-            for loads in &mut per_strategy {
-                for &(key, secs) in loads.iter() {
-                    let entry = observed.entry(key).or_insert((0.0, 0));
-                    entry.0 += secs;
-                    entry.1 += 1;
-                }
-                loads.sort_unstable_by_key(|(key, _)| *key);
+                ends.push(loads.len());
             }
-            plans.push(per_strategy);
             strategies.push(placements);
         }
-        let resources: Vec<(RegistryId, usize)> = observed.keys().copied().collect();
+        let mut resources: Vec<(RegistryId, usize)> = loads.iter().map(|(key, _)| *key).collect();
+        resources.sort_unstable();
+        resources.dedup();
+        let mut observed = vec![(0.0, 0usize); resources.len()];
+        let mut uses: Vec<Vec<Vec<usize>>> = Vec::with_capacity(strategies.len());
+        let mut runs = ends.into_iter();
+        let mut start = 0;
+        for placements in &strategies {
+            let mut subsets = Vec::with_capacity(placements.len());
+            for end in runs.by_ref().take(placements.len()) {
+                let mut subset = Vec::with_capacity(end - start);
+                for (key, secs) in &loads[start..end] {
+                    let r = resources.binary_search(key).expect("every load key is a resource");
+                    observed[r].0 += secs;
+                    observed[r].1 += 1;
+                    subset.push(r);
+                }
+                subset.sort_unstable();
+                subsets.push(subset);
+                start = end;
+            }
+            uses.push(subsets);
+        }
         let base_cost: Vec<f64> =
-            observed.values().map(|(sum, count)| sum / (*count).max(1) as f64).collect();
-        let index: BTreeMap<(RegistryId, usize), usize> =
-            resources.iter().enumerate().map(|(i, key)| (*key, i)).collect();
-        let uses: Vec<Vec<Vec<usize>>> = plans
-            .into_iter()
-            .map(|per_strategy| {
-                per_strategy
-                    .into_iter()
-                    .map(|loads| loads.into_iter().map(|(key, _)| index[&key]).collect())
-                    .collect()
-            })
-            .collect();
+            observed.iter().map(|(sum, count)| sum / (*count).max(1) as f64).collect();
         WaveRouteGame {
             members: members.to_vec(),
             strategies,
@@ -410,9 +424,13 @@ impl DeepScheduler {
     /// memoized. A barrier walk from it (or from a clone) therefore
     /// opens every wave but the first.
     fn open<'t>(&self, testbed: &'t Testbed, app: &'t Application) -> EstimationContext<'t> {
+        // Discovery before sharing: each builder re-snapshots the peers
+        // once sharing is on, so this order builds only the views the
+        // configured discovery serves. The gossip plane sees the same
+        // `mesh_view` calls in the same order either way.
         let mut ctx = EstimationContext::new(testbed, app)
-            .peer_sharing(self.peer_sharing)
             .peer_discovery(self.peer_discovery, self.discovery_seed)
+            .peer_sharing(self.peer_sharing)
             .price_faults(self.price_faults)
             .scenario_pricing(self.scenario)
             .at_clock(self.start_clock)
@@ -749,6 +767,7 @@ impl DeepScheduler {
         let mut out = profile.clone();
         let mut costs = vec![0.0; app.len()];
         let mut deviations = 0usize;
+        let mut ws = DescentWorkspace::default();
         let mut ctx = opened.clone();
         for (w, stage) in stages(app).iter().enumerate() {
             if w > 0 {
@@ -765,7 +784,9 @@ impl DeepScheduler {
                     .collect();
                 let mut converged = false;
                 for _ in 0..self.max_refine_passes {
-                    let step = game.best_response_dynamics(current.clone(), 1);
+                    // One sparse pass from an all-dirty start is one
+                    // dense best-response pass, profile for profile.
+                    let step = game.sparse_descent(current.clone(), 1, &mut ws);
                     // One pass revises each player at most once, and a
                     // revision always changes the strategy, so the
                     // hamming distance counts the pass's moves exactly.
@@ -1577,16 +1598,26 @@ mod tests {
         let registries = tb.registry_choices();
         // Walk the original, its clone and a freshly opened context in
         // lockstep: a clone sharing state with its original would see
-        // every commit twice.
+        // every commit twice. A fourth context turns peer sharing on
+        // before choosing the discovery, so its first snapshot is the
+        // omniscient one `open` no longer builds; it must walk the same.
         let mut original = sched.open(&tb, &app);
         let mut cloned = original.clone();
         let mut fresh = sched.open(&tb, &app);
+        let mut sharing_first = EstimationContext::new(&tb, &app)
+            .peer_sharing(sched.peer_sharing)
+            .peer_discovery(sched.peer_discovery, sched.discovery_seed)
+            .scenario_pricing(sched.scenario);
+        sharing_first.begin_wave();
+        for id in app.ids() {
+            sharing_first.prefetch_manifests(id);
+        }
         let mut peer_planned = false;
         let bits = |e: Estimate| {
             (e.td.as_f64().to_bits(), e.tc.as_f64().to_bits(), e.tp.as_f64().to_bits())
         };
         for (w, stage) in stages.iter().enumerate() {
-            for ctx in [&mut original, &mut cloned, &mut fresh] {
+            for ctx in [&mut original, &mut cloned, &mut fresh, &mut sharing_first] {
                 if w > 0 {
                     ctx.begin_wave();
                 }
@@ -1600,7 +1631,7 @@ mod tests {
                             .per_source
                             .iter()
                             .any(|b| b.source >= deep_simulator::REGISTRY_PEER_BASE);
-                        for ctx in [&original, &cloned] {
+                        for ctx in [&original, &cloned, &sharing_first] {
                             let got = ctx.estimate(id, registry, device);
                             assert_eq!(bits(got), bits(want), "{id:?} on {registry}/{device:?}");
                             assert_eq!(got.ec.as_f64().to_bits(), want.ec.as_f64().to_bits());
@@ -1608,7 +1639,7 @@ mod tests {
                         }
                     }
                 }
-                for ctx in [&mut original, &mut cloned, &mut fresh] {
+                for ctx in [&mut original, &mut cloned, &mut fresh, &mut sharing_first] {
                     ctx.commit(id, schedule.placement(id));
                 }
             }
