@@ -31,7 +31,6 @@ use deep_netsim::Seconds;
 use deep_registry::FaultModel;
 use deep_scenario::Scenario;
 use deep_simulator::{plan_waves, OnlineExecutor, Schedule, Testbed};
-use rayon::prelude::*;
 
 /// Deviation budget an [`ArrivalPlane`] grants each incremental repair
 /// before it falls back to a full re-solve.
@@ -103,9 +102,9 @@ fn boundary_crossed(model: &FaultModel, from: Seconds, to: Seconds) -> bool {
     })
 }
 
-/// Run the plane over every replication of `scenario`. Replications run
-/// in parallel; jobs come back replication-major in arrival order, so
-/// the outcome is deterministic (up to wall-clock repair timings).
+/// Run the plane over every replication of `scenario`, one after the
+/// other; jobs come back replication-major in arrival order, so the
+/// outcome is deterministic (up to wall-clock repair timings).
 pub fn run_plane(scenario: &Scenario, plane: &ArrivalPlane) -> ArrivalOutcome {
     let mut arrivals = sample_arrivals(scenario);
     if arrivals.is_empty() {
@@ -114,7 +113,6 @@ pub fn run_plane(scenario: &Scenario, plane: &ArrivalPlane) -> ArrivalOutcome {
         arrivals.push(Arrival { time: Seconds::ZERO, warmup: false, stream: 0, index: 0 });
     }
     let jobs: Vec<Vec<JobRecord>> = (0..scenario.replications)
-        .into_par_iter()
         .map(|r| run_replication(scenario, plane, &arrivals, r))
         .collect();
     ArrivalOutcome {

@@ -2,7 +2,7 @@
 //! executor at fleet scale, and how the bounded mesh materialization
 //! scales with the view size.
 //!
-//! Three altitudes:
+//! Four altitudes:
 //!
 //! * `barrier_round/*` — one advertise-and-spread barrier over an
 //!   n-device fleet (ad refresh scan + fanout-bounded push/pull
@@ -16,12 +16,9 @@
 //!   whose caches have not moved since the last wave: the delta plane's
 //!   stale counters turn every exchange into an O(1) no-op, so this is
 //!   the price the executor pays at *every* wave of a quiet soak.
-//! * `mesh_view/*` — one pull's bounded view off the plane. The delta
-//!   backend replays its generation-keyed cached view (the common case:
-//!   nothing moved since the wave's barrier); `mesh_view_rebuild/*`
-//!   forces the materialization path (partial selection + retraction
-//!   scan) through the retained clone-based oracle backend, which
-//!   shares the same `materialize` routine but caches nothing.
+//! * `mesh_view/*` — one pull's bounded view off the plane: a replay of
+//!   the generation-keyed cached view (the common case: nothing moved
+//!   since the wave's barrier).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use deep_netsim::DataSize;
@@ -113,29 +110,12 @@ fn bench_mesh_view(c: &mut Criterion) {
     let devices = 200usize;
     let caches = fleet_caches(devices);
     let refs: Vec<&LayerCache> = caches.iter().collect();
-    // Cached replay: the delta backend materializes once per (target,
+    // Cached replay: the plane materializes once per (target,
     // generation) and clones the stored view on every further call.
     let mut group = c.benchmark_group("mesh_view");
     for &view_size in &[2u32, 8, 32, u32::MAX] {
         let mut bounded = {
             let mut p = GossipPlane::new(devices, u32::MAX, view_size, 1, 42);
-            p.barrier_round(&refs);
-            p
-        };
-        let label =
-            if view_size == u32::MAX { "unbounded".into() } else { format!("view_{view_size}") };
-        group.bench_function(label.as_str(), |b| {
-            b.iter(|| black_box(bounded.mesh_view(black_box(&refs), 3)).len())
-        });
-    }
-    group.finish();
-    // Forced materialization: the clone-based oracle backend shares the
-    // `materialize` routine (partial selection included) but caches
-    // nothing, so every call pays the full select + retraction scan.
-    let mut group = c.benchmark_group("mesh_view_rebuild");
-    for &view_size in &[2u32, 8, 32, u32::MAX] {
-        let mut bounded = {
-            let mut p = GossipPlane::new_oracle(devices, u32::MAX, view_size, 1, 42);
             p.barrier_round(&refs);
             p
         };

@@ -9,8 +9,9 @@
 //! * `schedule/*` — the peer-aware Nash scheduler on a warm continuum
 //!   fleet under each plane representation (payoffs price per-holder
 //!   links and uplink loads vs the anonymous scalar route);
-//! * `warm_start/*` — the joint refinement with and without the
-//!   Rosenthal potential warm start.
+//! * `warm_start/*` — the joint refinement (Rosenthal potential warm
+//!   start, then best-response passes) against the sequential stage
+//!   games alone.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use deep_core::{continuum_testbed, DeepScheduler, Scheduler};
@@ -125,12 +126,8 @@ fn bench_warm_start(c: &mut Criterion) {
     let app = apps::video_processing();
     let tb = warm_fleet(false);
     let mut group = c.benchmark_group("peer_plane_warm_start");
-    for (label, on) in [("with_potential", true), ("without", false)] {
-        let scheduler = DeepScheduler {
-            peer_sharing: true,
-            congestion_warm_start: on,
-            ..DeepScheduler::default()
-        };
+    for (label, refine) in [("with_potential", true), ("without", false)] {
+        let scheduler = DeepScheduler { peer_sharing: true, refine, ..DeepScheduler::default() };
         group.bench_function(label, |b| b.iter(|| black_box(scheduler.schedule(&app, &tb))));
     }
     group.finish();

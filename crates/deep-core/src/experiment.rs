@@ -14,7 +14,6 @@ use deep_dataflow::apps;
 use deep_simulator::{
     execute, ExecutorConfig, RegistryChoice, Schedule, DEVICE_MEDIUM, DEVICE_SMALL,
 };
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Experiment configuration: number of seeded trials for range-style
@@ -137,7 +136,6 @@ impl Experiments {
             // samples[device][ms] -> (tp, ct, ec) sample vectors.
             let collect = |device| -> Vec<Vec<(f64, f64, f64)>> {
                 (0..self.trials)
-                    .into_par_iter()
                     .map(|trial| {
                         // Alternate the source registry across trials, as
                         // the paper benchmarks both.

@@ -36,7 +36,8 @@
 //!   (`tests/peer_plane.rs`). Discovery itself is a knob:
 //!   [`DeepScheduler::peer_discovery`] switches the priced mesh from
 //!   the omniscient per-wave snapshot to the same seeded
-//!   [`deep_simulator::GossipPlane`] the executor runs — bounded
+//!   [`deep_simulator::GossipPlane`] the executor runs (both sides build
+//!   it with [`deep_simulator::GossipPlane::for_discovery`]) — bounded
 //!   partial views per pull, epidemic propagation per wave barrier —
 //!   so the equilibrium prices exactly the holders a bounded view will
 //!   actually see; converged gossip reproduces the snapshot byte for
@@ -112,7 +113,6 @@ pub mod calibration;
 pub mod continuum;
 pub mod distribution;
 pub mod experiment;
-pub mod fleet;
 pub mod model;
 pub mod nash;
 pub mod pareto;
@@ -128,7 +128,6 @@ pub use continuum::{
 };
 pub use distribution::{distribution_table, DistributionRow};
 pub use experiment::{Experiments, Fig3aResult, Fig3bResult, HeadlineResult};
-pub use fleet::{run_fleet, run_fleet_cold, FleetConfig, FleetReport};
 pub use model::{Estimate, EstimationContext, ScenarioPricing};
 pub use nash::{DeepScheduler, RepairOutcome, WaveRouteGame};
 pub use pareto::{distance_to_front, enumerate_profiles, pareto_front, EvaluatedProfile};

@@ -526,27 +526,8 @@ impl<'t> EstimationContext<'t> {
     /// bit for bit. [`deep_simulator::PeerDiscovery::Snapshot`] restores
     /// the omniscient catalog (the default).
     pub fn peer_discovery(mut self, discovery: deep_simulator::PeerDiscovery, seed: u64) -> Self {
-        self.gossip = match discovery {
-            deep_simulator::PeerDiscovery::Snapshot => None,
-            deep_simulator::PeerDiscovery::Gossip { fanout, view_size, rounds_per_wave } => {
-                Some(deep_simulator::GossipPlane::new(
-                    self.caches.len(),
-                    fanout,
-                    view_size,
-                    rounds_per_wave,
-                    seed,
-                ))
-            }
-            deep_simulator::PeerDiscovery::GossipOracle { fanout, view_size, rounds_per_wave } => {
-                Some(deep_simulator::GossipPlane::new_oracle(
-                    self.caches.len(),
-                    fanout,
-                    view_size,
-                    rounds_per_wave,
-                    seed,
-                ))
-            }
-        };
+        self.gossip =
+            deep_simulator::GossipPlane::for_discovery(discovery, self.caches.len(), seed);
         self.snapshot_peers();
         self
     }

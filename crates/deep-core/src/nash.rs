@@ -297,8 +297,15 @@ struct Sequential {
 /// The DEEP scheduler.
 #[derive(Debug, Clone)]
 pub struct DeepScheduler {
-    /// Run the joint best-response refinement after the sequential stage
-    /// games (ablation toggle; `true` is the paper's method).
+    /// Run the joint refinement after the sequential stage games
+    /// (ablation toggle; `true` is the paper's method). It first tries
+    /// the potential-guided warm start: each wave's [`WaveRouteGame`]
+    /// is driven to its own pure equilibrium, and the resulting profile
+    /// replaces the sequential one *iff* it strictly improves the exact
+    /// total cost. When the jump doesn't pay (the common case: the
+    /// stage games already sit at a congestion equilibrium) the
+    /// sequential profile stands and no pass runs, since every stage
+    /// pick is a best response on its grid.
     pub refine: bool,
     /// Cap on refinement passes (each pass lets every microservice revise
     /// once; congestion games converge long before this).
@@ -324,19 +331,6 @@ pub struct DeepScheduler {
     /// it. Supersedes `price_faults` when set; `None` preserves the
     /// closed-form pricing paths.
     pub scenario: Option<ScenarioPricing>,
-    /// Warm-start the joint refinement from the explicit Rosenthal form:
-    /// each wave's [`WaveRouteGame`] (resources = routes + peer uplinks,
-    /// subsets read off actual split-pull plans) is driven to its own
-    /// pure equilibrium by potential-descending best-response dynamics —
-    /// closed-form per-resource costs, no full profile replays — and the
-    /// resulting profile replaces the sequential one as the refinement's
-    /// start *iff* it strictly improves the exact total cost. When the
-    /// jump doesn't pay (the common case: the sequential stage games
-    /// already sit at a congestion equilibrium) the refinement starts
-    /// from the sequential profile exactly as before, preserving the
-    /// seed-parity contract — and skips its passes, since every stage
-    /// pick is a best response on its grid and they could move nothing.
-    pub congestion_warm_start: bool,
     /// The estimator clock at which the deployment starts. An online
     /// plane admitting applications mid-soak sets this to the
     /// executor's wave clock so scenario-priced payoffs gate outage
@@ -372,7 +366,6 @@ impl Default for DeepScheduler {
             peer_sharing: false,
             price_faults: false,
             scenario: None,
-            congestion_warm_start: true,
             start_clock: Seconds::ZERO,
             start_pull: 0,
             peer_discovery: PeerDiscovery::Snapshot,
@@ -850,12 +843,8 @@ impl DeepScheduler {
         sequential: Sequential,
         ws: &mut FleetWorkspace,
     ) -> Vec<Placement> {
-        let jumped = if self.congestion_warm_start {
-            self.potential_warm_start(opened, app, testbed, &sequential, ws)
-        } else {
-            None
-        };
-        let Some(mut profile) = jumped else {
+        let Some(mut profile) = self.potential_warm_start(opened, app, testbed, &sequential, ws)
+        else {
             return sequential.profile;
         };
         for _ in 0..self.max_refine_passes {
@@ -1256,8 +1245,7 @@ mod tests {
         let tb = calibrated_testbed();
         for app in apps::case_studies() {
             let on = DeepScheduler::paper().schedule(&app, &tb);
-            let off = DeepScheduler { congestion_warm_start: false, ..DeepScheduler::default() }
-                .schedule(&app, &tb);
+            let off = DeepScheduler::without_refinement().schedule(&app, &tb);
             assert_eq!(on, off, "{}", app.name());
         }
     }

@@ -14,7 +14,6 @@ use crate::model::EstimationContext;
 use deep_dataflow::{stages, Application};
 use deep_netsim::DeviceId;
 use deep_simulator::{Placement, Schedule, Testbed};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One evaluated profile.
@@ -74,16 +73,16 @@ fn strategy_space(app: &Application, testbed: &Testbed) -> Vec<Vec<Placement>> {
         .collect()
 }
 
-/// Exhaustively evaluate the full joint space (parallelised over the
-/// first microservice's strategies). Practical for the 6-microservice
+/// Exhaustively evaluate the full joint space, one odometer per first
+/// microservice strategy. Practical for the 6-microservice
 /// case studies (4^6 = 4 096 profiles); panics above a safety cap.
 pub fn enumerate_profiles(app: &Application, testbed: &Testbed) -> Vec<EvaluatedProfile> {
     let space = strategy_space(app, testbed);
     let total: usize = space.iter().map(Vec::len).product();
     assert!(total <= 1 << 20, "joint space too large to brute-force ({total})");
     let head = &space[0];
-    head.par_iter()
-        .flat_map_iter(|&first| {
+    head.iter()
+        .flat_map(|&first| {
             // Odometer over the remaining microservices.
             let mut profiles = Vec::new();
             let rest = &space[1..];

@@ -16,7 +16,6 @@ use crate::nash::DeepScheduler;
 use crate::Scheduler;
 use deep_scenario::{Scenario, TestbedBase};
 use deep_simulator::{execute_with_events, RunReport, Schedule, Testbed};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Realized statistics of one scheduler over every replication of a
@@ -126,19 +125,20 @@ pub fn scenario_scheduler(scenario: &Scenario) -> DeepScheduler {
 /// Run `scheduler` through every replication of `scenario`: compute one
 /// schedule against the scripted testbed, then execute it
 /// `scenario.replications` times over the fault-seed stream with the
-/// scenario's chaos-event timeline. Replications run in parallel;
-/// reports come back in seed order, so the outcome is deterministic.
+/// scenario's chaos-event timeline. Replications run one after the
+/// other and reports come back in seed order, so the outcome is
+/// deterministic.
 ///
 /// Each replication executes against a *replica of the scheduling
 /// testbed* rather than a from-scratch rebuild: `scheduler.schedule`
 /// takes the testbed by shared reference, so it is still pristine when
-/// the replications fan out, and the scenario build is deterministic —
+/// the replications start, and the scenario build is deterministic —
 /// a replica and a rebuild are the same bytes (the differential test
 /// below keeps the rebuild as its oracle). [`Testbed::replica`] forks
 /// registry storage rather than sharing handles, so chaos events
 /// (tag deletes, GC sweeps, cache pressure) in one replication never
 /// leak into another. At fleet scale the rebuild (TOML walk, catalog
-/// publication, calibration) dominated every replication worker's
+/// publication, calibration) dominated every replication's
 /// profile; the replica is a flat copy of the warmed structures.
 pub fn run_scenario(scenario: &Scenario, scheduler: &dyn Scheduler) -> ScenarioOutcome {
     let tb = scenario_testbed(scenario);
@@ -146,7 +146,6 @@ pub fn run_scenario(scenario: &Scenario, scheduler: &dyn Scheduler) -> ScenarioO
     let schedule = scheduler.schedule(&app, &tb);
     let events = scenario.chaos_events();
     let reports: Vec<RunReport> = (0..scenario.replications)
-        .into_par_iter()
         .map(|r| {
             let mut run_tb = tb.replica();
             let cfg = scenario.executor_config(r);

@@ -44,12 +44,13 @@
 //! (a pure splitmix64 function of `(seed, round, device, probe)`),
 //! ascending-id exchange order with immediate visibility, max-epoch
 //! merge semantics, and `known()` views in ascending holder order. The
-//! clone-based PR 9 implementation is retained verbatim in
-//! [`oracle`] and the differential plane pins the two view sequences
-//! (and the Schedules/RunReports built on them) byte for byte — so
-//! convergence behaviour and the snapshot bridge (`fanout >= devices -
-//! 1` converges in one round, reproducing the omniscient plane) carry
-//! over unchanged.
+//! clone-based PR 9 implementation is retained verbatim in [`oracle`]
+//! as a test reference: this module's proptest pins the two view
+//! sequences byte for byte, and the simulator's differential suite
+//! drives its `GossipPlane` call for call against a reference built on
+//! it — so convergence behaviour and the snapshot bridge (`fanout >=
+//! devices - 1` converges in one round, reproducing the omniscient
+//! plane) carry over unchanged.
 //!
 //! Views remain *eventually* consistent: between the moment a holder's
 //! cache changes and the moment the new epoch reaches a viewer, the
@@ -58,22 +59,6 @@
 //! failover does), which is exactly the failure model the differential
 //! test plane locks down; superseded payloads stay addressable in the
 //! store for as long as any viewer still references their epoch.
-
-/// Tuning knobs for a gossip deployment: how many partners each device
-/// exchanges with per round, and how many rounds run per wave barrier.
-/// `view_size` is *not* enforced here — the protocol keeps full
-/// knowledge and lets the consumer bound how much of it a single
-/// decision may use (see the simulator's `GossipPlane`), mirroring how
-/// partial-view protocols cap the membership a node acts on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GossipConfig {
-    /// Exchange partners per device per round (clamped to `devices - 1`).
-    pub fanout: u32,
-    /// Epidemic rounds run at every wave barrier.
-    pub rounds_per_wave: u32,
-    /// Seed for the deterministic partner schedule.
-    pub seed: u64,
-}
 
 /// Reusable per-round scratch buffers for the exchange schedule. One
 /// workspace lives inside each [`GossipState`] and is reused across

@@ -28,7 +28,7 @@ pub mod transfer;
 pub mod units;
 
 pub use cdn::{CdnModel, PopClass};
-pub use gossip::{GossipConfig, GossipState};
+pub use gossip::GossipState;
 pub use topology::{DeviceId, RegistryId, Topology, TopologyBuilder, TopologyError};
 pub use transfer::transfer_time;
 pub use units::{Bandwidth, DataSize, Seconds};

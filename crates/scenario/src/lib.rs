@@ -197,11 +197,11 @@ pub struct RetrySpec {
 pub struct GossipSpec {
     /// Exchange partners per device per round (clamped to the fleet
     /// size minus one at runtime).
-    pub fanout: usize,
+    pub fanout: u32,
     /// Max holder sources one pull's mesh may carry.
-    pub view_size: usize,
+    pub view_size: u32,
     /// Epidemic rounds per wave barrier.
-    pub rounds_per_wave: usize,
+    pub rounds_per_wave: u32,
 }
 
 /// One `[[rates]]` entry: a source's sampled failure probabilities.
@@ -412,6 +412,12 @@ fn req_index(
     }
 }
 
+/// `n` as a `u32`, or an `Invalid` error naming `key` when it does not
+/// fit — a bare `as` cast would wrap past the caller's range checks.
+fn to_u32(n: usize, key: &str, ctx: &str) -> Result<u32, ScenarioError> {
+    u32::try_from(n).or_else(|_| invalid(format!("`{key}` in {ctx} must be at most {}", u32::MAX)))
+}
+
 fn opt_index(
     table: &BTreeMap<String, Value>,
     key: &str,
@@ -500,7 +506,7 @@ impl Scenario {
         };
         let replications = match opt_index(&root, "replications", "the scenario root")? {
             Some(0) => return invalid("`replications` must be at least 1"),
-            Some(n) => n as u32,
+            Some(n) => to_u32(n, "replications", "the scenario root")?,
             None => 1,
         };
         let time_scale = opt_float(&root, "time_scale", "the scenario root")?.unwrap_or(1.0);
@@ -607,18 +613,23 @@ impl Scenario {
             return invalid("`gossip` must be a table (`[gossip]`)");
         };
         check_keys(table, &["fanout", "view_size", "rounds_per_wave"], "[gossip]")?;
-        let fanout = req_index(table, "fanout", "[gossip]")?;
+        let fanout = to_u32(req_index(table, "fanout", "[gossip]")?, "fanout", "[gossip]")?;
         if fanout == 0 {
             return invalid("`fanout` in [gossip] must be at least 1");
         }
-        let view_size = req_index(table, "view_size", "[gossip]")?;
+        let view_size =
+            to_u32(req_index(table, "view_size", "[gossip]")?, "view_size", "[gossip]")?;
         if view_size == 0 {
             return invalid(
                 "`view_size` in [gossip] must be at least 1 (a zero view disables peer \
                  discovery entirely — drop `peer_sharing` instead)",
             );
         }
-        let rounds_per_wave = req_index(table, "rounds_per_wave", "[gossip]")?;
+        let rounds_per_wave = to_u32(
+            req_index(table, "rounds_per_wave", "[gossip]")?,
+            "rounds_per_wave",
+            "[gossip]",
+        )?;
         if rounds_per_wave == 0 {
             return invalid("`rounds_per_wave` in [gossip] must be at least 1");
         }
@@ -1109,13 +1120,13 @@ impl Scenario {
             Axis::RegionalToSmallMbps => s.testbed.regional_to_small_mbps = Some(value),
             Axis::GossipViewSize => {
                 s.gossip.as_mut().expect("validated: gossip axes require [gossip]").view_size =
-                    value as usize;
+                    value as u32;
             }
             Axis::GossipRounds => {
                 s.gossip
                     .as_mut()
                     .expect("validated: gossip axes require [gossip]")
-                    .rounds_per_wave = value as usize;
+                    .rounds_per_wave = value as u32;
             }
         }
         s
@@ -1246,9 +1257,9 @@ impl Scenario {
     pub fn peer_discovery(&self) -> PeerDiscovery {
         match &self.gossip {
             Some(g) => PeerDiscovery::Gossip {
-                fanout: g.fanout as u32,
-                view_size: g.view_size as u32,
-                rounds_per_wave: g.rounds_per_wave as u32,
+                fanout: g.fanout,
+                view_size: g.view_size,
+                rounds_per_wave: g.rounds_per_wave,
             },
             None => PeerDiscovery::Snapshot,
         }
@@ -1489,6 +1500,32 @@ values = [0.0, 0.1, 0.4]
         // A sweep-free scenario expands to itself.
         let quiet = Scenario::parse("name = \"q\"\napp = \"text-processing\"\n").unwrap();
         assert_eq!(quiet.expand(), vec![quiet]);
+    }
+
+    #[test]
+    fn integers_past_u32_are_rejected_not_wrapped() {
+        // 2^32 would wrap to 0 under an `as u32` cast: a zero
+        // replication count or a zero view the parser itself forbids.
+        let base = "name = \"x\"\napp = \"text-processing\"\npeer_sharing = true\n";
+        let gossip = |key: &str| {
+            let mut keys = [("fanout", "2"), ("view_size", "8"), ("rounds_per_wave", "1")];
+            keys.iter_mut().find(|(k, _)| *k == key).unwrap().1 = "4294967296";
+            let body: String = keys.iter().map(|(k, v)| format!("{k} = {v}\n")).collect();
+            format!("{base}[gossip]\n{body}")
+        };
+        for (doc, key) in [
+            (format!("{base}replications = 4294967296\n"), "replications"),
+            (gossip("fanout"), "fanout"),
+            (gossip("view_size"), "view_size"),
+            (gossip("rounds_per_wave"), "rounds_per_wave"),
+        ] {
+            match Scenario::parse(&doc) {
+                Err(ScenarioError::Invalid(msg)) => {
+                    assert!(msg.contains(&format!("`{key}`")), "{key}: {msg}")
+                }
+                other => panic!("{key} = 2^32 was not rejected: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -158,9 +158,9 @@ impl Strategy for ScenarioStrategy {
         // unlocks the gossip sweep axes.
         let peer_sharing = rng.next_u64() & 1 == 1;
         let gossip = (peer_sharing && rng.next_u64() & 1 == 1).then(|| GossipSpec {
-            fanout: 1 + rng.next_usize(8),
-            view_size: 1 + rng.next_usize(32),
-            rounds_per_wave: 1 + rng.next_usize(4),
+            fanout: 1 + rng.next_usize(8) as u32,
+            view_size: 1 + rng.next_usize(32) as u32,
+            rounds_per_wave: 1 + rng.next_usize(4) as u32,
         });
         let sweep = sweep(rng, gossip.is_some());
         Scenario {

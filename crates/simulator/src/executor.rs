@@ -61,22 +61,6 @@ pub enum PeerDiscovery {
         /// Epidemic rounds per wave barrier.
         rounds_per_wave: u32,
     },
-    /// The PR 9 clone-based gossip exchange, kept alive solely as the
-    /// differential oracle for [`PeerDiscovery::Gossip`]'s epoch-vector
-    /// delta engine: same partner schedule, same merge semantics, same
-    /// views — the test planes run the full scheduler/executor pipeline
-    /// under both and pin the serialized Schedules and RunReports byte
-    /// for byte. Not part of the supported API.
-    #[doc(hidden)]
-    GossipOracle {
-        /// Exchange partners per device per round (clamped to
-        /// `devices - 1`).
-        fanout: u32,
-        /// Max holder sources one pull's mesh may carry.
-        view_size: u32,
-        /// Epidemic rounds per wave barrier.
-        rounds_per_wave: u32,
-    },
 }
 
 /// Executor configuration.
@@ -517,26 +501,14 @@ impl OnlineExecutor {
             if cfg.fault_injection { Some(testbed.fault_model.plan(cfg.fault_seed)) } else { None };
         let mut timeline: Vec<ChaosEvent> = events.to_vec();
         timeline.sort_by(|a, b| a.at.as_f64().total_cmp(&b.at.as_f64()));
-        let gossip = match (cfg.peer_sharing, cfg.peer_discovery) {
-            (true, PeerDiscovery::Gossip { fanout, view_size, rounds_per_wave }) => {
-                Some(crate::gossip::GossipPlane::new(
-                    testbed.devices.len(),
-                    fanout,
-                    view_size,
-                    rounds_per_wave,
-                    cfg.seed,
-                ))
-            }
-            (true, PeerDiscovery::GossipOracle { fanout, view_size, rounds_per_wave }) => {
-                Some(crate::gossip::GossipPlane::new_oracle(
-                    testbed.devices.len(),
-                    fanout,
-                    view_size,
-                    rounds_per_wave,
-                    cfg.seed,
-                ))
-            }
-            _ => None,
+        let gossip = if cfg.peer_sharing {
+            crate::gossip::GossipPlane::for_discovery(
+                cfg.peer_discovery,
+                testbed.devices.len(),
+                cfg.seed,
+            )
+        } else {
+            None
         };
         OnlineExecutor {
             cfg: *cfg,

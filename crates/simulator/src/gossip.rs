@@ -27,16 +27,15 @@
 //!   simulated fetch succeed against bytes that no longer exist.
 //!
 //! **Empty caches stay silent.** A device that has never advertised
-//! does not publish while its cache is empty, on either backend (one
-//! refresh rule serves both). Views are unaffected — materialization
-//! drops empty advertisements, and skipping them relabels a holder's
-//! epochs monotonically (an empty first epoch becomes "absent", later
-//! epoch `e` becomes `e - 1`), which commutes with the max-merge — but
-//! an idle fleet no longer pays for it: only the holders with something
-//! to share own an epoch column or cost an exchange anything. A holder
-//! that advertised and then emptied still re-advertises, so its stale
-//! ad ages out. Convergence is reached sooner, since empty ads no
-//! longer circulate.
+//! does not publish while its cache is empty. Views are unaffected —
+//! materialization drops empty advertisements, and skipping them
+//! relabels a holder's epochs monotonically (an empty first epoch
+//! becomes "absent", later epoch `e` becomes `e - 1`), which commutes
+//! with the max-merge — but an idle fleet no longer pays for it: only
+//! the holders with something to share own an epoch column or cost an
+//! exchange anything. A holder that advertised and then emptied still
+//! re-advertises, so its stale ad ages out. Convergence is reached
+//! sooner, since empty ads no longer circulate.
 //!
 //! Materialized views are cached per target and keyed on the gossip
 //! state's [generation](deep_netsim::gossip::GossipState::generation):
@@ -55,11 +54,13 @@
 //! fully re-converges the views, and an unbounded `view_size` makes
 //! `mesh_view` reproduce `PeerPlane::snapshot` holder for holder — the
 //! differential bridge `tests/gossip_discovery.rs` locks down byte for
-//! byte, against both the omniscient snapshot and the PR 9 clone-based
-//! exchange (retained as [`deep_netsim::gossip::oracle`]).
+//! byte. The same suite drives the plane call for call against a
+//! test-side reference built on the clone-based exchange
+//! ([`deep_netsim::gossip::oracle`]) with a full sort-and-truncate view.
 
+use crate::executor::PeerDiscovery;
 use crate::testbed::peer_source_id;
-use deep_netsim::gossip::{oracle, GossipState};
+use deep_netsim::gossip::GossipState;
 use deep_netsim::{DeviceId, RegistryId};
 use deep_registry::{BlobSource, LayerCache, PeerCacheSource};
 
@@ -67,63 +68,12 @@ use deep_registry::{BlobSource, LayerCache, PeerCacheSource};
 /// was built under moves.
 type CachedView = Option<(u64, Vec<(RegistryId, PeerCacheSource)>)>;
 
-/// The two exchange engines a plane can run on. Everything observable —
-/// partner schedule, merge semantics, view order — is identical; the
-/// delta backend ships epoch-vector diffs and caches materialized
-/// views, the oracle backend is the PR 9 clone-and-merge kept alive for
-/// differential testing.
-#[derive(Debug, Clone)]
-enum Backend {
-    Delta { state: GossipState<PeerCacheSource>, views: Vec<CachedView> },
-    Oracle(oracle::GossipState<PeerCacheSource>),
-}
-
-impl Backend {
-    fn devices(&self) -> usize {
-        match self {
-            Backend::Delta { state, .. } => state.devices(),
-            Backend::Oracle(state) => state.devices(),
-        }
-    }
-
-    /// Publish `holder`'s cache when its advertisement is out of date,
-    /// or unconditionally with `force` (the chaos re-advertisement) —
-    /// the one refresh rule both engines share, so they cannot drift.
-    /// Empty caches stay silent (see the module doc): a holder that
-    /// never advertised does not publish while it holds nothing.
-    fn refresh(&mut self, holder: usize, cache: &LayerCache, force: bool) {
-        let last = match self {
-            Backend::Delta { state, .. } => state.self_ad(holder),
-            Backend::Oracle(state) => state.self_ad(holder),
-        };
-        let publish = match last {
-            Some(ad) => {
-                force || ad.len() != cache.len() || cache.digests().any(|d| !ad.has_blob(d))
-            }
-            None => !cache.is_empty(),
-        };
-        if publish {
-            let ad = PeerCacheSource::for_holder(DeviceId(holder), cache);
-            match self {
-                Backend::Delta { state, .. } => state.advertise(holder, ad),
-                Backend::Oracle(state) => state.advertise(holder, ad),
-            };
-        }
-    }
-
-    fn run_rounds(&mut self, rounds: u32, fanout: u32) {
-        match self {
-            Backend::Delta { state, .. } => state.run_rounds(rounds, fanout),
-            Backend::Oracle(state) => state.run_rounds(rounds, fanout),
-        }
-    }
-}
-
 /// The fleet-wide gossip discovery plane: epidemic state plus the knobs
 /// of [`crate::executor::PeerDiscovery::Gossip`].
 #[derive(Debug, Clone)]
 pub struct GossipPlane {
-    backend: Backend,
+    state: GossipState<PeerCacheSource>,
+    views: Vec<CachedView>,
     fanout: u32,
     view_size: u32,
     rounds_per_wave: u32,
@@ -141,33 +91,40 @@ impl GossipPlane {
         seed: u64,
     ) -> Self {
         GossipPlane {
-            backend: Backend::Delta {
-                state: GossipState::new(devices, seed),
-                views: vec![None; devices],
-            },
+            state: GossipState::new(devices, seed),
+            views: vec![None; devices],
             fanout,
             view_size,
             rounds_per_wave,
         }
     }
 
-    /// A plane running the PR 9 clone-based exchange — the differential
-    /// oracle behind `PeerDiscovery::GossipOracle`. Same observable
-    /// behaviour as [`Self::new`], kept only so the test planes can run
-    /// the full scheduler/executor pipeline on both engines.
-    #[doc(hidden)]
-    pub fn new_oracle(
-        devices: usize,
-        fanout: u32,
-        view_size: u32,
-        rounds_per_wave: u32,
-        seed: u64,
-    ) -> Self {
-        GossipPlane {
-            backend: Backend::Oracle(oracle::GossipState::new(devices, seed)),
-            fanout,
-            view_size,
-            rounds_per_wave,
+    /// The plane `discovery` asks for over `devices` nodes, seeded with
+    /// `seed`: `None` under [`PeerDiscovery::Snapshot`]. The executor
+    /// and the estimator both build their planes here, so the two
+    /// partner schedules match whenever their seeds do.
+    pub fn for_discovery(discovery: PeerDiscovery, devices: usize, seed: u64) -> Option<Self> {
+        match discovery {
+            PeerDiscovery::Snapshot => None,
+            PeerDiscovery::Gossip { fanout, view_size, rounds_per_wave } => {
+                Some(GossipPlane::new(devices, fanout, view_size, rounds_per_wave, seed))
+            }
+        }
+    }
+
+    /// Publish `holder`'s cache when its advertisement is out of date,
+    /// or unconditionally with `force` (the chaos re-advertisement).
+    /// Empty caches stay silent (see the module doc): a holder that
+    /// never advertised does not publish while it holds nothing.
+    fn refresh(&mut self, holder: usize, cache: &LayerCache, force: bool) {
+        let publish = match self.state.self_ad(holder) {
+            Some(ad) => {
+                force || ad.len() != cache.len() || cache.digests().any(|d| !ad.has_blob(d))
+            }
+            None => !cache.is_empty(),
+        };
+        if publish {
+            self.state.advertise(holder, PeerCacheSource::for_holder(DeviceId(holder), cache));
         }
     }
 
@@ -182,9 +139,9 @@ impl GossipPlane {
     /// barrier allocates nothing and the cached mesh views stay live.
     pub fn barrier_round(&mut self, caches: &[&LayerCache]) {
         for (j, cache) in caches.iter().enumerate() {
-            self.backend.refresh(j, cache, false);
+            self.refresh(j, cache, false);
         }
-        self.backend.run_rounds(self.rounds_per_wave, self.fanout);
+        self.state.run_rounds(self.rounds_per_wave, self.fanout);
     }
 
     /// Immediate re-advertisement after an out-of-band cache change —
@@ -196,8 +153,8 @@ impl GossipPlane {
     /// mesh view — which is why out-of-band mutations must come through
     /// here.) A holder that never advertised and is empty stays silent.
     pub fn readvertise(&mut self, holder: DeviceId, cache: &LayerCache) {
-        if holder.0 < self.backend.devices() {
-            self.backend.refresh(holder.0, cache, true);
+        if holder.0 < self.state.devices() {
+            self.refresh(holder.0, cache, true);
         }
     }
 
@@ -215,56 +172,45 @@ impl GossipPlane {
     /// holds still: between barriers of an unchanged fleet this is a
     /// clone of the stored vector, not a rebuild — and a cheap one, as
     /// each source shares its digest set with the advertisement.
+    ///
+    /// **Precondition.** A cached view (and the retractions baked into
+    /// it) is valid only if every change to `caches` since that view was
+    /// built went through [`Self::barrier_round`] or
+    /// [`Self::readvertise`]. A cache mutated behind the plane's back
+    /// moves no generation, so the stale copy would be handed back.
     pub fn mesh_view(
         &mut self,
         caches: &[&LayerCache],
         target: usize,
     ) -> Vec<(RegistryId, PeerCacheSource)> {
-        let view_size = self.view_size;
-        match &mut self.backend {
-            Backend::Delta { state, views } => {
-                let generation = state.generation();
-                if let Some((built_at, view)) = &views[target] {
-                    if *built_at == generation {
-                        return view.clone();
-                    }
-                }
-                let view = materialize(state.known(target), view_size, caches, target);
-                views[target] = Some((generation, view.clone()));
-                view
+        let generation = self.state.generation();
+        if let Some((built_at, view)) = &self.views[target] {
+            if *built_at == generation {
+                return view.clone();
             }
-            Backend::Oracle(state) => materialize(state.known(target), view_size, caches, target),
         }
+        let view = materialize(self.state.known(target), self.view_size, caches, target);
+        self.views[target] = Some((generation, view.clone()));
+        view
     }
 
     /// True when every view carries the freshest epoch of every
     /// advertisement — the regime in which `mesh_view` (unbounded)
     /// equals the omniscient snapshot.
     pub fn converged(&self) -> bool {
-        match &self.backend {
-            Backend::Delta { state, .. } => state.converged(),
-            Backend::Oracle(state) => state.converged(),
-        }
+        self.state.converged()
     }
 
     /// Epidemic rounds run so far.
     pub fn rounds_run(&self) -> u64 {
-        match &self.backend {
-            Backend::Delta { state, .. } => state.rounds_run(),
-            Backend::Oracle(state) => state.rounds_run(),
-        }
-    }
-
-    /// The configured view bound.
-    pub fn view_size(&self) -> u32 {
-        self.view_size
+        self.state.rounds_run()
     }
 }
 
-/// Shared view materialization over either backend's `known` iterator:
-/// bounded deterministic selection (largest advertisement first, ties to
-/// the lower device id), ascending-holder output, stale digests
-/// retracted against the live `caches`.
+/// View materialization over the state's `known` iterator: bounded
+/// deterministic selection (largest advertisement first, ties to the
+/// lower device id), ascending-holder output, stale digests retracted
+/// against the live `caches`.
 fn materialize<'a>(
     known: impl Iterator<Item = (usize, u64, &'a PeerCacheSource)>,
     view_size: u32,
@@ -310,6 +256,7 @@ fn materialize<'a>(
 mod tests {
     use super::*;
     use crate::testbed::PeerPlane;
+    use deep_netsim::gossip::oracle;
     use deep_netsim::{Bandwidth, DataSize, Seconds};
     use deep_registry::Digest;
 
@@ -499,17 +446,22 @@ mod tests {
 
     #[test]
     fn oracle_backend_materializes_identical_views() {
+        // The clone-based exchange, fed the same advertisements and
+        // materialized without a view cache, yields the same views.
         let caches = fleet();
         let refs: Vec<&LayerCache> = caches.iter().collect();
         let mut delta = GossipPlane::new(4, 2, 2, 1, 42);
-        let mut reference = GossipPlane::new_oracle(4, 2, 2, 1, 42);
+        let mut reference = oracle::GossipState::new(4, 42);
+        for (j, cache) in caches.iter().enumerate().filter(|(_, c)| !c.is_empty()) {
+            reference.advertise(j, PeerCacheSource::for_holder(DeviceId(j), cache));
+        }
         for _ in 0..3 {
             delta.barrier_round(&refs);
-            reference.barrier_round(&refs);
+            reference.run_rounds(1, 2);
             assert_eq!(delta.converged(), reference.converged());
             for target in 0..4 {
                 let d = delta.mesh_view(&refs, target);
-                let r = reference.mesh_view(&refs, target);
+                let r = materialize(reference.known(target), 2, &refs, target);
                 assert_eq!(d.len(), r.len(), "target {target}");
                 for ((id_d, src_d), (id_r, src_r)) in d.iter().zip(r.iter()) {
                     assert_eq!(id_d, id_r);

@@ -25,15 +25,19 @@
 //!    serves vanished bytes: the pull pays the mesh's mid-pull failover,
 //!    and the chaos path's epoch bump ages the stale ad out of the
 //!    fleet's views.
-//! 5. **Delta/oracle backend parity** — the epoch-vector delta plane
-//!    (PR 10) reproduces the retained clone-based exchange
-//!    ([`PeerDiscovery::GossipOracle`]) byte for byte through the whole
-//!    pipeline: same Schedules, same RunReports, under bounded views,
-//!    fault pricing, and chaos timelines alike.
+//! 5. **Plane/oracle parity** — the product `GossipPlane` (epoch-vector
+//!    delta exchange, cached views, partial selection) answers every
+//!    call the scheduler and executor make exactly as a test-side
+//!    reference built on the clone-based exchange
+//!    ([`deep::netsim::gossip::oracle`]) with a full sort-and-truncate
+//!    view, across random scripts of cache changes, chaos
+//!    re-advertisements, barriers and views. The pipeline reaches the
+//!    plane only through those calls, so Schedules and RunReports
+//!    cannot tell the two apart.
 
 use deep::core::{DeepScheduler, EstimationContext, Scheduler};
 use deep::dataflow::{self, apps, Application};
-use deep::netsim::gossip::GossipState;
+use deep::netsim::gossip::{oracle, GossipState};
 use deep::netsim::{Bandwidth, DataSize, DeviceId, Seconds};
 use deep::registry::{
     BlobSource, Digest, FaultModel, FaultRates, LayerCache, PeerCacheSource, Platform,
@@ -269,24 +273,49 @@ proptest! {
     }
 }
 
+/// The advertisement surface both exchange engines share, so one
+/// refresh rule drives the delta state and the clone-based oracle.
+trait Advertise {
+    fn last_ad(&self, holder: usize) -> Option<&PeerCacheSource>;
+    fn publish(&mut self, holder: usize, ad: PeerCacheSource);
+}
+
+impl Advertise for GossipState<PeerCacheSource> {
+    fn last_ad(&self, holder: usize) -> Option<&PeerCacheSource> {
+        self.self_ad(holder)
+    }
+    fn publish(&mut self, holder: usize, ad: PeerCacheSource) {
+        self.advertise(holder, ad);
+    }
+}
+
+impl Advertise for oracle::GossipState<PeerCacheSource> {
+    fn last_ad(&self, holder: usize) -> Option<&PeerCacheSource> {
+        self.self_ad(holder)
+    }
+    fn publish(&mut self, holder: usize, ad: PeerCacheSource) {
+        self.advertise(holder, ad);
+    }
+}
+
 /// One device's cache refresh at a barrier (or, with `force`, the chaos
 /// re-advertisement): publish when the last advertisement no longer
 /// matches the cache. `silent_empty` is the plane's rule — a holder that
 /// never advertised stays silent while empty; without it every device
 /// advertises at its first barrier, empty or not.
 fn refresh_ad(
-    state: &mut GossipState<PeerCacheSource>,
+    state: &mut impl Advertise,
     holder: usize,
     cache: &LayerCache,
     force: bool,
     silent_empty: bool,
 ) {
-    let publish = match state.self_ad(holder) {
+    let publish = match state.last_ad(holder) {
         Some(ad) => force || ad.len() != cache.len() || cache.digests().any(|d| !ad.has_blob(d)),
         None => !(silent_empty && cache.is_empty()),
     };
     if publish {
-        state.advertise(holder, PeerCacheSource::for_holder(DeviceId(holder), cache));
+        state.publish(holder, PeerCacheSource::for_holder(DeviceId(holder), cache));
     }
 }
 
@@ -392,95 +421,151 @@ fn bounded_mesh_views_are_subsets_of_the_full_view() {
 }
 
 // ---------------------------------------------------------------------
-// 5. Delta/oracle backend parity through the full pipeline.
+// 5. Plane/oracle parity, call for call.
 // ---------------------------------------------------------------------
 
-/// Schedule and execute under the delta plane and under the retained
-/// clone-based oracle with the *same* gossip parameters, and require
-/// byte-identical Schedules and RunReports. Unlike the snapshot-parity
-/// suite this runs *bounded, slow* epidemics too — the regime where the
-/// delta exchange and view cache actually have partial state to get
-/// wrong — and threads a chaos timeline through both backends.
-fn assert_backend_parity(
-    app: &Application,
+/// The test-side reference plane: the clone-based exchange
+/// ([`oracle::GossipState`]) refreshed by [`refresh_ad`] under the
+/// plane's silent-empty rule, with views rebuilt on every call by a full
+/// sort-and-truncate and digests retracted against the live caches.
+struct ReferencePlane {
+    state: oracle::GossipState<PeerCacheSource>,
     fanout: u32,
     view_size: u32,
     rounds_per_wave: u32,
-    fault_aware: bool,
-    events: &[ChaosEvent],
-) {
-    let run = |discovery: PeerDiscovery| -> (Schedule, RunReport) {
-        let mut tb = continuum();
-        tb.publish_application(app);
-        if fault_aware {
-            tb.fault_model = FaultModel::default().with_source(
-                RegistryChoice::Regional.registry_id(),
-                FaultRates { fatal_per_pull: 0.2, transient_per_fetch: 0.1 },
-            );
-        }
-        let warm = Schedule::uniform(app.len(), RegistryChoice::Hub, DEVICE_MEDIUM);
-        execute(&mut tb, app, &warm, &ExecutorConfig::default()).unwrap();
-        let scheduler = DeepScheduler {
-            peer_sharing: true,
-            price_faults: fault_aware,
-            peer_discovery: discovery,
-            ..DeepScheduler::default()
-        };
-        let schedule = scheduler.schedule(app, &tb);
-        let cfg =
-            ExecutorConfig { peer_sharing: true, peer_discovery: discovery, ..Default::default() };
-        let (report, _) = execute_with_events(&mut tb, app, &schedule, &cfg, events).unwrap();
-        (schedule, report)
-    };
-    let (schedule_delta, report_delta) =
-        run(PeerDiscovery::Gossip { fanout, view_size, rounds_per_wave });
-    let (schedule_oracle, report_oracle) =
-        run(PeerDiscovery::GossipOracle { fanout, view_size, rounds_per_wave });
-    assert_eq!(
-        serde_json::to_string(&schedule_delta).unwrap(),
-        serde_json::to_string(&schedule_oracle).unwrap(),
-        "{} (fanout {fanout}, view {view_size}): delta backend changed the schedule",
-        app.name()
-    );
-    assert_eq!(
-        serde_json::to_string(&report_delta).unwrap(),
-        serde_json::to_string(&report_oracle).unwrap(),
-        "{} (fanout {fanout}, view {view_size}): delta backend changed the RunReport",
-        app.name()
-    );
 }
 
-#[test]
-fn case_studies_delta_matches_the_clone_based_oracle() {
-    // Converged, bounded-view, and starved-epidemic regimes, with and
-    // without fault pricing.
-    for app in apps::case_studies() {
-        assert_backend_parity(&app, u32::MAX, u32::MAX, 1, false, &[]);
-        assert_backend_parity(&app, 2, 2, 1, true, &[]);
-        assert_backend_parity(&app, 1, 1, 1, false, &[]);
+impl ReferencePlane {
+    fn barrier_round(&mut self, caches: &[LayerCache]) {
+        for (j, cache) in caches.iter().enumerate() {
+            refresh_ad(&mut self.state, j, cache, false, true);
+        }
+        self.state.run_rounds(self.rounds_per_wave, self.fanout);
+    }
+
+    fn readvertise(&mut self, holder: usize, cache: &LayerCache) {
+        refresh_ad(&mut self.state, holder, cache, true, true);
+    }
+
+    fn mesh_view(&self, caches: &[LayerCache], target: usize) -> Vec<(usize, PeerCacheSource)> {
+        let mut holders: Vec<(usize, &PeerCacheSource)> = self
+            .state
+            .known(target)
+            .filter(|&(holder, _, ad)| holder != target && !ad.is_empty())
+            .map(|(holder, _, ad)| (holder, ad))
+            .collect();
+        holders.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
+        holders.truncate(self.view_size as usize);
+        holders.sort_by_key(|&(holder, _)| holder);
+        holders
+            .into_iter()
+            .map(|(holder, ad)| {
+                let mut source = ad.clone();
+                for digest in ad.digests().filter(|d| !caches[holder].contains(d)) {
+                    source.retract(digest);
+                }
+                (holder, source)
+            })
+            .collect()
     }
 }
 
-#[test]
-fn chaos_timelines_delta_matches_the_clone_based_oracle() {
-    // Cache-pressure chaos drives the eviction → readvertise → age-out
-    // path: the delta backend's epoch bump and view-cache invalidation
-    // must replay exactly what the clone-based exchange does.
-    let app = apps::video_processing();
-    let events = [ChaosEvent::cache_pressure(Seconds::new(1.0), DEVICE_MEDIUM, DataSize::ZERO)];
-    assert_backend_parity(&app, u32::MAX, u32::MAX, 1, false, &events);
-    assert_backend_parity(&app, 2, 2, 1, false, &events);
+fn sorted_digests(source: &PeerCacheSource) -> Vec<Digest> {
+    let mut digests: Vec<Digest> = source.digests().cloned().collect();
+    digests.sort();
+    digests
+}
+
+/// The product view equals the reference view: same source ids and
+/// holders, same advertised digests, and the same `has_blob` /
+/// `fetch_blob` answer for every one of them.
+fn assert_same_view(
+    plane: &[(deep::netsim::RegistryId, PeerCacheSource)],
+    reference: &[(usize, PeerCacheSource)],
+    target: usize,
+) {
+    assert_eq!(plane.len(), reference.len(), "target {target}: view length");
+    for ((id, src), (holder, ref_src)) in plane.iter().zip(reference) {
+        assert_eq!(*id, peer_source_id(DeviceId(*holder)), "target {target}");
+        assert_eq!(src.holder(), Some(DeviceId(*holder)), "target {target}");
+        assert_eq!(src.len(), ref_src.len(), "target {target} holder {holder}");
+        let digests = sorted_digests(ref_src);
+        assert_eq!(sorted_digests(src), digests, "target {target} holder {holder}");
+        for d in &digests {
+            assert_eq!(src.has_blob(d), ref_src.has_blob(d), "target {target} holder {holder}");
+            assert_eq!(
+                src.fetch_blob(d).is_ok(),
+                ref_src.fetch_blob(d).is_ok(),
+                "target {target} holder {holder}: retraction differs"
+            );
+        }
+    }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Generated applications under a bounded view: the delta plane and
-    /// the clone-based oracle stay byte-identical across the population.
+    /// The product [`GossipPlane`] (delta exchange, cached views,
+    /// partial selection) and the clone-based reference agree at every
+    /// call the scheduler and executor make — `barrier_round`,
+    /// `readvertise`, `mesh_view`, `converged`, `rounds_run` — on every
+    /// script in the pipeline's call order: each wave mutates caches,
+    /// may evict one by chaos and re-advertise it, runs the barrier, and
+    /// views a random subset of targets (so cached views survive
+    /// unchanged barriers). Bounded and unbounded views, fanouts 1..n.
     #[test]
-    fn generated_apps_delta_matches_the_clone_based_oracle(seed in 0u64..500) {
-        let app = dataflow::DagGenerator::default().generate(seed);
-        assert_backend_parity(&app, 2, 2, 1, false, &[]);
+    fn plane_matches_the_clone_based_reference_call_for_call(
+        devices in 2usize..9,
+        fanout in 1u32..10,
+        view in 0u32..9,
+        rounds_per_wave in 1u32..3,
+        seed in any::<u64>(),
+        waves in proptest::collection::vec(any::<u64>(), 1..24),
+    ) {
+        let view_size = if view == 0 { u32::MAX } else { view };
+        let mut caches = vec![LayerCache::new(DataSize::gigabytes(8.0)); devices];
+        let mut plane = GossipPlane::new(devices, fanout, view_size, rounds_per_wave, seed);
+        let mut reference = ReferencePlane {
+            state: oracle::GossipState::new(devices, seed),
+            fanout,
+            view_size,
+            rounds_per_wave,
+        };
+        let agree = |plane: &GossipPlane, reference: &ReferencePlane| {
+            prop_assert_eq!(plane.converged(), reference.state.converged());
+            prop_assert_eq!(plane.rounds_run(), reference.state.rounds_run());
+        };
+        for x in waves {
+            // 1. Up to three cache inserts or LRU evictions (12 bits each).
+            for op in 0..(x & 3) {
+                let bits = x >> (2 + 12 * op);
+                let device = (bits & 15) as usize % devices;
+                if bits & 16 == 0 {
+                    caches[device].insert(Digest::of(&[(bits >> 5) as u8 % 8]), DataSize::megabytes(5.0));
+                } else {
+                    caches[device].evict_to(DataSize::megabytes(5.0 * ((bits >> 8) % 4) as f64));
+                }
+            }
+            // 2. A chaos eviction, re-advertised out of band.
+            if x & (1 << 40) != 0 {
+                let device = ((x >> 41) & 15) as usize % devices;
+                caches[device].evict_to(DataSize::megabytes(5.0 * ((x >> 45) % 3) as f64));
+                plane.readvertise(DeviceId(device), &caches[device]);
+                reference.readvertise(device, &caches[device]);
+                agree(&plane, &reference);
+            }
+            // 3. The wave barrier.
+            let refs: Vec<&LayerCache> = caches.iter().collect();
+            plane.barrier_round(&refs);
+            reference.barrier_round(&caches);
+            agree(&plane, &reference);
+            // 4. Views for a random subset of targets.
+            for target in (0..devices).filter(|j| x & (1 << (48 + j)) != 0) {
+                let view = plane.mesh_view(&refs, target);
+                assert_same_view(&view, &reference.mesh_view(&caches, target), target);
+                agree(&plane, &reference);
+            }
+        }
     }
 }
 
