@@ -93,9 +93,10 @@
 //!   estimation context walking the DAG in barrier order, tracking layer
 //!   caches, per-source route loads and per-wave peer snapshots.
 //! * **Scheduling (Nash game)** → [`nash`]: per-microservice |R|×|D|
-//!   common-interest bimatrix games solved with the `deep-game` toolkit,
-//!   refined into a joint pure Nash equilibrium of the n-player
-//!   deployment congestion game over the mesh.
+//!   common-interest stage games solved by a payoff scan (the pure
+//!   equilibrium support enumeration would select), refined into a joint
+//!   pure Nash equilibrium of the n-player deployment congestion game
+//!   over the mesh by `deep-game`'s sparse potential descent.
 //! * **Dataflow processing / Monitoring** → `deep-simulator`'s executor
 //!   and trace, driven by [`experiment`].
 //!

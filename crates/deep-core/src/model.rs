@@ -33,10 +33,11 @@ use deep_dataflow::{Application, MicroserviceId};
 use deep_energy::Joules;
 use deep_netsim::{Bandwidth, DataSize, DeviceId, RegistryId, Seconds};
 use deep_registry::{
-    BlobSource, CatalogEntry, FaultModel, ImageManifest, LayerCache, LayerDescriptor,
-    PeerCacheSource, Platform, PullOutcome, PullSession, Reference, RegistryError, RegistryMesh,
+    BlobSource, CatalogEntry, ImageManifest, LayerCache, LayerDescriptor, PeerCacheSource,
+    Platform, PullOutcome, PullSession, Reference, RegistryError, RegistryMesh,
 };
-use deep_simulator::{route_key, Placement, RegistryChoice, Testbed};
+use deep_simulator::{Placement, RegistryChoice, RouteLoads, Testbed};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -91,89 +92,6 @@ impl Estimate {
     }
 }
 
-/// Same-wave route contention, sharded per registry source: one dense
-/// per-device lane vector per `RegistryId` instead of a flat
-/// `HashMap<(RegistryId, usize), usize>`.
-///
-/// Both halves of a contention key ([`deep_simulator::route_key`]) have
-/// natural shard structure — the source id picks the shard, the device
-/// slot (pulling device for registry sources, serving holder for peer
-/// uplinks) indexes the lane — so the fleet-scale payoff scan reads
-/// loads with one shard lookup plus an array index, no per-candidate key
-/// hashing. Estimates only read loads; commits charge them.
-///
-/// Values are identical to the map they replace, so every estimate that
-/// reads through [`deep_simulator::TestbedParams::contention_factor`]
-/// sees the same integers and prices the same floats.
-///
-/// Lanes are created on first charge and *zeroed, not dropped* on wave
-/// barriers (`clear` walks the charged keys only), so steady-state waves
-/// allocate nothing.
-#[derive(Debug, Clone, Default)]
-pub struct RouteLoads {
-    /// Per-source lane vectors, `lane[device_slot] = same-wave load`.
-    shards: HashMap<RegistryId, Vec<usize>>,
-    /// Keys charged since the last clear (0→1 transitions only), for
-    /// O(charged) barrier resets without deallocating lanes.
-    touched: Vec<(RegistryId, usize)>,
-    /// Lane length: one slot per testbed device.
-    slots: usize,
-}
-
-impl RouteLoads {
-    /// Empty load state for a testbed with `slots` devices.
-    pub fn new(slots: usize) -> Self {
-        RouteLoads { shards: HashMap::new(), touched: Vec::new(), slots }
-    }
-
-    /// The load on one contention resource (0 when never charged).
-    pub fn get(&self, key: (RegistryId, usize)) -> usize {
-        debug_assert!(key.1 < self.slots, "device slot out of range");
-        self.shards.get(&key.0).map_or(0, |lane| lane[key.1])
-    }
-
-    /// Charge one more same-wave pull to a contention resource.
-    pub fn charge(&mut self, key: (RegistryId, usize)) {
-        debug_assert!(key.1 < self.slots, "device slot out of range");
-        let lane = self.shards.entry(key.0).or_insert_with(|| vec![0; self.slots]);
-        if lane[key.1] == 0 {
-            self.touched.push(key);
-        }
-        lane[key.1] += 1;
-    }
-
-    /// Set a resource's load outright (carried-in contention).
-    pub fn set(&mut self, key: (RegistryId, usize), load: usize) {
-        debug_assert!(key.1 < self.slots, "device slot out of range");
-        if load == 0 {
-            return;
-        }
-        let lane = self.shards.entry(key.0).or_insert_with(|| vec![0; self.slots]);
-        if lane[key.1] == 0 {
-            self.touched.push(key);
-        }
-        lane[key.1] = load;
-    }
-
-    /// Wave barrier: zero every charged slot, keeping the lanes.
-    pub fn clear(&mut self) {
-        for (source, slot) in self.touched.drain(..) {
-            if let Some(lane) = self.shards.get_mut(&source) {
-                lane[slot] = 0;
-            }
-        }
-    }
-
-    /// Build from the flat map form (the public carry-in API).
-    fn from_map(slots: usize, map: &HashMap<(RegistryId, usize), usize>) -> Self {
-        let mut loads = RouteLoads::new(slots);
-        for (&key, &load) in map {
-            loads.set(key, load);
-        }
-        loads
-    }
-}
-
 /// One memoized primary-manifest resolution.
 #[derive(Clone)]
 struct Resolved {
@@ -202,8 +120,8 @@ pub struct EstimationContext<'t> {
     /// Estimated per-device layer caches (cloned cold or warm from the
     /// testbed).
     caches: Vec<LayerCache>,
-    /// Same-wave per-source route loads, sharded per registry source
-    /// (see [`RouteLoads`]), reset at each barrier.
+    /// Same-wave per-source route loads (the executor's ledger), reset
+    /// at each barrier.
     route_load: RouteLoads,
     /// Devices of already-committed microservices (for `Tc`).
     assigned: Vec<Option<Placement>>,
@@ -224,7 +142,7 @@ pub struct EstimationContext<'t> {
     /// mesh exactly as they bound the executed one.
     gossip: Option<deep_simulator::GossipPlane>,
     /// Price expected deployment time under the testbed's
-    /// [`FaultModel`] instead of the happy path: `E[Td]` folds the
+    /// [`deep_registry::FaultModel`] instead of the happy path: `E[Td]` folds the
     /// primary's per-pull death probability × the failover re-plan cost
     /// (surviving-source re-fetch) plus the expected retry backoff of
     /// the transient channel into every estimate.
@@ -251,13 +169,6 @@ pub struct EstimationContext<'t> {
     /// scenario draws consult the same [`deep_registry::FaultPlan`]
     /// cells the injecting executor will.
     pulls_committed: u64,
-    /// Route loads carried into the *first* wave instead of starting
-    /// clean — the online hand-off for an application admitted into a
-    /// wave other pulls already load (see
-    /// [`EstimationContext::with_initial_route_load`]). Consumed by the
-    /// first [`EstimationContext::begin_wave`]; later barriers clear as
-    /// usual.
-    initial_route_load: Option<RouteLoads>,
     /// Per-microservice `application/microservice` calibration keys,
     /// precomputed once — the estimate hot path reads them once per
     /// `(registry, device)` candidate.
@@ -312,7 +223,6 @@ impl Clone for EstimationContext<'_> {
             wave_peak: self.wave_peak,
             wave_exec: self.wave_exec,
             pulls_committed: self.pulls_committed,
-            initial_route_load: self.initial_route_load.clone(),
             scoped: self.scoped.clone(),
             entries: self.entries.clone(),
             manifests: self.manifests.clone(),
@@ -321,81 +231,47 @@ impl Clone for EstimationContext<'_> {
     }
 }
 
-/// The pull mesh one estimated/committed pull runs through: the
-/// placement's registry as primary (slowed by its route load), plus the
-/// device's peer sources when peer sharing is on (one per advertising
-/// holder on the per-pair plane, each slowed by the load on *its*
-/// uplink; the single aggregate source under the scalar oracle) —
-/// exactly the mesh the executor assembles for the realised pull.
-///
-/// A free function over split borrows so `commit` can hold the mesh and a
-/// mutable cache at once.
-fn pull_mesh<'t>(
-    testbed: &'t Testbed,
-    route_load: &RouteLoads,
-    peers: Option<&'t [(RegistryId, PeerCacheSource)]>,
-    registry: RegistryChoice,
-    device: DeviceId,
-    standbys: bool,
-    windows: Option<(&FaultModel, Seconds)>,
-) -> RegistryMesh<'t> {
-    let load = |id: RegistryId| {
-        let contention = testbed.params.contention_factor(route_load.get(route_key(id, device)));
-        // Under scenario pricing, scripted degradation windows slow the
-        // affected sources exactly as the executor's clock-gated load
-        // factor does (×1.0 outside windows — bit-exact identity).
-        match windows {
-            Some((model, clock)) => contention * model.slowdown_at(id, clock),
-            None => contention,
-        }
-    };
-    let primary = registry.registry_id();
-    let mut mesh = RegistryMesh::new();
-    mesh.add_registry(
-        primary,
-        testbed.registry(registry),
-        testbed.source_params(registry, device, load(primary)),
-    );
-    for (id, peer) in peers.into_iter().flatten() {
-        mesh.add_blob_source(
-            *id,
-            peer,
-            testbed.source_params(RegistryChoice::mesh(*id), device, load(*id)),
-        );
-    }
-    // Fault pricing needs the failover targets in the mesh: every other
-    // full registry as a standby (planned only once the primary is dead,
-    // so the happy branch is untouched) — the same standby set a
-    // fault-injecting executor registers.
-    if standbys {
-        for choice in testbed.registry_choices() {
-            if choice == registry {
-                continue;
-            }
-            let id = choice.registry_id();
-            mesh.add_standby_registry(
-                id,
-                testbed.registry(choice),
-                testbed.source_params(choice, device, load(id)),
-            );
-        }
-    }
-    mesh
+/// One cell's pull, built in one place ([`EstimationContext::cell_pull`])
+/// for every estimate, plan and commit: the placement's registry as
+/// primary (slowed by its route load), plus the device's peer sources
+/// when peer sharing is on (one per advertising holder on the per-pair
+/// plane, each slowed by the load on *its* uplink; the single aggregate
+/// source under the scalar oracle), plus every other full registry as a
+/// standby when the pricing needs failover targets — exactly the mesh the
+/// executor assembles for the realised pull — planned against the
+/// memoized manifest when one is warm.
+struct CellPull<'c> {
+    mesh: RegistryMesh<'c>,
+    primary: RegistryId,
+    reference: Cow<'c, Reference>,
+    preresolved: Option<&'c ImageManifest>,
+    extract_bw: Bandwidth,
+    arch: Platform,
 }
 
-/// Charge each of a pull's `SourcePull` buckets to its own contention
-/// resource — the executor's accounting: registry buckets load their
-/// download route, peer buckets the serving device's uplink.
-fn charge_routes(
-    route_load: &mut RouteLoads,
-    testbed: &Testbed,
-    outcome: &deep_registry::PullOutcome,
-    device: DeviceId,
-) {
-    for bucket in &outcome.per_source {
-        if bucket.downloaded >= testbed.params.contention_threshold {
-            route_load.charge(route_key(bucket.source, device));
+impl<'c> CellPull<'c> {
+    /// A session over the cell's mesh with `dead` presumed dead.
+    fn session(&self, dead: impl IntoIterator<Item = RegistryId>) -> PullSession<'_, 'c> {
+        let mut session = PullSession::new(&self.mesh, self.primary).extract_bw(self.extract_bw);
+        if let Some(m) = self.preresolved {
+            session = session.preresolved(m);
         }
+        dead.into_iter().fold(session, PullSession::presume_dead)
+    }
+
+    /// The pull's outcome against `cache` (untouched), with `dead`
+    /// presumed dead.
+    fn estimate(
+        &self,
+        cache: &LayerCache,
+        dead: impl IntoIterator<Item = RegistryId>,
+    ) -> Result<PullOutcome, RegistryError> {
+        self.session(dead).estimate(&self.reference, self.arch, cache)
+    }
+
+    /// Realise the happy-path pull into `cache`.
+    fn pull(&self, cache: &mut LayerCache) -> Result<PullOutcome, RegistryError> {
+        self.session([]).pull(&self.reference, self.arch, cache)
     }
 }
 
@@ -417,7 +293,6 @@ impl<'t> EstimationContext<'t> {
             wave_peak: Seconds::ZERO,
             wave_exec: Seconds::ZERO,
             pulls_committed: 0,
-            initial_route_load: None,
             scoped: app
                 .ids()
                 .map(|id| format!("{}/{}", app.name(), app.microservice(id).name))
@@ -493,20 +368,6 @@ impl<'t> EstimationContext<'t> {
         self
     }
 
-    /// Carry `load` into the first wave's route contention instead of
-    /// starting clean (builder-style): an application joining a wave
-    /// whose routes other pulls already load sees that contention in
-    /// its first-wave estimates. Applied immediately *and* re-applied
-    /// by the first [`EstimationContext::begin_wave`] (so the usual
-    /// begin-wave/estimate/commit walk prices it); later barriers
-    /// clear route load as usual.
-    pub fn with_initial_route_load(mut self, load: HashMap<(RegistryId, usize), usize>) -> Self {
-        let sharded = RouteLoads::from_map(self.testbed.devices.len(), &load);
-        self.route_load = sharded.clone();
-        self.initial_route_load = Some(sharded);
-        self
-    }
-
     /// Price peer-cache split pulls (builder-style): mirror an executor
     /// running with [`deep_simulator::ExecutorConfig::peer_sharing`].
     pub fn peer_sharing(mut self, on: bool) -> Self {
@@ -563,24 +424,18 @@ impl<'t> EstimationContext<'t> {
 
     /// Rebuild the per-device peer snapshots from the estimated caches —
     /// the estimator's image of the executor's wave-barrier gossip
-    /// round, through the same [`deep_simulator::PeerPlane::snapshot`]
-    /// rule the executor applies to the real caches.
+    /// round, through the same [`deep_simulator::PeerPlane::view`] rule
+    /// the executor applies to the real caches. Under gossip discovery
+    /// every view is empty before the first barrier: the executor has
+    /// not advertised anything yet either.
     fn snapshot_peers(&mut self) {
         if !self.peer_sharing {
             return;
         }
         let caches: Vec<&LayerCache> = self.caches.iter().collect();
-        let count = caches.len();
-        self.peer_snapshots = match self.gossip.as_mut() {
-            // Gossip discovery: each device's mesh is its own (bounded,
-            // possibly lagging) view. Before the first barrier every
-            // view is empty — the executor has not advertised anything
-            // yet either. (`&mut` for the plane's materialized-view
-            // cache: a steady-state wave re-snapshots the whole fleet
-            // from cached views instead of rebuilding n of them.)
-            Some(plane) => (0..count).map(|j| plane.mesh_view(&caches, j)).collect(),
-            None => (0..count).map(|j| self.testbed.peer_plane.snapshot(&caches, j)).collect(),
-        };
+        let plane = &self.testbed.peer_plane;
+        self.peer_snapshots =
+            (0..caches.len()).map(|j| plane.view(self.gossip.as_mut(), &caches, j)).collect();
     }
 
     /// Open a new deployment wave (stage barrier): route contention
@@ -592,10 +447,7 @@ impl<'t> EstimationContext<'t> {
         self.clock += self.wave_peak + self.wave_exec;
         self.wave_peak = Seconds::ZERO;
         self.wave_exec = Seconds::ZERO;
-        match self.initial_route_load.take() {
-            Some(load) => self.route_load = load,
-            None => self.route_load.clear(),
-        }
+        self.route_load.clear();
         // Gossip discovery advances exactly one barrier per wave — the
         // executor's cadence — before the views are materialized.
         if self.peer_sharing {
@@ -631,95 +483,35 @@ impl<'t> EstimationContext<'t> {
     ) -> Estimate {
         let ms = self.app.microservice(id);
         let dev = self.testbed.device(device);
-        let entry = match self.entries[id.0] {
-            Some(e) => e,
-            None => self.testbed.entry(self.app.name(), &ms.name).unwrap_or_else(|| {
-                panic!("no image published for {}/{}", self.app.name(), ms.name)
-            }),
-        };
-        let built;
-        let (reference, preresolved) =
-            match self.manifests.get(&(registry.registry_id(), id.0, dev.arch)) {
-                Some(r) => (&r.reference, Some(&r.manifest)),
-                None => {
-                    built = self.testbed.reference(entry, registry, dev.arch);
-                    (&built, None)
-                }
-            };
         // The executor realises the same mesh under the same route loads,
         // so this estimate and its measurement agree bit for bit (under
         // fault pricing: in expectation over the injected fault plans).
-        let peers = self.peer_sharing.then(|| self.peer_snapshots[device.0].as_slice());
-        let faults: Option<&FaultModel> =
-            if self.price_faults { Some(&self.testbed.fault_model) } else { None };
-        let windows = self.scenario.map(|_| (&self.testbed.fault_model, self.clock));
-        let mesh = pull_mesh(
-            self.testbed,
-            &self.route_load,
-            peers,
-            registry,
-            device,
-            faults.is_some() || self.scenario.is_some(),
-            windows,
-        );
-        let primary = registry.registry_id();
+        let model = &self.testbed.fault_model;
+        let pull =
+            self.cell_pull(id, registry, device, self.price_faults || self.scenario.is_some());
+        let cache = &self.caches[device.0];
         let (outcome, td) = match self.scenario {
-            Some(pricing) => self.scenario_estimate(
-                pricing,
-                &mesh,
-                primary,
-                reference,
-                preresolved,
-                dev.extract_bw,
-                dev.arch,
-                &self.caches[device.0],
-            ),
+            Some(pricing) => {
+                // Sources scripted dark at the wave clock are gone for this
+                // pull whatever their mesh role — exactly what the
+                // executor's clock-gated wrappers (`PlannedFaults::at`)
+                // realise.
+                let dark: Vec<RegistryId> = pull
+                    .mesh
+                    .sources()
+                    .map(|s| s.id())
+                    .filter(|&id| id != pull.primary && model.dark_at(id, self.clock))
+                    .collect();
+                self.expected_td(&pull, cache, &dark, || {
+                    self.death_frequency(pricing, pull.primary)
+                })
+            }
+            None if self.price_faults => {
+                self.expected_td(&pull, cache, &[], || model.rates(pull.primary).fatal_per_pull)
+            }
             None => {
-                let mut session = PullSession::new(&mesh, primary).extract_bw(dev.extract_bw);
-                if let Some(m) = preresolved {
-                    session = session.preresolved(m);
-                }
-                let outcome = session
-                    .estimate(reference, dev.arch, &self.caches[device.0])
-                    .expect("catalog images resolve");
-                let td = match faults {
-                    None => outcome.deployment_time(),
-                    Some(model) => {
-                        let expected_happy =
-                            outcome.deployment_time() + model.expected_transient_backoff(&outcome);
-                        let p = model.rates(primary).fatal_per_pull;
-                        // The death branch only differs when the primary would
-                        // serve bytes: a fully-cached or fully-peer-served pull
-                        // never touches the primary's data plane, so its death
-                        // goes unnoticed and costs nothing.
-                        let primary_serves = outcome.per_source.iter().any(|b| b.source == primary);
-                        if p == 0.0 || !primary_serves {
-                            expected_happy
-                        } else {
-                            let mut session = PullSession::new(&mesh, primary)
-                                .extract_bw(dev.extract_bw)
-                                .presume_dead(primary);
-                            if let Some(m) = preresolved {
-                                session = session.preresolved(m);
-                            }
-                            let failover = session
-                                .estimate(reference, dev.arch, &self.caches[device.0])
-                                .expect("survivors cover the catalog");
-                            // The failover branch pays the surviving-source
-                            // re-fetch, its expected transient backoff AND the
-                            // death-detection cost: the exhausted retry budget
-                            // the session burns before declaring the primary
-                            // dead (`RetryPolicy::exhausted_backoff`).
-                            let expected_failover = failover.deployment_time()
-                                + model.expected_transient_backoff(&failover)
-                                + model.retry.exhausted_backoff();
-                            Seconds::new(
-                                (1.0 - p) * expected_happy.as_f64()
-                                    + p * expected_failover.as_f64(),
-                            )
-                        }
-                    }
-                };
+                let outcome = pull.estimate(cache, []).expect("catalog images resolve");
+                let td = outcome.deployment_time();
                 (outcome, td)
             }
         };
@@ -820,53 +612,52 @@ impl<'t> EstimationContext<'t> {
         }
     }
 
-    /// The scenario-priced `(happy outcome, E[Td])` of one candidate
-    /// pull (see [`ScenarioPricing`] for the branch semantics). Both
-    /// branches plan against `preresolved` when the manifest is memoized,
-    /// exactly as the closed-form failover branch does.
-    #[allow(clippy::too_many_arguments)]
-    fn scenario_estimate(
+    /// The `(happy outcome, E[Td])` of one cell under fault pricing:
+    /// `E[Td] = (1−p)·(Td_happy + B_happy) + p·(Td_failover + B_failover)`,
+    /// where both branches presume the `dark` sources dead, the failover
+    /// branch also the primary (re-planning its layers onto the
+    /// surviving mesh, exactly the fault-injecting executor's failover),
+    /// and `B` is the closed-form expected retry backoff of the transient
+    /// channel. The failover branch also pays the death-detection cost:
+    /// the exhausted retry budget the session burns before declaring the
+    /// primary dead (`RetryPolicy::exhausted_backoff`).
+    ///
+    /// `p` is the primary's death probability, asked for only when the
+    /// primary would serve bytes: a fully-cached or fully-peer-served
+    /// pull never touches the primary's data plane, so its death goes
+    /// unnoticed and costs nothing.
+    fn expected_td(
         &self,
-        pricing: ScenarioPricing,
-        mesh: &RegistryMesh<'_>,
-        primary: RegistryId,
-        reference: &Reference,
-        preresolved: Option<&ImageManifest>,
-        extract_bw: Bandwidth,
-        arch: Platform,
+        pull: &CellPull<'_>,
         cache: &LayerCache,
+        dark: &[RegistryId],
+        p: impl FnOnce() -> f64,
     ) -> (PullOutcome, Seconds) {
         let model = &self.testbed.fault_model;
-        // Sources scripted dark at the wave clock are gone for this
-        // pull whatever their mesh role — exactly what the executor's
-        // clock-gated wrappers (`PlannedFaults::at`) realise.
-        let dark: Vec<RegistryId> = mesh
-            .sources()
-            .map(|s| s.id())
-            .filter(|&id| id != primary && model.dark_at(id, self.clock))
-            .collect();
-        let branch = |primary_dead: bool| -> PullOutcome {
-            let mut session = PullSession::new(mesh, primary).extract_bw(extract_bw);
-            if let Some(m) = preresolved {
-                session = session.preresolved(m);
-            }
-            if primary_dead {
-                session = session.presume_dead(primary);
-            }
-            for &id in &dark {
-                session = session.presume_dead(id);
-            }
-            session.estimate(reference, arch, cache).expect("survivors cover the catalog")
-        };
-        let happy = branch(false);
+        let dark = dark.iter().copied();
+        let happy = pull.estimate(cache, dark.clone()).expect("survivors cover the catalog");
         let expected_happy = happy.deployment_time() + model.expected_transient_backoff(&happy);
-        // The death branch only differs when the primary would serve
-        // bytes: a fully-cached or fully-peer-served pull never touches
-        // the primary's data plane, so its death costs nothing.
-        let primary_serves = happy.per_source.iter().any(|b| b.source == primary);
-        let p = if !primary_serves {
-            0.0
-        } else if model.dark_at(primary, self.clock) {
+        let primary_serves = happy.per_source.iter().any(|b| b.source == pull.primary);
+        let p = if primary_serves { p() } else { 0.0 };
+        let td = if p == 0.0 {
+            expected_happy
+        } else {
+            let failover = pull
+                .estimate(cache, std::iter::once(pull.primary).chain(dark))
+                .expect("survivors cover the catalog");
+            let expected_failover = failover.deployment_time()
+                + model.expected_transient_backoff(&failover)
+                + model.retry.exhausted_backoff();
+            Seconds::new((1.0 - p) * expected_happy.as_f64() + p * expected_failover.as_f64())
+        };
+        (happy, td)
+    }
+
+    /// The scenario-priced death probability of `primary` for the next
+    /// committed pull (see [`ScenarioPricing`]).
+    fn death_frequency(&self, pricing: ScenarioPricing, primary: RegistryId) -> f64 {
+        let model = &self.testbed.fault_model;
+        if model.dark_at(primary, self.clock) {
             // Scripted, not sampled: every replication hits the window.
             1.0
         } else if model.rates(primary).fatal_per_pull == 0.0 {
@@ -875,7 +666,7 @@ impl<'t> EstimationContext<'t> {
             // The *empirical* death frequency of this pull number over
             // the exact fault plans the scenario's replications draw —
             // simulation in the loop, not the analytic rate. Batched
-            // through [`FaultModel::fatal_draws`] (same keyed hash
+            // through `FaultModel::fatal_draws` (same keyed hash
             // chain as a per-draw plan walk, bit-identical, minus
             // `draws` clones of the rate tables) and memoized per
             // `(pull, primary)`: every candidate device of one member
@@ -888,17 +679,7 @@ impl<'t> EstimationContext<'t> {
                 })
             };
             f64::from(fatal) / f64::from(draws)
-        };
-        let td = if p == 0.0 {
-            expected_happy
-        } else {
-            let failover = branch(true);
-            let expected_failover = failover.deployment_time()
-                + model.expected_transient_backoff(&failover)
-                + model.retry.exhausted_backoff();
-            Seconds::new((1.0 - p) * expected_happy.as_f64() + p * expected_failover.as_f64())
-        };
-        (happy, td)
+        }
     }
 
     /// The happy-path pull *plan* of one candidate assignment: the
@@ -926,33 +707,84 @@ impl<'t> EstimationContext<'t> {
         registry: RegistryChoice,
         device: DeviceId,
     ) -> Result<PullOutcome, RegistryError> {
-        let ms = self.app.microservice(id);
-        let dev = self.testbed.device(device);
-        let entry = match self.entries[id.0] {
-            Some(e) => e,
-            None => self.testbed.entry(self.app.name(), &ms.name).unwrap_or_else(|| {
-                panic!("no image published for {}/{}", self.app.name(), ms.name)
-            }),
-        };
-        let built;
+        self.cell_pull(id, registry, device, false).estimate(&self.caches[device.0], [])
+    }
+
+    /// Build one cell's [`CellPull`]: the memoized reference and manifest
+    /// when warm (the catalog reference, resolved per call, otherwise),
+    /// the device's peer view, the route loads and, under scenario
+    /// pricing, the degradation windows at the wave clock. `standbys`
+    /// adds every other full registry as a failover target.
+    ///
+    /// Panics if the image is not published — a scheduler bug, not a
+    /// runtime condition.
+    fn cell_pull(
+        &self,
+        id: MicroserviceId,
+        registry: RegistryChoice,
+        device: DeviceId,
+        standbys: bool,
+    ) -> CellPull<'_> {
+        let testbed = self.testbed;
+        let dev = testbed.device(device);
         let (reference, preresolved) =
             match self.manifests.get(&(registry.registry_id(), id.0, dev.arch)) {
-                Some(r) => (&r.reference, Some(&r.manifest)),
+                Some(r) => (Cow::Borrowed(&r.reference), Some(&r.manifest)),
                 None => {
-                    built = self.testbed.reference(entry, registry, dev.arch);
-                    (&built, None)
+                    let name = &self.app.microservice(id).name;
+                    let entry = self.entries[id.0]
+                        .or_else(|| testbed.entry(self.app.name(), name))
+                        .unwrap_or_else(|| {
+                            panic!("no image published for {}/{name}", self.app.name())
+                        });
+                    (Cow::Owned(testbed.reference(entry, registry, dev.arch)), None)
                 }
             };
-        let peers = self.peer_sharing.then(|| self.peer_snapshots[device.0].as_slice());
-        let windows = self.scenario.map(|_| (&self.testbed.fault_model, self.clock));
-        let mesh =
-            pull_mesh(self.testbed, &self.route_load, peers, registry, device, false, windows);
-        let mut session =
-            PullSession::new(&mesh, registry.registry_id()).extract_bw(dev.extract_bw);
-        if let Some(m) = preresolved {
-            session = session.preresolved(m);
+        let load = |id: RegistryId| {
+            let contention = self.route_load.contention(&testbed.params, id, device);
+            // Under scenario pricing, scripted degradation windows slow
+            // the affected sources exactly as the executor's clock-gated
+            // load factor does (×1.0 outside windows — bit-exact
+            // identity).
+            match self.scenario {
+                Some(_) => contention * testbed.fault_model.slowdown_at(id, self.clock),
+                None => contention,
+            }
+        };
+        let params = |choice: RegistryChoice| {
+            testbed.source_params(choice, device, load(choice.registry_id()))
+        };
+        let primary = registry.registry_id();
+        let mut mesh = RegistryMesh::new();
+        mesh.add_registry(primary, testbed.registry(registry), params(registry));
+        if self.peer_sharing {
+            for (id, peer) in &self.peer_snapshots[device.0] {
+                mesh.add_blob_source(*id, peer, params(RegistryChoice::mesh(*id)));
+            }
         }
-        session.estimate(reference, dev.arch, &self.caches[device.0])
+        // Fault pricing needs the failover targets in the mesh: every
+        // other full registry as a standby (planned only once the primary
+        // is dead, so the happy branch is untouched) — the same standby
+        // set a fault-injecting executor registers.
+        if standbys {
+            for choice in testbed.registry_choices() {
+                if choice != registry {
+                    mesh.add_standby_registry(
+                        choice.registry_id(),
+                        testbed.registry(choice),
+                        params(choice),
+                    );
+                }
+            }
+        }
+        CellPull {
+            mesh,
+            primary,
+            reference,
+            preresolved,
+            extract_bw: dev.extract_bw,
+            arch: dev.arch,
+        }
     }
 
     /// The `(source, downloaded)` buckets of [`EstimationContext::plan`],
@@ -1023,74 +855,29 @@ impl<'t> EstimationContext<'t> {
     pub fn commit(&mut self, id: MicroserviceId, placement: Placement) {
         let ms = self.app.microservice(id);
         let dev = self.testbed.device(placement.device);
-        let pricing = self.scenario;
-        let clock = self.clock;
-        // Split borrows: the mesh reads the peer snapshots while the pull
-        // mutates the target device's estimated cache.
-        let EstimationContext {
-            testbed,
-            caches,
-            route_load,
-            peer_snapshots,
-            peer_sharing,
-            entries,
-            manifests,
-            ..
-        } = self;
-        let entry = match entries[id.0] {
-            Some(e) => e,
-            None => {
-                testbed.entry(self.app.name(), &ms.name).expect("estimate() validated the image")
-            }
-        };
-        let built;
-        let (reference, preresolved) =
-            match manifests.get(&(placement.registry.registry_id(), id.0, dev.arch)) {
-                Some(r) => (&r.reference, Some(&r.manifest)),
-                None => {
-                    built = testbed.reference(entry, placement.registry, dev.arch);
-                    (&built, None)
-                }
-            };
-        let peers = peer_sharing.then(|| peer_snapshots[placement.device.0].as_slice());
-        let windows = pricing.map(|_| (&testbed.fault_model, clock));
-        let mesh = pull_mesh(
-            testbed,
-            route_load,
-            peers,
-            placement.registry,
-            placement.device,
-            false,
-            windows,
-        );
-        let mut session =
-            PullSession::new(&mesh, placement.registry.registry_id()).extract_bw(dev.extract_bw);
-        if let Some(m) = preresolved {
-            session = session.preresolved(m);
-        }
-        let outcome = session
-            .pull(reference, dev.arch, &mut caches[placement.device.0])
+        // The pull fills the device's estimated cache while its mesh reads
+        // the rest of the context: take the cache out for the pull, as
+        // the executor does.
+        let slot = placement.device.0;
+        let mut cache = std::mem::replace(&mut self.caches[slot], LayerCache::new(DataSize::ZERO));
+        let outcome = self
+            .cell_pull(id, placement.registry, placement.device, false)
+            .pull(&mut cache)
             .expect("catalog images resolve");
-        charge_routes(route_load, testbed, &outcome, placement.device);
-        if pricing.is_some() {
+        self.caches[slot] = cache;
+        self.route_load.charge_pull(
+            self.testbed.params.contention_threshold,
+            &outcome,
+            placement.device,
+        );
+        if self.scenario.is_some() {
             // Clock inputs for the next barrier: the wave spans its
             // longest pull, then the members' transfer and processing
             // phases run serially — the jitter-free executor's
             // arithmetic on the happy path.
             self.wave_peak = self.wave_peak.max(outcome.deployment_time());
-            let mut exec = Seconds::ZERO;
-            for flow in self.app.incoming(id) {
-                if let Some(producer) = self.assigned[flow.from.0] {
-                    exec += self
-                        .testbed
-                        .topology
-                        .device_transfer_time(producer.device, placement.device, flow.size)
-                        .expect("testbed topology covers all devices");
-                }
-            }
-            let scoped = &self.scoped[id.0];
-            exec += dev.processing_time(scoped, ms.requirements.cpu);
-            self.wave_exec += exec;
+            let tp = dev.processing_time(&self.scoped[id.0], ms.requirements.cpu);
+            self.wave_exec += self.transfer_in_time(id, placement.device) + tp;
         }
         self.assigned[id.0] = Some(placement);
         self.pulls_committed += 1;
@@ -1741,32 +1528,6 @@ mod tests {
     }
 
     #[test]
-    fn initial_route_load_survives_the_first_barrier_only() {
-        // An app admitted into an already-loaded wave prices the carried
-        // contention in its first wave; the next barrier clears it.
-        let tb = calibrated_testbed();
-        let app = apps::text_processing();
-        let retrieve = app.by_name("retrieve").unwrap();
-        let hub_route = route_key(RegistryChoice::Hub.registry_id(), DEVICE_MEDIUM);
-        let carried: HashMap<_, _> = [(hub_route, 2usize)].into_iter().collect();
-        let mut loaded = EstimationContext::new(&tb, &app).with_initial_route_load(carried);
-        let mut clean = EstimationContext::new(&tb, &app);
-        // Priced immediately (pre-barrier) AND after the first barrier.
-        let pre = loaded.estimate(retrieve, RegistryChoice::Hub, DEVICE_MEDIUM).td;
-        loaded.begin_wave();
-        clean.begin_wave();
-        let first = loaded.estimate(retrieve, RegistryChoice::Hub, DEVICE_MEDIUM).td;
-        let baseline = clean.estimate(retrieve, RegistryChoice::Hub, DEVICE_MEDIUM).td;
-        assert_eq!(pre, first, "the builder and the first barrier agree");
-        assert!(first > baseline, "carried load slows the loaded route: {first} vs {baseline}");
-        loaded.begin_wave();
-        clean.begin_wave();
-        let second = loaded.estimate(retrieve, RegistryChoice::Hub, DEVICE_MEDIUM).td;
-        let second_clean = clean.estimate(retrieve, RegistryChoice::Hub, DEVICE_MEDIUM).td;
-        assert_eq!(second, second_clean, "the second barrier clears the carried load");
-    }
-
-    #[test]
     fn clock_and_pull_carry_over_shift_scenario_pricing_only() {
         use deep_registry::{FaultModel, OutageWindow};
         // A window over [100, 200): an admission at t = 0 prices the
@@ -1812,7 +1573,7 @@ mod tests {
     /// flaky regional, a degraded hub and a dark last registry, each
     /// window active over the whole walk.
     fn floor_testbed(kind: usize) -> Testbed {
-        use deep_registry::{FaultRates, OutageWindow};
+        use deep_registry::{FaultModel, FaultRates, OutageWindow};
         let mut tb = match kind {
             0 => calibrated_testbed(),
             1 => crate::continuum::continuum_testbed(),
@@ -1863,8 +1624,8 @@ mod tests {
     /// Walk every configuration of the estimator properties: each
     /// testbed of [`floor_testbed`] under happy, closed-form fault and
     /// scenario pricing, with peer sharing off, on with snapshot
-    /// discovery and on with gossip, and with carried-in first-wave route
-    /// load. Each configuration opens a context, clones it before
+    /// discovery and on with gossip. Each configuration opens a context,
+    /// clones it before
     /// prefetching the manifests (`cold`) and walks both in lockstep,
     /// committing random placements so caches, contention, peer views and
     /// the clock all move. `cell` sees four random cells of every member
@@ -1889,10 +1650,6 @@ mod tests {
             for pricing in 0..3 {
                 for peers in 0..3 {
                     let app = &studies[draw(2)];
-                    let carried: HashMap<_, _> =
-                        [(route_key(RegistryChoice::Hub.registry_id(), DEVICE_MEDIUM), 2)]
-                            .into_iter()
-                            .collect();
                     let discovery =
                         if peers == 2 { gossip } else { deep_simulator::PeerDiscovery::Snapshot };
                     let mut warm = EstimationContext::new(&tb, app)
@@ -1901,8 +1658,7 @@ mod tests {
                         .price_faults(pricing == 1)
                         .scenario_pricing(
                             (pricing == 2).then_some(ScenarioPricing { draws: 16, seed }),
-                        )
-                        .with_initial_route_load(carried);
+                        );
                     let mut cold = warm.clone();
                     for id in app.ids() {
                         warm.prefetch_manifests(id);
@@ -2018,18 +1774,10 @@ mod tests {
     #[allow(clippy::type_complexity)]
     fn walk_state(
         ctx: &EstimationContext<'_>,
-    ) -> (
-        Vec<(DataSize, usize)>,
-        Vec<((RegistryId, usize), usize)>,
-        [u64; 3],
-        u64,
-        Vec<Option<Placement>>,
-    ) {
+    ) -> (Vec<(DataSize, usize)>, RouteLoads, [u64; 3], u64, Vec<Option<Placement>>) {
         let caches = ctx.caches.iter().map(|c| (c.used(), c.len())).collect();
-        let loads =
-            ctx.route_load.touched.iter().map(|&key| (key, ctx.route_load.get(key))).collect();
         let clock = [ctx.clock, ctx.wave_peak, ctx.wave_exec].map(|t| t.as_f64().to_bits());
-        (caches, loads, clock, ctx.pulls_committed, ctx.assigned.clone())
+        (caches, ctx.route_load.clone(), clock, ctx.pulls_committed, ctx.assigned.clone())
     }
 
     #[test]

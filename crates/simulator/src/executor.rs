@@ -19,15 +19,15 @@ use crate::chaos::{ChaosEvent, ChaosKind};
 use crate::engine::Engine;
 use crate::jitter::Jitter;
 use crate::metrics::{MicroserviceMetrics, RunReport};
-use crate::schedule::{RegistryChoice, Schedule};
-use crate::testbed::{peer_holder, route_key, Testbed};
+use crate::schedule::{Placement, RegistryChoice, Schedule};
+use crate::testbed::{peer_holder, RouteLoads, Testbed};
 use crate::trace::{Trace, TraceKind};
 use deep_dataflow::{stages, Application, MicroserviceId};
 use deep_energy::{Joules, PowerMeter, RaplBank, RaplMeasurement, Watts};
-use deep_netsim::{DeviceId, RegistryId, Seconds};
+use deep_netsim::{DataSize, DeviceId, RegistryId, Seconds};
 use deep_registry::{
-    FaultPlan, PeerCacheSource, PlannedFaults, Platform, PullSession, Registry, RegistryMesh,
-    SourceParams,
+    FaultPlan, LayerCache, PeerCacheSource, PlannedFaults, Platform, PullOutcome, PullSession,
+    Reference, Registry, RegistryError, RegistryMesh,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -36,10 +36,9 @@ use std::fmt;
 /// consulted when [`ExecutorConfig::peer_sharing`] is on).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PeerDiscovery {
-    /// The omniscient catalog (paper-era behaviour): every wave barrier
-    /// snapshots every *other* device's current cache via
-    /// [`crate::PeerPlane::snapshot`]. The regression oracle for the
-    /// gossip plane.
+    /// The omniscient catalog, and the default discovery mode: every
+    /// wave barrier snapshots every *other* device's current cache via
+    /// [`crate::PeerPlane::snapshot`].
     #[default]
     Snapshot,
     /// Decentralized epidemic discovery ([`crate::GossipPlane`]): each
@@ -135,6 +134,11 @@ pub enum ExecError {
     Registry(deep_registry::RegistryError),
     /// No catalog entry for a microservice (publish the app first).
     UnknownImage { application: String, microservice: String },
+    /// A placement names a device the testbed does not have.
+    UnknownDevice { microservice: String, device: DeviceId },
+    /// A placement names a primary that is no full registry of the
+    /// testbed ([`Testbed::registry_choices`]).
+    UnknownRegistry { microservice: String, registry: RegistryChoice },
 }
 
 impl fmt::Display for ExecError {
@@ -149,6 +153,12 @@ impl fmt::Display for ExecError {
             ExecError::Registry(e) => write!(f, "registry: {e}"),
             ExecError::UnknownImage { application, microservice } => {
                 write!(f, "no published image for {application}/{microservice}")
+            }
+            ExecError::UnknownDevice { microservice, device } => {
+                write!(f, "{microservice} is placed on {device}, which the testbed lacks")
+            }
+            ExecError::UnknownRegistry { microservice, registry } => {
+                write!(f, "{microservice} pulls from {registry}, which is no testbed registry")
             }
         }
     }
@@ -265,9 +275,10 @@ pub fn execute_with_events(
     Ok((report, exec.into_trace()))
 }
 
-/// Check that `schedule` covers `app` and that every placement's device
-/// admits its microservice — the up-front validation [`execute`] runs
-/// before touching any state, exposed so the arrival plane can vet each
+/// Check that `schedule` covers `app`, that every placement names a
+/// testbed device and full registry, and that its device admits its
+/// microservice — the up-front validation [`execute`] runs before
+/// touching any state, exposed so the arrival plane can vet each
 /// admission the same way.
 pub fn validate_schedule(
     testbed: &Testbed,
@@ -277,9 +288,22 @@ pub fn validate_schedule(
     if schedule.len() != app.len() {
         return Err(ExecError::ScheduleMismatch { app: app.len(), schedule: schedule.len() });
     }
+    let registries = testbed.registry_choices();
     for id in app.ids() {
         let ms = app.microservice(id);
         let placement = schedule.placement(id);
+        if placement.device.0 >= testbed.devices.len() {
+            return Err(ExecError::UnknownDevice {
+                microservice: ms.name.clone(),
+                device: placement.device,
+            });
+        }
+        if !registries.contains(&placement.registry) {
+            return Err(ExecError::UnknownRegistry {
+                microservice: ms.name.clone(),
+                registry: placement.registry,
+            });
+        }
         if !testbed.device(placement.device).admits(&ms.requirements) {
             return Err(ExecError::Inadmissible {
                 microservice: ms.name.clone(),
@@ -413,7 +437,7 @@ pub struct OnlineExecutor {
 }
 
 /// Fire every scripted event due at or before `clock` against the
-/// split-borrowed testbed state. `peer_snapshots` holds the in-flight
+/// testbed. `peer_snapshots` holds the in-flight
 /// wave's gossip snapshots (an eviction retracts the holder's own stale
 /// advertisements); callers firing between waves pass an empty map.
 #[allow(clippy::too_many_arguments)]
@@ -421,8 +445,7 @@ fn fire_scripted_events(
     timeline: &[ChaosEvent],
     next_event: &mut usize,
     clock: Seconds,
-    devices: &mut [crate::device::SimDevice],
-    regional: &mut deep_registry::RegionalRegistry,
+    testbed: &mut Testbed,
     peer_snapshots: &mut HashMap<usize, Vec<(RegistryId, PeerCacheSource)>>,
     mut gossip: Option<&mut crate::gossip::GossipPlane>,
     trace: &mut Trace,
@@ -432,7 +455,7 @@ fn fire_scripted_events(
         *next_event += 1;
         let label = match &event.kind {
             ChaosKind::CachePressure { device, keep } => {
-                let evicted = devices[device.0].cache.evict_to(*keep);
+                let evicted = testbed.device_mut(*device).cache.evict_to(*keep);
                 for victim in &evicted {
                     for sources in peer_snapshots.values_mut() {
                         for (id, src) in sources.iter_mut() {
@@ -446,7 +469,8 @@ fn fire_scripted_events(
                                 // retract only when no other device still
                                 // holds the layer.
                                 None => {
-                                    let held_elsewhere = devices
+                                    let held_elsewhere = testbed
+                                        .devices
                                         .iter()
                                         .any(|d| d.id != *device && d.cache.contains(victim));
                                     if !held_elsewhere {
@@ -465,7 +489,7 @@ fn fire_scripted_events(
                 // estimate.
                 if !evicted.is_empty() {
                     if let Some(plane) = gossip.as_mut() {
-                        plane.readvertise(*device, &devices[device.0].cache);
+                        plane.readvertise(*device, &testbed.device(*device).cache);
                     }
                 }
                 format!(
@@ -476,11 +500,11 @@ fn fire_scripted_events(
                 )
             }
             ChaosKind::DeleteTag { repository, tag } => {
-                regional.delete_manifest(repository, tag)?;
+                testbed.regional.delete_manifest(repository, tag)?;
                 format!("delete-tag {repository}:{tag} (scripted t={})", event.at)
             }
             ChaosKind::RegistryGc => {
-                let report = deep_registry::gc_collect(regional)?;
+                let report = deep_registry::gc_collect(&mut testbed.regional)?;
                 format!(
                     "registry-gc marked {} swept {} released {} B (scripted t={})",
                     report.marked, report.swept, report.declared_bytes_released, event.at
@@ -490,6 +514,103 @@ fn fire_scripted_events(
         trace.record(clock, TraceKind::ChaosEventFired, event.device(), &label);
     }
     Ok(())
+}
+
+/// Realise one wave member's pull of `reference` into `cache` (the
+/// pulling device's cache, taken out of `testbed`): the placement's
+/// registry as primary, the wave's `peers` of the pulling device, and,
+/// under fault injection, every other full registry as a standby
+/// failover target — each source slowed by the load on its contention
+/// resource and by any scripted degradation window. `faults` carries the
+/// session's plan, the pull's execution-order number and the clock.
+fn pull_through(
+    testbed: &Testbed,
+    placement: Placement,
+    reference: &Reference,
+    cache: &mut LayerCache,
+    route_load: &RouteLoads,
+    peers: &[(RegistryId, PeerCacheSource)],
+    faults: Option<(&FaultPlan, u64, Seconds)>,
+) -> Result<PullOutcome, RegistryError> {
+    let device = testbed.device(placement.device);
+    let primary = placement.registry.registry_id();
+    let registry = testbed.registry(placement.registry);
+    // Each mesh source's contention resource is slowed by the load *it*
+    // carries from earlier same-wave pulls, and, under a scripted
+    // degradation window, by the window's residual-capacity factor (×1.0
+    // outside windows — bit-exact identity).
+    let source_params = |choice: RegistryChoice| {
+        let id = choice.registry_id();
+        let contention = route_load.contention(&testbed.params, id, placement.device);
+        let slowdown = match faults {
+            Some((plan, _, clock)) => contention * plan.slowdown_at(id, clock),
+            None => contention,
+        };
+        testbed.source_params(choice, placement.device, slowdown)
+    };
+    let Some((plan, pull_idx, clock)) = faults else {
+        let mut mesh = RegistryMesh::new();
+        mesh.add_registry(primary, registry, source_params(placement.registry));
+        for (id, src) in peers {
+            mesh.add_blob_source(*id, src, source_params(RegistryChoice::mesh(*id)));
+        }
+        return PullSession::new(&mesh, primary).extract_bw(device.extract_bw).pull(
+            reference,
+            device.arch,
+            cache,
+        );
+    };
+    // Fault wrappers, declared before the mesh that borrows them: the
+    // primary draws its per-pull death from the plan, every other full
+    // registry rides along as a transient-only survivor (the failover
+    // targets the model assumes alive — exactly the sources the
+    // scheduler enumerates, or fault-pricing parity breaks), and the
+    // peers are wrapped the same way. Every wrapper is clock-gated: a
+    // scripted incident takes standby targets down as well.
+    let primary_faults = PlannedFaults::primary(registry, plan, primary, pull_idx).at(clock);
+    let standby_faults: Vec<(RegistryChoice, PlannedFaults<'_, &dyn Registry>)> = testbed
+        .registry_choices()
+        .into_iter()
+        .filter(|&c| c != placement.registry)
+        .map(|c| {
+            let wrapped =
+                PlannedFaults::survivor(testbed.registry(c), plan, c.registry_id(), pull_idx);
+            (c, wrapped.at(clock))
+        })
+        .collect();
+    // Per-holder peer sources draw their own per-pull fatal churn (a dead
+    // holder fails over alone — the rest of the peer plane and the
+    // registries keep serving) and their own transient streams; the
+    // aggregate oracle's anonymous source keeps the survivor
+    // (transient-only) semantics. Peer-uplink kills are scripted as dark
+    // windows on the peer's mesh id.
+    let peer_faults: Vec<(RegistryId, PlannedFaults<'_, &PeerCacheSource>)> = peers
+        .iter()
+        .map(|(id, src)| {
+            let wrapped = match peer_holder(*id) {
+                Some(_) => PlannedFaults::holder(src, plan, *id, pull_idx),
+                None => PlannedFaults::survivor(src, plan, *id, pull_idx),
+            };
+            (*id, wrapped.at(clock))
+        })
+        .collect();
+    // Standbys are planned only once the primary is dead, so with a zero
+    // fault model the mesh prices exactly the fault-free one.
+    let mut mesh = RegistryMesh::new();
+    mesh.add_registry(primary, &primary_faults, source_params(placement.registry));
+    for (id, wrapped) in &peer_faults {
+        mesh.add_blob_source(*id, wrapped, source_params(RegistryChoice::mesh(*id)));
+    }
+    for (choice, wrapped) in &standby_faults {
+        mesh.add_standby_blobs(choice.registry_id(), wrapped, source_params(*choice));
+    }
+    // Injected transients are retried under the model's policy; with no
+    // injections attached retries change nothing (first attempts succeed,
+    // zero backoff).
+    PullSession::new(&mesh, primary)
+        .extract_bw(device.extract_bw)
+        .with_retry(testbed.fault_model.retry)
+        .pull(reference, device.arch, cache)
 }
 
 impl OnlineExecutor {
@@ -559,8 +680,7 @@ impl OnlineExecutor {
             &self.timeline,
             &mut self.next_event,
             self.clock,
-            &mut testbed.devices,
-            &mut testbed.regional,
+            testbed,
             &mut no_snapshots,
             self.gossip.as_mut(),
             &mut self.trace,
@@ -591,16 +711,8 @@ impl OnlineExecutor {
         wave_idx: usize,
         run: &mut JobRun,
     ) -> Result<(), ExecError> {
-        // The standby strategy space, taken before the split borrows
-        // below (owned Copy handles): the executor must register exactly
-        // the sources the scheduler enumerates, or fault-pricing parity
-        // breaks.
-        let registry_choices: Vec<RegistryChoice> = testbed.registry_choices();
-
-        // Split borrows on both structs: devices and the regional
-        // registry mutably (caches; chaos events delete tags and
-        // garbage-collect), the session's sampled plan immutably while
-        // its clock, trace, and counters advance.
+        // The session's sampled plan is read while its clock, trace and
+        // counters advance.
         let OnlineExecutor {
             ref cfg,
             ref mut jitter,
@@ -613,66 +725,37 @@ impl OnlineExecutor {
             ref mut next_event,
             ref mut gossip,
         } = *self;
-        let Testbed {
-            ref mut devices,
-            ref hub,
-            ref mut regional,
-            ref mirrors,
-            ref params,
-            ref peer_plane,
-            ref fault_model,
-            ref entries,
-            ref topology,
-        } = *testbed;
-
-        // Route parameters for any mesh source (paper registries, peer
-        // sources, mirrors) — `Testbed::source_params` over the split
-        // borrows.
-        let source_params = |choice: RegistryChoice,
-                             device: DeviceId,
-                             slowdown: f64|
-         -> SourceParams {
-            crate::testbed::source_params_for(mirrors, peer_plane, params, choice, device, slowdown)
-        };
 
         // ---- Deployment wave: concurrent contended pulls. --------------
         // Same-wave contention is charged per *contention resource*
         // (`route_key`): a split pull loads every route its bytes
         // actually traverse — registry routes per (source, pulling
-        // device), peer traffic on the serving device's uplink.
-        let mut route_load: HashMap<(RegistryId, usize), usize> = HashMap::new();
+        // device), peer traffic on the serving device's uplink. Fresh
+        // per wave, so peer-holder lanes never outlive their wave.
+        let mut route_load = RouteLoads::new(testbed.devices.len());
         // Peer-cache snapshots, one per target device, taken at the wave
         // barrier: peers advertise what they held when the wave began (a
         // gossip round per barrier), decoupling the snapshot from the
-        // mutable per-pull cache borrows below. Under the per-pair plane
-        // each advertising holder is its own source; the aggregate
-        // oracle folds them into one.
-        // Snapshots are built only for devices this wave actually deploys
-        // to — a fleet wave touching a handful of devices must not pay
-        // O(devices²) digest clones.
-        let mut peer_snapshots: HashMap<usize, Vec<(RegistryId, PeerCacheSource)>> = if cfg
-            .peer_sharing
-        {
-            let mut targets: Vec<usize> =
-                wave.iter().map(|&id| schedule.placement(id).device.0).collect();
-            targets.sort_unstable();
-            targets.dedup();
-            let caches: Vec<&deep_registry::LayerCache> =
-                devices.iter().map(|d| &d.cache).collect();
-            match gossip.as_mut() {
-                // Gossip discovery: advertise-and-spread at the
-                // barrier, then assemble each target's mesh from its
-                // own (bounded, possibly lagging) view.
-                Some(plane) => {
+        // per-pull cache updates below. Snapshots are built only for
+        // devices this wave actually deploys to — a fleet wave touching
+        // a handful of devices must not pay O(devices²) digest clones.
+        let mut peer_snapshots: HashMap<usize, Vec<(RegistryId, PeerCacheSource)>> =
+            if cfg.peer_sharing {
+                let mut targets: Vec<usize> =
+                    wave.iter().map(|&id| schedule.placement(id).device.0).collect();
+                targets.sort_unstable();
+                targets.dedup();
+                let caches: Vec<&LayerCache> = testbed.devices.iter().map(|d| &d.cache).collect();
+                if let Some(plane) = gossip.as_mut() {
                     plane.barrier_round(&caches);
-                    targets.into_iter().map(|j| (j, plane.mesh_view(&caches, j))).collect()
                 }
-                // Omniscient snapshot catalog.
-                None => targets.into_iter().map(|j| (j, peer_plane.snapshot(&caches, j))).collect(),
-            }
-        } else {
-            HashMap::new()
-        };
+                targets
+                    .into_iter()
+                    .map(|j| (j, testbed.peer_plane.view(gossip.as_mut(), &caches, j)))
+                    .collect()
+            } else {
+                HashMap::new()
+            };
         // ---- Scripted chaos: fire every event whose time has come. -----
         // Events fire *after* the gossip round above, so an eviction
         // leaves the wave's snapshots advertising layers the holder no
@@ -682,29 +765,11 @@ impl OnlineExecutor {
             timeline,
             next_event,
             *clock,
-            devices,
-            regional,
+            testbed,
             &mut peer_snapshots,
             gossip.as_mut(),
             trace,
         )?;
-        // Full-registry backend for a strategy handle. Reborrows the
-        // regional registry immutably for the rest of the wave (chaos
-        // events above hold the mutable borrow).
-        let regional: &deep_registry::RegionalRegistry = regional;
-        let backend = |choice: RegistryChoice| -> &dyn Registry {
-            match choice.registry_id().0 {
-                0 => hub,
-                1 => regional,
-                n => mirrors
-                    .iter()
-                    .find(|m| m.choice == choice)
-                    .map(|m| &m.registry as &dyn Registry)
-                    .unwrap_or_else(|| {
-                        panic!("schedule names mesh id r{n}, testbed has no such registry")
-                    }),
-            }
-        };
         // Completion events for the wave, popped in time order from a
         // heap preallocated to the wave width (no realloc churn when a
         // fleet deploys hundreds of microservices per wave).
@@ -713,139 +778,42 @@ impl OnlineExecutor {
             let ms = app.microservice(id);
             let placement = schedule.placement(id);
             let entry =
-                entries.get(&(app.name().to_string(), ms.name.clone())).ok_or_else(|| {
-                    ExecError::UnknownImage {
-                        application: app.name().to_string(),
-                        microservice: ms.name.clone(),
-                    }
+                testbed.entry(app.name(), &ms.name).ok_or_else(|| ExecError::UnknownImage {
+                    application: app.name().to_string(),
+                    microservice: ms.name.clone(),
                 })?;
-            let device = &mut devices[placement.device.0];
-            let primary = placement.registry.registry_id();
-            let registry: &dyn Registry = backend(placement.registry);
-            let reference = match primary.0 {
-                0 => entry.hub_reference(device.arch),
-                _ => entry.regional_reference(device.arch),
-            };
-            // Each mesh source's contention resource is slowed by the
-            // load *it* carries from earlier same-wave pulls: the
-            // download route for registries, the serving device's uplink
-            // for peer sources.
-            // ...and, under a scripted degradation window, by the
-            // window's residual-capacity factor (×1.0 outside windows —
-            // bit-exact identity).
-            let load = |id: RegistryId| {
-                let contention = params.contention_factor(
-                    *route_load.get(&route_key(id, placement.device)).unwrap_or(&0),
-                );
-                match fault_plan {
-                    Some(plan) => contention * plan.slowdown_at(id, *clock),
-                    None => contention,
-                }
-            };
+            let reference =
+                testbed.reference(entry, placement.registry, testbed.device(placement.device).arch);
             let pull_idx = *pull_counter;
             *pull_counter += 1;
-            // Fault wrappers, declared before the mesh that borrows them:
-            // the primary draws its per-pull death from the plan, every
-            // other full registry rides along as a transient-only
-            // survivor (the failover targets the model assumes alive),
-            // and the wave's peer snapshot is wrapped the same way.
-            let primary_faults: Option<PlannedFaults<'_, &dyn Registry>> = fault_plan
-                .as_ref()
-                .map(|plan| PlannedFaults::primary(registry, plan, primary, pull_idx).at(*clock));
-            let standby_faults: Vec<(RegistryChoice, PlannedFaults<'_, &dyn Registry>)> =
-                match fault_plan {
-                    Some(plan) => registry_choices
-                        .iter()
-                        .filter(|&&c| c != placement.registry)
-                        .map(|&c| {
-                            // Clock-gated too: a scripted incident takes
-                            // standby targets down as well.
-                            let wrapped = PlannedFaults::survivor(
-                                backend(c),
-                                plan,
-                                c.registry_id(),
-                                pull_idx,
-                            )
-                            .at(*clock);
-                            (c, wrapped)
-                        })
-                        .collect(),
-                    None => Vec::new(),
-                };
-            let peer_entries: &[(RegistryId, PeerCacheSource)] =
-                if cfg.peer_sharing { &peer_snapshots[&placement.device.0] } else { &[] };
-            // Per-peer fault wrappers: per-holder sources draw their own
-            // per-pull fatal churn (a dead holder fails over alone — the
-            // rest of the peer plane and the registries keep serving)
-            // and their own transient streams; the aggregate oracle's
-            // anonymous source keeps the PR 4 survivor (transient-only)
-            // semantics.
-            let peer_faults: Vec<(RegistryId, PlannedFaults<'_, &PeerCacheSource>)> =
-                match fault_plan {
-                    Some(plan) => peer_entries
-                        .iter()
-                        .map(|(id, src)| {
-                            let wrapped = match peer_holder(*id) {
-                                Some(_) => PlannedFaults::holder(src, plan, *id, pull_idx),
-                                None => PlannedFaults::survivor(src, plan, *id, pull_idx),
-                            };
-                            // Peer-uplink kills are scripted as dark
-                            // windows on the peer's mesh id.
-                            (*id, wrapped.at(*clock))
-                        })
-                        .collect(),
-                    None => Vec::new(),
-                };
-            // The pull's mesh: the placement's registry as primary, the
-            // peer sources when fleet sharing is on, plus (under fault
-            // injection) every other full registry as a standby failover
-            // target — planned only once the primary is dead, so the
-            // fault-free mesh stays byte-identical.
-            let mut mesh = RegistryMesh::new();
-            let primary_params = source_params(placement.registry, placement.device, load(primary));
-            match &primary_faults {
-                Some(wrapped) => mesh.add_registry(primary, wrapped, primary_params),
-                None => mesh.add_registry(primary, registry, primary_params),
-            };
-            if fault_plan.is_some() {
-                for (id, wrapped) in &peer_faults {
-                    let peer_params =
-                        source_params(RegistryChoice::mesh(*id), placement.device, load(*id));
-                    mesh.add_blob_source(*id, wrapped, peer_params);
-                }
-            } else {
-                for (id, src) in peer_entries {
-                    let peer_params =
-                        source_params(RegistryChoice::mesh(*id), placement.device, load(*id));
-                    mesh.add_blob_source(*id, src, peer_params);
-                }
-            }
-            for (choice, wrapped) in &standby_faults {
-                let id = choice.registry_id();
-                mesh.add_standby_blobs(
-                    id,
-                    wrapped,
-                    source_params(*choice, placement.device, load(id)),
-                );
-            }
-            let mut session = PullSession::new(&mesh, primary).extract_bw(device.extract_bw);
-            if fault_plan.is_some() {
-                // Injected transients are retried under the model's
-                // policy; with no injections attached retries change
-                // nothing (first attempts succeed, zero backoff).
-                session = session.with_retry(fault_model.retry);
-            }
             trace.record(*clock, TraceKind::DeploymentStarted, placement.device, &ms.name);
-            let outcome = session.pull(&reference, device.arch, &mut device.cache)?;
+            let peers: &[(RegistryId, PeerCacheSource)] =
+                if cfg.peer_sharing { &peer_snapshots[&placement.device.0] } else { &[] };
+            let faults = fault_plan.as_ref().map(|plan| (plan, pull_idx, *clock));
+            // The pull fills the device's cache while its mesh reads the
+            // rest of the testbed: take the cache out for the pull and put
+            // it back before any error propagates.
+            let mut cache = std::mem::replace(
+                &mut testbed.device_mut(placement.device).cache,
+                LayerCache::new(DataSize::ZERO),
+            );
+            let pulled = pull_through(
+                testbed,
+                placement,
+                &reference,
+                &mut cache,
+                &route_load,
+                peers,
+                faults,
+            );
+            testbed.device_mut(placement.device).cache = cache;
+            let outcome = pulled?;
+            let device = testbed.device(placement.device);
             // Charge each contention resource the bytes it actually
             // served: a split pull no longer over-penalizes its primary
             // route, and peer buckets land on the serving device's
             // uplink rather than the puller's download route.
-            for bucket in &outcome.per_source {
-                if bucket.downloaded >= params.contention_threshold {
-                    *route_load.entry(route_key(bucket.source, placement.device)).or_insert(0) += 1;
-                }
-            }
+            route_load.charge_pull(testbed.params.contention_threshold, &outcome, placement.device);
             let t = jitter.apply(outcome.deployment_time());
             run.td[id.0] = t;
             run.downloaded_mb[id.0] = outcome.downloaded.as_megabytes();
@@ -880,14 +848,15 @@ impl OnlineExecutor {
         for &id in wave {
             let ms = app.microservice(id);
             let placement = schedule.placement(id);
-            let device = &devices[placement.device.0];
+            let device = testbed.device(placement.device);
 
             // Tc: receive every incoming dataflow; co-located producers
             // transfer over loopback (free).
             let mut transfer = Seconds::ZERO;
             for flow in app.incoming(id) {
                 let from_dev = schedule.placement(flow.from).device;
-                let t = topology
+                let t = testbed
+                    .topology
                     .device_transfer_time(from_dev, placement.device, flow.size)
                     .expect("testbed topology covers all devices");
                 transfer += t;
@@ -1105,6 +1074,33 @@ mod tests {
     }
 
     #[test]
+    fn unknown_devices_and_registries_are_rejected_before_any_pull() {
+        let app = apps::text_processing();
+        let last = MicroserviceId(app.len() - 1);
+        let run = |placement: Placement| {
+            let mut tb = Testbed::paper();
+            let mut placements =
+                vec![Placement { registry: RegistryChoice::Hub, device: DEVICE_MEDIUM }; app.len()];
+            placements[last.0] = placement;
+            let result =
+                execute(&mut tb, &app, &Schedule::new(placements), &ExecutorConfig::default());
+            assert!(tb.devices.iter().all(|d| d.cache.is_empty()), "no layer was pulled");
+            result
+        };
+        let off_testbed = run(Placement { registry: RegistryChoice::Hub, device: DeviceId(99) });
+        assert!(
+            matches!(off_testbed, Err(ExecError::UnknownDevice { device: DeviceId(99), .. })),
+            "{off_testbed:?}"
+        );
+        let unknown = RegistryChoice::mesh(RegistryId(7));
+        let no_such_mirror = run(Placement { registry: unknown, device: DEVICE_MEDIUM });
+        assert!(
+            matches!(no_such_mirror, Err(ExecError::UnknownRegistry { registry, .. }) if registry == unknown),
+            "{no_such_mirror:?}"
+        );
+    }
+
+    #[test]
     fn peer_sharing_splits_pulls_across_the_fleet() {
         // The continuum testbed has two amd64 devices (medium, cloud).
         // After the medium device deploys the video app, a cloud
@@ -1169,8 +1165,8 @@ mod tests {
             let mut cache = tb.device(crate::testbed::DEVICE_CLOUD).cache.clone();
             for id in app.ids() {
                 let ms = app.microservice(id);
-                let entry = tb.entry(app.name(), &ms.name).unwrap().clone();
-                let reference = entry.hub_reference(Platform::Arm64);
+                let entry = tb.entry(app.name(), &ms.name).unwrap();
+                let reference = tb.reference(entry, RegistryChoice::Hub, Platform::Arm64);
                 tb.pull_mesh(RegistryChoice::Hub, crate::testbed::DEVICE_CLOUD, 1.0)
                     .session(RegistryChoice::Hub.registry_id())
                     .pull(&reference, Platform::Arm64, &mut cache)

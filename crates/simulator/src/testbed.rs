@@ -25,13 +25,14 @@
 //! device's uplink (see [`route_key`]).
 
 use crate::device::SimDevice;
+use crate::gossip::GossipPlane;
 use crate::schedule::RegistryChoice;
 use deep_dataflow::{Application, Mips};
 use deep_energy::{DevicePowerModel, Watts};
 use deep_netsim::{Bandwidth, DataSize, DeviceId, RegistryId, Seconds, Topology, TopologyBuilder};
 use deep_registry::{
-    CatalogEntry, FaultModel, HubRegistry, LayerCache, PeerCacheSource, Platform, Reference,
-    RegionalRegistry, Registry, RegistryMesh, SourceParams,
+    CatalogEntry, FaultModel, HubRegistry, LayerCache, PeerCacheSource, Platform, PullOutcome,
+    Reference, RegionalRegistry, Registry, RegistryMesh, SourceParams,
 };
 use std::collections::HashMap;
 
@@ -73,8 +74,8 @@ pub fn peer_holder(source: RegistryId) -> Option<DeviceId> {
 }
 
 /// The contention resource a pull's bytes from `source` onto `pulling`
-/// actually occupy — the key of the executor's and estimator's shared
-/// `route_load` map:
+/// actually occupy — the key of the [`RouteLoads`] the executor and the
+/// estimator both charge:
 ///
 /// * registry/mirror sources contend per `(source, pulling device)`
 ///   download route (the PR 3 scheme);
@@ -86,6 +87,75 @@ pub fn route_key(source: RegistryId, pulling: DeviceId) -> (RegistryId, usize) {
     match peer_holder(source) {
         Some(holder) => (source, holder.0),
         None => (source, pulling.0),
+    }
+}
+
+/// Same-wave route contention, one count per contention resource
+/// ([`route_key`]): the one ledger the executor charges as it realises a
+/// wave and the estimator charges as it prices one, so both read the
+/// same integers and price the same floats.
+///
+/// Sharded per source: one dense per-device lane vector per
+/// `RegistryId` (the device slot is the pulling device for registry
+/// sources, the serving holder for peer uplinks), so the fleet-scale
+/// payoff scan reads a load with one shard lookup plus an array index,
+/// no per-candidate key hashing.
+///
+/// Lanes are created on first charge and *zeroed, not dropped* by
+/// [`RouteLoads::clear`] (which walks the charged keys only), so an
+/// estimator reusing one ledger across barriers allocates nothing in
+/// steady state.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RouteLoads {
+    /// Per-source lane vectors, `lane[device_slot] = same-wave load`.
+    shards: HashMap<RegistryId, Vec<usize>>,
+    /// Keys charged since the last clear (0→1 transitions only), for
+    /// O(charged) barrier resets without deallocating lanes.
+    touched: Vec<(RegistryId, usize)>,
+    /// Lane length: one slot per testbed device.
+    slots: usize,
+}
+
+impl RouteLoads {
+    /// Empty load state for a testbed with `slots` devices.
+    pub fn new(slots: usize) -> Self {
+        RouteLoads { shards: HashMap::new(), touched: Vec::new(), slots }
+    }
+
+    /// The download slowdown a pull onto `pulling` sees from `source`:
+    /// [`TestbedParams::contention_factor`] of the load on the source's
+    /// contention resource (0 when never charged).
+    pub fn contention(&self, params: &TestbedParams, source: RegistryId, pulling: DeviceId) -> f64 {
+        let (shard, slot) = route_key(source, pulling);
+        debug_assert!(slot < self.slots, "device slot out of range");
+        params.contention_factor(self.shards.get(&shard).map_or(0, |lane| lane[slot]))
+    }
+
+    /// Charge a realised pull onto `pulling`: every source that served at
+    /// least `threshold` bytes loads its own contention resource —
+    /// registry buckets their download route, peer buckets the serving
+    /// device's uplink — not once the pull's primary.
+    pub fn charge_pull(&mut self, threshold: DataSize, outcome: &PullOutcome, pulling: DeviceId) {
+        for bucket in &outcome.per_source {
+            if bucket.downloaded >= threshold {
+                let key = route_key(bucket.source, pulling);
+                debug_assert!(key.1 < self.slots, "device slot out of range");
+                let lane = self.shards.entry(key.0).or_insert_with(|| vec![0; self.slots]);
+                if lane[key.1] == 0 {
+                    self.touched.push(key);
+                }
+                lane[key.1] += 1;
+            }
+        }
+    }
+
+    /// Wave barrier: zero every charged slot, keeping the lanes.
+    pub fn clear(&mut self) {
+        for (source, slot) in self.touched.drain(..) {
+            if let Some(lane) = self.shards.get_mut(&source) {
+                lane[slot] = 0;
+            }
+        }
     }
 }
 
@@ -302,6 +372,22 @@ impl PeerPlane {
         }
     }
 
+    /// The peer sources `target`'s pulls see this wave: its own bounded,
+    /// possibly lagging view under gossip discovery, the omniscient
+    /// [`PeerPlane::snapshot`] otherwise. The executor calls this on the
+    /// real caches, the estimator on its estimated ones.
+    pub fn view(
+        &self,
+        gossip: Option<&mut GossipPlane>,
+        caches: &[&LayerCache],
+        target: usize,
+    ) -> Vec<(RegistryId, PeerCacheSource)> {
+        match gossip {
+            Some(plane) => plane.mesh_view(caches, target),
+            None => self.snapshot(caches, target),
+        }
+    }
+
     /// The peer sources a wave barrier advertises to `target`, from the
     /// per-device layer caches (index = device id): the aggregate plane
     /// folds every other device into one [`REGISTRY_PEER`] source; the
@@ -361,33 +447,6 @@ impl RegionalMirror {
             download_bw: self.download_bw,
             overhead: self.overhead,
         }
-    }
-}
-
-/// Route parameters for any mesh source, over split borrows: the executor
-/// destructures the testbed (devices mutably, the rest shared), so this
-/// logic lives where both it and [`Testbed::source_params`] can call it —
-/// the estimator/executor bit-for-bit parity contract depends on there
-/// being exactly one copy.
-pub(crate) fn source_params_for(
-    mirrors: &[RegionalMirror],
-    peer_plane: &PeerPlane,
-    params: &TestbedParams,
-    choice: RegistryChoice,
-    device: DeviceId,
-    slowdown: f64,
-) -> SourceParams {
-    if let Some(holder) = peer_holder(choice.registry_id()) {
-        return SourceParams {
-            download_bw: peer_plane.bandwidth(params, holder, device).scale(1.0 / slowdown),
-            overhead: peer_plane.holder_overhead(params, holder),
-        };
-    }
-    match mirrors.iter().find(|m| m.choice == choice) {
-        Some(m) => {
-            SourceParams { download_bw: m.download_bw.scale(1.0 / slowdown), overhead: m.overhead }
-        }
-        None => params.source_params(choice, device, slowdown),
     }
 }
 
@@ -743,7 +802,19 @@ impl Testbed {
         device: DeviceId,
         slowdown: f64,
     ) -> SourceParams {
-        source_params_for(&self.mirrors, &self.peer_plane, &self.params, choice, device, slowdown)
+        if let Some(holder) = peer_holder(choice.registry_id()) {
+            return SourceParams {
+                download_bw: self.peer_bandwidth(holder, device).scale(1.0 / slowdown),
+                overhead: self.peer_plane.holder_overhead(&self.params, holder),
+            };
+        }
+        match self.mirror(choice) {
+            Some(m) => SourceParams {
+                download_bw: m.download_bw.scale(1.0 / slowdown),
+                overhead: m.overhead,
+            },
+            None => self.params.source_params(choice, device, slowdown),
+        }
     }
 
     /// The serving bandwidth of one `(serving, pulling)` peer pair.

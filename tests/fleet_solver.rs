@@ -9,14 +9,23 @@
 //! 1. **Executed as priced** — on the paper case studies over the
 //!    calibrated testbed, the continuum and a mirrored mesh, the
 //!    executed `RunReport` measures exactly the `(Td, Tc, Tp, EC)` the
-//!    scheduler's estimator priced for the schedule it chose.
+//!    scheduler's estimator priced for the schedule it chose; on
+//!    generated fleets, apps, discovery modes, pricings and random
+//!    schedules, it measures exactly what the estimator priced for them.
 //! 2. **Fleet equilibria** — on seeded synthetic fleets the solver lands
 //!    on a verified pure Nash equilibrium (exhaustive and sampled
 //!    deviation checks).
 
-use deep::core::{calibration, continuum, DeepScheduler, EstimationContext, Scheduler};
-use deep::dataflow::{apps, stages, DagGenerator};
-use deep::simulator::{execute, ExecutorConfig, Testbed};
+use deep::core::{
+    calibration, continuum, DeepScheduler, EstimationContext, ScenarioPricing, Scheduler,
+};
+use deep::dataflow::{apps, stages, Application, DagGenerator};
+use deep::netsim::Seconds;
+use deep::simulator::{
+    execute, plan_waves, validate_schedule, ExecutorConfig, OnlineExecutor, PeerDiscovery,
+    Placement, Schedule, Testbed,
+};
+use proptest::prelude::*;
 
 fn assert_executed_as_priced(name: &str, build: &dyn Fn() -> Testbed) {
     let tb = build();
@@ -64,6 +73,143 @@ fn mirrored_mesh_schedules_execute_exactly_as_priced() {
         tb.add_regional_mirror(Bandwidth::megabytes_per_sec(11.0), Seconds::new(6.0));
         tb
     });
+}
+
+/// A splitmix64 stream: every choice of one generated case comes from
+/// its seed.
+struct Draws(u64);
+
+impl Draws {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n`.
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// A random schedule of `app` on `tb`: every member on a random
+/// admissible device, pulling from a random full registry. `None` when
+/// some member fits no device.
+fn random_schedule(app: &Application, tb: &Testbed, draws: &mut Draws) -> Option<Schedule> {
+    let registries = tb.registry_choices();
+    app.ids()
+        .map(|id| {
+            let req = &app.microservice(id).requirements;
+            let devices: Vec<_> =
+                tb.devices.iter().filter(|d| d.admits(req)).map(|d| d.id).collect();
+            (!devices.is_empty()).then(|| Placement {
+                registry: registries[draws.below(registries.len())],
+                device: devices[draws.below(devices.len())],
+            })
+        })
+        .collect::<Option<Vec<_>>>()
+        .map(Schedule::new)
+}
+
+/// One generated case of the differential parity fuzz: a seeded fleet
+/// warmed by a random prior run, a random peer-sharing and discovery
+/// setup, one of the three pricings under the zero fault model (with or
+/// without fault injection), an online start clock and pull number
+/// (under the zero model neither may move a price), and a random
+/// schedule. The estimator walks the schedule, the online executor runs
+/// it, and every member's `(Td, Tc, Tp, EC)` must agree bit for bit.
+fn assert_generated_case_executes_as_priced(seed: u64) {
+    let mut draws = Draws(seed);
+    let mut tb =
+        continuum::synthetic_fleet_testbed(2 + draws.below(23), 2 + draws.below(3), draws.next());
+    // Generated apps pull single-layer images; a case study one time in
+    // eight brings multi-layer images, and with them split pulls.
+    let gen = DagGenerator::default();
+    let app = match draws.below(8) {
+        0 => apps::case_studies().swap_remove(draws.below(2)),
+        _ => gen.generate(draws.next()),
+    };
+    let prior_app = if draws.below(4) == 0 { gen.generate(draws.next()) } else { app.clone() };
+    tb.publish_application(&app);
+    tb.publish_application(&prior_app);
+    let peer_discovery = match draws.below(2) {
+        0 => PeerDiscovery::Snapshot,
+        _ => PeerDiscovery::Gossip {
+            fanout: 1 + draws.below(8) as u32,
+            view_size: 1 + draws.below(8) as u32,
+            rounds_per_wave: 1 + draws.below(3) as u32,
+        },
+    };
+    let cfg = ExecutorConfig {
+        seed: draws.next(),
+        peer_sharing: draws.below(2) == 1,
+        peer_discovery,
+        fault_injection: draws.below(2) == 1,
+        fault_seed: draws.next(),
+        ..ExecutorConfig::default()
+    };
+    let at = format!("seed {seed}: {} devices, {cfg:?}", tb.devices.len());
+    if let Some(prior) = random_schedule(&prior_app, &tb, &mut draws) {
+        execute(&mut tb, &prior_app, &prior, &cfg).expect("the warm-up run executes");
+    }
+    let Some(schedule) = random_schedule(&app, &tb, &mut draws) else { return };
+    let pricing = draws.below(3);
+    let clock = Seconds::new(draws.below(10_000) as f64 * 0.25);
+    let pull = draws.next() % 1_000;
+
+    let mut predictions = Vec::new();
+    {
+        let mut ctx = EstimationContext::new(&tb, &app)
+            .peer_sharing(cfg.peer_sharing)
+            .peer_discovery(cfg.peer_discovery, cfg.seed)
+            .price_faults(pricing == 1)
+            .scenario_pricing(
+                (pricing == 2).then_some(ScenarioPricing { draws: 8, seed: cfg.fault_seed }),
+            )
+            .at_clock(clock)
+            .starting_pull(pull);
+        for stage in stages(&app) {
+            ctx.begin_wave();
+            for &id in &stage.members {
+                let p = schedule.placement(id);
+                predictions.push(ctx.estimate(id, p.registry, p.device));
+                ctx.commit(id, p);
+            }
+        }
+    }
+
+    validate_schedule(&tb, &app, &schedule).expect("random schedules are admissible");
+    let mut exec = OnlineExecutor::new(&tb, &cfg, &[]);
+    exec.advance_to(clock);
+    let mut run = exec.begin_job(&app);
+    for (wave_idx, wave) in plan_waves(&app, cfg.staged_deployment).iter().enumerate() {
+        exec.run_wave(&mut tb, &app, &schedule, wave, wave_idx, &mut run)
+            .expect("the run executes");
+    }
+    let report = run.into_report(&app, &schedule, exec.clock());
+    assert_eq!(predictions.len(), report.microservices.len(), "{at}");
+    let bits = |t: Seconds| t.as_f64().to_bits();
+    for (est, measured) in predictions.iter().zip(&report.microservices) {
+        let at = format!("{at}, pricing {pricing}: {}", measured.name);
+        assert_eq!(bits(est.td), bits(measured.td), "{at}: td {} vs {}", est.td, measured.td);
+        assert_eq!(bits(est.tc), bits(measured.tc), "{at}: tc");
+        assert_eq!(bits(est.tp), bits(measured.tp), "{at}: tp");
+        assert_eq!(est.ec.as_f64().to_bits(), measured.energy.as_f64().to_bits(), "{at}: ec");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Differential parity fuzz: generated fleets (2–24 devices, 2–4
+    /// registries), apps, warm caches, peer planes, discovery modes,
+    /// pricings and online starts execute exactly as priced.
+    #[test]
+    fn generated_meshes_execute_exactly_as_priced(seed in any::<u64>()) {
+        assert_generated_case_executes_as_priced(seed);
+    }
 }
 
 #[test]
