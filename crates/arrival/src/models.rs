@@ -8,23 +8,15 @@
 //! replications, and independent of the per-replication fault seed
 //! stream `seed + r`.
 
-use deep_netsim::Seconds;
+use deep_netsim::{splitmix64, Seconds};
 use deep_scenario::{ArrivalModel, Scenario};
 
-/// splitmix64 (Steele et al.): the workspace's seed-stream generator.
-/// `deep-registry` keeps its copy private, so the arrival plane carries
-/// its own — the constants are the published ones, bit-for-bit.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut x = *state;
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// A uniform draw in `[0, 1)` from the top 53 bits.
+/// A uniform draw in `[0, 1)` from the top 53 bits of the next step of
+/// the splitmix64 stream at `state`.
 fn unit(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
+    let out = splitmix64(*state);
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    (out >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// One deployment request on the executor clock.

@@ -3,7 +3,7 @@
 //!
 //! Groups:
 //! * `nash_mesh_strategy_space` — DEEP over 0–3 regional mirrors (the
-//!   |R|×|D| stage game + joint refinement as the strategy space grows);
+//!   |R|×|D| stage games as the strategy space grows);
 //! * `nash_mesh_peer` — the peer-aware scheduler on the warm continuum
 //!   fleet (payoffs price split pulls) vs the peer-blind paper scheduler;
 //! * `nash_mesh_equilibrium_check` — verifying a schedule is a pure Nash

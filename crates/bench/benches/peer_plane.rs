@@ -1,17 +1,14 @@
 //! Peer-plane cost: per-pair per-holder selection and upload-contention
 //! pricing vs the scalar aggregate baseline.
 //!
-//! Three altitudes:
+//! Two altitudes:
 //!
 //! * `estimate/*` — one pull session planned against an N-holder mesh
 //!   (per-layer cheapest-source scans grow with the holder count) vs
 //!   the single aggregated source;
 //! * `schedule/*` — the peer-aware Nash scheduler on a warm continuum
 //!   fleet under each plane representation (payoffs price per-holder
-//!   links and uplink loads vs the anonymous scalar route);
-//! * `warm_start/*` — the joint refinement (Rosenthal potential warm
-//!   start, then best-response passes) against the sequential stage
-//!   games alone.
+//!   links and uplink loads vs the anonymous scalar route).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use deep_core::{continuum_testbed, DeepScheduler, Scheduler};
@@ -122,16 +119,5 @@ fn bench_schedule(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_warm_start(c: &mut Criterion) {
-    let app = apps::video_processing();
-    let tb = warm_fleet(false);
-    let mut group = c.benchmark_group("peer_plane_warm_start");
-    for (label, refine) in [("with_potential", true), ("without", false)] {
-        let scheduler = DeepScheduler { peer_sharing: true, refine, ..DeepScheduler::default() };
-        group.bench_function(label, |b| b.iter(|| black_box(scheduler.schedule(&app, &tb))));
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_estimate, bench_schedule, bench_warm_start);
+criterion_group!(benches, bench_estimate, bench_schedule);
 criterion_main!(benches);

@@ -1,6 +1,6 @@
-//! Scheduler performance and ablations (DESIGN.md ablations 1 and 3):
-//! DEEP with/without joint refinement vs the baselines, on the case
-//! studies and on generated applications.
+//! Scheduler performance and the decoupled ablation (DESIGN.md ablation
+//! 1): DEEP vs the baselines on the case studies, and DEEP's cost on
+//! growing generated applications.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use deep_core::{
@@ -17,9 +17,6 @@ fn bench_case_studies(c: &mut Criterion) {
     for (name, app) in [("video", &video), ("text", &text)] {
         group.bench_with_input(BenchmarkId::new("deep", name), app, |b, app| {
             b.iter(|| black_box(DeepScheduler::paper().schedule(app, &tb)))
-        });
-        group.bench_with_input(BenchmarkId::new("deep_no_refine", name), app, |b, app| {
-            b.iter(|| black_box(DeepScheduler::without_refinement().schedule(app, &tb)))
         });
         group.bench_with_input(BenchmarkId::new("exclusive_hub", name), app, |b, app| {
             b.iter(|| black_box(ExclusiveRegistry::hub().schedule(app, &tb)))
@@ -46,7 +43,7 @@ fn bench_scaling(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{}ms", app.len())),
             &app,
-            |b, app| b.iter(|| black_box(DeepScheduler::without_refinement().schedule(app, &tb))),
+            |b, app| b.iter(|| black_box(DeepScheduler::paper().schedule(app, &tb))),
         );
     }
     group.finish();

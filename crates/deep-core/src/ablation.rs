@@ -8,11 +8,9 @@
 //! 2. **Cache-aware vs. cache-blind payoffs** — DEEP on the real testbed
 //!    vs. DEEP whose estimates see empty caches only (layer dedup off in
 //!    the *scheduler*, still on in reality).
-//! 3. **Refinement on/off** — the sequential stage games alone vs. with
-//!    the joint best-response pass.
-//! 4. **Staged vs. upfront deployment** — executor pulls per stage wave
+//! 3. **Staged vs. upfront deployment** — executor pulls per stage wave
 //!    (paper) vs. everything at t = 0.
-//! 5. **Contention coefficient sweep** — how sensitive the schedule and
+//! 4. **Contention coefficient sweep** — how sensitive the schedule and
 //!    the energy gap are to the route-contention model.
 
 use crate::baselines::GreedyDecoupled;
@@ -80,16 +78,7 @@ pub fn run_all(cfg: &ExecutorConfig) -> Vec<AblationRow> {
             variant_j: run_energy(calibrated_testbed, &app, &blind_schedule, cfg),
         });
 
-        // 3. Refinement off.
-        let seq = DeepScheduler::without_refinement().schedule(&app, &tb);
-        rows.push(AblationRow {
-            ablation: "no-joint-refinement".into(),
-            application: app.name().into(),
-            baseline_j: deep_energy,
-            variant_j: run_energy(calibrated_testbed, &app, &seq, cfg),
-        });
-
-        // 4. Upfront (unstaged) deployment of the DEEP schedule.
+        // 3. Upfront (unstaged) deployment of the DEEP schedule.
         let unstaged_cfg = ExecutorConfig { staged_deployment: false, ..*cfg };
         rows.push(AblationRow {
             ablation: "unstaged-deployment".into(),
@@ -98,7 +87,7 @@ pub fn run_all(cfg: &ExecutorConfig) -> Vec<AblationRow> {
             variant_j: run_energy(calibrated_testbed, &app, &deep_schedule, &unstaged_cfg),
         });
 
-        // 5. Contention sweep: schedule under 0× and 5× the calibrated
+        // 4. Contention sweep: schedule under 0× and 5× the calibrated
         // coefficient, execute on the calibrated testbed.
         for (label, alpha) in [("contention-off", 0.0), ("contention-5x", 0.5)] {
             let alt_tb = {
@@ -179,7 +168,6 @@ mod tests {
         for ablation in [
             "decoupled-greedy",
             "cache-blind-payoffs",
-            "no-joint-refinement",
             "unstaged-deployment",
             "contention-off",
             "contention-5x",

@@ -4,8 +4,8 @@
 //!
 //! The continuum testbed adds a cloud server to the paper's two edge
 //! devices. Nothing in DEEP's formulation changes: the per-microservice
-//! stage game simply gains a third column, and the joint refinement runs
-//! over the enlarged strategy space. Two physical realities shape the
+//! stage game simply gains a third column, and the joint equilibrium
+//! ranges over the enlarged strategy space. Two physical realities shape the
 //! outcome:
 //!
 //! * the cloud is faster and (per instruction) cheaper, but every

@@ -44,9 +44,9 @@
 //!   byte (`tests/gossip_discovery.rs`).
 //! * **Explicit Rosenthal form** — [`nash::WaveRouteGame`] derives each
 //!   wave's `deep_game::CongestionGame` from actual split-pull plans
-//!   (player-specific subsets over routes + uplinks) and the joint
-//!   refinement warm-starts from its potential-descending equilibrium
-//!   whenever that strictly improves the exact cost.
+//!   (player-specific subsets over routes + uplinks), which
+//!   [`DeepScheduler::incremental_repair`] descends from an incumbent
+//!   schedule.
 //! * **Failover-aware payoffs** — with [`DeepScheduler::fault_aware`]
 //!   the payoffs price *expected* deployment time under the testbed's
 //!   [`deep_registry::FaultModel`]:
@@ -57,7 +57,7 @@
 //!   transient channel and `detection` the exhausted retry budget burnt
 //!   declaring a source dead. Expected costs are still per-resource load
 //!   functions, so the Rosenthal potential argument — and hence the
-//!   joint refinement's convergence — carries over unchanged
+//!   repair's convergence — carries over unchanged
 //!   (`tests/game_theory_validation.rs`). With probabilities at zero the
 //!   payoffs, schedules and RunReports are byte-identical to the
 //!   happy-path stack; under a lossy regional the equilibrium reroutes
@@ -76,11 +76,13 @@
 //!   over a reusable workspace (the last minimal-energy cell,
 //!   registry-major: the equilibrium the paper's support enumeration
 //!   selects in a common-interest game, checked member by member by
-//!   `nash.rs`'s oracle test), with energy-floor pruning of the grid,
-//!   sole-source wave-game plans, prefix-context incremental refinement
-//!   and `deep-game`'s sparse potential descent for the wave warm starts
-//!   and repairs. The same path runs on
-//!   the paper's two-device testbed and on
+//!   `nash.rs`'s oracle test), with energy-floor pruning of the grid.
+//!   The sequential stage games' profile is the schedule: every member
+//!   plays the minimum of its grid in the state its own walk reaches, so
+//!   the profile is an exact pure Nash equilibrium of the joint game.
+//!   Incremental repairs run `deep-game`'s sparse potential descent on
+//!   the wave games, built from sole-source plans where they can be.
+//!   The same path runs on the paper's two-device testbed and on
 //!   [`continuum::synthetic_fleet_testbed`]'s 10³ seeded-heterogeneous
 //!   devices (`examples/fleet_scale.rs`, PERF.md).
 //!
@@ -94,9 +96,9 @@
 //!   caches, per-source route loads and per-wave peer snapshots.
 //! * **Scheduling (Nash game)** → [`nash`]: per-microservice |R|×|D|
 //!   common-interest stage games solved by a payoff scan (the pure
-//!   equilibrium support enumeration would select), refined into a joint
-//!   pure Nash equilibrium of the n-player deployment congestion game
-//!   over the mesh by `deep-game`'s sparse potential descent.
+//!   equilibrium support enumeration would select); played in barrier
+//!   order, their picks form a pure Nash equilibrium of the n-player
+//!   deployment congestion game over the mesh.
 //! * **Dataflow processing / Monitoring** → `deep-simulator`'s executor
 //!   and trace, driven by [`experiment`].
 //!

@@ -12,18 +12,18 @@
 //!    global payoff maximum is always a pure Nash equilibrium, and DEEP
 //!    plays that energy-minimal one: the cell the paper's Nashpy support
 //!    enumeration selects, found by one scan of the payoff grid.
-//! 2. **Joint refinement** — the per-stage choices induce an n-player
-//!    congestion game (same-wave pulls share registry→device routes, and
-//!    sibling images share layers). Best-response dynamics over the full
-//!    profile — a potential game, so it terminates — polish the sequential
-//!    solution into a pure Nash equilibrium of the joint deployment game.
-//!    This is where the prisoner's-dilemma structure bites: two
-//!    microservices that would individually pick the same route are pushed
-//!    to split across registries. A refinement pass over the unchanged
-//!    sequential profile re-prices each member's grid in exactly the state
-//!    its stage game priced, where every pick is already the grid
-//!    minimum, so the passes run only when the congestion warm start
-//!    moved the profile.
+//! 2. **The joint deployment game** — the per-stage choices form an
+//!    n-player game (same-wave pulls share registry→device routes, and
+//!    sibling images share layers). A member's payoff depends only on
+//!    the placements committed strictly before it in the barrier walk:
+//!    its own wave's earlier members load this wave's routes, and earlier
+//!    waves shape the caches, peer snapshots and clock. Its stage game
+//!    takes the minimum of its own grid in exactly that state, so no
+//!    member gains by deviating alone and the sequential profile is a
+//!    pure Nash equilibrium of the joint game by construction. This is
+//!    where the prisoner's-dilemma structure bites: a microservice whose
+//!    best route an earlier same-wave member already loads is priced the
+//!    contention and may split to another registry.
 //!
 //! Both layers run over the *whole mesh*: the registry side of every
 //! strategy ranges over [`Testbed::registry_choices`] (the paper pair plus
@@ -34,14 +34,13 @@
 //! payoffs price the per-holder peer split pulls a `peer_sharing`
 //! executor will realise. The congestion structure is carried
 //! explicitly: [`WaveRouteGame`] derives each wave's Rosenthal form
-//! (player-specific resource subsets read off actual split-pull plans)
-//! and the refinement warm-starts from its potential-descending
-//! equilibrium whenever that strictly improves the exact cost. On the
-//! paper's two-registry testbed all of this reduces to the seed
-//! hub-vs-regional game exactly (regression-tested in
+//! (player-specific resource subsets read off actual split-pull plans),
+//! which [`DeepScheduler::incremental_repair`] descends from an incumbent
+//! schedule. On the paper's two-registry testbed all of this reduces to
+//! the seed hub-vs-regional game exactly (regression-tested in
 //! `tests/mesh_equilibria.rs`).
 //!
-//! ## The solve path
+//! ## The solve and repair paths
 //!
 //! * **Stage games** — each game plays the *last* minimal-energy cell
 //!   of its registry × device grid in registry-major order. That rule is
@@ -68,19 +67,16 @@
 //!   missing). Only the other cells, those a peer could serve, run the
 //!   session (`EstimationContext::plan_buckets`, pinned to
 //!   [`EstimationContext::plan`] by a property test).
-//! * **Congestion warm start and repair** —
-//!   [`CongestionGame::sparse_descent`]: incremental ΔΦ over
-//!   per-resource load counters, touching only the deviator's resource
-//!   subset per candidate. The repair runs it one pass at a time to
-//!   count and budget its deviations.
+//! * **Repair** — [`CongestionGame::sparse_descent`]: incremental ΔΦ
+//!   over per-resource load counters, touching only the deviator's
+//!   resource subset per candidate, run one pass at a time to count and
+//!   budget the repair's deviations.
 //!
-//! The joint refinement and equilibrium checks evaluate unilateral
-//! deviations *incrementally*: a member's payoff depends only on
-//! placements committed strictly before it in the barrier walk, so one
-//! prefix replay per member prices every candidate directly —
-//! float-identical to the seed's full-profile replays at 1/n-th the
-//! walks (the equilibrium checks, whose profile never moves, price
-//! every member in one walk). The deviation scans skip every candidate
+//! The equilibrium checks evaluate unilateral deviations
+//! *incrementally*: since a member's payoff depends only on the
+//! placements committed strictly before it, one walk of the profile
+//! prices every member's candidates directly, float-identical to the
+//! seed's full-profile replays. The deviation scans skip every candidate
 //! whose energy floor is already within the improvement margin of the
 //! cost to beat. Each call opens one estimation context —
 //! construction plus the first barrier, whose gossip round dominates at
@@ -93,7 +89,7 @@ use crate::model::{EstimationContext, ScenarioPricing};
 use crate::Scheduler;
 use deep_dataflow::{stages, Application, MicroserviceId};
 use deep_game::{CongestionGame, DescentWorkspace};
-use deep_netsim::{DeviceId, RegistryId, Seconds};
+use deep_netsim::{splitmix64, DeviceId, RegistryId, Seconds};
 use deep_simulator::{route_key, PeerDiscovery, Placement, RegistryChoice, Schedule, Testbed};
 
 /// One deployment wave of the joint game in explicit Rosenthal form,
@@ -115,8 +111,8 @@ use deep_simulator::{route_key, PeerDiscovery, Placement, RegistryChoice, Schedu
 pub struct WaveRouteGame {
     /// The wave's players, in commit order.
     pub members: Vec<MicroserviceId>,
-    /// Strategy space per player (registry-major, matching the
-    /// refinement's deviation scan).
+    /// Strategy space per player, registry-major: the order the stage
+    /// games break ties in.
     pub strategies: Vec<Vec<Placement>>,
     /// Resource index → contention key.
     pub resources: Vec<(RegistryId, usize)>,
@@ -247,11 +243,10 @@ pub struct RepairOutcome {
 
 /// Reused buffers for the hot solve loop: per-member admissible-device
 /// lists, the flat per-cell energy floors, the stage scan's pricing
-/// order, the flat payoff grid and the sparse-descent counters. One
-/// workspace serves a whole [`Scheduler::schedule`] call across members,
-/// waves and refinement rounds; steady state allocates nothing (asserted
-/// in this module's tests via capacity/pointer stability, the gf256
-/// idiom).
+/// order and the flat payoff grid. One workspace serves a whole
+/// [`Scheduler::schedule`] call across members and waves; steady state
+/// allocates nothing (asserted in this module's tests via
+/// capacity/pointer stability, the gf256 idiom).
 #[derive(Debug, Default)]
 struct FleetWorkspace {
     /// Admissible devices of the member being solved.
@@ -265,50 +260,22 @@ struct FleetWorkspace {
     /// Flat payoff/cost grid, device-major: `payoffs[d * R + r]`; `+∞`
     /// at cells the stage scan pruned.
     payoffs: Vec<f64>,
-    /// Load counters + dirty queue for the sparse potential descent.
-    descent: DescentWorkspace,
-    /// Cells priced with an exact estimate, stage and refinement scans.
+    /// Cells the stage scans priced with an exact estimate.
     exact_cells: usize,
     /// Grid cells the stage scans faced.
     grid_cells: usize,
 }
 
 /// The energy margin a deviation must beat to count as an improvement,
-/// in the refinement, the equilibrium checks and the exact-cost guards.
+/// in the equilibrium checks and the repair's exact-cost guard.
 const MARGIN: f64 = 1e-9;
-
-/// One stage game's pick: the minimal-energy cell of the member's grid.
-struct StagePick {
-    placement: Placement,
-    /// The member's estimated energy at the pick.
-    cost: f64,
-}
-
-/// The sequential stage games' profile with the costs they computed.
-/// Every pick is a best response on its own grid.
-struct Sequential {
-    profile: Vec<Placement>,
-    /// Each member's estimated energy under `profile`, by id — exactly
-    /// what [`DeepScheduler::profile_costs`] would return, since each
-    /// stage game priced its member in the profile's own walk.
-    costs: Vec<f64>,
-}
 
 /// The DEEP scheduler.
 #[derive(Debug, Clone)]
 pub struct DeepScheduler {
-    /// Run the joint refinement after the sequential stage games
-    /// (ablation toggle; `true` is the paper's method). It first tries
-    /// the potential-guided warm start: each wave's [`WaveRouteGame`]
-    /// is driven to its own pure equilibrium, and the resulting profile
-    /// replaces the sequential one *iff* it strictly improves the exact
-    /// total cost. When the jump doesn't pay (the common case: the
-    /// stage games already sit at a congestion equilibrium) the
-    /// sequential profile stands and no pass runs, since every stage
-    /// pick is a best response on its grid.
-    pub refine: bool,
-    /// Cap on refinement passes (each pass lets every microservice revise
-    /// once; congestion games converge long before this).
+    /// Cap on the incremental repair's best-response passes per wave
+    /// (each pass lets every wave member revise once; congestion games
+    /// converge long before this).
     pub max_refine_passes: usize,
     /// Price peer-cache split pulls in the payoffs — set this iff the
     /// executor will run with
@@ -318,10 +285,10 @@ pub struct DeepScheduler {
     /// Price expected deployment time under the testbed's fault model:
     /// every payoff folds failure probability × failover re-plan cost
     /// (surviving-source re-fetch + expected retry backoff) into `Td`,
-    /// so the stage games and the joint refinement optimise `E[Td]`
-    /// instead of best-case `Td`. Pair with a `fault_injection`
-    /// executor; with a zero fault model the payoffs — and therefore
-    /// the schedules — are byte-identical to the happy-path ones.
+    /// so the stage games optimise `E[Td]` instead of best-case `Td`.
+    /// Pair with a `fault_injection` executor; with a zero fault model
+    /// the payoffs — and therefore the schedules — are byte-identical to
+    /// the happy-path ones.
     pub price_faults: bool,
     /// Price scripted scenarios: payoffs become the Monte-Carlo `E[Td]`
     /// of [`ScenarioPricing`] — death frequency drawn over the
@@ -361,7 +328,6 @@ pub struct DeepScheduler {
 impl Default for DeepScheduler {
     fn default() -> Self {
         DeepScheduler {
-            refine: true,
             max_refine_passes: 32,
             peer_sharing: false,
             price_faults: false,
@@ -378,11 +344,6 @@ impl DeepScheduler {
     /// The paper's configuration.
     pub fn paper() -> Self {
         Self::default()
-    }
-
-    /// Sequential-only variant (no joint refinement) for ablations.
-    pub fn without_refinement() -> Self {
-        DeepScheduler { refine: false, ..Self::default() }
     }
 
     /// Peer-aware variant: payoffs price split pulls through the fleet's
@@ -436,33 +397,33 @@ impl DeepScheduler {
     }
 
     /// Play the per-microservice stage games in barrier order on a clone
-    /// of `opened`.
+    /// of `opened`. Every pick is the minimum of its member's grid in the
+    /// state the profile's own walk reaches, so the profile is a pure
+    /// Nash equilibrium of the joint game.
     fn sequential_assignment(
         opened: &EstimationContext<'_>,
         app: &Application,
         ws: &mut FleetWorkspace,
-    ) -> Sequential {
+    ) -> Vec<Placement> {
         let mut ctx = opened.clone();
         let mut placements: Vec<Option<Placement>> = vec![None; app.len()];
-        let mut costs = vec![0.0; app.len()];
         for (w, stage) in stages(app).iter().enumerate() {
             if w > 0 {
                 ctx.begin_wave();
             }
             for &id in &stage.members {
-                let pick = Self::stage_game(&ctx, id, ws);
-                ctx.commit(id, pick.placement);
-                placements[id.0] = Some(pick.placement);
-                costs[id.0] = pick.cost;
+                let (placement, _) = Self::stage_game(&ctx, id, ws);
+                ctx.commit(id, placement);
+                placements[id.0] = Some(placement);
             }
         }
-        let profile = placements.into_iter().map(|p| p.expect("all stages visited")).collect();
-        Sequential { profile, costs }
+        placements.into_iter().map(|p| p.expect("all stages visited")).collect()
     }
 
     /// Solve one microservice's |R|×|D| common-interest game over every
     /// mesh registry × admissible device and play its *last*
-    /// minimal-energy cell in registry-major order.
+    /// minimal-energy cell in registry-major order. Returns the pick with
+    /// the member's estimated energy there.
     ///
     /// In a common-interest game the global payoff maximum is always a
     /// pure Nash equilibrium, so the scanned cell is an equilibrium of
@@ -486,7 +447,7 @@ impl DeepScheduler {
         ctx: &EstimationContext<'_>,
         id: MicroserviceId,
         ws: &mut FleetWorkspace,
-    ) -> StagePick {
+    ) -> (Placement, f64) {
         let registries = ctx.registry_choices();
         Self::fill_floors(ctx, id, &registries, ws);
         assert!(
@@ -532,44 +493,7 @@ impl DeepScheduler {
                 }
             }
         }
-        StagePick {
-            placement: Placement { registry: registries[best.1], device: devices[best.2] },
-            cost: best.0,
-        }
-    }
-
-    /// Replay `profile`'s barrier walk up to (but not including)
-    /// `target`'s commit and return the context frozen there.
-    ///
-    /// This is the incremental-deviation keystone: a member's payoff
-    /// depends only on the placements committed *strictly before* it in
-    /// the walk (its own wave's earlier members load this wave's
-    /// routes; earlier waves shape the caches, peer snapshots and
-    /// clock), and its own deviation never changes that prefix. So
-    /// `profile_costs(probe)[target]` for any probe differing from
-    /// `profile` only at `target` equals a direct
-    /// [`EstimationContext::estimate`] against this context —
-    /// float-identical, one `O(members)` walk instead of one per
-    /// candidate. The walk runs on a clone of `opened`.
-    fn context_at<'t>(
-        opened: &EstimationContext<'t>,
-        app: &Application,
-        profile: &[Placement],
-        target: MicroserviceId,
-    ) -> EstimationContext<'t> {
-        let mut ctx = opened.clone();
-        for (w, stage) in stages(app).iter().enumerate() {
-            if w > 0 {
-                ctx.begin_wave();
-            }
-            for &id in &stage.members {
-                if id == target {
-                    return ctx;
-                }
-                ctx.commit(id, profile[id.0]);
-            }
-        }
-        unreachable!("target microservice not in the application")
+        (Placement { registry: registries[best.1], device: devices[best.2] }, best.0)
     }
 
     /// Evaluate every microservice's estimated energy under a full
@@ -629,84 +553,30 @@ impl DeepScheduler {
         out
     }
 
-    /// Potential-guided warm start: drive each wave's explicit
-    /// congestion game to a pure equilibrium by sparse potential descent
-    /// (every accepted move decreases Rosenthal's exact potential by the
-    /// deviator's improvement, so the descent terminates without any
-    /// full-profile cost replay), then return the jump only if the exact
-    /// total cost strictly improves on the sequential profile's. The walk
-    /// that commits the jump prices it on the way, and the stage games
-    /// already priced the sequential profile, so the guard walks nothing
-    /// extra.
-    fn potential_warm_start(
-        &self,
-        opened: &EstimationContext<'_>,
-        app: &Application,
-        testbed: &Testbed,
-        sequential: &Sequential,
-        ws: &mut FleetWorkspace,
-    ) -> Option<Vec<Placement>> {
-        let mut ctx = opened.clone();
-        let mut out = sequential.profile.clone();
-        let mut costs = vec![0.0; app.len()];
-        for (w, stage) in stages(app).iter().enumerate() {
-            if w > 0 {
-                ctx.begin_wave();
-            }
-            let wave = WaveRouteGame::build(&ctx, testbed, &stage.members);
-            if !wave.resources.is_empty() {
-                let game = wave.game();
-                let start: Vec<usize> = wave
-                    .members
-                    .iter()
-                    .enumerate()
-                    .map(|(p, &id)| wave.strategy_index(p, out[id.0]))
-                    .collect();
-                // Touches only the deviator's resource subset per
-                // candidate, which is what makes fleet-sized strategy
-                // spaces affordable.
-                let result = game.sparse_descent(start, self.max_refine_passes, &mut ws.descent);
-                for (p, &id) in wave.members.iter().enumerate() {
-                    out[id.0] = wave.strategies[p][result.profile[p]];
-                }
-            }
-            for &id in &stage.members {
-                costs[id.0] = Self::estimate_and_commit(&mut ctx, id, out[id.0]);
-            }
-        }
-        let total = |costs: &[f64]| -> f64 { costs.iter().sum() };
-        (out != sequential.profile && total(&costs) < total(&sequential.costs) - MARGIN)
-            .then_some(out)
-    }
-
     /// Incrementally re-equilibrate from an incumbent schedule.
     ///
     /// The continuous-arrival analogue of [`Scheduler::schedule`]: when
     /// the world shifts under a running deployment — a new application
     /// admitted, an outage window opening or clearing — the incumbent
     /// equilibrium is usually *almost* right, and repairing it against
-    /// the delta is far cheaper than replaying the sequential stage
-    /// games plus the full-replay joint refinement. The repair
-    /// warm-starts best-response dynamics from the incumbent inside
-    /// each wave's explicit Rosenthal game ([`WaveRouteGame`]) — closed
-    /// form per-resource costs, no support enumeration, no O(n²)
-    /// profile replays — counting every unilateral deviation taken.
-    /// The repaired profile is adopted only if it strictly improves the
-    /// exact total cost (the same guard as the congestion warm start),
-    /// so repairing an incumbent that is still an equilibrium is an
-    /// exact no-op with zero deviations. The repair opens one context
+    /// the delta is far cheaper than replaying every stage game. The
+    /// repair warm-starts best-response dynamics from the incumbent
+    /// inside each wave's explicit Rosenthal game ([`WaveRouteGame`]) —
+    /// closed form per-resource costs, no support enumeration, no O(n²)
+    /// profile replays — counting every unilateral deviation taken. The
+    /// repaired profile is adopted only if it strictly improves the exact
+    /// total cost, so repairing an incumbent that is still an equilibrium
+    /// is an exact no-op with zero deviations. The repair opens one context
     /// and walks two clones of it at most: the repair walk, which also
     /// prices the repaired profile, and — only when the repair moved
-    /// something — the incumbent's exact-cost walk. Neither runs a
-    /// refinement pass.
+    /// something — the incumbent's exact-cost walk.
     ///
     /// Falls back to a full re-solve (`fell_back = true`) when the
     /// incumbent no longer fits the mesh (length mismatch, a registry
     /// that left the strategy space, an inadmissible device), when the
     /// descent spends more than `budget` deviations, or when it fails
     /// to converge within [`DeepScheduler::max_refine_passes`] passes.
-    /// The re-solve runs the full [`Scheduler::schedule`], whose joint
-    /// refinement still runs when its warm start moved the profile.
+    /// The re-solve runs the full [`Scheduler::schedule`].
     pub fn incremental_repair(
         &self,
         app: &Application,
@@ -816,90 +686,6 @@ impl DeepScheduler {
         Ok((out, deviations))
     }
 
-    /// Joint best-response refinement to a pure Nash equilibrium.
-    ///
-    /// Candidate deviations are priced incrementally: one prefix replay
-    /// per member ([`DeepScheduler::context_at`]) prices every
-    /// `(registry, device)` candidate with a direct estimate —
-    /// float-identical to the seed's per-candidate full-profile replays
-    /// (the member's payoff never depends on its own or later commits),
-    /// at `O(members)` walks per pass instead of `O(members² ×
-    /// candidates)`. Each pass moves a member to its best improvement
-    /// ([`DeepScheduler::refine_pass`]): scanning registry-major, a
-    /// candidate replaces the best so far only when it beats that cost
-    /// by more than [`MARGIN`], so the outcome is deterministic.
-    ///
-    /// The passes run only when they can move something. By the
-    /// `context_at` keystone, a pass over the sequential profile prices
-    /// each member's grid in exactly the state its stage game did, and
-    /// every stage pick is the minimum of that grid, so when the warm
-    /// start kept the sequential profile the pass is a no-op and is
-    /// skipped.
-    fn refine_joint(
-        &self,
-        opened: &EstimationContext<'_>,
-        app: &Application,
-        testbed: &Testbed,
-        sequential: Sequential,
-        ws: &mut FleetWorkspace,
-    ) -> Vec<Placement> {
-        let Some(mut profile) = self.potential_warm_start(opened, app, testbed, &sequential, ws)
-        else {
-            return sequential.profile;
-        };
-        for _ in 0..self.max_refine_passes {
-            if !self.refine_pass(opened, app, testbed, &mut profile, ws) {
-                break;
-            }
-        }
-        profile
-    }
-
-    /// One refinement pass: each member in id order moves to its best
-    /// strict improvement given everyone else. Returns whether anyone
-    /// moved. A candidate whose energy floor is already within
-    /// [`MARGIN`] of the best cost so far cannot improve on it and is
-    /// never priced exactly.
-    fn refine_pass(
-        &self,
-        opened: &EstimationContext<'_>,
-        app: &Application,
-        testbed: &Testbed,
-        profile: &mut [Placement],
-        ws: &mut FleetWorkspace,
-    ) -> bool {
-        let registries = testbed.registry_choices();
-        let r_count = registries.len();
-        let mut changed = false;
-        for id in app.ids() {
-            let ctx = Self::context_at(opened, app, profile, id);
-            let current = profile[id.0];
-            let current_cost = ctx.estimate(id, current.registry, current.device).ec.as_f64();
-            Self::fill_floors(&ctx, id, &registries, ws);
-            let mut best = (current_cost, current);
-            for (ri, &registry) in registries.iter().enumerate() {
-                for (di, &device) in ws.devices.iter().enumerate() {
-                    let candidate = Placement { registry, device };
-                    let floor = ws.floors[di * r_count + ri];
-                    if candidate == current || floor >= best.0 - MARGIN {
-                        continue;
-                    }
-                    let cost = ctx.estimate(id, registry, device).ec.as_f64();
-                    debug_assert!(floor <= cost, "energy floor above the exact cost");
-                    ws.exact_cells += 1;
-                    if cost < best.0 - MARGIN {
-                        best = (cost, candidate);
-                    }
-                }
-            }
-            if best.1 != current {
-                profile[id.0] = best.1;
-                changed = true;
-            }
-        }
-        changed
-    }
-
     /// Refresh `ws.devices` with `id`'s admissible devices and fill
     /// `ws.floors` (device-major) with the energy floor of every
     /// registry × device cell under `ctx`'s committed prefix.
@@ -960,14 +746,18 @@ impl DeepScheduler {
         let registries = testbed.registry_choices();
         let opened = self.open(testbed, app);
         let mut state = seed;
+        let mut draw = |n: usize| {
+            let out = splitmix64(state);
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            (out % n as u64) as usize
+        };
         let mut sampled: Vec<Vec<Placement>> = Vec::with_capacity(app.len());
         let mut devices = Vec::new();
         for id in app.ids() {
             opened.admissible_devices_into(id, &mut devices);
             let draws = (0..deviations_per_member).map(|_| {
-                let registry =
-                    registries[(splitmix64(&mut state) % registries.len() as u64) as usize];
-                let device = devices[(splitmix64(&mut state) % devices.len() as u64) as usize];
+                let registry = registries[draw(registries.len())];
+                let device = devices[draw(devices.len())];
                 Placement { registry, device }
             });
             sampled.push(draws.collect());
@@ -980,9 +770,9 @@ impl DeepScheduler {
     /// Walk `schedule` once from the opened `ctx`, barrier by barrier,
     /// and check that none of the `candidates` of each member improves on
     /// its placement by more than [`MARGIN`]. A member's payoff depends
-    /// only on placements committed strictly before it (see
-    /// [`DeepScheduler::context_at`]), so the walk's context at each
-    /// member prices its deviations exactly; the profile never moves, so
+    /// only on placements committed strictly before it (its own deviation
+    /// never changes that prefix), so the walk's context at each member
+    /// prices its deviations exactly; the profile never moves, so
     /// one walk serves every member, and the verdict does not depend on
     /// the order members are checked in.
     fn no_improving_deviation(
@@ -1030,29 +820,13 @@ impl Scheduler for DeepScheduler {
         "DEEP"
     }
 
+    /// The sequential stage games' profile: an exact pure Nash
+    /// equilibrium of the joint game by construction (module doc).
     fn schedule(&self, app: &Application, testbed: &Testbed) -> Schedule {
         let mut ws = FleetWorkspace::default();
         let opened = self.open(testbed, app);
-        let sequential = Self::sequential_assignment(&opened, app, &mut ws);
-        let profile = if self.refine {
-            self.refine_joint(&opened, app, testbed, sequential, &mut ws)
-        } else {
-            sequential.profile
-        };
-        Schedule::new(profile)
+        Schedule::new(Self::sequential_assignment(&opened, app, &mut ws))
     }
-}
-
-/// The splitmix64 step — the seeded stream behind
-/// [`DeepScheduler::is_equilibrium_sampled`]'s deviation draws and the
-/// synthetic fleet's heterogeneity jitter (no ambient RNG anywhere in
-/// the solve path).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -1121,31 +895,6 @@ mod tests {
                 DeepScheduler::is_joint_equilibrium(&app, &tb, &schedule),
                 "{} schedule is not an equilibrium",
                 app.name()
-            );
-        }
-    }
-
-    #[test]
-    fn refinement_never_worsens_total_energy() {
-        let tb = calibrated_testbed();
-        for app in apps::case_studies() {
-            let seq = DeepScheduler::without_refinement().schedule(&app, &tb);
-            let refined = DeepScheduler::paper().schedule(&app, &tb);
-            let cost = |s: &Schedule| -> f64 {
-                let profile: Vec<Placement> = app.ids().map(|id| s.placement(id)).collect();
-                let paper = DeepScheduler::paper();
-                DeepScheduler::profile_costs(&paper.open(&tb, &app), &app, &profile).iter().sum()
-            };
-            // Best-response refinement follows the exact potential of the
-            // congestion game, which here equals each player's own cost
-            // chain; the social cost of the refined profile must not
-            // exceed the sequential one by more than the potential slack.
-            assert!(
-                cost(&refined) <= cost(&seq) + 1e-6,
-                "{}: refined {} vs sequential {}",
-                app.name(),
-                cost(&refined),
-                cost(&seq)
             );
         }
     }
@@ -1233,20 +982,6 @@ mod tests {
                 profile[q] = 0;
                 q += 1;
             }
-        }
-    }
-
-    #[test]
-    fn warm_start_preserves_case_study_equilibria() {
-        // The potential-guided jump is adopted only when it strictly
-        // improves the exact cost; on the case studies the sequential
-        // stage games already sit at the optimum, so warm-started and
-        // plain refinement agree exactly (the seed-parity contract).
-        let tb = calibrated_testbed();
-        for app in apps::case_studies() {
-            let on = DeepScheduler::paper().schedule(&app, &tb);
-            let off = DeepScheduler::without_refinement().schedule(&app, &tb);
-            assert_eq!(on, off, "{}", app.name());
         }
     }
 
@@ -1340,11 +1075,9 @@ mod tests {
             let opened = sched.open(tb, app);
             let mut ws = FleetWorkspace::default();
             let warm = DeepScheduler::sequential_assignment(&opened, app, &mut ws);
-            let warm = sched.refine_joint(&opened, app, tb, warm, &mut ws);
             assert!(!pruned || ws.order.capacity() > 0, "the fleet scan ordered no candidate");
             let fp = fingerprint(&ws);
             let again = DeepScheduler::sequential_assignment(&opened, app, &mut ws);
-            let again = sched.refine_joint(&opened, app, tb, again, &mut ws);
             assert_eq!(warm, again, "workspace reuse must not change the schedule");
             assert_eq!(fp, fingerprint(&ws), "steady-state solve reallocated a workspace buffer");
         }
@@ -1379,12 +1112,34 @@ mod tests {
         }
     }
 
+    /// Walk the stage games like `sequential_assignment` and return the
+    /// profile with each pick's cost.
+    fn stage_walk(
+        opened: &EstimationContext<'_>,
+        app: &Application,
+        ws: &mut FleetWorkspace,
+    ) -> (Vec<Placement>, Vec<f64>) {
+        let mut ctx = opened.clone();
+        let mut profile =
+            vec![Placement { registry: RegistryChoice::Hub, device: DEVICE_MEDIUM }; app.len()];
+        let mut costs = vec![0.0; app.len()];
+        for (w, stage) in stages(app).iter().enumerate() {
+            if w > 0 {
+                ctx.begin_wave();
+            }
+            for &id in &stage.members {
+                (profile[id.0], costs[id.0]) = DeepScheduler::stage_game(&ctx, id, ws);
+                ctx.commit(id, profile[id.0]);
+            }
+        }
+        (profile, costs)
+    }
+
     #[test]
-    fn refinement_pass_over_best_response_sequential_profiles_is_a_no_op() {
-        // The refinement skip rests on this: every stage pick is the
-        // minimum of its grid, so a full pass over the sequential
-        // profile re-prices each member in its stage game's own state
-        // and moves nobody.
+    fn stage_game_costs_are_the_profiles_exact_costs() {
+        // Each stage game prices its member in the state the profile's
+        // own walk reaches, which is what makes the sequential profile
+        // an equilibrium of the joint game.
         let fleet = || {
             let mut tb = crate::continuum::synthetic_fleet_testbed(200, 2, 42);
             apps::case_studies().iter().for_each(|app| tb.publish_application(app));
@@ -1400,17 +1155,15 @@ mod tests {
             for app in apps::case_studies() {
                 let opened = sched.open(tb, &app);
                 let mut ws = FleetWorkspace::default();
-                let seq = DeepScheduler::sequential_assignment(&opened, &app, &mut ws);
+                let (profile, costs) = stage_walk(&opened, &app, &mut ws);
                 let at = format!("{name}/{}", app.name());
+                let solved = DeepScheduler::sequential_assignment(&opened, &app, &mut ws);
+                assert_eq!(profile, solved, "{at}");
                 assert_eq!(
-                    seq.costs,
-                    DeepScheduler::profile_costs(&opened, &app, &seq.profile),
+                    costs,
+                    DeepScheduler::profile_costs(&opened, &app, &profile),
                     "{at}: stage-game costs are the profile's exact costs"
                 );
-                let mut profile = seq.profile.clone();
-                let moved = sched.refine_pass(&opened, &app, tb, &mut profile, &mut ws);
-                assert!(!moved, "{at}: the pass moved a member");
-                assert_eq!(profile, seq.profile, "{at}");
             }
         }
     }
@@ -1450,10 +1203,10 @@ mod tests {
                     .expect("common-interest games always have a pure equilibrium");
                 let oracle =
                     Placement { registry: registries[x.mode()], device: devices[y.mode()] };
-                let pick = DeepScheduler::stage_game(&ctx, id, &mut ws);
-                assert_eq!(pick.placement, oracle, "{at}: {id:?}");
-                assert_eq!(pick.cost.to_bits(), (-game.a[(x.mode(), y.mode())]).to_bits(), "{at}");
-                ctx.commit(id, pick.placement);
+                let (pick, cost) = DeepScheduler::stage_game(&ctx, id, &mut ws);
+                assert_eq!(pick, oracle, "{at}: {id:?}");
+                assert_eq!(cost.to_bits(), (-game.a[(x.mode(), y.mode())]).to_bits(), "{at}");
+                ctx.commit(id, pick);
             }
         }
     }
@@ -1559,10 +1312,10 @@ mod tests {
         let (tb, app, sched) = admit_shaped_fleet(200);
         let opened = sched.open(&tb, &app);
         let mut ws = FleetWorkspace::default();
-        let seq = DeepScheduler::sequential_assignment(&opened, &app, &mut ws);
+        let (profile, costs) = stage_walk(&opened, &app, &mut ws);
         assert_eq!(
-            seq.costs,
-            DeepScheduler::profile_costs(&opened, &app, &seq.profile),
+            costs,
+            DeepScheduler::profile_costs(&opened, &app, &profile),
             "pruned stage games price their picks exactly"
         );
         assert_eq!(ws.grid_cells, app.len() * 3 * 200, "every member faced the whole grid");

@@ -60,6 +60,8 @@
 //! test plane locks down; superseded payloads stay addressable in the
 //! store for as long as any viewer still references their epoch.
 
+use crate::splitmix64;
+
 /// Reusable per-round scratch buffers for the exchange schedule. One
 /// workspace lives inside each [`GossipState`] and is reused across
 /// every round: after the first round has sized it, partner selection
@@ -322,14 +324,6 @@ impl<T: Clone> GossipState<T> {
             self.generation += 1;
         }
     }
-}
-
-/// splitmix64: the repo-standard cheap deterministic mixer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// The PR 9 clone-based protocol, retained **verbatim** as the

@@ -16,19 +16,23 @@
 //! * transfer-time math shared by every higher layer ([`transfer`]);
 //! * a seeded push/pull epidemic ([`gossip`]) for decentralized holder
 //!   advertisement — the substrate the simulator's gossip discovery
-//!   plane builds on.
+//!   plane builds on;
+//! * [`splitmix64`], the seed-stream mixer behind the workspace's fault
+//!   plans, retry jitter, gossip partners, arrivals and synthetic fleets.
 //!
 //! All quantities are deterministic; stochastic jitter is layered on by the
 //! simulator crate, never here.
 
 pub mod cdn;
 pub mod gossip;
+mod splitmix;
 pub mod topology;
 pub mod transfer;
 pub mod units;
 
 pub use cdn::{CdnModel, PopClass};
 pub use gossip::GossipState;
+pub use splitmix::splitmix64;
 pub use topology::{DeviceId, RegistryId, Topology, TopologyBuilder, TopologyError};
 pub use transfer::transfer_time;
 pub use units::{Bandwidth, DataSize, Seconds};

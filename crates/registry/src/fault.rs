@@ -61,9 +61,9 @@ use crate::digest::Digest;
 use crate::image::{Platform, Reference};
 use crate::manifest::ImageManifest;
 use crate::pull::{PullOutcome, RegistryError};
-use crate::retry::{splitmix64, RetryPolicy};
+use crate::retry::RetryPolicy;
 use crate::{BlobSource, ManifestSource};
-use deep_netsim::{RegistryId, Seconds};
+use deep_netsim::{splitmix64, RegistryId, Seconds};
 use std::cell::Cell;
 
 /// Failure rates of one mesh source.

@@ -22,7 +22,7 @@ use crate::image::{Platform, Reference};
 use crate::manifest::ImageManifest;
 use crate::pull::RegistryError;
 use crate::{BlobSource, ManifestSource, Registry};
-use deep_netsim::Seconds;
+use deep_netsim::{splitmix64, Seconds};
 use std::cell::Cell;
 
 /// Retry policy: exponential backoff with a cap and seeded jitter.
@@ -94,16 +94,6 @@ impl RetryPolicy {
         }
         total
     }
-}
-
-/// The splitmix64 mixing function (public-domain constant schedule).
-/// Shared with [`crate::fault::FaultPlan`], whose draws must stay
-/// decorrelated from the jitter stream (different salts, same mixer).
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// A registry wrapper that fails its first `failures` resolves with a

@@ -72,9 +72,6 @@ pub struct ExecutorConfig {
     /// `true` (paper behaviour): pull images per stage wave. `false`
     /// (ablation): pull everything in a single wave at t = 0.
     pub staged_deployment: bool,
-    /// Meter energy through the RAPL/wall-meter instruments as well as the
-    /// analytic power model.
-    pub instruments: bool,
     /// Register the testbed's peer plane in each pull's mesh,
     /// snapshotting the *other* devices' layer caches at the wave
     /// barrier: layers a fleet peer already holds are fetched over the
@@ -114,7 +111,6 @@ impl Default for ExecutorConfig {
             seed: 0,
             jitter: 0.0,
             staged_deployment: true,
-            instruments: true,
             peer_sharing: false,
             peer_discovery: PeerDiscovery::Snapshot,
             fault_injection: false,
@@ -333,7 +329,6 @@ pub fn plan_waves(app: &Application, staged: bool) -> Vec<Vec<MicroserviceId>> {
 #[derive(Debug)]
 pub struct JobRun {
     started: Seconds,
-    instruments: bool,
     td: Vec<Seconds>,
     tc: Vec<Seconds>,
     tp: Vec<Seconds>,
@@ -346,10 +341,9 @@ pub struct JobRun {
 }
 
 impl JobRun {
-    fn new(len: usize, started: Seconds, instruments: bool) -> JobRun {
+    fn new(len: usize, started: Seconds) -> JobRun {
         JobRun {
             started,
-            instruments,
             td: vec![Seconds::ZERO; len],
             tc: vec![Seconds::ZERO; len],
             tp: vec![Seconds::ZERO; len],
@@ -390,11 +384,7 @@ impl JobRun {
                     failed_sources: std::mem::take(&mut self.failed_sources[id.0]),
                     backoff_total: self.backoff[id.0],
                     energy: self.analytic[id.0],
-                    metered_energy: if self.instruments {
-                        self.metered[id.0]
-                    } else {
-                        self.analytic[id.0]
-                    },
+                    metered_energy: self.metered[id.0],
                 }
             })
             .collect();
@@ -689,7 +679,7 @@ impl OnlineExecutor {
 
     /// Start a measurement accumulator for a job admitted *now*.
     pub fn begin_job(&self, app: &Application) -> JobRun {
-        JobRun::new(app.len(), self.clock, self.cfg.instruments)
+        JobRun::new(app.len(), self.clock)
     }
 
     /// Consume the session, returning its monitoring trace.
@@ -822,10 +812,8 @@ impl OnlineExecutor {
             run.backoff[id.0] = outcome.backoff_total;
             completions.schedule_at(t, id);
             // Instrument the deployment phase (deploy + static draw).
-            if cfg.instruments {
-                let power = device.power.deploy_watts + device.power.static_watts;
-                instruments.observe(placement.device, power, t);
-            }
+            let power = device.power.deploy_watts + device.power.static_watts;
+            instruments.observe(placement.device, power, t);
         }
         // Deployment is concurrent: drain the completion events in time
         // order (each finish stamped when its pull actually ends), then
@@ -885,25 +873,23 @@ impl OnlineExecutor {
             // instrument across a window covering this microservice's
             // share. For per-microservice attribution we open the window
             // now and charge deployment separately below.
-            if cfg.instruments {
-                let snap = instruments.begin(placement.device);
-                instruments.observe(
-                    placement.device,
-                    device.power.transfer_watts + device.power.static_watts,
-                    transfer,
-                );
-                instruments.observe(
-                    placement.device,
-                    device.process_watts(&scoped) + device.power.static_watts,
-                    proc,
-                );
-                let exec_energy = instruments.energy_since(placement.device, &snap);
-                // Deployment slice, analytic reconstruction of the metered
-                // wave share: (deploy + static) × td.
-                let deploy_energy =
-                    (device.power.deploy_watts + device.power.static_watts) * run.td[id.0];
-                run.metered[id.0] = exec_energy + deploy_energy;
-            }
+            let snap = instruments.begin(placement.device);
+            instruments.observe(
+                placement.device,
+                device.power.transfer_watts + device.power.static_watts,
+                transfer,
+            );
+            instruments.observe(
+                placement.device,
+                device.process_watts(&scoped) + device.power.static_watts,
+                proc,
+            );
+            let exec_energy = instruments.energy_since(placement.device, &snap);
+            // Deployment slice, analytic reconstruction of the metered
+            // wave share: (deploy + static) × td.
+            let deploy_energy =
+                (device.power.deploy_watts + device.power.static_watts) * run.td[id.0];
+            run.metered[id.0] = exec_energy + deploy_energy;
         }
         trace.record(
             *clock,

@@ -652,15 +652,10 @@ impl Testbed {
     pub fn synthetic_fleet(devices: usize, registries: usize, seed: u64) -> Self {
         assert!(devices >= 2, "a fleet needs at least the paper's device pair");
         assert!(registries >= 2, "a fleet needs at least the hub + regional pair");
-        fn splitmix64(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
         fn jitter(state: &mut u64, lo: f64, hi: f64) -> f64 {
-            lo + (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
+            let out = deep_netsim::splitmix64(*state);
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            lo + (out >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
         }
         let mut tb = if devices >= 3 { Self::continuum() } else { Self::paper() };
         let mut state = seed;
@@ -875,10 +870,11 @@ impl Testbed {
     }
 
     /// A single-source mesh for pulling from `registry` onto `device`,
-    /// with the route slowed by `slowdown` (contention factor ≥ 1). This
-    /// is the seed pull path expressed through the mesh API — schedulers
-    /// estimate against it and the executor realises it, so predictions
-    /// and measurements agree bit for bit.
+    /// with the route slowed by `slowdown` (contention factor ≥ 1): the
+    /// seed pull path expressed through the mesh API, for tests and
+    /// examples that pull directly. The estimator and the executor build
+    /// each pull's mesh themselves (peer sources, standbys and fault
+    /// wrappers included) from the same [`Testbed::source_params`].
     pub fn pull_mesh(
         &self,
         registry: RegistryChoice,

@@ -1,5 +1,5 @@
-//! Fleet-scale solve grid: the scheduler's payoff scan and sparse
-//! potential descent at 10³ devices.
+//! Fleet-scale solve grid: the scheduler's pruned payoff scan at 10³
+//! devices.
 //!
 //! Builds seeded synthetic fleets over a devices × registries grid
 //! (calibrated continuum archetypes with splitmix64-jittered

@@ -1,10 +1,10 @@
 //! The one solve path, from the paper testbeds to seeded fleets.
 //!
-//! `DeepScheduler` solves every stage game by a payoff scan and every
-//! wave warm start by sparse potential descent, whatever the testbed's
-//! size (the scan's equivalence to support enumeration is checked member
-//! by member in `nash.rs`'s oracle test). These tests pin the two
-//! contracts that make it safe on every testbed:
+//! `DeepScheduler` solves every stage game by a payoff scan, whatever
+//! the testbed's size, and returns the stage games' sequential profile
+//! (the scan's equivalence to support enumeration is checked member by
+//! member in `nash.rs`'s oracle test). These tests pin the two contracts
+//! that make it safe on every testbed:
 //!
 //! 1. **Executed as priced** — on the paper case studies over the
 //!    calibrated testbed, the continuum and a mirrored mesh, the
@@ -12,15 +12,17 @@
 //!    scheduler's estimator priced for the schedule it chose; on
 //!    generated fleets, apps, discovery modes, pricings and random
 //!    schedules, it measures exactly what the estimator priced for them.
-//! 2. **Fleet equilibria** — on seeded synthetic fleets the solver lands
-//!    on a verified pure Nash equilibrium (exhaustive and sampled
-//!    deviation checks).
+//! 2. **Equilibria** — on seeded synthetic fleets the solver lands on a
+//!    verified pure Nash equilibrium (exhaustive and sampled deviation
+//!    checks), and on every generated case of the parity fuzz, under
+//!    that case's peer sharing, discovery, pricing and online start, it
+//!    passes the exhaustive check.
 
 use deep::core::{
     calibration, continuum, DeepScheduler, EstimationContext, ScenarioPricing, Scheduler,
 };
 use deep::dataflow::{apps, stages, Application, DagGenerator};
-use deep::netsim::Seconds;
+use deep::netsim::{splitmix64, Seconds};
 use deep::simulator::{
     execute, plan_waves, validate_schedule, ExecutorConfig, OnlineExecutor, PeerDiscovery,
     Placement, Schedule, Testbed,
@@ -81,11 +83,9 @@ struct Draws(u64);
 
 impl Draws {
     fn next(&mut self) -> u64 {
+        let out = splitmix64(self.0);
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        out
     }
 
     /// Uniform in `0..n`.
@@ -120,6 +120,8 @@ fn random_schedule(app: &Application, tb: &Testbed, draws: &mut Draws) -> Option
 /// (under the zero model neither may move a price), and a random
 /// schedule. The estimator walks the schedule, the online executor runs
 /// it, and every member's `(Td, Tc, Tp, EC)` must agree bit for bit.
+/// A scheduler configured like the case must also solve the app to a
+/// schedule the exhaustive check accepts as an equilibrium.
 fn assert_generated_case_executes_as_priced(seed: u64) {
     let mut draws = Draws(seed);
     let mut tb =
@@ -158,6 +160,23 @@ fn assert_generated_case_executes_as_priced(seed: u64) {
     let pricing = draws.below(3);
     let clock = Seconds::new(draws.below(10_000) as f64 * 0.25);
     let pull = draws.next() % 1_000;
+    let scenario = (pricing == 2).then_some(ScenarioPricing { draws: 8, seed: cfg.fault_seed });
+
+    let sched = DeepScheduler {
+        peer_sharing: cfg.peer_sharing,
+        price_faults: pricing == 1,
+        scenario,
+        start_clock: clock,
+        start_pull: pull,
+        peer_discovery: cfg.peer_discovery,
+        discovery_seed: cfg.seed,
+        ..DeepScheduler::paper()
+    };
+    let solved = sched.schedule(&app, &tb);
+    assert!(
+        sched.is_equilibrium(&app, &tb, &solved),
+        "{at}, pricing {pricing}: not an equilibrium"
+    );
 
     let mut predictions = Vec::new();
     {
@@ -165,9 +184,7 @@ fn assert_generated_case_executes_as_priced(seed: u64) {
             .peer_sharing(cfg.peer_sharing)
             .peer_discovery(cfg.peer_discovery, cfg.seed)
             .price_faults(pricing == 1)
-            .scenario_pricing(
-                (pricing == 2).then_some(ScenarioPricing { draws: 8, seed: cfg.fault_seed }),
-            )
+            .scenario_pricing(scenario)
             .at_clock(clock)
             .starting_pull(pull);
         for stage in stages(&app) {

@@ -30,7 +30,7 @@ proptest! {
         // Schedule + execute.
         let mut tb = calibration::calibrated_testbed();
         tb.publish_application(&app);
-        let schedule = DeepScheduler::without_refinement().schedule(&app, &tb);
+        let schedule = DeepScheduler::paper().schedule(&app, &tb);
         let (report, _) = execute(&mut tb, &app, &schedule, &ExecutorConfig::default())
             .expect("generated apps are admissible on the paper testbed");
         // Conservation: CT decomposes, totals sum.
