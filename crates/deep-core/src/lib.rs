@@ -23,7 +23,7 @@
 //!   two pulls whose bytes ride different sources no longer slow each
 //!   other, while a hot peer serving several devices at once divides
 //!   its uplink among them.
-//! * **Split-pull pricing over the peer topology** — with
+//! * **Split-pull pricing over the per-pair peer plane** — with
 //!   [`DeepScheduler::with_peer_sharing`] the payoffs run through the
 //!   same registry-plus-peer-sources mesh a `peer_sharing` executor
 //!   realises: one blob source per advertising holder at its

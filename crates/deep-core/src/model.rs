@@ -22,7 +22,7 @@
 //!   registry-plus-peer-sources mesh the executor realises, so
 //!   schedulers can *price* the layers a fleet peer already holds
 //!   instead of discovering them at deployment time.
-//! * **Topology-backed peer plane** — the peer sources come from the
+//! * **Per-pair peer plane** — the peer sources come from the
 //!   testbed's [`deep_simulator::PeerPlane`]: one source per advertising
 //!   holder at its per-pair link rate, so a hot peer's saturated uplink
 //!   is visible to the payoffs ("which peer do I pull from" becomes part
@@ -530,11 +530,7 @@ impl<'t> EstimationContext<'t> {
             let producer = self.assigned[flow.from.0]
                 .unwrap_or_else(|| panic!("producer {} uncommitted", flow.from))
                 .device;
-            tc += self
-                .testbed
-                .topology
-                .device_transfer_time(producer, device, flow.size)
-                .expect("testbed topology covers all devices");
+            tc += self.testbed.device_transfer_time(producer, device, flow.size);
         }
         tc
     }

@@ -8,11 +8,9 @@
 //! * strongly-typed physical units ([`DataSize`], [`Bandwidth`], [`Seconds`])
 //!   so that "GB divided by MB/s" mistakes are compile errors rather than
 //!   silent unit bugs;
-//! * a [`Topology`] holding the device-to-device bandwidth matrix `H` and
-//!   the registry-to-device bandwidth matrix;
-//! * a [`cdn`] module modelling Docker Hub's CDN-backed distribution
-//!   (geographically-classed points of presence), which is how the paper
-//!   explains Docker Hub's delivery performance;
+//! * device and registry handles ([`DeviceId`], [`RegistryId`]); the
+//!   simulator's testbed derives the links between them from device
+//!   class;
 //! * transfer-time math shared by every higher layer ([`transfer`]);
 //! * a seeded push/pull epidemic ([`gossip`]) for decentralized holder
 //!   advertisement — the substrate the simulator's gossip discovery
@@ -23,16 +21,14 @@
 //! All quantities are deterministic; stochastic jitter is layered on by the
 //! simulator crate, never here.
 
-pub mod cdn;
 pub mod gossip;
+mod ids;
 mod splitmix;
-pub mod topology;
 pub mod transfer;
 pub mod units;
 
-pub use cdn::{CdnModel, PopClass};
 pub use gossip::GossipState;
+pub use ids::{DeviceId, RegistryId};
 pub use splitmix::splitmix64;
-pub use topology::{DeviceId, RegistryId, Topology, TopologyBuilder, TopologyError};
 pub use transfer::transfer_time;
 pub use units::{Bandwidth, DataSize, Seconds};

@@ -1,10 +1,11 @@
-//! The Docker Hub backend: an in-memory catalog behind a CDN.
+//! The Docker Hub backend: an in-memory catalog.
 //!
 //! "While the locations of Docker Hub's servers remain undisclosed, its
 //! CDN-based distribution model enables Docker images to be served
-//! geographically closer to end users" (paper, Section I). The Hub backend
-//! therefore carries a [`CdnModel`]; the pull planner asks it for the
-//! *effective* bandwidth of a pull given the client's nominal link.
+//! geographically closer to end users" (paper, Section I). That is why the
+//! hub's routes are calibrated as effective pull rates per device class
+//! (the simulator's `TestbedParams`) rather than modelled here: this type
+//! only stores what the hub serves.
 
 use crate::catalog::CatalogEntry;
 use crate::digest::Digest;
@@ -12,33 +13,24 @@ use crate::image::{Platform, Reference};
 use crate::manifest::ImageManifest;
 use crate::pull::RegistryError;
 use crate::{BlobSource, ManifestSource};
-use deep_netsim::{Bandwidth, CdnModel};
 use std::collections::{HashMap, HashSet};
 
-/// Docker Hub: manifests by `(repository, tag)`, blobs by digest, CDN in
-/// front. `Clone` is a true deep copy (plain maps, no shared handles).
+/// Docker Hub: manifests by `(repository, tag)`, blobs by digest. `Clone` is a true deep copy (plain maps, no shared handles).
 #[derive(Clone)]
 pub struct HubRegistry {
     host: String,
     manifests: HashMap<(String, String), ImageManifest>,
     blobs: HashSet<Digest>,
-    cdn: CdnModel,
 }
 
 impl HubRegistry {
-    /// An empty hub with the given CDN behaviour.
-    pub fn new(cdn: CdnModel) -> Self {
-        HubRegistry {
+    /// A hub pre-loaded with the full Table I catalog.
+    pub fn with_paper_catalog() -> Self {
+        let mut hub = HubRegistry {
             host: crate::catalog::HUB_HOST.to_string(),
             manifests: HashMap::new(),
             blobs: HashSet::new(),
-            cdn,
-        }
-    }
-
-    /// A hub pre-loaded with the full Table I catalog behind a warm CDN.
-    pub fn with_paper_catalog() -> Self {
-        let mut hub = HubRegistry::new(CdnModel::warm());
+        };
         for entry in crate::catalog::paper_catalog() {
             hub.publish(&entry);
         }
@@ -62,17 +54,6 @@ impl HubRegistry {
         // (clients may pull by digest instead of tag).
         self.blobs.insert(manifest.digest());
         self.manifests.insert((repository.to_string(), tag.to_string()), manifest);
-    }
-
-    /// The CDN model in front of the hub.
-    pub fn cdn(&self) -> &CdnModel {
-        &self.cdn
-    }
-
-    /// Expected effective pull bandwidth for a client whose nominal link to
-    /// the internet is `nominal` (CDN hit distribution applied).
-    pub fn effective_bandwidth(&self, nominal: Bandwidth) -> Bandwidth {
-        self.cdn.expected_bandwidth(nominal)
     }
 }
 
@@ -191,14 +172,5 @@ mod tests {
         let repos = hub.repositories();
         assert_eq!(repos.len(), 12);
         assert!(repos.iter().all(|r| r.starts_with("sina88/")));
-    }
-
-    #[test]
-    fn cdn_shapes_effective_bandwidth() {
-        let hub = HubRegistry::with_paper_catalog();
-        let nominal = Bandwidth::megabytes_per_sec(100.0);
-        let eff = hub.effective_bandwidth(nominal);
-        assert!(eff.as_megabytes_per_sec() < 100.0);
-        assert!(eff.as_megabytes_per_sec() > 80.0, "warm CDN stays close to nominal");
     }
 }

@@ -32,8 +32,7 @@
 //!   sizes, enabling cross-image layer dedup (the `ha-*`/`la-*` sibling
 //!   images of the case studies share most of their bytes);
 //! * [`hub`] / [`regional`] — the two paper registry backends: an
-//!   in-memory catalog behind a CDN model vs. an object-store-backed
-//!   regional registry;
+//!   in-memory catalog vs. an object-store-backed regional registry;
 //! * [`mesh`] — the registry mesh: [`RegistryMesh`] source registration,
 //!   [`PullSession`] (resolve the manifest once, then fetch each missing
 //!   layer from the cheapest source under the route-bandwidth +
@@ -89,7 +88,7 @@ pub use regional::RegionalRegistry;
 pub use retry::{FaultySource, FlakyRegistry, RetryPolicy};
 
 /// Typed handle for a mesh source (`r_g` in the paper), shared with the
-/// netsim topology.
+/// netsim crate.
 pub use deep_netsim::RegistryId;
 
 /// The manifest half of the registry protocol: resolve a tagged reference

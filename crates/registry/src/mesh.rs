@@ -572,7 +572,7 @@ impl CacheAccess<'_> {
 ///   retained as the regression oracle). The serving device is
 ///   anonymous, so upload contention cannot be attributed.
 /// * [`PeerCacheSource::for_holder`] — one source per *serving device*:
-///   the topology-backed plane registers one of these per peer, each
+///   the per-pair plane registers one of these per peer, each
 ///   under its own mesh id, so a [`PullSession`] sees each holder's real
 ///   per-pair link and the simulator can charge upload contention on the
 ///   holder's NIC.
@@ -616,7 +616,7 @@ impl PeerCacheSource {
     }
 
     /// Snapshot one serving device's cache: the per-holder source of the
-    /// topology-backed peer plane.
+    /// per-pair peer plane.
     pub fn for_holder(holder: deep_netsim::DeviceId, cache: &LayerCache) -> Self {
         let mut source = PeerCacheSource::new(&format!("peer-{holder}"));
         source.holder = Some(holder);

@@ -84,7 +84,7 @@ impl RegistryError {
 /// Link/device parameters for one pull.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct PullPlanner {
-    /// Effective registry→device bandwidth (`BW_gj`, CDN-adjusted for Hub).
+    /// Effective registry→device bandwidth (`BW_gj`).
     pub download_bw: Bandwidth,
     /// Device disk bandwidth for layer extraction (SD cards are slow).
     pub extract_bw: Bandwidth,

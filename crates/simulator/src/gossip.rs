@@ -257,7 +257,7 @@ mod tests {
     use super::*;
     use crate::testbed::PeerPlane;
     use deep_netsim::gossip::oracle;
-    use deep_netsim::{Bandwidth, DataSize, Seconds};
+    use deep_netsim::DataSize;
     use deep_registry::Digest;
 
     fn digest(tag: u8) -> Digest {
@@ -286,8 +286,7 @@ mod tests {
         let caches = fleet();
         let mut plane = converged_plane(&caches);
         let refs: Vec<&LayerCache> = caches.iter().collect();
-        let snapshot_plane =
-            PeerPlane::uniform(4, Bandwidth::megabits_per_sec(100.0), Seconds::ZERO);
+        let snapshot_plane = PeerPlane::default();
         for target in 0..4 {
             let gossip = plane.mesh_view(&refs, target);
             let snapshot = snapshot_plane.snapshot(&refs, target);

@@ -47,7 +47,7 @@ impl Jitter {
         t.scale(self.factor())
     }
 
-    /// Draw a uniform sample in `[0, 1)` (used for CDN PoP selection).
+    /// Draw a uniform sample in `[0, 1)`.
     pub fn uniform(&mut self) -> f64 {
         self.rng.gen_range(0.0..1.0)
     }

@@ -43,7 +43,7 @@ impl MicroserviceMetrics {
     }
 
     /// Megabytes of this pull served by each peer device, in order of
-    /// first use — the per-holder breakdown of the topology-backed peer
+    /// first use — the per-holder breakdown of the per-pair peer
     /// plane (empty when nothing rode a peer link, or under the
     /// anonymous aggregate plane).
     pub fn peer_downloads(&self) -> Vec<(DeviceId, f64)> {
@@ -132,7 +132,7 @@ impl RunReport {
     /// aggregate [`REGISTRY_PEER`] id (merged at the position of first
     /// peer use; dead per-holder sources fold likewise) — the scalar
     /// view of a per-pair run. The peer-plane parity regression uses
-    /// this to compare the topology-backed plane against the retained
+    /// this to compare the per-pair plane against the retained
     /// [`crate::PeerPlane::Aggregate`] oracle byte for byte: holder ids
     /// are labels, every measured quantity (times, bytes, energies,
     /// bucket order) must match bitwise.

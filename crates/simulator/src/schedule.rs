@@ -35,7 +35,7 @@ impl RegistryChoice {
         [RegistryChoice::Hub, RegistryChoice::Regional]
     }
 
-    /// The underlying mesh/topology registry id.
+    /// The underlying mesh registry id.
     pub fn registry_id(self) -> RegistryId {
         self.0
     }

@@ -14,22 +14,28 @@
 //! * The small device's SD-card extraction is slower than the medium's
 //!   NVMe.
 //!
-//! Besides the registry routes, the testbed carries a [`PeerPlane`]: the
-//! topology of device-to-device *peer serving* links (what rate each
-//! device streams already-cached layers to each other device, and what a
-//! connection to it costs). It defaults to the uniform
-//! `peer_bw`/`peer_overhead` mesh — the scalar model of earlier
-//! revisions, reproduced exactly — and individual pairs or whole uplinks
-//! can be dented for hot-peer scenarios. Per-holder peer sources get
-//! mesh ids from [`REGISTRY_PEER_BASE`] and contend on the serving
-//! device's uplink (see [`route_key`]).
+//! Every link is derived from device class and [`TestbedParams`] (the
+//! paper characterizes each channel by its bandwidth alone, `h_kj`):
+//!
+//! * a dataflow moves between two devices over the LAN, over the WAN when
+//!   either end is a cloud-class device, and for free on one device
+//!   ([`Testbed::device_bandwidth`]);
+//! * the [`PeerPlane`] serves already-cached layers between devices at
+//!   the uniform `peer_bw` with a `peer_overhead` per holder, except on
+//!   the directed pairs a hot-peer scenario dents
+//!   ([`Testbed::set_peer_link`], [`Testbed::set_peer_uplink`]).
+//!   Per-holder peer sources get mesh ids from [`REGISTRY_PEER_BASE`] and
+//!   contend on the serving device's uplink (see [`route_key`]).
+//!
+//! Both rules read [`TestbedParams`] live, so a testbed holds O(devices)
+//! link state however large the fleet.
 
 use crate::device::SimDevice;
 use crate::gossip::GossipPlane;
 use crate::schedule::RegistryChoice;
 use deep_dataflow::{Application, Mips};
 use deep_energy::{DevicePowerModel, Watts};
-use deep_netsim::{Bandwidth, DataSize, DeviceId, RegistryId, Seconds, Topology, TopologyBuilder};
+use deep_netsim::{Bandwidth, DataSize, DeviceId, RegistryId, Seconds};
 use deep_registry::{
     CatalogEntry, FaultModel, HubRegistry, LayerCache, PeerCacheSource, Platform, PullOutcome,
     Reference, RegionalRegistry, Registry, RegistryMesh, SourceParams,
@@ -46,8 +52,8 @@ pub const DEVICE_CLOUD: DeviceId = DeviceId(2);
 
 /// Mesh id under which the executor registers the *aggregated* peer-cache
 /// blob source — [`PeerPlane::Aggregate`] only (ids 0 and 1 are the paper
-/// registries). The topology-backed plane registers one source per
-/// serving device instead (see [`REGISTRY_PEER_BASE`]); this id survives
+/// registries). The per-pair plane registers one source per serving
+/// device instead (see [`REGISTRY_PEER_BASE`]); this id survives
 /// as the canonical "the peer plane" handle reports fold per-holder
 /// buckets under ([`crate::RunReport::with_aggregated_peer_sources`]).
 pub const REGISTRY_PEER: RegistryId = RegistryId(2);
@@ -62,7 +68,7 @@ pub const REGISTRY_MIRROR_BASE: RegistryId = RegistryId(3);
 pub const REGISTRY_PEER_BASE: RegistryId = RegistryId(4096);
 
 /// The mesh id under which serving device `holder` advertises its layer
-/// cache on the topology-backed peer plane.
+/// cache on the per-pair peer plane.
 pub fn peer_source_id(holder: DeviceId) -> RegistryId {
     RegistryId(REGISTRY_PEER_BASE.0 + holder.0)
 }
@@ -170,7 +176,8 @@ pub struct TestbedParams {
     pub regional_to_medium: Bandwidth,
     /// Effective pull bandwidth regional → small.
     pub regional_to_small: Bandwidth,
-    /// Device-to-device LAN bandwidth (dataflow transfers).
+    /// Device-to-device LAN bandwidth (dataflow transfers between two
+    /// edge devices; read by [`Testbed::device_bandwidth`]).
     pub lan: Bandwidth,
     /// Effective pull bandwidth hub → cloud (hub's CDN peers with cloud
     /// datacenters; continuum testbed only).
@@ -178,7 +185,8 @@ pub struct TestbedParams {
     /// Effective pull bandwidth regional → cloud (traverses the lab's WAN
     /// uplink; continuum testbed only).
     pub regional_to_cloud: Bandwidth,
-    /// Edge ↔ cloud WAN bandwidth (dataflow transfers; continuum only).
+    /// Edge ↔ cloud WAN bandwidth (dataflow transfers with a cloud-class
+    /// device on either end; read by [`Testbed::device_bandwidth`]).
     pub wan: Bandwidth,
     /// Fixed pull overhead per registry.
     pub hub_overhead: Seconds,
@@ -186,17 +194,14 @@ pub struct TestbedParams {
     /// Effective bandwidth of a peer device serving cached layers over the
     /// LAN (below the raw LAN rate: the peer reads from its own disk).
     ///
-    /// This is the *construction-time default* the uniform
-    /// [`PeerPlane::PerPair`] mesh is built from (and the live rate of
-    /// the [`PeerPlane::Aggregate`] oracle). Mutating it on a built
-    /// testbed does not reshape the per-pair plane — throttle links
-    /// through [`Testbed::set_peer_link`] / [`Testbed::set_peer_uplink`]
-    /// instead.
+    /// Both peer planes read it live: every [`PeerPlane::PerPair`] pair
+    /// that no [`Testbed::set_peer_link`] / [`Testbed::set_peer_uplink`]
+    /// dented serves at this rate, and so does the
+    /// [`PeerPlane::Aggregate`] source.
     pub peer_bw: Bandwidth,
     /// Fixed overhead of the first peer-served layer of a pull (peer
-    /// discovery + connection; no auth, no manifest round-trips). Like
-    /// `peer_bw`, a construction-time default for the per-pair plane's
-    /// per-holder overheads.
+    /// discovery + connection; no auth, no manifest round-trips), charged
+    /// once per holder a pull uses. Read live by both peer planes.
     pub peer_overhead: Seconds,
     /// Route-contention coefficient: a pull sharing its registry→device
     /// route with `k` earlier same-wave pulls sees its download slowed by
@@ -300,17 +305,16 @@ impl TestbedParams {
 /// The fleet's peer data plane: who can serve cached image layers to
 /// whom, and how fast.
 ///
-/// The default is the topology-backed [`PeerPlane::PerPair`] plane:
-/// device-to-device links of a registry-free [`Topology`] are the source
-/// of truth for peer bandwidth, one blob source per serving device (mesh
-/// ids [`peer_source_id`]) is registered in every peer-sharing pull's
-/// mesh, and upload contention is charged on the serving device's uplink
-/// ([`route_key`]). Built uniform from `peer_bw`/`peer_overhead`, it
+/// The default is the per-pair plane [`PeerPlane::PerPair`]: one blob
+/// source per serving device (mesh ids [`peer_source_id`]) is registered
+/// in every peer-sharing pull's mesh, and upload contention is charged on
+/// the serving device's uplink ([`route_key`]). Every directed pair
+/// serves at `peer_bw` and every holder costs `peer_overhead`, which
 /// reproduces the scalar plane of earlier revisions exactly (single
-/// holder: byte for byte; see `tests/peer_plane.rs`) while letting
-/// sweeps dent individual pairs ([`Testbed::set_peer_link`]) or a whole
-/// uplink ([`Testbed::set_peer_uplink`]) — a hot peer saturates like a
-/// real NIC instead of serving the whole fleet at full rate.
+/// holder: byte for byte; see `tests/peer_plane.rs`). Sweeps dent
+/// individual pairs ([`Testbed::set_peer_link`]) or a whole uplink
+/// ([`Testbed::set_peer_uplink`]), so a hot peer saturates like a real
+/// NIC instead of serving the whole fleet at full rate.
 ///
 /// [`PeerPlane::Aggregate`] retains the scalar plane — one anonymous
 /// fleet-wide source ([`REGISTRY_PEER`]) at `peer_bw`, contended per
@@ -321,29 +325,23 @@ pub enum PeerPlane {
     /// The scalar plane: one aggregated fleet-wide source at
     /// `TestbedParams::peer_bw`/`peer_overhead`.
     Aggregate,
-    /// Topology-backed per-pair links and per-holder sources.
+    /// Per-pair links and per-holder sources.
     PerPair {
-        /// `links.device_bandwidth(serving, pulling)` = the effective
-        /// rate at which `serving` streams cached layers to `pulling`
-        /// (disk-read-bound below the raw LAN rate; no registries).
-        links: Topology,
-        /// Per-serving-device connection overhead, charged the first
-        /// time a pull uses that holder (index = device id).
-        overheads: Vec<Seconds>,
+        /// The dented directed links: `dents[(serving, pulling)]` is the
+        /// rate at which `serving` streams cached layers to `pulling`.
+        /// Every pair not in the map serves at `TestbedParams::peer_bw`.
+        dents: HashMap<(DeviceId, DeviceId), Bandwidth>,
     },
 }
 
-impl PeerPlane {
-    /// The uniform per-pair plane over `devices` devices: every pair at
-    /// `bw`, every holder at `overhead` — the topology expression of the
-    /// scalar `peer_bw` model.
-    pub fn uniform(devices: usize, bw: Bandwidth, overhead: Seconds) -> Self {
-        PeerPlane::PerPair {
-            links: Topology::uniform_mesh(devices, bw),
-            overheads: vec![overhead; devices],
-        }
+impl Default for PeerPlane {
+    /// The undented per-pair plane.
+    fn default() -> Self {
+        PeerPlane::PerPair { dents: HashMap::new() }
     }
+}
 
+impl PeerPlane {
     /// Whether this is the scalar aggregate plane.
     pub fn is_aggregate(&self) -> bool {
         matches!(self, PeerPlane::Aggregate)
@@ -358,17 +356,9 @@ impl PeerPlane {
     ) -> Bandwidth {
         match self {
             PeerPlane::Aggregate => params.peer_bw,
-            PeerPlane::PerPair { links, .. } => links
-                .device_bandwidth(serving, pulling)
-                .expect("peer plane covers every device pair"),
-        }
-    }
-
-    /// The first-use connection overhead of `serving` as a peer.
-    pub fn holder_overhead(&self, params: &TestbedParams, serving: DeviceId) -> Seconds {
-        match self {
-            PeerPlane::Aggregate => params.peer_overhead,
-            PeerPlane::PerPair { overheads, .. } => overheads[serving.0],
+            PeerPlane::PerPair { dents } => {
+                dents.get(&(serving, pulling)).copied().unwrap_or(params.peer_bw)
+            }
         }
     }
 
@@ -453,7 +443,6 @@ impl RegionalMirror {
 /// The simulated testbed: devices, network, registries.
 pub struct Testbed {
     pub devices: Vec<SimDevice>,
-    pub topology: Topology,
     pub hub: HubRegistry,
     pub regional: RegionalRegistry,
     /// Additional regional registries under mesh ids
@@ -461,8 +450,9 @@ pub struct Testbed {
     pub mirrors: Vec<RegionalMirror>,
     pub params: TestbedParams,
     /// The peer data plane: per-pair serving links and per-holder
-    /// sources by default (built uniform from `peer_bw`/`peer_overhead`),
-    /// or the retained scalar [`PeerPlane::Aggregate`] oracle.
+    /// sources by default (uniform `peer_bw`/`peer_overhead` outside the
+    /// dented pairs), or the retained scalar [`PeerPlane::Aggregate`]
+    /// oracle.
     pub peer_plane: PeerPlane,
     /// Per-source failure probabilities (per-pull fatal + per-fetch
     /// transient rates) and the retry policy absorbing the transients.
@@ -525,34 +515,16 @@ impl Testbed {
         )
         .with_base_speed_factor(3.0);
 
-        let topology = TopologyBuilder::new(2, 2)
-            .symmetric_device_link(DEVICE_MEDIUM, DEVICE_SMALL, params.lan)
-            .registry_link(RegistryChoice::Hub.registry_id(), DEVICE_MEDIUM, params.hub_to_medium)
-            .registry_link(RegistryChoice::Hub.registry_id(), DEVICE_SMALL, params.hub_to_small)
-            .registry_link(
-                RegistryChoice::Regional.registry_id(),
-                DEVICE_MEDIUM,
-                params.regional_to_medium,
-            )
-            .registry_link(
-                RegistryChoice::Regional.registry_id(),
-                DEVICE_SMALL,
-                params.regional_to_small,
-            )
-            .build()
-            .expect("testbed topology is complete");
-
         let entries = deep_registry::paper_catalog()
             .into_iter()
             .map(|e| ((e.application.clone(), e.microservice.clone()), e))
             .collect();
         Testbed {
             devices: vec![medium, small],
-            topology,
             hub: HubRegistry::with_paper_catalog(),
             regional: RegionalRegistry::with_paper_catalog(),
             mirrors: Vec::new(),
-            peer_plane: PeerPlane::uniform(2, params.peer_bw, params.peer_overhead),
+            peer_plane: PeerPlane::default(),
             params,
             fault_model: FaultModel::default(),
             entries,
@@ -594,38 +566,6 @@ impl Testbed {
         )
         .with_class(deep_dataflow::DeviceClass::Cloud);
         tb.devices.push(cloud);
-        // The peer plane widens with the fleet (the cloud both serves and
-        // is served at the uniform rate unless a sweep dents its links).
-        tb.peer_plane = PeerPlane::uniform(3, tb.params.peer_bw, tb.params.peer_overhead);
-        // Rebuild the topology with the cloud's WAN links.
-        tb.topology = TopologyBuilder::new(3, 2)
-            .symmetric_device_link(DEVICE_MEDIUM, DEVICE_SMALL, tb.params.lan)
-            .symmetric_device_link(DEVICE_MEDIUM, DEVICE_CLOUD, tb.params.wan)
-            .symmetric_device_link(DEVICE_SMALL, DEVICE_CLOUD, tb.params.wan)
-            .registry_link(
-                RegistryChoice::Hub.registry_id(),
-                DEVICE_MEDIUM,
-                tb.params.hub_to_medium,
-            )
-            .registry_link(RegistryChoice::Hub.registry_id(), DEVICE_SMALL, tb.params.hub_to_small)
-            .registry_link(RegistryChoice::Hub.registry_id(), DEVICE_CLOUD, tb.params.hub_to_cloud)
-            .registry_link(
-                RegistryChoice::Regional.registry_id(),
-                DEVICE_MEDIUM,
-                tb.params.regional_to_medium,
-            )
-            .registry_link(
-                RegistryChoice::Regional.registry_id(),
-                DEVICE_SMALL,
-                tb.params.regional_to_small,
-            )
-            .registry_link(
-                RegistryChoice::Regional.registry_id(),
-                DEVICE_CLOUD,
-                tb.params.regional_to_cloud,
-            )
-            .build()
-            .expect("continuum topology is complete");
         tb
     }
 
@@ -644,9 +584,10 @@ impl Testbed {
     ///
     /// `registries` counts the full mesh sources: the hub + regional
     /// pair plus `registries − 2` regional mirrors at seeded site rates
-    /// (7–12 MB/s, 4–6 s overhead). The device mesh keeps the paper's
-    /// LAN between edge devices and the WAN on any cloud leg; fleet
-    /// devices pull the base registries at the small-device route rates
+    /// (7–12 MB/s, 4–6 s overhead). Dataflow links follow the device
+    /// classes ([`Testbed::device_bandwidth`]: the paper's LAN between
+    /// edge devices, the WAN on any cloud leg); fleet devices pull the
+    /// base registries at the small-device route rates
     /// ([`TestbedParams::route_bandwidth`] is archetype-keyed, not
     /// per-id — per-device heterogeneity comes from the device figures).
     pub fn synthetic_fleet(devices: usize, registries: usize, seed: u64) -> Self {
@@ -690,26 +631,6 @@ impl Testbed {
             .with_base_speed_factor(base.base_speed_factor())
             .with_class(base.class);
             tb.devices.push(device);
-        }
-        if devices > tb.topology.device_count() {
-            let cloudish: Vec<bool> =
-                tb.devices.iter().map(|d| d.class == deep_dataflow::DeviceClass::Cloud).collect();
-            let mut builder = TopologyBuilder::new(devices, 2);
-            for a in 0..devices {
-                for b in (a + 1)..devices {
-                    let bw = if cloudish[a] || cloudish[b] { tb.params.wan } else { tb.params.lan };
-                    builder = builder.symmetric_device_link(DeviceId(a), DeviceId(b), bw);
-                }
-                for choice in [RegistryChoice::Hub, RegistryChoice::Regional] {
-                    builder = builder.registry_link(
-                        choice.registry_id(),
-                        DeviceId(a),
-                        tb.params.route_bandwidth(choice, DeviceId(a)),
-                    );
-                }
-            }
-            tb.topology = builder.build().expect("fleet topology is complete by construction");
-            tb.peer_plane = PeerPlane::uniform(devices, tb.params.peer_bw, tb.params.peer_overhead);
         }
         for _ in 2..registries {
             let bw = Bandwidth::megabytes_per_sec(jitter(&mut state, 7.0, 12.0));
@@ -800,7 +721,7 @@ impl Testbed {
         if let Some(holder) = peer_holder(choice.registry_id()) {
             return SourceParams {
                 download_bw: self.peer_bandwidth(holder, device).scale(1.0 / slowdown),
-                overhead: self.peer_plane.holder_overhead(&self.params, holder),
+                overhead: self.params.peer_overhead,
             };
         }
         match self.mirror(choice) {
@@ -818,12 +739,18 @@ impl Testbed {
     }
 
     /// Dent one directed peer link (requires the per-pair plane; the
-    /// scalar aggregate oracle has no pairs to dent).
+    /// scalar aggregate oracle has no pairs to dent). Both ends must be
+    /// devices of this testbed.
     pub fn set_peer_link(&mut self, serving: DeviceId, pulling: DeviceId, bw: Bandwidth) {
+        let n = self.devices.len();
+        assert!(
+            serving.0 < n && pulling.0 < n,
+            "peer link {serving} → {pulling} names a device outside the {n}-device fleet"
+        );
         match &mut self.peer_plane {
-            PeerPlane::PerPair { links, .. } => links
-                .set_device_bandwidth(serving, pulling, bw)
-                .expect("peer plane covers every device pair"),
+            PeerPlane::PerPair { dents } => {
+                dents.insert((serving, pulling), bw);
+            }
             PeerPlane::Aggregate => panic!("the aggregate peer plane has no per-pair links"),
         }
     }
@@ -905,6 +832,27 @@ impl Testbed {
         mesh
     }
 
+    /// `BW_kj`, the dataflow bandwidth from device `from` to device `to`:
+    /// unbounded on one device (co-located stages exchange data through
+    /// the local filesystem), [`TestbedParams::wan`] when either end is a
+    /// cloud-class device, [`TestbedParams::lan`] otherwise.
+    pub fn device_bandwidth(&self, from: DeviceId, to: DeviceId) -> Bandwidth {
+        let cloud = |d: DeviceId| self.device(d).class == deep_dataflow::DeviceClass::Cloud;
+        if from == to {
+            Bandwidth::infinite()
+        } else if cloud(from) || cloud(to) {
+            self.params.wan
+        } else {
+            self.params.lan
+        }
+    }
+
+    /// `Tc` of one dataflow: the time `size` takes from device `from` to
+    /// device `to` over [`Testbed::device_bandwidth`].
+    pub fn device_transfer_time(&self, from: DeviceId, to: DeviceId, size: DataSize) -> Seconds {
+        deep_netsim::transfer_time(size, self.device_bandwidth(from, to))
+    }
+
     /// Device by id.
     pub fn device(&self, id: DeviceId) -> &SimDevice {
         &self.devices[id.0]
@@ -916,14 +864,13 @@ impl Testbed {
     }
 
     /// An independent deep copy of the whole testbed: devices, caches,
-    /// topology, registries and mirrors (storage *forked*, never shared —
+    /// registries and mirrors (storage *forked*, never shared —
     /// chaos events delete tags and GC blobs, so replications running in
     /// parallel must not alias registry state), peer plane, fault model
     /// and catalog entries. Two replicas evolve with no cross-talk.
     pub fn replica(&self) -> Testbed {
         Testbed {
             devices: self.devices.clone(),
-            topology: self.topology.clone(),
             hub: self.hub.clone(),
             regional: self.regional.fork(),
             mirrors: self.mirrors.iter().map(RegionalMirror::fork).collect(),
@@ -955,8 +902,7 @@ mod tests {
         assert_eq!(t.device(DEVICE_SMALL).cores, 4);
         assert_eq!(t.device(DEVICE_MEDIUM).memory, DataSize::gigabytes(16.0));
         assert_eq!(t.device(DEVICE_SMALL).memory, DataSize::gigabytes(8.0));
-        assert_eq!(t.topology.device_count(), 2);
-        assert_eq!(t.topology.registry_count(), 2);
+        assert_eq!(t.registry_choices().len(), 2);
     }
 
     #[test]
@@ -1114,6 +1060,47 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "outside the 3-device fleet")]
+    fn peer_links_outside_the_fleet_are_rejected() {
+        let mut t = Testbed::continuum();
+        t.set_peer_link(DEVICE_MEDIUM, DeviceId(3), Bandwidth::megabytes_per_sec(40.0));
+    }
+
+    #[test]
+    fn fleet_links_follow_the_device_class_rule() {
+        let t = Testbed::synthetic_fleet(40, 3, 7);
+        let cloud: Vec<usize> = t
+            .devices
+            .iter()
+            .filter(|d| d.class == deep_dataflow::DeviceClass::Cloud)
+            .map(|d| d.id.0)
+            .collect();
+        assert_eq!(cloud, vec![2, 15, 31]);
+        for a in 0..40 {
+            for b in 0..40 {
+                let (from, to) = (DeviceId(a), DeviceId(b));
+                let (bw, secs) = if a == b {
+                    (Bandwidth::infinite(), 0.0)
+                } else if cloud.contains(&a) || cloud.contains(&b) {
+                    (t.params.wan, 12.5) // 250 MB over the 20 MB/s WAN
+                } else {
+                    (t.params.lan, 2.5) // 250 MB over the 100 MB/s LAN
+                };
+                assert_eq!(t.device_bandwidth(from, to), bw, "{a} -> {b}");
+                let tc = t.device_transfer_time(from, to, DataSize::megabytes(250.0));
+                assert!((tc.as_f64() - secs).abs() < 1e-9, "{a} -> {b}: {tc}");
+                assert_eq!(t.device_transfer_time(from, to, DataSize::ZERO), Seconds::ZERO);
+                if a == b {
+                    assert_eq!(
+                        t.device_transfer_time(from, to, DataSize::gigabytes(1e6)),
+                        Seconds::ZERO
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn per_pair_snapshots_split_by_holder_and_skip_empty_caches() {
         let mut t = Testbed::continuum();
         let digest = deep_registry::Digest::of(b"warm-layer");
@@ -1177,7 +1164,6 @@ mod continuum_tests {
         let cloud = t.device(DEVICE_CLOUD);
         assert_eq!(cloud.class, DeviceClass::Cloud);
         assert_eq!(cloud.cores, 32);
-        assert_eq!(t.topology.device_count(), 3);
     }
 
     #[test]
@@ -1190,8 +1176,8 @@ mod continuum_tests {
     #[test]
     fn wan_links_are_slower_than_lan() {
         let t = Testbed::continuum();
-        let lan = t.topology.device_bandwidth(DEVICE_MEDIUM, DEVICE_SMALL).unwrap();
-        let wan = t.topology.device_bandwidth(DEVICE_MEDIUM, DEVICE_CLOUD).unwrap();
+        let lan = t.device_bandwidth(DEVICE_MEDIUM, DEVICE_SMALL);
+        let wan = t.device_bandwidth(DEVICE_MEDIUM, DEVICE_CLOUD);
         assert!(wan.as_bytes_per_sec() < lan.as_bytes_per_sec());
     }
 

@@ -11,7 +11,7 @@
 //! | module | crate | role |
 //! |---|---|---|
 //! | [`dataflow`] | `deep-dataflow` | DAG application model (Fig. 2 case studies) |
-//! | [`netsim`] | `deep-netsim` | typed units, bandwidth topology, CDN model |
+//! | [`netsim`] | `deep-netsim` | typed units, device/registry ids, transfer time, gossip |
 //! | [`energy`] | `deep-energy` | power models, RAPL emulation, wall meter |
 //! | [`objectstore`] | `deep-objectstore` | MinIO-like S3 store w/ erasure coding |
 //! | [`registry`] | `deep-registry` | Docker Hub + regional registries, pull path |

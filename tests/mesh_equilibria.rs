@@ -100,11 +100,7 @@ impl<'t> SeedContext<'t> {
         let mut tc = Seconds::ZERO;
         for flow in self.app.incoming(id) {
             let producer = self.assigned[flow.from.0].expect("producer committed").device;
-            tc += self
-                .testbed
-                .topology
-                .device_transfer_time(producer, device, flow.size)
-                .expect("topology covers devices");
+            tc += self.testbed.device_transfer_time(producer, device, flow.size);
         }
         let scoped = format!("{}/{}", self.app.name(), ms.name);
         let tp = dev.processing_time(&scoped, ms.requirements.cpu);

@@ -1,4 +1,4 @@
-//! Topology-backed peer-plane regressions.
+//! Per-pair peer-plane regressions.
 //!
 //! The contracts that make the per-pair peer plane safe and worth
 //! having:
@@ -230,7 +230,7 @@ fn pricing_the_hot_uplink_moves_the_equilibrium() {
     // A hot fleet cache: the cloud holder's uplink is throttled to
     // 7 MB/s — below every registry route. The aggregate-blind
     // scheduler still believes the scalar 80 MB/s plane and plans
-    // around free peer bytes; the topology-aware scheduler prices the
+    // around free peer bytes; the per-pair-aware scheduler prices the
     // real uplink. Both schedules are executed under the same hot
     // physics. The app is pinned to the edge tier so the game plays
     // over the cold devices (a pull *onto* the warm holder is free and
