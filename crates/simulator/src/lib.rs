@@ -45,6 +45,8 @@ pub mod jitter;
 pub mod metrics;
 pub mod schedule;
 pub mod testbed;
+#[cfg(test)]
+mod topology;
 pub mod trace;
 
 pub use chaos::{ChaosEvent, ChaosKind};

@@ -1067,40 +1067,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_links_follow_the_device_class_rule() {
-        let t = Testbed::synthetic_fleet(40, 3, 7);
-        let cloud: Vec<usize> = t
-            .devices
-            .iter()
-            .filter(|d| d.class == deep_dataflow::DeviceClass::Cloud)
-            .map(|d| d.id.0)
-            .collect();
-        assert_eq!(cloud, vec![2, 15, 31]);
-        for a in 0..40 {
-            for b in 0..40 {
-                let (from, to) = (DeviceId(a), DeviceId(b));
-                let (bw, secs) = if a == b {
-                    (Bandwidth::infinite(), 0.0)
-                } else if cloud.contains(&a) || cloud.contains(&b) {
-                    (t.params.wan, 12.5) // 250 MB over the 20 MB/s WAN
-                } else {
-                    (t.params.lan, 2.5) // 250 MB over the 100 MB/s LAN
-                };
-                assert_eq!(t.device_bandwidth(from, to), bw, "{a} -> {b}");
-                let tc = t.device_transfer_time(from, to, DataSize::megabytes(250.0));
-                assert!((tc.as_f64() - secs).abs() < 1e-9, "{a} -> {b}: {tc}");
-                assert_eq!(t.device_transfer_time(from, to, DataSize::ZERO), Seconds::ZERO);
-                if a == b {
-                    assert_eq!(
-                        t.device_transfer_time(from, to, DataSize::gigabytes(1e6)),
-                        Seconds::ZERO
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn per_pair_snapshots_split_by_holder_and_skip_empty_caches() {
         let mut t = Testbed::continuum();
         let digest = deep_registry::Digest::of(b"warm-layer");
