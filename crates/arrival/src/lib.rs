@@ -10,9 +10,10 @@
 //! - [`plane`] drives the [`deep_simulator::OnlineExecutor`] through
 //!   that timeline: requests are admitted at wave barriers, each
 //!   admission re-enters the game **incrementally**
-//!   ([`deep_core::DeepScheduler::incremental_repair`]) warm-started
-//!   from the incumbent equilibrium, with a full re-solve fallback
-//!   past a deviation budget or across a scripted-window boundary.
+//!   ([`deep_core::DeepScheduler::incremental_repair`]): only members
+//!   of the incumbent equilibrium with an improving deviation under the
+//!   exact payoffs move, with a full re-solve fallback past a budget of
+//!   moved members or across a scripted-window boundary.
 //! - [`inference`] closes the loop for blind operators: streaks of
 //!   fatal pulls synthesize [`deep_registry::OutageWindow`]s that feed
 //!   back into the next repair.

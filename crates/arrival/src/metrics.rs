@@ -13,11 +13,12 @@ pub struct RepairStats {
     /// A full game re-solve ran (first admission, policy choice, or
     /// scripted-window boundary crossing).
     pub full_solve: bool,
-    /// Incremental repair gave up (budget exhausted, non-convergence,
-    /// incumbent outside the mesh) and fell back to a full re-solve.
+    /// Incremental repair gave up (more members moved than the budget
+    /// allows, or the incumbent no longer fits the mesh) and fell back
+    /// to a full re-solve.
     pub fell_back: bool,
-    /// Unilateral strategy deviations the repair's best-response
-    /// dynamics applied before converging.
+    /// Members the repair moved off the incumbent: those that had an
+    /// improving deviation under the exact payoffs.
     pub deviations: usize,
     /// Wall-clock microseconds spent producing the schedule.
     pub micros: u64,
@@ -130,7 +131,7 @@ impl ArrivalOutcome {
         self.measured().filter(|j| j.repair.fell_back).count()
     }
 
-    /// Total strategy deviations repair applied across measured jobs.
+    /// Total members repair moved across measured jobs.
     pub fn total_deviations(&self) -> usize {
         self.measured().map(|j| j.repair.deviations).sum()
     }

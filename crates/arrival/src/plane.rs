@@ -5,22 +5,24 @@
 //! One plane run drives the scenario's [`OnlineExecutor`] per
 //! replication: arrivals advance the clock, each admission prices the
 //! game *at the current clock* (windows that have passed no longer
-//! scare the scheduler; windows ahead do) and warm-starts best-response
-//! dynamics from the incumbent equilibrium via
+//! scare the scheduler; windows ahead do) and repairs the incumbent
+//! equilibrium under those exact payoffs via
 //! [`DeepScheduler::incremental_repair`]. Queued jobs interleave at
 //! wave barriers — the executor's wave clock is the only admission
 //! point during execution; idle gaps become explicit barriers
 //! ([`OnlineExecutor::fire_due_events`]) so gap chaos is priced, not
 //! discovered one wave late.
 //!
-//! **When repair is allowed.** The wave-route repair game prices
-//! physical route transfer time, so it can re-balance contention but
-//! cannot see the fault landscape move. Whenever the scheduler-visible
-//! landscape changes between solves — a scripted outage window opens or
-//! clears, or online inference adds/retracts a window — the incumbent
-//! is invalidated and the next admission re-solves the full game.
-//! Repair is the fast path for the common case: sustained arrivals
-//! into an unchanged landscape.
+//! **When repair is allowed.** The repair prices the exact payoffs at
+//! the admission clock, fault landscape included, so what it returns is
+//! an equilibrium of the game as priced then, whatever moved. The plane
+//! still retires the incumbent whenever the scheduler-visible landscape
+//! changes between solves — a scripted outage window opens or clears,
+//! or online inference adds/retracts a window — and the next admission
+//! re-solves the full game. Correctness no longer needs that
+//! retirement; it stays so that recorded soaks keep their schedules and
+//! full-solve counts. Repair is the fast path for the common case:
+//! sustained arrivals into an unchanged landscape.
 
 use crate::inference::{InferenceState, OutageInference};
 use crate::metrics::{ArrivalOutcome, JobRecord, RepairStats};
@@ -32,8 +34,8 @@ use deep_registry::FaultModel;
 use deep_scenario::Scenario;
 use deep_simulator::{plan_waves, OnlineExecutor, Schedule, Testbed};
 
-/// Deviation budget an [`ArrivalPlane`] grants each incremental repair
-/// before it falls back to a full re-solve.
+/// Members an [`ArrivalPlane`] lets each incremental repair move before
+/// it falls back to a full re-solve.
 pub const DEFAULT_DEVIATION_BUDGET: usize = 16;
 
 /// How the plane re-equilibrates on each admission.
@@ -42,9 +44,11 @@ pub enum RepairPolicy {
     /// Re-solve the full game from scratch on every admission — the
     /// periodic-re-solve baseline.
     Full,
-    /// Warm-start best-response dynamics from the incumbent
-    /// equilibrium, falling back to a full re-solve past `budget`
-    /// unilateral deviations (or whenever the fault landscape moved).
+    /// Repair the incumbent equilibrium
+    /// ([`DeepScheduler::incremental_repair`]): members with an
+    /// improving deviation move to their stage-game picks, and more than
+    /// `budget` moved members fall back to a full re-solve. A moved
+    /// fault landscape retires the incumbent first.
     Incremental { budget: usize },
 }
 

@@ -2,12 +2,12 @@
 //! each repair policy, and what a full soak over the checked-in arrival
 //! scenario costs end to end.
 //!
-//! The per-admission pair is the acceptance headline: warm-starting
-//! best-response dynamics from the incumbent equilibrium
-//! (`incremental_repair`) must beat the scenario-priced full re-solve
-//! by at least 5x, because the full path re-runs the Monte-Carlo
-//! `E[Td]` pricing for every (microservice, replica, route) triple
-//! while repair re-prices only the routes the incumbent can deviate to.
+//! The per-admission pair compares repairing the incumbent equilibrium
+//! (`incremental_repair`) with the scenario-priced full re-solve. The
+//! repair walks the incumbent once: each member prices its incumbent
+//! cell and only the cells whose energy floor could beat it, and plays
+//! its full stage game only if one does. The incumbent here is the
+//! solve's own equilibrium, so the repair moves nothing.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use deep_arrival::{run_plane, ArrivalPlane, RepairPolicy, DEFAULT_DEVIATION_BUDGET};
@@ -27,7 +27,7 @@ fn bench_admission(c: &mut Criterion) {
     let incumbent = scheduler.schedule(&app, &tb);
     // One admission, full policy: re-solve the whole game from scratch.
     group.bench_function("full_resolve", |b| b.iter(|| black_box(scheduler.schedule(&app, &tb))));
-    // One admission, repair policy: warm-start from the incumbent.
+    // One admission, repair policy: keep-or-move walk of the incumbent.
     group.bench_function("incremental_repair", |b| {
         b.iter(|| {
             black_box(scheduler.incremental_repair(&app, &tb, &incumbent, DEFAULT_DEVIATION_BUDGET))

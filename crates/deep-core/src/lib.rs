@@ -44,9 +44,8 @@
 //!   byte (`tests/gossip_discovery.rs`).
 //! * **Explicit Rosenthal form** — [`nash::WaveRouteGame`] derives each
 //!   wave's `deep_game::CongestionGame` from actual split-pull plans
-//!   (player-specific subsets over routes + uplinks), which
-//!   [`DeepScheduler::incremental_repair`] descends from an incumbent
-//!   schedule.
+//!   (player-specific subsets over routes + uplinks). It prices mean
+//!   route times, not the exact payoffs, so no solve or repair plays it.
 //! * **Failover-aware payoffs** — with [`DeepScheduler::fault_aware`]
 //!   the payoffs price *expected* deployment time under the testbed's
 //!   [`deep_registry::FaultModel`]:
@@ -56,12 +55,11 @@
 //!   registries), `B` is the closed-form expected retry backoff of the
 //!   transient channel and `detection` the exhausted retry budget burnt
 //!   declaring a source dead. Expected costs are still per-resource load
-//!   functions, so the Rosenthal potential argument — and hence the
-//!   repair's convergence — carries over unchanged
-//!   (`tests/game_theory_validation.rs`). With probabilities at zero the
-//!   payoffs, schedules and RunReports are byte-identical to the
-//!   happy-path stack; under a lossy regional the equilibrium reroutes
-//!   risk-weighted bytes toward the hub and reliable mirrors
+//!   functions, so the Rosenthal potential argument carries over
+//!   unchanged (`tests/game_theory_validation.rs`). With probabilities
+//!   at zero the payoffs, schedules and RunReports are byte-identical to
+//!   the happy-path stack; under a lossy regional the equilibrium
+//!   reroutes risk-weighted bytes toward the hub and reliable mirrors
 //!   (`tests/fault_injection.rs`, `examples/fault_sweep.rs`, PERF.md).
 //! * **Scenario-priced payoffs** — with
 //!   [`DeepScheduler::scenario_priced`] the payoffs are
@@ -80,8 +78,10 @@
 //!   The sequential stage games' profile is the schedule: every member
 //!   plays the minimum of its grid in the state its own walk reaches, so
 //!   the profile is an exact pure Nash equilibrium of the joint game.
-//!   Incremental repairs run `deep-game`'s sparse potential descent on
-//!   the wave games, built from sole-source plans where they can be.
+//!   [`DeepScheduler::incremental_repair`] walks an incumbent once: a
+//!   member keeps its placement when no floor-screened cell beats it
+//!   under the exact payoffs, and plays its stage game otherwise, so a
+//!   repair is an exact equilibrium too.
 //!   The same path runs on the paper's two-device testbed and on
 //!   [`continuum::synthetic_fleet_testbed`]'s 10³ seeded-heterogeneous
 //!   devices (`examples/fleet_scale.rs`, PERF.md).

@@ -32,13 +32,12 @@
 //! the serving holder's uplink — a split pull loading each resource its
 //! bytes traverse, and with [`DeepScheduler::with_peer_sharing`] the
 //! payoffs price the per-holder peer split pulls a `peer_sharing`
-//! executor will realise. The congestion structure is carried
-//! explicitly: [`WaveRouteGame`] derives each wave's Rosenthal form
-//! (player-specific resource subsets read off actual split-pull plans),
-//! which [`DeepScheduler::incremental_repair`] descends from an incumbent
-//! schedule. On the paper's two-registry testbed all of this reduces to
-//! the seed hub-vs-regional game exactly (regression-tested in
-//! `tests/mesh_equilibria.rs`).
+//! executor will realise. [`WaveRouteGame`] can write each wave's
+//! congestion structure out in Rosenthal form (player-specific resource
+//! subsets read off actual split-pull plans), but no solve or repair
+//! path plays it: both price the exact payoffs. On the paper's
+//! two-registry testbed all of this reduces to the seed hub-vs-regional
+//! game exactly (regression-tested in `tests/mesh_equilibria.rs`).
 //!
 //! ## The solve and repair paths
 //!
@@ -56,6 +55,16 @@
 //!   more than the minimum, so the pick and its cost bits are those of
 //!   the fully priced grid. On a warm 800-device fleet about one cell in
 //!   ten or fewer is priced exactly (PERF.md).
+//! * **Repair** — [`DeepScheduler::incremental_repair`] walks the
+//!   incumbent once in barrier order. Each member's scan starts from its
+//!   incumbent cell and prices only the cells whose floor lies more than
+//!   the improvement margin below the incumbent's cost. A member that no
+//!   cell beats by more than the margin keeps its placement; that is
+//!   exactly the equilibrium check's test. Any other member plays its
+//!   stage game in the walk's state. So every member of the result is a
+//!   best response to the placements before it, and the result is an
+//!   exact equilibrium by the same argument as the solve. An incumbent
+//!   that already is one comes back unchanged.
 //! * **Wave games** — each wave's [`WaveRouteGame`] reads every
 //!   strategy's resource subset off its pull plan, but most fleet cells
 //!   need no pull session to know it. A cell is *sole-source* when its
@@ -66,11 +75,8 @@
 //!   plan is one bucket of the missing bytes (none when nothing is
 //!   missing). Only the other cells, those a peer could serve, run the
 //!   session (`EstimationContext::plan_buckets`, pinned to
-//!   [`EstimationContext::plan`] by a property test).
-//! * **Repair** — [`CongestionGame::sparse_descent`]: incremental ΔΦ
-//!   over per-resource load counters, touching only the deviator's
-//!   resource subset per candidate, run one pass at a time to count and
-//!   budget the repair's deviations.
+//!   [`EstimationContext::plan`] by a property test). The wave games
+//!   are built only by [`DeepScheduler::wave_route_games`].
 //!
 //! The equilibrium checks evaluate unilateral deviations
 //! *incrementally*: since a member's payoff depends only on the
@@ -80,7 +86,7 @@
 //! whose energy floor is already within the improvement margin of the
 //! cost to beat. Each call opens one estimation context —
 //! construction plus the first barrier, whose gossip round dominates at
-//! fleet scale — and every walk starts from a clone of it. A
+//! fleet scale — and walks it, or clones of it. A
 //! 1,000-device, 10-registry synthetic fleet
 //! ([`crate::continuum::synthetic_fleet_testbed`]) solves in well under
 //! a second (`examples/fleet_scale.rs`, PERF.md).
@@ -88,7 +94,7 @@
 use crate::model::{EstimationContext, ScenarioPricing};
 use crate::Scheduler;
 use deep_dataflow::{stages, Application, MicroserviceId};
-use deep_game::{CongestionGame, DescentWorkspace};
+use deep_game::CongestionGame;
 use deep_netsim::{splitmix64, DeviceId, RegistryId, Seconds};
 use deep_simulator::{route_key, PeerDiscovery, Placement, RegistryChoice, Schedule, Testbed};
 
@@ -107,7 +113,10 @@ use deep_simulator::{route_key, PeerDiscovery, Placement, RegistryChoice, Schedu
 /// mean unloaded transfer time of the buckets observed on it, scaled by
 /// the testbed's linear contention factor — anonymous in who loads the
 /// resource, which is what keeps Rosenthal's exact potential (and hence
-/// deterministic best-response convergence) valid.
+/// deterministic best-response convergence) valid. Because those costs
+/// are means, not the exact payoffs, neither the solve nor the repair
+/// plays this game; [`DeepScheduler::wave_route_games`] builds it for
+/// callers that study the congestion structure.
 pub struct WaveRouteGame {
     /// The wave's players, in commit order.
     pub members: Vec<MicroserviceId>,
@@ -213,28 +222,19 @@ impl WaveRouteGame {
             self.base_cost[r] * (1.0 + self.alpha * (load - 1) as f64)
         })
     }
-
-    /// Index of `placement` in player `p`'s strategy list.
-    fn strategy_index(&self, p: usize, placement: Placement) -> usize {
-        self.strategies[p]
-            .iter()
-            .position(|&s| s == placement)
-            .expect("profile placements come from the same strategy space")
-    }
 }
 
 /// The result of [`DeepScheduler::incremental_repair`]: either the
-/// incumbent schedule polished by wave-local best-response dynamics, or
-/// — when the incumbent no longer fits the mesh or the repair blows its
-/// deviation budget — a full re-solve.
+/// incumbent schedule with the members that had an improving deviation
+/// moved to their stage-game picks, or — when the incumbent no longer
+/// fits the mesh or more members move than the budget allows — a full
+/// re-solve.
 #[derive(Debug, Clone)]
 pub struct RepairOutcome {
     /// The repaired (or re-solved) schedule.
     pub schedule: Schedule,
-    /// Unilateral deviations the repair applied. 0 when the incumbent
-    /// already sat at a wave-game equilibrium (or when every candidate
-    /// move failed the exact-cost guard); counts the moves of the full
-    /// best-response descent otherwise.
+    /// Members the repair moved off their incumbent placement. 0 exactly
+    /// when the incumbent is an equilibrium of the priced game.
     pub deviations: usize,
     /// Whether the repair abandoned the incumbent and re-solved from
     /// scratch ([`Scheduler::schedule`]).
@@ -267,15 +267,17 @@ struct FleetWorkspace {
 }
 
 /// The energy margin a deviation must beat to count as an improvement,
-/// in the equilibrium checks and the repair's exact-cost guard.
+/// in the equilibrium checks and the repair's keep-or-move test.
 const MARGIN: f64 = 1e-9;
 
 /// The DEEP scheduler.
 #[derive(Debug, Clone)]
 pub struct DeepScheduler {
-    /// Cap on the incremental repair's best-response passes per wave
-    /// (each pass lets every wave member revise once; congestion games
-    /// converge long before this).
+    /// Cap on best-response passes per wave game (each pass lets every
+    /// wave member revise once). No solve or repair path reads it: it
+    /// only caps the descent a caller runs on
+    /// [`DeepScheduler::wave_route_games`], which perfbench's wave-game
+    /// probe does.
     pub max_refine_passes: usize,
     /// Price peer-cache split pulls in the payoffs — set this iff the
     /// executor will run with
@@ -436,13 +438,8 @@ impl DeepScheduler {
     /// Only the cells that can win are priced exactly. Every cell first
     /// gets its admissible energy floor
     /// ([`EstimationContext::energy_floors`]), which is far cheaper than
-    /// an estimate. The lowest-floor cell is priced, and only cells whose
-    /// floor is at most its cost stay candidates. Those are priced in
-    /// ascending-floor order until the next floor exceeds the best cost
-    /// so far. Every other cell stays at `+∞`. A pruned cell's exact cost
-    /// is at least its floor, which is strictly above the final minimum,
-    /// so it can neither win nor tie, and the unchanged scan picks the
-    /// same cell with the same cost bits as a fully priced grid.
+    /// an estimate. The scan starts from the lowest-floor cell
+    /// ([`DeepScheduler::scan_from`]).
     fn stage_game(
         ctx: &EstimationContext<'_>,
         id: MicroserviceId,
@@ -450,10 +447,34 @@ impl DeepScheduler {
     ) -> (Placement, f64) {
         let registries = ctx.registry_choices();
         Self::fill_floors(ctx, id, &registries, ws);
-        assert!(
-            !ws.devices.is_empty(),
-            "no device admits microservice {id}: the testbed cannot host the application"
-        );
+        let lowest = (0..ws.floors.len())
+            .min_by(|&a, &b| ws.floors[a].total_cmp(&ws.floors[b]))
+            .expect("the grid is non-empty");
+        Self::scan_from(ctx, id, &registries, ws, lowest, 0.0);
+        Self::last_minimum(&registries, ws)
+    }
+
+    /// Price the filled grid's `seed` cell, then, in ascending-floor
+    /// order, the cells whose floor is at most the seed's cost less
+    /// `margin`, until the next floor exceeds the best cost so far.
+    /// Returns the seed's cost. Unpriced cells stay at `+∞` in
+    /// `ws.payoffs`.
+    ///
+    /// A cell's exact cost is at least its floor, so a pruned cell costs
+    /// strictly more than the best cost found or than the seed's cost
+    /// less `margin`. With `margin` 0, and whenever the best cost ends
+    /// below the seed's cost less `margin`, no pruned cell can win or
+    /// tie: the last minimum of `ws.payoffs` is that of the fully priced
+    /// grid, pick and cost bits. Otherwise no cell beats the seed by more
+    /// than `margin`.
+    fn scan_from(
+        ctx: &EstimationContext<'_>,
+        id: MicroserviceId,
+        registries: &[RegistryChoice],
+        ws: &mut FleetWorkspace,
+        seed: usize,
+        margin: f64,
+    ) -> f64 {
         let r_count = registries.len();
         let FleetWorkspace { devices, floors, order, payoffs, exact_cells, grid_cells, .. } = ws;
         let price = |cell: usize| {
@@ -462,15 +483,14 @@ impl DeepScheduler {
             debug_assert!(floors[cell] <= cost, "energy floor above the exact cost");
             cost
         };
-        let lowest = (0..floors.len())
-            .min_by(|&a, &b| floors[a].total_cmp(&floors[b]))
-            .expect("the grid is non-empty");
-        let bound = price(lowest);
+        let bound = price(seed);
         payoffs.clear();
         payoffs.resize(floors.len(), f64::INFINITY);
-        payoffs[lowest] = bound;
+        payoffs[seed] = bound;
         order.clear();
-        order.extend((0..floors.len()).filter(|&cell| cell != lowest && floors[cell] <= bound));
+        order.extend(
+            (0..floors.len()).filter(|&cell| cell != seed && floors[cell] <= bound - margin),
+        );
         order.sort_unstable_by(|&a, &b| floors[a].total_cmp(&floors[b]));
         let mut best = bound;
         let mut priced = 1;
@@ -484,49 +504,23 @@ impl DeepScheduler {
         }
         *exact_cells += priced;
         *grid_cells += floors.len();
+        bound
+    }
+
+    /// The last minimal-energy cell of `ws.payoffs` in registry-major
+    /// order, with its cost.
+    fn last_minimum(registries: &[RegistryChoice], ws: &FleetWorkspace) -> (Placement, f64) {
+        let r_count = registries.len();
         let mut best = (f64::INFINITY, 0usize, 0usize);
         for ri in 0..r_count {
-            for di in 0..devices.len() {
-                let cost = payoffs[di * r_count + ri];
+            for di in 0..ws.devices.len() {
+                let cost = ws.payoffs[di * r_count + ri];
                 if cost <= best.0 {
                     best = (cost, ri, di);
                 }
             }
         }
-        (Placement { registry: registries[best.1], device: devices[best.2] }, best.0)
-    }
-
-    /// Evaluate every microservice's estimated energy under a full
-    /// profile, walking a clone of `opened`.
-    fn profile_costs(
-        opened: &EstimationContext<'_>,
-        app: &Application,
-        profile: &[Placement],
-    ) -> Vec<f64> {
-        let mut ctx = opened.clone();
-        let mut costs = vec![0.0; app.len()];
-        for (w, stage) in stages(app).iter().enumerate() {
-            if w > 0 {
-                ctx.begin_wave();
-            }
-            for &id in &stage.members {
-                costs[id.0] = Self::estimate_and_commit(&mut ctx, id, profile[id.0]);
-            }
-        }
-        costs
-    }
-
-    /// Commit `placement` for `id` and return its estimated energy just
-    /// before the commit — one step of a [`DeepScheduler::profile_costs`]
-    /// walk.
-    fn estimate_and_commit(
-        ctx: &mut EstimationContext<'_>,
-        id: MicroserviceId,
-        placement: Placement,
-    ) -> f64 {
-        let cost = ctx.estimate(id, placement.registry, placement.device).ec.as_f64();
-        ctx.commit(id, placement);
-        cost
+        (Placement { registry: registries[best.1], device: ws.devices[best.2] }, best.0)
     }
 
     /// The per-wave explicit Rosenthal games of a profile: each wave's
@@ -557,26 +551,27 @@ impl DeepScheduler {
     ///
     /// The continuous-arrival analogue of [`Scheduler::schedule`]: when
     /// the world shifts under a running deployment — a new application
-    /// admitted, an outage window opening or clearing — the incumbent
-    /// equilibrium is usually *almost* right, and repairing it against
-    /// the delta is far cheaper than replaying every stage game. The
-    /// repair warm-starts best-response dynamics from the incumbent
-    /// inside each wave's explicit Rosenthal game ([`WaveRouteGame`]) —
-    /// closed form per-resource costs, no support enumeration, no O(n²)
-    /// profile replays — counting every unilateral deviation taken. The
-    /// repaired profile is adopted only if it strictly improves the exact
-    /// total cost, so repairing an incumbent that is still an equilibrium
-    /// is an exact no-op with zero deviations. The repair opens one context
-    /// and walks two clones of it at most: the repair walk, which also
-    /// prices the repaired profile, and — only when the repair moved
-    /// something — the incumbent's exact-cost walk.
+    /// admitted, caches warmed by an earlier run — the incumbent is
+    /// usually *almost* an equilibrium, and only the members the change
+    /// touches need to decide again. The repair opens one context and
+    /// walks the incumbent once in barrier order. At each member it fills
+    /// the energy floors, prices the incumbent cell exactly, and prices
+    /// only the cells whose floor lies more than the improvement margin
+    /// (1e-9 J) below that cost. If none of them beats the incumbent by
+    /// more than the margin, the member keeps it: exactly the test the
+    /// equilibrium check makes. Otherwise the member plays its stage game
+    /// in the walk's state and counts as moved. Either way its placement
+    /// is committed before the next member. Every member of the result is
+    /// then a best response to the placements committed before it, so the
+    /// result is an exact pure Nash equilibrium of the priced game by the
+    /// same argument as the solve (module doc), and an incumbent that
+    /// already is one comes back unchanged with 0 moved.
     ///
     /// Falls back to a full re-solve (`fell_back = true`) when the
     /// incumbent no longer fits the mesh (length mismatch, a registry
-    /// that left the strategy space, an inadmissible device), when the
-    /// descent spends more than `budget` deviations, or when it fails
-    /// to converge within [`DeepScheduler::max_refine_passes`] passes.
-    /// The re-solve runs the full [`Scheduler::schedule`].
+    /// that left the strategy space, an inadmissible device) or when more
+    /// than `budget` members move. The re-solve runs the full
+    /// [`Scheduler::schedule`].
     pub fn incremental_repair(
         &self,
         app: &Application,
@@ -606,84 +601,57 @@ impl DeepScheduler {
         if !fits {
             return full(0);
         }
-        // The walk's contexts are gone before a fallback opens its own.
+        // The walk's context is gone before a fallback opens its own.
         match self.repair_walk(app, testbed, profile, budget) {
-            Ok((out, deviations)) => {
-                RepairOutcome { schedule: Schedule::new(out), deviations, fell_back: false }
+            Ok((out, moved)) => {
+                RepairOutcome { schedule: Schedule::new(out), deviations: moved, fell_back: false }
             }
-            Err(deviations) => full(deviations),
+            Err(moved) => full(moved),
         }
     }
 
     /// The walk of [`DeepScheduler::incremental_repair`] over an
-    /// incumbent that fits the mesh: the repaired profile with its
-    /// deviation count, or `Err(deviations)` when the descent blew the
-    /// budget or did not converge.
+    /// incumbent that fits the mesh: the repaired profile with the
+    /// number of members moved, or `Err(moved)` once more than `budget`
+    /// members moved.
     fn repair_walk(
         &self,
         app: &Application,
         testbed: &Testbed,
-        profile: Vec<Placement>,
+        mut profile: Vec<Placement>,
         budget: usize,
     ) -> Result<(Vec<Placement>, usize), usize> {
-        let opened = self.open(testbed, app);
-        let mut out = profile.clone();
-        let mut costs = vec![0.0; app.len()];
-        let mut deviations = 0usize;
-        let mut ws = DescentWorkspace::default();
-        let mut ctx = opened.clone();
+        let mut ctx = self.open(testbed, app);
+        let registries = ctx.registry_choices();
+        let mut ws = FleetWorkspace::default();
+        let mut moved = 0usize;
         for (w, stage) in stages(app).iter().enumerate() {
             if w > 0 {
                 ctx.begin_wave();
             }
-            let wave = WaveRouteGame::build(&ctx, testbed, &stage.members);
-            if !wave.resources.is_empty() {
-                let game = wave.game();
-                let mut current: Vec<usize> = wave
-                    .members
-                    .iter()
-                    .enumerate()
-                    .map(|(p, &id)| wave.strategy_index(p, out[id.0]))
-                    .collect();
-                let mut converged = false;
-                for _ in 0..self.max_refine_passes {
-                    // One sparse pass from an all-dirty start is one
-                    // dense best-response pass, profile for profile.
-                    let step = game.sparse_descent(current.clone(), 1, &mut ws);
-                    // One pass revises each player at most once, and a
-                    // revision always changes the strategy, so the
-                    // hamming distance counts the pass's moves exactly.
-                    deviations += current.iter().zip(&step.profile).filter(|(a, b)| a != b).count();
-                    if deviations > budget {
-                        return Err(deviations);
-                    }
-                    current = step.profile;
-                    if step.converged {
-                        converged = true;
-                        break;
-                    }
-                }
-                if !converged {
-                    return Err(deviations);
-                }
-                for (p, &id) in wave.members.iter().enumerate() {
-                    out[id.0] = wave.strategies[p][current[p]];
-                }
-            }
             for &id in &stage.members {
-                costs[id.0] = Self::estimate_and_commit(&mut ctx, id, out[id.0]);
+                let kept = profile[id.0];
+                Self::fill_floors(&ctx, id, &registries, &mut ws);
+                let fits = "the incumbent fits the mesh";
+                let d = ws.devices.iter().position(|&d| d == kept.device).expect(fits);
+                let r = registries.iter().position(|&r| r == kept.registry).expect(fits);
+                // The incumbent is the scan's seed: a member no cell beats
+                // by more than the margin keeps it, which is exactly the
+                // equilibrium check's test over the full grid.
+                let seed = d * registries.len() + r;
+                let current = Self::scan_from(&ctx, id, &registries, &mut ws, seed, MARGIN);
+                let (pick, cost) = Self::last_minimum(&registries, &ws);
+                if cost < current - MARGIN {
+                    moved += 1;
+                    if moved > budget {
+                        return Err(moved);
+                    }
+                    profile[id.0] = pick;
+                }
+                ctx.commit(id, profile[id.0]);
             }
         }
-        drop(ctx);
-        if out != profile {
-            let total = |costs: &[f64]| -> f64 { costs.iter().sum() };
-            if total(&costs) >= total(&Self::profile_costs(&opened, app, &profile)) - MARGIN {
-                // The wave-game moves don't pay under the exact payoffs
-                // — keep the incumbent (the seed-parity guard).
-                return Ok((profile, 0));
-            }
-        }
-        Ok((out, deviations))
+        Ok((profile, moved))
     }
 
     /// Refresh `ws.devices` with `id`'s admissible devices and fill
@@ -696,6 +664,10 @@ impl DeepScheduler {
         ws: &mut FleetWorkspace,
     ) {
         ctx.admissible_devices_into(id, &mut ws.devices);
+        assert!(
+            !ws.devices.is_empty(),
+            "no device admits microservice {id}: the testbed cannot host the application"
+        );
         let r_count = registries.len();
         ws.floors.clear();
         ws.floors.resize(r_count * ws.devices.len(), 0.0);
@@ -1002,8 +974,8 @@ mod tests {
     fn repair_recovers_a_perturbed_incumbent_without_a_full_resolve() {
         // On the calibrated testbed contention is mild (alpha 0.1):
         // sharing the fast hub route at load 2 still beats any slower
-        // exclusive route, so the wave games have nothing to repair.
-        // Crank alpha until same-wave sharing genuinely hurts.
+        // exclusive route. Crank alpha until same-wave sharing genuinely
+        // hurts.
         let mut tb = calibrated_testbed();
         tb.params.contention_alpha = 2.0;
         let app = apps::text_processing();
@@ -1013,9 +985,11 @@ mod tests {
         let out = sched.incremental_repair(&app, &tb, &contended, usize::MAX);
         assert!(!out.fell_back);
         assert!(out.deviations > 0, "repair must move off the contended profile");
+        assert!(sched.is_equilibrium(&app, &tb, &out.schedule), "the repair is an equilibrium");
+        assert_eq!(out.schedule, sched.schedule(&app, &tb), "here it reaches the full solve");
         let exact = |s: &Schedule| -> f64 {
             let p: Vec<Placement> = app.ids().map(|id| s.placement(id)).collect();
-            DeepScheduler::profile_costs(&sched.open(&tb, &app), &app, &p).iter().sum()
+            profile_costs(&sched.open(&tb, &app), &app, &p).iter().sum()
         };
         assert!(
             exact(&out.schedule) < exact(&contended) - 1e-9,
@@ -1043,11 +1017,11 @@ mod tests {
         tb.params.contention_alpha = 2.0;
         let app = apps::text_processing();
         let sched = DeepScheduler::paper();
-        // Everything on one route: the wave game wants deviations, and a
-        // zero budget forbids all of them.
+        // Everything on one route: some member must move off it, and a
+        // zero budget forbids every move.
         let uniform = Schedule::uniform(app.len(), RegistryChoice::Hub, DEVICE_MEDIUM);
         let out = sched.incremental_repair(&app, &tb, &uniform, 0);
-        assert!(out.fell_back, "zero budget must reject the descent");
+        assert!(out.fell_back, "a zero budget must reject the first move");
         assert_eq!(out.schedule, sched.schedule(&app, &tb));
     }
 
@@ -1112,6 +1086,28 @@ mod tests {
         }
     }
 
+    /// Every member's estimated energy under a full profile, in one
+    /// barrier walk of a clone of `opened`.
+    fn profile_costs(
+        opened: &EstimationContext<'_>,
+        app: &Application,
+        profile: &[Placement],
+    ) -> Vec<f64> {
+        let mut ctx = opened.clone();
+        let mut costs = vec![0.0; app.len()];
+        for (w, stage) in stages(app).iter().enumerate() {
+            if w > 0 {
+                ctx.begin_wave();
+            }
+            for &id in &stage.members {
+                let p = profile[id.0];
+                costs[id.0] = ctx.estimate(id, p.registry, p.device).ec.as_f64();
+                ctx.commit(id, p);
+            }
+        }
+        costs
+    }
+
     /// Walk the stage games like `sequential_assignment` and return the
     /// profile with each pick's cost.
     fn stage_walk(
@@ -1161,7 +1157,7 @@ mod tests {
                 assert_eq!(profile, solved, "{at}");
                 assert_eq!(
                     costs,
-                    DeepScheduler::profile_costs(&opened, &app, &profile),
+                    profile_costs(&opened, &app, &profile),
                     "{at}: stage-game costs are the profile's exact costs"
                 );
             }
@@ -1315,7 +1311,7 @@ mod tests {
         let (profile, costs) = stage_walk(&opened, &app, &mut ws);
         assert_eq!(
             costs,
-            DeepScheduler::profile_costs(&opened, &app, &profile),
+            profile_costs(&opened, &app, &profile),
             "pruned stage games price their picks exactly"
         );
         assert_eq!(ws.grid_cells, app.len() * 3 * 200, "every member faced the whole grid");

@@ -848,8 +848,8 @@ mod tests {
 
     #[test]
     fn sparse_descent_matches_dense_under_a_pass_budget() {
-        // Truncated runs must truncate identically (the scheduler caps
-        // passes with `max_refine_passes`).
+        // Truncated runs must truncate identically (a caller capping
+        // passes with `DeepScheduler::max_refine_passes` relies on it).
         for seed in 0..10u64 {
             let g = randomish_game(seed);
             let start: Vec<usize> = vec![0; g.players()];

@@ -46,11 +46,6 @@ impl Jitter {
     pub fn apply(&mut self, t: Seconds) -> Seconds {
         t.scale(self.factor())
     }
-
-    /// Draw a uniform sample in `[0, 1)`.
-    pub fn uniform(&mut self) -> f64 {
-        self.rng.gen_range(0.0..1.0)
-    }
 }
 
 #[cfg(test)]
@@ -97,15 +92,6 @@ mod tests {
         let t = Seconds::new(100.0);
         let out = j.apply(t);
         assert!((98.0..=102.0).contains(&out.as_f64()));
-    }
-
-    #[test]
-    fn uniform_in_unit_interval() {
-        let mut j = Jitter::new(4, 0.1);
-        for _ in 0..100 {
-            let u = j.uniform();
-            assert!((0.0..1.0).contains(&u));
-        }
     }
 
     #[test]

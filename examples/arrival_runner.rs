@@ -6,9 +6,10 @@
 //!
 //! * **full-resolve** — the periodic baseline that re-solves the whole
 //!   mesh game from scratch on every admission;
-//! * **incremental-repair** — warm-starts best-response dynamics from
-//!   the incumbent equilibrium, falling back to a full re-solve only
-//!   past the deviation budget or across a fault-window boundary.
+//! * **incremental-repair** — repairs the incumbent equilibrium,
+//!   moving only members with an improving deviation, and falls back to
+//!   a full re-solve only past the budget of moved members or across a
+//!   fault-window boundary.
 //!
 //! The headline is repair quality at a fraction of the solve work:
 //! repair must hold steady-state mean `Td` within 2% of the baseline

@@ -14,8 +14,12 @@
 //!   steady-state rows should sit orders of magnitude below the first.
 //! * **Admissions** — one arriving application priced and placed under
 //!   the scenario-priced scheduler (Monte-Carlo `E[Td]`, 64 draws, flaky
-//!   regional) with gossip discovery on, both as a cold full solve and
-//!   as an incremental repair from the incumbent equilibrium.
+//!   regional) with gossip discovery on, as a full solve. The solved
+//!   schedule then executes once, which warms the fleet with the
+//!   application's layers, and is repaired on the warmed fleet. The
+//!   warmed caches reprice every cell, so the incumbent need not be an
+//!   equilibrium there and the repair can move members. Each repair
+//!   must pass a sampled equilibrium check.
 //!
 //! Wall-clock varies run to run; the criterion curves live in
 //! `benches/gossip_rounds.rs` and `benches/soak_scale.rs` (PERF.md).
@@ -73,20 +77,37 @@ fn main() {
         peer_discovery: DISCOVERY,
         ..DeepScheduler::scenario_priced(DRAWS, 7)
     };
+    let cfg = ExecutorConfig {
+        peer_sharing: true,
+        peer_discovery: DISCOVERY,
+        ..ExecutorConfig::default()
+    };
     println!("\nadmissions (scenario-priced, {DRAWS} draws, gossip discovery):");
-    println!("{:>10} {:>6} {:>14} {:>14}", "arrival", "|MS|", "full solve", "repair");
+    println!(
+        "{:>10} {:>6} {:>14} {:>14} {:>6}",
+        "arrival", "|MS|", "full solve", "warm repair", "moved"
+    );
     for (k, seed) in [7u64, 19, 31].into_iter().enumerate() {
         let app = gen.generate(seed);
         tb.publish_application(&app);
         let t_full = Instant::now();
         let incumbent = scheduler.schedule(&app, &tb);
         let full = t_full.elapsed();
+        execute(&mut tb, &app, &incumbent, &cfg).expect("the incumbent executes");
         let t_rep = Instant::now();
         let repaired =
             scheduler.incremental_repair(&app, &tb, &incumbent, DEFAULT_DEVIATION_BUDGET);
         let repair = t_rep.elapsed();
-        assert_eq!(repaired.schedule.len(), app.len(), "repair covers every microservice");
-        println!("{k:>10} {:>6} {full:>14.2?} {repair:>14.2?}", app.len());
+        assert!(!repaired.fell_back, "the incumbent fits the warmed fleet");
+        assert!(
+            scheduler.is_equilibrium_sampled(&app, &tb, &repaired.schedule, 32, seed),
+            "arrival {k}: the repair is not an equilibrium"
+        );
+        println!(
+            "{k:>10} {:>6} {full:>14.2?} {repair:>14.2?} {:>6}",
+            app.len(),
+            repaired.deviations
+        );
     }
     println!("\ndone — criterion curves: benches/gossip_rounds.rs, benches/soak_scale.rs");
 }

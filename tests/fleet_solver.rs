@@ -121,7 +121,8 @@ fn random_schedule(app: &Application, tb: &Testbed, draws: &mut Draws) -> Option
 /// schedule. The estimator walks the schedule, the online executor runs
 /// it, and every member's `(Td, Tc, Tp, EC)` must agree bit for bit.
 /// A scheduler configured like the case must also solve the app to a
-/// schedule the exhaustive check accepts as an equilibrium.
+/// schedule the exhaustive check accepts as an equilibrium, repair the
+/// random schedule to one, and repair its own solve to itself.
 fn assert_generated_case_executes_as_priced(seed: u64) {
     let mut draws = Draws(seed);
     let mut tb =
@@ -177,6 +178,18 @@ fn assert_generated_case_executes_as_priced(seed: u64) {
         sched.is_equilibrium(&app, &tb, &solved),
         "{at}, pricing {pricing}: not an equilibrium"
     );
+    // The same scheduler repairs the random schedule to an equilibrium
+    // without a fallback, and keeps its own solve unchanged.
+    let repaired = sched.incremental_repair(&app, &tb, &schedule, usize::MAX);
+    assert!(!repaired.fell_back, "{at}, pricing {pricing}: the repair fell back");
+    assert!(
+        sched.is_equilibrium(&app, &tb, &repaired.schedule),
+        "{at}, pricing {pricing}: the repair moved {} members to a non-equilibrium",
+        repaired.deviations
+    );
+    let kept = sched.incremental_repair(&app, &tb, &solved, usize::MAX);
+    assert_eq!(kept.schedule, solved, "{at}, pricing {pricing}: the repair moved the solve");
+    assert_eq!(kept.deviations, 0, "{at}, pricing {pricing}");
 
     let mut predictions = Vec::new();
     {
