@@ -1,8 +1,8 @@
-//! DAG substrate performance: validation, stage decomposition and
-//! critical-path computation on generated applications.
+//! DAG substrate performance: generation, validation and stage
+//! decomposition on generated applications.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use deep_dataflow::{critical_path, stages, DagGenerator};
+use deep_dataflow::{stages, DagGenerator};
 use std::hint::black_box;
 
 fn generators() -> Vec<(usize, DagGenerator)> {
@@ -34,23 +34,5 @@ fn bench_stage_decomposition(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_critical_path(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dag_critical_path");
-    for (label, gen) in generators() {
-        let app = gen.generate(5);
-        group.bench_with_input(BenchmarkId::from_parameter(label), &app, |b, app| {
-            b.iter(|| {
-                black_box(critical_path(app, |id| app.microservice(id).requirements.cpu.as_f64()))
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_generation_and_validation,
-    bench_stage_decomposition,
-    bench_critical_path
-);
+criterion_group!(benches, bench_generation_and_validation, bench_stage_decomposition);
 criterion_main!(benches);

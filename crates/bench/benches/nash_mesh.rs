@@ -79,7 +79,7 @@ fn bench_equilibrium_check(c: &mut Criterion) {
     let app = apps::text_processing();
     let schedule = DeepScheduler::paper().schedule(&app, &tb);
     c.bench_function("nash_mesh_equilibrium_check", |b| {
-        b.iter(|| black_box(DeepScheduler::is_joint_equilibrium(&app, &tb, &schedule)))
+        b.iter(|| black_box(DeepScheduler::paper().is_equilibrium(&app, &tb, &schedule)))
     });
 }
 

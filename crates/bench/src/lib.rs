@@ -9,7 +9,7 @@
 //!   Run e.g. `cargo run -p deep-bench --bin repro_table3 --release`.
 //! * **criterion benches** (in `benches/`) measure the substrates and the
 //!   scheduler itself, including the ablations listed in DESIGN.md:
-//!   `nash_solvers`, `des_engine`, `sha256`, `erasure_coding`,
+//!   `nash_solvers`, `sha256`, `erasure_coding`,
 //!   `registry_pull`, `scheduler_comparison`, `dag_ops`, `energy_models`.
 
 use deep_core::Experiments;

@@ -15,7 +15,6 @@
 //! * [`dag`] — the validated [`Application`] graph with topological order,
 //!   reachability and degree queries;
 //! * [`mod@stages`] — barrier/stage decomposition;
-//! * [`mod@critical_path`] — longest weighted path through the DAG;
 //! * [`builder`] — ergonomic construction with error checking;
 //! * [`apps`] — the two case-study applications of Figure 2, parameterised
 //!   exactly as Table II reports them;
@@ -25,7 +24,6 @@
 pub mod apps;
 pub mod builder;
 pub mod compute;
-pub mod critical_path;
 pub mod dag;
 pub mod flow;
 pub mod generator;
@@ -35,7 +33,6 @@ pub mod stages;
 
 pub use builder::{ApplicationBuilder, BuildError};
 pub use compute::{Mi, Mips};
-pub use critical_path::{critical_path, CriticalPath};
 pub use dag::{Application, DagError, MicroserviceId};
 pub use flow::Dataflow;
 pub use generator::DagGenerator;

@@ -9,7 +9,7 @@
 
 use crate::model::EstimationContext;
 use crate::Scheduler;
-use deep_dataflow::{stages, Application};
+use deep_dataflow::Application;
 use deep_simulator::{Placement, RegistryChoice, Schedule, Testbed};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -53,26 +53,20 @@ impl Scheduler for ExclusiveRegistry {
     }
 
     fn schedule(&self, app: &Application, testbed: &Testbed) -> Schedule {
-        let mut ctx = EstimationContext::new(testbed, app).price_faults(self.price_faults);
-        let mut placements = vec![None; app.len()];
-        for stage in stages(app) {
-            ctx.begin_wave();
-            for &id in &stage.members {
-                let device = ctx
-                    .admissible_devices(id)
-                    .into_iter()
-                    .min_by(|&a, &b| {
-                        let ea = ctx.estimate(id, self.registry, a).ec.as_f64();
-                        let eb = ctx.estimate(id, self.registry, b).ec.as_f64();
-                        ea.partial_cmp(&eb).expect("energies are not NaN")
-                    })
-                    .expect("at least one device admits every case-study microservice");
-                let p = Placement { registry: self.registry, device };
-                ctx.commit(id, p);
-                placements[id.0] = Some(p);
-            }
-        }
-        Schedule::new(placements.into_iter().map(|p| p.expect("all visited")).collect())
+        let ctx = EstimationContext::new(testbed, app).price_faults(self.price_faults);
+        let placements = ctx.walk(|ctx, id| {
+            let device = ctx
+                .admissible_devices(id)
+                .into_iter()
+                .min_by(|&a, &b| {
+                    let ea = ctx.estimate(id, self.registry, a).ec.as_f64();
+                    let eb = ctx.estimate(id, self.registry, b).ec.as_f64();
+                    ea.partial_cmp(&eb).expect("energies are not NaN")
+                })
+                .expect("at least one device admits every case-study microservice");
+            Some(Placement { registry: self.registry, device })
+        });
+        Schedule::new(placements.expect("every member is placed"))
     }
 }
 
@@ -88,43 +82,36 @@ impl Scheduler for GreedyDecoupled {
     }
 
     fn schedule(&self, app: &Application, testbed: &Testbed) -> Schedule {
-        let mut ctx = EstimationContext::new(testbed, app);
-        let mut placements = vec![None; app.len()];
-        for stage in stages(app) {
-            ctx.begin_wave();
-            for &id in &stage.members {
-                let ms = app.microservice(id);
-                let scoped = format!("{}/{}", app.name(), ms.name);
-                // Device: processing + static power over Tp only.
-                let device = ctx
-                    .admissible_devices(id)
-                    .into_iter()
-                    .min_by(|&a, &b| {
-                        let cost = |d| {
-                            let dev = testbed.device(d);
-                            let tp = dev.processing_time(&scoped, ms.requirements.cpu);
-                            ((dev.process_watts(&scoped) + dev.power.static_watts) * tp).as_f64()
-                        };
-                        cost(a).partial_cmp(&cost(b)).expect("not NaN")
-                    })
-                    .expect("admissible device exists");
-                // Registry: fastest deployment for that device, over every
-                // full registry in the mesh.
-                let registry = testbed
-                    .registry_choices()
-                    .into_iter()
-                    .min_by(|&a, &b| {
-                        let ta = ctx.estimate(id, a, device).td.as_f64();
-                        let tb = ctx.estimate(id, b, device).td.as_f64();
-                        ta.partial_cmp(&tb).expect("not NaN")
-                    })
-                    .expect("the mesh always has the paper pair");
-                let p = Placement { registry, device };
-                ctx.commit(id, p);
-                placements[id.0] = Some(p);
-            }
-        }
-        Schedule::new(placements.into_iter().map(|p| p.expect("all visited")).collect())
+        let placements = EstimationContext::new(testbed, app).walk(|ctx, id| {
+            let ms = app.microservice(id);
+            let scoped = format!("{}/{}", app.name(), ms.name);
+            // Device: processing + static power over Tp only.
+            let device = ctx
+                .admissible_devices(id)
+                .into_iter()
+                .min_by(|&a, &b| {
+                    let cost = |d| {
+                        let dev = testbed.device(d);
+                        let tp = dev.processing_time(&scoped, ms.requirements.cpu);
+                        ((dev.process_watts(&scoped) + dev.power.static_watts) * tp).as_f64()
+                    };
+                    cost(a).partial_cmp(&cost(b)).expect("not NaN")
+                })
+                .expect("admissible device exists");
+            // Registry: fastest deployment for that device, over every
+            // full registry in the mesh.
+            let registry = testbed
+                .registry_choices()
+                .into_iter()
+                .min_by(|&a, &b| {
+                    let ta = ctx.estimate(id, a, device).td.as_f64();
+                    let tb = ctx.estimate(id, b, device).td.as_f64();
+                    ta.partial_cmp(&tb).expect("not NaN")
+                })
+                .expect("the mesh always has the paper pair");
+            Some(Placement { registry, device })
+        });
+        Schedule::new(placements.expect("every member is placed"))
     }
 }
 

@@ -266,7 +266,7 @@ mod tests {
         let tb = continuum_testbed();
         for app in continuum_case_studies() {
             let schedule = DeepScheduler::paper().schedule(&app, &tb);
-            assert!(DeepScheduler::is_joint_equilibrium(&app, &tb, &schedule), "{}", app.name());
+            assert!(DeepScheduler::paper().is_equilibrium(&app, &tb, &schedule), "{}", app.name());
         }
     }
 

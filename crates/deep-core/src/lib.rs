@@ -82,6 +82,7 @@
 //!   member keeps its placement when no floor-screened cell beats it
 //!   under the exact payoffs, and plays its stage game otherwise, so a
 //!   repair is an exact equilibrium too.
+//!   [`DeepScheduler::is_equilibrium`] is that walk with a zero budget.
 //!   The same path runs on the paper's two-device testbed and on
 //!   [`continuum::synthetic_fleet_testbed`]'s 10³ seeded-heterogeneous
 //!   devices (`examples/fleet_scale.rs`, PERF.md).

@@ -29,7 +29,7 @@
 //!   of the equilibrium), with the scalar aggregate plane retained as
 //!   the regression oracle.
 
-use deep_dataflow::{Application, MicroserviceId};
+use deep_dataflow::{stages, Application, MicroserviceId};
 use deep_energy::Joules;
 use deep_netsim::{Bandwidth, DataSize, DeviceId, RegistryId, Seconds};
 use deep_registry::{
@@ -38,8 +38,8 @@ use deep_registry::{
 };
 use deep_simulator::{Placement, RegistryChoice, RouteLoads, Testbed};
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// Simulation-in-the-loop pricing of a scripted scenario: `E[Td]` is a
 /// Monte-Carlo expectation over the *exact* fault plans the scenario's
@@ -93,7 +93,6 @@ impl Estimate {
 }
 
 /// One memoized primary-manifest resolution.
-#[derive(Clone)]
 struct Resolved {
     reference: Reference,
     manifest: ImageManifest,
@@ -173,9 +172,9 @@ pub struct EstimationContext<'t> {
     /// precomputed once — the estimate hot path reads them once per
     /// `(registry, device)` candidate.
     scoped: Vec<String>,
-    /// Per-microservice catalog entries, resolved once at construction
-    /// (`None` when the app wasn't yet published; `estimate` then falls
-    /// back to the per-call lookup).
+    /// Per-microservice catalog entries, resolved once at construction.
+    /// The testbed is borrowed for the context's lifetime, so an entry
+    /// that is `None` (the app is not published) stays `None`.
     entries: Vec<Option<&'t CatalogEntry>>,
     /// Memoized primary-manifest resolutions keyed
     /// `(registry, microservice, platform)`, filled by
@@ -192,43 +191,11 @@ pub struct EstimationContext<'t> {
     /// clock — so a fleet solver evaluating thousands of `(registry,
     /// device)` candidates for one member pays the `draws`-long seed
     /// walk once per distinct `(pull, primary)`, not once per
-    /// candidate. Behind a mutex because [`EstimationContext::estimate`]
-    /// fills it through `&self` (one uncontended lock per scenario-priced
-    /// estimate, held for a map probe). Sound across commits because the
-    /// pull number is in the key, and cleared if the pricing itself is
-    /// rebound.
-    fatal_memo: Mutex<HashMap<(u64, RegistryId), u32>>,
-}
-
-/// A clone walks on from the same barrier state as the original and
-/// prices bit for bit what the original would: caches, route loads,
-/// clock, pull numbering, gossip plane and peer views are all copied.
-/// The scheduler opens one context per call (construction plus the
-/// first barrier — at fleet scale the opening gossip round dominates)
-/// and clones it for every walk instead of reopening.
-impl Clone for EstimationContext<'_> {
-    fn clone(&self) -> Self {
-        EstimationContext {
-            testbed: self.testbed,
-            app: self.app,
-            caches: self.caches.clone(),
-            route_load: self.route_load.clone(),
-            assigned: self.assigned.clone(),
-            peer_sharing: self.peer_sharing,
-            peer_snapshots: self.peer_snapshots.clone(),
-            gossip: self.gossip.clone(),
-            price_faults: self.price_faults,
-            scenario: self.scenario,
-            clock: self.clock,
-            wave_peak: self.wave_peak,
-            wave_exec: self.wave_exec,
-            pulls_committed: self.pulls_committed,
-            scoped: self.scoped.clone(),
-            entries: self.entries.clone(),
-            manifests: self.manifests.clone(),
-            fatal_memo: Mutex::new(self.fatal_memo.lock().expect("fatal memo poisoned").clone()),
-        }
-    }
+    /// candidate. A [`RefCell`] because [`EstimationContext::estimate`]
+    /// fills it through `&self`, and a context stays on the thread that
+    /// walks it. Sound across commits because the pull number is in the
+    /// key, and cleared if the pricing itself is rebound.
+    fatal_memo: RefCell<HashMap<(u64, RegistryId), u32>>,
 }
 
 /// One cell's pull, built in one place ([`EstimationContext::cell_pull`])
@@ -302,7 +269,7 @@ impl<'t> EstimationContext<'t> {
                 .map(|id| testbed.entry(app.name(), &app.microservice(id).name))
                 .collect(),
             manifests: HashMap::new(),
-            fatal_memo: Mutex::new(HashMap::new()),
+            fatal_memo: RefCell::default(),
         }
     }
 
@@ -418,7 +385,7 @@ impl<'t> EstimationContext<'t> {
         self.scenario = pricing;
         // The memo is keyed on (pull, primary) under one fixed pricing;
         // rebinding the pricing invalidates every cached count.
-        self.fatal_memo.lock().expect("fatal memo poisoned").clear();
+        self.fatal_memo.get_mut().clear();
         self
     }
 
@@ -457,6 +424,29 @@ impl<'t> EstimationContext<'t> {
             }
         }
         self.snapshot_peers();
+    }
+
+    /// Walk the application in barrier order: open every wave with
+    /// [`EstimationContext::begin_wave`], then commit each member, in
+    /// order, at the placement `decide` returns for it in the walk's
+    /// state. Returns every member's placement, indexed by id, or `None`
+    /// at the first member `decide` places nowhere.
+    ///
+    /// A member's payoff depends only on the placements committed before
+    /// it, so `decide` prices every cell of a member exactly as the
+    /// walked profile would.
+    pub(crate) fn walk(
+        mut self,
+        mut decide: impl FnMut(&Self, MicroserviceId) -> Option<Placement>,
+    ) -> Option<Vec<Placement>> {
+        for stage in stages(self.app) {
+            self.begin_wave();
+            for &id in &stage.members {
+                let placement = decide(&self, id)?;
+                self.commit(id, placement);
+            }
+        }
+        self.assigned.into_iter().collect()
     }
 
     /// The committed placement of a microservice, if any.
@@ -668,12 +658,13 @@ impl<'t> EstimationContext<'t> {
             // `(pull, primary)`: every candidate device of one member
             // shares the count.
             let draws = pricing.draws.max(1);
-            let fatal = {
-                let mut memo = self.fatal_memo.lock().expect("fatal memo poisoned");
-                *memo.entry((self.pulls_committed, primary)).or_insert_with(|| {
+            let fatal = *self
+                .fatal_memo
+                .borrow_mut()
+                .entry((self.pulls_committed, primary))
+                .or_insert_with(|| {
                     model.fatal_draws(pricing.seed, draws, self.pulls_committed, primary)
-                })
-            };
+                });
             f64::from(fatal) / f64::from(draws)
         }
     }
@@ -727,12 +718,10 @@ impl<'t> EstimationContext<'t> {
             match self.manifests.get(&(registry.registry_id(), id.0, dev.arch)) {
                 Some(r) => (Cow::Borrowed(&r.reference), Some(&r.manifest)),
                 None => {
-                    let name = &self.app.microservice(id).name;
-                    let entry = self.entries[id.0]
-                        .or_else(|| testbed.entry(self.app.name(), name))
-                        .unwrap_or_else(|| {
-                            panic!("no image published for {}/{name}", self.app.name())
-                        });
+                    let entry = self.entries[id.0].unwrap_or_else(|| {
+                        let name = &self.app.microservice(id).name;
+                        panic!("no image published for {}/{name}", self.app.name())
+                    });
                     (Cow::Owned(testbed.reference(entry, registry, dev.arch)), None)
                 }
             };
@@ -1608,7 +1597,8 @@ mod tests {
     struct FloorCell<'w, 't> {
         /// The context with every member's manifests prefetched.
         warm: &'w EstimationContext<'t>,
-        /// Its clone taken before the prefetch, walked in lockstep.
+        /// An identically built context that never prefetched, walked in
+        /// lockstep.
         cold: &'w EstimationContext<'t>,
         id: MicroserviceId,
         registry: RegistryChoice,
@@ -1620,9 +1610,9 @@ mod tests {
     /// Walk every configuration of the estimator properties: each
     /// testbed of [`floor_testbed`] under happy, closed-form fault and
     /// scenario pricing, with peer sharing off, on with snapshot
-    /// discovery and on with gossip. Each configuration opens a context,
-    /// clones it before
-    /// prefetching the manifests (`cold`) and walks both in lockstep,
+    /// discovery and on with gossip. Each configuration builds two
+    /// identical contexts, prefetches the manifests into one (`warm`) but
+    /// not the other (`cold`) and walks both in lockstep,
     /// committing random placements so caches, contention, peer views and
     /// the clock all move. `cell` sees four random cells of every member
     /// before its commit; `committed` sees both contexts after it.
@@ -1648,14 +1638,16 @@ mod tests {
                     let app = &studies[draw(2)];
                     let discovery =
                         if peers == 2 { gossip } else { deep_simulator::PeerDiscovery::Snapshot };
-                    let mut warm = EstimationContext::new(&tb, app)
-                        .peer_sharing(peers > 0)
-                        .peer_discovery(discovery, seed)
-                        .price_faults(pricing == 1)
-                        .scenario_pricing(
-                            (pricing == 2).then_some(ScenarioPricing { draws: 16, seed }),
-                        );
-                    let mut cold = warm.clone();
+                    let build = || {
+                        EstimationContext::new(&tb, app)
+                            .peer_sharing(peers > 0)
+                            .peer_discovery(discovery, seed)
+                            .price_faults(pricing == 1)
+                            .scenario_pricing(
+                                (pricing == 2).then_some(ScenarioPricing { draws: 16, seed }),
+                            )
+                    };
+                    let (mut warm, mut cold) = (build(), build());
                     for id in app.ids() {
                         warm.prefetch_manifests(id);
                     }
@@ -1713,7 +1705,7 @@ mod tests {
 
         /// Memoized manifests change no answer. Along every
         /// [`floor_walk`] the prefetched context and its unprefetched
-        /// clone agree bit for bit on every field of every sampled
+        /// twin agree bit for bit on every field of every sampled
         /// estimate and on what every commit leaves behind, and
         /// [`EstimationContext::plan_buckets`] returns exactly the
         /// `(source, downloaded)` buckets of [`EstimationContext::plan`],

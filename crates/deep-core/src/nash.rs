@@ -65,6 +65,11 @@
 //!   best response to the placements before it, and the result is an
 //!   exact equilibrium by the same argument as the solve. An incumbent
 //!   that already is one comes back unchanged.
+//! * **Equilibrium checks** — [`DeepScheduler::is_equilibrium`] is the
+//!   repair's walk with a zero budget: a schedule that fits the mesh is
+//!   an equilibrium exactly when no member moves.
+//!   [`DeepScheduler::is_equilibrium_sampled`] walks the schedule and
+//!   prices only a seeded sample of each member's deviations.
 //! * **Wave games** — each wave's [`WaveRouteGame`] reads every
 //!   strategy's resource subset off its pull plan, but most fleet cells
 //!   need no pull session to know it. A cell is *sole-source* when its
@@ -78,15 +83,14 @@
 //!   [`EstimationContext::plan`] by a property test). The wave games
 //!   are built only by [`DeepScheduler::wave_route_games`].
 //!
-//! The equilibrium checks evaluate unilateral deviations
-//! *incrementally*: since a member's payoff depends only on the
-//! placements committed strictly before it, one walk of the profile
-//! prices every member's candidates directly, float-identical to the
-//! seed's full-profile replays. The deviation scans skip every candidate
-//! whose energy floor is already within the improvement margin of the
-//! cost to beat. Each call opens one estimation context —
-//! construction plus the first barrier, whose gossip round dominates at
-//! fleet scale — and walks it, or clones of it. A
+//! Every path is one barrier walk (`EstimationContext::walk`) of one
+//! freshly opened estimation context: the walk opens each wave and
+//! commits the placement the path decides for each member. Since a
+//! member's payoff depends only on the placements committed strictly
+//! before it, the walk's state at each member prices its deviations
+//! directly, float-identical to the seed's full-profile replays. The
+//! deviation scans skip every cell whose energy floor is already within
+//! the improvement margin of the cost to beat. A
 //! 1,000-device, 10-registry synthetic fleet
 //! ([`crate::continuum::synthetic_fleet_testbed`]) solves in well under
 //! a second (`examples/fleet_scale.rs`, PERF.md).
@@ -375,10 +379,9 @@ impl DeepScheduler {
         DeepScheduler { scenario: Some(ScenarioPricing { draws, seed }), ..Self::default() }
     }
 
-    /// An estimation context under this scheduler's configuration,
-    /// opened at the first barrier with every member's manifests
-    /// memoized. A barrier walk from it (or from a clone) therefore
-    /// opens every wave but the first.
+    /// An estimation context under this scheduler's configuration, with
+    /// every member's manifests memoized, for one
+    /// [`EstimationContext::walk`].
     fn open<'t>(&self, testbed: &'t Testbed, app: &'t Application) -> EstimationContext<'t> {
         // Discovery before sharing: each builder re-snapshots the peers
         // once sharing is on, so this order builds only the views the
@@ -391,35 +394,10 @@ impl DeepScheduler {
             .scenario_pricing(self.scenario)
             .at_clock(self.start_clock)
             .starting_pull(self.start_pull);
-        ctx.begin_wave();
         for id in app.ids() {
             ctx.prefetch_manifests(id);
         }
         ctx
-    }
-
-    /// Play the per-microservice stage games in barrier order on a clone
-    /// of `opened`. Every pick is the minimum of its member's grid in the
-    /// state the profile's own walk reaches, so the profile is a pure
-    /// Nash equilibrium of the joint game.
-    fn sequential_assignment(
-        opened: &EstimationContext<'_>,
-        app: &Application,
-        ws: &mut FleetWorkspace,
-    ) -> Vec<Placement> {
-        let mut ctx = opened.clone();
-        let mut placements: Vec<Option<Placement>> = vec![None; app.len()];
-        for (w, stage) in stages(app).iter().enumerate() {
-            if w > 0 {
-                ctx.begin_wave();
-            }
-            for &id in &stage.members {
-                let (placement, _) = Self::stage_game(&ctx, id, ws);
-                ctx.commit(id, placement);
-                placements[id.0] = Some(placement);
-            }
-        }
-        placements.into_iter().map(|p| p.expect("all stages visited")).collect()
     }
 
     /// Solve one microservice's |R|×|D| common-interest game over every
@@ -533,18 +511,16 @@ impl DeepScheduler {
         testbed: &Testbed,
         profile: &[Placement],
     ) -> Vec<WaveRouteGame> {
-        let mut ctx = self.open(testbed, app);
-        let mut out = Vec::new();
-        for (w, stage) in stages(app).iter().enumerate() {
-            if w > 0 {
-                ctx.begin_wave();
+        let waves = stages(app);
+        let mut games = Vec::with_capacity(waves.len());
+        // The walk reaches a wave's first member right after its barrier.
+        self.open(testbed, app).walk(|ctx, id| {
+            if let Some(wave) = waves.get(games.len()).filter(|w| w.members.first() == Some(&id)) {
+                games.push(WaveRouteGame::build(ctx, testbed, &wave.members));
             }
-            out.push(WaveRouteGame::build(&ctx, testbed, &stage.members));
-            for &id in &stage.members {
-                ctx.commit(id, profile[id.0]);
-            }
-        }
-        out
+            Some(profile[id.0])
+        });
+        games
     }
 
     /// Incrementally re-equilibrate from an incumbent schedule.
@@ -553,19 +529,19 @@ impl DeepScheduler {
     /// the world shifts under a running deployment — a new application
     /// admitted, caches warmed by an earlier run — the incumbent is
     /// usually *almost* an equilibrium, and only the members the change
-    /// touches need to decide again. The repair opens one context and
-    /// walks the incumbent once in barrier order. At each member it fills
-    /// the energy floors, prices the incumbent cell exactly, and prices
-    /// only the cells whose floor lies more than the improvement margin
-    /// (1e-9 J) below that cost. If none of them beats the incumbent by
-    /// more than the margin, the member keeps it: exactly the test the
-    /// equilibrium check makes. Otherwise the member plays its stage game
-    /// in the walk's state and counts as moved. Either way its placement
-    /// is committed before the next member. Every member of the result is
-    /// then a best response to the placements committed before it, so the
-    /// result is an exact pure Nash equilibrium of the priced game by the
-    /// same argument as the solve (module doc), and an incumbent that
-    /// already is one comes back unchanged with 0 moved.
+    /// touches need to decide again. The repair walks the incumbent once
+    /// in barrier order. At each member it fills the energy floors,
+    /// prices the incumbent cell exactly, and prices only the cells whose
+    /// floor lies more than the improvement margin (1e-9 J) below that
+    /// cost. If none of them beats the incumbent by more than the margin,
+    /// the member keeps it: exactly the test the equilibrium check makes.
+    /// Otherwise the member plays its stage game in the walk's state and
+    /// counts as moved. Either way its placement is committed before the
+    /// next member. Every member of the result is then a best response to
+    /// the placements committed before it, so the result is an exact pure
+    /// Nash equilibrium of the priced game by the same argument as the
+    /// solve (module doc), and an incumbent that already is one comes back
+    /// unchanged with 0 moved.
     ///
     /// Falls back to a full re-solve (`fell_back = true`) when the
     /// incumbent no longer fits the mesh (length mismatch, a registry
@@ -579,79 +555,53 @@ impl DeepScheduler {
         incumbent: &Schedule,
         budget: usize,
     ) -> RepairOutcome {
-        let full = |deviations| RepairOutcome {
-            schedule: self.schedule(app, testbed),
-            deviations,
-            fell_back: true,
+        let (walked, moved) = if fits(app, testbed, incumbent) {
+            self.keep_or_move(app, testbed, incumbent, budget)
+        } else {
+            (None, 0)
         };
-        if incumbent.len() != app.len() {
-            return full(0);
-        }
-        let profile: Vec<Placement> = app.ids().map(|id| incumbent.placement(id)).collect();
-        // The incumbent must live inside today's strategy space: mirrors
-        // may have joined or retired and admissibility may have shifted
-        // since it was solved.
-        let registries = testbed.registry_choices();
-        let fits = app.ids().all(|id| {
-            let p = profile[id.0];
-            let req = &app.microservice(id).requirements;
-            registries.contains(&p.registry)
-                && testbed.devices.iter().any(|d| d.id == p.device && d.admits(req))
-        });
-        if !fits {
-            return full(0);
-        }
         // The walk's context is gone before a fallback opens its own.
-        match self.repair_walk(app, testbed, profile, budget) {
-            Ok((out, moved)) => {
-                RepairOutcome { schedule: Schedule::new(out), deviations: moved, fell_back: false }
-            }
-            Err(moved) => full(moved),
-        }
+        let (schedule, fell_back) = match walked {
+            Some(profile) => (Schedule::new(profile), false),
+            None => (self.schedule(app, testbed), true),
+        };
+        RepairOutcome { schedule, deviations: moved, fell_back }
     }
 
-    /// The walk of [`DeepScheduler::incremental_repair`] over an
-    /// incumbent that fits the mesh: the repaired profile with the
-    /// number of members moved, or `Err(moved)` once more than `budget`
-    /// members moved.
-    fn repair_walk(
+    /// Walk `incumbent`, which fits the mesh, once in barrier order. A
+    /// member keeps its placement unless some cell beats it by more than
+    /// [`MARGIN`]; then it moves to its stage-game pick in the walk's
+    /// state. Returns the walked profile, or `None` once more than
+    /// `budget` members moved, with the number of members moved.
+    fn keep_or_move(
         &self,
         app: &Application,
         testbed: &Testbed,
-        mut profile: Vec<Placement>,
+        incumbent: &Schedule,
         budget: usize,
-    ) -> Result<(Vec<Placement>, usize), usize> {
-        let mut ctx = self.open(testbed, app);
-        let registries = ctx.registry_choices();
+    ) -> (Option<Vec<Placement>>, usize) {
+        let registries = testbed.registry_choices();
         let mut ws = FleetWorkspace::default();
-        let mut moved = 0usize;
-        for (w, stage) in stages(app).iter().enumerate() {
-            if w > 0 {
-                ctx.begin_wave();
+        let mut moved = 0;
+        let walked = self.open(testbed, app).walk(|ctx, id| {
+            let kept = incumbent.placement(id);
+            Self::fill_floors(ctx, id, &registries, &mut ws);
+            let fits = "the incumbent fits the mesh";
+            let d = ws.devices.iter().position(|&d| d == kept.device).expect(fits);
+            let r = registries.iter().position(|&r| r == kept.registry).expect(fits);
+            // The incumbent seeds the scan: a cell that beats it by more
+            // than the margin has a floor below that bound, so the scan
+            // prices it, or first finds a cheaper cell, before it stops.
+            let seed = d * registries.len() + r;
+            let current = Self::scan_from(ctx, id, &registries, &mut ws, seed, MARGIN);
+            let (pick, cost) = Self::last_minimum(&registries, &ws);
+            if cost >= current - MARGIN {
+                return Some(kept);
             }
-            for &id in &stage.members {
-                let kept = profile[id.0];
-                Self::fill_floors(&ctx, id, &registries, &mut ws);
-                let fits = "the incumbent fits the mesh";
-                let d = ws.devices.iter().position(|&d| d == kept.device).expect(fits);
-                let r = registries.iter().position(|&r| r == kept.registry).expect(fits);
-                // The incumbent is the scan's seed: a member no cell beats
-                // by more than the margin keeps it, which is exactly the
-                // equilibrium check's test over the full grid.
-                let seed = d * registries.len() + r;
-                let current = Self::scan_from(&ctx, id, &registries, &mut ws, seed, MARGIN);
-                let (pick, cost) = Self::last_minimum(&registries, &ws);
-                if cost < current - MARGIN {
-                    moved += 1;
-                    if moved > budget {
-                        return Err(moved);
-                    }
-                    profile[id.0] = pick;
-                }
-                ctx.commit(id, profile[id.0]);
-            }
-        }
-        Ok((profile, moved))
+            moved += 1;
+            (moved <= budget).then_some(pick)
+        });
+        (walked, moved)
     }
 
     /// Refresh `ws.devices` with `id`'s admissible devices and fill
@@ -678,24 +628,17 @@ impl DeepScheduler {
 
     /// Is `schedule` a pure Nash equilibrium of the joint deployment game
     /// under *this* scheduler's configuration (mesh strategy space,
-    /// peer-aware payoffs when enabled)?
+    /// peer-aware payoffs when enabled)? It is when it fits the mesh and
+    /// the repair's keep-or-move walk with a zero budget moves nobody:
+    /// that walk prices every cell that could beat a member's placement
+    /// by more than the improvement margin.
     pub fn is_equilibrium(
         &self,
         app: &Application,
         testbed: &Testbed,
         schedule: &Schedule,
     ) -> bool {
-        let registries = testbed.registry_choices();
-        let opened = self.open(testbed, app);
-        Self::no_improving_deviation(opened, app, schedule, |ctx, id| {
-            let devices = ctx.admissible_devices(id);
-            registries
-                .iter()
-                .flat_map(|&registry| {
-                    devices.iter().map(move |&device| Placement { registry, device })
-                })
-                .collect()
-        })
+        fits(app, testbed, schedule) && self.keep_or_move(app, testbed, schedule, 0).0.is_some()
     }
 
     /// Equilibrium check over a seeded sample of unilateral deviations
@@ -706,7 +649,8 @@ impl DeepScheduler {
     /// probability (any improving deviation that exists is sampled
     /// uniformly). Deterministic in `seed` (splitmix64 stream, drawn
     /// member by member in id order); the member's current placement
-    /// resamples to a no-op.
+    /// resamples to a no-op. A schedule that does not fit the mesh is
+    /// no equilibrium.
     pub fn is_equilibrium_sampled(
         &self,
         app: &Application,
@@ -715,6 +659,9 @@ impl DeepScheduler {
         deviations_per_member: usize,
         seed: u64,
     ) -> bool {
+        if !fits(app, testbed, schedule) {
+            return false;
+        }
         let registries = testbed.registry_choices();
         let opened = self.open(testbed, app);
         let mut state = seed;
@@ -734,57 +681,35 @@ impl DeepScheduler {
             });
             sampled.push(draws.collect());
         }
-        Self::no_improving_deviation(opened, app, schedule, |_, id| {
-            std::mem::take(&mut sampled[id.0])
-        })
-    }
-
-    /// Walk `schedule` once from the opened `ctx`, barrier by barrier,
-    /// and check that none of the `candidates` of each member improves on
-    /// its placement by more than [`MARGIN`]. A member's payoff depends
-    /// only on placements committed strictly before it (its own deviation
-    /// never changes that prefix), so the walk's context at each member
-    /// prices its deviations exactly; the profile never moves, so
-    /// one walk serves every member, and the verdict does not depend on
-    /// the order members are checked in.
-    fn no_improving_deviation(
-        mut ctx: EstimationContext<'_>,
-        app: &Application,
-        schedule: &Schedule,
-        mut candidates: impl FnMut(&EstimationContext<'_>, MicroserviceId) -> Vec<Placement>,
-    ) -> bool {
-        for (w, stage) in stages(app).iter().enumerate() {
-            if w > 0 {
-                ctx.begin_wave();
-            }
-            for &id in &stage.members {
+        opened
+            .walk(|ctx, id| {
                 let p = schedule.placement(id);
-                let current = ctx.estimate(id, p.registry, p.device).ec.as_f64();
-                for candidate in candidates(&ctx, id) {
-                    // The floor screens out candidates that cannot beat
-                    // the margin before any exact estimate runs.
-                    if candidate != p
-                        && ctx.energy_floor(id, candidate.registry, candidate.device)
-                            < current - MARGIN
-                        && ctx.estimate(id, candidate.registry, candidate.device).ec.as_f64()
-                            < current - MARGIN
-                    {
-                        return false;
-                    }
-                }
-                ctx.commit(id, p);
-            }
-        }
-        true
+                let bound = ctx.estimate(id, p.registry, p.device).ec.as_f64() - MARGIN;
+                // The floor screens out candidates that cannot beat the
+                // bound before any exact estimate runs.
+                let improves = |c: &Placement| {
+                    *c != p
+                        && ctx.energy_floor(id, c.registry, c.device) < bound
+                        && ctx.estimate(id, c.registry, c.device).ec.as_f64() < bound
+                };
+                (!sampled[id.0].iter().any(improves)).then_some(p)
+            })
+            .is_some()
     }
+}
 
-    /// Is `profile` a pure Nash equilibrium of the joint deployment game
-    /// under the paper configuration? (Kept for tests and the experiment
-    /// drivers; see [`DeepScheduler::is_equilibrium`] for peer-aware
-    /// checks.)
-    pub fn is_joint_equilibrium(app: &Application, testbed: &Testbed, schedule: &Schedule) -> bool {
-        Self::paper().is_equilibrium(app, testbed, schedule)
-    }
+/// Whether `schedule` places every member of `app` inside `testbed`'s
+/// strategy space: one placement per member, each on a full mesh
+/// registry and a device that admits it.
+fn fits(app: &Application, testbed: &Testbed, schedule: &Schedule) -> bool {
+    let registries = testbed.registry_choices();
+    schedule.len() == app.len()
+        && app.ids().all(|id| {
+            let p = schedule.placement(id);
+            let req = &app.microservice(id).requirements;
+            registries.contains(&p.registry)
+                && testbed.devices.iter().any(|d| d.id == p.device && d.admits(req))
+        })
 }
 
 impl Scheduler for DeepScheduler {
@@ -796,8 +721,11 @@ impl Scheduler for DeepScheduler {
     /// equilibrium of the joint game by construction (module doc).
     fn schedule(&self, app: &Application, testbed: &Testbed) -> Schedule {
         let mut ws = FleetWorkspace::default();
-        let opened = self.open(testbed, app);
-        Schedule::new(Self::sequential_assignment(&opened, app, &mut ws))
+        let profile = self
+            .open(testbed, app)
+            .walk(|ctx, id| Some(Self::stage_game(ctx, id, &mut ws).0))
+            .expect("every stage game places its member");
+        Schedule::new(profile)
     }
 }
 
@@ -864,7 +792,7 @@ mod tests {
         for app in apps::case_studies() {
             let schedule = DeepScheduler::paper().schedule(&app, &tb);
             assert!(
-                DeepScheduler::is_joint_equilibrium(&app, &tb, &schedule),
+                DeepScheduler::paper().is_equilibrium(&app, &tb, &schedule),
                 "{} schedule is not an equilibrium",
                 app.name()
             );
@@ -989,7 +917,7 @@ mod tests {
         assert_eq!(out.schedule, sched.schedule(&app, &tb), "here it reaches the full solve");
         let exact = |s: &Schedule| -> f64 {
             let p: Vec<Placement> = app.ids().map(|id| s.placement(id)).collect();
-            profile_costs(&sched.open(&tb, &app), &app, &p).iter().sum()
+            profile_costs(sched.open(&tb, &app), &app, &p).iter().sum()
         };
         assert!(
             exact(&out.schedule) < exact(&contended) - 1e-9,
@@ -1046,12 +974,11 @@ mod tests {
             ]
         };
         for (tb, app, sched, pruned) in &cases {
-            let opened = sched.open(tb, app);
             let mut ws = FleetWorkspace::default();
-            let warm = DeepScheduler::sequential_assignment(&opened, app, &mut ws);
+            let (warm, _) = stage_walk(sched.open(tb, app), app, &mut ws);
             assert!(!pruned || ws.order.capacity() > 0, "the fleet scan ordered no candidate");
             let fp = fingerprint(&ws);
-            let again = DeepScheduler::sequential_assignment(&opened, app, &mut ws);
+            let (again, _) = stage_walk(sched.open(tb, app), app, &mut ws);
             assert_eq!(warm, again, "workspace reuse must not change the schedule");
             assert_eq!(fp, fingerprint(&ws), "steady-state solve reallocated a workspace buffer");
         }
@@ -1086,49 +1013,36 @@ mod tests {
         }
     }
 
-    /// Every member's estimated energy under a full profile, in one
-    /// barrier walk of a clone of `opened`.
+    /// Every member's estimated energy under a full profile, in one walk
+    /// of `ctx`.
     fn profile_costs(
-        opened: &EstimationContext<'_>,
+        ctx: EstimationContext<'_>,
         app: &Application,
         profile: &[Placement],
     ) -> Vec<f64> {
-        let mut ctx = opened.clone();
         let mut costs = vec![0.0; app.len()];
-        for (w, stage) in stages(app).iter().enumerate() {
-            if w > 0 {
-                ctx.begin_wave();
-            }
-            for &id in &stage.members {
-                let p = profile[id.0];
-                costs[id.0] = ctx.estimate(id, p.registry, p.device).ec.as_f64();
-                ctx.commit(id, p);
-            }
-        }
+        ctx.walk(|ctx, id| {
+            let p = profile[id.0];
+            costs[id.0] = ctx.estimate(id, p.registry, p.device).ec.as_f64();
+            Some(p)
+        });
         costs
     }
 
-    /// Walk the stage games like `sequential_assignment` and return the
-    /// profile with each pick's cost.
+    /// Walk the stage games like [`Scheduler::schedule`] through `ws` and
+    /// return the profile with each pick's cost.
     fn stage_walk(
-        opened: &EstimationContext<'_>,
+        ctx: EstimationContext<'_>,
         app: &Application,
         ws: &mut FleetWorkspace,
     ) -> (Vec<Placement>, Vec<f64>) {
-        let mut ctx = opened.clone();
-        let mut profile =
-            vec![Placement { registry: RegistryChoice::Hub, device: DEVICE_MEDIUM }; app.len()];
         let mut costs = vec![0.0; app.len()];
-        for (w, stage) in stages(app).iter().enumerate() {
-            if w > 0 {
-                ctx.begin_wave();
-            }
-            for &id in &stage.members {
-                (profile[id.0], costs[id.0]) = DeepScheduler::stage_game(&ctx, id, ws);
-                ctx.commit(id, profile[id.0]);
-            }
-        }
-        (profile, costs)
+        let profile = ctx.walk(|ctx, id| {
+            let (pick, cost) = DeepScheduler::stage_game(ctx, id, ws);
+            costs[id.0] = cost;
+            Some(pick)
+        });
+        (profile.expect("every stage game places its member"), costs)
     }
 
     #[test]
@@ -1149,15 +1063,13 @@ mod tests {
         let sched = DeepScheduler::paper();
         for (name, tb) in &testbeds {
             for app in apps::case_studies() {
-                let opened = sched.open(tb, &app);
                 let mut ws = FleetWorkspace::default();
-                let (profile, costs) = stage_walk(&opened, &app, &mut ws);
+                let (profile, costs) = stage_walk(sched.open(tb, &app), &app, &mut ws);
                 let at = format!("{name}/{}", app.name());
-                let solved = DeepScheduler::sequential_assignment(&opened, &app, &mut ws);
-                assert_eq!(profile, solved, "{at}");
+                assert_eq!(Schedule::new(profile.clone()), sched.schedule(&app, tb), "{at}");
                 assert_eq!(
                     costs,
-                    profile_costs(&opened, &app, &profile),
+                    profile_costs(sched.open(tb, &app), &app, &profile),
                     "{at}: stage-game costs are the profile's exact costs"
                 );
             }
@@ -1176,35 +1088,28 @@ mod tests {
         sched: &DeepScheduler,
     ) {
         use deep_game::{support_enumeration, Bimatrix, Matrix};
-        let mut ctx = sched.open(tb, app);
-        let registries = ctx.registry_choices();
+        let registries = tb.registry_choices();
         let mut ws = FleetWorkspace::default();
-        for (w, stage) in stages(app).iter().enumerate() {
-            if w > 0 {
-                ctx.begin_wave();
-            }
-            for &id in &stage.members {
-                let devices = ctx.admissible_devices(id);
-                let payoff = Matrix::from_fn(registries.len(), devices.len(), |r, c| {
-                    -ctx.estimate(id, registries[r], devices[c]).ec.as_f64()
-                });
-                let game = Bimatrix::common_interest(payoff);
-                let (x, y) = support_enumeration(&game)
-                    .into_iter()
-                    .max_by(|a, b| {
-                        let pa = game.expected_payoffs(&a.0, &a.1).0;
-                        let pb = game.expected_payoffs(&b.0, &b.1).0;
-                        pa.partial_cmp(&pb).expect("payoffs are not NaN")
-                    })
-                    .expect("common-interest games always have a pure equilibrium");
-                let oracle =
-                    Placement { registry: registries[x.mode()], device: devices[y.mode()] };
-                let (pick, cost) = DeepScheduler::stage_game(&ctx, id, &mut ws);
-                assert_eq!(pick, oracle, "{at}: {id:?}");
-                assert_eq!(cost.to_bits(), (-game.a[(x.mode(), y.mode())]).to_bits(), "{at}");
-                ctx.commit(id, pick);
-            }
-        }
+        sched.open(tb, app).walk(|ctx, id| {
+            let devices = ctx.admissible_devices(id);
+            let payoff = Matrix::from_fn(registries.len(), devices.len(), |r, c| {
+                -ctx.estimate(id, registries[r], devices[c]).ec.as_f64()
+            });
+            let game = Bimatrix::common_interest(payoff);
+            let (x, y) = support_enumeration(&game)
+                .into_iter()
+                .max_by(|a, b| {
+                    let pa = game.expected_payoffs(&a.0, &a.1).0;
+                    let pb = game.expected_payoffs(&b.0, &b.1).0;
+                    pa.partial_cmp(&pb).expect("payoffs are not NaN")
+                })
+                .expect("common-interest games always have a pure equilibrium");
+            let oracle = Placement { registry: registries[x.mode()], device: devices[y.mode()] };
+            let (pick, cost) = DeepScheduler::stage_game(ctx, id, &mut ws);
+            assert_eq!(pick, oracle, "{at}: {id:?}");
+            assert_eq!(cost.to_bits(), (-game.a[(x.mode(), y.mode())]).to_bits(), "{at}");
+            Some(pick)
+        });
     }
 
     #[test]
@@ -1306,12 +1211,11 @@ mod tests {
         // One holder already runs the dataflow: its cached layers undercut
         // every cold device's floor, so most of the grid is pruned.
         let (tb, app, sched) = admit_shaped_fleet(200);
-        let opened = sched.open(&tb, &app);
         let mut ws = FleetWorkspace::default();
-        let (profile, costs) = stage_walk(&opened, &app, &mut ws);
+        let (profile, costs) = stage_walk(sched.open(&tb, &app), &app, &mut ws);
         assert_eq!(
             costs,
-            profile_costs(&opened, &app, &profile),
+            profile_costs(sched.open(&tb, &app), &app, &profile),
             "pruned stage games price their picks exactly"
         );
         assert_eq!(ws.grid_cells, app.len() * 3 * 200, "every member faced the whole grid");
@@ -1324,7 +1228,7 @@ mod tests {
     }
 
     #[test]
-    fn cloned_opened_context_walks_like_a_freshly_opened_one() {
+    fn sharing_first_context_walks_like_an_opened_one() {
         // Gossip discovery and scenario pricing carry the most walk
         // state: a gossip plane, per-device peer views, the estimator
         // clock, the pull numbering and the draw memo.
@@ -1333,19 +1237,14 @@ mod tests {
         let stages = stages(&app);
         assert_eq!(stages.len(), 2, "a two-wave walk");
         let registries = tb.registry_choices();
-        // Walk the original, its clone and a freshly opened context in
-        // lockstep: a clone sharing state with its original would see
-        // every commit twice. A fourth context turns peer sharing on
-        // before choosing the discovery, so its first snapshot is the
-        // omniscient one `open` no longer builds; it must walk the same.
-        let mut original = sched.open(&tb, &app);
-        let mut cloned = original.clone();
-        let mut fresh = sched.open(&tb, &app);
+        // A second context turns peer sharing on before choosing the
+        // discovery, so its first snapshot is the omniscient one `open`
+        // does not build; it must walk the same as the opened one.
+        let mut opened = sched.open(&tb, &app);
         let mut sharing_first = EstimationContext::new(&tb, &app)
             .peer_sharing(sched.peer_sharing)
             .peer_discovery(sched.peer_discovery, sched.discovery_seed)
             .scenario_pricing(sched.scenario);
-        sharing_first.begin_wave();
         for id in app.ids() {
             sharing_first.prefetch_manifests(id);
         }
@@ -1353,34 +1252,49 @@ mod tests {
         let bits = |e: Estimate| {
             (e.td.as_f64().to_bits(), e.tc.as_f64().to_bits(), e.tp.as_f64().to_bits())
         };
-        for (w, stage) in stages.iter().enumerate() {
-            for ctx in [&mut original, &mut cloned, &mut fresh, &mut sharing_first] {
-                if w > 0 {
-                    ctx.begin_wave();
-                }
-            }
+        for stage in &stages {
+            opened.begin_wave();
+            sharing_first.begin_wave();
             for &id in &stage.members {
                 for &registry in &registries {
-                    for device in fresh.admissible_devices(id) {
-                        let want = fresh.estimate(id, registry, device);
-                        peer_planned |= fresh
+                    for device in opened.admissible_devices(id) {
+                        let want = opened.estimate(id, registry, device);
+                        peer_planned |= opened
                             .plan(id, registry, device)
                             .per_source
                             .iter()
                             .any(|b| b.source >= deep_simulator::REGISTRY_PEER_BASE);
-                        for ctx in [&original, &cloned, &sharing_first] {
-                            let got = ctx.estimate(id, registry, device);
-                            assert_eq!(bits(got), bits(want), "{id:?} on {registry}/{device:?}");
-                            assert_eq!(got.ec.as_f64().to_bits(), want.ec.as_f64().to_bits());
-                            assert_eq!(got.downloaded, want.downloaded);
-                        }
+                        let got = sharing_first.estimate(id, registry, device);
+                        assert_eq!(bits(got), bits(want), "{id:?} on {registry}/{device:?}");
+                        assert_eq!(got.ec.as_f64().to_bits(), want.ec.as_f64().to_bits());
+                        assert_eq!(got.downloaded, want.downloaded);
                     }
                 }
-                for ctx in [&mut original, &mut cloned, &mut fresh, &mut sharing_first] {
-                    ctx.commit(id, schedule.placement(id));
-                }
+                opened.commit(id, schedule.placement(id));
+                sharing_first.commit(id, schedule.placement(id));
             }
         }
         assert!(peer_planned, "the gossip views never priced a peer holder");
+    }
+
+    #[test]
+    fn schedules_outside_the_mesh_are_no_equilibrium() {
+        let mut tb = calibrated_testbed();
+        let app = apps::video_processing();
+        let sched = DeepScheduler::paper();
+        let solved = sched.schedule(&app, &tb);
+        assert!(sched.is_equilibrium(&app, &tb, &solved));
+        // A device id past the testbed's last device.
+        let mut placements: Vec<Placement> = app.ids().map(|id| solved.placement(id)).collect();
+        placements[0].device = DeviceId(tb.devices.len());
+        let out_of_range = Schedule::new(placements);
+        assert!(!sched.is_equilibrium(&app, &tb, &out_of_range));
+        assert!(!sched.is_equilibrium_sampled(&app, &tb, &out_of_range, 8, 1));
+        // The solve's small device no longer admits transcode.
+        let transcode = app.by_name("transcode").unwrap();
+        assert_eq!(solved.placement(transcode).device, DEVICE_SMALL);
+        tb.device_mut(DEVICE_SMALL).cores = 0;
+        assert!(!sched.is_equilibrium(&app, &tb, &solved));
+        assert!(!sched.is_equilibrium_sampled(&app, &tb, &solved, 8, 1));
     }
 }

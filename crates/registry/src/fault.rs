@@ -260,18 +260,11 @@ impl FaultModel {
             .count() as u32
     }
 
-    /// Sample the model into a reproducible fault schedule.
+    /// Sample the model into a reproducible fault schedule. The plan
+    /// keeps a snapshot of the model: later edits to `self` do not reach
+    /// it.
     pub fn plan(&self, seed: u64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            rates: self.rates.clone(),
-            windows: self.windows.clone(),
-            // The last allowed attempt always succeeds, so injected
-            // transients can never exhaust the retry budget. Saturating:
-            // the `retry` field is pub, so a zero-attempt policy written
-            // directly must degrade to "no injections", not underflow.
-            transient_cap: self.retry.max_attempts.saturating_sub(1),
-        }
+        FaultPlan { seed, model: self.clone() }
     }
 
     /// Expected injected backoff per layer fetched from `source`: the
@@ -322,14 +315,10 @@ fn keyed_unit(seed: u64, salt: u64, pull: u64, source: RegistryId, fetch: u64) -
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     seed: u64,
-    rates: Vec<(RegistryId, FaultRates)>,
-    /// Scripted windows, carried verbatim from the model: unlike the
-    /// sampled channels they are not seed-dependent — every plan of a
-    /// model shares the same outage timeline.
-    windows: Vec<OutageWindow>,
-    /// Max consecutive transient injections per retry chain
-    /// (`max_attempts − 1`): the last allowed attempt always succeeds.
-    transient_cap: usize,
+    /// The model the plan was sampled from. Its scripted windows are not
+    /// seed-dependent: every plan of a model shares the same outage
+    /// timeline.
+    model: FaultModel,
 }
 
 impl FaultPlan {
@@ -340,25 +329,23 @@ impl FaultPlan {
 
     /// Is `source` inside a dark window at clock time `at`?
     pub fn dark_at(&self, source: RegistryId, at: Seconds) -> bool {
-        self.windows.iter().any(|w| w.source == source && w.is_dark() && w.active_at(at))
+        self.model.dark_at(source, at)
     }
 
     /// Bandwidth slowdown multiplier for `source` at clock time `at`
     /// (see [`FaultModel::slowdown_at`]).
     pub fn slowdown_at(&self, source: RegistryId, at: Seconds) -> f64 {
-        self.windows
-            .iter()
-            .filter(|w| w.source == source && !w.is_dark() && w.active_at(at))
-            .fold(1.0, |acc, w| acc / w.factor)
+        self.model.slowdown_at(source, at)
     }
 
-    /// Max consecutive transient injections a retry chain can see.
+    /// Max consecutive transient injections a retry chain can see
+    /// (`max_attempts − 1`): the last allowed attempt always succeeds, so
+    /// injected transients can never exhaust the retry budget.
+    /// Saturating: the model's `retry` field is pub, so a zero-attempt
+    /// policy written directly must degrade to "no injections", not
+    /// underflow.
     pub fn transient_cap(&self) -> usize {
-        self.transient_cap
-    }
-
-    fn rates(&self, source: RegistryId) -> FaultRates {
-        self.rates.iter().find(|(id, _)| *id == source).map(|(_, r)| *r).unwrap_or(FaultRates::ZERO)
+        self.model.retry.max_attempts.saturating_sub(1)
     }
 
     /// A unit draw in `[0, 1)` from the keyed splitmix64 stream.
@@ -368,7 +355,7 @@ impl FaultPlan {
 
     /// Is `source` fatally dead for pull number `pull` (when primary)?
     pub fn pull_fatal(&self, pull: u64, source: RegistryId) -> bool {
-        let p = self.rates(source).fatal_per_pull;
+        let p = self.model.rates(source).fatal_per_pull;
         p > 0.0 && self.unit(SALT_FATAL, pull, source, 0) < p
     }
 
@@ -376,7 +363,7 @@ impl FaultPlan {
     /// `pull` against `source` (before the consecutive-injection cap a
     /// [`PlannedFaults`] wrapper applies).
     pub fn fetch_transient(&self, pull: u64, source: RegistryId, fetch: u64) -> bool {
-        let q = self.rates(source).transient_per_fetch;
+        let q = self.model.rates(source).transient_per_fetch;
         q > 0.0 && self.unit(SALT_TRANSIENT, pull, source, fetch) < q
     }
 }
@@ -506,7 +493,7 @@ impl<S: BlobSource> BlobSource for PlannedFaults<'_, S> {
         }
         let seq = self.fetch_seq.get();
         self.fetch_seq.set(seq + 1);
-        if self.consecutive.get() < self.plan.transient_cap
+        if self.consecutive.get() < self.plan.transient_cap()
             && self.plan.fetch_transient(self.pull, self.source, seq)
         {
             self.consecutive.set(self.consecutive.get() + 1);
@@ -555,6 +542,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn plans_keep_the_model_they_were_sampled_from() {
+        let mut model = FaultModel::default();
+        let plan = model.plan(7);
+        model = model
+            .with_source(REGIONAL, FaultRates { fatal_per_pull: 1.0, transient_per_fetch: 1.0 })
+            .with_window(OutageWindow::dark(HUB, Seconds::ZERO, Seconds::new(10.0)))
+            .with_retry(RetryPolicy { max_attempts: 9, ..Default::default() });
+        assert!(model.plan(7).pull_fatal(0, REGIONAL), "the edited model injects");
+        assert!(!plan.pull_fatal(0, REGIONAL));
+        assert!(!plan.fetch_transient(0, REGIONAL, 0));
+        assert!(!plan.dark_at(HUB, Seconds::new(1.0)));
+        assert_eq!(plan.transient_cap(), RetryPolicy::default().max_attempts - 1);
     }
 
     #[test]

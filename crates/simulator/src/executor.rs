@@ -16,7 +16,6 @@
 //!   energies are both reported; they agree to instrument quantisation.
 
 use crate::chaos::{ChaosEvent, ChaosKind};
-use crate::engine::Engine;
 use crate::jitter::Jitter;
 use crate::metrics::{MicroserviceMetrics, RunReport};
 use crate::schedule::{Placement, RegistryChoice, Schedule};
@@ -760,10 +759,8 @@ impl OnlineExecutor {
             gossip.as_mut(),
             trace,
         )?;
-        // Completion events for the wave, popped in time order from a
-        // heap preallocated to the wave width (no realloc churn when a
-        // fleet deploys hundreds of microservices per wave).
-        let mut completions: Engine<MicroserviceId> = Engine::with_capacity(wave.len());
+        // The wave's pull completions, in pull order.
+        let mut completions: Vec<(Seconds, MicroserviceId)> = Vec::with_capacity(wave.len());
         for &id in wave {
             let ms = app.microservice(id);
             let placement = schedule.placement(id);
@@ -810,17 +807,19 @@ impl OnlineExecutor {
             run.sources[id.0] = outcome.per_source;
             run.failed_sources[id.0] = outcome.failed_sources;
             run.backoff[id.0] = outcome.backoff_total;
-            completions.schedule_at(t, id);
+            completions.push((t, id));
             // Instrument the deployment phase (deploy + static draw).
             let power = device.power.deploy_watts + device.power.static_watts;
             instruments.observe(placement.device, power, t);
         }
-        // Deployment is concurrent: drain the completion events in time
-        // order (each finish stamped when its pull actually ends), then
-        // advance the clock by the wave's longest pull.
+        // Deployment is concurrent: record the completions in time order
+        // (each finish stamped when its pull actually ends; the stable
+        // sort keeps pull order among ties), then advance the clock by
+        // the wave's longest pull.
+        completions.sort_by(|a, b| a.0.as_f64().total_cmp(&b.0.as_f64()));
         let wave_start = *clock;
         let mut wave_span = Seconds::ZERO;
-        while let Some((t, id)) = completions.next() {
+        for (t, id) in completions {
             wave_span = wave_span.max(t);
             let ms = app.microservice(id);
             trace.record(

@@ -4,8 +4,6 @@
 //! "medium" and a 4-core Raspberry Pi 4 "small"); this crate reproduces
 //! that testbed as a deterministic, seeded simulation:
 //!
-//! * [`engine`] — a generic discrete-event engine (time-ordered event heap)
-//!   used by the executor and available to ablation experiments;
 //! * [`device`] — simulated edge devices: cores, MI/s speed with
 //!   per-microservice architecture factors, memory/storage, per-phase power
 //!   models, layer cache, extraction bandwidth;
@@ -38,7 +36,6 @@
 
 pub mod chaos;
 pub mod device;
-pub mod engine;
 pub mod executor;
 pub mod gossip;
 pub mod jitter;
@@ -51,7 +48,6 @@ pub mod trace;
 
 pub use chaos::{ChaosEvent, ChaosKind};
 pub use device::SimDevice;
-pub use engine::Engine;
 pub use executor::{
     execute, execute_with_events, plan_waves, validate_schedule, ExecError, ExecutorConfig, JobRun,
     OnlineExecutor, PeerDiscovery,

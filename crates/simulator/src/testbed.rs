@@ -586,10 +586,12 @@ impl Testbed {
     /// pair plus `registries − 2` regional mirrors at seeded site rates
     /// (7–12 MB/s, 4–6 s overhead). Dataflow links follow the device
     /// classes ([`Testbed::device_bandwidth`]: the paper's LAN between
-    /// edge devices, the WAN on any cloud leg); fleet devices pull the
-    /// base registries at the small-device route rates
-    /// ([`TestbedParams::route_bandwidth`] is archetype-keyed, not
-    /// per-id — per-device heterogeneity comes from the device figures).
+    /// edge devices, the WAN on any cloud leg). The hub and regional
+    /// routes are keyed by device id, not class
+    /// ([`TestbedParams::route_bandwidth`] matches the medium and cloud
+    /// ids), so every fleet clone, cloud-class ones included, pulls the
+    /// base registries at the small-device route rates; per-device
+    /// heterogeneity comes from the device figures.
     pub fn synthetic_fleet(devices: usize, registries: usize, seed: u64) -> Self {
         assert!(devices >= 2, "a fleet needs at least the paper's device pair");
         assert!(registries >= 2, "a fleet needs at least the hub + regional pair");

@@ -78,7 +78,7 @@ fn deep_schedule_is_nash_equilibrium_of_deployment_game() {
     let tb = calibration::calibrated_testbed();
     for app in apps::case_studies() {
         let schedule = DeepScheduler::paper().schedule(&app, &tb);
-        assert!(DeepScheduler::is_joint_equilibrium(&app, &tb, &schedule), "{}", app.name());
+        assert!(DeepScheduler::paper().is_equilibrium(&app, &tb, &schedule), "{}", app.name());
     }
 }
 

@@ -14,9 +14,11 @@
 //!    schedules, it measures exactly what the estimator priced for them.
 //! 2. **Equilibria** — on seeded synthetic fleets the solver lands on a
 //!    verified pure Nash equilibrium (exhaustive and sampled deviation
-//!    checks), and on every generated case of the parity fuzz, under
-//!    that case's peer sharing, discovery, pricing and online start, it
-//!    passes the exhaustive check.
+//!    checks). On every generated case of the parity fuzz, under that
+//!    case's peer sharing, discovery, pricing and online start, a
+//!    brute-force oracle that prices every cell of every member accepts
+//!    the solve and the repair of a random schedule, and agrees with
+//!    `is_equilibrium` on the solve and on the random schedule.
 
 use deep::core::{
     calibration, continuum, DeepScheduler, EstimationContext, ScenarioPricing, Scheduler,
@@ -113,6 +115,42 @@ fn random_schedule(app: &Application, tb: &Testbed, draws: &mut Draws) -> Option
         .map(Schedule::new)
 }
 
+/// Brute-force equilibrium oracle: walk `schedule` through a context
+/// built like `sched`'s and price every registry × admissible-device cell
+/// of every member. `schedule` is an equilibrium when no cell beats a
+/// member's placement by more than 1e-9 J.
+fn brute_force_equilibrium(
+    sched: &DeepScheduler,
+    app: &Application,
+    tb: &Testbed,
+    schedule: &Schedule,
+) -> bool {
+    let mut ctx = EstimationContext::new(tb, app)
+        .peer_discovery(sched.peer_discovery, sched.discovery_seed)
+        .peer_sharing(sched.peer_sharing)
+        .price_faults(sched.price_faults)
+        .scenario_pricing(sched.scenario)
+        .at_clock(sched.start_clock)
+        .starting_pull(sched.start_pull);
+    let registries = tb.registry_choices();
+    for stage in stages(app) {
+        ctx.begin_wave();
+        for &id in &stage.members {
+            let p = schedule.placement(id);
+            let bound = ctx.estimate(id, p.registry, p.device).ec.as_f64() - 1e-9;
+            for &registry in &registries {
+                for device in ctx.admissible_devices(id) {
+                    if ctx.estimate(id, registry, device).ec.as_f64() < bound {
+                        return false;
+                    }
+                }
+            }
+            ctx.commit(id, p);
+        }
+    }
+    true
+}
+
 /// One generated case of the differential parity fuzz: a seeded fleet
 /// warmed by a random prior run, a random peer-sharing and discovery
 /// setup, one of the three pricings under the zero fault model (with or
@@ -121,8 +159,10 @@ fn random_schedule(app: &Application, tb: &Testbed, draws: &mut Draws) -> Option
 /// schedule. The estimator walks the schedule, the online executor runs
 /// it, and every member's `(Td, Tc, Tp, EC)` must agree bit for bit.
 /// A scheduler configured like the case must also solve the app to a
-/// schedule the exhaustive check accepts as an equilibrium, repair the
-/// random schedule to one, and repair its own solve to itself.
+/// schedule the brute-force oracle accepts as an equilibrium, repair the
+/// random schedule to one, and repair its own solve to itself; its
+/// `is_equilibrium` must agree with the oracle on the solve and on the
+/// random schedule.
 fn assert_generated_case_executes_as_priced(seed: u64) {
     let mut draws = Draws(seed);
     let mut tb =
@@ -175,15 +215,21 @@ fn assert_generated_case_executes_as_priced(seed: u64) {
     };
     let solved = sched.schedule(&app, &tb);
     assert!(
-        sched.is_equilibrium(&app, &tb, &solved),
+        brute_force_equilibrium(&sched, &app, &tb, &solved),
         "{at}, pricing {pricing}: not an equilibrium"
+    );
+    assert!(sched.is_equilibrium(&app, &tb, &solved), "{at}, pricing {pricing}: solve rejected");
+    assert_eq!(
+        sched.is_equilibrium(&app, &tb, &schedule),
+        brute_force_equilibrium(&sched, &app, &tb, &schedule),
+        "{at}, pricing {pricing}: the checks disagree on the random schedule"
     );
     // The same scheduler repairs the random schedule to an equilibrium
     // without a fallback, and keeps its own solve unchanged.
     let repaired = sched.incremental_repair(&app, &tb, &schedule, usize::MAX);
     assert!(!repaired.fell_back, "{at}, pricing {pricing}: the repair fell back");
     assert!(
-        sched.is_equilibrium(&app, &tb, &repaired.schedule),
+        brute_force_equilibrium(&sched, &app, &tb, &repaired.schedule),
         "{at}, pricing {pricing}: the repair moved {} members to a non-equilibrium",
         repaired.deviations
     );

@@ -409,5 +409,5 @@ fn mirrors_enter_the_nash_strategy_space_end_to_end() {
         .unwrap_or(0.0);
     assert!(mirror_mb > 0.0, "mirror served no bytes: {:?}", report.downloaded_by_source());
     // And the result stays an equilibrium of the widened game.
-    assert!(DeepScheduler::is_joint_equilibrium(&app, &tb, &schedule));
+    assert!(DeepScheduler::paper().is_equilibrium(&app, &tb, &schedule));
 }
