@@ -16,9 +16,11 @@
 //!   whose caches have not moved since the last wave: the delta plane's
 //!   stale counters turn every exchange into an O(1) no-op, so this is
 //!   the price the executor pays at *every* wave of a quiet soak.
-//! * `mesh_view/*` — one pull's bounded view off the plane: a replay of
-//!   the generation-keyed cached view (the common case: nothing moved
-//!   since the wave's barrier).
+//! * `mesh_view/*` — one pull's bounded view off the plane: the
+//!   selection over the advertisers plus a clone of each selected
+//!   advertisement's retracted source, which the plane builds once per
+//!   generation and shares (the common case: nothing moved since the
+//!   wave's barrier).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use deep_netsim::DataSize;
@@ -110,8 +112,9 @@ fn bench_mesh_view(c: &mut Criterion) {
     let devices = 200usize;
     let caches = fleet_caches(devices);
     let refs: Vec<&LayerCache> = caches.iter().collect();
-    // Cached replay: the plane materializes once per (target,
-    // generation) and clones the stored view on every further call.
+    // Shared replay: the plane retracts each advertisement once per
+    // generation; every further call selects and clones the shared
+    // sources.
     let mut group = c.benchmark_group("mesh_view");
     for &view_size in &[2u32, 8, 32, u32::MAX] {
         let mut bounded = {

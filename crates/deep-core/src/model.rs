@@ -33,10 +33,10 @@ use deep_dataflow::{stages, Application, MicroserviceId};
 use deep_energy::Joules;
 use deep_netsim::{Bandwidth, DataSize, DeviceId, RegistryId, Seconds};
 use deep_registry::{
-    BlobSource, CatalogEntry, ImageManifest, LayerCache, LayerDescriptor, PeerCacheSource,
-    Platform, PullOutcome, PullSession, Reference, RegistryError, RegistryMesh,
+    BlobSource, CatalogEntry, ImageManifest, LayerCache, LayerDescriptor, Platform, PullOutcome,
+    PullSession, Reference, RegistryError, RegistryMesh,
 };
-use deep_simulator::{Placement, RegistryChoice, RouteLoads, Testbed};
+use deep_simulator::{PeerViews, Placement, RegistryChoice, RouteLoads, Testbed};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -127,12 +127,12 @@ pub struct EstimationContext<'t> {
     /// Mirror an executor running with `peer_sharing`: every estimate and
     /// commit adds the wave's peer sources to the pull mesh.
     peer_sharing: bool,
-    /// Per-device peer snapshots, rebuilt at each wave barrier through
-    /// the testbed's [`deep_simulator::PeerPlane`] (`peer_snapshots[j]` =
-    /// the sources device j's pulls see: one per advertising holder on
-    /// the per-pair plane, the single aggregate source under the scalar
-    /// oracle).
-    peer_snapshots: Vec<Vec<(RegistryId, PeerCacheSource)>>,
+    /// Every device's peer view, rebuilt at each wave barrier through
+    /// the testbed's [`deep_simulator::PeerPlane::barrier_views`]
+    /// (`peers.of(j)` = the sources device j's pulls see: one per
+    /// advertising holder on the per-pair plane, the single aggregate
+    /// source under the scalar oracle).
+    peers: PeerViews,
     /// The estimator's image of the executor's gossip discovery plane
     /// (`None` = omniscient snapshot discovery). Runs the *same*
     /// epidemic over the estimated caches, seeded identically, so a
@@ -172,6 +172,11 @@ pub struct EstimationContext<'t> {
     /// precomputed once — the estimate hot path reads them once per
     /// `(registry, device)` candidate.
     scoped: Vec<String>,
+    /// The testbed's registry-side strategy space
+    /// ([`Testbed::registry_choices`]), listed once at construction:
+    /// the testbed is borrowed for the context's lifetime, so its mesh
+    /// cannot change under the walk.
+    registries: Vec<RegistryChoice>,
     /// Per-microservice catalog entries, resolved once at construction.
     /// The testbed is borrowed for the context's lifetime, so an entry
     /// that is `None` (the app is not published) stays `None`.
@@ -252,7 +257,7 @@ impl<'t> EstimationContext<'t> {
             route_load: RouteLoads::new(testbed.devices.len()),
             assigned: vec![None; app.len()],
             peer_sharing: false,
-            peer_snapshots: Vec::new(),
+            peers: PeerViews::default(),
             gossip: None,
             price_faults: false,
             scenario: None,
@@ -264,6 +269,7 @@ impl<'t> EstimationContext<'t> {
                 .ids()
                 .map(|id| format!("{}/{}", app.name(), app.microservice(id).name))
                 .collect(),
+            registries: testbed.registry_choices(),
             entries: app
                 .ids()
                 .map(|id| testbed.entry(app.name(), &app.microservice(id).name))
@@ -294,7 +300,7 @@ impl<'t> EstimationContext<'t> {
                 archs.push(d.arch);
             }
         }
-        for choice in self.testbed.registry_choices() {
+        for &choice in &self.registries {
             for &arch in &archs {
                 let key = (choice.registry_id(), id.0, arch);
                 if self.manifests.contains_key(&key) {
@@ -389,20 +395,24 @@ impl<'t> EstimationContext<'t> {
         self
     }
 
-    /// Rebuild the per-device peer snapshots from the estimated caches —
-    /// the estimator's image of the executor's wave-barrier gossip
-    /// round, through the same [`deep_simulator::PeerPlane::view`] rule
-    /// the executor applies to the real caches. Under gossip discovery
-    /// every view is empty before the first barrier: the executor has
-    /// not advertised anything yet either.
+    /// Rebuild every device's peer view from the estimated caches — the
+    /// estimator's image of the executor's wave-barrier gossip round,
+    /// through the same [`deep_simulator::PeerPlane::barrier_views`] rule
+    /// the executor applies to the real caches. Each holder's source is
+    /// built once per barrier and shared by every device that sees it:
+    /// the per-pair snapshot keeps one holder list for the whole fleet,
+    /// and the gossip plane retracts each advertisement once however
+    /// many views select it. Under gossip discovery every view is empty
+    /// before the first barrier: the executor has not advertised
+    /// anything yet either.
     fn snapshot_peers(&mut self) {
         if !self.peer_sharing {
+            self.peers = PeerViews::default();
             return;
         }
         let caches: Vec<&LayerCache> = self.caches.iter().collect();
-        let plane = &self.testbed.peer_plane;
-        self.peer_snapshots =
-            (0..caches.len()).map(|j| plane.view(self.gossip.as_mut(), &caches, j)).collect();
+        self.peers =
+            self.testbed.peer_plane.barrier_views(self.gossip.as_mut(), &caches, 0..caches.len());
     }
 
     /// Open a new deployment wave (stage barrier): route contention
@@ -457,7 +467,7 @@ impl<'t> EstimationContext<'t> {
     /// The testbed's registry-side strategy space (every full registry in
     /// the mesh — the paper pair plus any regional mirrors).
     pub fn registry_choices(&self) -> Vec<RegistryChoice> {
-        self.testbed.registry_choices()
+        self.registries.clone()
     }
 
     /// Predict `(Td, Tc, Tp, EC)` for assigning `id` to
@@ -571,11 +581,11 @@ impl<'t> EstimationContext<'t> {
         debug_assert_eq!(registries.len(), out.len());
         let dev = self.testbed.device(device);
         let unloaded = |choice| self.testbed.source_params(choice, device, 1.0);
-        let peers = self.peer_sharing.then(|| self.peer_snapshots[device.0].as_slice());
-        let routes =
-            self.testbed.registry_choices().into_iter().chain(
-                peers.into_iter().flatten().map(|(holder, _)| RegistryChoice::mesh(*holder)),
-            );
+        let routes = self
+            .registries
+            .iter()
+            .copied()
+            .chain(self.peers.of(device).map(|(holder, _)| RegistryChoice::mesh(*holder)));
         let ingress = routes
             .map(|choice| unloaded(choice).download_bw)
             .fold(Bandwidth::default(), |fastest, bw| if bw > fastest { bw } else { fastest });
@@ -742,17 +752,15 @@ impl<'t> EstimationContext<'t> {
         let primary = registry.registry_id();
         let mut mesh = RegistryMesh::new();
         mesh.add_registry(primary, testbed.registry(registry), params(registry));
-        if self.peer_sharing {
-            for (id, peer) in &self.peer_snapshots[device.0] {
-                mesh.add_blob_source(*id, peer, params(RegistryChoice::mesh(*id)));
-            }
+        for (id, peer) in self.peers.of(device) {
+            mesh.add_blob_source(*id, peer, params(RegistryChoice::mesh(*id)));
         }
         // Fault pricing needs the failover targets in the mesh: every
         // other full registry as a standby (planned only once the primary
         // is dead, so the happy branch is untouched) — the same standby
         // set a fault-injecting executor registers.
         if standbys {
-            for choice in testbed.registry_choices() {
+            for &choice in &self.registries {
                 if choice != registry {
                     mesh.add_standby_registry(
                         choice.registry_id(),
@@ -818,10 +826,9 @@ impl<'t> EstimationContext<'t> {
         if !resolved.complete {
             return None;
         }
-        let peers = if self.peer_sharing { self.peer_snapshots[device.0].as_slice() } else { &[] };
         let mut missing = DataSize::ZERO;
         for layer in missing_layers(&resolved.manifest, &self.caches[device.0]) {
-            if peers.iter().any(|(_, peer)| peer.has_blob(&layer.digest)) {
+            if self.peers.of(device).any(|(_, peer)| peer.has_blob(&layer.digest)) {
                 return None;
             }
             missing += layer.size;

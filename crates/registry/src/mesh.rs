@@ -577,16 +577,19 @@ impl CacheAccess<'_> {
 ///   per-pair link and the simulator can charge upload contention on the
 ///   holder's NIC.
 ///
-/// Cloning is cheap: the advertised digest set is shared
-/// (`Arc<HashSet<Digest>>`) and copied only when a clone [`absorb`]s
-/// new layers (copy-on-write), so gossip views, cached mesh views and
-/// the estimator's per-device snapshots all hand the same set around.
-/// Retractions are per clone and never touch the shared set.
+/// Cloning costs three reference-count bumps: the label, the
+/// advertised digest set and the retraction set are all shared
+/// (`Arc`), so one wave barrier builds each holder's source once and
+/// every device's view hands the same allocation around. Both sets are
+/// copy-on-write: the first [`absorb`] or [`retract`] that changes a
+/// clone copies the set it changes, so a clone's edits never reach the
+/// original, its sibling clones or the plane that built them.
 ///
 /// [`absorb`]: PeerCacheSource::absorb
+/// [`retract`]: PeerCacheSource::retract
 #[derive(Debug, Clone, Default)]
 pub struct PeerCacheSource {
-    label: String,
+    label: Arc<str>,
     /// The serving device behind this snapshot, when the source models a
     /// single holder rather than the aggregated fleet.
     holder: Option<deep_netsim::DeviceId>,
@@ -596,14 +599,15 @@ pub struct PeerCacheSource {
     /// Layers evicted from the holder *after* the snapshot gossip round:
     /// still advertised (`has_blob` is the stale gossip view a session
     /// plans against), but a fetch finds them gone and fails over — the
-    /// cache-pressure chaos event of the soak harness.
-    retracted: HashSet<Digest>,
+    /// cache-pressure chaos event of the soak harness. Shared between
+    /// clones until one of them retracts or re-validates a layer.
+    retracted: Arc<HashSet<Digest>>,
 }
 
 impl PeerCacheSource {
     /// An empty source with a display label.
     pub fn new(label: &str) -> Self {
-        PeerCacheSource { label: label.to_string(), ..PeerCacheSource::default() }
+        PeerCacheSource { label: label.into(), ..PeerCacheSource::default() }
     }
 
     /// Snapshot every digest of `caches` into one source.
@@ -634,7 +638,9 @@ impl PeerCacheSource {
     pub fn absorb(&mut self, cache: &LayerCache) {
         let blobs = Arc::make_mut(&mut self.blobs);
         for digest in cache.digests() {
-            self.retracted.remove(digest);
+            if self.retracted.contains(digest) {
+                Arc::make_mut(&mut self.retracted).remove(digest);
+            }
             blobs.insert(digest.clone());
         }
     }
@@ -646,12 +652,13 @@ impl PeerCacheSource {
     /// fails the layer over mid-pull. Returns whether the layer was
     /// advertised at all.
     pub fn retract(&mut self, digest: &Digest) -> bool {
-        if self.blobs.contains(digest) {
-            self.retracted.insert(digest.clone());
-            true
-        } else {
-            false
+        if !self.blobs.contains(digest) {
+            return false;
         }
+        if !self.retracted.contains(digest) {
+            Arc::make_mut(&mut self.retracted).insert(digest.clone());
+        }
+        true
     }
 
     /// Every advertised digest, retractions included (a retracted layer
@@ -821,6 +828,44 @@ mod tests {
         assert!(original.fetch_blob(&a).is_ok(), "a clone's retraction stays its own");
         assert!(original.fetch_blob(&b).is_ok());
         assert!(matches!(original.fetch_blob(&c), Err(RegistryError::MissingBlob(_))));
+    }
+
+    #[test]
+    fn peer_source_retractions_copy_on_write() {
+        let (a, b) = (Digest::of(b"a"), Digest::of(b"b"));
+        let mut held = cache();
+        held.insert(a.clone(), DataSize::megabytes(10.0));
+        held.insert(b.clone(), DataSize::megabytes(10.0));
+        let original = PeerCacheSource::for_holder(deep_netsim::DeviceId(3), &held);
+        let sibling = original.clone();
+        let mut clone = original.clone();
+        assert!(Arc::ptr_eq(&original.label, &clone.label), "a clone shares the label");
+        assert!(Arc::ptr_eq(&original.retracted, &clone.retracted), "and the retractions");
+
+        // A retraction on one clone copies its set and stays its own.
+        assert!(clone.retract(&a));
+        assert!(!Arc::ptr_eq(&original.retracted, &clone.retracted));
+        assert!(Arc::ptr_eq(&original.blobs, &clone.blobs), "the digest set is still shared");
+        assert!(matches!(clone.fetch_blob(&a), Err(RegistryError::Unavailable(_))));
+        for untouched in [&original, &sibling] {
+            assert!(untouched.fetch_blob(&a).is_ok() && untouched.fetch_blob(&b).is_ok());
+        }
+        // Retracting an already retracted layer copies nothing more, and
+        // a digest never advertised is not retracted at all.
+        let retracted = Arc::clone(&clone.retracted);
+        assert!(clone.retract(&a));
+        assert!(Arc::ptr_eq(&retracted, &clone.retracted));
+        drop(retracted);
+        assert!(!clone.retract(&Digest::of(b"never")));
+
+        // `absorb` re-validates only the clone it runs on: a clone of the
+        // retracted source that re-absorbs the layer serves it again,
+        // while the retracted source keeps failing it over.
+        let mut revalidated = clone.clone();
+        revalidated.absorb(&held);
+        assert!(revalidated.fetch_blob(&a).is_ok());
+        assert!(matches!(clone.fetch_blob(&a), Err(RegistryError::Unavailable(_))));
+        assert!(original.fetch_blob(&a).is_ok() && sibling.fetch_blob(&a).is_ok());
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct ChaosEvent {
 pub enum ChaosKind {
     /// Storage pressure on one device: LRU-evict its layer cache down
     /// to `keep` bytes. Evicted layers are *retracted* from the wave's
-    /// peer snapshots — peers that advertised them at the gossip round
+    /// peer views — peers that advertised them at the gossip round
     /// now fail the fetch, and sessions fail over mid-pull.
     CachePressure { device: DeviceId, keep: DataSize },
     /// Delete one tag from the regional registry's catalog (an operator

@@ -19,7 +19,7 @@ use crate::chaos::{ChaosEvent, ChaosKind};
 use crate::jitter::Jitter;
 use crate::metrics::{MicroserviceMetrics, RunReport};
 use crate::schedule::{Placement, RegistryChoice, Schedule};
-use crate::testbed::{peer_holder, RouteLoads, Testbed};
+use crate::testbed::{peer_holder, PeerViews, RouteLoads, Testbed};
 use crate::trace::{Trace, TraceKind};
 use deep_dataflow::{stages, Application, MicroserviceId};
 use deep_energy::{Joules, PowerMeter, RaplBank, RaplMeasurement, Watts};
@@ -36,8 +36,10 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PeerDiscovery {
     /// The omniscient catalog, and the default discovery mode: every
-    /// wave barrier snapshots every *other* device's current cache via
-    /// [`crate::PeerPlane::snapshot`].
+    /// wave barrier snapshots every *other* device's current cache
+    /// ([`crate::PeerPlane::snapshot`]), served from one source per
+    /// non-empty holder that every puller shares
+    /// ([`crate::PeerPlane::barrier_views`]).
     #[default]
     Snapshot,
     /// Decentralized epidemic discovery ([`crate::GossipPlane`]): each
@@ -426,16 +428,16 @@ pub struct OnlineExecutor {
 }
 
 /// Fire every scripted event due at or before `clock` against the
-/// testbed. `peer_snapshots` holds the in-flight
-/// wave's gossip snapshots (an eviction retracts the holder's own stale
-/// advertisements); callers firing between waves pass an empty map.
+/// testbed. `peer_views` holds the in-flight wave's barrier views (an
+/// eviction retracts the holder's own stale advertisements); callers
+/// firing between waves pass empty views.
 #[allow(clippy::too_many_arguments)]
 fn fire_scripted_events(
     timeline: &[ChaosEvent],
     next_event: &mut usize,
     clock: Seconds,
     testbed: &mut Testbed,
-    peer_snapshots: &mut HashMap<usize, Vec<(RegistryId, PeerCacheSource)>>,
+    peer_views: &mut PeerViews,
     mut gossip: Option<&mut crate::gossip::GossipPlane>,
     trace: &mut Trace,
 ) -> Result<(), ExecError> {
@@ -446,25 +448,23 @@ fn fire_scripted_events(
             ChaosKind::CachePressure { device, keep } => {
                 let evicted = testbed.device_mut(*device).cache.evict_to(*keep);
                 for victim in &evicted {
-                    for sources in peer_snapshots.values_mut() {
-                        for (id, src) in sources.iter_mut() {
-                            match peer_holder(*id) {
-                                // The holder's own source: the layer is gone.
-                                Some(holder) if holder == *device => {
+                    for (id, src) in peer_views.sources_mut() {
+                        match peer_holder(*id) {
+                            // The holder's own source: the layer is gone.
+                            Some(holder) if holder == *device => {
+                                src.retract(victim);
+                            }
+                            Some(_) => {}
+                            // Aggregate plane: anonymous fleet source —
+                            // retract only when no other device still
+                            // holds the layer.
+                            None => {
+                                let held_elsewhere = testbed
+                                    .devices
+                                    .iter()
+                                    .any(|d| d.id != *device && d.cache.contains(victim));
+                                if !held_elsewhere {
                                     src.retract(victim);
-                                }
-                                Some(_) => {}
-                                // Aggregate plane: anonymous fleet source —
-                                // retract only when no other device still
-                                // holds the layer.
-                                None => {
-                                    let held_elsewhere = testbed
-                                        .devices
-                                        .iter()
-                                        .any(|d| d.id != *device && d.cache.contains(victim));
-                                    if !held_elsewhere {
-                                        src.retract(victim);
-                                    }
                                 }
                             }
                         }
@@ -473,7 +473,7 @@ fn fire_scripted_events(
                 // Gossip discovery: the holder re-advertises its shrunk
                 // cache *now* (epoch bump), so the stale advertisement
                 // ages out of remote views as later rounds spread the
-                // fresh epoch. The in-flight snapshots above stay stale
+                // fresh epoch. The in-flight views above stay stale
                 // on purpose — those pulls pay a failover, never a wrong
                 // estimate.
                 if !evicted.is_empty() {
@@ -518,7 +518,7 @@ fn pull_through(
     reference: &Reference,
     cache: &mut LayerCache,
     route_load: &RouteLoads,
-    peers: &[(RegistryId, PeerCacheSource)],
+    peers: &PeerViews,
     faults: Option<(&FaultPlan, u64, Seconds)>,
 ) -> Result<PullOutcome, RegistryError> {
     let device = testbed.device(placement.device);
@@ -540,7 +540,7 @@ fn pull_through(
     let Some((plan, pull_idx, clock)) = faults else {
         let mut mesh = RegistryMesh::new();
         mesh.add_registry(primary, registry, source_params(placement.registry));
-        for (id, src) in peers {
+        for (id, src) in peers.of(placement.device) {
             mesh.add_blob_source(*id, src, source_params(RegistryChoice::mesh(*id)));
         }
         return PullSession::new(&mesh, primary).extract_bw(device.extract_bw).pull(
@@ -574,7 +574,7 @@ fn pull_through(
     // (transient-only) semantics. Peer-uplink kills are scripted as dark
     // windows on the peer's mesh id.
     let peer_faults: Vec<(RegistryId, PlannedFaults<'_, &PeerCacheSource>)> = peers
-        .iter()
+        .of(placement.device)
         .map(|(id, src)| {
             let wrapped = match peer_holder(*id) {
                 Some(_) => PlannedFaults::holder(src, plan, *id, pull_idx),
@@ -662,15 +662,14 @@ impl OnlineExecutor {
     /// scheduling pass instead of landing one wave barrier late.
     /// Within-wave semantics (gossip-then-fire, stale peer
     /// advertisements) are unchanged: with no wave in flight there are
-    /// no snapshots to go stale.
+    /// no views to go stale.
     pub fn fire_due_events(&mut self, testbed: &mut Testbed) -> Result<(), ExecError> {
-        let mut no_snapshots = HashMap::new();
         fire_scripted_events(
             &self.timeline,
             &mut self.next_event,
             self.clock,
             testbed,
-            &mut no_snapshots,
+            &mut PeerViews::default(),
             self.gossip.as_mut(),
             &mut self.trace,
         )
@@ -722,32 +721,29 @@ impl OnlineExecutor {
         // device), peer traffic on the serving device's uplink. Fresh
         // per wave, so peer-holder lanes never outlive their wave.
         let mut route_load = RouteLoads::new(testbed.devices.len());
-        // Peer-cache snapshots, one per target device, taken at the wave
-        // barrier: peers advertise what they held when the wave began (a
-        // gossip round per barrier), decoupling the snapshot from the
-        // per-pull cache updates below. Snapshots are built only for
-        // devices this wave actually deploys to — a fleet wave touching
-        // a handful of devices must not pay O(devices²) digest clones.
-        let mut peer_snapshots: HashMap<usize, Vec<(RegistryId, PeerCacheSource)>> =
-            if cfg.peer_sharing {
-                let mut targets: Vec<usize> =
-                    wave.iter().map(|&id| schedule.placement(id).device.0).collect();
-                targets.sort_unstable();
-                targets.dedup();
-                let caches: Vec<&LayerCache> = testbed.devices.iter().map(|d| &d.cache).collect();
-                if let Some(plane) = gossip.as_mut() {
-                    plane.barrier_round(&caches);
-                }
-                targets
-                    .into_iter()
-                    .map(|j| (j, testbed.peer_plane.view(gossip.as_mut(), &caches, j)))
-                    .collect()
-            } else {
-                HashMap::new()
-            };
+        // Peer views taken at the wave barrier: peers advertise what they
+        // held when the wave began (a gossip round per barrier),
+        // decoupling the views from the per-pull cache updates below.
+        // Views are built only for devices this wave actually deploys to,
+        // and each holder's source is built once and shared by every
+        // target that sees it — a fleet wave touching a handful of
+        // devices must not pay O(devices²) digest clones.
+        let mut peer_views = if cfg.peer_sharing {
+            let mut targets: Vec<usize> =
+                wave.iter().map(|&id| schedule.placement(id).device.0).collect();
+            targets.sort_unstable();
+            targets.dedup();
+            let caches: Vec<&LayerCache> = testbed.devices.iter().map(|d| &d.cache).collect();
+            if let Some(plane) = gossip.as_mut() {
+                plane.barrier_round(&caches);
+            }
+            testbed.peer_plane.barrier_views(gossip.as_mut(), &caches, targets)
+        } else {
+            PeerViews::default()
+        };
         // ---- Scripted chaos: fire every event whose time has come. -----
         // Events fire *after* the gossip round above, so an eviction
-        // leaves the wave's snapshots advertising layers the holder no
+        // leaves the wave's views advertising layers the holder no
         // longer has — the stale-advertisement incident sessions must
         // fail over from mid-pull.
         fire_scripted_events(
@@ -755,7 +751,7 @@ impl OnlineExecutor {
             next_event,
             *clock,
             testbed,
-            &mut peer_snapshots,
+            &mut peer_views,
             gossip.as_mut(),
             trace,
         )?;
@@ -774,8 +770,6 @@ impl OnlineExecutor {
             let pull_idx = *pull_counter;
             *pull_counter += 1;
             trace.record(*clock, TraceKind::DeploymentStarted, placement.device, &ms.name);
-            let peers: &[(RegistryId, PeerCacheSource)] =
-                if cfg.peer_sharing { &peer_snapshots[&placement.device.0] } else { &[] };
             let faults = fault_plan.as_ref().map(|plan| (plan, pull_idx, *clock));
             // The pull fills the device's cache while its mesh reads the
             // rest of the testbed: take the cache out for the pull and put
@@ -790,7 +784,7 @@ impl OnlineExecutor {
                 &reference,
                 &mut cache,
                 &route_load,
-                peers,
+                &peer_views,
                 faults,
             );
             testbed.device_mut(placement.device).cache = cache;
@@ -1241,6 +1235,59 @@ mod tests {
         assert!(td(&report) > td(&baseline), "failover cost is visible in Td");
         assert_eq!(chaos_trace.of_kind(TraceKind::ChaosEventFired).count(), 1);
         assert!(tb.device(DEVICE_MEDIUM).cache.is_empty(), "the eviction really happened");
+    }
+
+    #[test]
+    fn mid_wave_retractions_stay_in_the_views_they_edit() {
+        use deep_registry::BlobSource;
+        // The cloud holds layers a (older) and b; the medium and small
+        // devices are one wave's two targets and both see the cloud
+        // through gossip, as clones of one shared source.
+        let (a, b) = (deep_registry::Digest::of(b"a"), deep_registry::Digest::of(b"b"));
+        let cloud = crate::testbed::DEVICE_CLOUD;
+        let mut tb = Testbed::continuum();
+        tb.device_mut(cloud).cache.insert(a.clone(), DataSize::megabytes(10.0));
+        tb.device_mut(cloud).cache.insert(b.clone(), DataSize::megabytes(10.0));
+        let mut plane = crate::gossip::GossipPlane::new(3, u32::MAX, u32::MAX, 1, 7);
+        let (mut views, shared) = {
+            let caches: Vec<&LayerCache> = tb.devices.iter().map(|d| &d.cache).collect();
+            plane.barrier_round(&caches);
+            let targets = [DEVICE_MEDIUM.0, DEVICE_SMALL.0];
+            let views = tb.peer_plane.barrier_views(Some(&mut plane), &caches, targets);
+            (views, plane.mesh_view(&caches, DEVICE_MEDIUM.0))
+        };
+        let cloud_id = crate::testbed::peer_source_id(cloud);
+        let seen_by = |views: &PeerViews, target| -> PeerCacheSource {
+            views.of(target).find(|(id, _)| *id == cloud_id).expect("cloud in view").1.clone()
+        };
+        // Mid-wave pressure evicts a: both targets' views retract it.
+        let events = [ChaosEvent::cache_pressure(Seconds::ZERO, cloud, DataSize::megabytes(10.0))];
+        let mut next = 0;
+        let mut trace = Trace::new();
+        fire_scripted_events(
+            &events,
+            &mut next,
+            Seconds::ZERO,
+            &mut tb,
+            &mut views,
+            Some(&mut plane),
+            &mut trace,
+        )
+        .unwrap();
+        for target in [DEVICE_MEDIUM, DEVICE_SMALL] {
+            let source = seen_by(&views, target);
+            assert!(source.has_blob(&a), "still advertised");
+            assert!(source.fetch_blob(&a).is_err(), "evicted layer fails over");
+            assert!(source.fetch_blob(&b).is_ok(), "kept layer still serves");
+        }
+        let (_, untouched) = shared.iter().find(|(id, _)| *id == cloud_id).unwrap();
+        assert!(untouched.fetch_blob(&a).is_ok(), "the plane's shared source saw the retraction");
+        // A retraction in the medium device's view (the first list) does
+        // not reach the small device's.
+        let (_, medium_view) = views.sources_mut().find(|(id, _)| *id == cloud_id).unwrap();
+        assert!(medium_view.retract(&b));
+        assert!(seen_by(&views, DEVICE_MEDIUM).fetch_blob(&b).is_err());
+        assert!(seen_by(&views, DEVICE_SMALL).fetch_blob(&b).is_ok(), "leaked across targets");
     }
 
     #[test]

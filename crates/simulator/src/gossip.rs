@@ -37,18 +37,23 @@
 //! re-advertises, so its stale ad ages out. Convergence is reached
 //! sooner, since empty ads no longer circulate.
 //!
-//! Materialized views are cached per target and keyed on the gossip
-//! state's [generation](deep_netsim::gossip::GossipState::generation):
-//! between two barriers of an unchanged fleet no epoch moves, so every
-//! re-materialization would rebuild the identical holder list — the
-//! cache hands back the stored copy instead. Any advertisement or view
-//! movement bumps the generation and invalidates every cached view;
-//! out-of-band cache mutations (the chaos path) go through
-//! [`GossipPlane::readvertise`], which is itself an epoch bump. Bounded
-//! views use an O(n) partial selection (`select_nth_unstable_by`) in
-//! place of a full sort — the (len desc, holder asc) comparator is a
-//! total order over the unique holders, so the selected top-k set is
-//! exactly the full sort's prefix.
+//! **Each advertisement is retracted once per generation.** A view is a
+//! selection of `(holder, epoch)` advertisements, and the retractions
+//! of one advertisement depend only on it and on its holder's live
+//! cache, not on the viewer. So the plane retracts each selected
+//! advertisement once per gossip state
+//! [generation](deep_netsim::gossip::GossipState::generation) and hands
+//! every view that selects it a clone of the result — three
+//! reference-count bumps, no digest copied. Between two barriers of an
+//! unchanged fleet no epoch moves, so the retracted sources stay live
+//! across barriers. Any advertisement or view movement bumps the
+//! generation and drops every retracted source; out-of-band cache
+//! mutations (the chaos path) go through [`GossipPlane::readvertise`],
+//! which is itself an epoch bump. Bounded views use an O(n) partial
+//! selection (`select_nth_unstable_by`) in place of a full sort — the
+//! (len desc, holder asc) comparator is a total order over the unique
+//! holders, so the selected top-k set is exactly the full sort's
+//! prefix.
 //!
 //! With `fanout >= devices - 1` and one round per wave, every barrier
 //! fully re-converges the views, and an unbounded `view_size` makes
@@ -63,17 +68,19 @@ use crate::testbed::peer_source_id;
 use deep_netsim::gossip::GossipState;
 use deep_netsim::{DeviceId, RegistryId};
 use deep_registry::{BlobSource, LayerCache, PeerCacheSource};
-
-/// A materialized mesh view, remembered until the gossip generation it
-/// was built under moves.
-type CachedView = Option<(u64, Vec<(RegistryId, PeerCacheSource)>)>;
+use std::collections::HashMap;
 
 /// The fleet-wide gossip discovery plane: epidemic state plus the knobs
 /// of [`crate::executor::PeerDiscovery::Gossip`].
 #[derive(Debug, Clone)]
 pub struct GossipPlane {
     state: GossipState<PeerCacheSource>,
-    views: Vec<CachedView>,
+    /// Every advertisement a view selected under generation
+    /// `retracted_at`, keyed `(holder, epoch)`, with the digests its
+    /// holder no longer caches retracted. Shared by every view that
+    /// selects the same advertisement.
+    retracted: HashMap<(usize, u64), PeerCacheSource>,
+    retracted_at: u64,
     fanout: u32,
     view_size: u32,
     rounds_per_wave: u32,
@@ -92,7 +99,8 @@ impl GossipPlane {
     ) -> Self {
         GossipPlane {
             state: GossipState::new(devices, seed),
-            views: vec![None; devices],
+            retracted: HashMap::new(),
+            retracted_at: 0,
             fanout,
             view_size,
             rounds_per_wave,
@@ -136,7 +144,7 @@ impl GossipPlane {
     /// device that never advertised stays silent while its cache is
     /// empty (views cannot tell the difference). On an unchanged fleet
     /// nothing re-advertises and every round short-circuits — the
-    /// barrier allocates nothing and the cached mesh views stay live.
+    /// barrier allocates nothing and the retracted sources stay live.
     pub fn barrier_round(&mut self, caches: &[&LayerCache]) {
         for (j, cache) in caches.iter().enumerate() {
             self.refresh(j, cache, false);
@@ -149,8 +157,8 @@ impl GossipPlane {
     /// copy of the old advertisement stale, so it ages out of the fleet
     /// as subsequent rounds spread the fresh (smaller) one; until then,
     /// viewers acting on the lie pay a failover, never a wrong estimate.
-    /// (The bump also moves the generation, invalidating every cached
-    /// mesh view — which is why out-of-band mutations must come through
+    /// (The bump also moves the generation, dropping every retracted
+    /// source — which is why out-of-band mutations must come through
     /// here.) A holder that never advertised and is empty stays silent.
     pub fn readvertise(&mut self, holder: DeviceId, cache: &LayerCache) {
         if holder.0 < self.state.devices() {
@@ -168,30 +176,35 @@ impl GossipPlane {
     /// session still *plans* against the stale advertisement, but the
     /// fetch fails over instead of serving vanished bytes.
     ///
-    /// Views are cached per target for as long as the gossip generation
-    /// holds still: between barriers of an unchanged fleet this is a
-    /// clone of the stored vector, not a rebuild — and a cheap one, as
-    /// each source shares its digest set with the advertisement.
+    /// Each selected advertisement is retracted once per gossip
+    /// generation, and every view that selects it shares the result:
+    /// between barriers of an unchanged fleet a view costs one walk over
+    /// the advertisers plus a reference-count bump per selected holder.
     ///
-    /// **Precondition.** A cached view (and the retractions baked into
-    /// it) is valid only if every change to `caches` since that view was
-    /// built went through [`Self::barrier_round`] or
-    /// [`Self::readvertise`]. A cache mutated behind the plane's back
-    /// moves no generation, so the stale copy would be handed back.
+    /// **Precondition.** A retracted source is valid only if every change
+    /// to `caches` since it was built went through [`Self::barrier_round`]
+    /// or [`Self::readvertise`]. A cache mutated behind the plane's back
+    /// moves no generation, so the stale retractions would be handed
+    /// back.
     pub fn mesh_view(
         &mut self,
         caches: &[&LayerCache],
         target: usize,
     ) -> Vec<(RegistryId, PeerCacheSource)> {
-        let generation = self.state.generation();
-        if let Some((built_at, view)) = &self.views[target] {
-            if *built_at == generation {
-                return view.clone();
-            }
+        let GossipPlane { state, retracted, retracted_at, view_size, .. } = self;
+        if *retracted_at != state.generation() {
+            retracted.clear();
+            *retracted_at = state.generation();
         }
-        let view = materialize(self.state.known(target), self.view_size, caches, target);
-        self.views[target] = Some((generation, view.clone()));
-        view
+        select(state.known(target), *view_size, target)
+            .into_iter()
+            .map(|(holder, epoch, ad)| {
+                let source = retracted
+                    .entry((holder, epoch))
+                    .or_insert_with(|| retract_evicted(ad, caches[holder]));
+                (peer_source_id(DeviceId(holder)), source.clone())
+            })
+            .collect()
     }
 
     /// True when every view carries the freshest epoch of every
@@ -207,20 +220,17 @@ impl GossipPlane {
     }
 }
 
-/// View materialization over the state's `known` iterator: bounded
-/// deterministic selection (largest advertisement first, ties to the
-/// lower device id), ascending-holder output, stale digests retracted
-/// against the live `caches`.
-fn materialize<'a>(
+/// The bounded view selection over the state's `known` iterator:
+/// non-empty advertisements of holders other than `target`, the
+/// `view_size` largest kept (ties to the lower device id), returned in
+/// ascending holder order.
+fn select<'a>(
     known: impl Iterator<Item = (usize, u64, &'a PeerCacheSource)>,
     view_size: u32,
-    caches: &[&LayerCache],
     target: usize,
-) -> Vec<(RegistryId, PeerCacheSource)> {
-    let mut candidates: Vec<(usize, &PeerCacheSource)> = known
-        .filter(|&(holder, _, ad)| holder != target && !ad.is_empty())
-        .map(|(holder, _, ad)| (holder, ad))
-        .collect();
+) -> Vec<(usize, u64, &'a PeerCacheSource)> {
+    let mut candidates: Vec<(usize, u64, &PeerCacheSource)> =
+        known.filter(|&(holder, _, ad)| holder != target && !ad.is_empty()).collect();
     // Deterministic bounded selection: prefer the holders advertising
     // the most layers (most likely to cover the pull), break ties on
     // the lower device id. Holders are unique, so the comparator is a
@@ -232,24 +242,25 @@ fn materialize<'a>(
         candidates.clear();
     } else if k < candidates.len() {
         candidates
-            .select_nth_unstable_by(k - 1, |a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
+            .select_nth_unstable_by(k - 1, |a, b| b.2.len().cmp(&a.2.len()).then(a.0.cmp(&b.0)));
         candidates.truncate(k);
     }
     // Ascending holder order — the snapshot plane's order — so an
     // unbounded converged view is indistinguishable from it.
-    candidates.sort_unstable_by_key(|&(holder, _)| holder);
+    candidates.sort_unstable_by_key(|&(holder, _, _)| holder);
     candidates
-        .into_iter()
-        .map(|(holder, ad)| {
-            let mut source = ad.clone();
-            for digest in ad.digests() {
-                if !caches[holder].contains(digest) {
-                    source.retract(digest);
-                }
-            }
-            (peer_source_id(DeviceId(holder)), source)
-        })
-        .collect()
+}
+
+/// `ad` with every digest its holder's live `cache` no longer holds
+/// retracted: still advertised, but the fetch fails over.
+fn retract_evicted(ad: &PeerCacheSource, cache: &LayerCache) -> PeerCacheSource {
+    let mut source = ad.clone();
+    for digest in ad.digests() {
+        if !cache.contains(digest) {
+            source.retract(digest);
+        }
+    }
+    source
 }
 
 #[cfg(test)]
@@ -262,6 +273,64 @@ mod tests {
 
     fn digest(tag: u8) -> Digest {
         Digest::of(&[tag])
+    }
+
+    /// The per-viewer reference materialization: bounded selection by a
+    /// full sort-and-truncate under (len desc, holder asc), ascending
+    /// holder output, and every selected advertisement cloned and
+    /// retracted against the live `caches` for this viewer alone — no
+    /// source shared between views.
+    fn materialize<'a>(
+        known: impl Iterator<Item = (usize, u64, &'a PeerCacheSource)>,
+        view_size: u32,
+        caches: &[&LayerCache],
+        target: usize,
+    ) -> Vec<(RegistryId, PeerCacheSource)> {
+        let mut candidates: Vec<(usize, &PeerCacheSource)> = known
+            .filter(|&(holder, _, ad)| holder != target && !ad.is_empty())
+            .map(|(holder, _, ad)| (holder, ad))
+            .collect();
+        candidates.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
+        candidates.truncate(view_size as usize);
+        candidates.sort_by_key(|&(holder, _)| holder);
+        candidates
+            .into_iter()
+            .map(|(holder, ad)| {
+                let mut source = ad.clone();
+                for digest in ad.digests() {
+                    if !caches[holder].contains(digest) {
+                        source.retract(digest);
+                    }
+                }
+                (peer_source_id(DeviceId(holder)), source)
+            })
+            .collect()
+    }
+
+    /// Assert two peer views agree: holder ids in order, and for every
+    /// digest either side advertises, `has_blob` and the `fetch_blob`
+    /// result.
+    fn assert_same_view(
+        got: &[(RegistryId, PeerCacheSource)],
+        want: &[(RegistryId, PeerCacheSource)],
+        context: &str,
+    ) {
+        let ids = |view: &[(RegistryId, PeerCacheSource)]| -> Vec<RegistryId> {
+            view.iter().map(|(id, _)| *id).collect()
+        };
+        assert_eq!(ids(got), ids(want), "{context}");
+        for ((_, g), (_, w)) in got.iter().zip(want) {
+            assert_eq!(g.holder(), w.holder(), "{context}");
+            assert_eq!(g.len(), w.len(), "{context}");
+            for d in w.digests().chain(g.digests()) {
+                assert_eq!(g.has_blob(d), w.has_blob(d), "{context} {d}");
+                assert_eq!(
+                    format!("{:?}", g.fetch_blob(d)),
+                    format!("{:?}", w.fetch_blob(d)),
+                    "{context} {d}"
+                );
+            }
+        }
     }
 
     /// Four devices: 0 and 2 warm with distinct layer sets, 1 and 3 cold.
@@ -376,8 +445,8 @@ mod tests {
         let mut plane = converged_plane(&caches);
         let refs: Vec<&LayerCache> = caches.iter().collect();
         let first = plane.mesh_view(&refs, 1);
-        // A barrier over the unchanged fleet moves no epoch: the cached
-        // view replays bit-identically.
+        // A barrier over the unchanged fleet moves no epoch: the view
+        // replays bit-identically from the shared retracted sources.
         plane.barrier_round(&refs);
         let replay = plane.mesh_view(&refs, 1);
         assert_eq!(first.len(), replay.len());
@@ -387,8 +456,8 @@ mod tests {
             assert_eq!(src_a.len(), src_b.len());
         }
         // An out-of-band eviction + readvertise moves the generation;
-        // the next materialization must see the fresh state, not the
-        // cached copy.
+        // the next view must see the fresh state, not the shared
+        // sources of the old generation.
         let mut caches = fleet();
         caches[0].evict_to(DataSize::ZERO);
         plane.readvertise(DeviceId(0), &caches[0]);
@@ -441,6 +510,98 @@ mod tests {
             view.iter().all(|(id, _)| *id != peer_source_id(DeviceId(0))),
             "empty holder no longer advertised anywhere"
         );
+    }
+
+    #[test]
+    fn shared_sources_match_per_viewer_materialization_under_churn() {
+        // Twelve devices on small LRU caches pull from a 24-layer pool,
+        // so inserts evict; a fanout-1 plane with views of four leaves
+        // lagging viewers on stale epochs, and out-of-band evictions go
+        // through `readvertise`. Every view, through `mesh_view` and
+        // through the barrier views, must equal the per-viewer
+        // reference, however many views share a retracted source.
+        let n = 12;
+        let layer =
+            |k: u64| (Digest::of(&k.to_le_bytes()), DataSize::megabytes(10.0 * (1 + k % 3) as f64));
+        let mut caches = vec![LayerCache::new(DataSize::megabytes(60.0)); n];
+        let mut plane = GossipPlane::new(n, 1, 4, 1, 99);
+        let (mut stale_epochs, mut retracted) = (0, 0);
+        for step in 0..48u64 {
+            let draw = |salt: u64| deep_netsim::splitmix64(step.wrapping_mul(0x9e37) ^ salt);
+            for k in 0..4 {
+                let (d, size) = layer(draw(100 + k) % 24);
+                caches[(draw(k) % n as u64) as usize].insert(d, size);
+            }
+            let refs: Vec<&LayerCache> = caches.iter().collect();
+            plane.barrier_round(&refs);
+            let mut check = |plane: &mut GossipPlane, refs: &[&LayerCache], phase: &str| {
+                let views = PeerPlane::default().barrier_views(Some(plane), refs, 0..n);
+                // Reverse order too: the first view to select an
+                // advertisement is not always the lowest viewer.
+                for target in (0..n).rev() {
+                    let reference = materialize(plane.state.known(target), 4, refs, target);
+                    let context = format!("step {step} {phase} target {target}");
+                    assert_same_view(&plane.mesh_view(refs, target), &reference, &context);
+                    let shared: Vec<_> = views.of(DeviceId(target)).cloned().collect();
+                    assert_same_view(&shared, &reference, &context);
+                    for (holder, epoch, _) in plane.state.known(target) {
+                        stale_epochs += usize::from(epoch < plane.state.epoch(holder));
+                    }
+                    retracted += reference
+                        .iter()
+                        .flat_map(|(_, src)| src.digests().map(move |d| src.fetch_blob(d)))
+                        .filter(Result::is_err)
+                        .count();
+                }
+            };
+            check(&mut plane, &refs, "barrier");
+            if step % 3 == 0 {
+                let device = (draw(7) % n as u64) as usize;
+                caches[device].evict_to(DataSize::megabytes(20.0));
+                plane.readvertise(DeviceId(device), &caches[device]);
+                let refs: Vec<&LayerCache> = caches.iter().collect();
+                check(&mut plane, &refs, "readvertised");
+            }
+        }
+        assert!(stale_epochs > 0, "the churn left no viewer on a stale epoch");
+        assert!(retracted > 0, "no stale advertisement was ever retracted");
+    }
+
+    #[test]
+    fn per_pair_barrier_views_match_the_per_target_snapshot() {
+        // The shared holder list, minus each target's own entry, is the
+        // per-target snapshot source for source; the aggregate oracle
+        // keeps its per-target union.
+        let mut caches = fleet();
+        caches[3].insert(digest(1), DataSize::megabytes(10.0));
+        let refs: Vec<&LayerCache> = caches.iter().collect();
+        for plane in [PeerPlane::default(), PeerPlane::Aggregate] {
+            let views = plane.barrier_views(None, &refs, 0..refs.len());
+            for target in 0..refs.len() {
+                let shared: Vec<_> = views.of(DeviceId(target)).cloned().collect();
+                let context = format!("aggregate {} target {target}", plane.is_aggregate());
+                assert_same_view(&shared, &plane.snapshot(&refs, target), &context);
+            }
+        }
+    }
+
+    #[test]
+    fn a_retraction_on_one_view_leaves_the_plane_and_other_views_untouched() {
+        let caches = fleet();
+        let mut plane = converged_plane(&caches);
+        let refs: Vec<&LayerCache> = caches.iter().collect();
+        let holder0 = |view: &mut Vec<(RegistryId, PeerCacheSource)>| {
+            let at = view.iter().position(|(id, _)| *id == peer_source_id(DeviceId(0)));
+            view.swap_remove(at.expect("holder 0 is in view")).1
+        };
+        // Devices 1 and 3 select the same advertisement of holder 0.
+        let mut one = holder0(&mut plane.mesh_view(&refs, 1));
+        let other = holder0(&mut plane.mesh_view(&refs, 3));
+        assert!(one.retract(&digest(1)));
+        assert!(one.fetch_blob(&digest(1)).is_err());
+        assert!(other.fetch_blob(&digest(1)).is_ok(), "a sibling view saw the retraction");
+        let again = holder0(&mut plane.mesh_view(&refs, 1));
+        assert!(again.fetch_blob(&digest(1)).is_ok(), "the plane's shared source saw it");
     }
 
     #[test]

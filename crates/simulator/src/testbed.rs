@@ -362,29 +362,53 @@ impl PeerPlane {
         }
     }
 
-    /// The peer sources `target`'s pulls see this wave: its own bounded,
-    /// possibly lagging view under gossip discovery, the omniscient
-    /// [`PeerPlane::snapshot`] otherwise. The executor calls this on the
-    /// real caches, the estimator on its estimated ones.
-    pub fn view(
+    /// The peer sources one wave barrier advertises to each of
+    /// `targets`, from the per-device layer caches (index = device id):
+    /// each target's own bounded, possibly lagging view under gossip
+    /// discovery, the omniscient [`PeerPlane::snapshot`] otherwise. The
+    /// executor asks for its wave's targets on the real caches, the
+    /// estimator for every device on its estimated ones; this one rule is
+    /// what keeps them bit for bit.
+    ///
+    /// The per-pair snapshot builds each non-empty holder's source once
+    /// and every target shares the list, skipping its own entry, so a
+    /// barrier costs O(holders) sources however many targets ask. Only
+    /// the aggregate oracle still folds one union per target.
+    pub fn barrier_views(
         &self,
-        gossip: Option<&mut GossipPlane>,
+        mut gossip: Option<&mut GossipPlane>,
         caches: &[&LayerCache],
-        target: usize,
-    ) -> Vec<(RegistryId, PeerCacheSource)> {
-        match gossip {
-            Some(plane) => plane.mesh_view(caches, target),
-            None => self.snapshot(caches, target),
+        targets: impl IntoIterator<Item = usize>,
+    ) -> PeerViews {
+        if gossip.is_none() && !self.is_aggregate() {
+            return PeerViews(Views::Shared(
+                caches
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| !c.is_empty())
+                    .map(|(k, c)| {
+                        (peer_source_id(DeviceId(k)), PeerCacheSource::for_holder(DeviceId(k), c))
+                    })
+                    .collect(),
+            ));
         }
+        let mut lists = vec![Vec::new(); caches.len()];
+        for target in targets {
+            lists[target] = match gossip.as_deref_mut() {
+                Some(plane) => plane.mesh_view(caches, target),
+                None => self.snapshot(caches, target),
+            };
+        }
+        PeerViews(Views::PerTarget(lists))
     }
 
     /// The peer sources a wave barrier advertises to `target`, from the
     /// per-device layer caches (index = device id): the aggregate plane
     /// folds every other device into one [`REGISTRY_PEER`] source; the
     /// per-pair plane yields one [`peer_source_id`] source per other
-    /// device with a non-empty cache. The executor calls this with the
-    /// real device caches, the estimator with its estimated clones — the
-    /// single rule both sides share is what keeps them bit-for-bit.
+    /// device with a non-empty cache. [`PeerPlane::barrier_views`] serves
+    /// the per-pair plane from one shared holder list instead; this
+    /// per-target rule is the reference it is tested against.
     pub fn snapshot(
         &self,
         caches: &[&LayerCache],
@@ -407,6 +431,52 @@ impl PeerPlane {
                 })
                 .collect(),
         }
+    }
+}
+
+/// The peer sources one wave barrier advertises to each target device
+/// ([`PeerPlane::barrier_views`]). The default holds no source for any
+/// device: the view of an executor or estimator without peer sharing.
+#[derive(Debug, Clone)]
+pub struct PeerViews(Views);
+
+#[derive(Debug, Clone)]
+enum Views {
+    /// Per-pair snapshot discovery: every non-empty holder's source in
+    /// ascending holder order; a target's view is the list minus its own
+    /// entry.
+    Shared(Vec<(RegistryId, PeerCacheSource)>),
+    /// One list per device id (gossip views, the aggregate oracle's
+    /// union); devices the barrier was not built for see nothing.
+    PerTarget(Vec<Vec<(RegistryId, PeerCacheSource)>>),
+}
+
+impl Default for PeerViews {
+    fn default() -> Self {
+        PeerViews(Views::PerTarget(Vec::new()))
+    }
+}
+
+impl PeerViews {
+    /// The sources `target`'s pulls see this wave, in mesh-registration
+    /// order (ascending holder on the per-pair plane).
+    pub fn of(&self, target: DeviceId) -> impl Iterator<Item = &(RegistryId, PeerCacheSource)> {
+        let (list, own) = match &self.0 {
+            Views::Shared(list) => (list.as_slice(), Some(peer_source_id(target))),
+            Views::PerTarget(lists) => (lists.get(target.0).map_or(&[][..], Vec::as_slice), None),
+        };
+        list.iter().filter(move |(id, _)| Some(*id) != own)
+    }
+
+    /// Every source of every view, for an in-flight edit such as the
+    /// chaos path's retraction. A source shared by the per-pair snapshot
+    /// is edited once for every target that sees it.
+    pub fn sources_mut(&mut self) -> impl Iterator<Item = &mut (RegistryId, PeerCacheSource)> {
+        let lists: &mut [Vec<_>] = match &mut self.0 {
+            Views::Shared(list) => std::slice::from_mut(list),
+            Views::PerTarget(lists) => lists,
+        };
+        lists.iter_mut().flatten()
     }
 }
 

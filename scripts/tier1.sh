@@ -81,4 +81,21 @@ echo "==> perfbench self-test (smallest rung of both benchmark workloads)"
 # library change that breaks the benchmark fails tier 1.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench digests (pinned seeded outputs of both workloads)"
+# One untimed round per cell (--seconds 0.001 stops after the first
+# round). Each cell's digest hashes its schedules, run reports and
+# repair stats, so a change that moves any of them fails here; the
+# recorded values live in scripts/perfbench_digests.txt.
+while read -r workload seed want <&3; do
+  [[ -z "${workload}" || "${workload}" == \#* ]] && continue
+  got="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "${workload}" --seed "${seed}" --seconds 0.001 --trace 0 |
+    awk '$1 == "digest" { print $2 }')"
+  if [[ "${got}" != "${want}" ]]; then
+    echo "perfbench ${workload} seed ${seed}: digest ${got:-missing}, pinned ${want}" >&2
+    exit 1
+  fi
+  echo "    -> ${workload} ${seed} ${got}"
+done 3< scripts/perfbench_digests.txt
+
 echo "tier-1 OK"
