@@ -14,7 +14,9 @@
 //!   800-device, 3-registry fleet in the perfbench `fleet-admit` shape,
 //!   where the stage games' energy floors prune most of the grid: the
 //!   warm app's re-admission, the admission of a dataflow no peer has
-//!   deployed, and the incremental repair of that admission.
+//!   deployed, the incremental repair of that admission, and the same
+//!   admission once several more devices hold other dataflows' layers
+//!   (peers in view, but every layer the admission needs registry-only).
 //!
 //! The equilibrium-quality numbers this bench's scenarios produce (split
 //! vs best-single deployment time) are printed by
@@ -26,7 +28,7 @@ use deep_core::{
     calibration, continuum_testbed, synthetic_fleet_testbed, DeepScheduler, Scheduler,
 };
 use deep_dataflow::apps;
-use deep_netsim::{Bandwidth, Seconds};
+use deep_netsim::{Bandwidth, DeviceId, Seconds};
 use deep_registry::FaultRates;
 use deep_simulator::{
     execute, ExecutorConfig, PeerDiscovery, RegistryChoice, Schedule, Testbed, DEVICE_MEDIUM,
@@ -142,6 +144,21 @@ fn bench_fleet(c: &mut Criterion) {
             })
         },
     );
+    // Three more holders spread over the fleet, each running a dataflow
+    // of its own: gossip advertises them across the fleet, yet none
+    // holds a layer of `fresh`, so the registry-only floors prune the
+    // grid.
+    let mut spread = tb.replica();
+    for (k, device) in [100usize, 300, 500].into_iter().enumerate() {
+        let other = deep_dataflow::DagGenerator { stages: 2, width: (2, 2), ..Default::default() }
+            .generate(44 + k as u64);
+        spread.publish_application(&other);
+        let placed = Schedule::uniform(other.len(), RegistryChoice::Hub, DeviceId(device));
+        execute(&mut spread, &other, &placed, &cfg).expect("holder run");
+    }
+    group.bench_with_input(BenchmarkId::new("admit", "800d_3r_unrelated"), &fresh, |b, app| {
+        b.iter(|| black_box(sched.schedule(app, &spread)))
+    });
     group.finish();
 }
 

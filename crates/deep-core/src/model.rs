@@ -33,8 +33,8 @@ use deep_dataflow::{stages, Application, MicroserviceId};
 use deep_energy::Joules;
 use deep_netsim::{Bandwidth, DataSize, DeviceId, RegistryId, Seconds};
 use deep_registry::{
-    BlobSource, CatalogEntry, ImageManifest, LayerCache, LayerDescriptor, Platform, PullOutcome,
-    PullSession, Reference, RegistryError, RegistryMesh,
+    BlobSource, CatalogEntry, Digest, ImageManifest, LayerCache, LayerDescriptor, Platform,
+    PullOutcome, PullSession, Reference, RegistryError, RegistryMesh,
 };
 use deep_simulator::{PeerViews, Placement, RegistryChoice, RouteLoads, Testbed};
 use std::borrow::Cow;
@@ -99,6 +99,50 @@ struct Resolved {
     /// Whether the resolving registry advertises every layer of
     /// `manifest`, so that registry alone can serve any pull of it.
     complete: bool,
+    /// Per layer of `manifest`: whether some testbed device caches it.
+    /// The testbed is borrowed for the context's lifetime, so this
+    /// never goes stale.
+    resident: Vec<bool>,
+}
+
+/// One member's energy-floor inputs, built once per member state by
+/// [`EstimationContext::member_floors`] and read by every device row of
+/// [`EstimationContext::energy_floors`]. Reusable across members: a
+/// rebuild refills the buffers in place.
+#[derive(Debug, Default)]
+pub(crate) struct MemberFloors {
+    id: Option<MicroserviceId>,
+    /// One entry per `(registry, platform)`, registry-major over the
+    /// context's registries and platforms: `None` when that manifest is
+    /// not memoized.
+    manifests: Vec<Option<ManifestFloor>>,
+    /// Per-layer held flags of every memoized manifest, back to back.
+    held: Vec<bool>,
+}
+
+#[cfg(test)]
+impl MemberFloors {
+    /// Each buffer's address and capacity: equal across two fills exactly
+    /// when neither fill reallocated.
+    pub(crate) fn fingerprint(&self) -> [(usize, usize); 2] {
+        [
+            (self.manifests.as_ptr() as usize, self.manifests.capacity()),
+            (self.held.as_ptr() as usize, self.held.capacity()),
+        ]
+    }
+}
+
+/// The floor inputs of one memoized manifest of a member.
+#[derive(Debug, Clone, Copy)]
+struct ManifestFloor {
+    /// The manifest's slot in [`EstimationContext::resolved`].
+    resolved: usize,
+    /// Where its layers' flags start in [`MemberFloors::held`].
+    flags: usize,
+    /// Bytes of its layers some peer source could hold.
+    held: DataSize,
+    /// Bytes of every other layer: only a registry can serve them.
+    registry_only: DataSize,
 }
 
 /// The layers of `manifest` absent from `cache`, in manifest order:
@@ -177,18 +221,29 @@ pub struct EstimationContext<'t> {
     /// the testbed is borrowed for the context's lifetime, so its mesh
     /// cannot change under the walk.
     registries: Vec<RegistryChoice>,
+    /// Every platform the testbed's devices run, in first-device order,
+    /// listed once at construction for the same reason.
+    platforms: Vec<Platform>,
     /// Per-microservice catalog entries, resolved once at construction.
     /// The testbed is borrowed for the context's lifetime, so an entry
     /// that is `None` (the app is not published) stays `None`.
     entries: Vec<Option<&'t CatalogEntry>>,
     /// Memoized primary-manifest resolutions keyed
     /// `(registry, microservice, platform)`, filled by
-    /// [`EstimationContext::prefetch_manifests`]. Estimates and commits
-    /// plan against the memo through [`PullSession::preresolved`] when
-    /// warm and resolve per call otherwise — identically either way: the
-    /// testbed is immutably borrowed for the context's lifetime, so a
-    /// memoized resolution (and its completeness flag) cannot go stale.
-    manifests: HashMap<(RegistryId, usize, Platform), Resolved>,
+    /// [`EstimationContext::prefetch_manifests`]: each key's slot in
+    /// `resolved`. Estimates and commits plan against the memo through
+    /// [`PullSession::preresolved`] when warm and resolve per call
+    /// otherwise — identically either way: the testbed is immutably
+    /// borrowed for the context's lifetime, so a memoized resolution
+    /// (and its flags) cannot go stale.
+    manifests: HashMap<(RegistryId, usize, Platform), usize>,
+    resolved: Vec<Resolved>,
+    /// The `resolved` slot of every committed pull's manifest, in commit
+    /// order: the layers the walk has landed in some estimated cache.
+    landed: Vec<usize>,
+    /// Whether some commit pulled a manifest that is not memoized, so
+    /// `landed` does not list every layer the walk has cached.
+    landed_unindexed: bool,
     /// Memoized scenario-pricing fatal-draw counts keyed
     /// `(pull number, primary)`. The Monte-Carlo death frequency of a
     /// candidate depends only on the pull number it would commit as and
@@ -270,13 +325,27 @@ impl<'t> EstimationContext<'t> {
                 .map(|id| format!("{}/{}", app.name(), app.microservice(id).name))
                 .collect(),
             registries: testbed.registry_choices(),
+            platforms: testbed.devices.iter().fold(Vec::new(), |mut archs, d| {
+                if !archs.contains(&d.arch) {
+                    archs.push(d.arch);
+                }
+                archs
+            }),
             entries: app
                 .ids()
                 .map(|id| testbed.entry(app.name(), &app.microservice(id).name))
                 .collect(),
             manifests: HashMap::new(),
+            resolved: Vec::new(),
+            landed: Vec::new(),
+            landed_unindexed: false,
             fatal_memo: RefCell::default(),
         }
+    }
+
+    /// The memoized resolution of `(registry, id, arch)`, if any.
+    fn memo(&self, registry: RegistryChoice, id: MicroserviceId, arch: Platform) -> Option<usize> {
+        self.manifests.get(&(registry.registry_id(), id.0, arch)).copied()
     }
 
     /// Memoize the primary-manifest resolutions `id`'s candidate
@@ -291,17 +360,15 @@ impl<'t> EstimationContext<'t> {
     ///
     /// Each memoized manifest also records whether its registry
     /// advertises every one of its layers (one `has_blob` per layer), the
-    /// fact the wave games' sole-source plans rest on.
+    /// fact the wave games' sole-source plans rest on, and which of its
+    /// layers some testbed device caches (one pass over the non-empty
+    /// caches per distinct digest), the start of the energy floors' held
+    /// bytes.
     pub fn prefetch_manifests(&mut self, id: MicroserviceId) {
         let Some(entry) = self.entries[id.0] else { return };
-        let mut archs: Vec<Platform> = Vec::new();
-        for d in &self.testbed.devices {
-            if !archs.contains(&d.arch) {
-                archs.push(d.arch);
-            }
-        }
+        let mut fresh: Vec<((RegistryId, usize, Platform), Resolved)> = Vec::new();
         for &choice in &self.registries {
-            for &arch in &archs {
+            for &arch in &self.platforms {
                 let key = (choice.registry_id(), id.0, arch);
                 if self.manifests.contains_key(&key) {
                     continue;
@@ -312,9 +379,36 @@ impl<'t> EstimationContext<'t> {
                 // resolve then reports it exactly as before.
                 if let Ok(manifest) = registry.resolve(&reference, arch) {
                     let complete = manifest.layers.iter().all(|l| registry.has_blob(&l.digest));
-                    self.manifests.insert(key, Resolved { reference, manifest, complete });
+                    let resident = Vec::new();
+                    fresh.push((key, Resolved { reference, manifest, complete, resident }));
                 }
             }
+        }
+        // Registries and platforms share most layers: look each distinct
+        // digest up once, and stop at its first holder.
+        let mut distinct: Vec<(&Digest, bool)> = Vec::new();
+        for layer in fresh.iter().flat_map(|(_, r)| &r.manifest.layers) {
+            if !distinct.iter().any(|(d, _)| *d == &layer.digest) {
+                distinct.push((&layer.digest, false));
+            }
+        }
+        for cache in self.testbed.devices.iter().map(|d| &d.cache).filter(|c| !c.is_empty()) {
+            for (digest, resident) in distinct.iter_mut().filter(|(_, resident)| !resident) {
+                *resident = cache.contains(digest);
+            }
+        }
+        let resident: Vec<Vec<bool>> = fresh
+            .iter()
+            .map(|(_, r)| {
+                let flag =
+                    |l: &LayerDescriptor| distinct.iter().any(|(d, h)| *h && *d == &l.digest);
+                r.manifest.layers.iter().map(flag).collect()
+            })
+            .collect();
+        for ((key, mut r), resident) in fresh.into_iter().zip(resident) {
+            r.resident = resident;
+            self.manifests.insert(key, self.resolved.len());
+            self.resolved.push(r);
         }
     }
 
@@ -465,9 +559,16 @@ impl<'t> EstimationContext<'t> {
     }
 
     /// The testbed's registry-side strategy space (every full registry in
-    /// the mesh — the paper pair plus any regional mirrors).
+    /// the mesh — the paper pair plus any regional mirrors), owned, so a
+    /// caller can keep it across the walk's `&mut` steps.
     pub fn registry_choices(&self) -> Vec<RegistryChoice> {
         self.registries.clone()
+    }
+
+    /// [`EstimationContext::registry_choices`], borrowed: the stage games
+    /// read it once per member.
+    pub(crate) fn registries(&self) -> &[RegistryChoice] {
+        &self.registries
     }
 
     /// Predict `(Td, Tc, Tp, EC)` for assigning `id` to
@@ -537,74 +638,156 @@ impl<'t> EstimationContext<'t> {
 
     /// An admissible lower bound on
     /// `self.estimate(id, registry, device).ec` for one cell.
+    #[cfg(test)]
     pub(crate) fn energy_floor(
         &self,
         id: MicroserviceId,
         registry: RegistryChoice,
         device: DeviceId,
     ) -> f64 {
-        let mut floor = [0.0];
-        self.energy_floors(id, device, &[registry], &mut floor);
-        floor[0]
+        let mut member = MemberFloors::default();
+        self.member_floors(id, &mut member);
+        let mut row = vec![0.0; self.registries.len()];
+        self.energy_floors(&member, device, &mut row);
+        let r = self.registries.iter().position(|&c| c == registry).expect("a mesh registry");
+        row[r]
+    }
+
+    /// Fill `member` with `id`'s floor inputs in the walk's current
+    /// state, for [`EstimationContext::energy_floors`]: for each memoized
+    /// manifest of `id` (one per registry and platform), which layers are
+    /// *held* and how many bytes are held or registry-only.
+    ///
+    /// A layer is held when some testbed device caches it or some
+    /// committed pull's manifest carries it. Every peer source the
+    /// estimator registers is built at a wave barrier from the estimated
+    /// caches: a holder's cache, their union (the aggregate plane) or a
+    /// gossip advertisement of a holder's cache. The estimated caches
+    /// start as the testbed's and only commits add layers, each from its
+    /// pull's manifest. So every layer a peer advertises is held, even one
+    /// its holder has since evicted, which a stale advertisement keeps
+    /// offering. A commit of an unmemoized manifest marks every layer
+    /// held. Without peer sharing there is no peer source, so no layer is
+    /// held.
+    pub(crate) fn member_floors(&self, id: MicroserviceId, member: &mut MemberFloors) {
+        member.id = Some(id);
+        member.manifests.clear();
+        member.held.clear();
+        let landed = |digest: &Digest| {
+            self.landed_unindexed
+                || self
+                    .landed
+                    .iter()
+                    .any(|&k| self.resolved[k].manifest.layers.iter().any(|l| l.digest == *digest))
+        };
+        for &registry in &self.registries {
+            for &arch in &self.platforms {
+                let entry = self.memo(registry, id, arch).map(|k| {
+                    let resolved = &self.resolved[k];
+                    let flags = member.held.len();
+                    let (mut held, mut registry_only) = (DataSize::ZERO, DataSize::ZERO);
+                    for (layer, &resident) in
+                        resolved.manifest.layers.iter().zip(&resolved.resident)
+                    {
+                        let is_held = self.peer_sharing && (resident || landed(&layer.digest));
+                        member.held.push(is_held);
+                        if is_held {
+                            held += layer.size;
+                        } else {
+                            registry_only += layer.size;
+                        }
+                    }
+                    ManifestFloor { resolved: k, flags, held, registry_only }
+                });
+                member.manifests.push(entry);
+            }
+        }
     }
 
     /// Write into `out[r]` an admissible lower bound on
-    /// `self.estimate(id, registries[r], device).ec`, in joules, for one
-    /// device row of a payoff grid.
+    /// `self.estimate(id, registries[r], device).ec`, in joules, over the
+    /// context's registries, for one device row of `member`'s payoff grid
+    /// ([`EstimationContext::member_floors`] of `id`).
     ///
     /// The floor prices only the `Td` every pricing branch must pay. The
     /// bytes missing from the device's estimated cache (the layers of the
     /// memoized manifest it does not contain) are source-independent, and
     /// every branch downloads and extracts exactly them: the happy pull,
-    /// the closed-form failover and each scenario draw alike. The pull
-    /// also pays at least its primary's overhead, and backoff is never
-    /// negative. So
-    /// `Td ≥ overhead(primary) + missing/extract_bw + missing/B`, where
-    /// `B` is the fastest *unloaded* route into the device over every
-    /// registry (standbys included) and, with peer sharing, every holder
-    /// in its peer snapshot: contention and degradation windows only slow
-    /// a route. Every branch bounds from below, so any mix of branches
-    /// does too, and energy is nondecreasing in `Td`. `Tc` and `Tp` are
-    /// the estimate's own. A relative slack absorbs float rounding.
+    /// the closed-form failover and each scenario draw alike. They split
+    /// into *held* bytes, which some peer source could serve, and
+    /// *registry-only* bytes, which no peer source advertises (see
+    /// [`EstimationContext::member_floors`]). A session moves each bucket
+    /// sequentially over its own source's route, so the download time is
+    /// the sum of the buckets' transfer times. A registry-only byte rides
+    /// a registry route, and any byte rides at best the fastest route
+    /// that could carry it. The pull also pays at least its primary's
+    /// overhead, and backoff is never negative. So
+    /// `Td ≥ overhead(primary) + missing/extract_bw + held/B_all +
+    /// registry_only/B_reg`, where `B_reg` is the fastest *unloaded*
+    /// route into the device from any registry (standbys included) and
+    /// `B_all` the faster of `B_reg` and, with peer sharing, the fastest
+    /// unloaded route from a holder in the device's view: contention and
+    /// degradation windows only slow a route. Every branch bounds from
+    /// below, so any mix of branches does too, and energy is nondecreasing
+    /// in `Td`. `Tc` and `Tp` are the estimate's own. A relative slack
+    /// absorbs float rounding.
     ///
     /// A cell whose manifest was not memoized floors at `−∞`, so it is
     /// always priced exactly and keeps the per-call resolve's error path.
-    pub(crate) fn energy_floors(
-        &self,
-        id: MicroserviceId,
-        device: DeviceId,
-        registries: &[RegistryChoice],
-        out: &mut [f64],
-    ) {
+    pub(crate) fn energy_floors(&self, member: &MemberFloors, device: DeviceId, out: &mut [f64]) {
         /// Relative slack between the floor and any exact estimate.
         const SLACK: f64 = 1e-9;
-        debug_assert_eq!(registries.len(), out.len());
+        debug_assert_eq!(self.registries.len(), out.len());
+        let id = member.id.expect("member floors are built");
         let dev = self.testbed.device(device);
         let unloaded = |choice| self.testbed.source_params(choice, device, 1.0);
-        let routes = self
+        let fastest = |a: Bandwidth, b: Bandwidth| if b > a { b } else { a };
+        let b_reg = self
             .registries
             .iter()
-            .copied()
-            .chain(self.peers.of(device).map(|(holder, _)| RegistryChoice::mesh(*holder)));
-        let ingress = routes
-            .map(|choice| unloaded(choice).download_bw)
-            .fold(Bandwidth::default(), |fastest, bw| if bw > fastest { bw } else { fastest });
+            .map(|&choice| unloaded(choice).download_bw)
+            .fold(Bandwidth::default(), fastest);
+        let b_all = self
+            .peers
+            .of(device)
+            .map(|(holder, _)| unloaded(RegistryChoice::mesh(*holder)).download_bw)
+            .fold(b_reg, fastest);
         let tc = self.transfer_in_time(id, device);
         let scoped = &self.scoped[id.0];
         let tp = dev.processing_time(scoped, self.app.microservice(id).requirements.cpu);
+        let watts = dev.process_watts(scoped);
         let cache = &self.caches[device.0];
-        for (slot, &registry) in out.iter_mut().zip(registries) {
-            let Some(resolved) = self.manifests.get(&(registry.registry_id(), id.0, dev.arch))
-            else {
+        let platform =
+            self.platforms.iter().position(|&a| a == dev.arch).expect("a fleet platform");
+        let entries = member.manifests.iter().skip(platform).step_by(self.platforms.len());
+        for ((slot, &registry), entry) in out.iter_mut().zip(&self.registries).zip(entries) {
+            let Some(m) = entry else {
                 *slot = f64::NEG_INFINITY;
                 continue;
             };
-            let missing = missing_layers(&resolved.manifest, cache)
-                .fold(DataSize::ZERO, |acc, layer| acc + layer.size);
+            let (held, registry_only) = if cache.is_empty() {
+                (m.held, m.registry_only)
+            } else {
+                let layers = &self.resolved[m.resolved].manifest.layers;
+                let flags = &member.held[m.flags..m.flags + layers.len()];
+                let mut split = (DataSize::ZERO, DataSize::ZERO);
+                for (layer, &held) in layers.iter().zip(flags) {
+                    if cache.contains(&layer.digest) {
+                        continue;
+                    }
+                    if held {
+                        split.0 += layer.size;
+                    } else {
+                        split.1 += layer.size;
+                    }
+                }
+                split
+            };
             let td = unloaded(registry).overhead
-                + deep_netsim::transfer_time(missing, dev.extract_bw)
-                + deep_netsim::transfer_time(missing, ingress);
-            *slot = dev.energy(scoped, td, tc, tp).as_f64() * (1.0 - SLACK);
+                + deep_netsim::transfer_time(held + registry_only, dev.extract_bw)
+                + deep_netsim::transfer_time(held, b_all)
+                + deep_netsim::transfer_time(registry_only, b_reg);
+            *slot = dev.phase_energy(watts, td, tc, tp).as_f64() * (1.0 - SLACK);
         }
     }
 
@@ -725,7 +908,7 @@ impl<'t> EstimationContext<'t> {
         let testbed = self.testbed;
         let dev = testbed.device(device);
         let (reference, preresolved) =
-            match self.manifests.get(&(registry.registry_id(), id.0, dev.arch)) {
+            match self.memo(registry, id, dev.arch).map(|k| &self.resolved[k]) {
                 Some(r) => (Cow::Borrowed(&r.reference), Some(&r.manifest)),
                 None => {
                     let entry = self.entries[id.0].unwrap_or_else(|| {
@@ -822,7 +1005,7 @@ impl<'t> EstimationContext<'t> {
         device: DeviceId,
     ) -> Option<DataSize> {
         let arch = self.testbed.device(device).arch;
-        let resolved = self.manifests.get(&(registry.registry_id(), id.0, arch))?;
+        let resolved = &self.resolved[self.memo(registry, id, arch)?];
         if !resolved.complete {
             return None;
         }
@@ -870,6 +1053,10 @@ impl<'t> EstimationContext<'t> {
             self.wave_peak = self.wave_peak.max(outcome.deployment_time());
             let tp = dev.processing_time(&self.scoped[id.0], ms.requirements.cpu);
             self.wave_exec += self.transfer_in_time(id, placement.device) + tp;
+        }
+        match self.memo(placement.registry, id, dev.arch) {
+            Some(k) => self.landed.push(k),
+            None => self.landed_unindexed = true,
         }
         self.assigned[id.0] = Some(placement);
         self.pulls_committed += 1;
@@ -1560,10 +1747,11 @@ mod tests {
     }
 
     /// A testbed for the energy-floor property: the calibrated pair,
-    /// the continuum, the calibrated pair with two mirrors, or a
-    /// 40-device, 3-registry fleet with one warm holder. Every one gets a
-    /// flaky regional, a degraded hub and a dark last registry, each
-    /// window active over the whole walk.
+    /// the continuum, the calibrated pair with two mirrors, a 40-device,
+    /// 3-registry fleet with one warm holder, or that fleet with small
+    /// caches whose three holders cache only an unrelated dataflow's
+    /// layers. Every one gets a flaky regional, a degraded hub and a dark
+    /// last registry, each window active over the whole walk.
     fn floor_testbed(kind: usize) -> Testbed {
         use deep_registry::{FaultModel, FaultRates, OutageWindow};
         let mut tb = match kind {
@@ -1573,6 +1761,35 @@ mod tests {
                 let mut tb = calibrated_testbed();
                 tb.add_regional_mirror(Bandwidth::megabytes_per_sec(9.0), Seconds::new(4.0));
                 tb.add_regional_mirror(Bandwidth::megabytes_per_sec(11.0), Seconds::new(6.0));
+                tb
+            }
+            4 => {
+                // Peers are in view, but the walked case studies' own
+                // layers are registry-only. The small caches make the
+                // walk's commits evict layers that views still advertise
+                // until the next barrier.
+                let mut tb = crate::continuum::synthetic_fleet_testbed(40, 3, 17);
+                apps::case_studies().iter().for_each(|app| tb.publish_application(app));
+                let unrelated = deep_dataflow::DagGenerator {
+                    stages: 2,
+                    width: (2, 2),
+                    image_gb: (0.3, 1.0),
+                    ..deep_dataflow::DagGenerator::default()
+                }
+                .generate(7);
+                tb.publish_application(&unrelated);
+                for device in &mut tb.devices {
+                    device.cache = LayerCache::new(DataSize::gigabytes(4.0));
+                }
+                let cfg = deep_simulator::ExecutorConfig::default();
+                for device in [DEVICE_MEDIUM, deep_simulator::DEVICE_CLOUD, DeviceId(16)] {
+                    let warm = deep_simulator::Schedule::uniform(
+                        unrelated.len(),
+                        RegistryChoice::Hub,
+                        device,
+                    );
+                    deep_simulator::execute(&mut tb, &unrelated, &warm, &cfg).unwrap();
+                }
                 tb
             }
             _ => {
@@ -1638,7 +1855,7 @@ mod tests {
             (state >> 33) as usize % n
         };
         let studies = apps::case_studies();
-        for kind in 0..4 {
+        for kind in 0..5 {
             let tb = floor_testbed(kind);
             for pricing in 0..3 {
                 for peers in 0..3 {
@@ -1692,7 +1909,7 @@ mod tests {
         /// manifests floors every cell at −∞.
         #[test]
         fn energy_floor_never_exceeds_the_estimate(seed in proptest::prelude::any::<u64>()) {
-            let mut tight = 0usize;
+            let (mut tight, mut sharper) = (0usize, 0usize);
             floor_walk(
                 seed,
                 |c| {
@@ -1700,14 +1917,18 @@ mod tests {
                     let exact = c.warm.estimate(c.id, c.registry, c.device).ec.as_f64();
                     assert!(floor <= exact, "{}: floor {floor} > exact {exact}", c.at);
                     tight += usize::from(floor >= 0.5 * exact);
+                    sharper +=
+                        usize::from(floor > all_routes_floor(c.warm, c.id, c.registry, c.device));
                     // An unmemoized manifest floors at −∞: always priced.
                     let cold = c.cold.energy_floor(c.id, c.registry, c.device);
                     assert_eq!(cold, f64::NEG_INFINITY, "{}", c.at);
                 },
                 |_, _, _| {},
             );
-            // Non-vacuous: the floor is usually within 2× of the exact cost.
+            // Non-vacuous: the floor is usually within 2× of the exact cost,
+            // and registry-only bytes beat the all-routes rule somewhere.
             assert!(tight > 0, "every floor was below half its exact cost");
+            assert!(sharper > 0, "no floor exceeded the all-routes rule");
         }
 
         /// Memoized manifests change no answer. Along every
@@ -1761,6 +1982,37 @@ mod tests {
             // fleet's warm holder) send cells to the session.
             assert!(sole > 0 && session > 0, "{sole} sole-source cells, {session} session cells");
         }
+    }
+
+    /// The all-routes floor, without the held / registry-only split: every
+    /// missing byte at the fastest unloaded route into the device, over
+    /// every registry and every holder in its view. Admissible, and never
+    /// above [`EstimationContext::energy_floor`] but for rounding.
+    fn all_routes_floor(
+        ctx: &EstimationContext<'_>,
+        id: MicroserviceId,
+        registry: RegistryChoice,
+        device: DeviceId,
+    ) -> f64 {
+        let dev = ctx.testbed.device(device);
+        let unloaded = |choice| ctx.testbed.source_params(choice, device, 1.0);
+        let ingress = ctx
+            .registries
+            .iter()
+            .copied()
+            .chain(ctx.peers.of(device).map(|(holder, _)| RegistryChoice::mesh(*holder)))
+            .map(|choice| unloaded(choice).download_bw)
+            .fold(Bandwidth::default(), |fastest, bw| if bw > fastest { bw } else { fastest });
+        let resolved = &ctx.resolved[ctx.memo(registry, id, dev.arch).expect("prefetched")];
+        let missing = missing_layers(&resolved.manifest, &ctx.caches[device.0])
+            .fold(DataSize::ZERO, |acc, layer| acc + layer.size);
+        let td = unloaded(registry).overhead
+            + deep_netsim::transfer_time(missing, dev.extract_bw)
+            + deep_netsim::transfer_time(missing, ingress);
+        let scoped = &ctx.scoped[id.0];
+        let tc = ctx.transfer_in_time(id, device);
+        let tp = dev.processing_time(scoped, ctx.app.microservice(id).requirements.cpu);
+        dev.energy(scoped, td, tc, tp).as_f64() * (1.0 - 1e-9)
     }
 
     /// What commits leave in a context, bit for bit: every device's

@@ -48,13 +48,17 @@
 //!   payoff maximum, which this module's oracle test checks member by
 //!   member. Only the cells that can win are priced: every cell first
 //!   gets an admissible energy floor
-//!   (`EstimationContext::energy_floors`: the missing bytes' extract
-//!   and fastest-route download time plus the primary's overhead), and
+//!   (`EstimationContext::energy_floors`: the primary's overhead, the
+//!   missing bytes' extract time, the bytes some peer could hold at the
+//!   fastest route and the rest at the fastest registry route), and
 //!   cells are priced exactly in ascending-floor order until the next
 //!   floor exceeds the best cost found. A pruned cell costs strictly
 //!   more than the minimum, so the pick and its cost bits are those of
-//!   the fully priced grid. On a warm 800-device fleet about one cell in
-//!   ten or fewer is priced exactly (PERF.md).
+//!   the fully priced grid. The floor inputs are built once per member,
+//!   then read by every device row. In the fleet-admit shape (800
+//!   devices, 3 registries, gossip peers holding other dataflows'
+//!   layers) fewer than one cell in 500 is priced exactly: 11–16 of
+//!   9,600 per admission (PERF.md).
 //! * **Repair** — [`DeepScheduler::incremental_repair`] walks the
 //!   incumbent once in barrier order. Each member's scan starts from its
 //!   incumbent cell and prices only the cells whose floor lies more than
@@ -95,7 +99,7 @@
 //! ([`crate::continuum::synthetic_fleet_testbed`]) solves in well under
 //! a second (`examples/fleet_scale.rs`, PERF.md).
 
-use crate::model::{EstimationContext, ScenarioPricing};
+use crate::model::{EstimationContext, MemberFloors, ScenarioPricing};
 use crate::Scheduler;
 use deep_dataflow::{stages, Application, MicroserviceId};
 use deep_game::CongestionGame;
@@ -150,7 +154,7 @@ impl WaveRouteGame {
     /// resources are its sorted distinct keys, and each resource's
     /// observed transfer times are summed in strategy order.
     fn build(ctx: &EstimationContext<'_>, testbed: &Testbed, members: &[MicroserviceId]) -> Self {
-        let registries = ctx.registry_choices();
+        let registries = ctx.registries();
         let threshold = testbed.params.contention_threshold;
         let mut strategies: Vec<Vec<Placement>> = Vec::with_capacity(members.len());
         // Every strategy's loaded keys with their unloaded bucket
@@ -255,6 +259,9 @@ pub struct RepairOutcome {
 struct FleetWorkspace {
     /// Admissible devices of the member being solved.
     devices: Vec<DeviceId>,
+    /// The member's floor inputs ([`EstimationContext::member_floors`]),
+    /// built once per member before its device rows.
+    member: MemberFloors,
     /// Flat energy-floor grid ([`EstimationContext::energy_floors`]),
     /// device-major: `floors[d * R + r]`.
     floors: Vec<f64>,
@@ -423,13 +430,13 @@ impl DeepScheduler {
         id: MicroserviceId,
         ws: &mut FleetWorkspace,
     ) -> (Placement, f64) {
-        let registries = ctx.registry_choices();
-        Self::fill_floors(ctx, id, &registries, ws);
+        let registries = ctx.registries();
+        Self::fill_floors(ctx, id, ws);
         let lowest = (0..ws.floors.len())
             .min_by(|&a, &b| ws.floors[a].total_cmp(&ws.floors[b]))
             .expect("the grid is non-empty");
-        Self::scan_from(ctx, id, &registries, ws, lowest, 0.0);
-        Self::last_minimum(&registries, ws)
+        Self::scan_from(ctx, id, registries, ws, lowest, 0.0);
+        Self::last_minimum(registries, ws)
     }
 
     /// Price the filled grid's `seed` cell, then, in ascending-floor
@@ -580,12 +587,12 @@ impl DeepScheduler {
         incumbent: &Schedule,
         budget: usize,
     ) -> (Option<Vec<Placement>>, usize) {
-        let registries = testbed.registry_choices();
         let mut ws = FleetWorkspace::default();
         let mut moved = 0;
         let walked = self.open(testbed, app).walk(|ctx, id| {
             let kept = incumbent.placement(id);
-            Self::fill_floors(ctx, id, &registries, &mut ws);
+            let registries = ctx.registries();
+            Self::fill_floors(ctx, id, &mut ws);
             let fits = "the incumbent fits the mesh";
             let d = ws.devices.iter().position(|&d| d == kept.device).expect(fits);
             let r = registries.iter().position(|&r| r == kept.registry).expect(fits);
@@ -593,8 +600,8 @@ impl DeepScheduler {
             // than the margin has a floor below that bound, so the scan
             // prices it, or first finds a cheaper cell, before it stops.
             let seed = d * registries.len() + r;
-            let current = Self::scan_from(ctx, id, &registries, &mut ws, seed, MARGIN);
-            let (pick, cost) = Self::last_minimum(&registries, &ws);
+            let current = Self::scan_from(ctx, id, registries, &mut ws, seed, MARGIN);
+            let (pick, cost) = Self::last_minimum(registries, &ws);
             if cost >= current - MARGIN {
                 return Some(kept);
             }
@@ -606,23 +613,20 @@ impl DeepScheduler {
 
     /// Refresh `ws.devices` with `id`'s admissible devices and fill
     /// `ws.floors` (device-major) with the energy floor of every
-    /// registry × device cell under `ctx`'s committed prefix.
-    fn fill_floors(
-        ctx: &EstimationContext<'_>,
-        id: MicroserviceId,
-        registries: &[RegistryChoice],
-        ws: &mut FleetWorkspace,
-    ) {
+    /// registry × device cell under `ctx`'s committed prefix: the
+    /// member's floor inputs once, then one row per device.
+    fn fill_floors(ctx: &EstimationContext<'_>, id: MicroserviceId, ws: &mut FleetWorkspace) {
         ctx.admissible_devices_into(id, &mut ws.devices);
         assert!(
             !ws.devices.is_empty(),
             "no device admits microservice {id}: the testbed cannot host the application"
         );
-        let r_count = registries.len();
+        ctx.member_floors(id, &mut ws.member);
+        let r_count = ctx.registries().len();
         ws.floors.clear();
         ws.floors.resize(r_count * ws.devices.len(), 0.0);
         for (row, &device) in ws.floors.chunks_mut(r_count).zip(&ws.devices) {
-            ctx.energy_floors(id, device, registries, row);
+            ctx.energy_floors(&ws.member, device, row);
         }
     }
 
@@ -681,15 +685,22 @@ impl DeepScheduler {
             });
             sampled.push(draws.collect());
         }
+        let mut member = MemberFloors::default();
+        let mut row = vec![0.0; registries.len()];
         opened
             .walk(|ctx, id| {
                 let p = schedule.placement(id);
                 let bound = ctx.estimate(id, p.registry, p.device).ec.as_f64() - MARGIN;
+                ctx.member_floors(id, &mut member);
                 // The floor screens out candidates that cannot beat the
                 // bound before any exact estimate runs.
                 let improves = |c: &Placement| {
-                    *c != p
-                        && ctx.energy_floor(id, c.registry, c.device) < bound
+                    if *c == p {
+                        return false;
+                    }
+                    ctx.energy_floors(&member, c.device, &mut row);
+                    let r = registries.iter().position(|&r| r == c.registry);
+                    row[r.expect("sampled from the mesh")] < bound
                         && ctx.estimate(id, c.registry, c.device).ec.as_f64() < bound
                 };
                 (!sampled[id.0].iter().any(improves)).then_some(p)
@@ -966,11 +977,14 @@ mod tests {
             (fleet, fleet_app, fleet_sched, true),
         ];
         let fingerprint = |ws: &FleetWorkspace| {
+            let [manifests, held] = ws.member.fingerprint();
             [
                 (ws.payoffs.as_ptr() as usize, ws.payoffs.capacity()),
                 (ws.devices.as_ptr() as usize, ws.devices.capacity()),
                 (ws.floors.as_ptr() as usize, ws.floors.capacity()),
                 (ws.order.as_ptr() as usize, ws.order.capacity()),
+                manifests,
+                held,
             ]
         };
         for (tb, app, sched, pruned) in &cases {
@@ -1225,6 +1239,73 @@ mod tests {
             ws.exact_cells,
             ws.grid_cells
         );
+    }
+
+    /// Every fleet-admit admission after the warm-up prices at most one
+    /// cell in a hundred exactly. The fixture is the benchmark's shape at
+    /// full size: an 800-device, 3-registry fleet with a flaky regional
+    /// and a mirror with transient faults, peer sharing over gossip views
+    /// and 64-draw scenario pricing. A pool of eight generated two-wave
+    /// dataflows is published; the first runs on the medium device, then
+    /// the rest are admitted one at a time, each executed before the
+    /// next. Gossip puts the holders into devices' views, but every
+    /// holder caches only other dataflows' layers, so a cold device's
+    /// registry-only bytes must floor at registry speed for the scan to
+    /// prune.
+    #[test]
+    fn fleet_admissions_price_at_most_one_cell_in_a_hundred() {
+        use deep_registry::FaultRates;
+        let mut tb = crate::continuum::synthetic_fleet_testbed(800, 3, 42);
+        let mirror = tb.registry_choices()[2].registry_id();
+        tb.fault_model = tb
+            .fault_model
+            .clone()
+            .with_source(
+                RegistryChoice::Regional.registry_id(),
+                FaultRates { fatal_per_pull: 0.2, transient_per_fetch: 0.1 },
+            )
+            .with_source(mirror, FaultRates { fatal_per_pull: 0.0, transient_per_fetch: 0.1 });
+        let gen = deep_dataflow::DagGenerator {
+            stages: 2,
+            width: (2, 2),
+            image_gb: (0.5, 2.5),
+            cpu_mi: (1e6, 3e6),
+            ..deep_dataflow::DagGenerator::default()
+        };
+        let pool: Vec<Application> = (0..8).map(|k| gen.generate(10 + k)).collect();
+        pool.iter().for_each(|app| tb.publish_application(app));
+        let discovery = PeerDiscovery::Gossip { fanout: 3, view_size: 8, rounds_per_wave: 1 };
+        let executor = |seed| deep_simulator::ExecutorConfig {
+            seed,
+            peer_sharing: true,
+            peer_discovery: discovery,
+            ..deep_simulator::ExecutorConfig::default()
+        };
+        let warm = Schedule::uniform(pool[0].len(), RegistryChoice::Hub, DEVICE_MEDIUM);
+        deep_simulator::execute(&mut tb, &pool[0], &warm, &executor(1)).unwrap();
+        let bits = |costs: &[f64]| costs.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        for (k, app) in pool.iter().enumerate().skip(1) {
+            let seed = 100 + k as u64;
+            let sched = DeepScheduler {
+                peer_sharing: true,
+                peer_discovery: discovery,
+                discovery_seed: seed,
+                ..DeepScheduler::scenario_priced(64, seed)
+            };
+            let mut ws = FleetWorkspace::default();
+            let (profile, costs) = stage_walk(sched.open(&tb, app), app, &mut ws);
+            let exact = profile_costs(sched.open(&tb, app), app, &profile);
+            assert_eq!(bits(&costs), bits(&exact), "admission {k}: picks priced exactly");
+            assert_eq!(ws.grid_cells, app.len() * 3 * 800, "admission {k}: the whole grid");
+            assert!(
+                ws.exact_cells * 100 <= ws.grid_cells,
+                "admission {k}: {} of {} cells priced exactly",
+                ws.exact_cells,
+                ws.grid_cells
+            );
+            deep_simulator::execute(&mut tb, app, &Schedule::new(profile), &executor(seed))
+                .unwrap();
+        }
     }
 
     #[test]

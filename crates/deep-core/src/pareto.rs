@@ -28,29 +28,32 @@ pub struct EvaluatedProfile {
     pub makespan: f64,
 }
 
-/// Evaluate one profile with the estimation model (energy + makespan).
+/// Evaluate one profile with the estimation model (energy + makespan) in
+/// one barrier walk. Each wave adds its longest `Td` and its members'
+/// serial `Tc + Tp` to the makespan.
 pub fn evaluate_profile(
     app: &Application,
     testbed: &Testbed,
     placements: &[Placement],
 ) -> EvaluatedProfile {
-    let mut ctx = EstimationContext::new(testbed, app);
-    let mut energy = 0.0;
-    let mut makespan = 0.0;
-    for stage in stages(app) {
-        ctx.begin_wave();
-        let mut wave_deploy: f64 = 0.0;
-        let mut stage_exec = 0.0;
-        for &id in &stage.members {
-            let p = placements[id.0];
-            let est = ctx.estimate(id, p.registry, p.device);
-            energy += est.ec.as_f64();
-            wave_deploy = wave_deploy.max(est.td.as_f64());
-            stage_exec += est.tc.as_f64() + est.tp.as_f64();
-            ctx.commit(id, p);
-        }
-        makespan += wave_deploy + stage_exec;
+    let waves = stages(app);
+    let mut wave_of = vec![0; app.len()];
+    for (w, stage) in waves.iter().enumerate() {
+        stage.members.iter().for_each(|id| wave_of[id.0] = w);
     }
+    // Per wave: (longest deployment, serial execution).
+    let mut spans = vec![(0.0f64, 0.0); waves.len()];
+    let mut energy = 0.0;
+    EstimationContext::new(testbed, app).walk(|ctx, id| {
+        let p = placements[id.0];
+        let est = ctx.estimate(id, p.registry, p.device);
+        energy += est.ec.as_f64();
+        let (deploy, exec) = &mut spans[wave_of[id.0]];
+        *deploy = deploy.max(est.td.as_f64());
+        *exec += est.tc.as_f64() + est.tp.as_f64();
+        Some(p)
+    });
+    let makespan = spans.iter().fold(0.0, |acc, (deploy, exec)| acc + (deploy + exec));
     EvaluatedProfile { placements: placements.to_vec(), energy, makespan }
 }
 

@@ -155,10 +155,23 @@ impl SimDevice {
         tc: Seconds,
         tp: Seconds,
     ) -> deep_energy::Joules {
+        self.phase_energy(self.process_watts(microservice), td, tc, tp)
+    }
+
+    /// [`SimDevice::energy`] with the processing draw already looked up
+    /// ([`SimDevice::process_watts`]): a caller pricing many `Td`s of one
+    /// microservice looks it up once.
+    pub fn phase_energy(
+        &self,
+        process: Watts,
+        td: Seconds,
+        tc: Seconds,
+        tp: Seconds,
+    ) -> deep_energy::Joules {
         let ct = td + tc + tp;
         self.power.deploy_watts * td
             + self.power.transfer_watts * tc
-            + self.process_watts(microservice) * tp
+            + process * tp
             + self.power.static_watts * ct
     }
 
@@ -219,6 +232,13 @@ mod tests {
         let e = d.energy("m", Seconds::new(100.0), Seconds::new(10.0), Seconds::new(50.0));
         // 0.1*100 + 0.1*10 + 10*50 + 0.3*160 = 10 + 1 + 500 + 48 = 559.
         assert!((e.as_f64() - 559.0).abs() < 1e-9);
+        let phases = d.phase_energy(
+            d.process_watts("m"),
+            Seconds::new(100.0),
+            Seconds::new(10.0),
+            Seconds::new(50.0),
+        );
+        assert_eq!(phases.as_f64().to_bits(), e.as_f64().to_bits());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification: formatting, lints, doc links, release build, full
-# test suite, a compile check of every criterion bench, and a smoke-run
-# of every example so the sweeps (registry_sweep's mesh/N-regional
+# test suite, a compile check of every criterion bench, a smoke-run of
+# every example so the sweeps (registry_sweep's mesh/N-regional
 # scenarios and friends, fault_sweep's failure-rate × registry-count
-# grid) cannot silently rot.
+# grid) cannot silently rot, the perfbench self-test, and one untimed
+# perfbench round per cell whose digest must equal its pinned line in
+# scripts/perfbench_digests.txt.
 #
 # Randomized suites stay deterministic in CI: the vendored proptest
 # seeds every case from the test name (no ambient RNG), and the
