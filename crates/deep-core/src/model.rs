@@ -500,8 +500,10 @@ impl<'t> EstimationContext<'t> {
     /// before the first barrier: the executor has not advertised
     /// anything yet either.
     fn snapshot_peers(&mut self) {
+        // The new views never read the old ones: free them first, so a
+        // fleet's barrier holds one set of views at a time.
+        self.peers = PeerViews::default();
         if !self.peer_sharing {
-            self.peers = PeerViews::default();
             return;
         }
         let caches: Vec<&LayerCache> = self.caches.iter().collect();
