@@ -1,9 +1,17 @@
 //! Pull-path performance and the layer-cache ablation (DESIGN.md
 //! ablation 2): cold pulls vs sibling-deduped pulls vs fully warm pulls.
+//!
+//! `resolve/*` times one regional manifest resolve: `regional_warm`
+//! reads bytes its lineage already verified (parse memo hit: two store
+//! reads and a byte compare), `regional_cold` a fresh lineage over the
+//! same stored objects each iteration (SHA-256 verify plus JSON parse).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use deep_netsim::{Bandwidth, DataSize, Seconds};
-use deep_registry::{HubRegistry, LayerCache, Platform, PullPlanner, Reference};
+use deep_registry::catalog::REGIONAL_HOST;
+use deep_registry::{
+    HubRegistry, LayerCache, ManifestSource, Platform, PullPlanner, Reference, RegionalRegistry,
+};
 use std::hint::black_box;
 
 fn planner() -> PullPlanner {
@@ -66,5 +74,24 @@ fn bench_catalog_wide_pull(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_pull_paths, bench_catalog_wide_pull);
+fn bench_regional_resolve(c: &mut Criterion) {
+    let reg = RegionalRegistry::with_paper_catalog();
+    let r = Reference::new(REGIONAL_HOST, "aau/vp-ha-train", "amd64");
+    let mut group = c.benchmark_group("resolve");
+    group.bench_function("regional_warm", |b| {
+        reg.resolve(&r, Platform::Amd64).unwrap();
+        b.iter(|| black_box(reg.resolve(&r, Platform::Amd64).unwrap()))
+    });
+    group.bench_function("regional_cold", |b| {
+        b.iter(|| {
+            // `new` starts a lineage with an empty parse memo; the
+            // forked store is a copy-on-write view of the same objects.
+            let fresh = RegionalRegistry::new(REGIONAL_HOST, reg.store().fork());
+            black_box(fresh.resolve(&r, Platform::Amd64).unwrap())
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_pull_paths, bench_catalog_wide_pull, bench_regional_resolve);
 criterion_main!(benches);

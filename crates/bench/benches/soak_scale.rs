@@ -12,6 +12,10 @@
 //! * `fleet_replay/*` — one executor run of the solved schedule over
 //!   the same fleet (gossip barriers at every wave), the soak harness's
 //!   per-replication unit of work.
+//! * `replica/*` — `Testbed::replica` alone, of the calibrated paper
+//!   testbed and of the 800-device fleet: devices and caches are
+//!   copied, registry state and catalog entries are shared
+//!   copy-on-write.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use deep_core::{continuum, DeepScheduler, Scheduler};
@@ -78,5 +82,14 @@ fn bench_fleet_replay(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fleet_solve, bench_fleet_replay);
+fn bench_replica(c: &mut Criterion) {
+    let mut group = c.benchmark_group("replica");
+    let paper = deep_core::calibration::calibrated_testbed();
+    group.bench_function("paper", |b| b.iter(|| black_box(paper.replica())));
+    let (fleet, _) = fleet(800);
+    group.bench_function("fleet_800", |b| b.iter(|| black_box(fleet.replica())));
+    group.finish();
+}
+
+criterion_group!(benches, bench_fleet_solve, bench_fleet_replay, bench_replica);
 criterion_main!(benches);

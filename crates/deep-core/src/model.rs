@@ -350,13 +350,14 @@ impl<'t> EstimationContext<'t> {
 
     /// Memoize the primary-manifest resolutions `id`'s candidate
     /// estimates will hit: one `resolve` per `(registry, platform)` pair
-    /// instead of one per `(registry, device)` candidate. The regional
-    /// registries re-verify and re-parse the stored manifest bytes on
-    /// every resolve — correct modelling of an OCI pull, but at fleet
-    /// scale the solver prices thousands of counterfactual candidates
-    /// per member and the round-trips dominate the estimate itself.
-    /// Purely an optimisation: warm and cold estimates price bit for
-    /// bit identically.
+    /// instead of one per `(registry, device)` candidate. Even with the
+    /// regional registries' parse memo (which skips verification and
+    /// parsing only for byte-equal stored objects), each resolve still
+    /// reads two store objects, compares them and clones the manifest;
+    /// at fleet scale the solver prices thousands of counterfactual
+    /// candidates per member, and those round-trips would dominate the
+    /// estimate itself. Purely an optimisation: warm and cold estimates
+    /// price bit for bit identically.
     ///
     /// Each memoized manifest also records whether its registry
     /// advertises every one of its layers (one `has_blob` per layer), the

@@ -139,7 +139,9 @@ pub fn scenario_scheduler(scenario: &Scenario) -> DeepScheduler {
 /// (tag deletes, GC sweeps, cache pressure) in one replication never
 /// leak into another. At fleet scale the rebuild (TOML walk, catalog
 /// publication, calibration) dominated every replication's
-/// profile; the replica is a flat copy of the warmed structures.
+/// profile; the replica copies only devices and caches and shares
+/// registry storage and catalog entries copy-on-write, so a
+/// replication that writes no registry copies none.
 pub fn run_scenario(scenario: &Scenario, scheduler: &dyn Scheduler) -> ScenarioOutcome {
     let tb = scenario_testbed(scenario);
     let app = scenario.application();

@@ -64,12 +64,6 @@ pub struct Bucket {
     objects: BTreeMap<String, ObjectRecord>,
 }
 
-impl Bucket {
-    fn used(&self) -> u64 {
-        self.objects.values().map(|o| o.data.len() as u64).sum()
-    }
-}
-
 /// Wide-lane checksum over the object body — cheap deterministic ETag
 /// (see [`crate::hash64`] for the kernel).
 fn etag_of(data: &[u8]) -> u64 {
@@ -83,16 +77,23 @@ pub struct ObjectStore {
     inner: Arc<RwLock<Inner>>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Inner {
-    buckets: BTreeMap<String, Bucket>,
+    /// Each bucket is shared copy-on-write with every fork of the store:
+    /// writes reach it through [`Arc::make_mut`], which copies the bucket
+    /// first while a fork still holds it.
+    buckets: BTreeMap<String, Arc<Bucket>>,
     capacity: DataSize,
+    /// Bytes stored across all buckets, kept current by every put and
+    /// delete so quota checks never walk the objects.
+    used: u64,
 }
 
 impl ObjectStore {
     /// A store provisioned with `capacity` bytes (e.g. the paper's 100 GB).
     pub fn with_capacity(capacity: DataSize) -> Self {
-        ObjectStore { inner: Arc::new(RwLock::new(Inner { buckets: BTreeMap::new(), capacity })) }
+        let inner = Inner { buckets: BTreeMap::new(), capacity, used: 0 };
+        ObjectStore { inner: Arc::new(RwLock::new(inner)) }
     }
 
     /// The paper's example provisioning: 100 GB.
@@ -100,21 +101,17 @@ impl ObjectStore {
         Self::with_capacity(DataSize::gigabytes(100.0))
     }
 
-    /// An independent deep copy of the store's current state. Unlike
+    /// An independent copy of the store's current state. Unlike
     /// [`Clone`] — which hands out another handle to the *same* server
-    /// — the fork owns its own buckets: mutations on either side are
-    /// invisible to the other. Object bodies are refcounted
-    /// [`Bytes`], so the copy is proportional to the number of objects,
-    /// not their payload bytes. This is what lets a soak harness stamp
-    /// out per-replication registries from one built prototype.
+    /// — the fork has its own buckets: mutations on either side are
+    /// invisible to the other. The buckets are shared copy-on-write, so
+    /// a fork costs one reference count per bucket; the first write to a
+    /// shared bucket on either side copies that bucket's key map (object
+    /// bodies are refcounted [`Bytes`] and are never copied). This is
+    /// what lets a soak harness stamp out per-replication registries
+    /// from one built prototype.
     pub fn fork(&self) -> ObjectStore {
-        let inner = self.inner.read();
-        ObjectStore {
-            inner: Arc::new(RwLock::new(Inner {
-                buckets: inner.buckets.clone(),
-                capacity: inner.capacity,
-            })),
-        }
+        ObjectStore { inner: Arc::new(RwLock::new(self.inner.read().clone())) }
     }
 
     /// Provisioned capacity.
@@ -124,8 +121,7 @@ impl ObjectStore {
 
     /// Bytes currently stored across all buckets.
     pub fn used(&self) -> DataSize {
-        let inner = self.inner.read();
-        DataSize::bytes(inner.buckets.values().map(Bucket::used).sum())
+        DataSize::bytes(self.inner.read().used)
     }
 
     /// Remaining quota.
@@ -139,7 +135,7 @@ impl ObjectStore {
         if inner.buckets.contains_key(name) {
             return Err(StoreError::BucketExists(name.to_string()));
         }
-        inner.buckets.insert(name.to_string(), Bucket::default());
+        inner.buckets.insert(name.to_string(), Arc::default());
         Ok(())
     }
 
@@ -170,23 +166,22 @@ impl ObjectStore {
         data: Bytes,
     ) -> Result<ObjectMeta, StoreError> {
         let mut inner = self.inner.write();
-        let used: u64 = inner.buckets.values().map(Bucket::used).sum();
-        let capacity = inner.capacity.as_bytes();
-        let b = inner
-            .buckets
-            .get_mut(bucket)
-            .ok_or_else(|| StoreError::NoSuchBucket(bucket.to_string()))?;
-        let replaced = b.objects.get(key).map(|o| o.data.len() as u64).unwrap_or(0);
-        let new_used = used - replaced + data.len() as u64;
-        if new_used > capacity {
+        let Inner { buckets, capacity, used } = &mut *inner;
+        let b =
+            buckets.get_mut(bucket).ok_or_else(|| StoreError::NoSuchBucket(bucket.to_string()))?;
+        let replaced = b.objects.get(key).map_or(0, |o| o.data.len() as u64);
+        let kept = *used - replaced;
+        let capacity = capacity.as_bytes();
+        if kept + data.len() as u64 > capacity {
             return Err(StoreError::QuotaExceeded {
                 requested: data.len() as u64,
-                available: capacity.saturating_sub(used - replaced),
+                available: capacity.saturating_sub(kept),
             });
         }
+        *used = kept + data.len() as u64;
         let etag = etag_of(&data);
         let size = DataSize::bytes(data.len() as u64);
-        b.objects.insert(key.to_string(), ObjectRecord { data, etag });
+        Arc::make_mut(b).objects.insert(key.to_string(), ObjectRecord { data, etag });
         Ok(ObjectMeta { key: key.to_string(), size, etag })
     }
 
@@ -223,11 +218,16 @@ impl ObjectStore {
     /// Delete an object.
     pub fn delete_object(&self, bucket: &str, key: &str) -> Result<(), StoreError> {
         let mut inner = self.inner.write();
-        let b = inner
-            .buckets
-            .get_mut(bucket)
-            .ok_or_else(|| StoreError::NoSuchBucket(bucket.to_string()))?;
-        b.objects.remove(key).map(|_| ()).ok_or_else(|| StoreError::NoSuchKey(key.to_string()))
+        let Inner { buckets, used, .. } = &mut *inner;
+        let b =
+            buckets.get_mut(bucket).ok_or_else(|| StoreError::NoSuchBucket(bucket.to_string()))?;
+        // Look up before `make_mut`: a miss must not copy a shared bucket.
+        let Some(size) = b.objects.get(key).map(|o| o.data.len() as u64) else {
+            return Err(StoreError::NoSuchKey(key.to_string()));
+        };
+        Arc::make_mut(b).objects.remove(key);
+        *used -= size;
+        Ok(())
     }
 
     /// List objects in a bucket with an optional key prefix, in key order.
@@ -346,5 +346,137 @@ mod tests {
         assert_eq!(s.used(), DataSize::bytes(1500));
         s.delete_object("images", "a").unwrap();
         assert_eq!(s.used(), DataSize::bytes(500));
+    }
+
+    /// Every object of every bucket as `(bucket, key, bytes, etag)`.
+    fn snapshot(s: &ObjectStore) -> Vec<(String, String, Bytes, u64)> {
+        let mut out = Vec::new();
+        for bucket in s.list_buckets() {
+            for meta in s.list_objects(&bucket, "").unwrap() {
+                let data = s.get_object(&bucket, &meta.key).unwrap();
+                out.push((bucket.clone(), meta.key, data, meta.etag));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn fork_writes_stay_on_the_fork() {
+        let source = store();
+        source.create_bucket("blobs").unwrap();
+        for (bucket, key) in [("images", "a"), ("images", "b"), ("blobs", "c")] {
+            source.put_object(bucket, key, Bytes::from(format!("{bucket}/{key}"))).unwrap();
+        }
+        let before = snapshot(&source);
+        let fork = source.fork();
+        let sibling = source.fork();
+        fork.put_object("images", "a", Bytes::from_static(b"rewritten")).unwrap();
+        fork.put_object("images", "new", Bytes::from_static(b"added")).unwrap();
+        fork.delete_object("blobs", "c").unwrap();
+        assert_eq!(snapshot(&source), before);
+        assert_eq!(snapshot(&sibling), before);
+        assert_eq!(source.used(), sibling.used());
+        assert_ne!(snapshot(&fork), before);
+        // And the other way round: the source's writes miss both forks.
+        let fork_state = snapshot(&fork);
+        source.delete_object("images", "b").unwrap();
+        assert_eq!(snapshot(&fork), fork_state);
+        assert_eq!(snapshot(&sibling), before);
+    }
+
+    /// Reference model of one store: `(bucket, key) → bytes`, with usage
+    /// and quota recomputed from scratch on every call.
+    #[derive(Clone)]
+    struct Model {
+        buckets: Vec<String>,
+        objects: BTreeMap<(String, String), Vec<u8>>,
+        capacity: u64,
+    }
+
+    impl Model {
+        fn used(&self) -> u64 {
+            self.objects.values().map(|v| v.len() as u64).sum()
+        }
+
+        fn put(&mut self, bucket: &str, key: &str, data: &[u8]) -> Result<(), StoreError> {
+            if !self.buckets.iter().any(|b| b == bucket) {
+                return Err(StoreError::NoSuchBucket(bucket.to_string()));
+            }
+            let id = (bucket.to_string(), key.to_string());
+            let kept = self.used() - self.objects.get(&id).map_or(0, |v| v.len() as u64);
+            if kept + data.len() as u64 > self.capacity {
+                return Err(StoreError::QuotaExceeded {
+                    requested: data.len() as u64,
+                    available: self.capacity.saturating_sub(kept),
+                });
+            }
+            self.objects.insert(id, data.to_vec());
+            Ok(())
+        }
+
+        fn delete(&mut self, bucket: &str, key: &str) -> Result<(), StoreError> {
+            if !self.buckets.iter().any(|b| b == bucket) {
+                return Err(StoreError::NoSuchBucket(bucket.to_string()));
+            }
+            match self.objects.remove(&(bucket.to_string(), key.to_string())) {
+                Some(_) => Ok(()),
+                None => Err(StoreError::NoSuchKey(key.to_string())),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random put / replace / delete / fork sequences: every store's
+        /// running `used()` equals a recomputed sum, every outcome (quota
+        /// errors included) equals the reference model's, and every
+        /// store holds exactly its model's objects.
+        #[test]
+        fn running_usage_matches_a_recomputed_reference(
+            ops in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..160),
+        ) {
+            const BUCKETS: [&str; 3] = ["a", "b", "missing"];
+            let root = ObjectStore::with_capacity(DataSize::bytes(96));
+            root.create_bucket("a").unwrap();
+            root.create_bucket("b").unwrap();
+            let model = Model {
+                buckets: vec!["a".into(), "b".into()],
+                objects: BTreeMap::new(),
+                capacity: 96,
+            };
+            let mut stores = vec![(root, model)];
+            for op in ops {
+                let target = (op >> 8) as usize % stores.len();
+                let bucket = BUCKETS[(op >> 16) as usize % 7 / 3];
+                let key = format!("k{}", (op >> 24) % 6);
+                match op % 8 {
+                    0..=4 => {
+                        let len = (op >> 32) as usize % 40;
+                        let data = vec![(op >> 40) as u8; len];
+                        let (s, m) = &mut stores[target];
+                        let got = s.put_object(bucket, &key, Bytes::from(data.clone())).map(|_| ());
+                        proptest::prop_assert_eq!(got, m.put(bucket, &key, &data));
+                    }
+                    5 | 6 => {
+                        let (s, m) = &mut stores[target];
+                        proptest::prop_assert_eq!(s.delete_object(bucket, &key), m.delete(bucket, &key));
+                    }
+                    _ => {
+                        let (s, m) = &stores[target];
+                        let fork = (s.fork(), m.clone());
+                        stores.push(fork);
+                    }
+                }
+                for (s, m) in &stores {
+                    proptest::prop_assert_eq!(s.used(), DataSize::bytes(m.used()));
+                    let held: BTreeMap<(String, String), Vec<u8>> = snapshot(s)
+                        .into_iter()
+                        .map(|(b, k, data, _)| ((b, k), data.to_vec()))
+                        .collect();
+                    proptest::prop_assert_eq!(&held, &m.objects);
+                }
+            }
+        }
     }
 }

@@ -13,6 +13,7 @@ use crate::image::{Platform, Reference};
 use crate::manifest::ImageManifest;
 use deep_netsim::DataSize;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Host name of Docker Hub.
 pub const HUB_HOST: &str = "docker.io";
@@ -95,12 +96,18 @@ impl CatalogEntry {
     }
 }
 
-/// Build the full Table I catalog.
+/// The full Table I catalog.
 ///
 /// Layer budgets sum exactly to Table II's `Size_mi` per image; shared
 /// stacks are named identically so their digests coincide across sibling
-/// images.
+/// images. The catalog is built once per process and cloned out.
 pub fn paper_catalog() -> Vec<CatalogEntry> {
+    static CATALOG: OnceLock<Vec<CatalogEntry>> = OnceLock::new();
+    CATALOG.get_or_init(build_paper_catalog).clone()
+}
+
+/// A from-scratch build of [`paper_catalog`].
+fn build_paper_catalog() -> Vec<CatalogEntry> {
     vec![
         // ---- video processing (vp-*) -------------------------------
         CatalogEntry::new(
@@ -201,6 +208,12 @@ pub fn find_entry<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn build_once_catalog_equals_a_from_scratch_build() {
+        assert_eq!(paper_catalog(), build_paper_catalog());
+        assert_eq!(paper_catalog(), paper_catalog());
+    }
 
     #[test]
     fn twelve_images_six_per_application() {

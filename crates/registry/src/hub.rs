@@ -14,22 +14,34 @@ use crate::manifest::ImageManifest;
 use crate::pull::RegistryError;
 use crate::{BlobSource, ManifestSource};
 use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
 
-/// Docker Hub: manifests by `(repository, tag)`, blobs by digest. `Clone` is a true deep copy (plain maps, no shared handles).
+/// Docker Hub: manifests by `(repository, tag)`, blobs by digest.
+///
+/// `Clone` yields an independent hub: both maps are shared
+/// copy-on-write, so a clone costs two reference counts and the first
+/// push on either side copies the maps it writes ([`Arc::make_mut`]).
 #[derive(Clone)]
 pub struct HubRegistry {
     host: String,
-    manifests: HashMap<(String, String), ImageManifest>,
-    blobs: HashSet<Digest>,
+    manifests: Arc<HashMap<(String, String), ImageManifest>>,
+    blobs: Arc<HashSet<Digest>>,
 }
 
 impl HubRegistry {
-    /// A hub pre-loaded with the full Table I catalog.
+    /// A hub pre-loaded with the full Table I catalog. The catalog is
+    /// published once per process; every call clones that prototype.
     pub fn with_paper_catalog() -> Self {
+        static PROTOTYPE: OnceLock<HubRegistry> = OnceLock::new();
+        PROTOTYPE.get_or_init(Self::publish_paper_catalog).clone()
+    }
+
+    /// A from-scratch build of [`HubRegistry::with_paper_catalog`].
+    fn publish_paper_catalog() -> Self {
         let mut hub = HubRegistry {
             host: crate::catalog::HUB_HOST.to_string(),
-            manifests: HashMap::new(),
-            blobs: HashSet::new(),
+            manifests: Arc::default(),
+            blobs: Arc::default(),
         };
         for entry in crate::catalog::paper_catalog() {
             hub.publish(&entry);
@@ -46,14 +58,16 @@ impl HubRegistry {
 
     /// Push a single manifest under `repository:tag`.
     pub fn push_manifest(&mut self, repository: &str, tag: &str, manifest: ImageManifest) {
+        let blobs = Arc::make_mut(&mut self.blobs);
         for l in &manifest.layers {
-            self.blobs.insert(l.digest.clone());
+            blobs.insert(l.digest.clone());
         }
-        self.blobs.insert(manifest.config.clone());
+        blobs.insert(manifest.config.clone());
         // Manifests are content-addressable blobs in their own right
         // (clients may pull by digest instead of tag).
-        self.blobs.insert(manifest.digest());
-        self.manifests.insert((repository.to_string(), tag.to_string()), manifest);
+        blobs.insert(manifest.digest());
+        Arc::make_mut(&mut self.manifests)
+            .insert((repository.to_string(), tag.to_string()), manifest);
     }
 }
 
@@ -172,5 +186,31 @@ mod tests {
         let repos = hub.repositories();
         assert_eq!(repos.len(), 12);
         assert!(repos.iter().all(|r| r.starts_with("sina88/")));
+    }
+
+    #[test]
+    fn build_once_catalog_equals_a_from_scratch_build() {
+        let scratch = HubRegistry::publish_paper_catalog();
+        let hub = HubRegistry::with_paper_catalog();
+        assert_eq!(hub.host, scratch.host);
+        assert_eq!(hub.manifests, scratch.manifests);
+        assert_eq!(hub.blobs, scratch.blobs);
+    }
+
+    #[test]
+    fn a_clones_pushes_stay_on_the_clone() {
+        let source = HubRegistry::with_paper_catalog();
+        let mut clone = source.clone();
+        let r = Reference::new("docker.io", "sina88/vp-frame", "amd64");
+        let pushed = source.resolve(&r, Platform::Amd64).unwrap();
+        let other = Reference::new("docker.io", "sina88/tp-la-score", "amd64");
+        let replacement = source.resolve(&other, Platform::Amd64).unwrap();
+        clone.push_manifest("sina88/vp-frame", "amd64", replacement.clone());
+        clone.push_manifest("sina88/new", "amd64", replacement.clone());
+        assert_eq!(clone.resolve(&r, Platform::Amd64).unwrap(), replacement);
+        assert_eq!(source.resolve(&r, Platform::Amd64).unwrap(), pushed);
+        assert_eq!(source.repositories().len(), 12);
+        assert_eq!(clone.repositories().len(), 13);
+        assert_eq!(HubRegistry::with_paper_catalog().manifests, source.manifests);
     }
 }

@@ -7,6 +7,15 @@
 //! as JSON objects under `manifests/<repo>/<tag>`; blob *descriptors* under
 //! `blobs/<digest>` (the simulation stores descriptor records, not
 //! gigabytes of layer bytes — see `manifest` module docs).
+//!
+//! Every resolve reads the stored manifest body and its digest sidecar.
+//! Verifying and parsing them (SHA-256 plus JSON) is the expensive part,
+//! so each registry lineage — a registry and every [`RegionalRegistry::fork`]
+//! of it — shares a parse memo keyed by manifest object. A memo entry
+//! keeps the exact body and sidecar bytes it was verified from, and a
+//! resolve reuses its parse only when both stored objects are byte-equal
+//! to them; any other read (a first resolve, a re-pushed tag, bitrot, a
+//! removed or rewritten sidecar) verifies and parses from scratch.
 
 use crate::catalog::CatalogEntry;
 use crate::digest::Digest;
@@ -17,15 +26,35 @@ use crate::{BlobSource, ManifestSource};
 use bytes::Bytes;
 use deep_netsim::DataSize;
 use deep_objectstore::{ObjectStore, StoreError};
+use parking_lot::RwLock;
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 /// Bucket names used by the registry layout.
 const MANIFEST_BUCKET: &str = "registry-manifests";
 const BLOB_BUCKET: &str = "registry-blobs";
 
+/// Most manifest keys one parse memo holds. Every paper-catalog registry
+/// in a process shares one lineage, so a run that publishes fresh
+/// generated applications without end would otherwise grow it without
+/// end; at the cap the memo starts over (about 1 KB an entry).
+const PARSE_MEMO_KEYS: usize = 1024;
+
+/// One memoized manifest parse: the stored body and digest sidecar it
+/// was verified from, and the manifest the body parses to.
+struct ParsedManifest {
+    body: Bytes,
+    sidecar: Option<Bytes>,
+    manifest: ImageManifest,
+}
+
 /// The MinIO-backed regional registry.
 pub struct RegionalRegistry {
     host: String,
     store: ObjectStore,
+    /// Verified parses by manifest object key, shared by every fork of
+    /// this registry (see the module docs).
+    parsed: Arc<RwLock<HashMap<String, ParsedManifest>>>,
 }
 
 impl RegionalRegistry {
@@ -38,12 +67,19 @@ impl RegionalRegistry {
                 Err(e) => panic!("registry bucket setup failed: {e}"),
             }
         }
-        RegionalRegistry { host: host.to_string(), store }
+        RegionalRegistry { host: host.to_string(), store, parsed: Arc::default() }
     }
 
-    /// The AAU registry of the paper, on a fresh 100 GB store, pre-loaded
-    /// with the Table I catalog.
+    /// The AAU registry of the paper, on a 100 GB store, pre-loaded with
+    /// the Table I catalog. The catalog is published once per process;
+    /// every call returns a [`RegionalRegistry::fork`] of that prototype.
     pub fn with_paper_catalog() -> Self {
+        static PROTOTYPE: OnceLock<RegionalRegistry> = OnceLock::new();
+        PROTOTYPE.get_or_init(Self::publish_paper_catalog).fork()
+    }
+
+    /// A from-scratch build of [`RegionalRegistry::with_paper_catalog`].
+    fn publish_paper_catalog() -> Self {
         let store = ObjectStore::paper_default();
         let mut reg = RegionalRegistry::new(crate::catalog::REGIONAL_HOST, store);
         for entry in crate::catalog::paper_catalog() {
@@ -57,12 +93,19 @@ impl RegionalRegistry {
         &self.store
     }
 
-    /// An independent deep copy of this registry: same host, same objects,
-    /// but a freshly forked store. Mutations (tag deletes, GC sweeps) on
-    /// either side never leak to the other — unlike cloning the store
-    /// handle, which shares storage.
+    /// An independent copy of this registry: same host, same objects,
+    /// but a forked store (copy-on-write, see [`ObjectStore::fork`]).
+    /// Mutations (tag deletes, GC sweeps) on either side never leak to
+    /// the other — unlike cloning the store handle, which shares
+    /// storage. The fork joins this registry's parse memo, which serves
+    /// a parse only for byte-equal stored objects, so neither side can
+    /// read the other's manifests through it.
     pub fn fork(&self) -> RegionalRegistry {
-        RegionalRegistry { host: self.host.clone(), store: self.store.fork() }
+        RegionalRegistry {
+            host: self.host.clone(),
+            store: self.store.fork(),
+            parsed: Arc::clone(&self.parsed),
+        }
     }
 
     /// Publish a catalog entry (both platform manifests).
@@ -200,6 +243,11 @@ impl ManifestSource for RegionalRegistry {
         &self.host
     }
 
+    /// Read the stored manifest and its digest sidecar, verify the body
+    /// against the sidecar (when one is recorded) and parse it. The
+    /// verify-and-parse step is skipped only when both objects are
+    /// byte-equal to a read this lineage already verified; errors are
+    /// never memoized, and the platform is checked on every call.
     fn resolve(
         &self,
         reference: &Reference,
@@ -216,19 +264,42 @@ impl ManifestSource for RegionalRegistry {
             StoreError::NoSuchKey(_) => RegistryError::ManifestNotFound(reference.canonical()),
             other => RegistryError::Storage(other),
         })?;
-        // Verify the stored body against its recorded content digest — a
-        // rotted manifest must surface as corruption, not parse garbage.
         let digest_key = format!("digests/{}/{}", reference.repository, reference.tag);
-        if let Ok(recorded) = self.store.get_object(MANIFEST_BUCKET, &digest_key) {
-            let actual = Digest::of(&body);
-            if actual.hex().as_bytes() != &recorded[..] {
-                return Err(RegistryError::CorruptManifest(format!(
-                    "manifest {key} digest mismatch: stored body hashes to {actual}"
-                )));
+        let sidecar = self.store.get_object(MANIFEST_BUCKET, &digest_key).ok();
+        // Both objects byte-equal to a memoized read: hashing and
+        // parsing them again would give the same result.
+        let memoized = self
+            .parsed
+            .read()
+            .get(&key)
+            .filter(|p| p.body == body && p.sidecar == sidecar)
+            .map(|p| p.manifest.clone());
+        let manifest = match memoized {
+            Some(manifest) => manifest,
+            None => {
+                // Verify the stored body against its recorded content
+                // digest — a rotted manifest must surface as corruption,
+                // not parse garbage. No sidecar means verification is
+                // unavailable, never corruption.
+                if let Some(recorded) = &sidecar {
+                    let actual = Digest::of(&body);
+                    if actual.hex().as_bytes() != &recorded[..] {
+                        return Err(RegistryError::CorruptManifest(format!(
+                            "manifest {key} digest mismatch: stored body hashes to {actual}"
+                        )));
+                    }
+                }
+                let manifest: ImageManifest = serde_json::from_slice(&body)
+                    .map_err(|e| RegistryError::CorruptManifest(e.to_string()))?;
+                let parsed = ParsedManifest { body, sidecar, manifest: manifest.clone() };
+                let mut memo = self.parsed.write();
+                if memo.len() >= PARSE_MEMO_KEYS && !memo.contains_key(&key) {
+                    memo.clear();
+                }
+                memo.insert(key, parsed);
+                manifest
             }
-        }
-        let manifest: ImageManifest = serde_json::from_slice(&body)
-            .map_err(|e| RegistryError::CorruptManifest(e.to_string()))?;
+        };
         if manifest.platform != platform {
             return Err(RegistryError::PlatformMismatch {
                 reference: reference.canonical(),
@@ -261,7 +332,7 @@ impl ManifestSource for RegionalRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{find_entry, paper_catalog};
+    use crate::catalog::{find_entry, paper_catalog, REGIONAL_HOST};
 
     #[test]
     fn resolve_round_trips_through_object_store() {
@@ -320,24 +391,158 @@ mod tests {
         assert!(repos.iter().all(|r| r.starts_with("aau/")));
     }
 
-    #[test]
-    fn resolve_detects_manifest_bitrot() {
-        let reg = RegionalRegistry::with_paper_catalog();
-        let r = Reference::new("dcloud2.itec.aau.at", "aau/vp-frame", "amd64");
-        // Healthy resolve first.
-        reg.resolve(&r, Platform::Amd64).unwrap();
-        // Rot the stored manifest body (still valid JSON so only the
-        // digest check can catch it).
-        let key = "manifests/aau/vp-frame/amd64";
-        let body = reg.store().get_object("registry-manifests", key).unwrap();
+    const FRAME_KEY: &str = "manifests/aau/vp-frame/amd64";
+    const FRAME_SIDECAR: &str = "digests/aau/vp-frame/amd64";
+
+    fn frame() -> Reference {
+        Reference::new("dcloud2.itec.aau.at", "aau/vp-frame", "amd64")
+    }
+
+    /// Rewrite vp-frame's stored amd64 body with one hex digit of a
+    /// digest flipped: still valid JSON, so only the digest check can
+    /// tell it from the pushed body.
+    fn rot_frame_body(reg: &RegionalRegistry) {
+        let body = reg.store().get_object(MANIFEST_BUCKET, FRAME_KEY).unwrap();
         let mut rotted = body.to_vec();
         let flip = rotted.iter().position(|&b| b == b'a').unwrap();
         rotted[flip] = b'b';
-        reg.store().put_object("registry-manifests", key, bytes::Bytes::from(rotted)).unwrap();
+        reg.store().put_object(MANIFEST_BUCKET, FRAME_KEY, Bytes::from(rotted)).unwrap();
+    }
+
+    /// Resolve vp-frame twice and check the second read found a memo
+    /// entry for the stored bytes.
+    fn warm_frame(reg: &RegionalRegistry) -> ImageManifest {
+        let cold = reg.resolve(&frame(), Platform::Amd64).unwrap();
+        assert!(reg.parsed.read().contains_key(FRAME_KEY), "first resolve memoizes its parse");
+        let warm = reg.resolve(&frame(), Platform::Amd64).unwrap();
+        assert_eq!(warm, cold);
+        warm
+    }
+
+    /// Every object of every bucket as `(bucket, key, bytes, etag)`.
+    fn objects(reg: &RegionalRegistry) -> Vec<(String, String, Bytes, u64)> {
+        let store = reg.store();
+        let mut out = Vec::new();
+        for bucket in store.list_buckets() {
+            for meta in store.list_objects(&bucket, "").unwrap() {
+                let data = store.get_object(&bucket, &meta.key).unwrap();
+                out.push((bucket.clone(), meta.key, data, meta.etag));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn resolve_detects_manifest_bitrot() {
+        let reg = RegionalRegistry::with_paper_catalog();
+        // Healthy resolves first: the second is served by the memo.
+        warm_frame(&reg);
+        rot_frame_body(&reg);
         assert!(matches!(
-            reg.resolve(&r, Platform::Amd64).unwrap_err(),
+            reg.resolve(&frame(), Platform::Amd64).unwrap_err(),
             RegistryError::CorruptManifest(_)
         ));
+        // The error was not memoized, and neither was the rotted body.
+        assert!(reg.resolve(&frame(), Platform::Amd64).is_err());
+    }
+
+    #[test]
+    fn removed_sidecar_after_a_hit_is_honoured() {
+        let reg = RegionalRegistry::with_paper_catalog();
+        let pushed = warm_frame(&reg);
+        reg.store().delete_object(MANIFEST_BUCKET, FRAME_SIDECAR).unwrap();
+        assert_eq!(reg.resolve(&frame(), Platform::Amd64).unwrap(), pushed);
+        // Without a sidecar the rotted body resolves unverified — as the
+        // rotted manifest, never as the memoized parse of the old body.
+        rot_frame_body(&reg);
+        let unverified = reg.resolve(&frame(), Platform::Amd64).unwrap();
+        assert_ne!(unverified, pushed);
+        let body = reg.store().get_object(MANIFEST_BUCKET, FRAME_KEY).unwrap();
+        assert_eq!(unverified, serde_json::from_slice::<ImageManifest>(&body).unwrap());
+    }
+
+    #[test]
+    fn rewritten_sidecar_after_a_hit_is_honoured() {
+        let reg = RegionalRegistry::with_paper_catalog();
+        let pushed = warm_frame(&reg);
+        let recorded = reg.store().get_object(MANIFEST_BUCKET, FRAME_SIDECAR).unwrap();
+        let wrong = Digest::of(b"some other body").hex().as_bytes().to_vec();
+        reg.store().put_object(MANIFEST_BUCKET, FRAME_SIDECAR, Bytes::from(wrong)).unwrap();
+        assert!(matches!(
+            reg.resolve(&frame(), Platform::Amd64).unwrap_err(),
+            RegistryError::CorruptManifest(_)
+        ));
+        // Restoring the recorded digest verifies again.
+        reg.store().put_object(MANIFEST_BUCKET, FRAME_SIDECAR, recorded).unwrap();
+        assert_eq!(reg.resolve(&frame(), Platform::Amd64).unwrap(), pushed);
+    }
+
+    #[test]
+    fn a_forks_tag_changes_neither_serve_nor_poison_the_original() {
+        let original = RegionalRegistry::with_paper_catalog();
+        let pushed = warm_frame(&original);
+        let mut deleting = original.fork();
+        deleting.resolve(&frame(), Platform::Amd64).unwrap();
+        deleting.delete_manifest("aau/vp-frame", "amd64").unwrap();
+        assert!(matches!(
+            deleting.resolve(&frame(), Platform::Amd64).unwrap_err(),
+            RegistryError::ManifestNotFound(_)
+        ));
+        assert_eq!(original.resolve(&frame(), Platform::Amd64).unwrap(), pushed);
+
+        // Re-push the tag with another image's amd64 manifest.
+        let cat = paper_catalog();
+        let other = find_entry(&cat, "text-processing", "la-score").unwrap();
+        let replacement = other.manifest(Platform::Amd64).clone();
+        let mut repushing = original.fork();
+        repushing.push_manifest("aau/vp-frame", "amd64", &replacement).unwrap();
+        for _ in 0..2 {
+            assert_eq!(repushing.resolve(&frame(), Platform::Amd64).unwrap(), replacement);
+            assert_eq!(original.resolve(&frame(), Platform::Amd64).unwrap(), pushed);
+        }
+    }
+
+    #[test]
+    fn gc_on_a_fork_leaves_source_and_sibling_unchanged() {
+        let source = RegionalRegistry::with_paper_catalog();
+        let before = objects(&source);
+        let sibling = source.fork();
+        let mut fork = source.fork();
+        fork.delete_manifest("aau/vp-transcode", "amd64").unwrap();
+        fork.delete_manifest("aau/vp-transcode", "arm64").unwrap();
+        let report = crate::gc::collect(&mut fork).unwrap();
+        assert!(report.swept > 0);
+        assert_ne!(objects(&fork), before);
+        assert_eq!(objects(&source), before);
+        assert_eq!(objects(&sibling), before);
+        assert_eq!(source.store().used(), sibling.store().used());
+        assert!(fork.store().used() < source.store().used());
+    }
+
+    #[test]
+    fn parse_memo_stays_bounded() {
+        let mut reg = RegionalRegistry::new(REGIONAL_HOST, ObjectStore::paper_default());
+        for i in 0..PARSE_MEMO_KEYS + 8 {
+            let repo = format!("gen/app-{i}");
+            let size = DataSize::megabytes(1.0);
+            let manifest = ImageManifest::synthetic(&repo, Platform::Amd64, &[(&repo, size)]);
+            reg.push_manifest(&repo, "amd64", &manifest).unwrap();
+            let r = Reference::new(REGIONAL_HOST, &repo, "amd64");
+            assert_eq!(reg.resolve(&r, Platform::Amd64).unwrap(), manifest);
+            assert!(reg.parsed.read().len() <= PARSE_MEMO_KEYS);
+        }
+    }
+
+    #[test]
+    fn build_once_catalog_equals_a_from_scratch_build() {
+        let scratch = RegionalRegistry::publish_paper_catalog();
+        for reg in [RegionalRegistry::with_paper_catalog(), RegionalRegistry::with_paper_catalog()]
+        {
+            assert_eq!(reg.host, scratch.host);
+            assert_eq!(objects(&reg), objects(&scratch));
+            assert_eq!(reg.store().used(), scratch.store().used());
+            assert_eq!(reg.store().capacity(), scratch.store().capacity());
+        }
     }
 
     #[test]

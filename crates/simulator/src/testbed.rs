@@ -41,6 +41,7 @@ use deep_registry::{
     Reference, RegionalRegistry, Registry, RegistryMesh, SourceParams,
 };
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 /// Device id of the Intel i7-7700 "medium" device.
 pub const DEVICE_MEDIUM: DeviceId = DeviceId(0);
@@ -499,7 +500,8 @@ pub struct RegionalMirror {
 }
 
 impl RegionalMirror {
-    /// An independent deep copy (registry storage forked, not shared).
+    /// An independent copy (registry storage forked copy-on-write, never
+    /// aliased).
     pub fn fork(&self) -> RegionalMirror {
         RegionalMirror {
             choice: self.choice,
@@ -532,8 +534,23 @@ pub struct Testbed {
     /// under it.
     pub fault_model: FaultModel,
     /// `(application, microservice)` → catalog entry, for reference lookup
-    /// by the executor.
-    pub(crate) entries: HashMap<(String, String), CatalogEntry>,
+    /// by the executor. Shared copy-on-write between replicas.
+    pub(crate) entries: Arc<CatalogEntries>,
+}
+
+/// `(application, microservice)` → catalog entry.
+type CatalogEntries = HashMap<(String, String), CatalogEntry>;
+
+/// The Table I catalog keyed for [`Testbed::entry`], built once per
+/// process and shared by every paper-based testbed until one of them
+/// publishes or replaces an entry.
+fn paper_entries() -> Arc<CatalogEntries> {
+    static ENTRIES: OnceLock<Arc<CatalogEntries>> = OnceLock::new();
+    let entries = ENTRIES.get_or_init(|| {
+        let catalog = deep_registry::paper_catalog().into_iter();
+        Arc::new(catalog.map(|e| ((e.application.clone(), e.microservice.clone()), e)).collect())
+    });
+    Arc::clone(entries)
 }
 
 impl Testbed {
@@ -549,7 +566,12 @@ impl Testbed {
         Self::with_params(TestbedParams::default())
     }
 
-    /// The paper testbed with custom link parameters (for sweeps).
+    /// The paper testbed with custom link parameters (for sweeps). Its
+    /// registries and catalog entries start as copy-on-write views of
+    /// the process-wide catalog prototypes
+    /// ([`HubRegistry::with_paper_catalog`],
+    /// [`RegionalRegistry::with_paper_catalog`]), so a build publishes
+    /// nothing.
     pub fn with_params(params: TestbedParams) -> Self {
         let medium = SimDevice::new(
             DEVICE_MEDIUM,
@@ -585,10 +607,6 @@ impl Testbed {
         )
         .with_base_speed_factor(3.0);
 
-        let entries = deep_registry::paper_catalog()
-            .into_iter()
-            .map(|e| ((e.application.clone(), e.microservice.clone()), e))
-            .collect();
         Testbed {
             devices: vec![medium, small],
             hub: HubRegistry::with_paper_catalog(),
@@ -597,7 +615,7 @@ impl Testbed {
             peer_plane: PeerPlane::default(),
             params,
             fault_model: FaultModel::default(),
-            entries,
+            entries: paper_entries(),
         }
     }
 
@@ -720,7 +738,8 @@ impl Testbed {
     /// Replace (or insert) the catalog entry used for reference lookup —
     /// ablation hooks re-publish variant images under the same keys.
     pub fn replace_entry(&mut self, entry: CatalogEntry) {
-        self.entries.insert((entry.application.clone(), entry.microservice.clone()), entry);
+        let key = (entry.application.clone(), entry.microservice.clone());
+        Arc::make_mut(&mut self.entries).insert(key, entry);
     }
 
     /// Publish single-layer images for every microservice of a non-catalog
@@ -739,7 +758,7 @@ impl Testbed {
             for mirror in &mut self.mirrors {
                 mirror.registry.publish(&entry).expect("synthetic publish fits mirror capacity");
             }
-            self.entries.insert(key, entry);
+            Arc::make_mut(&mut self.entries).insert(key, entry);
         }
     }
 
@@ -756,9 +775,14 @@ impl Testbed {
             id < REGISTRY_PEER_BASE,
             "mirror ids exhausted the range below the per-holder peer sources"
         );
+        // The prototype already holds the unmodified Table I entries
+        // byte for byte; publish only what differs from it.
         let mut registry = RegionalRegistry::with_paper_catalog();
-        for entry in self.entries.values() {
-            registry.publish(entry).expect("mirror capacity fits the published catalog");
+        let paper = paper_entries();
+        for (key, entry) in self.entries.iter() {
+            if paper.get(key) != Some(entry) {
+                registry.publish(entry).expect("mirror capacity fits the published catalog");
+            }
         }
         let choice = RegistryChoice::mesh(id);
         self.mirrors.push(RegionalMirror { choice, registry, download_bw, overhead });
@@ -935,11 +959,13 @@ impl Testbed {
         &mut self.devices[id.0]
     }
 
-    /// An independent deep copy of the whole testbed: devices, caches,
-    /// registries and mirrors (storage *forked*, never shared —
-    /// chaos events delete tags and GC blobs, so replications running in
-    /// parallel must not alias registry state), peer plane, fault model
-    /// and catalog entries. Two replicas evolve with no cross-talk.
+    /// An independent copy of the whole testbed: devices and caches are
+    /// deep-copied; registries, mirrors and catalog entries are shared
+    /// copy-on-write (registry storage is *forked*, never aliased —
+    /// chaos events delete tags and GC blobs, and each such write copies
+    /// the touched bucket or map first, so no replica sees another's
+    /// writes); peer plane and fault model are cloned. Two replicas
+    /// evolve with no cross-talk.
     pub fn replica(&self) -> Testbed {
         Testbed {
             devices: self.devices.clone(),
@@ -949,7 +975,7 @@ impl Testbed {
             params: self.params,
             peer_plane: self.peer_plane.clone(),
             fault_model: self.fault_model.clone(),
-            entries: self.entries.clone(),
+            entries: Arc::clone(&self.entries),
         }
     }
 
@@ -1065,6 +1091,60 @@ mod tests {
             .pull(&reference, Platform::Amd64, &mut cache)
             .expect("mirror serves generated workloads");
         assert!(out.downloaded > DataSize::ZERO);
+    }
+
+    /// Every object of a registry's store as `(bucket, key, bytes, etag)`.
+    fn objects(reg: &RegionalRegistry) -> Vec<(String, String, Vec<u8>, u64)> {
+        let store = reg.store();
+        let mut out = Vec::new();
+        for bucket in store.list_buckets() {
+            for meta in store.list_objects(&bucket, "").unwrap() {
+                let data = store.get_object(&bucket, &meta.key).unwrap();
+                out.push((bucket.clone(), meta.key, data.to_vec(), meta.etag));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn mirrors_equal_a_full_republication() {
+        let mut t = Testbed::paper();
+        t.publish_application(&deep_dataflow::DagGenerator::default().generate(7));
+        let mut variant = t.entry("text-processing", "retrieve").unwrap().clone();
+        variant.manifests.iter_mut().for_each(|m| m.layers.truncate(1));
+        t.replace_entry(variant);
+        let mirror = t.add_regional_mirror(Bandwidth::megabytes_per_sec(9.5), Seconds::new(5.0));
+        // The oracle publishes every entry, unmodified catalog rows included.
+        let mut scratch = RegionalRegistry::with_paper_catalog();
+        for entry in t.entries.values() {
+            scratch.publish(entry).unwrap();
+        }
+        let built = &t.mirror(mirror).unwrap().registry;
+        assert_eq!(objects(built), objects(&scratch));
+        assert_eq!(built.store().used(), scratch.store().used());
+    }
+
+    #[test]
+    fn replica_writes_stay_on_the_replica() {
+        let source = Testbed::paper();
+        let before = objects(&source.regional);
+        let sibling = source.replica();
+        let mut replica = source.replica();
+        let app = deep_dataflow::DagGenerator::default().generate(7);
+        replica.publish_application(&app);
+        replica.regional.delete_manifest("aau/vp-frame", "amd64").unwrap();
+        deep_registry::gc_collect(&mut replica.regional).unwrap();
+        let ms = &app.microservice(deep_dataflow::MicroserviceId(0)).name;
+        let frame = Reference::new(deep_registry::catalog::REGIONAL_HOST, "aau/vp-frame", "amd64");
+        assert!(replica.entry(app.name(), ms).is_some());
+        assert!(replica.regional.resolve(&frame, Platform::Amd64).is_err());
+        assert_eq!(replica.hub.repositories().len(), 12 + app.ids().count());
+        for tb in [&source, &sibling] {
+            assert_eq!(objects(&tb.regional), before);
+            assert!(tb.regional.resolve(&frame, Platform::Amd64).is_ok());
+            assert!(tb.entry(app.name(), ms).is_none());
+            assert_eq!(tb.hub.repositories().len(), 12);
+        }
     }
 
     #[test]
