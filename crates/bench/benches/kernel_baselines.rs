@@ -1,7 +1,7 @@
-//! Seed-kernel baselines: verbatim copies of the pre-optimisation
-//! byte-at-a-time GF(2^8) multiply-accumulate and per-block-schedule
-//! SHA-256, benchmarked beside the optimised kernels so the speedup ratio
-//! in PERF.md is reproducible on any machine with one command:
+//! Seed-kernel baseline: a verbatim copy of the pre-optimisation
+//! per-block-schedule SHA-256, benchmarked beside the optimised kernel so
+//! the speedup ratio in PERF.md is reproducible on any machine with one
+//! command:
 //!
 //! ```text
 //! cargo bench -p deep-bench --bench kernel_baselines
@@ -9,41 +9,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
-
-// ---- seed GF(2^8): log/exp tables, per-byte zero test ------------------
-
-struct Gf256Tables {
-    log: [u8; 256],
-    exp: [u8; 512],
-}
-
-#[allow(clippy::needless_range_loop)] // `i` indexes `exp` and `log` together
-fn gf_tables() -> Gf256Tables {
-    let mut log = [0u8; 256];
-    let mut exp = [0u8; 512];
-    let mut x: u16 = 1;
-    for i in 0..255 {
-        exp[i] = x as u8;
-        log[x as usize] = i as u8;
-        x <<= 1;
-        if x & 0x100 != 0 {
-            x ^= 0x11d;
-        }
-    }
-    for i in 255..512 {
-        exp[i] = exp[i - 255];
-    }
-    Gf256Tables { log, exp }
-}
-
-fn seed_mul_acc(t: &Gf256Tables, dst: &mut [u8], src: &[u8], c: u8) {
-    let lc = t.log[c as usize] as usize;
-    for (d, s) in dst.iter_mut().zip(src) {
-        if *s != 0 {
-            *d ^= t.exp[lc + t.log[*s as usize] as usize];
-        }
-    }
-}
 
 // ---- seed SHA-256: full 64-word schedule per block ---------------------
 
@@ -120,67 +85,6 @@ fn buf(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
-fn bench_seed_gf(c: &mut Criterion) {
-    let len = 1 << 20;
-    let tables = gf_tables();
-    let src = buf(len, 1);
-    let mut dst = buf(len, 2);
-    let mut group = c.benchmark_group("seed_baseline");
-    group.throughput(Throughput::Bytes(len as u64));
-    group.bench_function("gf256_mul_acc_1MiB", |b| {
-        b.iter(|| {
-            seed_mul_acc(&tables, black_box(&mut dst), black_box(&src), 0x8e);
-            black_box(dst[0])
-        })
-    });
-    group.finish();
-}
-
-fn bench_seed_rs_encode(c: &mut Criterion) {
-    // The seed's RS encode inner work — scalar mul_acc over every
-    // (parity row × data shard) pair — on pre-split reused shard buffers,
-    // i.e. the same workload shape as the optimised `rs_encode_1MiB`
-    // bench. The `rs_encode_1MiB` / `seed_baseline/rs_encode_1MiB` ratio
-    // is the like-for-like kernel speedup.
-    let data = buf(1 << 20, 9);
-    let tables = gf_tables();
-    let mut group = c.benchmark_group("seed_baseline/rs_encode_1MiB");
-    group.throughput(Throughput::Bytes(data.len() as u64));
-    for (k, m) in [(4usize, 2usize), (8, 4), (12, 4)] {
-        let coder = deep_objectstore::ErasureCoder::new(k, m).unwrap();
-        let shard_len = coder.shard_len(data.len());
-        // Vandermonde-derived parity coefficients, same as the coder's.
-        let rows: Vec<Vec<u8>> =
-            (0..m).map(|p| (0..k).map(|j| ((p * k + j) % 254 + 2) as u8).collect()).collect();
-        let data_shards: Vec<Vec<u8>> = (0..k)
-            .map(|i| {
-                let start = (i * shard_len).min(data.len());
-                let end = (start + shard_len).min(data.len());
-                let mut s = data[start..end].to_vec();
-                s.resize(shard_len, 0);
-                s
-            })
-            .collect();
-        let mut parity: Vec<Vec<u8>> = vec![vec![0u8; shard_len]; m];
-        group.bench_with_input(
-            criterion::BenchmarkId::from_parameter(format!("{k}+{m}")),
-            &k,
-            |b, _| {
-                b.iter(|| {
-                    for (p, row) in parity.iter_mut().zip(&rows) {
-                        p.fill(0);
-                        for (shard, &coef) in data_shards.iter().zip(row) {
-                            seed_mul_acc(&tables, p, shard, coef);
-                        }
-                    }
-                    black_box(parity[0][0])
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_seed_sha(c: &mut Criterion) {
     let len = 1 << 20;
     let data = buf(len, 3);
@@ -192,5 +96,5 @@ fn bench_seed_sha(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_seed_gf, bench_seed_rs_encode, bench_seed_sha);
+criterion_group!(benches, bench_seed_sha);
 criterion_main!(benches);

@@ -9,8 +9,8 @@
 //!   Run e.g. `cargo run -p deep-bench --bin repro_table3 --release`.
 //! * **criterion benches** (in `benches/`) measure the substrates and the
 //!   scheduler itself, including the ablations listed in DESIGN.md:
-//!   `nash_solvers`, `sha256`, `erasure_coding`,
-//!   `registry_pull`, `scheduler_comparison`, `dag_ops`, `energy_models`.
+//!   `nash_solvers`, `sha256`, `registry_pull`, `scheduler_comparison`,
+//!   `dag_ops`, `energy_models`.
 
 use deep_core::Experiments;
 

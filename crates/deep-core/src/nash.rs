@@ -254,7 +254,7 @@ pub struct RepairOutcome {
 /// order and the flat payoff grid. One workspace serves a whole
 /// [`Scheduler::schedule`] call across members and waves; steady state
 /// allocates nothing (asserted in this module's tests via
-/// capacity/pointer stability, the gf256 idiom).
+/// capacity/pointer stability).
 #[derive(Debug, Default)]
 struct FleetWorkspace {
     /// Admissible devices of the member being solved.
@@ -968,8 +968,10 @@ mod tests {
     fn fleet_workspace_reuses_buffers_across_solves() {
         // The hot fleet loop must not allocate in steady state: after a
         // warm solve has sized the workspace, a second solve through the
-        // same workspace reuses every buffer in place (the `gf256`
-        // fingerprint idiom — pointer and capacity both pinned). The
+        // same workspace reuses every buffer in place (the fingerprint
+        // idiom of the congestion game's
+        // `sparse_descent_reuses_workspace_buffers` — pointer and capacity
+        // both pinned). The
         // warm fleet's pruned scans fill the floor and order buffers too.
         let (fleet, fleet_app, fleet_sched) = admit_shaped_fleet(40);
         let cases = [

@@ -421,8 +421,7 @@ impl<'a> CongestionGame<'a> {
 ///
 /// A fresh default workspace works for any game; reusing one across solves
 /// of same-shaped games reaches a zero-allocation steady state (asserted in
-/// this module's tests the way `gf256`'s encode-into test pins buffer
-/// reuse).
+/// this module's tests by pinning each buffer's pointer and capacity).
 #[derive(Debug, Default)]
 pub struct DescentWorkspace {
     /// Live per-resource loads for the current profile.
@@ -867,8 +866,8 @@ mod tests {
     fn sparse_descent_reuses_workspace_buffers() {
         // Steady state must be allocation-free: after a warm-up solve, a
         // second solve on the same-shaped game must leave every workspace
-        // buffer's pointer and capacity untouched (the gf256 encode-into
-        // idiom — capacity/pointer stability instead of an allocator hook).
+        // buffer's pointer and capacity untouched (capacity/pointer
+        // stability instead of an allocator hook).
         let g = randomish_game(7);
         let start: Vec<usize> = vec![0; g.players()];
         let mut ws = DescentWorkspace::new();

@@ -609,8 +609,9 @@ mod tests {
 
     #[test]
     fn unchanged_fleet_rounds_reuse_the_workspace_in_place() {
-        // The gf256 fingerprint idiom: after a warm round has sized the
-        // partner scratch, steady-state rounds reuse it in place.
+        // The fingerprint idiom of the congestion game's
+        // `sparse_descent_reuses_workspace_buffers`: after a warm round has
+        // sized the partner scratch, steady-state rounds reuse it in place.
         let mut state = advertised_fleet(32, 9);
         state.run_rounds(16, 3);
         assert!(state.converged());

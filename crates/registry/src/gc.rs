@@ -7,6 +7,10 @@
 //! requirements"). The collector marks every blob reachable from a live
 //! manifest and sweeps the rest, exactly like `registry garbage-collect`
 //! in the reference Docker registry.
+//!
+//! Its one product caller is the executor's `ChaosKind::RegistryGc` chaos
+//! event (in `deep-simulator`), which `scenarios/soak_smoke.toml` scripts
+//! as a `registry-gc` event of its chaos timeline.
 
 use crate::digest::Digest;
 use crate::manifest::ImageManifest;

@@ -577,4 +577,51 @@ mod tests {
         reg.publish(entry).unwrap();
         assert_eq!(reg.store().used(), before, "re-publish replaces, not duplicates");
     }
+
+    #[test]
+    fn quota_exceeded_surfaces_through_publish_and_keeps_earlier_tags() {
+        // A store of a few KB fills within the first Table I entries. The
+        // sweep moves the point where the quota bites across blob
+        // descriptors, manifest bodies and digest sidecars.
+        let cat = paper_catalog();
+        for capacity in (1_024..8_192).step_by(97) {
+            let store = ObjectStore::with_capacity(DataSize::bytes(capacity));
+            let mut reg = RegionalRegistry::new(REGIONAL_HOST, store);
+            let mut published = Vec::new();
+            let (failed, err) = cat
+                .iter()
+                .find_map(|entry| match reg.publish(entry) {
+                    Ok(()) => {
+                        published.push(entry);
+                        None
+                    }
+                    Err(e) => Some((entry, e)),
+                })
+                .expect("a few KB cannot hold the Table I catalog");
+            assert!(
+                matches!(err, RegistryError::Storage(StoreError::QuotaExceeded { .. })),
+                "capacity {capacity}: {err:?}"
+            );
+            for entry in &published {
+                for m in &entry.manifests {
+                    let r =
+                        Reference::new(REGIONAL_HOST, &entry.regional_repository, m.platform.tag());
+                    assert_eq!(reg.resolve(&r, m.platform).unwrap(), *m, "capacity {capacity}");
+                }
+            }
+            // The failed publish never leaves a tag that reads as anything
+            // but its complete pushed manifest.
+            for m in &failed.manifests {
+                let r =
+                    Reference::new(REGIONAL_HOST, &failed.regional_repository, m.platform.tag());
+                match reg.resolve(&r, m.platform) {
+                    Ok(got) => assert_eq!(got, *m, "capacity {capacity}"),
+                    Err(e) => {
+                        assert!(matches!(e, RegistryError::ManifestNotFound(_)), "{e:?}")
+                    }
+                }
+            }
+            assert!(reg.store().used() <= reg.store().capacity(), "capacity {capacity}");
+        }
+    }
 }

@@ -13,7 +13,7 @@
 //! | [`dataflow`] | `deep-dataflow` | DAG application model (Fig. 2 case studies) |
 //! | [`netsim`] | `deep-netsim` | typed units, device/registry ids, transfer time, gossip |
 //! | [`energy`] | `deep-energy` | power models, RAPL emulation, wall meter |
-//! | [`objectstore`] | `deep-objectstore` | MinIO-like S3 store w/ erasure coding |
+//! | [`objectstore`] | `deep-objectstore` | MinIO-like S3 store: buckets, ETags, quota |
 //! | [`registry`] | `deep-registry` | Docker Hub + regional registries, pull path |
 //! | [`game`] | `deep-game` | Nash-equilibrium toolkit (Nashpy replacement) |
 //! | [`simulator`] | `deep-simulator` | discrete-event two-device testbed |

@@ -4,7 +4,6 @@ use deep::core::{calibration, DeepScheduler, Scheduler};
 use deep::dataflow::{stages, DagGenerator};
 use deep::game::{support_enumeration, Bimatrix, Matrix};
 use deep::netsim::{Bandwidth, DataSize};
-use deep::objectstore::ErasureCoder;
 use deep::registry::sha256::{sha256, Sha256};
 use deep::simulator::{execute, ExecutorConfig};
 use proptest::prelude::*;
@@ -55,32 +54,6 @@ proptest! {
         h.update(&data[..split]);
         h.update(&data[split..]);
         prop_assert_eq!(h.finalize(), sha256(&data));
-    }
-
-    /// Reed–Solomon: any loss pattern within the parity budget decodes
-    /// bit-exactly.
-    #[test]
-    fn erasure_decodes_any_tolerable_loss(
-        data in proptest::collection::vec(any::<u8>(), 1..4096),
-        k in 2usize..6,
-        m in 1usize..4,
-        loss_seed in any::<u64>()
-    ) {
-        let coder = ErasureCoder::new(k, m).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> =
-            coder.encode(&data).into_iter().map(Some).collect();
-        // Deterministically drop up to m shards.
-        let mut rng = loss_seed;
-        let mut dropped = 0;
-        while dropped < m {
-            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let idx = (rng >> 33) as usize % shards.len();
-            if shards[idx].is_some() {
-                shards[idx] = None;
-                dropped += 1;
-            }
-        }
-        prop_assert_eq!(coder.decode(&shards, data.len()).unwrap(), data);
     }
 
     /// Every equilibrium reported by support enumeration verifies as a
