@@ -5,12 +5,19 @@
 //! reads bytes its lineage already verified (parse memo hit: two store
 //! reads and a byte compare), `regional_cold` a fresh lineage over the
 //! same stored objects each iteration (SHA-256 verify plus JSON parse).
+//!
+//! `gc/paper_fork` is the chaos replays' `registry-gc` event: a
+//! mark-and-sweep over a fork of the paper catalog registry, whose
+//! manifests its lineage already verified (marks read through the parse
+//! memo). `has_blob/regional` asks the regional registry for every layer
+//! of one manifest plus one absent digest.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use deep_netsim::{Bandwidth, DataSize, Seconds};
 use deep_registry::catalog::REGIONAL_HOST;
 use deep_registry::{
-    HubRegistry, LayerCache, ManifestSource, Platform, PullPlanner, Reference, RegionalRegistry,
+    gc_collect, BlobSource, Digest, HubRegistry, LayerCache, ManifestSource, Platform, PullPlanner,
+    Reference, RegionalRegistry,
 };
 use std::hint::black_box;
 
@@ -93,5 +100,38 @@ fn bench_regional_resolve(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pull_paths, bench_catalog_wide_pull, bench_regional_resolve);
+fn bench_regional_gc(c: &mut Criterion) {
+    let reg = RegionalRegistry::with_paper_catalog();
+    let mut group = c.benchmark_group("gc");
+    group.bench_function("paper_fork", |b| {
+        b.iter(|| {
+            let mut fork = reg.fork();
+            black_box(gc_collect(&mut fork).unwrap())
+        })
+    });
+    group.finish();
+}
+
+fn bench_regional_has_blob(c: &mut Criterion) {
+    let reg = RegionalRegistry::with_paper_catalog();
+    let r = Reference::new(REGIONAL_HOST, "aau/vp-ha-train", "amd64");
+    let mut digests: Vec<Digest> =
+        reg.resolve(&r, Platform::Amd64).unwrap().layers.into_iter().map(|l| l.digest).collect();
+    digests.push(Digest::of(b"absent layer"));
+    let mut group = c.benchmark_group("has_blob");
+    group.bench_function("regional", |b| {
+        b.iter(|| digests.iter().filter(|d| reg.has_blob(black_box(d))).count())
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_pull_paths,
+    bench_catalog_wide_pull,
+    bench_regional_resolve,
+    bench_regional_gc,
+    bench_regional_has_blob
+);
+
 criterion_main!(benches);

@@ -215,6 +215,13 @@ impl ObjectStore {
             .ok_or_else(|| StoreError::NoSuchKey(key.to_string()))
     }
 
+    /// Whether `bucket` holds `key`: [`ObjectStore::head_object`]`.is_ok()`
+    /// without building an [`ObjectMeta`] (no allocation), for callers
+    /// that only test presence.
+    pub fn contains_object(&self, bucket: &str, key: &str) -> bool {
+        self.inner.read().buckets.get(bucket).is_some_and(|b| b.objects.contains_key(key))
+    }
+
     /// Delete an object.
     pub fn delete_object(&self, bucket: &str, key: &str) -> Result<(), StoreError> {
         let mut inner = self.inner.write();
@@ -430,8 +437,9 @@ mod tests {
 
         /// Random put / replace / delete / fork sequences: every store's
         /// running `used()` equals a recomputed sum, every outcome (quota
-        /// errors included) equals the reference model's, and every
-        /// store holds exactly its model's objects.
+        /// errors included) equals the reference model's, every store
+        /// holds exactly its model's objects, and `contains_object`
+        /// answers `head_object(..).is_ok()` for every key.
         #[test]
         fn running_usage_matches_a_recomputed_reference(
             ops in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..160),
@@ -470,6 +478,19 @@ mod tests {
                 }
                 for (s, m) in &stores {
                     proptest::prop_assert_eq!(s.used(), DataSize::bytes(m.used()));
+                    for bucket in BUCKETS {
+                        for k in 0..6 {
+                            let key = format!("k{k}");
+                            proptest::prop_assert_eq!(
+                                s.contains_object(bucket, &key),
+                                s.head_object(bucket, &key).is_ok()
+                            );
+                            proptest::prop_assert_eq!(
+                                s.contains_object(bucket, &key),
+                                m.objects.contains_key(&(bucket.to_string(), key))
+                            );
+                        }
+                    }
                     let held: BTreeMap<(String, String), Vec<u8>> = snapshot(s)
                         .into_iter()
                         .map(|(b, k, data, _)| ((b, k), data.to_vec()))

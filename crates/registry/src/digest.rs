@@ -32,6 +32,14 @@ impl Digest {
         format!("sha256:{}", self.0)
     }
 
+    /// A digest from its bare hex, as [`Digest::hex`] returns it: `None`
+    /// unless it is 64 lowercase hex chars.
+    pub(crate) fn from_hex(hex: &str) -> Option<Self> {
+        let valid = hex.len() == 64
+            && hex.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase());
+        valid.then(|| Digest(hex.to_string()))
+    }
+
     /// Short prefix for human-readable logs (like `docker images` output).
     pub fn short(&self) -> &str {
         &self.0[..12]
@@ -63,11 +71,8 @@ impl FromStr for Digest {
         let hex = s
             .strip_prefix("sha256:")
             .ok_or_else(|| ParseDigestError(format!("{s:?} lacks sha256: prefix")))?;
-        if hex.len() != 64 || !hex.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
-        {
-            return Err(ParseDigestError(format!("{s:?} is not 64 lowercase hex chars")));
-        }
-        Ok(Digest(hex.to_string()))
+        Digest::from_hex(hex)
+            .ok_or_else(|| ParseDigestError(format!("{s:?} is not 64 lowercase hex chars")))
     }
 }
 

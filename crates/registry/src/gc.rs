@@ -13,7 +13,6 @@
 //! as a `registry-gc` event of its chaos timeline.
 
 use crate::digest::Digest;
-use crate::manifest::ImageManifest;
 use crate::pull::RegistryError;
 use crate::regional::RegionalRegistry;
 use std::collections::HashSet;
@@ -35,11 +34,14 @@ pub fn collect(registry: &mut RegionalRegistry) -> Result<GcReport, RegistryErro
     // Mark: walk every manifest and record referenced digests.
     let mut live: HashSet<Digest> = HashSet::new();
     for (repo, tag) in registry.manifest_keys()? {
-        let manifest: ImageManifest = registry.load_manifest(&repo, &tag)?;
-        live.insert(manifest.config.clone());
-        for l in &manifest.layers {
-            live.insert(l.digest.clone());
-        }
+        registry.with_manifest(&repo, &tag, |manifest| {
+            let layers = manifest.layers.iter().map(|l| &l.digest);
+            for digest in std::iter::once(&manifest.config).chain(layers) {
+                if !live.contains(digest) {
+                    live.insert(digest.clone());
+                }
+            }
+        })?;
     }
     // Sweep: delete blob records whose digest is not marked.
     let mut swept = 0usize;

@@ -15,7 +15,16 @@
 //! keeps the exact body and sidecar bytes it was verified from, and a
 //! resolve reuses its parse only when both stored objects are byte-equal
 //! to them; any other read (a first resolve, a re-pushed tag, bitrot, a
-//! removed or rewritten sidecar) verifies and parses from scratch.
+//! removed or rewritten sidecar) verifies and parses from scratch. Each
+//! memoized manifest has its own [`ImageManifest::digest`] computed once,
+//! at insertion, so every clone a resolve hands out carries it and no pull
+//! re-serializes and re-hashes the manifest.
+//!
+//! Garbage collection marks through the same memo:
+//! [`RegionalRegistry::load_manifest`] reuses a memoized parse whenever the
+//! stored body is byte-equal to the memoized one, and adds a parse of its
+//! own only when the body verifies against its digest sidecar, so the memo
+//! never holds a body no resolve would accept.
 
 use crate::catalog::CatalogEntry;
 use crate::digest::Digest;
@@ -40,8 +49,24 @@ const BLOB_BUCKET: &str = "registry-blobs";
 /// end; at the cap the memo starts over (about 1 KB an entry).
 const PARSE_MEMO_KEYS: usize = 1024;
 
+/// `manifests/<repository>/<tag>`: the object key of a tag's manifest.
+fn manifest_key(repository: &str, tag: &str) -> String {
+    ["manifests/", repository, "/", tag].concat()
+}
+
+/// `digests/<repository>/<tag>`: the object key of its digest sidecar.
+fn sidecar_key(repository: &str, tag: &str) -> String {
+    ["digests/", repository, "/", tag].concat()
+}
+
+/// `blobs/<hex>`: the object key of a blob descriptor.
+fn blob_key(digest: &Digest) -> String {
+    ["blobs/", digest.hex()].concat()
+}
+
 /// One memoized manifest parse: the stored body and digest sidecar it
-/// was verified from, and the manifest the body parses to.
+/// was verified from, and the manifest the body parses to, with its
+/// digest already computed.
 struct ParsedManifest {
     body: Bytes,
     sidecar: Option<Bytes>,
@@ -108,7 +133,12 @@ impl RegionalRegistry {
         }
     }
 
-    /// Publish a catalog entry (both platform manifests).
+    /// Publish a catalog entry (both platform manifests, amd64 first).
+    ///
+    /// Not atomic: an error (say [`StoreError::QuotaExceeded`]) on the
+    /// second manifest leaves the first one's tag published and
+    /// resolvable, and an error inside a push leaves what
+    /// [`RegionalRegistry::push_manifest`] describes.
     pub fn publish(&mut self, entry: &CatalogEntry) -> Result<(), RegistryError> {
         for m in &entry.manifests {
             self.push_manifest(&entry.regional_repository, m.platform.tag(), m)?;
@@ -117,6 +147,12 @@ impl RegionalRegistry {
     }
 
     /// Push one manifest plus its blob descriptors.
+    ///
+    /// Not atomic: an error (say [`StoreError::QuotaExceeded`]) can leave
+    /// part of the push stored. Blob descriptors written before the error
+    /// stay until GC. A push that fails on the digest sidecar, after the
+    /// body was written, leaves the tag resolvable to the new manifest
+    /// *unverified* (no sidecar), while the call returns the error.
     pub fn push_manifest(
         &mut self,
         repository: &str,
@@ -128,7 +164,7 @@ impl RegionalRegistry {
         for l in &manifest.layers {
             let record = serde_json::to_vec(l).expect("descriptor serializes");
             self.store
-                .put_object(BLOB_BUCKET, &format!("blobs/{}", l.digest.hex()), Bytes::from(record))
+                .put_object(BLOB_BUCKET, &blob_key(&l.digest), Bytes::from(record))
                 .map_err(RegistryError::Storage)?;
         }
         let body = serde_json::to_vec(manifest).expect("manifest serializes");
@@ -139,17 +175,13 @@ impl RegionalRegistry {
         // (resolve treats a missing record as "verification unavailable",
         // never as corruption), then the body, then the fresh sidecar.
         let body_digest = Digest::of(&body);
-        let digest_key = format!("digests/{repository}/{tag}");
+        let digest_key = sidecar_key(repository, tag);
         match self.store.delete_object(MANIFEST_BUCKET, &digest_key) {
             Ok(()) | Err(StoreError::NoSuchKey(_)) => {}
             Err(e) => return Err(RegistryError::Storage(e)),
         }
         self.store
-            .put_object(
-                MANIFEST_BUCKET,
-                &format!("manifests/{repository}/{tag}"),
-                Bytes::from(body),
-            )
+            .put_object(MANIFEST_BUCKET, &manifest_key(repository, tag), Bytes::from(body))
             .map_err(RegistryError::Storage)?;
         self.store
             .put_object(
@@ -169,31 +201,71 @@ impl RegionalRegistry {
             .map_err(RegistryError::Storage)?
             .into_iter()
             .filter_map(|m| {
-                let path = m.key.strip_prefix("manifests/")?.to_string();
-                let (repo, tag) = path.rsplit_once('/')?;
+                let (repo, tag) = m.key.strip_prefix("manifests/")?.rsplit_once('/')?;
                 Some((repo.to_string(), tag.to_string()))
             })
             .collect())
     }
 
     /// Load a manifest directly by repository and tag (GC path; bypasses
-    /// host/platform checks).
+    /// host/platform checks and does not verify the body).
+    ///
+    /// Reads through the lineage's parse memo: a stored body byte-equal
+    /// to a memoized one reuses that parse (a parse depends on the body
+    /// alone), digest included. Any other body is parsed, and its parse
+    /// joins the memo only if the body verifies against its digest
+    /// sidecar: the memo holds verified reads only, so a GC pass never
+    /// makes a rotted or unverified body resolvable.
     pub fn load_manifest(
         &self,
         repository: &str,
         tag: &str,
     ) -> Result<ImageManifest, RegistryError> {
-        let key = format!("manifests/{repository}/{tag}");
+        self.with_manifest(repository, tag, ImageManifest::clone)
+    }
+
+    /// [`RegionalRegistry::load_manifest`] lending the parse to `f`
+    /// instead of cloning it: a GC mark reads a few digests of each
+    /// manifest and keeps none of it.
+    pub(crate) fn with_manifest<R>(
+        &self,
+        repository: &str,
+        tag: &str,
+        f: impl FnOnce(&ImageManifest) -> R,
+    ) -> Result<R, RegistryError> {
+        let key = manifest_key(repository, tag);
         let body = self.store.get_object(MANIFEST_BUCKET, &key).map_err(RegistryError::Storage)?;
-        serde_json::from_slice(&body).map_err(|e| RegistryError::CorruptManifest(e.to_string()))
+        if let Some(p) = self.parsed.read().get(&key).filter(|p| p.body == body) {
+            return Ok(f(&p.manifest));
+        }
+        let manifest: ImageManifest = serde_json::from_slice(&body)
+            .map_err(|e| RegistryError::CorruptManifest(e.to_string()))?;
+        let sidecar = self.store.get_object(MANIFEST_BUCKET, &sidecar_key(repository, tag)).ok();
+        if sidecar.as_ref().is_some_and(|s| Digest::of(&body).hex().as_bytes() == &s[..]) {
+            self.memoize(key, body, sidecar, &manifest);
+        }
+        Ok(f(&manifest))
+    }
+
+    /// Insert a verified parse into the memo, computing its digest first
+    /// so every clone handed out carries it. At [`PARSE_MEMO_KEYS`] keys
+    /// the memo starts over.
+    fn memoize(&self, key: String, body: Bytes, sidecar: Option<Bytes>, manifest: &ImageManifest) {
+        manifest.digest();
+        let parsed = ParsedManifest { body, sidecar, manifest: manifest.clone() };
+        let mut memo = self.parsed.write();
+        if memo.len() >= PARSE_MEMO_KEYS && !memo.contains_key(&key) {
+            memo.clear();
+        }
+        memo.insert(key, parsed);
     }
 
     /// Delete a manifest (the tag disappears; blobs stay until GC).
     pub fn delete_manifest(&mut self, repository: &str, tag: &str) -> Result<(), RegistryError> {
-        let key = format!("manifests/{repository}/{tag}");
+        let key = manifest_key(repository, tag);
         self.store.delete_object(MANIFEST_BUCKET, &key).map_err(RegistryError::Storage)?;
         // Integrity sidecar goes with it (absent for pre-digest pushes).
-        match self.store.delete_object(MANIFEST_BUCKET, &format!("digests/{repository}/{tag}")) {
+        match self.store.delete_object(MANIFEST_BUCKET, &sidecar_key(repository, tag)) {
             Ok(()) | Err(StoreError::NoSuchKey(_)) => Ok(()),
             Err(e) => Err(RegistryError::Storage(e)),
         }
@@ -206,23 +278,18 @@ impl RegionalRegistry {
             .list_objects(BLOB_BUCKET, "blobs/")
             .map_err(RegistryError::Storage)?
             .into_iter()
-            .filter_map(|m| {
-                let hex = m.key.strip_prefix("blobs/")?;
-                format!("sha256:{hex}").parse().ok()
-            })
+            .filter_map(|m| Digest::from_hex(m.key.strip_prefix("blobs/")?))
             .collect())
     }
 
     /// Delete one blob record (GC sweep).
     pub fn delete_blob(&mut self, digest: &Digest) -> Result<(), RegistryError> {
-        self.store
-            .delete_object(BLOB_BUCKET, &format!("blobs/{}", digest.hex()))
-            .map_err(RegistryError::Storage)
+        self.store.delete_object(BLOB_BUCKET, &blob_key(digest)).map_err(RegistryError::Storage)
     }
 
     /// Declared size of a stored blob, if present.
     pub fn blob_size(&self, digest: &Digest) -> Option<DataSize> {
-        let bytes = self.store.get_object(BLOB_BUCKET, &format!("blobs/{}", digest.hex())).ok()?;
+        let bytes = self.store.get_object(BLOB_BUCKET, &blob_key(digest)).ok()?;
         let desc: crate::manifest::LayerDescriptor = serde_json::from_slice(&bytes).ok()?;
         Some(desc.size)
     }
@@ -233,8 +300,21 @@ impl BlobSource for RegionalRegistry {
         &self.host
     }
 
+    /// A presence check on `blobs/<hex>`, with the key built on the stack:
+    /// pulls ask it for every layer, and it allocates nothing.
     fn has_blob(&self, digest: &Digest) -> bool {
-        self.store.head_object(BLOB_BUCKET, &format!("blobs/{}", digest.hex())).is_ok()
+        const PREFIX: &[u8] = b"blobs/";
+        let hex = digest.hex().as_bytes();
+        let mut buf = [0u8; PREFIX.len() + 64];
+        let Some(key) = buf.get_mut(..PREFIX.len() + hex.len()) else {
+            // Longer than a SHA-256 hex (only a deserialized digest can
+            // be): build the key on the heap.
+            return self.store.contains_object(BLOB_BUCKET, &blob_key(digest));
+        };
+        key[..PREFIX.len()].copy_from_slice(PREFIX);
+        key[PREFIX.len()..].copy_from_slice(hex);
+        let key = std::str::from_utf8(key).expect("an ASCII prefix and a str are UTF-8");
+        self.store.contains_object(BLOB_BUCKET, key)
     }
 }
 
@@ -259,12 +339,12 @@ impl ManifestSource for RegionalRegistry {
                 got: reference.host.clone(),
             });
         }
-        let key = format!("manifests/{}/{}", reference.repository, reference.tag);
+        let key = manifest_key(&reference.repository, &reference.tag);
         let body = self.store.get_object(MANIFEST_BUCKET, &key).map_err(|e| match e {
             StoreError::NoSuchKey(_) => RegistryError::ManifestNotFound(reference.canonical()),
             other => RegistryError::Storage(other),
         })?;
-        let digest_key = format!("digests/{}/{}", reference.repository, reference.tag);
+        let digest_key = sidecar_key(&reference.repository, &reference.tag);
         let sidecar = self.store.get_object(MANIFEST_BUCKET, &digest_key).ok();
         // Both objects byte-equal to a memoized read: hashing and
         // parsing them again would give the same result.
@@ -291,12 +371,7 @@ impl ManifestSource for RegionalRegistry {
                 }
                 let manifest: ImageManifest = serde_json::from_slice(&body)
                     .map_err(|e| RegistryError::CorruptManifest(e.to_string()))?;
-                let parsed = ParsedManifest { body, sidecar, manifest: manifest.clone() };
-                let mut memo = self.parsed.write();
-                if memo.len() >= PARSE_MEMO_KEYS && !memo.contains_key(&key) {
-                    memo.clear();
-                }
-                memo.insert(key, parsed);
+                self.memoize(key, body, sidecar, &manifest);
                 manifest
             }
         };
@@ -318,8 +393,7 @@ impl ManifestSource for RegionalRegistry {
             .into_iter()
             .filter_map(|m| {
                 // manifests/<repo...>/<tag> — strip prefix and tag.
-                let path = m.key.strip_prefix("manifests/")?.to_string();
-                let (repo, _tag) = path.rsplit_once('/')?;
+                let (repo, _tag) = m.key.strip_prefix("manifests/")?.rsplit_once('/')?;
                 Some(repo.to_string())
             })
             .collect();
@@ -419,9 +493,13 @@ mod tests {
         warm
     }
 
-    /// Every object of every bucket as `(bucket, key, bytes, etag)`.
+    /// Every object of every bucket of `reg`'s store as
+    /// `(bucket, key, bytes, etag)`.
     fn objects(reg: &RegionalRegistry) -> Vec<(String, String, Bytes, u64)> {
-        let store = reg.store();
+        store_objects(reg.store())
+    }
+
+    fn store_objects(store: &ObjectStore) -> Vec<(String, String, Bytes, u64)> {
         let mut out = Vec::new();
         for bucket in store.list_buckets() {
             for meta in store.list_objects(&bucket, "").unwrap() {
@@ -520,6 +598,133 @@ mod tests {
     }
 
     #[test]
+    fn memo_hits_carry_the_digest_of_the_stored_body() {
+        let reg = RegionalRegistry::with_paper_catalog();
+        let warm = warm_frame(&reg);
+        let body = reg.store().get_object(MANIFEST_BUCKET, FRAME_KEY).unwrap();
+        let fresh: ImageManifest = serde_json::from_slice(&body).unwrap();
+        assert_eq!(warm.digest(), Digest::of(&body));
+        assert_eq!(warm.digest(), fresh.digest());
+        // GC's reads hit the same entry.
+        let loaded = reg.load_manifest("aau/vp-frame", "amd64").unwrap();
+        assert_eq!(loaded.digest(), Digest::of(&body));
+
+        // A body that is not canonical JSON (here stored without a
+        // sidecar, so it resolves unverified) still carries the digest of
+        // its canonical form, as a fresh parse does, not of its bytes.
+        let spaced = format!(" {}", std::str::from_utf8(&body).unwrap());
+        let key = "manifests/aau/vp-frame/spaced";
+        reg.store().put_object(MANIFEST_BUCKET, key, Bytes::from(spaced.clone())).unwrap();
+        let r = Reference::new(REGIONAL_HOST, "aau/vp-frame", "spaced");
+        reg.resolve(&r, Platform::Amd64).unwrap();
+        assert!(reg.parsed.read().contains_key(key));
+        let hit = reg.resolve(&r, Platform::Amd64).unwrap();
+        assert_eq!(hit.digest(), fresh.digest());
+        assert_ne!(hit.digest(), Digest::of(spaced.as_bytes()));
+    }
+
+    #[test]
+    fn gc_never_launders_a_rotted_body() {
+        for warm in [false, true] {
+            let mut reg = RegionalRegistry::with_paper_catalog();
+            if warm {
+                warm_frame(&reg);
+            }
+            rot_frame_body(&reg);
+            let rotted = reg.store().get_object(MANIFEST_BUCKET, FRAME_KEY).unwrap();
+            // The rotted body still parses, so GC marks through it.
+            for _ in 0..2 {
+                crate::gc::collect(&mut reg).unwrap();
+                assert!(reg.parsed.read().get(FRAME_KEY).is_none_or(|p| p.body != rotted));
+                assert!(matches!(
+                    reg.resolve(&frame(), Platform::Amd64).unwrap_err(),
+                    RegistryError::CorruptManifest(_)
+                ));
+            }
+        }
+    }
+
+    /// Mark-and-sweep recomputed from the raw store: every manifest body
+    /// parsed from scratch, no memo.
+    fn reference_gc(store: &ObjectStore) -> crate::gc::GcReport {
+        let mut live = std::collections::HashSet::new();
+        for meta in store.list_objects(MANIFEST_BUCKET, "manifests/").unwrap() {
+            let body = store.get_object(MANIFEST_BUCKET, &meta.key).unwrap();
+            let manifest: ImageManifest = serde_json::from_slice(&body).unwrap();
+            live.insert(manifest.config.clone());
+            live.extend(manifest.layers.iter().map(|l| l.digest.clone()));
+        }
+        let (mut swept, mut released) = (0, 0);
+        for meta in store.list_objects(BLOB_BUCKET, "blobs/").unwrap() {
+            let digest: Digest = format!("sha256:{}", &meta.key["blobs/".len()..]).parse().unwrap();
+            if !live.contains(&digest) {
+                let record = store.get_object(BLOB_BUCKET, &meta.key).unwrap();
+                let desc: crate::manifest::LayerDescriptor =
+                    serde_json::from_slice(&record).unwrap();
+                released += desc.size.as_bytes();
+                store.delete_object(BLOB_BUCKET, &meta.key).unwrap();
+                swept += 1;
+            }
+        }
+        crate::gc::GcReport { marked: live.len(), swept, declared_bytes_released: released }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Random tag deletes, re-pushes (another catalog image's manifest
+        /// or a generated one under an existing tag), resolves and forks
+        /// on forks of one lineage, with a GC pass every few steps: each
+        /// pass reports what a from-scratch mark-and-sweep reports and
+        /// leaves exactly the objects it leaves.
+        #[test]
+        fn gc_through_the_memo_equals_a_from_scratch_gc(
+            ops in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..48),
+        ) {
+            let cat = paper_catalog();
+            let tags: Vec<(&str, Platform)> = cat
+                .iter()
+                .flat_map(|e| e.manifests.iter().map(|m| (e.regional_repository.as_str(), m.platform)))
+                .collect();
+            let mut pool: Vec<ImageManifest> =
+                cat.iter().flat_map(|e| e.manifests.iter().cloned()).collect();
+            for i in 0..4 {
+                let name = format!("gen-{i}");
+                let layers = [(name.as_str(), DataSize::megabytes(1.0 + i as f64))];
+                pool.push(ImageManifest::synthetic(&name, Platform::Amd64, &layers));
+            }
+            let mut regs = vec![RegionalRegistry::with_paper_catalog()];
+            for op in ops {
+                let target = (op >> 8) as usize % regs.len();
+                let (repo, platform) = tags[(op >> 16) as usize % tags.len()];
+                let reg = &mut regs[target];
+                match op % 6 {
+                    0 => {
+                        let _ = reg.delete_manifest(repo, platform.tag());
+                    }
+                    1 => {
+                        let manifest = &pool[(op >> 24) as usize % pool.len()];
+                        reg.push_manifest(repo, platform.tag(), manifest).unwrap();
+                    }
+                    2 => {
+                        let _ = reg.resolve(&Reference::new(REGIONAL_HOST, repo, platform.tag()), platform);
+                    }
+                    3 => {
+                        let fork = reg.fork();
+                        regs.push(fork);
+                    }
+                    _ => {
+                        let reference = reg.store().fork();
+                        let want = reference_gc(&reference);
+                        proptest::prop_assert_eq!(crate::gc::collect(reg).unwrap(), want);
+                        proptest::prop_assert_eq!(objects(reg), store_objects(&reference));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn parse_memo_stays_bounded() {
         let mut reg = RegionalRegistry::new(REGIONAL_HOST, ObjectStore::paper_default());
         for i in 0..PARSE_MEMO_KEYS + 8 {
@@ -531,6 +736,9 @@ mod tests {
             assert_eq!(reg.resolve(&r, Platform::Amd64).unwrap(), manifest);
             assert!(reg.parsed.read().len() <= PARSE_MEMO_KEYS);
         }
+        // GC's verified parses follow the same rule.
+        crate::gc::collect(&mut reg).unwrap();
+        assert!(reg.parsed.read().len() <= PARSE_MEMO_KEYS);
     }
 
     #[test]

@@ -363,7 +363,10 @@ impl JobRun {
     }
 
     /// Fold the accumulated measurements into a [`RunReport`]; `end` is
-    /// the executor clock after the job's last wave.
+    /// the executor clock after the job's last wave. The per-member source
+    /// lists are handed out at exact size: reports outlive the run (a
+    /// soak keeps every replication's), and a pull's growth slack would
+    /// ride along in each of them.
     pub fn into_report(
         mut self,
         app: &Application,
@@ -381,8 +384,8 @@ impl JobRun {
                     tc: self.tc[id.0],
                     tp: self.tp[id.0],
                     downloaded_mb: self.downloaded_mb[id.0],
-                    sources: std::mem::take(&mut self.sources[id.0]),
-                    failed_sources: std::mem::take(&mut self.failed_sources[id.0]),
+                    sources: exact(std::mem::take(&mut self.sources[id.0])),
+                    failed_sources: exact(std::mem::take(&mut self.failed_sources[id.0])),
                     backoff_total: self.backoff[id.0],
                     energy: self.analytic[id.0],
                     metered_energy: self.metered[id.0],
@@ -395,6 +398,11 @@ impl JobRun {
             makespan: end - self.started,
         }
     }
+}
+
+/// `v` with its capacity cut to its length.
+fn exact<T>(v: Vec<T>) -> Vec<T> {
+    v.into_boxed_slice().into_vec()
 }
 
 /// The executor's persistent cross-wave state, split out of
@@ -846,6 +854,7 @@ impl OnlineExecutor {
             // Tp. Device parameters are scoped by application because the
             // case studies share microservice names.
             let scoped = format!("{}/{}", app.name(), ms.name);
+            let process_watts = device.process_watts(&scoped);
             let proc = jitter.apply(device.processing_time(&scoped, ms.requirements.cpu));
             trace.record(*clock, TraceKind::ProcessingStarted, placement.device, &ms.name);
             *clock += proc;
@@ -855,7 +864,7 @@ impl OnlineExecutor {
             run.tp[id.0] = proc;
 
             // Analytic energy over all three phases of this microservice.
-            run.analytic[id.0] = device.energy(&scoped, run.td[id.0], transfer, proc);
+            run.analytic[id.0] = device.phase_energy(process_watts, run.td[id.0], transfer, proc);
 
             // Instrumented energy: meter transfer + processing here (the
             // deployment slice was metered during the wave); read the
@@ -868,11 +877,7 @@ impl OnlineExecutor {
                 device.power.transfer_watts + device.power.static_watts,
                 transfer,
             );
-            instruments.observe(
-                placement.device,
-                device.process_watts(&scoped) + device.power.static_watts,
-                proc,
-            );
+            instruments.observe(placement.device, process_watts + device.power.static_watts, proc);
             let exec_energy = instruments.energy_since(placement.device, &snap);
             // Deployment slice, analytic reconstruction of the metered
             // wave share: (deploy + static) × td.
