@@ -24,6 +24,8 @@
 //! at `t = 0` and reproduces [`deep_core::run_scenario`] byte for byte
 //! — the static-parity contract pinned by `tests/arrival_plane.rs`.
 
+#![forbid(unsafe_code)]
+
 pub mod inference;
 pub mod metrics;
 pub mod models;

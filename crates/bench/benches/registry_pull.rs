@@ -1,5 +1,5 @@
-//! Pull-path performance and the layer-cache ablation (DESIGN.md
-//! ablation 2): cold pulls vs sibling-deduped pulls vs fully warm pulls.
+//! Pull-path performance and the layer-cache ablation (ablation 2 of
+//! `deep_core::ablation`): cold pulls vs sibling-deduped pulls vs fully warm pulls.
 //!
 //! `resolve/*` times one regional manifest resolve: `regional_warm`
 //! reads bytes its lineage already verified (parse memo hit: two store

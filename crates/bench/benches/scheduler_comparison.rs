@@ -1,5 +1,5 @@
-//! Scheduler performance and the decoupled ablation (DESIGN.md ablation
-//! 1): DEEP vs the baselines on the case studies, and DEEP's cost on
+//! Scheduler performance and the decoupled ablation (ablation 1 of
+//! `deep_core::ablation`): DEEP vs the baselines on the case studies, and DEEP's cost on
 //! growing generated applications.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -1,4 +1,5 @@
-//! Ablation suite over DEEP's design choices (DESIGN.md section 6).
+//! Ablation suite over DEEP's design choices (listed in
+//! `deep_core::ablation`).
 
 use deep_core::ablation;
 use deep_simulator::ExecutorConfig;

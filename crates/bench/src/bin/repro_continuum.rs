@@ -1,5 +1,5 @@
 //! The paper's announced future work: DEEP across the cloud-edge
-//! continuum (beyond-paper experiment; see DESIGN.md).
+//! continuum (beyond-paper experiment; see `deep_core::continuum`).
 
 use deep_core::continuum;
 use deep_simulator::ExecutorConfig;

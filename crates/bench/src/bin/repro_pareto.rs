@@ -1,5 +1,5 @@
 //! Exhaustive energy/makespan Pareto analysis of the deployment space
-//! (beyond-paper; see DESIGN.md). Brute-forces all 4^6 joint assignments
+//! (beyond-paper; see `deep_core::pareto`). Brute-forces all 4^6 joint assignments
 //! per case study and locates DEEP's equilibrium on the front.
 
 use deep_core::pareto;

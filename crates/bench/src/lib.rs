@@ -5,12 +5,24 @@
 //! * **`repro_*` binaries** (in `src/bin/`) regenerate every table and
 //!   figure of the paper from fresh simulation runs:
 //!   `repro_table1`, `repro_table2`, `repro_table3`, `repro_fig2`,
-//!   `repro_fig3a`, `repro_fig3b`, `repro_headline`, and `repro_all`.
+//!   `repro_fig3a`, `repro_fig3b`, `repro_headline`, and `repro_all`;
+//!   `repro_ablations` runs the ablations of [`deep_core::ablation`], and
+//!   `repro_pareto` and `repro_continuum` the beyond-paper experiments of
+//!   [`deep_core::pareto`] and [`deep_core::continuum`].
 //!   Run e.g. `cargo run -p deep-bench --bin repro_table3 --release`.
 //! * **criterion benches** (in `benches/`) measure the substrates and the
-//!   scheduler itself, including the ablations listed in DESIGN.md:
-//!   `nash_solvers`, `sha256`, `registry_pull`, `scheduler_comparison`,
-//!   `dag_ops`, `energy_models`.
+//!   scheduler itself, including two of the ablations of
+//!   [`deep_core::ablation`]:
+//!   * substrates: `sha256`, `kernel_baselines` (the seed SHA-256 the
+//!     `sha256` speedup is measured against), `dag_ops`,
+//!     `energy_models`, `nash_solvers`;
+//!   * registries and pulls: `registry_pull` (the layer-cache ablation),
+//!     `pull_path`, `peer_plane`, `gossip_rounds`;
+//!   * scheduling and the planes above it: `scheduler_comparison` (the
+//!     decoupled ablation), `nash_mesh`, `scenario_replay`,
+//!     `arrival_soak`, `soak_scale`.
+
+#![forbid(unsafe_code)]
 
 use deep_core::Experiments;
 

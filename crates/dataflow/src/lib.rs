@@ -21,6 +21,8 @@
 //! * [`generator`] — seeded random DAGs for property tests and scale
 //!   benchmarks.
 
+#![forbid(unsafe_code)]
+
 pub mod apps;
 pub mod builder;
 pub mod compute;

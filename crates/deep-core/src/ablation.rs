@@ -1,4 +1,4 @@
-//! Ablation suite for the design choices called out in DESIGN.md §6.
+//! Ablation suite for DEEP's design choices.
 //!
 //! Each ablation runs the full pipeline (schedule → execute) with one
 //! mechanism changed and reports the energy consequence:

@@ -2,10 +2,10 @@
 //!
 //! Figure 3b compares DEEP against "exclusively Docker Hub" and
 //! "exclusively regional" deployments ([`ExclusiveRegistry`]). Additional
-//! baselines support the ablations of DESIGN.md: a decoupled greedy that
-//! picks devices ignoring deployment costs ([`GreedyDecoupled`]), a
-//! round-robin placer ([`RoundRobin`]) and a seeded random placer
-//! ([`RandomScheduler`]).
+//! baselines support the ablations of [`crate::ablation`]: a decoupled
+//! greedy that picks devices ignoring deployment costs
+//! ([`GreedyDecoupled`]), a round-robin placer ([`RoundRobin`]) and a
+//! seeded random placer ([`RandomScheduler`]).
 
 use crate::model::EstimationContext;
 use crate::Scheduler;

@@ -111,6 +111,8 @@
 //! brute-forces the joint space (which grows with the mesh) to place the
 //! equilibrium on the energy/makespan front.
 
+#![forbid(unsafe_code)]
+
 pub mod ablation;
 pub mod baselines;
 pub mod calibration;

@@ -96,9 +96,6 @@ impl Estimate {
 struct Resolved {
     reference: Reference,
     manifest: ImageManifest,
-    /// Whether the resolving registry advertises every layer of
-    /// `manifest`, so that registry alone can serve any pull of it.
-    complete: bool,
     /// Per layer of `manifest`: whether some testbed device caches it.
     /// The testbed is borrowed for the context's lifetime, so this
     /// never goes stale.
@@ -172,10 +169,11 @@ pub struct EstimationContext<'t> {
     /// commit adds the wave's peer sources to the pull mesh.
     peer_sharing: bool,
     /// Every device's peer view, rebuilt at each wave barrier through
-    /// the testbed's [`deep_simulator::PeerPlane::barrier_views`]
+    /// the testbed's [`deep_simulator::PeerPlane::barrier`]
     /// (`peers.of(j)` = the sources device j's pulls see: one per
     /// advertising holder on the per-pair plane, the single aggregate
-    /// source under the scalar oracle).
+    /// source under the scalar oracle). Empty until the first
+    /// [`EstimationContext::begin_wave`].
     peers: PeerViews,
     /// The estimator's image of the executor's gossip discovery plane
     /// (`None` = omniscient snapshot discovery). Runs the *same*
@@ -359,12 +357,9 @@ impl<'t> EstimationContext<'t> {
     /// estimate itself. Purely an optimisation: warm and cold estimates
     /// price bit for bit identically.
     ///
-    /// Each memoized manifest also records whether its registry
-    /// advertises every one of its layers (one `has_blob` per layer), the
-    /// fact the wave games' sole-source plans rest on, and which of its
-    /// layers some testbed device caches (one pass over the non-empty
-    /// caches per distinct digest), the start of the energy floors' held
-    /// bytes.
+    /// Each memoized manifest also records which of its layers some
+    /// testbed device caches (one pass over the non-empty caches per
+    /// distinct digest), the start of the energy floors' held bytes.
     pub fn prefetch_manifests(&mut self, id: MicroserviceId) {
         let Some(entry) = self.entries[id.0] else { return };
         let mut fresh: Vec<((RegistryId, usize, Platform), Resolved)> = Vec::new();
@@ -375,13 +370,11 @@ impl<'t> EstimationContext<'t> {
                     continue;
                 }
                 let reference = self.testbed.reference(entry, choice, arch);
-                let registry = self.testbed.registry(choice);
                 // An unpublished variant stays unmemoized: the per-call
                 // resolve then reports it exactly as before.
-                if let Ok(manifest) = registry.resolve(&reference, arch) {
-                    let complete = manifest.layers.iter().all(|l| registry.has_blob(&l.digest));
+                if let Ok(manifest) = self.testbed.registry(choice).resolve(&reference, arch) {
                     let resident = Vec::new();
-                    fresh.push((key, Resolved { reference, manifest, complete, resident }));
+                    fresh.push((key, Resolved { reference, manifest, resident }));
                 }
             }
         }
@@ -438,9 +431,11 @@ impl<'t> EstimationContext<'t> {
 
     /// Price peer-cache split pulls (builder-style): mirror an executor
     /// running with [`deep_simulator::ExecutorConfig::peer_sharing`].
+    /// Peer views are built at each [`EstimationContext::begin_wave`], as
+    /// the executor builds them at each wave barrier, so a context shows
+    /// no peer source until its first wave opens.
     pub fn peer_sharing(mut self, on: bool) -> Self {
         self.peer_sharing = on;
-        self.snapshot_peers();
         self
     }
 
@@ -449,7 +444,8 @@ impl<'t> EstimationContext<'t> {
     /// own [`deep_simulator::GossipPlane`] over the estimated caches —
     /// one barrier round per [`EstimationContext::begin_wave`], exactly
     /// the executor's cadence — so bounded, lagging views price bounded,
-    /// lagging meshes. `seed` must be the executor's
+    /// lagging meshes. The builders may come in either order: neither
+    /// builds views. `seed` must be the executor's
     /// [`deep_simulator::ExecutorConfig::seed`] for the partner
     /// schedules (and therefore the view sequences) to match
     /// bit for bit. [`deep_simulator::PeerDiscovery::Snapshot`] restores
@@ -457,7 +453,6 @@ impl<'t> EstimationContext<'t> {
     pub fn peer_discovery(mut self, discovery: deep_simulator::PeerDiscovery, seed: u64) -> Self {
         self.gossip =
             deep_simulator::GossipPlane::for_discovery(discovery, self.caches.len(), seed);
-        self.snapshot_peers();
         self
     }
 
@@ -490,47 +485,30 @@ impl<'t> EstimationContext<'t> {
         self
     }
 
-    /// Rebuild every device's peer view from the estimated caches — the
-    /// estimator's image of the executor's wave-barrier gossip round,
-    /// through the same [`deep_simulator::PeerPlane::barrier_views`] rule
-    /// the executor applies to the real caches. Each holder's source is
-    /// built once per barrier and shared by every device that sees it:
-    /// the per-pair snapshot keeps one holder list for the whole fleet,
-    /// and the gossip plane retracts each advertisement once however
-    /// many views select it. Under gossip discovery every view is empty
-    /// before the first barrier: the executor has not advertised
-    /// anything yet either.
-    fn snapshot_peers(&mut self) {
-        // The new views never read the old ones: free them first, so a
-        // fleet's barrier holds one set of views at a time.
-        self.peers = PeerViews::default();
-        if !self.peer_sharing {
-            return;
-        }
-        let caches: Vec<&LayerCache> = self.caches.iter().collect();
-        self.peers =
-            self.testbed.peer_plane.barrier_views(self.gossip.as_mut(), &caches, 0..caches.len());
-    }
-
     /// Open a new deployment wave (stage barrier): route contention
     /// resets, peers re-advertise their caches, and (under scenario
     /// pricing) the clock advances past the previous wave — its longest
     /// pull, then its serialized transfer and processing phases —
     /// mirroring the jitter-free executor's barrier arithmetic.
+    ///
+    /// With peer sharing on, every device's view is rebuilt from the
+    /// estimated caches through the executor's own barrier step,
+    /// [`deep_simulator::PeerPlane::barrier`]: one gossip round under
+    /// gossip discovery, then the views. Each holder's source is built
+    /// once and shared by every device that sees it.
     pub fn begin_wave(&mut self) {
         self.clock += self.wave_peak + self.wave_exec;
         self.wave_peak = Seconds::ZERO;
         self.wave_exec = Seconds::ZERO;
         self.route_load.clear();
-        // Gossip discovery advances exactly one barrier per wave — the
-        // executor's cadence — before the views are materialized.
+        // The new views never read the old ones: free them first, so a
+        // fleet's barrier holds one set of views at a time.
+        self.peers = PeerViews::default();
         if self.peer_sharing {
-            if let Some(plane) = self.gossip.as_mut() {
-                let caches: Vec<&LayerCache> = self.caches.iter().collect();
-                plane.barrier_round(&caches);
-            }
+            let caches: Vec<&LayerCache> = self.caches.iter().collect();
+            self.peers =
+                self.testbed.peer_plane.barrier(self.gossip.as_mut(), &caches, 0..caches.len());
         }
-        self.snapshot_peers();
     }
 
     /// Walk the application in barrier order: open every wave with
@@ -971,13 +949,12 @@ impl<'t> EstimationContext<'t> {
     /// plan.
     ///
     /// A *sole-source* cell skips the session. Its manifest is memoized,
-    /// its primary advertises every layer of it, and no entry of the
-    /// device's peer snapshot advertises a layer the device's estimated
-    /// cache lacks. The session plans each missing layer onto the
-    /// cheapest source that has it, and the plan's mesh holds no standby
-    /// and presumes no source dead, so the primary is the only candidate
-    /// for every missing layer whatever the bandwidths, contention and
-    /// windows. The plan is then one primary bucket of the missing bytes,
+    /// and every layer the device's estimated cache lacks is advertised
+    /// by its primary and by no entry of the device's peer view. The
+    /// session plans each missing layer onto the cheapest source that has
+    /// it, and the plan's mesh holds no standby and presumes no source
+    /// dead, so the primary is the only candidate for every missing layer
+    /// whatever the bandwidths, contention and windows. The plan is then one primary bucket of the missing bytes,
     /// or no bucket when nothing is missing. Every other cell runs
     /// `plan`'s session and returns its error unchanged.
     pub(crate) fn plan_buckets(
@@ -1009,12 +986,12 @@ impl<'t> EstimationContext<'t> {
     ) -> Option<DataSize> {
         let arch = self.testbed.device(device).arch;
         let resolved = &self.resolved[self.memo(registry, id, arch)?];
-        if !resolved.complete {
-            return None;
-        }
+        let primary = self.testbed.registry(registry);
         let mut missing = DataSize::ZERO;
         for layer in missing_layers(&resolved.manifest, &self.caches[device.0]) {
-            if self.peers.of(device).any(|(_, peer)| peer.has_blob(&layer.digest)) {
+            if !primary.has_blob(&layer.digest)
+                || self.peers.of(device).any(|(_, peer)| peer.has_blob(&layer.digest))
+            {
                 return None;
             }
             missing += layer.size;
@@ -1751,9 +1728,11 @@ mod tests {
 
     /// A testbed for the energy-floor property: the calibrated pair,
     /// the continuum, the calibrated pair with two mirrors, a 40-device,
-    /// 3-registry fleet with one warm holder, or that fleet with small
+    /// 3-registry fleet with one warm holder, that fleet with small
     /// caches whose three holders cache only an unrelated dataflow's
-    /// layers. Every one gets a flaky regional, a degraded hub and a dark
+    /// layers, or the calibrated pair with every device caching the
+    /// `python:3.9-slim` base layer that the regional registry has lost.
+    /// Every one gets a flaky regional, a degraded hub and a dark
     /// last registry, each window active over the whole walk.
     fn floor_testbed(kind: usize) -> Testbed {
         use deep_registry::{FaultModel, FaultRates, OutageWindow};
@@ -1792,6 +1771,20 @@ mod tests {
                         device,
                     );
                     deep_simulator::execute(&mut tb, &unrelated, &warm, &cfg).unwrap();
+                }
+                tb
+            }
+            5 => {
+                // The regional cells of every image on this base lack a
+                // layer that no pull misses: they are still sole-source.
+                let mut tb = calibrated_testbed();
+                let entry = tb.entry("text-processing", "retrieve").unwrap().clone();
+                for device in &mut tb.devices {
+                    let base = &entry.manifest(device.arch).layers[0];
+                    device.cache.insert(base.digest.clone(), base.size);
+                }
+                for manifest in &entry.manifests {
+                    tb.regional.delete_blob(&manifest.layers[0].digest).unwrap();
                 }
                 tb
             }
@@ -1858,7 +1851,7 @@ mod tests {
             (state >> 33) as usize % n
         };
         let studies = apps::case_studies();
-        for kind in 0..5 {
+        for kind in 0..6 {
             let tb = floor_testbed(kind);
             for pricing in 0..3 {
                 for peers in 0..3 {
@@ -1941,7 +1934,8 @@ mod tests {
         /// [`EstimationContext::plan_buckets`] returns exactly the
         /// `(source, downloaded)` buckets of [`EstimationContext::plan`],
         /// whether it answered from the missing bytes (sole-source) or ran
-        /// the session.
+        /// the session. Sole-source cells include ones whose primary lacks
+        /// a layer the device already caches.
         #[test]
         fn prefetched_contexts_price_like_cold_ones_and_plan_like_sessions(
             seed in proptest::prelude::any::<u64>(),
@@ -1955,7 +1949,7 @@ mod tests {
                     e.downloaded,
                 )
             };
-            let (mut sole, mut session) = (0usize, 0usize);
+            let (mut sole, mut session, mut lacking) = (0usize, 0usize, 0usize);
             let mut buckets = Vec::new();
             floor_walk(
                 seed,
@@ -1975,7 +1969,19 @@ mod tests {
                         .collect();
                     assert_eq!(buckets, want, "{}", c.at);
                     match c.warm.sole_source_missing(c.id, c.registry, c.device) {
-                        Some(_) => sole += 1,
+                        Some(_) => {
+                            sole += 1;
+                            let arch = c.warm.testbed.device(c.device).arch;
+                            let memo = c.warm.memo(c.registry, c.id, arch).expect("sole-source");
+                            let primary = c.warm.testbed.registry(c.registry);
+                            lacking += usize::from(
+                                c.warm.resolved[memo]
+                                    .manifest
+                                    .layers
+                                    .iter()
+                                    .any(|l| !primary.has_blob(&l.digest)),
+                            );
+                        }
                         None => session += 1,
                     }
                 },
@@ -1984,6 +1990,7 @@ mod tests {
             // Both kinds of cell occur: peers holding missing layers (the
             // fleet's warm holder) send cells to the session.
             assert!(sole > 0 && session > 0, "{sole} sole-source cells, {session} session cells");
+            assert!(lacking > 0, "no sole-source cell's primary lacked a cached layer");
         }
     }
 
@@ -2030,6 +2037,60 @@ mod tests {
         (caches, ctx.route_load.clone(), clock, ctx.pulls_committed, ctx.assigned.clone())
     }
 
+    /// Every device's peer view: per source, its advertised and its
+    /// retracted digests, each sorted.
+    #[allow(clippy::type_complexity)]
+    fn view_signature(
+        views: &PeerViews,
+        devices: usize,
+    ) -> Vec<Vec<(RegistryId, Vec<Digest>, Vec<Digest>)>> {
+        use deep_registry::BlobSource;
+        let signature = |(id, source): &(RegistryId, deep_registry::PeerCacheSource)| {
+            let mut advertised: Vec<Digest> = source.digests().cloned().collect();
+            advertised.sort();
+            let retracted =
+                advertised.iter().filter(|d| source.fetch_blob(d).is_err()).cloned().collect();
+            (*id, advertised, retracted)
+        };
+        (0..devices).map(|d| views.of(DeviceId(d)).map(signature).collect()).collect()
+    }
+
+    #[test]
+    fn peer_views_open_with_the_first_wave_and_equal_the_planes_barrier() {
+        let tb = floor_testbed(3);
+        let app = apps::video_processing();
+        let devices = tb.devices.len();
+        let gossip =
+            deep_simulator::PeerDiscovery::Gossip { fanout: 3, view_size: 8, rounds_per_wave: 1 };
+        for discovery in [deep_simulator::PeerDiscovery::Snapshot, gossip] {
+            let mut ctx =
+                EstimationContext::new(&tb, &app).peer_sharing(true).peer_discovery(discovery, 7);
+            assert!(
+                (0..devices).all(|d| ctx.peers.of(DeviceId(d)).next().is_none()),
+                "{discovery:?}: a peer source before the first wave"
+            );
+            // The reference: the testbed's plane over the same caches, with
+            // a gossip plane seeded the same way.
+            let mut plane = deep_simulator::GossipPlane::for_discovery(discovery, devices, 7);
+            let (mut seen, mut next) = (0, 0);
+            for stage in stages(&app) {
+                ctx.begin_wave();
+                let caches: Vec<&LayerCache> = ctx.caches.iter().collect();
+                let want = tb.peer_plane.barrier(plane.as_mut(), &caches, 0..devices);
+                let got = view_signature(&ctx.peers, devices);
+                assert_eq!(got, view_signature(&want, devices), "{discovery:?}");
+                seen += got.iter().map(Vec::len).sum::<usize>();
+                for &id in &stage.members {
+                    let admissible = ctx.admissible_devices(id);
+                    let device = admissible[next % admissible.len()];
+                    next += 7;
+                    ctx.commit(id, Placement { registry: RegistryChoice::Hub, device });
+                }
+            }
+            assert!(seen > 0, "{discovery:?}: no view ever held a peer source");
+        }
+    }
+
     #[test]
     fn a_registry_missing_a_blob_plans_through_the_session_and_keeps_its_error() {
         use deep_registry::ManifestSource;
@@ -2044,7 +2105,8 @@ mod tests {
         let mut ctx = EstimationContext::new(&tb, &app);
         ctx.prefetch_manifests(retrieve);
         ctx.begin_wave();
-        // The manifest still resolves, so it is memoized, but incomplete.
+        // The manifest still resolves, so it is memoized, but its registry
+        // lacks a layer the device misses.
         assert!(ctx
             .sole_source_missing(retrieve, RegistryChoice::Regional, DEVICE_MEDIUM)
             .is_none());

@@ -390,10 +390,6 @@ impl DeepScheduler {
     /// every member's manifests memoized, for one
     /// [`EstimationContext::walk`].
     fn open<'t>(&self, testbed: &'t Testbed, app: &'t Application) -> EstimationContext<'t> {
-        // Discovery before sharing: each builder re-snapshots the peers
-        // once sharing is on, so this order builds only the views the
-        // configured discovery serves. The gossip plane sees the same
-        // `mesh_view` calls in the same order either way.
         let mut ctx = EstimationContext::new(testbed, app)
             .peer_discovery(self.peer_discovery, self.discovery_seed)
             .peer_sharing(self.peer_sharing)
@@ -1321,8 +1317,8 @@ mod tests {
         assert_eq!(stages.len(), 2, "a two-wave walk");
         let registries = tb.registry_choices();
         // A second context turns peer sharing on before choosing the
-        // discovery, so its first snapshot is the omniscient one `open`
-        // does not build; it must walk the same as the opened one.
+        // discovery. Views are built only when a wave opens, so the
+        // builder order cannot matter: it must walk like the opened one.
         let mut opened = sched.open(&tb, &app);
         let mut sharing_first = EstimationContext::new(&tb, &app)
             .peer_sharing(sched.peer_sharing)

@@ -16,6 +16,8 @@
 //! * [`meter`] — a sampling wall-power meter in the spirit of the Ketotek
 //!   unit, integrating instantaneous power at a finite sample rate.
 
+#![forbid(unsafe_code)]
+
 pub mod meter;
 pub mod power;
 pub mod rapl;

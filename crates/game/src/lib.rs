@@ -25,6 +25,8 @@
 //! * [`classic`] — canonical games (prisoner's dilemma, matching pennies,
 //!   ...) used for validation and by the paper's model.
 
+#![forbid(unsafe_code)]
+
 pub mod bimatrix;
 pub mod classic;
 pub mod congestion;

@@ -21,6 +21,8 @@
 //! All quantities are deterministic; stochastic jitter is layered on by the
 //! simulator crate, never here.
 
+#![forbid(unsafe_code)]
+
 pub mod gossip;
 mod ids;
 mod splitmix;

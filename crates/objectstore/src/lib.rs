@@ -7,16 +7,16 @@
 //! 100 GB)". This crate is that substrate, the S3 surface the registry
 //! uses:
 //!
-//! * [`store`] — buckets and objects with ETags, capacity quotas, listing;
-//! * [`hash64`] — the wide checksum behind the ETags.
+//! [`store`] holds buckets of key → bytes objects under a capacity quota,
+//! with prefix listing and copy-on-write forks. Objects carry no ETag or checksum:
+//! the registry addresses every blob and manifest by its SHA-256 digest
+//! and keeps a digest sidecar per manifest, which is the integrity check.
 //!
 //! Everything is in-memory and deterministic; latency/bandwidth are
 //! supplied by `deep-netsim` at the layer above.
 
 #![forbid(unsafe_code)]
 
-pub mod hash64;
 pub mod store;
 
-pub use hash64::{checksum64, Hash64};
 pub use store::{Bucket, ObjectMeta, ObjectStore, StoreError};

@@ -47,27 +47,12 @@ impl std::error::Error for StoreError {}
 pub struct ObjectMeta {
     pub key: String,
     pub size: DataSize,
-    /// Content ETag (FNV-1a content hash here; the registry layer uses real
-    /// SHA-256 digests for content addressing).
-    pub etag: u64,
 }
 
-#[derive(Debug, Clone, Default)]
-struct ObjectRecord {
-    data: Bytes,
-    etag: u64,
-}
-
-/// One S3 bucket: an ordered key → object map.
+/// One S3 bucket: an ordered key → object body map.
 #[derive(Debug, Clone, Default)]
 pub struct Bucket {
-    objects: BTreeMap<String, ObjectRecord>,
-}
-
-/// Wide-lane checksum over the object body — cheap deterministic ETag
-/// (see [`crate::hash64`] for the kernel).
-fn etag_of(data: &[u8]) -> u64 {
-    crate::hash64::checksum64(data)
+    objects: BTreeMap<String, Bytes>,
 }
 
 /// The MinIO-like store: named buckets under a global capacity quota.
@@ -169,7 +154,7 @@ impl ObjectStore {
         let Inner { buckets, capacity, used } = &mut *inner;
         let b =
             buckets.get_mut(bucket).ok_or_else(|| StoreError::NoSuchBucket(bucket.to_string()))?;
-        let replaced = b.objects.get(key).map_or(0, |o| o.data.len() as u64);
+        let replaced = b.objects.get(key).map_or(0, |o| o.len() as u64);
         let kept = *used - replaced;
         let capacity = capacity.as_bytes();
         if kept + data.len() as u64 > capacity {
@@ -179,10 +164,9 @@ impl ObjectStore {
             });
         }
         *used = kept + data.len() as u64;
-        let etag = etag_of(&data);
         let size = DataSize::bytes(data.len() as u64);
-        Arc::make_mut(b).objects.insert(key.to_string(), ObjectRecord { data, etag });
-        Ok(ObjectMeta { key: key.to_string(), size, etag })
+        Arc::make_mut(b).objects.insert(key.to_string(), data);
+        Ok(ObjectMeta { key: key.to_string(), size })
     }
 
     /// Get an object's bytes.
@@ -192,10 +176,7 @@ impl ObjectStore {
             .buckets
             .get(bucket)
             .ok_or_else(|| StoreError::NoSuchBucket(bucket.to_string()))?;
-        b.objects
-            .get(key)
-            .map(|o| o.data.clone())
-            .ok_or_else(|| StoreError::NoSuchKey(key.to_string()))
+        b.objects.get(key).cloned().ok_or_else(|| StoreError::NoSuchKey(key.to_string()))
     }
 
     /// Stat an object.
@@ -207,11 +188,7 @@ impl ObjectStore {
             .ok_or_else(|| StoreError::NoSuchBucket(bucket.to_string()))?;
         b.objects
             .get(key)
-            .map(|o| ObjectMeta {
-                key: key.to_string(),
-                size: DataSize::bytes(o.data.len() as u64),
-                etag: o.etag,
-            })
+            .map(|o| ObjectMeta { key: key.to_string(), size: DataSize::bytes(o.len() as u64) })
             .ok_or_else(|| StoreError::NoSuchKey(key.to_string()))
     }
 
@@ -229,7 +206,7 @@ impl ObjectStore {
         let b =
             buckets.get_mut(bucket).ok_or_else(|| StoreError::NoSuchBucket(bucket.to_string()))?;
         // Look up before `make_mut`: a miss must not copy a shared bucket.
-        let Some(size) = b.objects.get(key).map(|o| o.data.len() as u64) else {
+        let Some(size) = b.objects.get(key).map(|o| o.len() as u64) else {
             return Err(StoreError::NoSuchKey(key.to_string()));
         };
         Arc::make_mut(b).objects.remove(key);
@@ -247,11 +224,7 @@ impl ObjectStore {
         Ok(b.objects
             .range(prefix.to_string()..)
             .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, o)| ObjectMeta {
-                key: k.clone(),
-                size: DataSize::bytes(o.data.len() as u64),
-                etag: o.etag,
-            })
+            .map(|(k, o)| ObjectMeta { key: k.clone(), size: DataSize::bytes(o.len() as u64) })
             .collect())
     }
 }
@@ -272,17 +245,7 @@ mod tests {
         let meta = s.put_object("images", "layer/abc", Bytes::from_static(b"hello")).unwrap();
         assert_eq!(meta.size, DataSize::bytes(5));
         assert_eq!(s.get_object("images", "layer/abc").unwrap(), Bytes::from_static(b"hello"));
-        assert_eq!(s.head_object("images", "layer/abc").unwrap().etag, meta.etag);
-    }
-
-    #[test]
-    fn etag_tracks_content() {
-        let s = store();
-        let a = s.put_object("images", "k", Bytes::from_static(b"v1")).unwrap();
-        let b = s.put_object("images", "k", Bytes::from_static(b"v2")).unwrap();
-        assert_ne!(a.etag, b.etag);
-        let c = s.put_object("images", "k2", Bytes::from_static(b"v2")).unwrap();
-        assert_eq!(b.etag, c.etag, "same content, same etag");
+        assert_eq!(s.head_object("images", "layer/abc").unwrap(), meta);
     }
 
     #[test]
@@ -355,13 +318,13 @@ mod tests {
         assert_eq!(s.used(), DataSize::bytes(500));
     }
 
-    /// Every object of every bucket as `(bucket, key, bytes, etag)`.
-    fn snapshot(s: &ObjectStore) -> Vec<(String, String, Bytes, u64)> {
+    /// Every object of every bucket as `(bucket, key, bytes)`.
+    fn snapshot(s: &ObjectStore) -> Vec<(String, String, Bytes)> {
         let mut out = Vec::new();
         for bucket in s.list_buckets() {
             for meta in s.list_objects(&bucket, "").unwrap() {
                 let data = s.get_object(&bucket, &meta.key).unwrap();
-                out.push((bucket.clone(), meta.key, data, meta.etag));
+                out.push((bucket.clone(), meta.key, data));
             }
         }
         out
@@ -421,6 +384,19 @@ mod tests {
             Ok(())
         }
 
+        /// `bucket`'s keys under `prefix` with their sizes, in key order.
+        fn list(&self, bucket: &str, prefix: &str) -> Result<Vec<(String, DataSize)>, StoreError> {
+            if !self.buckets.iter().any(|b| b == bucket) {
+                return Err(StoreError::NoSuchBucket(bucket.to_string()));
+            }
+            Ok(self
+                .objects
+                .iter()
+                .filter(|((b, k), _)| b == bucket && k.starts_with(prefix))
+                .map(|((_, k), v)| (k.clone(), DataSize::bytes(v.len() as u64)))
+                .collect())
+        }
+
         fn delete(&mut self, bucket: &str, key: &str) -> Result<(), StoreError> {
             if !self.buckets.iter().any(|b| b == bucket) {
                 return Err(StoreError::NoSuchBucket(bucket.to_string()));
@@ -438,7 +414,8 @@ mod tests {
         /// Random put / replace / delete / fork sequences: every store's
         /// running `used()` equals a recomputed sum, every outcome (quota
         /// errors included) equals the reference model's, every store
-        /// holds exactly its model's objects, and `contains_object`
+        /// holds exactly its model's objects, `list_objects` lists its
+        /// model's keys and sizes in key order, and `contains_object`
         /// answers `head_object(..).is_ok()` for every key.
         #[test]
         fn running_usage_matches_a_recomputed_reference(
@@ -491,9 +468,17 @@ mod tests {
                             );
                         }
                     }
+                    for bucket in BUCKETS {
+                        for prefix in ["", "k3"] {
+                            let listed = s.list_objects(bucket, prefix).map(|metas| {
+                                metas.into_iter().map(|o| (o.key, o.size)).collect::<Vec<_>>()
+                            });
+                            proptest::prop_assert_eq!(listed, m.list(bucket, prefix));
+                        }
+                    }
                     let held: BTreeMap<(String, String), Vec<u8>> = snapshot(s)
                         .into_iter()
-                        .map(|(b, k, data, _)| ((b, k), data.to_vec()))
+                        .map(|(b, k, data)| ((b, k), data.to_vec()))
                         .collect();
                     proptest::prop_assert_eq!(&held, &m.objects);
                 }

@@ -60,6 +60,10 @@
 //!   which are planned only when no first-class source survives, so the
 //!   fault-free plan stays byte-identical.
 
+// The SHA-NI kernel (`sha256::shani`) and its dispatch call are the only
+// unsafe code; each opts in where it stands.
+#![deny(unsafe_code)]
+
 pub mod cache;
 pub mod catalog;
 pub mod digest;

@@ -15,7 +15,6 @@ use crate::digest::Digest;
 use crate::image::Platform;
 use deep_netsim::DataSize;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 /// A layer descriptor: content address + size, as in the OCI distribution
 /// spec.
@@ -39,7 +38,7 @@ impl LayerDescriptor {
 }
 
 /// A platform-specific image manifest.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ImageManifest {
     /// Config blob digest (distinct per image+platform).
     pub config: Digest,
@@ -47,43 +46,6 @@ pub struct ImageManifest {
     pub layers: Vec<LayerDescriptor>,
     /// Target platform.
     pub platform: Platform,
-    /// Memoized [`ImageManifest::digest`]. Excluded from serialization
-    /// (the hand-written impls below keep the canonical JSON — and hence
-    /// the digest itself — exactly what the field-derive produced before
-    /// the cache existed) and from equality (a warm manifest compares
-    /// equal to a cold copy of itself).
-    digest_cache: OnceLock<Digest>,
-}
-
-impl PartialEq for ImageManifest {
-    fn eq(&self, other: &Self) -> bool {
-        self.config == other.config
-            && self.layers == other.layers
-            && self.platform == other.platform
-    }
-}
-
-impl Eq for ImageManifest {}
-
-impl Serialize for ImageManifest {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("config".to_string(), self.config.to_value()),
-            ("layers".to_string(), self.layers.to_value()),
-            ("platform".to_string(), self.platform.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ImageManifest {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(ImageManifest {
-            config: Deserialize::from_value(v.field("config")?)?,
-            layers: Deserialize::from_value(v.field("layers")?)?,
-            platform: Deserialize::from_value(v.field("platform")?)?,
-            digest_cache: OnceLock::new(),
-        })
-    }
 }
 
 impl ImageManifest {
@@ -97,7 +59,6 @@ impl ImageManifest {
                 .map(|(name, size)| LayerDescriptor::synthetic(name, *size))
                 .collect(),
             platform,
-            digest_cache: OnceLock::new(),
         }
     }
 
@@ -110,16 +71,12 @@ impl ImageManifest {
     /// image id. This equals the SHA-256 of the exact bytes a registry
     /// stores for the manifest, so pull-by-digest, the regional
     /// integrity records, and client-side verification all agree on one
-    /// identity — the OCI rule. Memoized per instance (manifests are
-    /// immutable after construction everywhere in this workspace; the
-    /// cache rides along on clones and is dropped by serialization).
+    /// identity — the OCI rule. Computed on each call: pulls and resolves
+    /// never ask for it, only a Hub push, which registers the manifest as
+    /// a blob of its own.
     pub fn digest(&self) -> Digest {
-        self.digest_cache
-            .get_or_init(|| {
-                let json = serde_json::to_string(self).expect("manifest serializes");
-                Digest::of(json.as_bytes())
-            })
-            .clone()
+        let json = serde_json::to_string(self).expect("manifest serializes");
+        Digest::of(json.as_bytes())
     }
 
     /// Layers of this manifest absent from `present` (the pull diff).

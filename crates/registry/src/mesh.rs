@@ -433,7 +433,6 @@ impl<'m, 'a> PullSession<'m, 'a> {
         });
 
         Ok(PullOutcome {
-            image_digest: manifest.digest(),
             downloaded,
             cached,
             layers_fetched,

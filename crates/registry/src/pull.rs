@@ -104,12 +104,12 @@ pub struct SourcePull {
     pub layers: usize,
 }
 
-/// What a pull did and how long it took.
+/// What a pull did and how long it took: bytes moved and served from
+/// cache, the phase times behind `Td`, and which sources carried the
+/// bytes or died. The image itself is identified by the reference the
+/// pull resolved ([`crate::ImageManifest::digest`] names it by content).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PullOutcome {
-    /// Content identity of the deployed image: the resolved manifest's
-    /// digest (config + layer list, hashed streamingly).
-    pub image_digest: Digest,
     /// Bytes fetched over the network.
     pub downloaded: DataSize,
     /// Bytes served from the device's layer cache.
@@ -185,7 +185,7 @@ impl PullPlanner {
                 cache.insert(layer.digest.clone(), layer.size);
             }
         }
-        Ok(self.outcome(&manifest, downloaded, cached, layers_fetched, cache_hits))
+        Ok(self.outcome(downloaded, cached, layers_fetched, cache_hits))
     }
 
     /// Estimate a pull without mutating the cache — used by the scheduler
@@ -211,14 +211,13 @@ impl PullPlanner {
                 layers_fetched += 1;
             }
         }
-        Ok(self.outcome(&manifest, downloaded, cached, layers_fetched, cache_hits))
+        Ok(self.outcome(downloaded, cached, layers_fetched, cache_hits))
     }
 
     /// Assemble the single-source outcome. The planner has no mesh, so the
     /// breakdown attributes everything fetched to [`PullPlanner::SOURCE`].
     fn outcome(
         &self,
-        manifest: &crate::manifest::ImageManifest,
         downloaded: DataSize,
         cached: DataSize,
         layers_fetched: usize,
@@ -230,7 +229,6 @@ impl PullPlanner {
             Vec::new()
         };
         PullOutcome {
-            image_digest: manifest.digest(),
             downloaded,
             cached,
             layers_fetched,
@@ -344,26 +342,6 @@ mod tests {
         // not mutate anything.
         let est2 = p.estimate(&hub, &r, Platform::Amd64, &cache).unwrap();
         assert_eq!(est2.downloaded, DataSize::ZERO);
-    }
-
-    #[test]
-    fn pull_reports_image_content_digest() {
-        // Same image from either registry yields the same content identity;
-        // warm and cold pulls agree (content addressing is cache-blind).
-        let hub = HubRegistry::with_paper_catalog();
-        let regional = RegionalRegistry::with_paper_catalog();
-        let mut cache = cache();
-        let p = planner();
-        let hub_ref = Reference::new("docker.io", "sina88/vp-transcode", "amd64");
-        let reg_ref = Reference::new("dcloud2.itec.aau.at", "aau/vp-transcode", "amd64");
-        let cold = p.pull(&hub, &hub_ref, Platform::Amd64, &mut cache).unwrap();
-        let warm = p.pull(&hub, &hub_ref, Platform::Amd64, &mut cache).unwrap();
-        let reg = p.pull(&regional, &reg_ref, Platform::Amd64, &mut cache).unwrap();
-        assert_eq!(cold.image_digest, warm.image_digest);
-        assert_eq!(cold.image_digest, reg.image_digest);
-        let other = Reference::new("docker.io", "sina88/vp-frame", "amd64");
-        let frame = p.pull(&hub, &other, Platform::Amd64, &mut cache).unwrap();
-        assert_ne!(frame.image_digest, cold.image_digest);
     }
 
     #[test]

@@ -15,10 +15,7 @@
 //! keeps the exact body and sidecar bytes it was verified from, and a
 //! resolve reuses its parse only when both stored objects are byte-equal
 //! to them; any other read (a first resolve, a re-pushed tag, bitrot, a
-//! removed or rewritten sidecar) verifies and parses from scratch. Each
-//! memoized manifest has its own [`ImageManifest::digest`] computed once,
-//! at insertion, so every clone a resolve hands out carries it and no pull
-//! re-serializes and re-hashes the manifest.
+//! removed or rewritten sidecar) verifies and parses from scratch.
 //!
 //! Garbage collection marks through the same memo:
 //! [`RegionalRegistry::load_manifest`] reuses a memoized parse whenever the
@@ -247,11 +244,9 @@ impl RegionalRegistry {
         Ok(f(&manifest))
     }
 
-    /// Insert a verified parse into the memo, computing its digest first
-    /// so every clone handed out carries it. At [`PARSE_MEMO_KEYS`] keys
+    /// Insert a verified parse into the memo. At [`PARSE_MEMO_KEYS`] keys
     /// the memo starts over.
     fn memoize(&self, key: String, body: Bytes, sidecar: Option<Bytes>, manifest: &ImageManifest) {
-        manifest.digest();
         let parsed = ParsedManifest { body, sidecar, manifest: manifest.clone() };
         let mut memo = self.parsed.write();
         if memo.len() >= PARSE_MEMO_KEYS && !memo.contains_key(&key) {
@@ -494,17 +489,17 @@ mod tests {
     }
 
     /// Every object of every bucket of `reg`'s store as
-    /// `(bucket, key, bytes, etag)`.
-    fn objects(reg: &RegionalRegistry) -> Vec<(String, String, Bytes, u64)> {
+    /// `(bucket, key, bytes)`.
+    fn objects(reg: &RegionalRegistry) -> Vec<(String, String, Bytes)> {
         store_objects(reg.store())
     }
 
-    fn store_objects(store: &ObjectStore) -> Vec<(String, String, Bytes, u64)> {
+    fn store_objects(store: &ObjectStore) -> Vec<(String, String, Bytes)> {
         let mut out = Vec::new();
         for bucket in store.list_buckets() {
             for meta in store.list_objects(&bucket, "").unwrap() {
                 let data = store.get_object(&bucket, &meta.key).unwrap();
-                out.push((bucket.clone(), meta.key, data, meta.etag));
+                out.push((bucket.clone(), meta.key, data));
             }
         }
         out

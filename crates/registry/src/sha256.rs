@@ -134,7 +134,10 @@ fn compress_blocks<'a>(state: &mut [u32; 8], data: &'a [u8]) -> &'a [u8] {
     #[cfg(target_arch = "x86_64")]
     if have_sha_ni() {
         // SAFETY: feature availability checked by `have_sha_ni`.
-        unsafe { shani::compress_blocks(state, &data[..tail_start]) };
+        #[allow(unsafe_code)]
+        unsafe {
+            shani::compress_blocks(state, &data[..tail_start])
+        };
         return &data[tail_start..];
     }
     for block in data[..tail_start].chunks_exact(64) {
@@ -147,6 +150,7 @@ fn compress_blocks<'a>(state: &mut [u32; 8], data: &'a [u8]) -> &'a [u8] {
 /// two-lane state layout — `STATE0 = ABEF`, `STATE1 = CDGH` — with the
 /// message schedule advanced four words at a time by `sha256msg1/msg2`.
 #[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
 mod shani {
     use super::K;
     use std::arch::x86_64::*;

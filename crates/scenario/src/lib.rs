@@ -40,6 +40,8 @@
 //! so deep-core (and the root facade) can hand in `calibrate` without a
 //! dependency cycle.
 
+#![forbid(unsafe_code)]
+
 pub mod toml;
 
 use deep_dataflow::{apps, Application};

@@ -106,23 +106,16 @@ impl SimDevice {
         self.process_power.insert(microservice.to_string(), w);
     }
 
-    /// Effective speed factor for a microservice.
+    /// Effective speed factor for a microservice: its override, else the
+    /// device default.
     ///
-    /// Keys may be scoped as `"application/microservice"`; lookup tries the
-    /// exact key first, then the bare microservice name after the last
-    /// `/`, then the device default. Scoping matters because the two
-    /// case-study apps share microservice names ("ha-train" exists in
-    /// both) with different measured behaviour.
+    /// Callers key microservices as `"application/microservice"` (the
+    /// calibration writes and the executor and estimator read exactly
+    /// that form), because the two case-study apps share microservice
+    /// names ("ha-train" exists in both) with different measured
+    /// behaviour.
     pub fn speed_factor(&self, microservice: &str) -> f64 {
-        if let Some(f) = self.speed_factor.get(microservice) {
-            return *f;
-        }
-        if let Some((_, bare)) = microservice.rsplit_once('/') {
-            if let Some(f) = self.speed_factor.get(bare) {
-                return *f;
-            }
-        }
-        self.base_speed_factor
+        self.speed_factor.get(microservice).copied().unwrap_or(self.base_speed_factor)
     }
 
     /// Processing time `Tp = CPU(m_i)/CPU_j × factor(m_i)`.
@@ -131,18 +124,9 @@ impl SimDevice {
     }
 
     /// Processing power draw for a microservice (measured override or the
-    /// device default). Scoped-key lookup as in
-    /// [`SimDevice::speed_factor`].
+    /// device default), keyed as in [`SimDevice::speed_factor`].
     pub fn process_watts(&self, microservice: &str) -> Watts {
-        if let Some(w) = self.process_power.get(microservice) {
-            return *w;
-        }
-        if let Some((_, bare)) = microservice.rsplit_once('/') {
-            if let Some(w) = self.process_power.get(bare) {
-                return *w;
-            }
-        }
-        self.power.process_watts
+        self.process_power.get(microservice).copied().unwrap_or(self.power.process_watts)
     }
 
     /// Energy for one microservice run with the given phase durations,

@@ -16,6 +16,7 @@
 //!   energies are both reported; they agree to instrument quantisation.
 
 use crate::chaos::{ChaosEvent, ChaosKind};
+use crate::device::SimDevice;
 use crate::jitter::Jitter;
 use crate::metrics::{MicroserviceMetrics, RunReport};
 use crate::schedule::{Placement, RegistryChoice, Schedule};
@@ -28,7 +29,6 @@ use deep_registry::{
     FaultPlan, LayerCache, PeerCacheSource, PlannedFaults, Platform, PullOutcome, PullSession,
     Reference, Registry, RegistryError, RegistryMesh,
 };
-use std::collections::HashMap;
 use std::fmt;
 
 /// How pulls discover which fleet peers hold which layers (only
@@ -39,7 +39,7 @@ pub enum PeerDiscovery {
     /// wave barrier snapshots every *other* device's current cache
     /// ([`crate::PeerPlane::snapshot`]), served from one source per
     /// non-empty holder that every puller shares
-    /// ([`crate::PeerPlane::barrier_views`]).
+    /// ([`crate::PeerPlane::barrier`]).
     #[default]
     Snapshot,
     /// Decentralized epidemic discovery ([`crate::GossipPlane`]): each
@@ -169,69 +169,66 @@ impl From<deep_registry::RegistryError> for ExecError {
     }
 }
 
-/// Per-device energy instruments for one run.
-struct Instruments {
-    rapl: HashMap<usize, RaplBank>,
-    meters: HashMap<usize, PowerMeter>,
+/// One device's energy instrument, chosen by its architecture: the
+/// emulated RAPL counter bank on amd64 (pyRAPL's flow), the sampling wall
+/// meter on arm64 (Ketotek's flow).
+enum Instrument {
+    Rapl(RaplBank),
+    Meter(PowerMeter),
 }
+
+impl Instrument {
+    fn for_device(device: &SimDevice) -> Self {
+        match device.arch {
+            Platform::Amd64 => Instrument::Rapl(RaplBank::new()),
+            Platform::Arm64 => Instrument::Meter(PowerMeter::ketotek()),
+        }
+    }
+
+    /// Meter `power` over `dt`.
+    fn observe(&mut self, power: Watts, dt: Seconds) {
+        match self {
+            Instrument::Rapl(bank) => bank.advance_package(power, dt),
+            Instrument::Meter(meter) => meter.observe(power, dt),
+        }
+    }
+
+    /// Meter each `(power, dt)` phase in turn and return the energy the
+    /// instrument read across them.
+    fn measure(&mut self, phases: [(Watts, Seconds); 2]) -> Joules {
+        match self {
+            Instrument::Rapl(bank) => {
+                let window = RaplMeasurement::begin(bank);
+                for (power, dt) in phases {
+                    bank.advance_package(power, dt);
+                }
+                window.package_energy(bank)
+            }
+            Instrument::Meter(meter) => {
+                let start = meter.energy();
+                for (power, dt) in phases {
+                    meter.observe(power, dt);
+                }
+                meter.energy() - start
+            }
+        }
+    }
+}
+
+/// The session's energy instruments, indexed by device id. A device's
+/// instrument is built when it is first metered, so a session pays only
+/// for the devices it deploys to.
+#[derive(Default)]
+struct Instruments(Vec<Option<Instrument>>);
 
 impl Instruments {
-    fn for_testbed(testbed: &Testbed) -> Self {
-        let mut rapl = HashMap::new();
-        let mut meters = HashMap::new();
-        for d in &testbed.devices {
-            match d.arch {
-                Platform::Amd64 => {
-                    rapl.insert(d.id.0, RaplBank::new());
-                }
-                Platform::Arm64 => {
-                    meters.insert(d.id.0, PowerMeter::ketotek());
-                }
-            }
+    fn of(&mut self, device: &SimDevice) -> &mut Instrument {
+        let slot = device.id.0;
+        if self.0.len() <= slot {
+            self.0.resize_with(slot + 1, || None);
         }
-        Instruments { rapl, meters }
+        self.0[slot].get_or_insert_with(|| Instrument::for_device(device))
     }
-
-    /// Meter `power` over `dt` on `device` and return nothing; reads are
-    /// taken via [`Instruments::begin`]/[`Instruments::energy_since`].
-    fn observe(&mut self, device: DeviceId, power: Watts, dt: Seconds) {
-        if let Some(bank) = self.rapl.get_mut(&device.0) {
-            bank.advance_package(power, dt);
-        } else if let Some(meter) = self.meters.get_mut(&device.0) {
-            meter.observe(power, dt);
-        }
-    }
-
-    /// Snapshot for a measurement window on `device`.
-    fn begin(&self, device: DeviceId) -> InstrumentSnapshot {
-        if let Some(bank) = self.rapl.get(&device.0) {
-            InstrumentSnapshot::Rapl(RaplMeasurement::begin(bank))
-        } else if let Some(meter) = self.meters.get(&device.0) {
-            InstrumentSnapshot::Meter(meter.energy())
-        } else {
-            InstrumentSnapshot::None
-        }
-    }
-
-    /// Energy accumulated on `device` since `snapshot`.
-    fn energy_since(&self, device: DeviceId, snapshot: &InstrumentSnapshot) -> Joules {
-        match snapshot {
-            InstrumentSnapshot::Rapl(m) => {
-                m.package_energy(self.rapl.get(&device.0).expect("rapl device"))
-            }
-            InstrumentSnapshot::Meter(start) => {
-                let now = self.meters.get(&device.0).expect("meter device").energy();
-                now - *start
-            }
-            InstrumentSnapshot::None => Joules::ZERO,
-        }
-    }
-}
-
-enum InstrumentSnapshot {
-    Rapl(RaplMeasurement),
-    Meter(Joules),
-    None,
 }
 
 /// Run `app` under `schedule` on `testbed`. Mutates device caches (images
@@ -632,7 +629,7 @@ impl OnlineExecutor {
             cfg: *cfg,
             jitter: Jitter::new(cfg.seed, cfg.jitter),
             trace: Trace::new(),
-            instruments: Instruments::for_testbed(testbed),
+            instruments: Instruments::default(),
             clock: Seconds::ZERO,
             pull_counter: 0,
             fault_plan,
@@ -742,10 +739,7 @@ impl OnlineExecutor {
             targets.sort_unstable();
             targets.dedup();
             let caches: Vec<&LayerCache> = testbed.devices.iter().map(|d| &d.cache).collect();
-            if let Some(plane) = gossip.as_mut() {
-                plane.barrier_round(&caches);
-            }
-            testbed.peer_plane.barrier_views(gossip.as_mut(), &caches, targets)
+            testbed.peer_plane.barrier(gossip.as_mut(), &caches, targets)
         } else {
             PeerViews::default()
         };
@@ -812,7 +806,7 @@ impl OnlineExecutor {
             completions.push((t, id));
             // Instrument the deployment phase (deploy + static draw).
             let power = device.power.deploy_watts + device.power.static_watts;
-            instruments.observe(placement.device, power, t);
+            instruments.of(device).observe(power, t);
         }
         // Deployment is concurrent: record the completions in time order
         // (each finish stamped when its pull actually ends; the stable
@@ -867,18 +861,13 @@ impl OnlineExecutor {
             run.analytic[id.0] = device.phase_energy(process_watts, run.td[id.0], transfer, proc);
 
             // Instrumented energy: meter transfer + processing here (the
-            // deployment slice was metered during the wave); read the
+            // deployment slice was metered during the wave), reading the
             // instrument across a window covering this microservice's
-            // share. For per-microservice attribution we open the window
-            // now and charge deployment separately below.
-            let snap = instruments.begin(placement.device);
-            instruments.observe(
-                placement.device,
-                device.power.transfer_watts + device.power.static_watts,
-                transfer,
-            );
-            instruments.observe(placement.device, process_watts + device.power.static_watts, proc);
-            let exec_energy = instruments.energy_since(placement.device, &snap);
+            // share. Deployment is charged separately below.
+            let exec_energy = instruments.of(device).measure([
+                (device.power.transfer_watts + device.power.static_watts, transfer),
+                (process_watts + device.power.static_watts, proc),
+            ]);
             // Deployment slice, analytic reconstruction of the metered
             // wave share: (deploy + static) × td.
             let deploy_energy =

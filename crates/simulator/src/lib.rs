@@ -34,6 +34,8 @@
 //! * [`trace`] — the Monitoring component of Figure 1: an event log of
 //!   every deployment and execution step.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod device;
 pub mod executor;

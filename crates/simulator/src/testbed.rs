@@ -363,19 +363,35 @@ impl PeerPlane {
         }
     }
 
-    /// The peer sources one wave barrier advertises to each of
-    /// `targets`, from the per-device layer caches (index = device id):
-    /// each target's own bounded, possibly lagging view under gossip
-    /// discovery, the omniscient [`PeerPlane::snapshot`] otherwise. The
-    /// executor asks for its wave's targets on the real caches, the
-    /// estimator for every device on its estimated ones; this one rule is
-    /// what keeps them bit for bit.
+    /// One wave barrier's discovery step over the per-device layer caches
+    /// (index = device id): under gossip discovery the plane first runs
+    /// its [`GossipPlane::barrier_round`], then every target gets the
+    /// peer sources the barrier advertises to it — its own bounded,
+    /// possibly lagging view under gossip, the omniscient
+    /// [`PeerPlane::snapshot`] otherwise. The executor opens each wave
+    /// with it on the real caches for the wave's targets, the estimator
+    /// on its estimated caches for every device; this one step is what
+    /// keeps them bit for bit.
     ///
     /// The per-pair snapshot builds each non-empty holder's source once
     /// and every target shares the list, skipping its own entry, so a
     /// barrier costs O(holders) sources however many targets ask. Only
     /// the aggregate oracle still folds one union per target.
-    pub fn barrier_views(
+    pub fn barrier(
+        &self,
+        mut gossip: Option<&mut GossipPlane>,
+        caches: &[&LayerCache],
+        targets: impl IntoIterator<Item = usize>,
+    ) -> PeerViews {
+        if let Some(plane) = gossip.as_deref_mut() {
+            plane.barrier_round(caches);
+        }
+        self.barrier_views(gossip, caches, targets)
+    }
+
+    /// The views half of [`PeerPlane::barrier`], without the gossip
+    /// round.
+    pub(crate) fn barrier_views(
         &self,
         mut gossip: Option<&mut GossipPlane>,
         caches: &[&LayerCache],
@@ -407,7 +423,7 @@ impl PeerPlane {
     /// per-device layer caches (index = device id): the aggregate plane
     /// folds every other device into one [`REGISTRY_PEER`] source; the
     /// per-pair plane yields one [`peer_source_id`] source per other
-    /// device with a non-empty cache. [`PeerPlane::barrier_views`] serves
+    /// device with a non-empty cache. [`PeerPlane::barrier`] serves
     /// the per-pair plane from one shared holder list instead; this
     /// per-target rule is the reference it is tested against.
     pub fn snapshot(
@@ -436,7 +452,7 @@ impl PeerPlane {
 }
 
 /// The peer sources one wave barrier advertises to each target device
-/// ([`PeerPlane::barrier_views`]). The default holds no source for any
+/// ([`PeerPlane::barrier`]). The default holds no source for any
 /// device: the view of an executor or estimator without peer sharing.
 #[derive(Debug, Clone)]
 pub struct PeerViews(Views);
@@ -557,7 +573,7 @@ impl Testbed {
     /// The paper's testbed with default calibrated parameters and the
     /// Table I catalog published to both registries.
     ///
-    /// Power models (see DESIGN.md): the medium device's figures are
+    /// Power models: the medium device's figures are
     /// RAPL-package-domain (pyRAPL measures only the processor package, so
     /// its idle floor is low and network-bound phases draw little); the
     /// small device's figures are wall-meter whole-board (PSU overhead
@@ -1093,14 +1109,14 @@ mod tests {
         assert!(out.downloaded > DataSize::ZERO);
     }
 
-    /// Every object of a registry's store as `(bucket, key, bytes, etag)`.
-    fn objects(reg: &RegionalRegistry) -> Vec<(String, String, Vec<u8>, u64)> {
+    /// Every object of a registry's store as `(bucket, key, bytes)`.
+    fn objects(reg: &RegionalRegistry) -> Vec<(String, String, Vec<u8>)> {
         let store = reg.store();
         let mut out = Vec::new();
         for bucket in store.list_buckets() {
             for meta in store.list_objects(&bucket, "").unwrap() {
                 let data = store.get_object(&bucket, &meta.key).unwrap();
-                out.push((bucket.clone(), meta.key, data.to_vec(), meta.etag));
+                out.push((bucket.clone(), meta.key, data.to_vec()));
             }
         }
         out

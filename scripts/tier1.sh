@@ -5,7 +5,8 @@
 # scenarios and friends, fault_sweep's failure-rate × registry-count
 # grid) cannot silently rot, the perfbench self-test, and one untimed
 # perfbench round per cell whose digest must equal its pinned line in
-# scripts/perfbench_digests.txt.
+# scripts/perfbench_digests.txt. It ends by printing each crate's non-test
+# line count (scripts/nontest_lines.sh), which it does not gate on.
 #
 # Randomized suites stay deterministic in CI: the vendored proptest
 # seeds every case from the test name (no ambient RNG), and the
@@ -99,5 +100,10 @@ while read -r workload seed want <&3; do
   fi
   echo "    -> ${workload} ${seed} ${got}"
 done 3< scripts/perfbench_digests.txt
+
+echo "==> non-test Rust lines per crate (reported, not gated)"
+# The size measure the change log quotes: each crate's src/ up to its
+# `#[cfg(test)] mod tests` block.
+scripts/nontest_lines.sh
 
 echo "tier-1 OK"

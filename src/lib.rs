@@ -13,7 +13,7 @@
 //! | [`dataflow`] | `deep-dataflow` | DAG application model (Fig. 2 case studies) |
 //! | [`netsim`] | `deep-netsim` | typed units, device/registry ids, transfer time, gossip |
 //! | [`energy`] | `deep-energy` | power models, RAPL emulation, wall meter |
-//! | [`objectstore`] | `deep-objectstore` | MinIO-like S3 store: buckets, ETags, quota |
+//! | [`objectstore`] | `deep-objectstore` | MinIO-like S3 store: buckets, objects, quota |
 //! | [`registry`] | `deep-registry` | Docker Hub + regional registries, pull path |
 //! | [`game`] | `deep-game` | Nash-equilibrium toolkit (Nashpy replacement) |
 //! | [`simulator`] | `deep-simulator` | discrete-event two-device testbed |
@@ -40,6 +40,8 @@
 //!     execute(&mut testbed, &app, &schedule, &ExecutorConfig::default()).unwrap();
 //! assert!(report.total_energy().as_f64() > 0.0);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use deep_arrival as arrival;
 pub use deep_core as core;
