@@ -8,7 +8,7 @@
 //! replications, and independent of the per-replication fault seed
 //! stream `seed + r`.
 
-use deep_netsim::{splitmix64, Seconds};
+use deep_netsim::{splitmix64, unit_f64, Seconds};
 use deep_scenario::{ArrivalModel, Scenario};
 
 /// A uniform draw in `[0, 1)` from the top 53 bits of the next step of
@@ -16,7 +16,7 @@ use deep_scenario::{ArrivalModel, Scenario};
 fn unit(state: &mut u64) -> f64 {
     let out = splitmix64(*state);
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    (out >> 11) as f64 / (1u64 << 53) as f64
+    unit_f64(out)
 }
 
 /// One deployment request on the executor clock.

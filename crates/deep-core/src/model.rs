@@ -257,14 +257,10 @@ pub struct EstimationContext<'t> {
 }
 
 /// One cell's pull, built in one place ([`EstimationContext::cell_pull`])
-/// for every estimate, plan and commit: the placement's registry as
-/// primary (slowed by its route load), plus the device's peer sources
-/// when peer sharing is on (one per advertising holder on the per-pair
-/// plane, each slowed by the load on *its* uplink; the single aggregate
-/// source under the scalar oracle), plus every other full registry as a
-/// standby when the pricing needs failover targets — exactly the mesh the
-/// executor assembles for the realised pull — planned against the
-/// memoized manifest when one is warm.
+/// for every estimate, plan and commit: the mesh the executor realises
+/// for the same placement ([`Testbed::placement_mesh`]), with every other
+/// full registry as a standby when the pricing needs failover targets,
+/// planned against the memoized manifest when one is warm.
 struct CellPull<'c> {
     mesh: RegistryMesh<'c>,
     primary: RegistryId,
@@ -465,7 +461,8 @@ impl<'t> EstimationContext<'t> {
     /// fault-injecting executor's failover), and `B` is the closed-form
     /// expected retry backoff of the transient channel. With a zero
     /// fault model this is float-identical to happy-path pricing, so
-    /// fault-aware schedulers degrade gracefully to the PR 3 behaviour.
+    /// fault-aware schedulers degrade gracefully to the fault-free
+    /// mesh's schedules.
     pub fn price_faults(mut self, on: bool) -> Self {
         self.price_faults = on;
         self
@@ -575,9 +572,8 @@ impl<'t> EstimationContext<'t> {
         let (outcome, td) = match self.scenario {
             Some(pricing) => {
                 // Sources scripted dark at the wave clock are gone for this
-                // pull whatever their mesh role — exactly what the
-                // executor's clock-gated wrappers (`PlannedFaults::at`)
-                // realise.
+                // pull whatever their mesh role — exactly what a session
+                // injecting the executor's plan at that clock realises.
                 let dark: Vec<RegistryId> = pull
                     .mesh
                     .sources()
@@ -605,16 +601,11 @@ impl<'t> EstimationContext<'t> {
     }
 
     /// `Tc`: the time `id`'s incoming flows take from their committed
-    /// producers to `device`.
+    /// producers to `device` ([`Testbed::transfer_in_time`]).
     fn transfer_in_time(&self, id: MicroserviceId, device: DeviceId) -> Seconds {
-        let mut tc = Seconds::ZERO;
-        for flow in self.app.incoming(id) {
-            let producer = self.assigned[flow.from.0]
-                .unwrap_or_else(|| panic!("producer {} uncommitted", flow.from))
-                .device;
-            tc += self.testbed.device_transfer_time(producer, device, flow.size);
-        }
-        tc
+        self.testbed.transfer_in_time(self.app, id, device, |from| {
+            self.assigned[from.0].unwrap_or_else(|| panic!("producer {from} uncommitted")).device
+        })
     }
 
     /// An admissible lower bound on
@@ -899,44 +890,15 @@ impl<'t> EstimationContext<'t> {
                     (Cow::Owned(testbed.reference(entry, registry, dev.arch)), None)
                 }
             };
-        let load = |id: RegistryId| {
-            let contention = self.route_load.contention(&testbed.params, id, device);
-            // Under scenario pricing, scripted degradation windows slow
-            // the affected sources exactly as the executor's clock-gated
-            // load factor does (×1.0 outside windows — bit-exact
-            // identity).
-            match self.scenario {
-                Some(_) => contention * testbed.fault_model.slowdown_at(id, self.clock),
-                None => contention,
-            }
-        };
-        let params = |choice: RegistryChoice| {
-            testbed.source_params(choice, device, load(choice.registry_id()))
-        };
-        let primary = registry.registry_id();
-        let mut mesh = RegistryMesh::new();
-        mesh.add_registry(primary, testbed.registry(registry), params(registry));
-        for (id, peer) in self.peers.of(device) {
-            mesh.add_blob_source(*id, peer, params(RegistryChoice::mesh(*id)));
-        }
-        // Fault pricing needs the failover targets in the mesh: every
-        // other full registry as a standby (planned only once the primary
-        // is dead, so the happy branch is untouched) — the same standby
-        // set a fault-injecting executor registers.
-        if standbys {
-            for &choice in &self.registries {
-                if choice != registry {
-                    mesh.add_standby_registry(
-                        choice.registry_id(),
-                        testbed.registry(choice),
-                        params(choice),
-                    );
-                }
-            }
-        }
+        // Under scenario pricing, scripted degradation windows slow the
+        // affected sources at the wave clock, as they slow the executor's.
+        let windows = self.scenario.map(|_| (&testbed.fault_model, self.clock));
+        let placement = Placement { registry, device };
+        let mesh =
+            testbed.placement_mesh(placement, &self.peers, &self.route_load, windows, standbys);
         CellPull {
             mesh,
-            primary,
+            primary: registry.registry_id(),
             reference,
             preresolved,
             extract_bw: dev.extract_bw,

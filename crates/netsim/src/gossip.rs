@@ -1,7 +1,7 @@
 //! Seeded push/pull epidemic dissemination of per-device advertisements,
 //! exchanged as **epoch-vector deltas**.
 //!
-//! DEEP's peer plane (PR 5) hands every pull an *omniscient* snapshot of
+//! DEEP's snapshot peer plane hands every pull an *omniscient* view of
 //! which devices hold which layers — a central catalog no real edge
 //! fleet has. This module provides the decentralized alternative in the
 //! EdgePier style (arXiv:2109.12983): each device periodically
@@ -12,12 +12,12 @@
 //!
 //! ## What an exchange ships
 //!
-//! The PR 9 protocol merged full views: every exchange collected the
-//! union of both partners' known holders into a fresh key vector and
-//! *cloned* each winning `(epoch, payload)` entry across — at fleet
-//! scale the payload clones dominated the barrier
-//! (`barrier_round/devices_800` spent ~288 ms copying advertisement
-//! maps). The protocol is now anti-entropy over **version vectors**:
+//! A full-view protocol, where every exchange collects the union of both
+//! partners' known holders into a fresh key vector and *clones* each
+//! winning `(epoch, payload)` entry across, spends a fleet-scale barrier
+//! on payload clones (`barrier_round/devices_800` spent ~288 ms copying
+//! advertisement maps that way). This protocol is anti-entropy over
+//! **version vectors** instead:
 //!
 //! * each viewer's knowledge is a per-holder epoch vector (0 = never
 //!   heard of it) — the version-vector *summary* both sides of an
@@ -44,7 +44,7 @@
 //! (a pure splitmix64 function of `(seed, round, device, probe)`),
 //! ascending-id exchange order with immediate visibility, max-epoch
 //! merge semantics, and `known()` views in ascending holder order. The
-//! clone-based PR 9 implementation is retained verbatim in [`oracle`]
+//! clone-based full-view implementation is retained verbatim in [`oracle`]
 //! as a test reference: this module's proptest pins the two view
 //! sequences byte for byte, and the simulator's differential suite
 //! drives its `GossipPlane` call for call against a reference built on
@@ -326,7 +326,7 @@ impl<T: Clone> GossipState<T> {
     }
 }
 
-/// The PR 9 clone-based protocol, retained **verbatim** as the
+/// The clone-based full-view protocol, retained **verbatim** as the
 /// differential-test oracle: full-map views merged by cloning winning
 /// `(epoch, payload)` entries across on every exchange. Same partner
 /// schedule, same merge semantics, same observable view sequence — the
@@ -340,7 +340,7 @@ pub mod oracle {
     /// One device's knowledge of another's advertisement.
     type Entry<T> = (u64, T);
 
-    /// The clone-based gossip state (PR 9 implementation).
+    /// The clone-based gossip state: one full map per view.
     #[derive(Debug, Clone)]
     pub struct GossipState<T: Clone> {
         views: Vec<BTreeMap<usize, Entry<T>>>,

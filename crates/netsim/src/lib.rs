@@ -16,7 +16,8 @@
 //!   advertisement — the substrate the simulator's gossip discovery
 //!   plane builds on;
 //! * [`splitmix64`], the seed-stream mixer behind the workspace's fault
-//!   plans, retry jitter, gossip partners, arrivals and synthetic fleets.
+//!   plans, retry jitter, gossip partners, arrivals and synthetic fleets,
+//!   and [`unit_f64`], the one `[0, 1)` draw from its output.
 //!
 //! All quantities are deterministic; stochastic jitter is layered on by the
 //! simulator crate, never here.
@@ -31,6 +32,6 @@ pub mod units;
 
 pub use gossip::GossipState;
 pub use ids::{DeviceId, RegistryId};
-pub use splitmix::splitmix64;
+pub use splitmix::{splitmix64, unit_f64};
 pub use transfer::transfer_time;
 pub use units::{Bandwidth, DataSize, Seconds};

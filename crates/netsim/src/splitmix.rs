@@ -12,6 +12,12 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// A uniform draw in `[0, 1)` from the top 53 bits of `bits`, one
+/// mixer output: every unit draw of the workspace goes through here.
+pub fn unit_f64(bits: u64) -> f64 {
+    (bits >> 11) as f64 / (1u64 << 53) as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

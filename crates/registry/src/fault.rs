@@ -1,9 +1,8 @@
 //! Seeded fault injection and the probabilistic fault model it samples.
 //!
-//! PR 3 taught [`crate::mesh::PullSession`] to survive mid-pull source
-//! death with [`crate::retry::FaultySource`] as a counter-based test
-//! double. This module promotes that machinery into a first-class
-//! harness usable from tests, examples, and the executor:
+//! A [`crate::mesh::PullSession`] survives mid-pull source death by
+//! failing the remaining layers over to surviving sources. This module
+//! decides *when* sources die or flake, reproducibly:
 //!
 //! * [`FaultModel`] — the probabilistic model: each mesh source gets
 //!   [`FaultRates`] (a per-pull *fatal* failure probability and a
@@ -15,19 +14,19 @@
 //!   model: for every `(pull, source)` it decides whether the source is
 //!   dead for that pull, and for every `(pull, source, fetch)` whether
 //!   the attempt fails transiently. Same seed ⇒ same schedule, so a
-//!   Monte-Carlo sweep over seeds is exactly reproducible.
-//! * [`PlannedFaults`] — the injecting wrapper: wraps any source and
-//!   fails its blob fetches according to the plan. A *dead* source
-//!   returns [`RegistryError::Unavailable`] on every fetch (the session
-//!   fails the remaining layers over to survivors); a transient
-//!   injection returns [`RegistryError::Transient`] (the session backs
+//!   Monte-Carlo sweep over seeds is exactly reproducible. A session
+//!   injects a plan through [`crate::mesh::PullSession::with_faults`]: a
+//!   *dead* source fails its fetches with
+//!   [`Unavailable`](crate::RegistryError::Unavailable) (the session fails
+//!   the remaining layers over to survivors), a transient injection with
+//!   [`Transient`](crate::RegistryError::Transient) (the session backs
 //!   off and retries in place).
 //! * [`OutageWindow`] — the scripted, time-indexed channel alongside
 //!   the sampled rates: a source dark (or degraded) over a half-open
 //!   interval of executor-clock time. Windows model *sticky* incidents
 //!   — a mirror down for minutes, a correlated multi-regional outage —
-//!   that a per-pull rate cannot express. The executor gates wrappers
-//!   on the clock via [`PlannedFaults::at`]; scenario files (see the
+//!   that a per-pull rate cannot express. A fault-injecting session
+//!   reads them at the clock it was given; scenario files (see the
 //!   `deep-scenario` crate) script the timeline.
 //!
 //! ## The closed-form expectation contract
@@ -37,13 +36,15 @@
 //! executor realises seeded samples of the same distribution — and the
 //! two must agree. Two design choices keep `E[Td]` in closed form:
 //!
-//! * **Fatal failures are per pull and primary-only.** A pull's primary
-//!   source is drawn dead with its `fatal_per_pull` probability *before
-//!   the first fetch*; failover targets (peer caches, standby
-//!   registries) are assumed to survive the pull — the "surviving
-//!   source" of the failover re-plan. `E[Td]` is then a two-branch mix:
+//! * **Fatal failures are per pull and priced for the primary only.** A
+//!   pull's primary source is drawn dead with its `fatal_per_pull`
+//!   probability *before the first fetch*; standby registries are
+//!   assumed to survive the pull — the "surviving source" of the
+//!   failover re-plan. `E[Td]` is then a two-branch mix:
 //!   `(1−p)·Td_happy + p·Td_failover`, each branch a deterministic
-//!   [`crate::mesh::PullSession`] plan.
+//!   [`crate::mesh::PullSession`] plan. Per-holder peer sources draw
+//!   their own deaths too (a dead holder fails over alone); that churn
+//!   is realised but not part of the closed form.
 //! * **Transient injections are capped below the retry budget.** Each
 //!   fetch attempt fails independently with probability `q`, except
 //!   that a layer never sees more than `max_attempts − 1` consecutive
@@ -53,26 +54,23 @@
 //!   `Σ_{k=1}^{A−1} q^k · backoff(k)` ([`FaultModel::expected_backoff_per_fetch`]),
 //!   exact under the cap.
 //!
-//! With every rate at zero the plan injects nothing and wrapped sources
-//! behave byte-identically to bare ones — the invariant the
-//! fault-injection differential tests pin.
+//! With every rate at zero and no window the plan injects nothing, and a
+//! session with the plan attached pulls byte-identically to one without
+//! — the invariant the fault-injection differential tests pin.
 
-use crate::digest::Digest;
-use crate::image::{Platform, Reference};
-use crate::manifest::ImageManifest;
-use crate::pull::{PullOutcome, RegistryError};
+use crate::pull::PullOutcome;
 use crate::retry::RetryPolicy;
-use crate::{BlobSource, ManifestSource};
-use deep_netsim::{splitmix64, RegistryId, Seconds};
-use std::cell::Cell;
+use deep_netsim::{splitmix64, unit_f64, RegistryId, Seconds};
 
 /// Failure rates of one mesh source.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultRates {
     /// Probability that the source is fatally dead for a whole pull in
-    /// which it is the *primary* (drawn once per pull, before the first
-    /// fetch). A dead source fails every fetch with
-    /// [`RegistryError::Unavailable`] and the session fails over.
+    /// which it is first-class — the *primary* or a peer holder, not a
+    /// standby (drawn once per pull, before the first fetch). A dead
+    /// source fails every fetch with
+    /// [`Unavailable`](crate::RegistryError::Unavailable) and the session
+    /// fails over.
     pub fatal_per_pull: f64,
     /// Probability that any single blob-fetch attempt against the source
     /// fails transiently (drawn independently per attempt, capped so a
@@ -145,7 +143,8 @@ impl OutageWindow {
 /// flaky, and under which retry policy the flakiness is absorbed.
 ///
 /// Sources without an entry are perfectly reliable, so the default model
-/// is the fault-free PR 3 world (under the default [`RetryPolicy`]).
+/// injects nothing: every pull succeeds on its first attempt at every
+/// source (under the default [`RetryPolicy`]).
 #[derive(Debug, Clone, Default)]
 pub struct FaultModel {
     rates: Vec<(RegistryId, FaultRates)>,
@@ -303,8 +302,7 @@ fn keyed_unit(seed: u64, salt: u64, pull: u64, source: RegistryId, fetch: u64) -
     let mut h = splitmix64(seed ^ salt);
     h = splitmix64(h ^ pull.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     h = splitmix64(h ^ (source.0 as u64));
-    h = splitmix64(h ^ fetch);
-    (h >> 11) as f64 / (1u64 << 53) as f64
+    unit_f64(splitmix64(h ^ fetch))
 }
 
 /// A deterministic seeded sampling of a [`FaultModel`]: the reproducible
@@ -332,10 +330,10 @@ impl FaultPlan {
         self.model.dark_at(source, at)
     }
 
-    /// Bandwidth slowdown multiplier for `source` at clock time `at`
-    /// (see [`FaultModel::slowdown_at`]).
-    pub fn slowdown_at(&self, source: RegistryId, at: Seconds) -> f64 {
-        self.model.slowdown_at(source, at)
+    /// The model the plan was sampled from: its windows are the plan's
+    /// outage timeline.
+    pub fn model(&self) -> &FaultModel {
+        &self.model
     }
 
     /// Max consecutive transient injections a retry chain can see
@@ -360,151 +358,12 @@ impl FaultPlan {
     }
 
     /// Raw transient draw for the `fetch`-th blob-fetch attempt of pull
-    /// `pull` against `source` (before the consecutive-injection cap a
-    /// [`PlannedFaults`] wrapper applies).
+    /// `pull` against `source` (before the consecutive-injection cap
+    /// [`FaultPlan::transient_cap`] that a fault-injecting session
+    /// applies per source).
     pub fn fetch_transient(&self, pull: u64, source: RegistryId, fetch: u64) -> bool {
         let q = self.model.rates(source).transient_per_fetch;
         q > 0.0 && self.unit(SALT_TRANSIENT, pull, source, fetch) < q
-    }
-}
-
-/// The injecting wrapper: any blob source, failing per a [`FaultPlan`].
-///
-/// The wrapped source keeps *advertising* its blobs (`has_blob` is
-/// untouched) — that is exactly the mid-pull state a
-/// [`crate::mesh::PullSession`] must fail over from, since the plan was
-/// built against the advertisement. Construct with
-/// [`PlannedFaults::primary`] (fatal draw consulted — the pull's primary
-/// is the one source whose per-pull death the model prices) or
-/// [`PlannedFaults::survivor`] (transient channel only — failover
-/// targets are assumed to survive the pull).
-pub struct PlannedFaults<'p, S> {
-    inner: S,
-    plan: &'p FaultPlan,
-    source: RegistryId,
-    pull: u64,
-    /// Drawn once at construction: dead sources fail every fetch.
-    dead: bool,
-    fetch_seq: Cell<u64>,
-    consecutive: Cell<usize>,
-}
-
-impl<'p, S> PlannedFaults<'p, S> {
-    /// Wrap the pull's primary source: the fatal per-pull draw applies,
-    /// plus the transient channel.
-    pub fn primary(inner: S, plan: &'p FaultPlan, source: RegistryId, pull: u64) -> Self {
-        let dead = plan.pull_fatal(pull, source);
-        PlannedFaults {
-            inner,
-            plan,
-            source,
-            pull,
-            dead,
-            fetch_seq: Cell::new(0),
-            consecutive: Cell::new(0),
-        }
-    }
-
-    /// Wrap one peer *holder*: the fatal per-pull draw applies (churn
-    /// kills this holder alone — the rest of the peer plane and the
-    /// registries keep serving, so a [`crate::mesh::PullSession`] fails
-    /// the holder's layers over to the survivors), plus the transient
-    /// channel. Identical draws to [`PlannedFaults::primary`]; the
-    /// separate constructor documents that a holder's death is *not*
-    /// part of the closed-form `E[Td]` (which prices primary death only
-    /// — per-holder churn pricing is future work under the
-    /// correlated-failures roadmap item).
-    pub fn holder(inner: S, plan: &'p FaultPlan, source: RegistryId, pull: u64) -> Self {
-        Self::primary(inner, plan, source, pull)
-    }
-
-    /// Wrap a failover target (peer cache, standby registry): transient
-    /// channel only — survivors survive the pull by assumption.
-    pub fn survivor(inner: S, plan: &'p FaultPlan, source: RegistryId, pull: u64) -> Self {
-        PlannedFaults {
-            inner,
-            plan,
-            source,
-            pull,
-            dead: false,
-            fetch_seq: Cell::new(0),
-            consecutive: Cell::new(0),
-        }
-    }
-
-    /// Gate the wrapper on the executor clock: if the plan scripts the
-    /// source dark at `clock`, the source is dead for this pull —
-    /// whether it was wrapped as primary, holder, or survivor (a
-    /// scripted incident takes standbys down too, unlike the sampled
-    /// per-pull channel whose survivors survive by assumption). With no
-    /// active window this is a no-op, preserving byte-identity.
-    pub fn at(mut self, clock: Seconds) -> Self {
-        if self.plan.dark_at(self.source, clock) {
-            self.dead = true;
-        }
-        self
-    }
-
-    /// Whether the fatal draw killed this source for the whole pull.
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
-    /// Blob-fetch attempts performed against the wrapper so far.
-    pub fn fetches(&self) -> u64 {
-        self.fetch_seq.get()
-    }
-}
-
-impl<S: ManifestSource> ManifestSource for PlannedFaults<'_, S> {
-    fn host(&self) -> &str {
-        self.inner.host()
-    }
-
-    fn resolve(
-        &self,
-        reference: &Reference,
-        platform: Platform,
-    ) -> Result<ImageManifest, RegistryError> {
-        self.inner.resolve(reference, platform)
-    }
-
-    fn repositories(&self) -> Vec<String> {
-        self.inner.repositories()
-    }
-}
-
-impl<S: BlobSource> BlobSource for PlannedFaults<'_, S> {
-    fn label(&self) -> &str {
-        self.inner.label()
-    }
-
-    fn has_blob(&self, digest: &Digest) -> bool {
-        self.inner.has_blob(digest)
-    }
-
-    fn fetch_blob(&self, digest: &Digest) -> Result<(), RegistryError> {
-        if self.dead {
-            return Err(RegistryError::Unavailable(format!(
-                "planned death of {} for pull {} (before {digest})",
-                self.inner.label(),
-                self.pull
-            )));
-        }
-        let seq = self.fetch_seq.get();
-        self.fetch_seq.set(seq + 1);
-        if self.consecutive.get() < self.plan.transient_cap()
-            && self.plan.fetch_transient(self.pull, self.source, seq)
-        {
-            self.consecutive.set(self.consecutive.get() + 1);
-            return Err(RegistryError::Transient(format!(
-                "planned transient failure of {} (pull {}, fetch {seq})",
-                self.inner.label(),
-                self.pull
-            )));
-        }
-        self.consecutive.set(0);
-        self.inner.fetch_blob(digest)
     }
 }
 
@@ -513,12 +372,16 @@ mod tests {
     use super::*;
     use crate::cache::LayerCache;
     use crate::hub::HubRegistry;
-    use crate::mesh::{RegistryMesh, SourceParams};
+    use crate::image::{Platform, Reference};
+    use crate::mesh::{PeerCacheSource, RegistryMesh, SourceParams};
+    use crate::pull::{PullOutcome, RegistryError};
     use crate::regional::RegionalRegistry;
-    use deep_netsim::{Bandwidth, DataSize};
+    use crate::ManifestSource;
+    use deep_netsim::{Bandwidth, DataSize, DeviceId};
 
     const HUB: RegistryId = RegistryId(0);
     const REGIONAL: RegistryId = RegistryId(1);
+    const PEER: RegistryId = RegistryId(2);
 
     fn params() -> SourceParams {
         SourceParams {
@@ -529,6 +392,31 @@ mod tests {
 
     fn cache() -> LayerCache {
         LayerCache::new(DataSize::gigabytes(64.0))
+    }
+
+    fn transcode() -> Reference {
+        Reference::new("docker.io", "sina88/vp-transcode", "amd64")
+    }
+
+    /// Pull vp-transcode through `mesh` from `primary` (in the regional
+    /// namespace when it is `REGIONAL`), injecting `plan` as pull number
+    /// `pull` at `clock` under `plan`'s retry policy.
+    fn injected_pull(
+        mesh: &RegistryMesh<'_>,
+        primary: RegistryId,
+        plan: &FaultPlan,
+        pull: u64,
+        clock: Seconds,
+    ) -> Result<PullOutcome, RegistryError> {
+        let reference = match primary {
+            REGIONAL => Reference::new("dcloud2.itec.aau.at", "aau/vp-transcode", "amd64"),
+            _ => transcode(),
+        };
+        mesh.session(primary).with_retry(plan.model().retry).with_faults(plan, pull, clock).pull(
+            &reference,
+            Platform::Amd64,
+            &mut cache(),
+        )
     }
 
     #[test]
@@ -611,27 +499,34 @@ mod tests {
 
     #[test]
     fn dead_primary_fails_every_fetch_and_survivor_never_dies() {
-        let model = FaultModel::default()
-            .with_source(HUB, FaultRates { fatal_per_pull: 1.0, transient_per_fetch: 0.0 });
-        let plan = model.plan(0);
+        // Both registries draw a certain death; only the first-class
+        // primary consults the draw, so the standby survives the pull.
+        let certain = FaultRates { fatal_per_pull: 1.0, transient_per_fetch: 0.0 };
+        let plan =
+            FaultModel::default().with_source(HUB, certain).with_source(REGIONAL, certain).plan(0);
         let hub = HubRegistry::with_paper_catalog();
-        let dead = PlannedFaults::primary(&hub, &plan, HUB, 0);
-        assert!(dead.is_dead());
-        let digest = Digest::of(b"whatever");
-        for _ in 0..3 {
-            let err = dead.fetch_blob(&digest).unwrap_err();
-            assert!(matches!(err, RegistryError::Unavailable(_)));
-        }
-        // The same source wrapped as a survivor ignores the fatal draw.
-        let survivor = PlannedFaults::survivor(&hub, &plan, HUB, 0);
-        assert!(!survivor.is_dead());
+        let regional = RegionalRegistry::with_paper_catalog();
+        let mut alone = RegistryMesh::new();
+        alone.add_registry(HUB, &hub, params());
+        let err = injected_pull(&alone, HUB, &plan, 0, Seconds::ZERO).unwrap_err();
+        assert!(matches!(err, RegistryError::MissingBlob(_)), "no fetch went through: {err}");
+
+        let mut mesh = RegistryMesh::new();
+        mesh.add_registry(HUB, &hub, params());
+        mesh.add_standby_registry(REGIONAL, &regional, params());
+        let out = injected_pull(&mesh, HUB, &plan, 0, Seconds::ZERO).unwrap();
+        assert_eq!(out.failed_sources, vec![HUB], "killed once, the standby never");
+        assert_eq!(out.per_source.len(), 1);
+        assert_eq!(out.per_source[0].source, REGIONAL);
+        assert_eq!(out.per_source[0].layers, 3, "the dead primary served nothing");
     }
 
     #[test]
     fn consecutive_transients_are_capped_below_the_retry_budget() {
-        // q = 1: every draw says "fail", so the cap is what terminates
-        // each retry chain — exactly max_attempts − 1 injections, then a
-        // forced success.
+        // q = 1: every draw says "fail", so the plan's cap (max_attempts
+        // − 1 = 2) is what ends each layer's retry chain, and the next
+        // layer's chain starts fresh. The session retries under a larger
+        // budget, so only the cap can stop the injections.
         let policy =
             RetryPolicy { max_attempts: 3, base_backoff: Seconds::new(1.0), ..Default::default() };
         let model = FaultModel::default()
@@ -639,16 +534,18 @@ mod tests {
             .with_retry(policy);
         let plan = model.plan(9);
         let hub = HubRegistry::with_paper_catalog();
-        let wrapped = PlannedFaults::primary(&hub, &plan, HUB, 0);
-        let manifest = hub
-            .resolve(&Reference::new("docker.io", "sina88/vp-transcode", "amd64"), Platform::Amd64)
+        let mut mesh = RegistryMesh::new();
+        mesh.add_registry(HUB, &hub, params());
+        let out = mesh
+            .session(HUB)
+            .with_retry(RetryPolicy { max_attempts: 6, ..policy })
+            .with_faults(&plan, 0, Seconds::ZERO)
+            .pull(&transcode(), Platform::Amd64, &mut cache())
             .unwrap();
-        let digest = manifest.layers[0].digest.clone();
-        assert!(wrapped.fetch_blob(&digest).unwrap_err().is_transient());
-        assert!(wrapped.fetch_blob(&digest).unwrap_err().is_transient());
-        assert!(wrapped.fetch_blob(&digest).is_ok(), "cap forces the 3rd attempt through");
-        // The next chain starts fresh.
-        assert!(wrapped.fetch_blob(&digest).unwrap_err().is_transient());
+        assert!(out.failed_sources.is_empty(), "transient ≠ dead");
+        assert_eq!(out.layers_fetched, 3);
+        // Two injections per layer, backing off 1 + 2 s each time.
+        assert!((out.backoff_total.as_f64() - 3.0 * 3.0).abs() < 1e-12, "{}", out.backoff_total);
     }
 
     #[test]
@@ -660,12 +557,10 @@ mod tests {
         let plan = model.plan(3);
         let hub = HubRegistry::with_paper_catalog();
         let regional = RegionalRegistry::with_paper_catalog();
-        let wrapped = PlannedFaults::primary(&hub, &plan, HUB, 0);
         let mut mesh = RegistryMesh::new();
-        mesh.add_registry(HUB, &wrapped, params());
+        mesh.add_registry(HUB, &hub, params());
         mesh.add_standby_registry(REGIONAL, &regional, params());
-        let r = Reference::new("docker.io", "sina88/vp-transcode", "amd64");
-        let out = mesh.session(HUB).pull(&r, Platform::Amd64, &mut cache()).unwrap();
+        let out = injected_pull(&mesh, HUB, &plan, 0, Seconds::ZERO).unwrap();
         assert_eq!(out.failed_sources, vec![HUB]);
         assert_eq!(out.per_source.len(), 1);
         assert_eq!(out.per_source[0].source, REGIONAL);
@@ -716,27 +611,42 @@ mod tests {
 
     #[test]
     fn clock_gated_wrapper_dies_inside_the_window_even_as_survivor() {
-        let model = FaultModel::default().with_window(OutageWindow::dark(
-            HUB,
-            Seconds::new(100.0),
-            Seconds::new(50.0),
-        ));
+        // The hub is dark over [100, 150); the regional always draws a
+        // per-pull death, which only a first-class regional consults.
+        let model = FaultModel::default()
+            .with_window(OutageWindow::dark(HUB, Seconds::new(100.0), Seconds::new(50.0)))
+            .with_source(REGIONAL, FaultRates { fatal_per_pull: 1.0, transient_per_fetch: 0.0 });
         let plan = model.plan(0);
         let hub = HubRegistry::with_paper_catalog();
-        let digest = Digest::of(b"whatever");
-        // Outside the window: alive, byte-identical to the bare source.
-        let before = PlannedFaults::primary(&hub, &plan, HUB, 0).at(Seconds::new(50.0));
-        assert!(!before.is_dead());
-        // Inside: dead for the whole pull — and scripted incidents take
-        // survivors down too, unlike the sampled per-pull channel.
-        let during = PlannedFaults::primary(&hub, &plan, HUB, 1).at(Seconds::new(120.0));
-        assert!(during.is_dead());
-        assert!(matches!(during.fetch_blob(&digest).unwrap_err(), RegistryError::Unavailable(_)));
-        let survivor = PlannedFaults::survivor(&hub, &plan, HUB, 1).at(Seconds::new(120.0));
-        assert!(survivor.is_dead());
-        // After: the incident has cleared.
-        let after = PlannedFaults::primary(&hub, &plan, HUB, 2).at(Seconds::new(150.0));
-        assert!(!after.is_dead());
+        let regional = RegionalRegistry::with_paper_catalog();
+        let served_by = |out: PullOutcome| -> Vec<RegistryId> {
+            out.per_source.iter().map(|b| b.source).collect()
+        };
+        let mut hub_first = RegistryMesh::new();
+        hub_first.add_registry(HUB, &hub, params());
+        hub_first.add_standby_registry(REGIONAL, &regional, params());
+        // Before and after the window the hub serves every layer.
+        for (pull, clock) in [(0, 50.0), (2, 150.0)] {
+            let out = injected_pull(&hub_first, HUB, &plan, pull, Seconds::new(clock)).unwrap();
+            assert!(out.failed_sources.is_empty(), "t = {clock}");
+            assert_eq!(served_by(out), vec![HUB]);
+        }
+        // Inside it the hub is dead for the whole pull.
+        let during = injected_pull(&hub_first, HUB, &plan, 1, Seconds::new(120.0)).unwrap();
+        assert_eq!(during.failed_sources, vec![HUB]);
+        assert_eq!(served_by(during), vec![REGIONAL]);
+        // A scripted incident takes a standby down too, unlike the
+        // sampled per-pull channel: with the primary dead as well, no
+        // source is left inside the window.
+        let mut regional_first = RegistryMesh::new();
+        regional_first.add_registry(REGIONAL, &regional, params());
+        regional_first.add_standby_registry(HUB, &hub, params());
+        let out = injected_pull(&regional_first, REGIONAL, &plan, 0, Seconds::new(50.0)).unwrap();
+        assert_eq!(out.failed_sources, vec![REGIONAL]);
+        assert_eq!(served_by(out), vec![HUB]);
+        let err =
+            injected_pull(&regional_first, REGIONAL, &plan, 1, Seconds::new(120.0)).unwrap_err();
+        assert!(matches!(err, RegistryError::MissingBlob(_)), "{err}");
     }
 
     #[test]
@@ -749,12 +659,10 @@ mod tests {
         let plan = model.plan(3);
         let hub = HubRegistry::with_paper_catalog();
         let regional = RegionalRegistry::with_paper_catalog();
-        let wrapped = PlannedFaults::primary(&hub, &plan, HUB, 0).at(Seconds::new(100.0));
         let mut mesh = RegistryMesh::new();
-        mesh.add_registry(HUB, &wrapped, params());
+        mesh.add_registry(HUB, &hub, params());
         mesh.add_standby_registry(REGIONAL, &regional, params());
-        let r = Reference::new("docker.io", "sina88/vp-transcode", "amd64");
-        let out = mesh.session(HUB).pull(&r, Platform::Amd64, &mut cache()).unwrap();
+        let out = injected_pull(&mesh, HUB, &plan, 0, Seconds::new(100.0)).unwrap();
         assert_eq!(out.failed_sources, vec![HUB]);
         assert_eq!(out.per_source.len(), 1);
         assert_eq!(out.per_source[0].source, REGIONAL);
@@ -792,15 +700,129 @@ mod tests {
     fn zero_rate_wrapper_is_byte_identical_to_the_bare_source() {
         let plan = FaultModel::default().plan(11);
         let hub = HubRegistry::with_paper_catalog();
-        let wrapped = PlannedFaults::primary(&hub, &plan, HUB, 0);
+        let regional = RegionalRegistry::with_paper_catalog();
+        let mut mesh = RegistryMesh::new();
+        mesh.add_registry(HUB, &hub, params());
+        mesh.add_standby_registry(REGIONAL, &regional, params());
         let r = Reference::new("docker.io", "sina88/vp-ha-train", "amd64");
-        let pull = |mesh: &RegistryMesh<'_>| {
-            mesh.session(HUB).pull(&r, Platform::Amd64, &mut cache()).unwrap()
+        let bare = mesh.session(HUB).pull(&r, Platform::Amd64, &mut cache()).unwrap();
+        let injected = mesh
+            .session(HUB)
+            .with_faults(&plan, 0, Seconds::ZERO)
+            .pull(&r, Platform::Amd64, &mut cache())
+            .unwrap();
+        assert_eq!(bare, injected);
+    }
+
+    /// What `plan` predicts for pull `pull` of `transcode()` at `clock`
+    /// through the mesh of
+    /// `injected_sessions_fail_and_back_off_as_the_plan_predicts`, whose
+    /// peer holds the layers flagged in `on_peer`: the sources that die,
+    /// in order of death, and the backoff the session charges. The
+    /// primary and the peer are first-class and draw the per-pull death;
+    /// the standby draws only windows. A live source's attempts are
+    /// numbered per source, and no chain sees more than the cap of
+    /// injections in a row.
+    fn predicted(
+        plan: &FaultPlan,
+        pull: u64,
+        clock: Seconds,
+        on_peer: &[bool],
+    ) -> (Vec<RegistryId>, Seconds) {
+        let policy = plan.model().retry;
+        let dead = |source: RegistryId, first_class: bool| {
+            (first_class && plan.pull_fatal(pull, source)) || plan.dark_at(source, clock)
         };
-        let mut bare_mesh = RegistryMesh::new();
-        bare_mesh.add_registry(HUB, &hub, params());
-        let mut wrapped_mesh = RegistryMesh::new();
-        wrapped_mesh.add_registry(HUB, &wrapped, params());
-        assert_eq!(pull(&bare_mesh), pull(&wrapped_mesh));
+        let mut failed = Vec::new();
+        let mut backoff = Seconds::ZERO;
+        // Attempts so far per source, indexed by id.
+        let mut fetches = [0u64; 3];
+        for &held in on_peer {
+            // Cheapest first: the peer where it holds the layer, then the
+            // primary, then the standby.
+            let mut candidates = vec![(HUB, true), (REGIONAL, false)];
+            if held {
+                candidates.insert(0, (PEER, true));
+            }
+            let (source, _) = candidates
+                .into_iter()
+                .find(|&(source, first_class)| {
+                    if failed.contains(&source) {
+                        return false;
+                    }
+                    let dies = dead(source, first_class);
+                    if dies {
+                        failed.push(source);
+                        backoff += policy.exhausted_backoff();
+                    }
+                    !dies
+                })
+                .expect("a survivor serves every layer");
+            let seq = &mut fetches[source.0];
+            let mut run = 0;
+            while run < plan.transient_cap() && plan.fetch_transient(pull, source, *seq) {
+                run += 1;
+                *seq += 1;
+                backoff += policy.backoff(run);
+            }
+            *seq += 1;
+        }
+        (failed, backoff)
+    }
+
+    #[test]
+    fn injected_sessions_fail_and_back_off_as_the_plan_predicts() {
+        let policy =
+            RetryPolicy { max_attempts: 3, base_backoff: Seconds::new(2.0), ..Default::default() };
+        let flaky = |fatal_per_pull| FaultRates { fatal_per_pull, transient_per_fetch: 0.5 };
+        // The standby's certain death must never be drawn; the peer is
+        // also dark before t = 10.
+        let model = FaultModel::default()
+            .with_source(HUB, flaky(0.4))
+            .with_source(PEER, flaky(0.4))
+            .with_source(REGIONAL, flaky(1.0))
+            .with_window(OutageWindow::dark(PEER, Seconds::ZERO, Seconds::new(10.0)))
+            .with_retry(policy);
+        let hub = HubRegistry::with_paper_catalog();
+        let regional = RegionalRegistry::with_paper_catalog();
+        let manifest = hub.resolve(&transcode(), Platform::Amd64).unwrap();
+        // The peer holds the first and the last layer; the hub alone
+        // (of the first-class sources) serves the middle one.
+        let mut held = cache();
+        for layer in [&manifest.layers[0], &manifest.layers[2]] {
+            held.insert(layer.digest.clone(), layer.size);
+        }
+        let peer = PeerCacheSource::for_holder(DeviceId(0), &held);
+        let on_peer: Vec<bool> = manifest.layers.iter().map(|l| held.contains(&l.digest)).collect();
+        let mut mesh = RegistryMesh::new();
+        mesh.add_registry(HUB, &hub, params());
+        // Faster than the primary and free to open: the peer serves every
+        // layer it holds while it lives.
+        let fast = SourceParams {
+            download_bw: Bandwidth::megabytes_per_sec(80.0),
+            overhead: Seconds::ZERO,
+        };
+        mesh.add_blob_source(PEER, &peer, fast);
+        mesh.add_standby_registry(REGIONAL, &regional, params());
+
+        let (mut hub_deaths, mut peer_draws, mut standby_serves, mut backed_off) = (0, 0, 0, 0);
+        for seed in 0..96u64 {
+            let plan = model.plan(seed);
+            let pull = seed % 5;
+            let clock = Seconds::new(if seed % 4 == 0 { 5.0 } else { 50.0 });
+            let out = injected_pull(&mesh, HUB, &plan, pull, clock).unwrap();
+            let (failed, backoff) = predicted(&plan, pull, clock, &on_peer);
+            assert_eq!(out.failed_sources, failed, "seed {seed}");
+            assert_eq!(out.backoff_total, backoff, "seed {seed}");
+            assert_eq!(out.layers_fetched, 3, "seed {seed}");
+            hub_deaths += usize::from(failed.contains(&HUB));
+            peer_draws += usize::from(plan.pull_fatal(pull, PEER) && !plan.dark_at(PEER, clock));
+            standby_serves += usize::from(out.per_source.iter().any(|b| b.source == REGIONAL));
+            backed_off += usize::from(backoff > Seconds::ZERO);
+        }
+        // The seeds cover every branch: primary deaths the standby
+        // absorbs, drawn (not scripted) peer deaths, and transients.
+        assert!(hub_deaths > 0 && standby_serves > 0, "{hub_deaths} {standby_serves}");
+        assert!(peer_draws > 0 && backed_off > 0, "{peer_draws} {backed_off}");
     }
 }

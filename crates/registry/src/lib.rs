@@ -52,9 +52,9 @@
 //! * [`fault`] — the seeded fault-injection harness: [`FaultModel`]
 //!   (per-source per-pull fatal probability + per-fetch transient rate),
 //!   [`FaultPlan`] (a splitmix64-seeded reproducible sampling of the
-//!   model) and [`PlannedFaults`] (the injecting wrapper the executor,
-//!   tests and examples drive pulls through). Fatal deaths trigger the
-//!   session's failover onto surviving sources — including *standby*
+//!   model, injected into a pull by [`PullSession::with_faults`]). Fatal
+//!   deaths trigger the session's failover onto surviving sources —
+//!   including *standby*
 //!   mesh sources registered with
 //!   [`RegistryMesh::add_standby_registry`](mesh::RegistryMesh::add_standby_registry),
 //!   which are planned only when no first-class source survives, so the
@@ -81,7 +81,7 @@ pub mod sha256;
 pub use cache::LayerCache;
 pub use catalog::{paper_catalog, CatalogEntry};
 pub use digest::Digest;
-pub use fault::{FaultModel, FaultPlan, FaultRates, OutageWindow, PlannedFaults};
+pub use fault::{FaultModel, FaultPlan, FaultRates, OutageWindow};
 pub use gc::{collect as gc_collect, GcReport};
 pub use hub::HubRegistry;
 pub use image::{Platform, Reference};
@@ -141,40 +141,3 @@ pub trait BlobSource {
 pub trait Registry: ManifestSource + BlobSource {}
 
 impl<T: ManifestSource + BlobSource + ?Sized> Registry for T {}
-
-// Shared references forward both protocol halves, so wrappers that
-// *borrow* a source (the executor's per-pull [`fault::PlannedFaults`]
-// over `&dyn Registry`) satisfy the same bounds as owning ones.
-impl<T: ManifestSource + ?Sized> ManifestSource for &T {
-    fn host(&self) -> &str {
-        (**self).host()
-    }
-
-    fn resolve(
-        &self,
-        reference: &Reference,
-        platform: Platform,
-    ) -> Result<ImageManifest, RegistryError> {
-        (**self).resolve(reference, platform)
-    }
-
-    fn repositories(&self) -> Vec<String> {
-        (**self).repositories()
-    }
-}
-
-impl<T: BlobSource + ?Sized> BlobSource for &T {
-    fn label(&self) -> &str {
-        (**self).label()
-    }
-
-    fn has_blob(&self, digest: &Digest) -> bool {
-        (**self).has_blob(digest)
-    }
-
-    // Forwarded explicitly: falling back to the default impl here would
-    // silently bypass an inner source's fault-injecting override.
-    fn fetch_blob(&self, digest: &Digest) -> Result<(), RegistryError> {
-        (**self).fetch_blob(digest)
-    }
-}

@@ -28,6 +28,7 @@
 
 use crate::cache::LayerCache;
 use crate::digest::Digest;
+use crate::fault::FaultPlan;
 use crate::image::{Platform, Reference};
 use crate::manifest::ImageManifest;
 use crate::pull::{PullOutcome, RegistryError, SourcePull};
@@ -157,17 +158,6 @@ impl<'a> RegistryMesh<'a> {
         })
     }
 
-    /// Register a blob-only failover standby (see
-    /// [`RegistryMesh::add_standby_registry`]).
-    pub fn add_standby_blobs(
-        &mut self,
-        id: RegistryId,
-        blobs: &'a dyn BlobSource,
-        params: SourceParams,
-    ) -> RegistryId {
-        self.insert(MeshSource { id, manifests: None, blobs, params, standby: true })
-    }
-
     fn insert(&mut self, source: MeshSource<'a>) -> RegistryId {
         assert!(self.source(source.id).is_none(), "mesh source {} registered twice", source.id);
         let id = source.id;
@@ -236,6 +226,9 @@ pub struct PullSession<'m, 'a> {
     retry: Option<RetryPolicy>,
     presumed_dead: Vec<RegistryId>,
     preresolved: Option<&'m ImageManifest>,
+    /// The injected plan, the pull's number in it and the clock its
+    /// windows are read at ([`PullSession::with_faults`]).
+    faults: Option<(&'m FaultPlan, u64, Seconds)>,
 }
 
 impl<'m, 'a> PullSession<'m, 'a> {
@@ -257,6 +250,7 @@ impl<'m, 'a> PullSession<'m, 'a> {
             retry: None,
             presumed_dead: Vec::new(),
             preresolved: None,
+            faults: None,
         }
     }
 
@@ -294,12 +288,36 @@ impl<'m, 'a> PullSession<'m, 'a> {
     /// had failed fatally (it still appears in
     /// [`PullOutcome::failed_sources`]). This is how the failover-aware
     /// estimator prices the death branch of a pull — a counterfactual
-    /// "what does this pull cost if its primary is down" — without any
-    /// fault-injecting wrapper in the mesh.
+    /// "what does this pull cost if its primary is down" — without
+    /// injecting a fault plan.
     pub fn presume_dead(mut self, source: RegistryId) -> Self {
         if !self.presumed_dead.contains(&source) {
             self.presumed_dead.push(source);
         }
+        self
+    }
+
+    /// Inject `plan`'s faults into this pull, number `pull` of the plan,
+    /// with its outage windows read at `clock`. At each blob fetch the
+    /// source answers as the plan says:
+    ///
+    /// * a source is dead for the whole pull while a dark window covers
+    ///   it at `clock`, and every first-class source (the primary, peer
+    ///   holders) is also dead when [`FaultPlan::pull_fatal`] draws it;
+    ///   standbys survive the per-pull draw by assumption. A dead source
+    ///   fails its fetch with [`RegistryError::Unavailable`] and the
+    ///   session fails over;
+    /// * a live source fails an attempt with [`RegistryError::Transient`]
+    ///   when [`FaultPlan::fetch_transient`] draws it, its attempts
+    ///   numbered per source from 0, except that no source sees more
+    ///   than [`FaultPlan::transient_cap`] injections in a row.
+    ///
+    /// Sources keep advertising their blobs, so the plan is made against
+    /// the advertisement, as a real mid-pull death is met. Estimates
+    /// fetch nothing and are unaffected. Attach a retry policy, or the
+    /// first injected transient surfaces.
+    pub fn with_faults(mut self, plan: &'m FaultPlan, pull: u64, clock: Seconds) -> Self {
+        self.faults = Some((plan, pull, clock));
         self
     }
 
@@ -360,6 +378,7 @@ impl<'m, 'a> PullSession<'m, 'a> {
         // so a counterfactual evaluation stays side-effect-free even
         // against stateful (fault-injecting) sources.
         let fetching = matches!(cache, CacheAccess::Mutate(_));
+        let mut injected: Vec<Injected> = Vec::new();
 
         for layer in &manifest.layers {
             if cache.hit(&layer.digest) {
@@ -379,7 +398,7 @@ impl<'m, 'a> PullSession<'m, 'a> {
                 if !fetching {
                     break candidate;
                 }
-                match self.fetch(candidate, &layer.digest, &mut backoff_total) {
+                match self.fetch(candidate, &layer.digest, &mut injected, &mut backoff_total) {
                     Ok(()) => break candidate,
                     Err(e) if e.is_transient() => return Err(e),
                     Err(_) => {
@@ -454,13 +473,14 @@ impl<'m, 'a> PullSession<'m, 'a> {
         &self,
         source: &MeshSource<'a>,
         digest: &Digest,
+        injected: &mut Vec<Injected>,
         backoff_total: &mut Seconds,
     ) -> Result<(), RegistryError> {
         let Some(policy) = self.retry else {
-            return source.blobs.fetch_blob(digest);
+            return self.attempt(source, digest, injected);
         };
         for attempt in 1..=policy.max_attempts {
-            match source.blobs.fetch_blob(digest) {
+            match self.attempt(source, digest, injected) {
                 Ok(()) => return Ok(()),
                 Err(e) if e.is_transient() && attempt < policy.max_attempts => {
                     *backoff_total += policy.backoff(attempt);
@@ -469,6 +489,48 @@ impl<'m, 'a> PullSession<'m, 'a> {
             }
         }
         unreachable!("loop always returns")
+    }
+
+    /// One fetch attempt of `digest` from `source`, failing first as the
+    /// injected plan says ([`PullSession::with_faults`]); `injected`
+    /// holds the pull's per-source injection state.
+    fn attempt(
+        &self,
+        source: &MeshSource<'a>,
+        digest: &Digest,
+        injected: &mut Vec<Injected>,
+    ) -> Result<(), RegistryError> {
+        if let Some((plan, pull, clock)) = self.faults {
+            let k = match injected.iter().position(|s| s.source == source.id) {
+                Some(k) => k,
+                None => {
+                    let dead = (!source.standby && plan.pull_fatal(pull, source.id))
+                        || plan.dark_at(source.id, clock);
+                    injected.push(Injected { source: source.id, dead, fetches: 0, consecutive: 0 });
+                    injected.len() - 1
+                }
+            };
+            let state = &mut injected[k];
+            if state.dead {
+                return Err(RegistryError::Unavailable(format!(
+                    "planned death of {} for pull {pull} (before {digest})",
+                    source.label()
+                )));
+            }
+            let seq = state.fetches;
+            state.fetches += 1;
+            if state.consecutive < plan.transient_cap()
+                && plan.fetch_transient(pull, source.id, seq)
+            {
+                state.consecutive += 1;
+                return Err(RegistryError::Transient(format!(
+                    "planned transient failure of {} (pull {pull}, fetch {seq})",
+                    source.label()
+                )));
+            }
+            state.consecutive = 0;
+        }
+        source.blobs.fetch_blob(digest)
     }
 
     /// Resolve the manifest from the primary, retrying transients when a
@@ -532,6 +594,15 @@ impl<'m, 'a> PullSession<'m, 'a> {
         };
         cheapest(false).or_else(|| cheapest(true))
     }
+}
+
+/// One source's injected-fault state within a pull: drawn dead or not,
+/// attempts so far and the current run of injected transients.
+struct Injected {
+    source: RegistryId,
+    dead: bool,
+    fetches: u64,
+    consecutive: usize,
 }
 
 /// Unified view over mutate-vs-inspect cache access so `pull` and

@@ -43,7 +43,7 @@ pub enum RegistryError {
     Transient(String),
     /// A permanent refusal from an otherwise-reachable source (auth
     /// revoked, registry decommissioned, or a death injected by
-    /// [`crate::fault::PlannedFaults`]). Not retryable; a
+    /// [`crate::mesh::PullSession::with_faults`]). Not retryable; a
     /// [`crate::mesh::PullSession`] reacts by failing the remaining
     /// layers over to surviving sources, charging the exhausted retry
     /// budget as the death-detection cost when a policy is attached.

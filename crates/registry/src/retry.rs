@@ -14,15 +14,15 @@
 //! (transient or fatal) — the fatal kind is what drives the session's
 //! mid-pull failover onto surviving mesh sources. The counter-based
 //! doubles here inject *fixed* schedules; the probabilistic, seeded
-//! generalization they were promoted into lives in [`crate::fault`]
-//! ([`crate::fault::FaultPlan`] / [`crate::fault::PlannedFaults`]).
+//! generalization lives in [`crate::fault`] ([`crate::fault::FaultPlan`],
+//! injected by [`crate::mesh::PullSession::with_faults`]).
 
 use crate::digest::Digest;
 use crate::image::{Platform, Reference};
 use crate::manifest::ImageManifest;
 use crate::pull::RegistryError;
 use crate::{BlobSource, ManifestSource, Registry};
-use deep_netsim::{splitmix64, Seconds};
+use deep_netsim::{splitmix64, unit_f64, Seconds};
 use std::cell::Cell;
 
 /// Retry policy: exponential backoff with a cap and seeded jitter.
@@ -76,7 +76,7 @@ impl RetryPolicy {
         // Unit draw in [-1, 1) from a splitmix64 stream keyed by (seed,
         // retry): deterministic per policy, decorrelated across retries.
         let bits = splitmix64(self.seed ^ (retry as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let unit = (bits >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
+        let unit = unit_f64(bits);
         Seconds::new(capped * (1.0 + self.jitter * (2.0 * unit - 1.0)))
     }
 

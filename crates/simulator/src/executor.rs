@@ -26,8 +26,7 @@ use deep_dataflow::{stages, Application, MicroserviceId};
 use deep_energy::{Joules, PowerMeter, RaplBank, RaplMeasurement, Watts};
 use deep_netsim::{DataSize, DeviceId, RegistryId, Seconds};
 use deep_registry::{
-    FaultPlan, LayerCache, PeerCacheSource, PlannedFaults, Platform, PullOutcome, PullSession,
-    Reference, Registry, RegistryError, RegistryMesh,
+    FaultPlan, LayerCache, Platform, PullOutcome, PullSession, Reference, RegistryError,
 };
 use std::fmt;
 
@@ -91,14 +90,15 @@ pub struct ExecutorConfig {
     /// with bounded views. Ignored without `peer_sharing`.
     pub peer_discovery: PeerDiscovery,
     /// Inject seeded faults sampled from the testbed's
-    /// [`Testbed::fault_model`]: every pull's primary source is drawn
-    /// dead with its per-pull fatal probability (the session fails the
-    /// remaining layers over to survivors — every other full registry
-    /// rides along as a standby source), and each blob fetch draws
-    /// transient failures retried under the model's policy. Pulls are
-    /// numbered in execution order (wave order, then member order), so
-    /// [`deep_registry::FaultPlan`] queries predict a run's faults
-    /// exactly. With a zero fault model this path is byte-identical to
+    /// [`Testbed::fault_model`] into every pull's session
+    /// ([`deep_registry::PullSession::with_faults`]): the primary and each
+    /// peer holder are drawn dead with their per-pull fatal probability
+    /// (the session fails the remaining layers over to survivors — every
+    /// other full registry rides along as a standby source), and each
+    /// blob fetch draws transient failures retried under the model's
+    /// policy. Pulls are numbered in execution order (wave order, then
+    /// member order), so [`deep_registry::FaultPlan`] queries predict a
+    /// run's faults exactly. With a zero fault model this path is byte-identical to
     /// the uninjected one (regression-tested).
     pub fault_injection: bool,
     /// Seed of the injected [`deep_registry::FaultPlan`] — sweep it for
@@ -249,8 +249,8 @@ pub fn execute(
 /// [`crate::chaos`] module docs for the semantics). An empty timeline
 /// is byte-identical to [`execute`]. The testbed fault model's
 /// [`deep_registry::OutageWindow`]s are also gated here, on the same
-/// clock — they require `cfg.fault_injection` (windows ride the fault
-/// plan's injection wrappers).
+/// clock — they require `cfg.fault_injection` (windows are read from the
+/// session's fault plan).
 pub fn execute_with_events(
     testbed: &mut Testbed,
     app: &Application,
@@ -511,12 +511,13 @@ fn fire_scripted_events(
 }
 
 /// Realise one wave member's pull of `reference` into `cache` (the
-/// pulling device's cache, taken out of `testbed`): the placement's
-/// registry as primary, the wave's `peers` of the pulling device, and,
-/// under fault injection, every other full registry as a standby
-/// failover target — each source slowed by the load on its contention
-/// resource and by any scripted degradation window. `faults` carries the
-/// session's plan, the pull's execution-order number and the clock.
+/// pulling device's cache, taken out of `testbed`) through
+/// [`Testbed::placement_mesh`]. Under fault injection (`faults`: the
+/// session's plan, the pull's execution-order number and the clock) every
+/// other full registry rides along as a standby, the plan's windows slow
+/// and darken sources at the clock, and the session injects the plan's
+/// draws and retries under the plan's policy, which the plan's transient
+/// cap keeps from running out.
 fn pull_through(
     testbed: &Testbed,
     placement: Placement,
@@ -527,84 +528,14 @@ fn pull_through(
     faults: Option<(&FaultPlan, u64, Seconds)>,
 ) -> Result<PullOutcome, RegistryError> {
     let device = testbed.device(placement.device);
-    let primary = placement.registry.registry_id();
-    let registry = testbed.registry(placement.registry);
-    // Each mesh source's contention resource is slowed by the load *it*
-    // carries from earlier same-wave pulls, and, under a scripted
-    // degradation window, by the window's residual-capacity factor (×1.0
-    // outside windows — bit-exact identity).
-    let source_params = |choice: RegistryChoice| {
-        let id = choice.registry_id();
-        let contention = route_load.contention(&testbed.params, id, placement.device);
-        let slowdown = match faults {
-            Some((plan, _, clock)) => contention * plan.slowdown_at(id, clock),
-            None => contention,
-        };
-        testbed.source_params(choice, placement.device, slowdown)
-    };
-    let Some((plan, pull_idx, clock)) = faults else {
-        let mut mesh = RegistryMesh::new();
-        mesh.add_registry(primary, registry, source_params(placement.registry));
-        for (id, src) in peers.of(placement.device) {
-            mesh.add_blob_source(*id, src, source_params(RegistryChoice::mesh(*id)));
-        }
-        return PullSession::new(&mesh, primary).extract_bw(device.extract_bw).pull(
-            reference,
-            device.arch,
-            cache,
-        );
-    };
-    // Fault wrappers, declared before the mesh that borrows them: the
-    // primary draws its per-pull death from the plan, every other full
-    // registry rides along as a transient-only survivor (the failover
-    // targets the model assumes alive — exactly the sources the
-    // scheduler enumerates, or fault-pricing parity breaks), and the
-    // peers are wrapped the same way. Every wrapper is clock-gated: a
-    // scripted incident takes standby targets down as well.
-    let primary_faults = PlannedFaults::primary(registry, plan, primary, pull_idx).at(clock);
-    let standby_faults: Vec<(RegistryChoice, PlannedFaults<'_, &dyn Registry>)> = testbed
-        .registry_choices()
-        .into_iter()
-        .filter(|&c| c != placement.registry)
-        .map(|c| {
-            let wrapped =
-                PlannedFaults::survivor(testbed.registry(c), plan, c.registry_id(), pull_idx);
-            (c, wrapped.at(clock))
-        })
-        .collect();
-    // Per-holder peer sources draw their own per-pull fatal churn (a dead
-    // holder fails over alone — the rest of the peer plane and the
-    // registries keep serving) and their own transient streams; the
-    // aggregate oracle's anonymous source keeps the survivor
-    // (transient-only) semantics. Peer-uplink kills are scripted as dark
-    // windows on the peer's mesh id.
-    let peer_faults: Vec<(RegistryId, PlannedFaults<'_, &PeerCacheSource>)> = peers
-        .of(placement.device)
-        .map(|(id, src)| {
-            let wrapped = match peer_holder(*id) {
-                Some(_) => PlannedFaults::holder(src, plan, *id, pull_idx),
-                None => PlannedFaults::survivor(src, plan, *id, pull_idx),
-            };
-            (*id, wrapped.at(clock))
-        })
-        .collect();
-    // Standbys are planned only once the primary is dead, so with a zero
-    // fault model the mesh prices exactly the fault-free one.
-    let mut mesh = RegistryMesh::new();
-    mesh.add_registry(primary, &primary_faults, source_params(placement.registry));
-    for (id, wrapped) in &peer_faults {
-        mesh.add_blob_source(*id, wrapped, source_params(RegistryChoice::mesh(*id)));
+    let windows = faults.map(|(plan, _, clock)| (plan.model(), clock));
+    let mesh = testbed.placement_mesh(placement, peers, route_load, windows, faults.is_some());
+    let mut session =
+        PullSession::new(&mesh, placement.registry.registry_id()).extract_bw(device.extract_bw);
+    if let Some((plan, pull_idx, clock)) = faults {
+        session = session.with_retry(plan.model().retry).with_faults(plan, pull_idx, clock);
     }
-    for (choice, wrapped) in &standby_faults {
-        mesh.add_standby_blobs(choice.registry_id(), wrapped, source_params(*choice));
-    }
-    // Injected transients are retried under the model's policy; with no
-    // injections attached retries change nothing (first attempts succeed,
-    // zero backoff).
-    PullSession::new(&mesh, primary)
-        .extract_bw(device.extract_bw)
-        .with_retry(testbed.fault_model.retry)
-        .pull(reference, device.arch, cache)
+    session.pull(reference, device.arch, cache)
 }
 
 impl OnlineExecutor {
@@ -835,11 +766,9 @@ impl OnlineExecutor {
 
             // Tc: receive every incoming dataflow; co-located producers
             // transfer over loopback (free).
-            let mut transfer = Seconds::ZERO;
-            for flow in app.incoming(id) {
-                let from_dev = schedule.placement(flow.from).device;
-                transfer += testbed.device_transfer_time(from_dev, placement.device, flow.size);
-            }
+            let transfer = testbed.transfer_in_time(app, id, placement.device, |from| {
+                schedule.placement(from).device
+            });
             let transfer = jitter.apply(transfer);
             trace.record(*clock, TraceKind::TransferStarted, placement.device, &ms.name);
             *clock += transfer;
@@ -1251,7 +1180,7 @@ mod tests {
             (views, plane.mesh_view(&caches, DEVICE_MEDIUM.0))
         };
         let cloud_id = crate::testbed::peer_source_id(cloud);
-        let seen_by = |views: &PeerViews, target| -> PeerCacheSource {
+        let seen_by = |views: &PeerViews, target| -> deep_registry::PeerCacheSource {
             views.of(target).find(|(id, _)| *id == cloud_id).expect("cloud in view").1.clone()
         };
         // Mid-wave pressure evicts a: both targets' views retract it.
@@ -1435,7 +1364,9 @@ mod tests {
         // was sampled at `OnlineExecutor::new`. This is the mechanism the
         // arrival plane's outage inference relies on — the scheduler's
         // view of `fault_model` can be edited mid-soak without touching
-        // the incident being injected.
+        // the incident being injected. A retry budget cut mid-session
+        // changes nothing either: injected transients are retried under
+        // the plan's policy, which their cap fits.
         let app = apps::text_processing();
         let sched = Schedule::uniform(app.len(), RegistryChoice::Regional, DEVICE_MEDIUM);
         let cfg = ExecutorConfig { fault_injection: true, ..Default::default() };
@@ -1444,13 +1375,26 @@ mod tests {
             Seconds::ZERO,
             Seconds::new(1e9),
         );
+        // The standby hub fails every attempt it may: three in a row
+        // under a four-attempt policy.
+        let flaky_hub = RegistryChoice::Hub.registry_id();
+        let always = deep_registry::FaultRates { fatal_per_pull: 0.0, transient_per_fetch: 1.0 };
+        let retry = deep_registry::RetryPolicy { max_attempts: 4, ..Default::default() };
+        let model = Testbed::paper()
+            .fault_model
+            .with_window(window)
+            .with_source(flaky_hub, always)
+            .with_retry(retry);
         let mut reference_tb = Testbed::paper();
-        reference_tb.fault_model = reference_tb.fault_model.clone().with_window(window);
+        reference_tb.fault_model = model.clone();
         let (reference, _) = execute(&mut reference_tb, &app, &sched, &cfg).unwrap();
         let mut tb = Testbed::paper();
-        tb.fault_model = tb.fault_model.clone().with_window(window);
+        tb.fault_model = model;
         let mut exec = OnlineExecutor::new(&tb, &cfg, &[]);
-        tb.fault_model = tb.fault_model.without_windows();
+        tb.fault_model = tb
+            .fault_model
+            .without_windows()
+            .with_retry(deep_registry::RetryPolicy { max_attempts: 2, ..retry });
         let mut run = exec.begin_job(&app);
         for (i, wave) in plan_waves(&app, true).iter().enumerate() {
             exec.run_wave(&mut tb, &app, &sched, wave, i, &mut run).unwrap();
@@ -1458,6 +1402,7 @@ mod tests {
         let report = run.into_report(&app, &sched, exec.clock());
         assert_eq!(reference, report, "injection rides the session's snapshot, not the model");
         assert!(report.microservices.iter().all(|m| !m.failed_sources.is_empty()));
+        assert!(report.microservices.iter().all(|m| m.backoff_total > Seconds::ZERO));
     }
 
     #[test]

@@ -32,8 +32,8 @@
 
 use crate::device::SimDevice;
 use crate::gossip::GossipPlane;
-use crate::schedule::RegistryChoice;
-use deep_dataflow::{Application, Mips};
+use crate::schedule::{Placement, RegistryChoice};
+use deep_dataflow::{Application, MicroserviceId, Mips};
 use deep_energy::{DevicePowerModel, Watts};
 use deep_netsim::{Bandwidth, DataSize, DeviceId, RegistryId, Seconds};
 use deep_registry::{
@@ -85,7 +85,7 @@ pub fn peer_holder(source: RegistryId) -> Option<DeviceId> {
 /// estimator both charge:
 ///
 /// * registry/mirror sources contend per `(source, pulling device)`
-///   download route (the PR 3 scheme);
+///   download route, as in the paper's two-registry testbed;
 /// * per-holder peer sources contend on the *serving* device's uplink
 ///   NIC, `(source, holder)` — one resource regardless of who pulls, so
 ///   a hot peer serving several same-wave devices divides its uplink
@@ -702,7 +702,7 @@ impl Testbed {
         fn jitter(state: &mut u64, lo: f64, hi: f64) -> f64 {
             let out = deep_netsim::splitmix64(*state);
             *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            lo + (out >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
+            lo + deep_netsim::unit_f64(out) * (hi - lo)
         }
         let mut tb = if devices >= 3 { Self::continuum() } else { Self::paper() };
         let mut state = seed;
@@ -810,9 +810,14 @@ impl Testbed {
     /// only — the paper pair plus any mirrors; peer caches cannot resolve
     /// manifests and ride along via `peer_sharing` instead).
     pub fn registry_choices(&self) -> Vec<RegistryChoice> {
-        let mut out = vec![RegistryChoice::Hub, RegistryChoice::Regional];
-        out.extend(self.mirrors.iter().map(|m| m.choice));
-        out
+        self.choices().collect()
+    }
+
+    /// [`Testbed::registry_choices`], unallocated.
+    fn choices(&self) -> impl Iterator<Item = RegistryChoice> + '_ {
+        [RegistryChoice::Hub, RegistryChoice::Regional]
+            .into_iter()
+            .chain(self.mirrors.iter().map(|m| m.choice))
     }
 
     /// The mirror registered under `choice`, if any.
@@ -911,9 +916,7 @@ impl Testbed {
     /// A single-source mesh for pulling from `registry` onto `device`,
     /// with the route slowed by `slowdown` (contention factor ≥ 1): the
     /// seed pull path expressed through the mesh API, for tests and
-    /// examples that pull directly. The estimator and the executor build
-    /// each pull's mesh themselves (peer sources, standbys and fault
-    /// wrappers included) from the same [`Testbed::source_params`].
+    /// examples that pull directly.
     pub fn pull_mesh(
         &self,
         registry: RegistryChoice,
@@ -926,6 +929,49 @@ impl Testbed {
             self.registry(registry),
             self.source_params(registry, device, slowdown),
         );
+        mesh
+    }
+
+    /// The mesh of one pull at `placement`, the one assembly the executor
+    /// realises and the estimator prices: the placement's registry as
+    /// primary, then `peers`' sources for the device, then, with
+    /// `standbys`, every other full registry as a failover-only standby
+    /// ([`RegistryMesh::add_standby_registry`]). Each source is slowed by
+    /// the load on its contention resource in `route_load` and, given a
+    /// window model and its clock, by the model's degradation windows at
+    /// that clock ([`FaultModel::slowdown_at`]).
+    pub fn placement_mesh<'a>(
+        &'a self,
+        placement: Placement,
+        peers: &'a PeerViews,
+        route_load: &RouteLoads,
+        windows: Option<(&FaultModel, Seconds)>,
+        standbys: bool,
+    ) -> RegistryMesh<'a> {
+        let device = placement.device;
+        let params = |choice: RegistryChoice| {
+            let id = choice.registry_id();
+            let contention = route_load.contention(&self.params, id, device);
+            let slowdown = match windows {
+                Some((model, clock)) => contention * model.slowdown_at(id, clock),
+                None => contention,
+            };
+            self.source_params(choice, device, slowdown)
+        };
+        let mut mesh = RegistryMesh::new();
+        let primary = placement.registry;
+        mesh.add_registry(primary.registry_id(), self.registry(primary), params(primary));
+        for (id, peer) in peers.of(device) {
+            mesh.add_blob_source(*id, peer, params(RegistryChoice::mesh(*id)));
+        }
+        if standbys {
+            for choice in self.choices() {
+                if choice != primary {
+                    let registry = self.registry(choice);
+                    mesh.add_standby_registry(choice.registry_id(), registry, params(choice));
+                }
+            }
+        }
         mesh
     }
 
@@ -963,6 +1009,23 @@ impl Testbed {
     /// device `to` over [`Testbed::device_bandwidth`].
     pub fn device_transfer_time(&self, from: DeviceId, to: DeviceId, size: DataSize) -> Seconds {
         deep_netsim::transfer_time(size, self.device_bandwidth(from, to))
+    }
+
+    /// `Tc` of `id` on `device`: every incoming dataflow of `app`, in
+    /// [`Application::incoming`] order, from the device `producer` names
+    /// for its source microservice.
+    pub fn transfer_in_time(
+        &self,
+        app: &Application,
+        id: MicroserviceId,
+        device: DeviceId,
+        producer: impl Fn(MicroserviceId) -> DeviceId,
+    ) -> Seconds {
+        let mut tc = Seconds::ZERO;
+        for flow in app.incoming(id) {
+            tc += self.device_transfer_time(producer(flow.from), device, flow.size);
+        }
+        tc
     }
 
     /// Device by id.

@@ -102,8 +102,8 @@ while read -r workload seed want <&3; do
 done 3< scripts/perfbench_digests.txt
 
 echo "==> non-test Rust lines per crate (reported, not gated)"
-# The size measure the change log quotes: each crate's src/ up to its
-# `#[cfg(test)] mod tests` block.
+# The size measure the change log quotes: each crate's src/ less its
+# `#[cfg(test)]`-gated modules, inline or out-of-line.
 scripts/nontest_lines.sh
 
 echo "tier-1 OK"

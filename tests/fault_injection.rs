@@ -28,7 +28,7 @@ use deep::core::{calibrate, calibration, DeepScheduler, EstimationContext, Sched
 use deep::dataflow::{self, apps, Application};
 use deep::netsim::Seconds;
 use deep::registry::{FaultModel, FaultRates, FlakyRegistry, HubRegistry, RetryPolicy};
-use deep::registry::{PlannedFaults, RegionalRegistry, RegistryMesh, SourceParams};
+use deep::registry::{RegionalRegistry, RegistryMesh, SourceParams};
 use deep::simulator::{
     execute, ExecutorConfig, RegistryChoice, RunReport, Schedule, Testbed, TestbedParams,
     DEVICE_MEDIUM,
@@ -97,7 +97,8 @@ fn assert_zero_fault_parity(app: &Application, tb: &Testbed) {
         app.name()
     );
     // Executor parity: injecting a zero plan (standby sources, retry
-    // policy and fault wrappers all attached) realises the same run.
+    // policy and the session fault policy all attached) realises the
+    // same run.
     let mut plain_tb = calibration::calibrated_testbed();
     plain_tb.publish_application(app);
     let (plain, _) = execute(&mut plain_tb, app, &happy, &ExecutorConfig::default()).unwrap();
@@ -252,13 +253,13 @@ fn injected_transient_bursts_charge_exact_backoff() {
             .with_retry(policy);
         let plan = model.plan(5);
         let hub = HubRegistry::with_paper_catalog();
-        let wrapped = PlannedFaults::primary(&hub, &plan, HUB_ID, 0);
         let mut mesh = RegistryMesh::new();
-        mesh.add_registry(HUB_ID, &wrapped, session_params());
+        mesh.add_registry(HUB_ID, &hub, session_params());
         let r = deep::registry::Reference::new("docker.io", "sina88/vp-transcode", "amd64");
         let out = mesh
             .session(HUB_ID)
             .with_retry(policy)
+            .with_faults(&plan, 0, Seconds::ZERO)
             .pull(&r, deep::registry::Platform::Amd64, &mut fresh_cache())
             .unwrap();
         assert_eq!(out.layers_fetched, 3);
