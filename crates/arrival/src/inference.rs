@@ -109,7 +109,6 @@ mod tests {
                 failed_sources: failed.to_vec(),
                 backoff_total: Seconds::ZERO,
                 energy: Joules::ZERO,
-                metered_energy: Joules::ZERO,
             }],
             makespan: Seconds::ZERO,
         }

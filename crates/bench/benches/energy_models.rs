@@ -1,35 +1,10 @@
-//! Energy substrate performance: RAPL counter updates, wall-meter
-//! integration, and the per-phase power model.
+//! Energy substrate performance: the per-phase power model that prices
+//! every microservice's energy.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use deep_energy::{DevicePowerModel, PowerMeter, RaplBank, RaplMeasurement, Watts};
+use deep_energy::DevicePowerModel;
 use deep_netsim::Seconds;
 use std::hint::black_box;
-
-fn bench_rapl(c: &mut Criterion) {
-    c.bench_function("rapl_advance_10k", |b| {
-        b.iter(|| {
-            let mut bank = RaplBank::new();
-            let m = RaplMeasurement::begin(&bank);
-            for i in 0..10_000u32 {
-                bank.advance_package(Watts::new(5.0 + (i % 7) as f64), Seconds::new(0.01));
-            }
-            black_box(m.package_energy(&bank))
-        })
-    });
-}
-
-fn bench_meter(c: &mut Criterion) {
-    c.bench_function("wall_meter_1k_observations", |b| {
-        b.iter(|| {
-            let mut meter = PowerMeter::ketotek();
-            for i in 0..1_000u32 {
-                meter.observe(Watts::new(2.0 + (i % 5) as f64), Seconds::new(0.37));
-            }
-            black_box(meter.energy())
-        })
-    });
-}
 
 fn bench_power_model(c: &mut Criterion) {
     let model = DevicePowerModel::intel_i7_7700();
@@ -46,5 +21,5 @@ fn bench_power_model(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_rapl, bench_meter, bench_power_model);
+criterion_group!(benches, bench_power_model);
 criterion_main!(benches);

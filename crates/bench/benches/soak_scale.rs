@@ -1,7 +1,8 @@
 //! Fleet-scale soak costs: what the scenario-priced solve and a full
 //! executor replay pay at 200- and 800-device scale with gossip
-//! discovery on — the two paths PR 10's delta gossip and batched draw
-//! pricing rebuilt.
+//! discovery on — the two paths that delta gossip (only advertisements
+//! newer than a partner's copy are exchanged) and memoized per-pull
+//! fatal draws keep cheap.
 //!
 //! * `fleet_solve/*` — one scenario-priced schedule (Monte-Carlo
 //!   `E[Td]` over a 64-draw seed stream) on a seeded synthetic fleet

@@ -195,17 +195,17 @@ pub struct EstimationContext<'t> {
     scenario: Option<ScenarioPricing>,
     /// The estimator's image of the executor clock: the open wave's
     /// pulls start here. Advanced at each barrier by the previous
-    /// wave's span (longest committed happy-path pull) plus its
-    /// serialized transfer and processing phases — the jitter-free
-    /// executor's exact clock arithmetic on the happy path, a
-    /// first-order approximation once injected faults stretch realized
-    /// pulls. Only tracked under scenario pricing.
+    /// wave's span (longest committed happy-path pull), then by each
+    /// member's transfer and processing phase in commit order — the
+    /// jitter-free executor's clock arithmetic bit for bit on the happy
+    /// path, a first-order approximation once injected faults stretch
+    /// realized pulls. Only tracked under scenario pricing.
     clock: Seconds,
     /// Longest committed pull of the open wave.
     wave_peak: Seconds,
-    /// Committed `Tc + Tp` of the open wave (executed serially after
-    /// the deployment barrier).
-    wave_exec: Seconds,
+    /// Committed `(Tc, Tp)` of the open wave, in commit order (executed
+    /// serially after the deployment barrier).
+    wave_exec: Vec<(Seconds, Seconds)>,
     /// Pulls committed so far — the executor's pull numbering, so
     /// scenario draws consult the same [`deep_registry::FaultPlan`]
     /// cells the injecting executor will.
@@ -312,7 +312,7 @@ impl<'t> EstimationContext<'t> {
             scenario: None,
             clock: Seconds::ZERO,
             wave_peak: Seconds::ZERO,
-            wave_exec: Seconds::ZERO,
+            wave_exec: Vec::new(),
             pulls_committed: 0,
             scoped: app
                 .ids()
@@ -485,8 +485,9 @@ impl<'t> EstimationContext<'t> {
     /// Open a new deployment wave (stage barrier): route contention
     /// resets, peers re-advertise their caches, and (under scenario
     /// pricing) the clock advances past the previous wave — its longest
-    /// pull, then its serialized transfer and processing phases —
-    /// mirroring the jitter-free executor's barrier arithmetic.
+    /// pull, then each member's transfer and processing phase in commit
+    /// order — mirroring the jitter-free executor's barrier arithmetic
+    /// bit for bit.
     ///
     /// With peer sharing on, every device's view is rebuilt from the
     /// estimated caches through the executor's own barrier step,
@@ -494,9 +495,12 @@ impl<'t> EstimationContext<'t> {
     /// gossip discovery, then the views. Each holder's source is built
     /// once and shared by every device that sees it.
     pub fn begin_wave(&mut self) {
-        self.clock += self.wave_peak + self.wave_exec;
+        self.clock += self.wave_peak;
         self.wave_peak = Seconds::ZERO;
-        self.wave_exec = Seconds::ZERO;
+        for (tc, tp) in self.wave_exec.drain(..) {
+            self.clock += tc;
+            self.clock += tp;
+        }
         self.route_load.clear();
         // The new views never read the old ones: free them first, so a
         // fleet's barrier holds one set of views at a time.
@@ -994,7 +998,8 @@ impl<'t> EstimationContext<'t> {
             // arithmetic on the happy path.
             self.wave_peak = self.wave_peak.max(outcome.deployment_time());
             let tp = dev.processing_time(&self.scoped[id.0], ms.requirements.cpu);
-            self.wave_exec += self.transfer_in_time(id, placement.device) + tp;
+            let tc = self.transfer_in_time(id, placement.device);
+            self.wave_exec.push((tc, tp));
         }
         match self.memo(placement.registry, id, dev.arch) {
             Some(k) => self.landed.push(k),
@@ -1648,6 +1653,47 @@ mod tests {
         );
     }
 
+    /// The estimator's barrier clock equals the executor's, bit for bit:
+    /// walking a `paper()` schedule under scenario pricing, the clock each
+    /// barrier opens at is the stamp of the executor's previous
+    /// `StageBarrierReleased` record (no faults, no jitter), on both case
+    /// studies and 200 generated dataflows.
+    #[test]
+    fn estimator_barrier_clock_is_the_executors_bit_for_bit() {
+        use crate::{DeepScheduler, Scheduler};
+        use deep_simulator::{execute, ExecutorConfig, TraceKind};
+        let mut tb = calibrated_testbed();
+        let gen = deep_dataflow::DagGenerator::default();
+        let apps = apps::case_studies().into_iter().chain((0..200).map(|seed| gen.generate(seed)));
+        let mut barriers = 0;
+        for app in apps {
+            tb.publish_application(&app);
+            tb.reset_caches();
+            let schedule = DeepScheduler::paper().schedule(&app, &tb);
+            let mut ctx = EstimationContext::new(&tb, &app)
+                .scenario_pricing(Some(ScenarioPricing { draws: 1, seed: 0 }));
+            let mut predicted = Vec::new();
+            for stage in stages(&app) {
+                ctx.begin_wave();
+                predicted.push(ctx.clock);
+                for &id in &stage.members {
+                    ctx.commit(id, schedule.placement(id));
+                }
+            }
+            ctx.begin_wave();
+            predicted.push(ctx.clock);
+            let (_, trace) = execute(&mut tb, &app, &schedule, &ExecutorConfig::default()).unwrap();
+            let stamped: Vec<u64> = trace
+                .of_kind(TraceKind::StageBarrierReleased)
+                .map(|e| e.at.as_f64().to_bits())
+                .collect();
+            let predicted: Vec<u64> = predicted[1..].iter().map(|t| t.as_f64().to_bits()).collect();
+            assert_eq!(predicted, stamped, "{}", app.name());
+            barriers += stamped.len();
+        }
+        assert!(barriers > 800, "{barriers} barriers");
+    }
+
     #[test]
     fn clock_and_pull_carry_over_shift_scenario_pricing_only() {
         use deep_registry::{FaultModel, OutageWindow};
@@ -1993,9 +2039,11 @@ mod tests {
     #[allow(clippy::type_complexity)]
     fn walk_state(
         ctx: &EstimationContext<'_>,
-    ) -> (Vec<(DataSize, usize)>, RouteLoads, [u64; 3], u64, Vec<Option<Placement>>) {
+    ) -> (Vec<(DataSize, usize)>, RouteLoads, Vec<u64>, u64, Vec<Option<Placement>>) {
         let caches = ctx.caches.iter().map(|c| (c.used(), c.len())).collect();
-        let clock = [ctx.clock, ctx.wave_peak, ctx.wave_exec].map(|t| t.as_f64().to_bits());
+        let phases = ctx.wave_exec.iter().flat_map(|&(tc, tp)| [tc, tp]);
+        let clock = [ctx.clock, ctx.wave_peak].into_iter().chain(phases);
+        let clock = clock.map(|t| t.as_f64().to_bits()).collect();
         (caches, ctx.route_load.clone(), clock, ctx.pulls_committed, ctx.assigned.clone())
     }
 

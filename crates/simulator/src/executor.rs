@@ -10,24 +10,20 @@
 //! * **Barrier-ordered, non-concurrent execution** — the paper measures
 //!   `EC(m_i, d_j)` "during each microservice (non-concurrently)
 //!   execution"; stage members execute sequentially in id order.
-//! * **Instrumented energy** — the Intel device is metered through the
-//!   emulated RAPL counter bank (pyRAPL's flow), the ARM device through
-//!   the sampling wall meter (Ketotek's flow). Analytic and instrumented
-//!   energies are both reported; they agree to instrument quantisation.
+//! * **Analytic energy** — each microservice's energy is the paper's
+//!   Section III-D2 model over its measured phases:
+//!   `EC = P_deploy·Td + P_transfer·Tc + P_proc(m)·Tp + P_static·CT`.
 
 use crate::chaos::{ChaosEvent, ChaosKind};
-use crate::device::SimDevice;
 use crate::jitter::Jitter;
 use crate::metrics::{MicroserviceMetrics, RunReport};
 use crate::schedule::{Placement, RegistryChoice, Schedule};
 use crate::testbed::{peer_holder, PeerViews, RouteLoads, Testbed};
 use crate::trace::{Trace, TraceKind};
 use deep_dataflow::{stages, Application, MicroserviceId};
-use deep_energy::{Joules, PowerMeter, RaplBank, RaplMeasurement, Watts};
+use deep_energy::Joules;
 use deep_netsim::{DataSize, DeviceId, RegistryId, Seconds};
-use deep_registry::{
-    FaultPlan, LayerCache, Platform, PullOutcome, PullSession, Reference, RegistryError,
-};
+use deep_registry::{FaultPlan, LayerCache, PullOutcome, PullSession, Reference, RegistryError};
 use std::fmt;
 
 /// How pulls discover which fleet peers hold which layers (only
@@ -169,68 +165,6 @@ impl From<deep_registry::RegistryError> for ExecError {
     }
 }
 
-/// One device's energy instrument, chosen by its architecture: the
-/// emulated RAPL counter bank on amd64 (pyRAPL's flow), the sampling wall
-/// meter on arm64 (Ketotek's flow).
-enum Instrument {
-    Rapl(RaplBank),
-    Meter(PowerMeter),
-}
-
-impl Instrument {
-    fn for_device(device: &SimDevice) -> Self {
-        match device.arch {
-            Platform::Amd64 => Instrument::Rapl(RaplBank::new()),
-            Platform::Arm64 => Instrument::Meter(PowerMeter::ketotek()),
-        }
-    }
-
-    /// Meter `power` over `dt`.
-    fn observe(&mut self, power: Watts, dt: Seconds) {
-        match self {
-            Instrument::Rapl(bank) => bank.advance_package(power, dt),
-            Instrument::Meter(meter) => meter.observe(power, dt),
-        }
-    }
-
-    /// Meter each `(power, dt)` phase in turn and return the energy the
-    /// instrument read across them.
-    fn measure(&mut self, phases: [(Watts, Seconds); 2]) -> Joules {
-        match self {
-            Instrument::Rapl(bank) => {
-                let window = RaplMeasurement::begin(bank);
-                for (power, dt) in phases {
-                    bank.advance_package(power, dt);
-                }
-                window.package_energy(bank)
-            }
-            Instrument::Meter(meter) => {
-                let start = meter.energy();
-                for (power, dt) in phases {
-                    meter.observe(power, dt);
-                }
-                meter.energy() - start
-            }
-        }
-    }
-}
-
-/// The session's energy instruments, indexed by device id. A device's
-/// instrument is built when it is first metered, so a session pays only
-/// for the devices it deploys to.
-#[derive(Default)]
-struct Instruments(Vec<Option<Instrument>>);
-
-impl Instruments {
-    fn of(&mut self, device: &SimDevice) -> &mut Instrument {
-        let slot = device.id.0;
-        if self.0.len() <= slot {
-            self.0.resize_with(slot + 1, || None);
-        }
-        self.0[slot].get_or_insert_with(|| Instrument::for_device(device))
-    }
-}
-
 /// Run `app` under `schedule` on `testbed`. Mutates device caches (images
 /// stay cached across runs unless [`Testbed::reset_caches`] is called) and
 /// returns the run report plus the monitoring trace.
@@ -334,8 +268,7 @@ pub struct JobRun {
     sources: Vec<Vec<deep_registry::SourcePull>>,
     failed_sources: Vec<Vec<RegistryId>>,
     backoff: Vec<Seconds>,
-    analytic: Vec<Joules>,
-    metered: Vec<Joules>,
+    energy: Vec<Joules>,
 }
 
 impl JobRun {
@@ -349,8 +282,7 @@ impl JobRun {
             sources: vec![Vec::new(); len],
             failed_sources: vec![Vec::new(); len],
             backoff: vec![Seconds::ZERO; len],
-            analytic: vec![Joules::ZERO; len],
-            metered: vec![Joules::ZERO; len],
+            energy: vec![Joules::ZERO; len],
         }
     }
 
@@ -384,8 +316,7 @@ impl JobRun {
                     sources: exact(std::mem::take(&mut self.sources[id.0])),
                     failed_sources: exact(std::mem::take(&mut self.failed_sources[id.0])),
                     backoff_total: self.backoff[id.0],
-                    energy: self.analytic[id.0],
-                    metered_energy: self.metered[id.0],
+                    energy: self.energy[id.0],
                 }
             })
             .collect();
@@ -405,7 +336,7 @@ fn exact<T>(v: Vec<T>) -> Vec<T> {
 /// The executor's persistent cross-wave state, split out of
 /// [`execute_with_events`] so the arrival plane (the `deep-arrival`
 /// crate) can interleave *multiple* jobs on one continuous timeline:
-/// jitter stream, monitoring trace, energy instruments, the wave clock,
+/// jitter stream, monitoring trace, the wave clock,
 /// the execution-order pull counter the fault plan indexes, and the
 /// scripted chaos timeline all survive across [`OnlineExecutor::run_wave`]
 /// calls. The fault plan is sampled **once** at session start, so
@@ -418,7 +349,6 @@ pub struct OnlineExecutor {
     cfg: ExecutorConfig,
     jitter: Jitter,
     trace: Trace,
-    instruments: Instruments,
     clock: Seconds,
     pull_counter: u64,
     fault_plan: Option<FaultPlan>,
@@ -560,7 +490,6 @@ impl OnlineExecutor {
             cfg: *cfg,
             jitter: Jitter::new(cfg.seed, cfg.jitter),
             trace: Trace::new(),
-            instruments: Instruments::default(),
             clock: Seconds::ZERO,
             pull_counter: 0,
             fault_plan,
@@ -641,7 +570,6 @@ impl OnlineExecutor {
             ref cfg,
             ref mut jitter,
             ref mut trace,
-            ref mut instruments,
             ref mut clock,
             ref mut pull_counter,
             ref fault_plan,
@@ -722,7 +650,6 @@ impl OnlineExecutor {
             );
             testbed.device_mut(placement.device).cache = cache;
             let outcome = pulled?;
-            let device = testbed.device(placement.device);
             // Charge each contention resource the bytes it actually
             // served: a split pull no longer over-penalizes its primary
             // route, and peer buckets land on the serving device's
@@ -735,9 +662,6 @@ impl OnlineExecutor {
             run.failed_sources[id.0] = outcome.failed_sources;
             run.backoff[id.0] = outcome.backoff_total;
             completions.push((t, id));
-            // Instrument the deployment phase (deploy + static draw).
-            let power = device.power.deploy_watts + device.power.static_watts;
-            instruments.of(device).observe(power, t);
         }
         // Deployment is concurrent: record the completions in time order
         // (each finish stamped when its pull actually ends; the stable
@@ -787,21 +711,7 @@ impl OnlineExecutor {
             run.tp[id.0] = proc;
 
             // Analytic energy over all three phases of this microservice.
-            run.analytic[id.0] = device.phase_energy(process_watts, run.td[id.0], transfer, proc);
-
-            // Instrumented energy: meter transfer + processing here (the
-            // deployment slice was metered during the wave), reading the
-            // instrument across a window covering this microservice's
-            // share. Deployment is charged separately below.
-            let exec_energy = instruments.of(device).measure([
-                (device.power.transfer_watts + device.power.static_watts, transfer),
-                (process_watts + device.power.static_watts, proc),
-            ]);
-            // Deployment slice, analytic reconstruction of the metered
-            // wave share: (deploy + static) × td.
-            let deploy_energy =
-                (device.power.deploy_watts + device.power.static_watts) * run.td[id.0];
-            run.metered[id.0] = exec_energy + deploy_energy;
+            run.energy[id.0] = device.phase_energy(process_watts, run.td[id.0], transfer, proc);
         }
         trace.record(
             *clock,
@@ -819,6 +729,7 @@ mod tests {
     use crate::schedule::Placement;
     use crate::testbed::{DEVICE_MEDIUM, DEVICE_SMALL};
     use deep_dataflow::apps;
+    use deep_registry::Platform;
 
     fn all_hub_medium(app: &Application) -> Schedule {
         Schedule::uniform(app.len(), RegistryChoice::Hub, DEVICE_MEDIUM)
@@ -910,24 +821,6 @@ mod tests {
             contended_dl + 580.0 / 12.6 + 25.0
         );
         let _ = (split, hub_uncontended_dl);
-    }
-
-    #[test]
-    fn instruments_agree_with_analytic_energy() {
-        let mut tb = Testbed::paper();
-        let app = apps::text_processing();
-        let sched = Schedule::uniform(app.len(), RegistryChoice::Regional, DEVICE_SMALL);
-        let (report, _) = execute(&mut tb, &app, &sched, &ExecutorConfig::default()).unwrap();
-        for m in &report.microservices {
-            let a = m.energy.as_f64();
-            let i = m.metered_energy.as_f64();
-            // The 1 Hz wall meter quantises: allow a few joules of drift.
-            assert!(
-                (a - i).abs() < a.max(10.0) * 0.05 + 10.0,
-                "{}: analytic {a} vs metered {i}",
-                m.name
-            );
-        }
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //!   by the executor: per-microservice `(registry, device)`;
 //! * [`executor`] — runs an application under a schedule: staged
 //!   deployments with route contention and layer dedup, barrier-ordered
-//!   non-concurrent execution, per-phase energy metering through the
-//!   emulated RAPL counters (Intel device) and the sampling wall meter
-//!   (ARM device), and optional seeded fault injection
+//!   non-concurrent execution, per-phase energy from the paper's analytic
+//!   model (Section III-D2), and optional seeded fault injection
 //!   ([`ExecutorConfig::fault_injection`]) sampling the testbed's
 //!   [`Testbed::fault_model`](testbed::Testbed::fault_model) — dead
 //!   primaries fail over onto standby mesh sources, transient bursts

@@ -30,10 +30,9 @@ pub struct MicroserviceMetrics {
     /// Retry backoff charged into `td` by injected transient failures
     /// (zero without fault injection).
     pub backoff_total: Seconds,
-    /// Analytic energy from the device power model.
+    /// Energy `EC` from the paper's Section III-D2 model over `td`, `tc`
+    /// and `tp` ([`crate::SimDevice::energy`]).
     pub energy: Joules,
-    /// Energy as read by the device's instrument (RAPL or wall meter).
-    pub metered_energy: Joules,
 }
 
 impl MicroserviceMetrics {
@@ -77,11 +76,6 @@ impl RunReport {
     /// `EC_total(A, R, D)`: sum of per-microservice energies.
     pub fn total_energy(&self) -> Joules {
         self.microservices.iter().map(|m| m.energy).sum()
-    }
-
-    /// Total energy as seen by the instruments.
-    pub fn total_metered_energy(&self) -> Joules {
-        self.microservices.iter().map(|m| m.metered_energy).sum()
     }
 
     /// Metrics for one microservice by name.
@@ -189,7 +183,6 @@ mod tests {
             failed_sources: Vec::new(),
             backoff_total: Seconds::ZERO,
             energy: Joules::new(e),
-            metered_energy: Joules::new(e),
         }
     }
 

@@ -549,13 +549,21 @@ pub struct Testbed {
     /// on, and fault-aware schedulers price expected deployment time
     /// under it.
     pub fault_model: FaultModel,
-    /// `(application, microservice)` → catalog entry, for reference lookup
-    /// by the executor. Shared copy-on-write between replicas.
+    /// Catalog entries by application, then microservice, for reference
+    /// lookup by the executor and the estimator. Shared copy-on-write
+    /// between replicas.
     pub(crate) entries: Arc<CatalogEntries>,
 }
 
-/// `(application, microservice)` → catalog entry.
-type CatalogEntries = HashMap<(String, String), CatalogEntry>;
+/// application → microservice → catalog entry, so a lookup borrows both
+/// names.
+type CatalogEntries = HashMap<String, HashMap<String, CatalogEntry>>;
+
+/// Insert `entry` under its application and microservice.
+fn insert_entry(entries: &mut CatalogEntries, entry: CatalogEntry) {
+    let row = entries.entry(entry.application.clone()).or_default();
+    row.insert(entry.microservice.clone(), entry);
+}
 
 /// The Table I catalog keyed for [`Testbed::entry`], built once per
 /// process and shared by every paper-based testbed until one of them
@@ -563,8 +571,11 @@ type CatalogEntries = HashMap<(String, String), CatalogEntry>;
 fn paper_entries() -> Arc<CatalogEntries> {
     static ENTRIES: OnceLock<Arc<CatalogEntries>> = OnceLock::new();
     let entries = ENTRIES.get_or_init(|| {
-        let catalog = deep_registry::paper_catalog().into_iter();
-        Arc::new(catalog.map(|e| ((e.application.clone(), e.microservice.clone()), e)).collect())
+        let mut entries = CatalogEntries::new();
+        for entry in deep_registry::paper_catalog() {
+            insert_entry(&mut entries, entry);
+        }
+        Arc::new(entries)
     });
     Arc::clone(entries)
 }
@@ -748,14 +759,13 @@ impl Testbed {
 
     /// Catalog entry for `(application, microservice)`, if published.
     pub fn entry(&self, application: &str, microservice: &str) -> Option<&CatalogEntry> {
-        self.entries.get(&(application.to_string(), microservice.to_string()))
+        self.entries.get(application)?.get(microservice)
     }
 
     /// Replace (or insert) the catalog entry used for reference lookup —
     /// ablation hooks re-publish variant images under the same keys.
     pub fn replace_entry(&mut self, entry: CatalogEntry) {
-        let key = (entry.application.clone(), entry.microservice.clone());
-        Arc::make_mut(&mut self.entries).insert(key, entry);
+        insert_entry(Arc::make_mut(&mut self.entries), entry);
     }
 
     /// Publish single-layer images for every microservice of a non-catalog
@@ -764,8 +774,7 @@ impl Testbed {
     pub fn publish_application(&mut self, app: &Application) {
         for id in app.ids() {
             let ms = app.microservice(id);
-            let key = (app.name().to_string(), ms.name.clone());
-            if self.entries.contains_key(&key) {
+            if self.entry(app.name(), &ms.name).is_some() {
                 continue;
             }
             let entry = CatalogEntry::single_layer(app.name(), &ms.name, ms.image_size);
@@ -774,7 +783,7 @@ impl Testbed {
             for mirror in &mut self.mirrors {
                 mirror.registry.publish(&entry).expect("synthetic publish fits mirror capacity");
             }
-            Arc::make_mut(&mut self.entries).insert(key, entry);
+            insert_entry(Arc::make_mut(&mut self.entries), entry);
         }
     }
 
@@ -795,8 +804,9 @@ impl Testbed {
         // byte for byte; publish only what differs from it.
         let mut registry = RegionalRegistry::with_paper_catalog();
         let paper = paper_entries();
-        for (key, entry) in self.entries.iter() {
-            if paper.get(key) != Some(entry) {
+        for entry in self.entries.values().flat_map(HashMap::values) {
+            let row = paper.get(&entry.application);
+            if row.and_then(|row| row.get(&entry.microservice)) != Some(entry) {
                 registry.publish(entry).expect("mirror capacity fits the published catalog");
             }
         }
@@ -1195,7 +1205,7 @@ mod tests {
         let mirror = t.add_regional_mirror(Bandwidth::megabytes_per_sec(9.5), Seconds::new(5.0));
         // The oracle publishes every entry, unmodified catalog rows included.
         let mut scratch = RegionalRegistry::with_paper_catalog();
-        for entry in t.entries.values() {
+        for entry in t.entries.values().flat_map(HashMap::values) {
             scratch.publish(entry).unwrap();
         }
         let built = &t.mirror(mirror).unwrap().registry;

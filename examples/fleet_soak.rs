@@ -1,11 +1,11 @@
 //! Fleet-scale arrival soak: gossip discovery and scenario-priced
-//! admissions at 800 devices — the headline artifact for PR 10's
-//! delta-gossip and batched-draw-pricing rebuild.
+//! admissions at 800 devices, where delta gossip (only advertisements
+//! newer than a partner's copy are exchanged) and memoized per-pull
+//! fatal draws keep both hot paths cheap.
 //!
 //! Builds a seeded 800-device synthetic fleet (calibrated continuum
 //! archetypes, 3-registry mesh), warms it with one executed deployment,
-//! then drives the two hot paths the delta rebuild targets and prints
-//! their wall-clock:
+//! then drives those two hot paths and prints their wall-clock:
 //!
 //! * **Wave barriers** — the epidemic advertise-and-spread step the
 //!   executor pays at every wave. The first barriers do real delta

@@ -6,15 +6,16 @@
 //! platforms), and pins the application to the edge tier — so every
 //! placement pays a pull, and the 80 MB/s peer plane beats every
 //! ~8–12 MB/s registry route whenever the puller *knows* a warm holder.
-//! Discovery is the only variable: the omniscient snapshot plane (the
-//! PR 5 baseline) against gossip over a grid of bounded view sizes and
+//! Discovery is the only variable: the omniscient snapshot plane (every
+//! device sees every other device's cache at each wave barrier) against
+//! gossip over a grid of bounded view sizes and
 //! epidemic rounds per wave. Scheduler and executor run the *same*
 //! seeded plane, so each cell's equilibrium prices exactly the partial
 //! views its run will materialize — under-propagated gossip shows up as
 //! wave-one pulls routed to registries, and the realized Td measures
 //! what bounded discovery costs.
 //!
-//! The headline is the ISSUE's acceptance bar: a bounded view of at
+//! The headline is the bar this frontier checks: a bounded view of at
 //! most 8 holders must land within 5 % of the omniscient snapshot's
 //! equilibrium Td — bounded views are cheap because the warm holders
 //! dominate every by-size selection; it is *propagation* (rounds per

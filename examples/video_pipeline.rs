@@ -1,6 +1,6 @@
 //! The video-processing case study end to end: DEEP scheduling, simulated
-//! execution with energy instrumentation, per-microservice metrics and the
-//! Table III distribution.
+//! execution priced by the paper's analytic energy model, per-microservice
+//! metrics and the Table III distribution.
 //!
 //! Run with `cargo run --example video_pipeline`.
 
@@ -32,19 +32,18 @@ fn main() {
 
     println!("\n== per-microservice measurements (one seeded trial) ==");
     println!(
-        "{:12} {:>9} {:>9} {:>9} {:>9} {:>11} {:>11}",
-        "microservice", "Td [s]", "Tc [s]", "Tp [s]", "CT [s]", "EC [J]", "metered [J]"
+        "{:12} {:>9} {:>9} {:>9} {:>9} {:>11}",
+        "microservice", "Td [s]", "Tc [s]", "Tp [s]", "CT [s]", "EC [J]"
     );
     for m in &report.microservices {
         println!(
-            "{:12} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>11.1} {:>11.1}",
+            "{:12} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>11.1}",
             m.name,
             m.td.as_f64(),
             m.tc.as_f64(),
             m.tp.as_f64(),
             m.ct().as_f64(),
             m.energy.as_f64(),
-            m.metered_energy.as_f64(),
         );
     }
     println!(

@@ -7,10 +7,21 @@
 # dropped whole. Prints one `<crate> <lines>` row per crate, then
 # `total <lines>`.
 #
-# Usage: scripts/nontest_lines.sh
+# With a revision, counts that revision's tree instead of the working
+# tree, extracted with `git archive` into a temporary directory, so
+# `scripts/nontest_lines.sh HEAD~1` gives the parent's side of a change.
+#
+# Usage: scripts/nontest_lines.sh [<rev>]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+if [[ $# -gt 0 ]]; then
+  tree="$(mktemp -d)"
+  trap 'rm -rf "${tree}"' EXIT
+  git archive "$1" crates | tar -x -C "${tree}"
+  cd "${tree}"
+fi
 
 # The start of a module declaration, with or without visibility.
 MOD='^[ \t]*(pub([(][a-z]+[)])?[ \t]+)?mod[ \t]+[A-Za-z0-9_]+'

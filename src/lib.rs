@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | [`dataflow`] | `deep-dataflow` | DAG application model (Fig. 2 case studies) |
 //! | [`netsim`] | `deep-netsim` | typed units, device/registry ids, transfer time, gossip |
-//! | [`energy`] | `deep-energy` | power models, RAPL emulation, wall meter |
+//! | [`energy`] | `deep-energy` | units and the Section III-D2 power model |
 //! | [`objectstore`] | `deep-objectstore` | MinIO-like S3 store: buckets, objects, quota |
 //! | [`registry`] | `deep-registry` | Docker Hub + regional registries, pull path |
 //! | [`game`] | `deep-game` | Nash-equilibrium toolkit (Nashpy replacement) |
