@@ -823,6 +823,33 @@ mod tests {
         let _ = (split, hub_uncontended_dl);
     }
 
+    /// On the uncalibrated paper testbed, with every microservice on one
+    /// device (so `Tc` is zero), the reported energy is the Section III-D2
+    /// model written out over the report's own phases.
+    #[test]
+    fn energy_is_the_analytic_model_on_a_uniform_schedule() {
+        let mut tb = Testbed::paper();
+        let app = apps::text_processing();
+        let sched = Schedule::uniform(app.len(), RegistryChoice::Regional, DEVICE_SMALL);
+        let (report, _) = execute(&mut tb, &app, &sched, &ExecutorConfig::default()).unwrap();
+        let device = tb.device(DEVICE_SMALL);
+        let power = &device.power;
+        for m in &report.microservices {
+            assert_eq!(m.tc, Seconds::ZERO, "{}: one device moves no data", m.name);
+            let process = device.process_watts(&format!("{}/{}", app.name(), m.name));
+            let (td, tp) = (m.td.as_f64(), m.tp.as_f64());
+            let want = power.deploy_watts.as_f64() * td
+                + process.as_f64() * tp
+                + power.static_watts.as_f64() * (td + tp);
+            let got = m.energy.as_f64();
+            assert!(
+                (got - want).abs() <= want.abs() * 1e-12,
+                "{}: energy {got}, model {want}",
+                m.name
+            );
+        }
+    }
+
     #[test]
     fn jitter_produces_ranges_deterministically() {
         let app = apps::video_processing();
