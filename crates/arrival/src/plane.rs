@@ -143,7 +143,7 @@ impl Replication {
         plane: &ArrivalPlane,
         app: &Application,
         tb: &Testbed,
-        exec: &OnlineExecutor,
+        exec: &OnlineExecutor<()>,
         arrivals: &[Arrival],
     ) {
         while self.next < arrivals.len()
@@ -183,8 +183,9 @@ fn run_replication(
     let events = scenario.chaos_events();
     // The executor samples its fault plan from the testbed up front;
     // stripping windows *afterwards* blinds only the scheduler's view,
-    // never the injection.
-    let mut exec = OnlineExecutor::new(&tb, &cfg, &events);
+    // never the injection. Job records keep reports, not traces: the
+    // session monitors nothing.
+    let mut exec = OnlineExecutor::with_monitor(&tb, &cfg, &events, ());
     if plane.blind {
         tb.fault_model = tb.fault_model.without_windows();
     }
@@ -260,7 +261,7 @@ fn solve(
     plane: &ArrivalPlane,
     app: &Application,
     tb: &Testbed,
-    exec: &OnlineExecutor,
+    exec: &OnlineExecutor<()>,
     incumbent: Option<&Schedule>,
 ) -> (Schedule, RepairStats) {
     let scheduler = DeepScheduler {

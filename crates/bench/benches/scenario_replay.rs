@@ -1,7 +1,8 @@
 //! Scenario DSL and soak-harness costs: parsing a chaos scenario,
 //! canonical serialization, sweep expansion, scenario-priced scheduling
-//! (Monte-Carlo `E[Td]` over the replication seed stream), and a full
-//! seeded soak replay through the executor.
+//! (Monte-Carlo `E[Td]` over the replication seed stream), a full
+//! seeded soak replay through the executor, and one 60-replication
+//! fault-sweep cell.
 //!
 //! The checked-in scenario files under `scenarios/` are the fixtures —
 //! the same documents the sweep examples and `scripts/tier1.sh` drive,
@@ -50,6 +51,18 @@ fn bench_replay(c: &mut Criterion) {
     let smoke = Scenario::parse(SMOKE).expect("fixture parses");
     group.bench_function("soak_smoke_replay", |b| {
         b.iter(|| black_box(run_scenario(&smoke, &DeepScheduler::fault_aware())))
+    });
+    // One fault-sweep grid cell: a cheap rate-only schedule, then the
+    // cell's 60 seeded replications (replica + execute), the path that
+    // dominates a paper-grid round.
+    let cell = Scenario::parse(FAULT_SWEEP)
+        .expect("fixture parses")
+        .expand()
+        .into_iter()
+        .find(|s| s.name == "fault-sweep/mirror-count=1/fault-rate=0.2")
+        .expect("the grid has the cell");
+    group.bench_function("fault_sweep_cell", |b| {
+        b.iter(|| black_box(run_scenario(&cell, &DeepScheduler::fault_aware())))
     });
     group.finish();
 }

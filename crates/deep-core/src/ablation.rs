@@ -18,7 +18,7 @@ use crate::calibration::calibrated_testbed;
 use crate::nash::DeepScheduler;
 use crate::Scheduler;
 use deep_dataflow::{apps, Application};
-use deep_simulator::{execute, ExecutorConfig, Schedule, Testbed, TestbedParams};
+use deep_simulator::{execute_monitored, ExecutorConfig, Schedule, Testbed, TestbedParams};
 use serde::{Deserialize, Serialize};
 
 /// One ablation outcome: the variant's total energy per application.
@@ -44,7 +44,8 @@ fn run_energy(
     cfg: &ExecutorConfig,
 ) -> f64 {
     let mut tb = tb_builder();
-    let (report, _) = execute(&mut tb, app, schedule, cfg).expect("ablation schedule executes");
+    let (report, ()) = execute_monitored(&mut tb, app, schedule, cfg, &[], ())
+        .expect("ablation schedule executes");
     report.total_energy().as_f64()
 }
 

@@ -84,7 +84,6 @@ impl Scheduler for GreedyDecoupled {
     fn schedule(&self, app: &Application, testbed: &Testbed) -> Schedule {
         let placements = EstimationContext::new(testbed, app).walk(|ctx, id| {
             let ms = app.microservice(id);
-            let scoped = format!("{}/{}", app.name(), ms.name);
             // Device: processing + static power over Tp only.
             let device = ctx
                 .admissible_devices(id)
@@ -92,8 +91,9 @@ impl Scheduler for GreedyDecoupled {
                 .min_by(|&a, &b| {
                     let cost = |d| {
                         let dev = testbed.device(d);
-                        let tp = dev.processing_time(&scoped, ms.requirements.cpu);
-                        ((dev.process_watts(&scoped) + dev.power.static_watts) * tp).as_f64()
+                        let tp = dev.processing_time(app.name(), &ms.name, ms.requirements.cpu);
+                        let watts = dev.process_watts(app.name(), &ms.name);
+                        ((watts + dev.power.static_watts) * tp).as_f64()
                     };
                     cost(a).partial_cmp(&cost(b)).expect("not NaN")
                 })

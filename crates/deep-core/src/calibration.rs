@@ -286,16 +286,16 @@ fn derive(row: &PaperRow, testbed: &Testbed) -> CalibratedRow {
 pub fn calibrate(testbed: &mut Testbed) -> Vec<CalibratedRow> {
     let rows: Vec<CalibratedRow> = paper_rows().iter().map(|r| derive(r, testbed)).collect();
     for (paper, cal) in paper_rows().iter().zip(&rows) {
-        // Keys are scoped by application: both case studies contain a
-        // microservice literally named "ha-train" with different measured
-        // behaviour.
-        let key = format!("{}/{}", paper.application, paper.microservice);
+        // Parameters are scoped by application: both case studies contain
+        // a microservice literally named "ha-train" with different
+        // measured behaviour.
+        let (app, ms) = (paper.application, paper.microservice);
         let med = testbed.device_mut(DEVICE_MEDIUM);
-        med.set_speed_factor(&key, 1.0);
-        med.set_process_power(&key, cal.p_medium);
+        med.set_speed_factor(app, ms, 1.0);
+        med.set_process_power(app, ms, cal.p_medium);
         let small = testbed.device_mut(DEVICE_SMALL);
-        small.set_speed_factor(&key, paper.small_speed_factor);
-        small.set_process_power(&key, cal.p_small);
+        small.set_speed_factor(app, ms, paper.small_speed_factor);
+        small.set_process_power(app, ms, cal.p_small);
     }
     rows
 }
@@ -366,16 +366,17 @@ mod tests {
         let mut tb = Testbed::paper();
         let cals = calibrate(&mut tb);
         for (row, cal) in paper_rows().iter().zip(&cals) {
-            let key = format!("{}/{}", row.application, row.microservice);
+            let (app, ms) = (row.application, row.microservice);
+            let key = format!("{app}/{ms}");
             let med = tb.device(DEVICE_MEDIUM);
-            let e = med.energy(&key, cal.td_medium, Seconds::ZERO, cal.tp_medium).as_f64();
+            let e = med.energy(app, ms, cal.td_medium, Seconds::ZERO, cal.tp_medium).as_f64();
             let target = row.ec_medium_mid();
             assert!(
                 (e - target).abs() / target < 0.05,
                 "{key} medium: model {e:.0} vs paper {target:.0}"
             );
             let small = tb.device(DEVICE_SMALL);
-            let e = small.energy(&key, cal.td_small, Seconds::ZERO, cal.tp_small).as_f64();
+            let e = small.energy(app, ms, cal.td_small, Seconds::ZERO, cal.tp_small).as_f64();
             let target = row.ec_small_mid();
             assert!(
                 (e - target).abs() / target < 0.05,
@@ -406,22 +407,28 @@ mod tests {
         let tb = calibrated_testbed();
         let video = apps::video_processing();
         let transcode = video.microservice(video.by_name("transcode").unwrap());
-        let t_small = tb
-            .device(DEVICE_SMALL)
-            .processing_time("video-processing/transcode", transcode.requirements.cpu);
+        let t_small = tb.device(DEVICE_SMALL).processing_time(
+            "video-processing",
+            "transcode",
+            transcode.requirements.cpu,
+        );
         // transcode factor 1.0: same Tp as medium.
         assert!((t_small.as_f64() - 18.25).abs() < 1e-9, "{t_small}");
         let ha = video.microservice(video.by_name("ha-train").unwrap());
-        let t_small = tb
-            .device(DEVICE_SMALL)
-            .processing_time("video-processing/ha-train", ha.requirements.cpu);
+        let t_small = tb.device(DEVICE_SMALL).processing_time(
+            "video-processing",
+            "ha-train",
+            ha.requirements.cpu,
+        );
         assert!((t_small.as_f64() - 122.5 * 3.2).abs() < 1e-6, "{t_small}");
         // The text app's same-named trainer keeps its own factor.
         let text = apps::text_processing();
         let tha = text.microservice(text.by_name("ha-train").unwrap());
-        let t_small = tb
-            .device(DEVICE_SMALL)
-            .processing_time("text-processing/ha-train", tha.requirements.cpu);
+        let t_small = tb.device(DEVICE_SMALL).processing_time(
+            "text-processing",
+            "ha-train",
+            tha.requirements.cpu,
+        );
         assert!((t_small.as_f64() - 141.5 * 1.1).abs() < 1e-6, "{t_small}");
     }
 

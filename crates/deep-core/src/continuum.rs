@@ -20,7 +20,7 @@ use crate::Scheduler;
 use deep_dataflow::{apps, Application, ApplicationBuilder, DeviceClass};
 use deep_energy::Joules;
 use deep_netsim::Seconds;
-use deep_simulator::{execute, ExecutorConfig, Schedule, Testbed, DEVICE_CLOUD};
+use deep_simulator::{execute_monitored, ExecutorConfig, Schedule, Testbed, DEVICE_CLOUD};
 use serde::{Deserialize, Serialize};
 
 /// A calibrated continuum testbed: the paper's calibration applied to the
@@ -44,10 +44,10 @@ pub fn continuum_testbed() -> Testbed {
 pub fn calibrate_continuum(tb: &mut Testbed) {
     let rows = calibrate(tb);
     for (paper, cal) in paper_rows().iter().zip(&rows) {
-        let key = format!("{}/{}", paper.application, paper.microservice);
+        let (app, ms) = (paper.application, paper.microservice);
         let cloud = tb.device_mut(DEVICE_CLOUD);
-        cloud.set_speed_factor(&key, 1.0);
-        cloud.set_process_power(&key, cal.p_medium.scale(1.25));
+        cloud.set_speed_factor(app, ms, 1.0);
+        cloud.set_process_power(app, ms, cal.p_medium.scale(1.25));
     }
 }
 
@@ -124,15 +124,15 @@ pub fn compare(cfg: &ExecutorConfig) -> Vec<ContinuumRow> {
         let edge_tb = crate::calibration::calibrated_testbed();
         let edge_schedule = DeepScheduler::paper().schedule(&app, &edge_tb);
         let mut run_tb = crate::calibration::calibrated_testbed();
-        let (edge_report, _) =
-            execute(&mut run_tb, &app, &edge_schedule, cfg).expect("edge schedule executes");
+        let (edge_report, ()) = execute_monitored(&mut run_tb, &app, &edge_schedule, cfg, &[], ())
+            .expect("edge schedule executes");
 
         // Continuum.
         let cont_tb = continuum_testbed();
         let cont_schedule = DeepScheduler::paper().schedule(&app, &cont_tb);
         let mut run_tb = continuum_testbed();
-        let (cont_report, _) =
-            execute(&mut run_tb, &app, &cont_schedule, cfg).expect("continuum schedule executes");
+        let (cont_report, ()) = execute_monitored(&mut run_tb, &app, &cont_schedule, cfg, &[], ())
+            .expect("continuum schedule executes");
 
         let offloaded = cont_schedule
             .iter()

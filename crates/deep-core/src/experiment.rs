@@ -12,7 +12,7 @@ use crate::report::{fmt_j, fmt_s, render_table};
 use crate::Scheduler;
 use deep_dataflow::apps;
 use deep_simulator::{
-    execute, ExecutorConfig, RegistryChoice, Schedule, DEVICE_MEDIUM, DEVICE_SMALL,
+    execute_monitored, ExecutorConfig, RegistryChoice, Schedule, DEVICE_MEDIUM, DEVICE_SMALL,
 };
 use serde::{Deserialize, Serialize};
 
@@ -146,8 +146,9 @@ impl Experiments {
                         };
                         let mut tb = calibrated_testbed();
                         let schedule = Schedule::uniform(app.len(), registry, device);
-                        let (report, _) =
-                            execute(&mut tb, app, &schedule, &self.executor_cfg(trial))
+                        let cfg = self.executor_cfg(trial);
+                        let (report, ()) =
+                            execute_monitored(&mut tb, app, &schedule, &cfg, &[], ())
                                 .expect("benchmark run succeeds");
                         report
                             .microservices
@@ -251,7 +252,8 @@ impl Experiments {
         for app in apps::case_studies() {
             let schedule = DeepScheduler::paper().schedule(&app, &tb);
             let mut run_tb = calibrated_testbed();
-            let (report, _) = execute(&mut run_tb, &app, &schedule, &self.executor_cfg(0))
+            let cfg = self.executor_cfg(0);
+            let (report, ()) = execute_monitored(&mut run_tb, &app, &schedule, &cfg, &[], ())
                 .expect("DEEP schedule executes");
             for m in &report.microservices {
                 rows.push((app.name().to_string(), m.name.clone(), m.energy.as_f64()));
@@ -291,7 +293,8 @@ impl Experiments {
             for (name, schedule) in methods {
                 // Fresh testbed per method: cold caches, fair comparison.
                 let mut run_tb = calibrated_testbed();
-                let (report, _) = execute(&mut run_tb, &app, &schedule, &self.executor_cfg(0))
+                let cfg = self.executor_cfg(0);
+                let (report, ()) = execute_monitored(&mut run_tb, &app, &schedule, &cfg, &[], ())
                     .expect("method schedule executes");
                 entries.push((app.name().to_string(), name, report.total_energy().as_f64()));
             }

@@ -210,10 +210,6 @@ pub struct EstimationContext<'t> {
     /// scenario draws consult the same [`deep_registry::FaultPlan`]
     /// cells the injecting executor will.
     pulls_committed: u64,
-    /// Per-microservice `application/microservice` calibration keys,
-    /// precomputed once — the estimate hot path reads them once per
-    /// `(registry, device)` candidate.
-    scoped: Vec<String>,
     /// The testbed's registry-side strategy space
     /// ([`Testbed::registry_choices`]), listed once at construction:
     /// the testbed is borrowed for the context's lifetime, so its mesh
@@ -314,10 +310,6 @@ impl<'t> EstimationContext<'t> {
             wave_peak: Seconds::ZERO,
             wave_exec: Vec::new(),
             pulls_committed: 0,
-            scoped: app
-                .ids()
-                .map(|id| format!("{}/{}", app.name(), app.microservice(id).name))
-                .collect(),
             registries: testbed.registry_choices(),
             platforms: testbed.devices.iter().fold(Vec::new(), |mut archs, d| {
                 if !archs.contains(&d.arch) {
@@ -598,9 +590,8 @@ impl<'t> EstimationContext<'t> {
             }
         };
         let tc = self.transfer_in_time(id, device);
-        let scoped = &self.scoped[id.0];
-        let tp = dev.processing_time(scoped, ms.requirements.cpu);
-        let ec = dev.energy(scoped, td, tc, tp);
+        let tp = dev.processing_time(self.app.name(), &ms.name, ms.requirements.cpu);
+        let ec = dev.energy(self.app.name(), &ms.name, td, tc, tp);
         Estimate { td, tc, tp, ec, downloaded: outcome.downloaded }
     }
 
@@ -729,9 +720,9 @@ impl<'t> EstimationContext<'t> {
             .map(|(holder, _)| unloaded(RegistryChoice::mesh(*holder)).download_bw)
             .fold(b_reg, fastest);
         let tc = self.transfer_in_time(id, device);
-        let scoped = &self.scoped[id.0];
-        let tp = dev.processing_time(scoped, self.app.microservice(id).requirements.cpu);
-        let watts = dev.process_watts(scoped);
+        let ms = self.app.microservice(id);
+        let tp = dev.processing_time(self.app.name(), &ms.name, ms.requirements.cpu);
+        let watts = dev.process_watts(self.app.name(), &ms.name);
         let cache = &self.caches[device.0];
         let platform =
             self.platforms.iter().position(|&a| a == dev.arch).expect("a fleet platform");
@@ -997,7 +988,7 @@ impl<'t> EstimationContext<'t> {
             // phases run serially — the jitter-free executor's
             // arithmetic on the happy path.
             self.wave_peak = self.wave_peak.max(outcome.deployment_time());
-            let tp = dev.processing_time(&self.scoped[id.0], ms.requirements.cpu);
+            let tp = dev.processing_time(self.app.name(), &ms.name, ms.requirements.cpu);
             let tc = self.transfer_in_time(id, placement.device);
             self.wave_exec.push((tc, tp));
         }
@@ -2027,10 +2018,10 @@ mod tests {
         let td = unloaded(registry).overhead
             + deep_netsim::transfer_time(missing, dev.extract_bw)
             + deep_netsim::transfer_time(missing, ingress);
-        let scoped = &ctx.scoped[id.0];
+        let ms = ctx.app.microservice(id);
         let tc = ctx.transfer_in_time(id, device);
-        let tp = dev.processing_time(scoped, ctx.app.microservice(id).requirements.cpu);
-        dev.energy(scoped, td, tc, tp).as_f64() * (1.0 - 1e-9)
+        let tp = dev.processing_time(ctx.app.name(), &ms.name, ms.requirements.cpu);
+        dev.energy(ctx.app.name(), &ms.name, td, tc, tp).as_f64() * (1.0 - 1e-9)
     }
 
     /// What commits leave in a context, bit for bit: every device's

@@ -15,7 +15,7 @@ use crate::continuum::calibrate_continuum;
 use crate::nash::DeepScheduler;
 use crate::Scheduler;
 use deep_scenario::{Scenario, TestbedBase};
-use deep_simulator::{execute_with_events, RunReport, Schedule, Testbed};
+use deep_simulator::{execute_monitored, RunReport, Schedule, Testbed};
 use serde::{Deserialize, Serialize};
 
 /// Realized statistics of one scheduler over every replication of a
@@ -140,8 +140,13 @@ pub fn scenario_scheduler(scenario: &Scenario) -> DeepScheduler {
 /// leak into another. At fleet scale the rebuild (TOML walk, catalog
 /// publication, calibration) dominated every replication's
 /// profile; the replica copies only devices and caches and shares
-/// registry storage and catalog entries copy-on-write, so a
-/// replication that writes no registry copies none.
+/// registry storage, catalog entries and device tables copy-on-write,
+/// so a replication that writes no registry copies none.
+///
+/// The outcome keeps only the reports, so every replication executes
+/// with the `()` monitor ([`execute_monitored`]): no trace is recorded
+/// and no label is formatted. The reports are the bytes
+/// [`deep_simulator::execute_with_events`] returns.
 pub fn run_scenario(scenario: &Scenario, scheduler: &dyn Scheduler) -> ScenarioOutcome {
     let tb = scenario_testbed(scenario);
     let app = scenario.application();
@@ -151,7 +156,7 @@ pub fn run_scenario(scenario: &Scenario, scheduler: &dyn Scheduler) -> ScenarioO
         .map(|r| {
             let mut run_tb = tb.replica();
             let cfg = scenario.executor_config(r);
-            let (report, _) = execute_with_events(&mut run_tb, &app, &schedule, &cfg, &events)
+            let (report, ()) = execute_monitored(&mut run_tb, &app, &schedule, &cfg, &events, ())
                 .expect("scenario executes");
             report
         })

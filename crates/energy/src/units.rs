@@ -81,17 +81,6 @@ impl Joules {
         self.0 / 1e3
     }
 
-    /// Construct from microjoules — RAPL counters tick in µJ-scale units.
-    #[inline]
-    pub fn from_microjoules(uj: f64) -> Self {
-        Joules::new(uj / 1e6)
-    }
-
-    #[inline]
-    pub fn as_microjoules(self) -> f64 {
-        self.0 * 1e6
-    }
-
     /// Relative difference `(self - other) / other`, used for the paper's
     /// "% improvement" claims.
     pub fn relative_delta(self, other: Joules) -> f64 {
@@ -186,13 +175,6 @@ mod tests {
         assert!((a / b - 2.5).abs() < 1e-12);
         let total: Joules = [a, b].into_iter().sum();
         assert_eq!(total.as_f64(), 140.0);
-    }
-
-    #[test]
-    fn microjoule_round_trip() {
-        let e = Joules::from_microjoules(1_234_567.0);
-        assert!((e.as_f64() - 1.234567).abs() < 1e-12);
-        assert!((e.as_microjoules() - 1_234_567.0).abs() < 1e-6);
     }
 
     #[test]

@@ -1,25 +1,43 @@
 //! Content digests in Docker's `sha256:<hex>` notation.
 
 use crate::sha256::{sha256, sha256_of_parts, to_hex};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// A SHA-256 content digest.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct Digest(String);
+///
+/// The hex is shared: a clone (every cache, manifest and peer view holds
+/// its layers' digests) bumps a reference count and copies no bytes.
+/// Equality, ordering and hashing are the hex string's, so a digest
+/// hashes as its [`Digest::hex`] does, and it serializes as the bare hex.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Digest(Arc<str>);
+
+impl Serialize for Digest {
+    fn to_value(&self) -> Value {
+        self.hex().to_value()
+    }
+}
+
+impl Deserialize for Digest {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        v.as_str().map(|hex| Digest(hex.into()))
+    }
+}
 
 impl Digest {
     /// Digest of `content`.
     pub fn of(content: &[u8]) -> Self {
-        Digest(to_hex(&sha256(content)))
+        Digest(to_hex(&sha256(content)).into())
     }
 
     /// Digest of a logical concatenation, streamed part by part — lets the
     /// pull/push paths hash a manifest plus its layer list without ever
     /// assembling the concatenated buffer.
     pub fn of_parts<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> Self {
-        Digest(to_hex(&sha256_of_parts(parts)))
+        Digest(to_hex(&sha256_of_parts(parts)).into())
     }
 
     /// The 64-char lowercase hex, without the `sha256:` prefix.
@@ -37,7 +55,7 @@ impl Digest {
     pub(crate) fn from_hex(hex: &str) -> Option<Self> {
         let valid = hex.len() == 64
             && hex.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase());
-        valid.then(|| Digest(hex.to_string()))
+        valid.then(|| Digest(hex.into()))
     }
 
     /// Short prefix for human-readable logs (like `docker images` output).
@@ -116,6 +134,38 @@ mod tests {
     fn display_matches_canonical() {
         let d = Digest::of(b"y");
         assert_eq!(format!("{d}"), d.to_canonical());
+    }
+
+    #[test]
+    fn serializes_as_the_bare_hex() {
+        let d = Digest::of(b"abc");
+        let json = serde_json::to_string(&d).unwrap();
+        assert_eq!(json, r#""ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad""#);
+        assert_eq!(serde_json::from_str::<Digest>(&json).unwrap(), d);
+    }
+
+    #[test]
+    fn hashes_and_sorts_as_its_hex() {
+        use std::hash::BuildHasher;
+        let state = std::collections::hash_map::RandomState::new();
+        let digests: Vec<Digest> = (0u8..32).map(|i| Digest::of(&[i])).collect();
+        for d in &digests {
+            assert_eq!(state.hash_one(d), state.hash_one(d.hex()));
+        }
+        let mut by_digest = digests.clone();
+        by_digest.sort();
+        let mut by_hex: Vec<&str> = digests.iter().map(Digest::hex).collect();
+        by_hex.sort();
+        assert_eq!(by_digest.iter().map(Digest::hex).collect::<Vec<_>>(), by_hex);
+        let set: std::collections::BTreeSet<Digest> = digests.iter().cloned().collect();
+        assert!(set.iter().map(Digest::hex).eq(by_hex.iter().copied()));
+    }
+
+    #[test]
+    fn clones_share_the_hex() {
+        let d = Digest::of(b"layer");
+        let c = d.clone();
+        assert!(std::ptr::eq(d.hex(), c.hex()), "a clone copies no bytes");
     }
 }
 

@@ -12,8 +12,23 @@ use deep_energy::{DevicePowerModel, Watts};
 use deep_netsim::{Bandwidth, DataSize, DeviceId, Seconds};
 use deep_registry::{LayerCache, Platform};
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// A simulated edge device.
+/// One microservice's measured overrides of its device's defaults.
+#[derive(Debug, Clone, Copy, Default)]
+struct Overrides {
+    speed_factor: Option<f64>,
+    process_power: Option<Watts>,
+}
+
+/// Overrides keyed by application, then microservice: the two case-study
+/// apps share microservice names ("ha-train" exists in both) with
+/// different measured behaviour, and a lookup borrows both names.
+type OverrideTable = HashMap<String, HashMap<String, Overrides>>;
+
+/// A simulated edge device. Cloning one (as every testbed replica does)
+/// copies its layer cache's bookkeeping but none of its per-microservice
+/// tables: those are shared until a clone overrides an entry.
 #[derive(Debug, Clone)]
 pub struct SimDevice {
     pub id: DeviceId,
@@ -29,13 +44,13 @@ pub struct SimDevice {
     /// Per-phase power draw (process entry is the *default*; see
     /// `process_power`).
     pub power: DevicePowerModel,
-    /// Measured per-microservice processing draw overriding the default
-    /// (the output of the paper's microservice requirement analysis).
-    process_power: HashMap<String, Watts>,
     /// Default multiplier on nominal processing time for this architecture.
     base_speed_factor: f64,
-    /// Per-microservice overrides of the speed factor.
-    speed_factor: HashMap<String, f64>,
+    /// Measured per-microservice speed factors and processing draws
+    /// overriding the defaults (the output of the paper's microservice
+    /// requirement analysis). Absent until the first override, then
+    /// shared copy-on-write between a device and its clones.
+    overrides: Option<Arc<OverrideTable>>,
     /// Disk bandwidth for layer extraction.
     pub extract_bw: Bandwidth,
     /// Layer cache (bounded by storage).
@@ -66,9 +81,8 @@ impl SimDevice {
             memory,
             storage,
             power,
-            process_power: HashMap::new(),
             base_speed_factor: 1.0,
-            speed_factor: HashMap::new(),
+            overrides: None,
             extract_bw,
             cache: LayerCache::new(storage),
         }
@@ -95,38 +109,65 @@ impl SimDevice {
         self.base_speed_factor
     }
 
-    /// Override the speed factor for one microservice.
-    pub fn set_speed_factor(&mut self, microservice: &str, f: f64) {
+    fn overrides(&self, application: &str, microservice: &str) -> Overrides {
+        let table = self.overrides.as_deref();
+        table.and_then(|apps| apps.get(application)?.get(microservice)).copied().unwrap_or_default()
+    }
+
+    /// Edit one microservice's overrides, copying the table first if a
+    /// clone still shares it. Names are copied only when first seen.
+    fn edit_overrides(
+        &mut self,
+        application: &str,
+        microservice: &str,
+        edit: impl FnOnce(&mut Overrides),
+    ) {
+        let apps = Arc::make_mut(self.overrides.get_or_insert_with(Default::default));
+        let app = match apps.get_mut(application) {
+            Some(app) => app,
+            None => apps.entry(application.to_string()).or_default(),
+        };
+        match app.get_mut(microservice) {
+            Some(overrides) => edit(overrides),
+            None => {
+                let mut overrides = Overrides::default();
+                edit(&mut overrides);
+                app.insert(microservice.to_string(), overrides);
+            }
+        }
+    }
+
+    /// Override the speed factor for one microservice of `application`.
+    /// Copies the table first if a clone still shares it.
+    pub fn set_speed_factor(&mut self, application: &str, microservice: &str, f: f64) {
         assert!(f > 0.0, "speed factor must be positive");
-        self.speed_factor.insert(microservice.to_string(), f);
+        self.edit_overrides(application, microservice, |o| o.speed_factor = Some(f));
     }
 
-    /// Override the processing power draw for one microservice.
-    pub fn set_process_power(&mut self, microservice: &str, w: Watts) {
-        self.process_power.insert(microservice.to_string(), w);
+    /// Override the processing power draw for one microservice of
+    /// `application`. Copies the table first if a clone still shares it.
+    pub fn set_process_power(&mut self, application: &str, microservice: &str, w: Watts) {
+        self.edit_overrides(application, microservice, |o| o.process_power = Some(w));
     }
 
-    /// Effective speed factor for a microservice: its override, else the
-    /// device default.
-    ///
-    /// Callers key microservices as `"application/microservice"` (the
-    /// calibration writes and the executor and estimator read exactly
-    /// that form), because the two case-study apps share microservice
+    /// Effective speed factor for a microservice of `application`: its
+    /// override, else the device default. Microservices are scoped by
+    /// application because the two case-study apps share microservice
     /// names ("ha-train" exists in both) with different measured
     /// behaviour.
-    pub fn speed_factor(&self, microservice: &str) -> f64 {
-        self.speed_factor.get(microservice).copied().unwrap_or(self.base_speed_factor)
+    pub fn speed_factor(&self, application: &str, microservice: &str) -> f64 {
+        self.overrides(application, microservice).speed_factor.unwrap_or(self.base_speed_factor)
     }
 
     /// Processing time `Tp = CPU(m_i)/CPU_j × factor(m_i)`.
-    pub fn processing_time(&self, microservice: &str, cpu: Mi) -> Seconds {
-        (cpu / self.mips).scale(self.speed_factor(microservice))
+    pub fn processing_time(&self, application: &str, microservice: &str, cpu: Mi) -> Seconds {
+        (cpu / self.mips).scale(self.speed_factor(application, microservice))
     }
 
-    /// Processing power draw for a microservice (measured override or the
-    /// device default), keyed as in [`SimDevice::speed_factor`].
-    pub fn process_watts(&self, microservice: &str) -> Watts {
-        self.process_power.get(microservice).copied().unwrap_or(self.power.process_watts)
+    /// Processing power draw for a microservice of `application`
+    /// (measured override or the device default).
+    pub fn process_watts(&self, application: &str, microservice: &str) -> Watts {
+        self.overrides(application, microservice).process_power.unwrap_or(self.power.process_watts)
     }
 
     /// Energy for one microservice run with the given phase durations,
@@ -134,12 +175,13 @@ impl SimDevice {
     /// `EC = P_deploy·Td + P_transfer·Tc + P_proc(m)·Tp + P_static·CT`.
     pub fn energy(
         &self,
+        application: &str,
         microservice: &str,
         td: Seconds,
         tc: Seconds,
         tp: Seconds,
     ) -> deep_energy::Joules {
-        self.phase_energy(self.process_watts(microservice), td, tc, tp)
+        self.phase_energy(self.process_watts(application, microservice), td, tc, tp)
     }
 
     /// [`SimDevice::energy`] with the processing draw already looked up
@@ -193,31 +235,34 @@ mod tests {
     fn processing_time_uses_speed_factor() {
         let mut d = device().with_base_speed_factor(2.0);
         let cpu = Mi::new(4_900_000.0);
-        assert!((d.processing_time("x", cpu).as_f64() - 245.0).abs() < 1e-9);
-        d.set_speed_factor("x", 1.0);
-        assert!((d.processing_time("x", cpu).as_f64() - 122.5).abs() < 1e-9);
-        // Other microservices keep the base factor.
-        assert!((d.processing_time("y", cpu).as_f64() - 245.0).abs() < 1e-9);
+        assert!((d.processing_time("app", "x", cpu).as_f64() - 245.0).abs() < 1e-9);
+        d.set_speed_factor("app", "x", 1.0);
+        assert!((d.processing_time("app", "x", cpu).as_f64() - 122.5).abs() < 1e-9);
+        // Other microservices keep the base factor, and so does the same
+        // name in another application.
+        assert!((d.processing_time("app", "y", cpu).as_f64() - 245.0).abs() < 1e-9);
+        assert!((d.processing_time("other", "x", cpu).as_f64() - 245.0).abs() < 1e-9);
     }
 
     #[test]
     fn process_power_overrides() {
         let mut d = device();
-        assert_eq!(d.process_watts("anything"), Watts::new(8.0));
-        d.set_process_power("ha-train", Watts::new(22.6));
-        assert_eq!(d.process_watts("ha-train"), Watts::new(22.6));
-        assert_eq!(d.process_watts("other"), Watts::new(8.0));
+        assert_eq!(d.process_watts("app", "anything"), Watts::new(8.0));
+        d.set_process_power("app", "ha-train", Watts::new(22.6));
+        assert_eq!(d.process_watts("app", "ha-train"), Watts::new(22.6));
+        assert_eq!(d.process_watts("app", "other"), Watts::new(8.0));
+        assert_eq!(d.process_watts("other", "ha-train"), Watts::new(8.0));
     }
 
     #[test]
     fn energy_accounts_all_phases() {
         let mut d = device();
-        d.set_process_power("m", Watts::new(10.0));
-        let e = d.energy("m", Seconds::new(100.0), Seconds::new(10.0), Seconds::new(50.0));
+        d.set_process_power("app", "m", Watts::new(10.0));
+        let e = d.energy("app", "m", Seconds::new(100.0), Seconds::new(10.0), Seconds::new(50.0));
         // 0.1*100 + 0.1*10 + 10*50 + 0.3*160 = 10 + 1 + 500 + 48 = 559.
         assert!((e.as_f64() - 559.0).abs() < 1e-9);
         let phases = d.phase_energy(
-            d.process_watts("m"),
+            d.process_watts("app", "m"),
             Seconds::new(100.0),
             Seconds::new(10.0),
             Seconds::new(50.0),
@@ -248,6 +293,27 @@ mod tests {
     fn cache_bounded_by_storage() {
         let d = device();
         assert_eq!(d.cache.capacity(), DataSize::gigabytes(64.0));
+    }
+
+    #[test]
+    fn overrides_on_a_clone_leave_the_original_and_its_siblings_alone() {
+        let mut original = device();
+        original.set_speed_factor("app", "m", 2.0);
+        original.set_process_power("app", "m", Watts::new(10.0));
+        let sibling = original.clone();
+        let mut replica = original.clone();
+        replica.set_speed_factor("app", "m", 4.0);
+        replica.set_process_power("app", "m", Watts::new(20.0));
+        replica.set_speed_factor("app", "n", 3.0);
+        replica.set_process_power("other", "m", Watts::new(30.0));
+        assert_eq!(replica.speed_factor("app", "m"), 4.0);
+        assert_eq!(replica.process_watts("app", "m"), Watts::new(20.0));
+        for d in [&original, &sibling] {
+            assert_eq!(d.speed_factor("app", "m"), 2.0);
+            assert_eq!(d.process_watts("app", "m"), Watts::new(10.0));
+            assert_eq!(d.speed_factor("app", "n"), 1.0);
+            assert_eq!(d.process_watts("other", "m"), Watts::new(8.0));
+        }
     }
 
     #[test]

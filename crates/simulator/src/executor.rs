@@ -19,7 +19,7 @@ use crate::jitter::Jitter;
 use crate::metrics::{MicroserviceMetrics, RunReport};
 use crate::schedule::{Placement, RegistryChoice, Schedule};
 use crate::testbed::{peer_holder, PeerViews, RouteLoads, Testbed};
-use crate::trace::{Trace, TraceKind};
+use crate::trace::{ChaosEffect, Monitor, Recorder, Subject, Trace, TraceKind};
 use deep_dataflow::{stages, Application, MicroserviceId};
 use deep_energy::Joules;
 use deep_netsim::{DataSize, DeviceId, RegistryId, Seconds};
@@ -167,7 +167,9 @@ impl From<deep_registry::RegistryError> for ExecError {
 
 /// Run `app` under `schedule` on `testbed`. Mutates device caches (images
 /// stay cached across runs unless [`Testbed::reset_caches`] is called) and
-/// returns the run report plus the monitoring trace.
+/// returns the run report plus the monitoring trace. A caller that drops
+/// the trace runs [`execute_monitored`] with `()` instead and records
+/// nothing.
 pub fn execute(
     testbed: &mut Testbed,
     app: &Application,
@@ -184,7 +186,9 @@ pub fn execute(
 /// is byte-identical to [`execute`]. The testbed fault model's
 /// [`deep_registry::OutageWindow`]s are also gated here, on the same
 /// clock — they require `cfg.fault_injection` (windows are read from the
-/// session's fault plan).
+/// session's fault plan). Returns the monitoring trace with the report;
+/// [`execute_monitored`] with `()` runs the same computation and keeps
+/// none.
 pub fn execute_with_events(
     testbed: &mut Testbed,
     app: &Application,
@@ -192,15 +196,29 @@ pub fn execute_with_events(
     cfg: &ExecutorConfig,
     events: &[ChaosEvent],
 ) -> Result<(RunReport, Trace), ExecError> {
+    execute_monitored(testbed, app, schedule, cfg, events, Trace::new())
+}
+
+/// [`execute_with_events`], reporting every event to `monitor` and
+/// handing it back with the report: pass `()` to keep nothing (the
+/// report is the same bytes either way) or a [`Trace`] to keep the log.
+pub fn execute_monitored<M: Monitor>(
+    testbed: &mut Testbed,
+    app: &Application,
+    schedule: &Schedule,
+    cfg: &ExecutorConfig,
+    events: &[ChaosEvent],
+    monitor: M,
+) -> Result<(RunReport, M), ExecError> {
     validate_schedule(testbed, app, schedule)?;
-    let mut exec = OnlineExecutor::new(testbed, cfg, events);
+    let mut exec = OnlineExecutor::with_monitor(testbed, cfg, events, monitor);
     let waves = plan_waves(app, cfg.staged_deployment);
     let mut run = exec.begin_job(app);
     for (wave_idx, wave) in waves.iter().enumerate() {
         exec.run_wave(testbed, app, schedule, wave, wave_idx, &mut run)?;
     }
     let report = run.into_report(app, schedule, exec.clock());
-    Ok((report, exec.into_trace()))
+    Ok((report, exec.into_monitor()))
 }
 
 /// Check that `schedule` covers `app`, that every placement names a
@@ -260,6 +278,8 @@ pub fn plan_waves(app: &Application, staged: bool) -> Vec<Vec<MicroserviceId>> {
 /// report alone.
 #[derive(Debug)]
 pub struct JobRun {
+    /// The job's number in its session, naming its monitored events.
+    job: usize,
     started: Seconds,
     td: Vec<Seconds>,
     tc: Vec<Seconds>,
@@ -272,8 +292,9 @@ pub struct JobRun {
 }
 
 impl JobRun {
-    fn new(len: usize, started: Seconds) -> JobRun {
+    fn new(job: usize, len: usize, started: Seconds) -> JobRun {
         JobRun {
+            job,
             started,
             td: vec![Seconds::ZERO; len],
             tc: vec![Seconds::ZERO; len],
@@ -336,7 +357,7 @@ fn exact<T>(v: Vec<T>) -> Vec<T> {
 /// The executor's persistent cross-wave state, split out of
 /// [`execute_with_events`] so the arrival plane (the `deep-arrival`
 /// crate) can interleave *multiple* jobs on one continuous timeline:
-/// jitter stream, monitoring trace, the wave clock,
+/// jitter stream, monitor, the wave clock,
 /// the execution-order pull counter the fault plan indexes, and the
 /// scripted chaos timeline all survive across [`OnlineExecutor::run_wave`]
 /// calls. The fault plan is sampled **once** at session start, so
@@ -345,10 +366,17 @@ fn exact<T>(v: Vec<T>) -> Vec<T> {
 /// injects. Driving one job's waves straight through reproduces
 /// [`execute_with_events`] byte for byte — the static-parity contract
 /// the arrival plane's regression tests pin.
-pub struct OnlineExecutor {
+///
+/// The session reports its events to a [`Monitor`]: the `Trace` that
+/// [`OnlineExecutor::new`] opens with keeps the log, and `()` (passed to
+/// [`OnlineExecutor::with_monitor`]) keeps nothing. Both run the same
+/// computation.
+pub struct OnlineExecutor<M = Trace> {
     cfg: ExecutorConfig,
     jitter: Jitter,
-    trace: Trace,
+    recorder: Recorder<M>,
+    /// Jobs begun so far (the next job's number).
+    jobs: usize,
     clock: Seconds,
     pull_counter: u64,
     fault_plan: Option<FaultPlan>,
@@ -374,12 +402,13 @@ fn fire_scripted_events(
     testbed: &mut Testbed,
     peer_views: &mut PeerViews,
     mut gossip: Option<&mut crate::gossip::GossipPlane>,
-    trace: &mut Trace,
+    recorder: &mut Recorder<impl Monitor>,
 ) -> Result<(), ExecError> {
     while *next_event < timeline.len() && timeline[*next_event].at.as_f64() <= clock.as_f64() {
         let event = &timeline[*next_event];
         *next_event += 1;
-        let label = match &event.kind {
+        let gc;
+        let effect = match &event.kind {
             ChaosKind::CachePressure { device, keep } => {
                 let evicted = testbed.device_mut(*device).cache.evict_to(*keep);
                 for victim in &evicted {
@@ -416,26 +445,19 @@ fn fire_scripted_events(
                         plane.readvertise(*device, &testbed.device(*device).cache);
                     }
                 }
-                format!(
-                    "cache-pressure d{} evicted {} layer(s) (scripted t={})",
-                    device.0,
-                    evicted.len(),
-                    event.at
-                )
+                ChaosEffect::Evicted { device: *device, layers: evicted.len() }
             }
             ChaosKind::DeleteTag { repository, tag } => {
                 testbed.regional.delete_manifest(repository, tag)?;
-                format!("delete-tag {repository}:{tag} (scripted t={})", event.at)
+                ChaosEffect::TagDeleted { repository, tag }
             }
             ChaosKind::RegistryGc => {
-                let report = deep_registry::gc_collect(&mut testbed.regional)?;
-                format!(
-                    "registry-gc marked {} swept {} released {} B (scripted t={})",
-                    report.marked, report.swept, report.declared_bytes_released, event.at
-                )
+                gc = deep_registry::gc_collect(&mut testbed.regional)?;
+                ChaosEffect::Collected(&gc)
             }
         };
-        trace.record(clock, TraceKind::ChaosEventFired, event.device(), &label);
+        let subject = Subject::Chaos { scripted: event.at, effect };
+        recorder.record(clock, TraceKind::ChaosEventFired, event.device(), subject);
     }
     Ok(())
 }
@@ -469,10 +491,29 @@ fn pull_through(
 }
 
 impl OnlineExecutor {
-    /// Open a session on `testbed`. Samples the fault plan from the
-    /// *current* `testbed.fault_model` (when `cfg.fault_injection` is
-    /// on) and sorts the chaos timeline; neither is re-read later.
+    /// Open a session on `testbed` that keeps its [`Trace`]; see
+    /// [`OnlineExecutor::with_monitor`].
     pub fn new(testbed: &Testbed, cfg: &ExecutorConfig, events: &[ChaosEvent]) -> OnlineExecutor {
+        OnlineExecutor::with_monitor(testbed, cfg, events, Trace::new())
+    }
+
+    /// Consume the session, returning its monitoring trace.
+    pub fn into_trace(self) -> Trace {
+        self.into_monitor()
+    }
+}
+
+impl<M: Monitor> OnlineExecutor<M> {
+    /// Open a session on `testbed` that reports its events to `monitor`.
+    /// Samples the fault plan from the *current* `testbed.fault_model`
+    /// (when `cfg.fault_injection` is on) and sorts the chaos timeline;
+    /// neither is re-read later.
+    pub fn with_monitor(
+        testbed: &Testbed,
+        cfg: &ExecutorConfig,
+        events: &[ChaosEvent],
+        monitor: M,
+    ) -> OnlineExecutor<M> {
         let fault_plan: Option<FaultPlan> =
             if cfg.fault_injection { Some(testbed.fault_model.plan(cfg.fault_seed)) } else { None };
         let mut timeline: Vec<ChaosEvent> = events.to_vec();
@@ -489,7 +530,8 @@ impl OnlineExecutor {
         OnlineExecutor {
             cfg: *cfg,
             jitter: Jitter::new(cfg.seed, cfg.jitter),
-            trace: Trace::new(),
+            recorder: Recorder::new(monitor),
+            jobs: 0,
             clock: Seconds::ZERO,
             pull_counter: 0,
             fault_plan,
@@ -536,24 +578,26 @@ impl OnlineExecutor {
             testbed,
             &mut PeerViews::default(),
             self.gossip.as_mut(),
-            &mut self.trace,
+            &mut self.recorder,
         )
     }
 
     /// Start a measurement accumulator for a job admitted *now*.
-    pub fn begin_job(&self, app: &Application) -> JobRun {
-        JobRun::new(app.len(), self.clock)
+    pub fn begin_job(&mut self, app: &Application) -> JobRun {
+        self.recorder.monitor.begin_job(app);
+        self.jobs += 1;
+        JobRun::new(self.jobs - 1, app.len(), self.clock)
     }
 
-    /// Consume the session, returning its monitoring trace.
-    pub fn into_trace(self) -> Trace {
-        self.trace
+    /// Consume the session, returning its monitor.
+    pub fn into_monitor(self) -> M {
+        self.recorder.monitor
     }
 
     /// Run one deployment wave of `app` under `schedule` and then its
     /// members' barrier-ordered execution phases, accumulating
-    /// measurements into `run`. `wave_idx` labels the stage-barrier
-    /// trace record. Callers interleave scheduling between calls — the
+    /// measurements into `run`. `wave_idx` names the stage-barrier
+    /// event. Callers interleave scheduling between calls — the
     /// testbed is only borrowed for the duration of the wave.
     pub fn run_wave(
         &mut self,
@@ -564,12 +608,13 @@ impl OnlineExecutor {
         wave_idx: usize,
         run: &mut JobRun,
     ) -> Result<(), ExecError> {
-        // The session's sampled plan is read while its clock, trace and
+        // The session's sampled plan is read while its clock, monitor and
         // counters advance.
         let OnlineExecutor {
             ref cfg,
             ref mut jitter,
-            ref mut trace,
+            ref mut recorder,
+            jobs: _,
             ref mut clock,
             ref mut pull_counter,
             ref fault_plan,
@@ -614,8 +659,9 @@ impl OnlineExecutor {
             testbed,
             &mut peer_views,
             gossip.as_mut(),
-            trace,
+            recorder,
         )?;
+        let job = run.job;
         // The wave's pull completions, in pull order.
         let mut completions: Vec<(Seconds, MicroserviceId)> = Vec::with_capacity(wave.len());
         for &id in wave {
@@ -630,7 +676,8 @@ impl OnlineExecutor {
                 testbed.reference(entry, placement.registry, testbed.device(placement.device).arch);
             let pull_idx = *pull_counter;
             *pull_counter += 1;
-            trace.record(*clock, TraceKind::DeploymentStarted, placement.device, &ms.name);
+            let subject = Subject::Microservice { job, id };
+            recorder.record(*clock, TraceKind::DeploymentStarted, placement.device, subject);
             let faults = fault_plan.as_ref().map(|plan| (plan, pull_idx, *clock));
             // The pull fills the device's cache while its mesh reads the
             // rest of the testbed: take the cache out for the pull and put
@@ -672,12 +719,11 @@ impl OnlineExecutor {
         let mut wave_span = Seconds::ZERO;
         for (t, id) in completions {
             wave_span = wave_span.max(t);
-            let ms = app.microservice(id);
-            trace.record(
+            recorder.record(
                 wave_start + t,
                 TraceKind::DeploymentFinished,
                 schedule.placement(id).device,
-                &ms.name,
+                Subject::Microservice { job, id },
             );
         }
         *clock += wave_span;
@@ -694,18 +740,19 @@ impl OnlineExecutor {
                 schedule.placement(from).device
             });
             let transfer = jitter.apply(transfer);
-            trace.record(*clock, TraceKind::TransferStarted, placement.device, &ms.name);
+            let subject = Subject::Microservice { job, id };
+            recorder.record(*clock, TraceKind::TransferStarted, placement.device, subject);
             *clock += transfer;
-            trace.record(*clock, TraceKind::TransferFinished, placement.device, &ms.name);
+            recorder.record(*clock, TraceKind::TransferFinished, placement.device, subject);
 
             // Tp. Device parameters are scoped by application because the
             // case studies share microservice names.
-            let scoped = format!("{}/{}", app.name(), ms.name);
-            let process_watts = device.process_watts(&scoped);
-            let proc = jitter.apply(device.processing_time(&scoped, ms.requirements.cpu));
-            trace.record(*clock, TraceKind::ProcessingStarted, placement.device, &ms.name);
+            let process_watts = device.process_watts(app.name(), &ms.name);
+            let proc =
+                jitter.apply(device.processing_time(app.name(), &ms.name, ms.requirements.cpu));
+            recorder.record(*clock, TraceKind::ProcessingStarted, placement.device, subject);
             *clock += proc;
-            trace.record(*clock, TraceKind::ProcessingFinished, placement.device, &ms.name);
+            recorder.record(*clock, TraceKind::ProcessingFinished, placement.device, subject);
 
             run.tc[id.0] = transfer;
             run.tp[id.0] = proc;
@@ -713,11 +760,11 @@ impl OnlineExecutor {
             // Analytic energy over all three phases of this microservice.
             run.energy[id.0] = device.phase_energy(process_watts, run.td[id.0], transfer, proc);
         }
-        trace.record(
+        recorder.record(
             *clock,
             TraceKind::StageBarrierReleased,
             DeviceId(0),
-            &format!("stage-{wave_idx}"),
+            Subject::Stage(wave_idx),
         );
         Ok(())
     }
@@ -836,7 +883,7 @@ mod tests {
         let power = &device.power;
         for m in &report.microservices {
             assert_eq!(m.tc, Seconds::ZERO, "{}: one device moves no data", m.name);
-            let process = device.process_watts(&format!("{}/{}", app.name(), m.name));
+            let process = device.process_watts(app.name(), &m.name);
             let (td, tp) = (m.td.as_f64(), m.tp.as_f64());
             let want = power.deploy_watts.as_f64() * td
                 + process.as_f64() * tp
@@ -1106,7 +1153,6 @@ mod tests {
         // Mid-wave pressure evicts a: both targets' views retract it.
         let events = [ChaosEvent::cache_pressure(Seconds::ZERO, cloud, DataSize::megabytes(10.0))];
         let mut next = 0;
-        let mut trace = Trace::new();
         fire_scripted_events(
             &events,
             &mut next,
@@ -1114,7 +1160,7 @@ mod tests {
             &mut tb,
             &mut views,
             Some(&mut plane),
-            &mut trace,
+            &mut Recorder::new(()),
         )
         .unwrap();
         for target in [DEVICE_MEDIUM, DEVICE_SMALL] {
@@ -1159,6 +1205,99 @@ mod tests {
             .find(|e| e.label.starts_with("registry-gc"))
             .expect("gc event traced");
         assert!(gc.label.contains("swept 6"), "vp-transcode's six unique layers: {}", gc.label);
+    }
+
+    /// One chaos run's events, captured as the executor recorded them when
+    /// every label was a string: a `Trace` that stores ids must read back
+    /// the same kinds, devices, stamps (bit for bit) and labels.
+    #[test]
+    fn trace_reads_back_a_chaos_run_as_recorded() {
+        use TraceKind::*;
+        let app = apps::text_processing();
+        let mut placements =
+            vec![Placement { registry: RegistryChoice::Hub, device: DEVICE_MEDIUM }; app.len()];
+        for name in ["ha-train", "ha-score"] {
+            placements[app.by_name(name).unwrap().0] =
+                Placement { registry: RegistryChoice::Regional, device: DEVICE_SMALL };
+        }
+        let cfg = ExecutorConfig { seed: 3, jitter: 0.02, ..Default::default() };
+        let events = [
+            ChaosEvent::delete_tag(Seconds::ZERO, "aau/vp-transcode", "amd64"),
+            ChaosEvent::delete_tag(Seconds::ZERO, "aau/vp-transcode", "arm64"),
+            ChaosEvent::cache_pressure(
+                Seconds::new(100.0),
+                DEVICE_MEDIUM,
+                DataSize::megabytes(500.0),
+            ),
+            ChaosEvent::registry_gc(Seconds::new(150.0)),
+        ];
+        let mut tb = Testbed::paper();
+        let (_, trace) =
+            execute_with_events(&mut tb, &app, &Schedule::new(placements), &cfg, &events).unwrap();
+        let recorded: [(f64, TraceKind, usize, &str); 44] = [
+            (0.0, ChaosEventFired, 0, "delete-tag aau/vp-transcode:amd64 (scripted t=0.000 s)"),
+            (0.0, ChaosEventFired, 0, "delete-tag aau/vp-transcode:arm64 (scripted t=0.000 s)"),
+            (0.0, DeploymentStarted, 0, "retrieve"),
+            (46.453996292715104, DeploymentFinished, 0, "retrieve"),
+            (46.453996292715104, TransferStarted, 0, "retrieve"),
+            (46.453996292715104, TransferFinished, 0, "retrieve"),
+            (46.453996292715104, ProcessingStarted, 0, "retrieve"),
+            (95.82025615237211, ProcessingFinished, 0, "retrieve"),
+            (95.82025615237211, StageBarrierReleased, 0, "stage-0"),
+            (95.82025615237211, DeploymentStarted, 0, "decompress"),
+            (226.2898525844355, DeploymentFinished, 0, "decompress"),
+            (226.2898525844355, TransferStarted, 0, "decompress"),
+            (226.2898525844355, TransferFinished, 0, "decompress"),
+            (226.2898525844355, ProcessingStarted, 0, "decompress"),
+            (266.955140316891, ProcessingFinished, 0, "decompress"),
+            (266.955140316891, StageBarrierReleased, 0, "stage-1"),
+            (
+                266.955140316891,
+                ChaosEventFired,
+                0,
+                "cache-pressure d0 evicted 4 layer(s) (scripted t=100.000 s)",
+            ),
+            (
+                266.955140316891,
+                ChaosEventFired,
+                0,
+                "registry-gc marked 66 swept 6 released 340000000 B (scripted t=150.000 s)",
+            ),
+            (266.955140316891, DeploymentStarted, 1, "ha-train"),
+            (266.955140316891, DeploymentStarted, 0, "la-train"),
+            (663.4538183654006, DeploymentFinished, 0, "la-train"),
+            (741.3296644465007, DeploymentFinished, 1, "ha-train"),
+            (741.3296644465007, TransferStarted, 1, "ha-train"),
+            (747.3340930048124, TransferFinished, 1, "ha-train"),
+            (747.3340930048124, ProcessingStarted, 1, "ha-train"),
+            (1166.3446564835267, ProcessingFinished, 1, "ha-train"),
+            (1166.3446564835267, TransferStarted, 0, "la-train"),
+            (1166.3446564835267, TransferFinished, 0, "la-train"),
+            (1166.3446564835267, ProcessingStarted, 0, "la-train"),
+            (1253.1009585807149, ProcessingFinished, 0, "la-train"),
+            (1253.1009585807149, StageBarrierReleased, 0, "stage-2"),
+            (1253.1009585807149, DeploymentStarted, 1, "ha-score"),
+            (1253.1009585807149, DeploymentStarted, 0, "la-score"),
+            (1376.7257741581777, DeploymentFinished, 0, "la-score"),
+            (1380.5937082313412, DeploymentFinished, 1, "ha-score"),
+            (1380.5937082313412, TransferStarted, 1, "ha-score"),
+            (1380.5937082313412, TransferFinished, 1, "ha-score"),
+            (1380.5937082313412, ProcessingStarted, 1, "ha-score"),
+            (1607.536833733822, ProcessingFinished, 1, "ha-score"),
+            (1607.536833733822, TransferStarted, 0, "la-score"),
+            (1607.536833733822, TransferFinished, 0, "la-score"),
+            (1607.536833733822, ProcessingStarted, 0, "la-score"),
+            (1684.369410241131, ProcessingFinished, 0, "la-score"),
+            (1684.369410241131, StageBarrierReleased, 0, "stage-3"),
+        ];
+        assert_eq!(trace.len(), recorded.len());
+        for (event, (at, kind, device, label)) in trace.events().zip(recorded) {
+            assert_eq!(event.at.as_f64().to_bits(), at.to_bits(), "{label} at {at}");
+            assert_eq!(
+                (event.kind, event.device, event.label.as_str()),
+                (kind, DeviceId(device), label)
+            );
+        }
     }
 
     #[test]

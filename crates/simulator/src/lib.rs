@@ -30,8 +30,10 @@
 //!   variance (Table II reports ranges, not points);
 //! * [`metrics`] — per-microservice `Td/Tc/Tp/CT/EC` records and run
 //!   reports;
-//! * [`trace`] — the Monitoring component of Figure 1: an event log of
-//!   every deployment and execution step.
+//! * [`trace`] — the Monitoring component of Figure 1, opt-in: the
+//!   executor reports every deployment and execution step to the
+//!   [`Monitor`] its caller passes — `()` keeps nothing, a [`Trace`]
+//!   keeps the event log.
 
 #![forbid(unsafe_code)]
 
@@ -50,8 +52,8 @@ pub mod trace;
 pub use chaos::{ChaosEvent, ChaosKind};
 pub use device::SimDevice;
 pub use executor::{
-    execute, execute_with_events, plan_waves, validate_schedule, ExecError, ExecutorConfig, JobRun,
-    OnlineExecutor, PeerDiscovery,
+    execute, execute_monitored, execute_with_events, plan_waves, validate_schedule, ExecError,
+    ExecutorConfig, JobRun, OnlineExecutor, PeerDiscovery,
 };
 pub use gossip::GossipPlane;
 pub use jitter::Jitter;
@@ -62,4 +64,4 @@ pub use testbed::{
     Testbed, TestbedParams, DEVICE_CLOUD, DEVICE_MEDIUM, DEVICE_SMALL, REGISTRY_MIRROR_BASE,
     REGISTRY_PEER, REGISTRY_PEER_BASE,
 };
-pub use trace::{Trace, TraceEvent, TraceKind};
+pub use trace::{ChaosEffect, Monitor, Subject, Trace, TraceEvent, TraceKind};

@@ -1131,8 +1131,8 @@ mod tests {
     fn small_device_is_slower_by_default() {
         let t = Testbed::paper();
         let cpu = deep_dataflow::Mi::new(4_000_000.0);
-        let tp_med = t.device(DEVICE_MEDIUM).processing_time("x", cpu);
-        let tp_small = t.device(DEVICE_SMALL).processing_time("x", cpu);
+        let tp_med = t.device(DEVICE_MEDIUM).processing_time("app", "x", cpu);
+        let tp_small = t.device(DEVICE_SMALL).processing_time("app", "x", cpu);
         assert!((tp_small.as_f64() / tp_med.as_f64() - 3.0).abs() < 1e-9);
     }
 
@@ -1401,8 +1401,8 @@ mod continuum_tests {
     fn cloud_is_faster_per_instruction() {
         let t = Testbed::continuum();
         let cpu = deep_dataflow::Mi::new(4_000_000.0);
-        let tp_cloud = t.device(DEVICE_CLOUD).processing_time("x", cpu);
-        let tp_medium = t.device(DEVICE_MEDIUM).processing_time("x", cpu);
+        let tp_cloud = t.device(DEVICE_CLOUD).processing_time("app", "x", cpu);
+        let tp_medium = t.device(DEVICE_MEDIUM).processing_time("app", "x", cpu);
         assert!(tp_cloud.as_f64() < tp_medium.as_f64());
     }
 }

@@ -144,7 +144,7 @@ fn energy_is_the_analytic_model_over_the_reported_phases() {
                 for m in &report.microservices {
                     let device = tb.device(m.placement.device);
                     let power = &device.power;
-                    let process = device.process_watts(&format!("{}/{}", app.name(), m.name));
+                    let process = device.process_watts(app.name(), &m.name);
                     let (td, tc, tp) = (m.td.as_f64(), m.tc.as_f64(), m.tp.as_f64());
                     let want = power.deploy_watts.as_f64() * td
                         + power.transfer_watts.as_f64() * tc

@@ -102,9 +102,8 @@ impl<'t> SeedContext<'t> {
             let producer = self.assigned[flow.from.0].expect("producer committed").device;
             tc += self.testbed.device_transfer_time(producer, device, flow.size);
         }
-        let scoped = format!("{}/{}", self.app.name(), ms.name);
-        let tp = dev.processing_time(&scoped, ms.requirements.cpu);
-        let ec = dev.energy(&scoped, td, tc, tp).as_f64();
+        let tp = dev.processing_time(self.app.name(), &ms.name, ms.requirements.cpu);
+        let ec = dev.energy(self.app.name(), &ms.name, td, tc, tp).as_f64();
         SeedEstimate { td, tc, tp, ec }
     }
 
