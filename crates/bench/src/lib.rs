@@ -13,9 +13,7 @@
 //! * **criterion benches** (in `benches/`) measure the substrates and the
 //!   scheduler itself, including two of the ablations of
 //!   [`deep_core::ablation`]:
-//!   * substrates: `sha256`, `kernel_baselines` (the seed SHA-256 the
-//!     `sha256` speedup is measured against), `dag_ops`,
-//!     `energy_models`, `nash_solvers`;
+//!   * substrates: `sha256`, `dag_ops`, `energy_models`, `nash_solvers`;
 //!   * registries and pulls: `registry_pull` (the layer-cache ablation),
 //!     `pull_path`, `peer_plane`, `gossip_rounds`;
 //!   * scheduling and the planes above it: `scheduler_comparison` (the

@@ -33,9 +33,9 @@ impl Digest {
         Digest(to_hex(&sha256(content)).into())
     }
 
-    /// Digest of a logical concatenation, streamed part by part — lets the
-    /// pull/push paths hash a manifest plus its layer list without ever
-    /// assembling the concatenated buffer.
+    /// Digest of a logical concatenation, streamed part by part — lets a
+    /// synthetic layer digest hash its name and size without assembling
+    /// the concatenated seed.
     pub fn of_parts<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> Self {
         Digest(to_hex(&sha256_of_parts(parts)).into())
     }

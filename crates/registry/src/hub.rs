@@ -63,9 +63,6 @@ impl HubRegistry {
             blobs.insert(l.digest.clone());
         }
         blobs.insert(manifest.config.clone());
-        // Manifests are content-addressable blobs in their own right
-        // (clients may pull by digest instead of tag).
-        blobs.insert(manifest.digest());
         Arc::make_mut(&mut self.manifests)
             .insert((repository.to_string(), tag.to_string()), manifest);
     }
@@ -176,7 +173,7 @@ mod tests {
         for l in &m.layers {
             assert!(hub.has_blob(&l.digest));
         }
-        assert!(hub.has_blob(&m.digest()), "manifest itself is content-addressable");
+        assert!(hub.has_blob(&m.config));
         assert!(!hub.has_blob(&Digest::of(b"never published")));
     }
 

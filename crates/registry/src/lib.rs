@@ -60,9 +60,7 @@
 //!   which are planned only when no first-class source survives, so the
 //!   fault-free plan stays byte-identical.
 
-// The SHA-NI kernel (`sha256::shani`) and its dispatch call are the only
-// unsafe code; each opts in where it stands.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod catalog;

@@ -71,9 +71,9 @@ impl ImageManifest {
     /// image id. This equals the SHA-256 of the exact bytes a registry
     /// stores for the manifest, so pull-by-digest, the regional
     /// integrity records, and client-side verification all agree on one
-    /// identity — the OCI rule. Computed on each call: pulls and resolves
-    /// never ask for it, only a Hub push, which registers the manifest as
-    /// a blob of its own.
+    /// identity — the OCI rule. Computed on each call; no push, pull or
+    /// resolve asks for it (the regional registry hashes the stored body
+    /// itself).
     pub fn digest(&self) -> Digest {
         let json = serde_json::to_string(self).expect("manifest serializes");
         Digest::of(json.as_bytes())

@@ -16,6 +16,9 @@
 //! resolve reuses its parse only when both stored objects are byte-equal
 //! to them; any other read (a first resolve, a re-pushed tag, bitrot, a
 //! removed or rewritten sidecar) verifies and parses from scratch.
+//! Publishing reads the memo too: a push whose body is byte-equal to a
+//! memoized one with a sidecar stores that sidecar instead of hashing
+//! the body again.
 //!
 //! Garbage collection marks through the same memo:
 //! [`RegionalRegistry::load_manifest`] reuses a memoized parse whenever the
@@ -62,8 +65,8 @@ fn blob_key(digest: &Digest) -> String {
 }
 
 /// One memoized manifest parse: the stored body and digest sidecar it
-/// was verified from, and the manifest the body parses to, with its
-/// digest already computed.
+/// was verified from, and the manifest the body parses to. A present
+/// sidecar is by construction the hex SHA-256 of `body`.
 struct ParsedManifest {
     body: Bytes,
     sidecar: Option<Bytes>,
@@ -165,27 +168,33 @@ impl RegionalRegistry {
                 .map_err(RegistryError::Storage)?;
         }
         let body = serde_json::to_vec(manifest).expect("manifest serializes");
+        let key = manifest_key(repository, tag);
         // Record the body's content digest alongside it so reads can
         // detect storage bitrot on the manifest path — the same integrity
-        // model registries apply to layer blobs. Write order keeps every
-        // partial-failure state resolvable: drop the old sidecar first
-        // (resolve treats a missing record as "verification unavailable",
-        // never as corruption), then the body, then the fresh sidecar.
-        let body_digest = Digest::of(&body);
+        // model registries apply to layer blobs. A memo entry with a
+        // sidecar was verified against it, so when its body is byte-equal
+        // to this one its sidecar bytes are this body's digest already.
+        let sidecar = self
+            .parsed
+            .read()
+            .get(&key)
+            .filter(|p| p.body == body)
+            .and_then(|p| p.sidecar.clone())
+            .unwrap_or_else(|| Bytes::from(Digest::of(&body).hex().to_string()));
+        // Write order keeps every partial-failure state resolvable: drop
+        // the old sidecar first (resolve treats a missing record as
+        // "verification unavailable", never as corruption), then the
+        // body, then the fresh sidecar.
         let digest_key = sidecar_key(repository, tag);
         match self.store.delete_object(MANIFEST_BUCKET, &digest_key) {
             Ok(()) | Err(StoreError::NoSuchKey(_)) => {}
             Err(e) => return Err(RegistryError::Storage(e)),
         }
         self.store
-            .put_object(MANIFEST_BUCKET, &manifest_key(repository, tag), Bytes::from(body))
+            .put_object(MANIFEST_BUCKET, &key, Bytes::from(body))
             .map_err(RegistryError::Storage)?;
         self.store
-            .put_object(
-                MANIFEST_BUCKET,
-                &digest_key,
-                Bytes::from(body_digest.hex().to_string().into_bytes()),
-            )
+            .put_object(MANIFEST_BUCKET, &digest_key, sidecar)
             .map_err(RegistryError::Storage)?;
         Ok(())
     }
@@ -209,10 +218,10 @@ impl RegionalRegistry {
     ///
     /// Reads through the lineage's parse memo: a stored body byte-equal
     /// to a memoized one reuses that parse (a parse depends on the body
-    /// alone), digest included. Any other body is parsed, and its parse
-    /// joins the memo only if the body verifies against its digest
-    /// sidecar: the memo holds verified reads only, so a GC pass never
-    /// makes a rotted or unverified body resolvable.
+    /// alone). Any other body is parsed, and its parse joins the memo only
+    /// if the body verifies against its digest sidecar: the memo holds
+    /// verified reads only, so a GC pass never makes a rotted or
+    /// unverified body resolvable.
     pub fn load_manifest(
         &self,
         repository: &str,
@@ -616,6 +625,55 @@ mod tests {
         let hit = reg.resolve(&r, Platform::Amd64).unwrap();
         assert_eq!(hit.digest(), fresh.digest());
         assert_ne!(hit.digest(), Digest::of(spaced.as_bytes()));
+    }
+
+    /// A registry with a parse memo of its own, so that no concurrently
+    /// running test replaces its memo entries.
+    fn own_lineage() -> RegionalRegistry {
+        RegionalRegistry::publish_paper_catalog()
+    }
+
+    #[test]
+    fn a_republish_after_a_verified_resolve_stores_the_memoized_sidecar() {
+        let mut reg = own_lineage();
+        let pushed = warm_frame(&reg);
+        let memoized = reg.parsed.read()[FRAME_KEY].sidecar.clone().expect("a verified read");
+        reg.push_manifest("aau/vp-frame", "amd64", &pushed).unwrap();
+        assert_eq!(objects(&reg), objects(&own_lineage()), "as a from-scratch push");
+        // The stored sidecar is the memo's buffer: the push hashed nothing.
+        let stored = reg.store().get_object(MANIFEST_BUCKET, FRAME_SIDECAR).unwrap();
+        assert!(std::ptr::eq(stored.as_ptr(), memoized.as_ptr()));
+        // The next resolve is a memo hit: a miss would re-memoize the
+        // newly stored body buffer.
+        let memo_body = reg.parsed.read()[FRAME_KEY].body.clone();
+        assert_eq!(reg.resolve(&frame(), Platform::Amd64).unwrap(), pushed);
+        assert!(std::ptr::eq(reg.parsed.read()[FRAME_KEY].body.as_ptr(), memo_body.as_ptr()));
+    }
+
+    #[test]
+    fn a_different_manifest_under_a_memoized_key_gets_its_own_digest() {
+        let mut reg = own_lineage();
+        warm_frame(&reg);
+        let cat = paper_catalog();
+        let transcode = find_entry(&cat, "video-processing", "transcode").unwrap();
+        let retagged = transcode.manifest(Platform::Amd64).clone();
+        reg.push_manifest("aau/vp-frame", "amd64", &retagged).unwrap();
+        let body = reg.store().get_object(MANIFEST_BUCKET, FRAME_KEY).unwrap();
+        let sidecar = reg.store().get_object(MANIFEST_BUCKET, FRAME_SIDECAR).unwrap();
+        assert_eq!(&sidecar[..], Digest::of(&body).hex().as_bytes());
+        assert_eq!(reg.resolve(&frame(), Platform::Amd64).unwrap(), retagged);
+    }
+
+    #[test]
+    fn bitrot_after_a_memo_served_push_is_detected() {
+        let mut reg = own_lineage();
+        let pushed = warm_frame(&reg);
+        reg.push_manifest("aau/vp-frame", "amd64", &pushed).unwrap();
+        rot_frame_body(&reg);
+        assert!(matches!(
+            reg.resolve(&frame(), Platform::Amd64).unwrap_err(),
+            RegistryError::CorruptManifest(_)
+        ));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: formatting, lints, doc links, release build, full
-# test suite, a compile check of every criterion bench, a smoke-run of
-# every example so the sweeps (registry_sweep's mesh/N-regional
+# Tier-1 verification: no unsafe code, formatting, lints, doc links,
+# release build, full test suite, a compile check of every criterion
+# bench, a smoke-run of every example so the sweeps (registry_sweep's mesh/N-regional
 # scenarios and friends, fault_sweep's failure-rate × registry-count
 # grid) cannot silently rot, the perfbench self-test, and one untimed
 # perfbench round per cell whose digest must equal its pinned line in
@@ -27,6 +27,21 @@ CRATES=(
 )
 PKG_FLAGS=()
 for c in "${CRATES[@]}"; do PKG_FLAGS+=(-p "$c"); done
+
+echo "==> no unsafe code (every crate root forbids it)"
+# The workspace has no foreign calls and no hardware kernels, so no crate
+# needs `unsafe`. A crate root without the attribute, or the word
+# `unsafe` anywhere in a crate's source, fails here.
+missing="$(grep -L '^#!\[forbid(unsafe_code)\]' src/lib.rs crates/*/src/lib.rs || true)"
+if [[ -n "${missing}" ]]; then
+  echo "crate roots without #![forbid(unsafe_code)]:" >&2
+  echo "${missing}" >&2
+  exit 1
+fi
+if grep -rnw unsafe crates/*/src src; then
+  echo "the lines above use unsafe" >&2
+  exit 1
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt "${PKG_FLAGS[@]}" -- --check
