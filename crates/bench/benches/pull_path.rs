@@ -1,18 +1,21 @@
 //! The mesh pull path end to end: resolve → diff → fetch over the paper
 //! catalog, through `PullSession` — single-source (the seed-parity path),
-//! split (hub + regional + warm peer), and the scheduler's estimate side.
+//! split (hub + regional + warm peer), the executor's fault-injected pull
+//! (retry policy, injected plan, standbys), and the scheduler's estimate
+//! side.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use deep_netsim::{Bandwidth, DataSize, RegistryId, Seconds};
 use deep_registry::{
-    paper_catalog, HubRegistry, LayerCache, PeerCacheSource, Platform, PullSession, Reference,
-    RegionalRegistry, RegistryMesh, SourceParams,
+    paper_catalog, FaultModel, FaultRates, HubRegistry, LayerCache, PeerCacheSource, Platform,
+    PullSession, Reference, RegionalRegistry, RegistryMesh, RetryPolicy, SourceParams,
 };
 use std::hint::black_box;
 
 const HUB: RegistryId = RegistryId(0);
 const REGIONAL: RegistryId = RegistryId(1);
 const PEER: RegistryId = RegistryId(2);
+const MIRROR: RegistryId = RegistryId(3);
 
 fn hub_params() -> SourceParams {
     SourceParams { download_bw: Bandwidth::megabytes_per_sec(13.0), overhead: Seconds::new(25.0) }
@@ -106,5 +109,44 @@ fn bench_split_pull(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_single_source, bench_split_pull);
+/// The pull the executor realises under fault injection: the regional
+/// registry as primary, every other full registry (hub, one mirror) as a
+/// failover-only standby, the model's retry policy and an injected plan
+/// (a fault-sweep cell's rates on both paper registries), each pull
+/// numbered in execution order. All twelve catalog images go into one
+/// cold cache per iteration.
+fn bench_executed_pull(c: &mut Criterion) {
+    let hub = HubRegistry::with_paper_catalog();
+    let regional = RegionalRegistry::with_paper_catalog();
+    let mirror = RegionalRegistry::with_paper_catalog();
+    let mut mesh = RegistryMesh::new();
+    mesh.add_registry(REGIONAL, &regional, regional_params());
+    mesh.add_standby_registry(HUB, &hub, hub_params());
+    mesh.add_standby_registry(MIRROR, &mirror, regional_params());
+    let rates = FaultRates { fatal_per_pull: 0.2, transient_per_fetch: 0.2 };
+    let retry =
+        RetryPolicy { max_attempts: 4, base_backoff: Seconds::new(10.0), ..Default::default() };
+    let plan = FaultModel::default()
+        .with_source(REGIONAL, rates)
+        .with_source(HUB, rates)
+        .with_retry(retry)
+        .plan(7);
+    let refs: Vec<Reference> =
+        paper_catalog().iter().map(|e| e.regional_reference(Platform::Amd64)).collect();
+
+    c.bench_function("pull_path_executed_with_faults", |b| {
+        b.iter(|| {
+            let mut device = cache();
+            for (pull, r) in refs.iter().enumerate() {
+                let session = PullSession::new(&mesh, REGIONAL)
+                    .extract_bw(Bandwidth::megabytes_per_sec(12.6))
+                    .with_retry(plan.model().retry)
+                    .with_faults(&plan, pull as u64, Seconds::ZERO);
+                black_box(session.pull(r, Platform::Amd64, &mut device).unwrap());
+            }
+        })
+    });
+}
+
+criterion_group!(benches, bench_single_source, bench_split_pull, bench_executed_pull);
 criterion_main!(benches);

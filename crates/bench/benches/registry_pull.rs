@@ -116,7 +116,7 @@ fn bench_regional_has_blob(c: &mut Criterion) {
     let reg = RegionalRegistry::with_paper_catalog();
     let r = Reference::new(REGIONAL_HOST, "aau/vp-ha-train", "amd64");
     let mut digests: Vec<Digest> =
-        reg.resolve(&r, Platform::Amd64).unwrap().layers.into_iter().map(|l| l.digest).collect();
+        reg.resolve(&r, Platform::Amd64).unwrap().layers.iter().map(|l| l.digest.clone()).collect();
     digests.push(Digest::of(b"absent layer"));
     let mut group = c.benchmark_group("has_blob");
     group.bench_function("regional", |b| {

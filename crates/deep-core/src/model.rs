@@ -33,13 +33,13 @@ use deep_dataflow::{stages, Application, MicroserviceId};
 use deep_energy::Joules;
 use deep_netsim::{Bandwidth, DataSize, DeviceId, RegistryId, Seconds};
 use deep_registry::{
-    BlobSource, CatalogEntry, Digest, ImageManifest, LayerCache, LayerDescriptor, Platform,
-    PullOutcome, PullSession, Reference, RegistryError, RegistryMesh,
+    BlobSource, Digest, ImageManifest, LayerCache, LayerDescriptor, Platform, PullOutcome,
+    PullSession, Reference, RegistryError, RegistryMesh,
 };
-use deep_simulator::{PeerViews, Placement, RegistryChoice, RouteLoads, Testbed};
-use std::borrow::Cow;
+use deep_simulator::{PeerViews, Placement, PublishedEntry, RegistryChoice, RouteLoads, Testbed};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Simulation-in-the-loop pricing of a scripted scenario: `E[Td]` is a
 /// Monte-Carlo expectation over the *exact* fault plans the scenario's
@@ -92,10 +92,12 @@ impl Estimate {
     }
 }
 
-/// One memoized primary-manifest resolution.
-struct Resolved {
-    reference: Reference,
-    manifest: ImageManifest,
+/// One memoized primary-manifest resolution: the reference, lent by the
+/// testbed's published entry, and the manifest the registry resolved it
+/// to, sharing the registry's allocation.
+struct Resolved<'t> {
+    reference: &'t Reference,
+    manifest: Arc<ImageManifest>,
     /// Per layer of `manifest`: whether some testbed device caches it.
     /// The testbed is borrowed for the context's lifetime, so this
     /// never goes stale.
@@ -221,7 +223,7 @@ pub struct EstimationContext<'t> {
     /// Per-microservice catalog entries, resolved once at construction.
     /// The testbed is borrowed for the context's lifetime, so an entry
     /// that is `None` (the app is not published) stays `None`.
-    entries: Vec<Option<&'t CatalogEntry>>,
+    entries: Vec<Option<&'t PublishedEntry>>,
     /// Memoized primary-manifest resolutions keyed
     /// `(registry, microservice, platform)`, filled by
     /// [`EstimationContext::prefetch_manifests`]: each key's slot in
@@ -231,7 +233,7 @@ pub struct EstimationContext<'t> {
     /// borrowed for the context's lifetime, so a memoized resolution
     /// (and its flags) cannot go stale.
     manifests: HashMap<(RegistryId, usize, Platform), usize>,
-    resolved: Vec<Resolved>,
+    resolved: Vec<Resolved<'t>>,
     /// The `resolved` slot of every committed pull's manifest, in commit
     /// order: the layers the walk has landed in some estimated cache.
     landed: Vec<usize>,
@@ -256,11 +258,12 @@ pub struct EstimationContext<'t> {
 /// for every estimate, plan and commit: the mesh the executor realises
 /// for the same placement ([`Testbed::placement_mesh`]), with every other
 /// full registry as a standby when the pricing needs failover targets,
-/// planned against the memoized manifest when one is warm.
+/// planned against the memoized manifest (borrowed from the memo's
+/// shared allocation) when one is warm.
 struct CellPull<'c> {
     mesh: RegistryMesh<'c>,
     primary: RegistryId,
-    reference: Cow<'c, Reference>,
+    reference: &'c Reference,
     preresolved: Option<&'c ImageManifest>,
     extract_bw: Bandwidth,
     arch: Platform,
@@ -283,12 +286,12 @@ impl<'c> CellPull<'c> {
         cache: &LayerCache,
         dead: impl IntoIterator<Item = RegistryId>,
     ) -> Result<PullOutcome, RegistryError> {
-        self.session(dead).estimate(&self.reference, self.arch, cache)
+        self.session(dead).estimate(self.reference, self.arch, cache)
     }
 
     /// Realise the happy-path pull into `cache`.
     fn pull(&self, cache: &mut LayerCache) -> Result<PullOutcome, RegistryError> {
-        self.session([]).pull(&self.reference, self.arch, cache)
+        self.session([]).pull(self.reference, self.arch, cache)
     }
 }
 
@@ -339,8 +342,9 @@ impl<'t> EstimationContext<'t> {
     /// instead of one per `(registry, device)` candidate. Even with the
     /// regional registries' parse memo (which skips verification and
     /// parsing only for byte-equal stored objects), each resolve still
-    /// reads two store objects, compares them and clones the manifest;
-    /// at fleet scale the solver prices thousands of counterfactual
+    /// reads two store objects and compares them; the memo here holds
+    /// the registry's shared manifest, so it copies none. At fleet scale
+    /// the solver prices thousands of counterfactual
     /// candidates per member, and those round-trips would dominate the
     /// estimate itself. Purely an optimisation: warm and cold estimates
     /// price bit for bit identically.
@@ -350,7 +354,7 @@ impl<'t> EstimationContext<'t> {
     /// distinct digest), the start of the energy floors' held bytes.
     pub fn prefetch_manifests(&mut self, id: MicroserviceId) {
         let Some(entry) = self.entries[id.0] else { return };
-        let mut fresh: Vec<((RegistryId, usize, Platform), Resolved)> = Vec::new();
+        let mut fresh: Vec<((RegistryId, usize, Platform), Resolved<'t>)> = Vec::new();
         for &choice in &self.registries {
             for &arch in &self.platforms {
                 let key = (choice.registry_id(), id.0, arch);
@@ -360,7 +364,7 @@ impl<'t> EstimationContext<'t> {
                 let reference = self.testbed.reference(entry, choice, arch);
                 // An unpublished variant stays unmemoized: the per-call
                 // resolve then reports it exactly as before.
-                if let Ok(manifest) = self.testbed.registry(choice).resolve(&reference, arch) {
+                if let Ok(manifest) = self.testbed.registry(choice).resolve(reference, arch) {
                     let resident = Vec::new();
                     fresh.push((key, Resolved { reference, manifest, resident }));
                 }
@@ -876,13 +880,13 @@ impl<'t> EstimationContext<'t> {
         let dev = testbed.device(device);
         let (reference, preresolved) =
             match self.memo(registry, id, dev.arch).map(|k| &self.resolved[k]) {
-                Some(r) => (Cow::Borrowed(&r.reference), Some(&r.manifest)),
+                Some(r) => (r.reference, Some(&*r.manifest)),
                 None => {
                     let entry = self.entries[id.0].unwrap_or_else(|| {
                         let name = &self.app.microservice(id).name;
                         panic!("no image published for {}/{name}", self.app.name())
                     });
-                    (Cow::Owned(testbed.reference(entry, registry, dev.arch)), None)
+                    (testbed.reference(entry, registry, dev.arch), None)
                 }
             };
         // Under scenario pricing, scripted degradation windows slow the
@@ -1142,7 +1146,7 @@ mod tests {
             deep_registry::LayerCache::new(deep_netsim::DataSize::gigabytes(1000.0));
         tb.pull_mesh(RegistryChoice::Hub, deep_simulator::DEVICE_CLOUD, 1.0)
             .session(RegistryChoice::Hub.registry_id())
-            .pull(&reference, deep_registry::Platform::Amd64, &mut warm_cache)
+            .pull(reference, deep_registry::Platform::Amd64, &mut warm_cache)
             .unwrap();
         tb.device_mut(deep_simulator::DEVICE_CLOUD).cache = warm_cache;
 
@@ -1295,7 +1299,7 @@ mod tests {
             .extract_bw(tb.device(DEVICE_MEDIUM).extract_bw)
             .presume_dead(RegistryChoice::Regional.registry_id())
             .estimate(
-                &reference,
+                reference,
                 deep_registry::Platform::Amd64,
                 &deep_registry::LayerCache::new(deep_netsim::DataSize::gigabytes(64.0)),
             )
@@ -1305,7 +1309,7 @@ mod tests {
             "failover branch rides the standby hub"
         );
         let model = &tb.fault_model;
-        let b_happy = model.expected_transient_backoff(&happy_reconstruct(&tb, &reference));
+        let b_happy = model.expected_transient_backoff(&happy_reconstruct(&tb, reference));
         let expected_happy = happy.td.as_f64() + b_happy.as_f64();
         let expected_failover = failover.deployment_time().as_f64()
             + model.expected_transient_backoff(&failover).as_f64()
@@ -1398,7 +1402,7 @@ mod tests {
             .extract_bw(tb.device(DEVICE_MEDIUM).extract_bw)
             .presume_dead(regional)
             .estimate(
-                &reference,
+                reference,
                 deep_registry::Platform::Amd64,
                 &deep_registry::LayerCache::new(deep_netsim::DataSize::gigabytes(64.0)),
             )
@@ -1454,7 +1458,7 @@ mod tests {
             .extract_bw(tb.device(DEVICE_MEDIUM).extract_bw)
             .presume_dead(regional)
             .estimate(
-                &reference,
+                reference,
                 deep_registry::Platform::Amd64,
                 &deep_registry::LayerCache::new(deep_netsim::DataSize::gigabytes(64.0)),
             )
@@ -2101,7 +2105,7 @@ mod tests {
         let entry = tb.entry("text-processing", "retrieve").unwrap().clone();
         let arch = tb.device(DEVICE_MEDIUM).arch;
         let reference = tb.reference(&entry, RegistryChoice::Regional, arch);
-        let lost = tb.regional.resolve(&reference, arch).unwrap().layers[0].digest.clone();
+        let lost = tb.regional.resolve(reference, arch).unwrap().layers[0].digest.clone();
         tb.regional.delete_blob(&lost).unwrap();
         let mut ctx = EstimationContext::new(&tb, &app);
         ctx.prefetch_manifests(retrieve);
@@ -2118,7 +2122,7 @@ mod tests {
         let session = tb
             .pull_mesh(RegistryChoice::Regional, DEVICE_MEDIUM, 1.0)
             .session(RegistryChoice::Regional.registry_id())
-            .estimate(&reference, arch, &tb.device(DEVICE_MEDIUM).cache)
+            .estimate(reference, arch, &tb.device(DEVICE_MEDIUM).cache)
             .unwrap_err();
         assert!(matches!(&err, RegistryError::MissingBlob(d) if *d == lost), "{err:?}");
         assert_eq!(format!("{err:?}"), format!("{session:?}"));

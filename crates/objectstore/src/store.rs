@@ -9,6 +9,7 @@ use deep_netsim::DataSize;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// Errors from bucket/object operations.
@@ -53,6 +54,23 @@ pub struct ObjectMeta {
 #[derive(Debug, Clone, Default)]
 pub struct Bucket {
     objects: BTreeMap<String, Bytes>,
+}
+
+impl Bucket {
+    /// The objects whose keys start with `prefix`, in key order, as
+    /// `(key, size)` pairs borrowed from the bucket: a listing that copies
+    /// no key.
+    pub fn list<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = (&'a str, DataSize)> + 'a {
+        self.objects
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(move |(key, _)| key.starts_with(prefix))
+            .map(|(key, body)| (key.as_str(), DataSize::bytes(body.len() as u64)))
+    }
+
+    /// The keys of [`Bucket::list`].
+    pub fn keys<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+        self.list(prefix).map(|(key, _)| key)
+    }
 }
 
 /// The MinIO-like store: named buckets under a global capacity quota.
@@ -221,11 +239,22 @@ impl ObjectStore {
             .buckets
             .get(bucket)
             .ok_or_else(|| StoreError::NoSuchBucket(bucket.to_string()))?;
-        Ok(b.objects
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, o)| ObjectMeta { key: k.clone(), size: DataSize::bytes(o.len() as u64) })
-            .collect())
+        Ok(b.list(prefix).map(|(key, size)| ObjectMeta { key: key.to_string(), size }).collect())
+    }
+
+    /// A point-in-time view of one bucket, for listings that borrow their
+    /// keys ([`Bucket::keys`]) instead of copying each into an
+    /// [`ObjectMeta`]. The view shares the bucket copy-on-write, like a
+    /// fork does: later writes never reach it, and a write to the bucket
+    /// while the view is alive copies the bucket's key map first, so drop
+    /// the view before writing.
+    pub fn bucket_snapshot(&self, bucket: &str) -> Result<Arc<Bucket>, StoreError> {
+        let inner = self.inner.read();
+        inner
+            .buckets
+            .get(bucket)
+            .cloned()
+            .ok_or_else(|| StoreError::NoSuchBucket(bucket.to_string()))
     }
 }
 
@@ -297,6 +326,13 @@ mod tests {
         let keys: Vec<&str> = listed.iter().map(|m| m.key.as_str()).collect();
         assert_eq!(keys, vec!["blobs/sha256/aa", "blobs/sha256/bb", "blobs/sha256/cc"]);
         assert_eq!(s.list_objects("images", "zzz").unwrap().len(), 0);
+        let view = s.bucket_snapshot("images").unwrap();
+        assert_eq!(view.keys("blobs/").collect::<Vec<_>>(), keys);
+        assert_eq!(view.keys("zzz").count(), 0);
+        // The view is a snapshot: later writes never reach it.
+        s.put_object("images", "blobs/sha256/dd", Bytes::from_static(b"x")).unwrap();
+        assert_eq!(view.keys("blobs/").count(), 3);
+        assert!(matches!(s.bucket_snapshot("nope"), Err(StoreError::NoSuchBucket(_))));
     }
 
     #[test]

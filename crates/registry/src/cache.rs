@@ -6,24 +6,29 @@
 //! "downloading a containerized microservice `m_i` of size `Size_mi` *not
 //! already existing on a device*"; this cache is that mechanism.
 
-use crate::digest::Digest;
+use crate::digest::{Digest, DigestMap};
 use deep_netsim::DataSize;
-use std::collections::HashMap;
 
 /// An LRU layer cache bounded by a byte quota (the device's image storage).
+///
+/// The cache holds digests, not layer bytes: an entry shares its
+/// digest's hex with every manifest and peer view naming the layer (a
+/// [`Digest`] clone is a reference count), and the table hashes it with
+/// [`crate::digest::DigestHasher`], so a pull's per-layer lookups and
+/// inserts neither copy nor SipHash a digest.
 #[derive(Debug, Clone)]
 pub struct LayerCache {
     capacity: DataSize,
     used: DataSize,
     /// digest → (size, last-use tick).
-    entries: HashMap<Digest, (DataSize, u64)>,
+    entries: DigestMap<(DataSize, u64)>,
     clock: u64,
 }
 
 impl LayerCache {
     /// A cache bounded by `capacity` bytes.
     pub fn new(capacity: DataSize) -> Self {
-        LayerCache { capacity, used: DataSize::ZERO, entries: HashMap::new(), clock: 0 }
+        LayerCache { capacity, used: DataSize::ZERO, entries: DigestMap::default(), clock: 0 }
     }
 
     /// Storage quota.

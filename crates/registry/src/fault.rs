@@ -61,6 +61,7 @@
 use crate::pull::PullOutcome;
 use crate::retry::RetryPolicy;
 use deep_netsim::{splitmix64, unit_f64, RegistryId, Seconds};
+use std::sync::Arc;
 
 /// Failure rates of one mesh source.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -145,11 +146,16 @@ impl OutageWindow {
 /// Sources without an entry are perfectly reliable, so the default model
 /// injects nothing: every pull succeeds on its first attempt at every
 /// source (under the default [`RetryPolicy`]).
+///
+/// The rate and window tables are shared, never edited in place: a
+/// builder call replaces the table it changes. A clone (and so a
+/// [`FaultModel::plan`], which snapshots the model) costs two reference
+/// counts and copies no table.
 #[derive(Debug, Clone, Default)]
 pub struct FaultModel {
-    rates: Vec<(RegistryId, FaultRates)>,
+    rates: Arc<[(RegistryId, FaultRates)]>,
     /// Scripted time-indexed outages, alongside the sampled rates.
-    windows: Vec<OutageWindow>,
+    windows: Arc<[OutageWindow]>,
     /// The retry policy a fault-injecting executor attaches to every
     /// pull session — the backoff schedule the transient channel feeds.
     pub retry: RetryPolicy,
@@ -168,10 +174,11 @@ impl FaultModel {
                 && (0.0..=1.0).contains(&rates.transient_per_fetch),
             "fault rates are probabilities"
         );
-        match self.rates.iter_mut().find(|(id, _)| *id == source) {
-            Some(entry) => entry.1 = rates,
-            None => self.rates.push((source, rates)),
-        }
+        self.rates = if self.rates.iter().any(|(id, _)| *id == source) {
+            self.rates.iter().map(|&(id, r)| (id, if id == source { rates } else { r })).collect()
+        } else {
+            self.rates.iter().copied().chain([(source, rates)]).collect()
+        };
         self
     }
 
@@ -187,7 +194,7 @@ impl FaultModel {
     /// several may cover the same source, as in a correlated incident).
     pub fn with_window(mut self, window: OutageWindow) -> Self {
         assert!(window.factor >= 0.0 && window.factor < 1.0, "window factor must be in [0, 1)");
-        self.windows.push(window);
+        self.windows = self.windows.iter().copied().chain([window]).collect();
         self
     }
 
@@ -198,7 +205,7 @@ impl FaultModel {
     /// stripped model price only the rates until the outage is inferred
     /// from observed failures (the arrival plane's online inference).
     pub fn without_windows(&self) -> FaultModel {
-        FaultModel { rates: self.rates.clone(), windows: Vec::new(), retry: self.retry }
+        FaultModel { rates: Arc::clone(&self.rates), windows: Arc::default(), retry: self.retry }
     }
 
     /// The rates assigned to `source` (zero when unlisted).
@@ -261,7 +268,8 @@ impl FaultModel {
 
     /// Sample the model into a reproducible fault schedule. The plan
     /// keeps a snapshot of the model: later edits to `self` do not reach
-    /// it.
+    /// it. The snapshot shares the model's tables, so sampling copies
+    /// none of them.
     pub fn plan(&self, seed: u64) -> FaultPlan {
         FaultPlan { seed, model: self.clone() }
     }
@@ -430,6 +438,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn plans_share_the_tables_of_the_model_they_snapshot() {
+        let model = FaultModel::default()
+            .with_source(REGIONAL, FaultRates { fatal_per_pull: 0.5, transient_per_fetch: 0.1 })
+            .with_window(OutageWindow::dark(HUB, Seconds::ZERO, Seconds::new(10.0)));
+        let plan = model.plan(7);
+        assert!(Arc::ptr_eq(&plan.model().rates, &model.rates));
+        assert!(Arc::ptr_eq(&plan.model().windows, &model.windows));
+        // A builder call replaces only the table it changes, and a
+        // replaced rate keeps its slot.
+        let edited = model.clone().with_source(REGIONAL, FaultRates::ZERO);
+        assert!(!Arc::ptr_eq(&edited.rates, &model.rates));
+        assert!(Arc::ptr_eq(&edited.windows, &model.windows));
+        assert_eq!(edited.rates.len(), 1);
+        assert!(edited.rates(REGIONAL).is_zero() && !plan.model().rates(REGIONAL).is_zero());
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //! event (in `deep-simulator`), which `scenarios/soak_smoke.toml` scripts
 //! as a `registry-gc` event of its chaos timeline.
 
-use crate::digest::Digest;
+use crate::digest::{Digest, DigestSet};
 use crate::pull::RegistryError;
-use crate::regional::RegionalRegistry;
-use std::collections::HashSet;
+use crate::regional::{blob_hexes, tags, RegionalRegistry};
 
 /// What a collection pass did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,32 +29,39 @@ pub struct GcReport {
 }
 
 /// Run mark-and-sweep on a regional registry.
+///
+/// Both listings borrow their keys from a snapshot of the bucket they
+/// list, so a pass allocates per marked digest and per swept blob, not
+/// per stored object.
 pub fn collect(registry: &mut RegionalRegistry) -> Result<GcReport, RegistryError> {
     // Mark: walk every manifest and record referenced digests.
-    let mut live: HashSet<Digest> = HashSet::new();
-    for (repo, tag) in registry.manifest_keys()? {
-        registry.with_manifest(&repo, &tag, |manifest| {
-            let layers = manifest.layers.iter().map(|l| &l.digest);
-            for digest in std::iter::once(&manifest.config).chain(layers) {
-                if !live.contains(digest) {
-                    live.insert(digest.clone());
-                }
+    let mut live = DigestSet::default();
+    let manifests = registry.manifest_bucket()?;
+    for (repo, tag) in tags(&manifests) {
+        let manifest = registry.load_manifest(repo, tag)?;
+        let layers = manifest.layers.iter().map(|l| &l.digest);
+        for digest in std::iter::once(&manifest.config).chain(layers) {
+            if !live.contains(digest) {
+                live.insert(digest.clone());
             }
-        })?;
-    }
-    // Sweep: delete blob records whose digest is not marked.
-    let mut swept = 0usize;
-    let mut released = 0u64;
-    for digest in registry.blob_digests()? {
-        if !live.contains(&digest) {
-            if let Some(size) = registry.blob_size(&digest) {
-                released += size.as_bytes();
-            }
-            registry.delete_blob(&digest)?;
-            swept += 1;
         }
     }
-    Ok(GcReport { marked: live.len(), swept, declared_bytes_released: released })
+    drop(manifests);
+    // Sweep: delete blob records whose digest is not marked. The listing
+    // snapshot is dropped before the first delete, which would otherwise
+    // copy the bucket it shares.
+    let unmarked: Vec<Digest> = {
+        let blobs = registry.blob_bucket()?;
+        blob_hexes(&blobs).filter(|hex| !live.contains(*hex)).filter_map(Digest::from_hex).collect()
+    };
+    let mut released = 0u64;
+    for digest in &unmarked {
+        if let Some(size) = registry.blob_size(digest) {
+            released += size.as_bytes();
+        }
+        registry.delete_blob(digest)?;
+    }
+    Ok(GcReport { marked: live.len(), swept: unmarked.len(), declared_bytes_released: released })
 }
 
 #[cfg(test)]

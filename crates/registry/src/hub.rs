@@ -8,24 +8,27 @@
 //! only stores what the hub serves.
 
 use crate::catalog::CatalogEntry;
-use crate::digest::Digest;
+use crate::digest::{Digest, DigestSet};
 use crate::image::{Platform, Reference};
 use crate::manifest::ImageManifest;
 use crate::pull::RegistryError;
 use crate::{BlobSource, ManifestSource};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-/// Docker Hub: manifests by `(repository, tag)`, blobs by digest.
+/// Docker Hub: manifests by repository, then tag; blobs by digest.
 ///
 /// `Clone` yields an independent hub: both maps are shared
 /// copy-on-write, so a clone costs two reference counts and the first
 /// push on either side copies the maps it writes ([`Arc::make_mut`]).
+/// Each pushed manifest is one shared allocation: a resolve looks it up
+/// by the reference's borrowed repository and tag and hands out a
+/// reference count to it.
 #[derive(Clone)]
 pub struct HubRegistry {
     host: String,
-    manifests: Arc<HashMap<(String, String), ImageManifest>>,
-    blobs: Arc<HashSet<Digest>>,
+    manifests: Arc<HashMap<String, HashMap<String, Arc<ImageManifest>>>>,
+    blobs: Arc<DigestSet>,
 }
 
 impl HubRegistry {
@@ -64,7 +67,9 @@ impl HubRegistry {
         }
         blobs.insert(manifest.config.clone());
         Arc::make_mut(&mut self.manifests)
-            .insert((repository.to_string(), tag.to_string()), manifest);
+            .entry(repository.to_string())
+            .or_default()
+            .insert(tag.to_string(), Arc::new(manifest));
     }
 }
 
@@ -87,7 +92,7 @@ impl ManifestSource for HubRegistry {
         &self,
         reference: &Reference,
         platform: Platform,
-    ) -> Result<ImageManifest, RegistryError> {
+    ) -> Result<Arc<ImageManifest>, RegistryError> {
         if reference.host != self.host {
             return Err(RegistryError::WrongRegistry {
                 expected: self.host.clone(),
@@ -99,7 +104,8 @@ impl ManifestSource for HubRegistry {
         // platform-tagged reference and verify it matches.
         let m = self
             .manifests
-            .get(&(reference.repository.clone(), reference.tag.clone()))
+            .get(reference.repository.as_str())
+            .and_then(|tags| tags.get(reference.tag.as_str()))
             .ok_or_else(|| RegistryError::ManifestNotFound(reference.canonical()))?;
         if m.platform != platform {
             return Err(RegistryError::PlatformMismatch {
@@ -108,13 +114,12 @@ impl ManifestSource for HubRegistry {
                 available: m.platform,
             });
         }
-        Ok(m.clone())
+        Ok(Arc::clone(m))
     }
 
     fn repositories(&self) -> Vec<String> {
-        let mut repos: Vec<String> = self.manifests.keys().map(|(r, _)| r.clone()).collect();
+        let mut repos: Vec<String> = self.manifests.keys().cloned().collect();
         repos.sort_unstable();
-        repos.dedup();
         repos
     }
 }
@@ -178,6 +183,26 @@ mod tests {
     }
 
     #[test]
+    fn resolves_share_one_manifest_allocation() {
+        let hub = HubRegistry::with_paper_catalog();
+        let r = Reference::new("docker.io", "sina88/vp-frame", "amd64");
+        let first = hub.resolve(&r, Platform::Amd64).unwrap();
+        let second = hub.resolve(&r, Platform::Amd64).unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+        assert!(Arc::ptr_eq(&first, &hub.clone().resolve(&r, Platform::Amd64).unwrap()));
+        // A re-push replaces the allocation the next resolve hands out;
+        // handed-out manifests keep the bytes they were resolved with.
+        let mut hub = hub;
+        let other = Reference::new("docker.io", "sina88/tp-la-score", "amd64");
+        let replacement = hub.resolve(&other, Platform::Amd64).unwrap();
+        hub.push_manifest("sina88/vp-frame", "amd64", (*replacement).clone());
+        let third = hub.resolve(&r, Platform::Amd64).unwrap();
+        assert!(!Arc::ptr_eq(&first, &third));
+        assert_eq!(*third, *replacement);
+        assert_ne!(*first, *third);
+    }
+
+    #[test]
     fn twelve_repositories_listed() {
         let hub = HubRegistry::with_paper_catalog();
         let repos = hub.repositories();
@@ -202,9 +227,9 @@ mod tests {
         let pushed = source.resolve(&r, Platform::Amd64).unwrap();
         let other = Reference::new("docker.io", "sina88/tp-la-score", "amd64");
         let replacement = source.resolve(&other, Platform::Amd64).unwrap();
-        clone.push_manifest("sina88/vp-frame", "amd64", replacement.clone());
-        clone.push_manifest("sina88/new", "amd64", replacement.clone());
-        assert_eq!(clone.resolve(&r, Platform::Amd64).unwrap(), replacement);
+        clone.push_manifest("sina88/vp-frame", "amd64", (*replacement).clone());
+        clone.push_manifest("sina88/new", "amd64", (*replacement).clone());
+        assert_eq!(*clone.resolve(&r, Platform::Amd64).unwrap(), *replacement);
         assert_eq!(source.resolve(&r, Platform::Amd64).unwrap(), pushed);
         assert_eq!(source.repositories().len(), 12);
         assert_eq!(clone.repositories().len(), 13);

@@ -89,6 +89,8 @@ pub use pull::{PullOutcome, PullPlanner, RegistryError, SourcePull};
 pub use regional::RegionalRegistry;
 pub use retry::{FaultySource, FlakyRegistry, RetryPolicy};
 
+use std::sync::Arc;
+
 /// Typed handle for a mesh source (`r_g` in the paper), shared with the
 /// netsim crate.
 pub use deep_netsim::RegistryId;
@@ -100,11 +102,16 @@ pub trait ManifestSource {
     fn host(&self) -> &str;
 
     /// Resolve a reference + platform to its manifest.
+    ///
+    /// The manifest is shared, not copied: a registry keeps one
+    /// allocation per stored manifest and every resolve hands out a
+    /// reference count to it, so a pull pays for its layers, not for a
+    /// deep copy of their descriptors.
     fn resolve(
         &self,
         reference: &Reference,
         platform: Platform,
-    ) -> Result<ImageManifest, RegistryError>;
+    ) -> Result<Arc<ImageManifest>, RegistryError>;
 
     /// Repositories the registry hosts (for Table I regeneration).
     fn repositories(&self) -> Vec<String>;

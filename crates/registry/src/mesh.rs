@@ -27,7 +27,7 @@
 //! unchanged while split pulls open strictly better deployments.
 
 use crate::cache::LayerCache;
-use crate::digest::Digest;
+use crate::digest::{Digest, DigestSet};
 use crate::fault::FaultPlan;
 use crate::image::{Platform, Reference};
 use crate::manifest::ImageManifest;
@@ -35,7 +35,6 @@ use crate::pull::{PullOutcome, RegistryError, SourcePull};
 use crate::retry::RetryPolicy;
 use crate::{BlobSource, ManifestSource, Registry};
 use deep_netsim::{transfer_time, Bandwidth, DataSize, RegistryId, Seconds};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Route cost parameters for one mesh source, as seen from the pulling
@@ -354,25 +353,28 @@ impl<'m, 'a> PullSession<'m, 'a> {
         platform: Platform,
         cache: &mut CacheAccess<'_>,
     ) -> Result<PullOutcome, RegistryError> {
+        let resolved;
         let (manifest, attempts, mut backoff_total) = match self.preresolved {
-            Some(m) => (std::borrow::Cow::Borrowed(m), 1, Seconds::ZERO),
+            Some(m) => (m, 1, Seconds::ZERO),
             None => {
                 let (m, a, b) = self.resolve(reference, platform)?;
-                (std::borrow::Cow::Owned(m), a, b)
+                resolved = m;
+                (&*resolved, a, b)
             }
         };
 
         let mut cached = DataSize::ZERO;
         let mut cache_hits = 0usize;
-        // Sources used so far: the primary's overhead is sunk (it resolved
-        // the manifest), so it starts marked used.
-        let mut used: HashSet<RegistryId> = HashSet::new();
-        used.insert(self.primary);
-        // Per-source buckets in order of first use.
+        // Per-source buckets in order of first use. They also name the
+        // sources used so far: the primary's overhead is sunk (it resolved
+        // the manifest), and every other source has paid its overhead
+        // exactly when it has a bucket. Grown one slot at a time, so the
+        // outcome's breakdown is allocated at its exact size.
         let mut buckets: Vec<SourcePull> = Vec::new();
         // Sources that died mid-pull, in order of death: excluded from the
         // plan for every remaining layer. Presumed-dead sources (the
-        // estimator's failover branch) start the pull already dead.
+        // estimator's failover branch) start the pull already dead. Grown
+        // one slot at a time like `buckets`.
         let mut dead: Vec<RegistryId> = self.presumed_dead.clone();
         // Estimates plan from availability alone — no data-plane fetches,
         // so a counterfactual evaluation stays side-effect-free even
@@ -393,7 +395,7 @@ impl<'m, 'a> PullSession<'m, 'a> {
             // flaky, not gone — and surface if retries exhaust.
             let source = loop {
                 let candidate = self
-                    .cheapest_source(&layer.digest, layer.size, &used, &dead)
+                    .cheapest_source(&layer.digest, layer.size, &buckets, &dead)
                     .ok_or_else(|| RegistryError::MissingBlob(layer.digest.clone()))?;
                 if !fetching {
                     break candidate;
@@ -402,6 +404,7 @@ impl<'m, 'a> PullSession<'m, 'a> {
                     Ok(()) => break candidate,
                     Err(e) if e.is_transient() => return Err(e),
                     Err(_) => {
+                        dead.reserve_exact(1);
                         dead.push(candidate.id);
                         // Death-detection cost: with a retry policy
                         // attached the client cannot tell a dead source
@@ -414,17 +417,19 @@ impl<'m, 'a> PullSession<'m, 'a> {
                     }
                 }
             };
-            used.insert(source.id);
             match buckets.iter_mut().find(|b| b.source == source.id) {
                 Some(bucket) => {
                     bucket.downloaded += layer.size;
                     bucket.layers += 1;
                 }
-                None => buckets.push(SourcePull {
-                    source: source.id,
-                    downloaded: layer.size,
-                    layers: 1,
-                }),
+                None => {
+                    buckets.reserve_exact(1);
+                    buckets.push(SourcePull {
+                        source: source.id,
+                        downloaded: layer.size,
+                        layers: 1,
+                    })
+                }
             }
             cache.store(layer.digest.clone(), layer.size);
         }
@@ -539,7 +544,7 @@ impl<'m, 'a> PullSession<'m, 'a> {
         &self,
         reference: &Reference,
         platform: Platform,
-    ) -> Result<(ImageManifest, usize, Seconds), RegistryError> {
+    ) -> Result<(Arc<ImageManifest>, usize, Seconds), RegistryError> {
         let source = self.mesh.source(self.primary).expect("validated in new()");
         let manifests = source.manifests.expect("validated in new()");
         let Some(policy) = self.retry else {
@@ -559,8 +564,9 @@ impl<'m, 'a> PullSession<'m, 'a> {
     }
 
     /// The cheapest surviving source holding `digest`, under the
-    /// marginal-cost model (transfer time + first-use overhead).
-    /// Deterministic tie-break: primary first, then lowest id.
+    /// marginal-cost model (transfer time + first-use overhead; the
+    /// primary and every source with a bucket in `buckets` have paid
+    /// theirs). Deterministic tie-break: primary first, then lowest id.
     ///
     /// Standby sources are failover targets only: they are considered
     /// iff no surviving first-class source advertises the blob, so a
@@ -570,9 +576,10 @@ impl<'m, 'a> PullSession<'m, 'a> {
         &self,
         digest: &Digest,
         size: DataSize,
-        used: &HashSet<RegistryId>,
+        buckets: &[SourcePull],
         dead: &[RegistryId],
     ) -> Option<&MeshSource<'a>> {
+        let used = |id: RegistryId| id == self.primary || buckets.iter().any(|b| b.source == id);
         let cheapest = |standby: bool| {
             self.mesh
                 .sources()
@@ -580,7 +587,7 @@ impl<'m, 'a> PullSession<'m, 'a> {
                 .min_by(|a, b| {
                     let cost = |s: &MeshSource<'_>| {
                         let mut c = transfer_time(size, s.params.download_bw).as_f64();
-                        if !used.contains(&s.id) {
+                        if !used(s.id) {
                             c += s.params.overhead.as_f64();
                         }
                         c
@@ -665,13 +672,13 @@ pub struct PeerCacheSource {
     holder: Option<deep_netsim::DeviceId>,
     /// Every advertised digest, shared between clones until one of them
     /// absorbs more layers.
-    blobs: Arc<HashSet<Digest>>,
+    blobs: Arc<DigestSet>,
     /// Layers evicted from the holder *after* the snapshot gossip round:
     /// still advertised (`has_blob` is the stale gossip view a session
     /// plans against), but a fetch finds them gone and fails over — the
     /// cache-pressure chaos event of the soak harness. Shared between
     /// clones until one of them retracts or re-validates a layer.
-    retracted: Arc<HashSet<Digest>>,
+    retracted: Arc<DigestSet>,
 }
 
 impl PeerCacheSource {
@@ -1046,7 +1053,7 @@ mod tests {
             &self,
             reference: &Reference,
             platform: Platform,
-        ) -> Result<ImageManifest, RegistryError> {
+        ) -> Result<Arc<ImageManifest>, RegistryError> {
             self.0.resolve(reference, platform)
         }
 

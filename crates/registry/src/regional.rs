@@ -20,21 +20,25 @@
 //! memoized one with a sidecar stores that sidecar instead of hashing
 //! the body again.
 //!
+//! A memo entry holds its parse as one shared allocation, and every
+//! resolve it serves hands out a reference count to it: a pull copies no
+//! manifest. A resolve builds both object keys on the stack.
+//!
 //! Garbage collection marks through the same memo:
 //! [`RegionalRegistry::load_manifest`] reuses a memoized parse whenever the
 //! stored body is byte-equal to the memoized one, and adds a parse of its
-//! own only when the body verifies against its digest sidecar, so the memo
-//! never holds a body no resolve would accept.
+//! own only when the body verifies against its digest sidecar, so GC never
+//! makes a rotted body resolvable.
 
 use crate::catalog::CatalogEntry;
-use crate::digest::Digest;
+use crate::digest::{is_hex, Digest};
 use crate::image::{Platform, Reference};
 use crate::manifest::ImageManifest;
 use crate::pull::RegistryError;
 use crate::{BlobSource, ManifestSource};
 use bytes::Bytes;
 use deep_netsim::DataSize;
-use deep_objectstore::{ObjectStore, StoreError};
+use deep_objectstore::{Bucket, ObjectStore, StoreError};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -49,36 +53,56 @@ const BLOB_BUCKET: &str = "registry-blobs";
 /// end; at the cap the memo starts over (about 1 KB an entry).
 const PARSE_MEMO_KEYS: usize = 1024;
 
-/// `manifests/<repository>/<tag>`: the object key of a tag's manifest.
-fn manifest_key(repository: &str, tag: &str) -> String {
-    ["manifests/", repository, "/", tag].concat()
+/// Longest object key built on the stack; a longer one (a long
+/// repository name or a long deserialized digest) goes to the heap.
+const STACK_KEY: usize = 160;
+
+/// Run `f` on the object key `parts` concatenate to, built on the stack
+/// when it fits. The keys are `manifests/<repository>/<tag>` (a tag's
+/// manifest body), `digests/<repository>/<tag>` (its digest sidecar) and
+/// `blobs/<hex>` (a blob descriptor).
+fn with_key<R>(parts: &[&str], f: impl FnOnce(&str) -> R) -> R {
+    let len = parts.iter().map(|p| p.len()).sum();
+    let mut buf = [0u8; STACK_KEY];
+    let Some(key) = buf.get_mut(..len) else {
+        return f(&parts.concat());
+    };
+    let mut at = 0;
+    for part in parts {
+        key[at..at + part.len()].copy_from_slice(part.as_bytes());
+        at += part.len();
+    }
+    f(std::str::from_utf8(key).expect("a concatenation of strs is UTF-8"))
 }
 
-/// `digests/<repository>/<tag>`: the object key of its digest sidecar.
-fn sidecar_key(repository: &str, tag: &str) -> String {
-    ["digests/", repository, "/", tag].concat()
+/// Every `(repository, tag)` a snapshot of the manifest bucket stores a
+/// manifest under, borrowed from it.
+pub(crate) fn tags(manifests: &Bucket) -> impl Iterator<Item = (&str, &str)> {
+    manifests.keys("manifests/").filter_map(|key| key.strip_prefix("manifests/")?.rsplit_once('/'))
 }
 
-/// `blobs/<hex>`: the object key of a blob descriptor.
-fn blob_key(digest: &Digest) -> String {
-    ["blobs/", digest.hex()].concat()
+/// Every digest hex a snapshot of the blob bucket stores a descriptor
+/// under, borrowed from it. Keys that are no digest's hex are skipped.
+pub(crate) fn blob_hexes(blobs: &Bucket) -> impl Iterator<Item = &str> {
+    blobs.keys("blobs/").filter_map(|key| key.strip_prefix("blobs/")).filter(|hex| is_hex(hex))
 }
 
 /// One memoized manifest parse: the stored body and digest sidecar it
-/// was verified from, and the manifest the body parses to. A present
-/// sidecar is by construction the hex SHA-256 of `body`.
+/// was read with, and the manifest the body parses to, shared with every
+/// resolve the entry serves. A present sidecar is by construction the hex
+/// SHA-256 of `body`; an entry without one was read unverified.
 struct ParsedManifest {
     body: Bytes,
     sidecar: Option<Bytes>,
-    manifest: ImageManifest,
+    manifest: Arc<ImageManifest>,
 }
 
 /// The MinIO-backed regional registry.
 pub struct RegionalRegistry {
     host: String,
     store: ObjectStore,
-    /// Verified parses by manifest object key, shared by every fork of
-    /// this registry (see the module docs).
+    /// Parses by manifest object key, shared by every fork of this
+    /// registry (see the module docs).
     parsed: Arc<RwLock<HashMap<String, ParsedManifest>>>,
 }
 
@@ -163,54 +187,52 @@ impl RegionalRegistry {
         // manifest so the manifest never dangles).
         for l in &manifest.layers {
             let record = serde_json::to_vec(l).expect("descriptor serializes");
-            self.store
-                .put_object(BLOB_BUCKET, &blob_key(&l.digest), Bytes::from(record))
-                .map_err(RegistryError::Storage)?;
+            with_key(&["blobs/", l.digest.hex()], |key| {
+                self.store.put_object(BLOB_BUCKET, key, Bytes::from(record))
+            })
+            .map_err(RegistryError::Storage)?;
         }
         let body = serde_json::to_vec(manifest).expect("manifest serializes");
-        let key = manifest_key(repository, tag);
-        // Record the body's content digest alongside it so reads can
-        // detect storage bitrot on the manifest path — the same integrity
-        // model registries apply to layer blobs. A memo entry with a
-        // sidecar was verified against it, so when its body is byte-equal
-        // to this one its sidecar bytes are this body's digest already.
-        let sidecar = self
-            .parsed
-            .read()
-            .get(&key)
-            .filter(|p| p.body == body)
-            .and_then(|p| p.sidecar.clone())
-            .unwrap_or_else(|| Bytes::from(Digest::of(&body).hex().to_string()));
-        // Write order keeps every partial-failure state resolvable: drop
-        // the old sidecar first (resolve treats a missing record as
-        // "verification unavailable", never as corruption), then the
-        // body, then the fresh sidecar.
-        let digest_key = sidecar_key(repository, tag);
-        match self.store.delete_object(MANIFEST_BUCKET, &digest_key) {
-            Ok(()) | Err(StoreError::NoSuchKey(_)) => {}
-            Err(e) => return Err(RegistryError::Storage(e)),
-        }
-        self.store
-            .put_object(MANIFEST_BUCKET, &key, Bytes::from(body))
-            .map_err(RegistryError::Storage)?;
-        self.store
-            .put_object(MANIFEST_BUCKET, &digest_key, sidecar)
-            .map_err(RegistryError::Storage)?;
-        Ok(())
+        with_key(&["manifests/", repository, "/", tag], |key| {
+            // Record the body's content digest alongside it so reads can
+            // detect storage bitrot on the manifest path — the same
+            // integrity model registries apply to layer blobs. A memo
+            // entry with a sidecar was verified against it, so when its
+            // body is byte-equal to this one its sidecar bytes are this
+            // body's digest already.
+            let sidecar = self
+                .parsed
+                .read()
+                .get(key)
+                .filter(|p| p.body == body)
+                .and_then(|p| p.sidecar.clone())
+                .unwrap_or_else(|| Bytes::from(Digest::of(&body).hex().to_string()));
+            with_key(&["digests/", repository, "/", tag], |digest_key| {
+                // Write order keeps every partial-failure state
+                // resolvable: drop the old sidecar first (resolve treats a
+                // missing record as "verification unavailable", never as
+                // corruption), then the body, then the fresh sidecar.
+                match self.store.delete_object(MANIFEST_BUCKET, digest_key) {
+                    Ok(()) | Err(StoreError::NoSuchKey(_)) => {}
+                    Err(e) => return Err(e),
+                }
+                self.store.put_object(MANIFEST_BUCKET, key, Bytes::from(body))?;
+                self.store.put_object(MANIFEST_BUCKET, digest_key, sidecar).map(drop)
+            })
+        })
+        .map_err(RegistryError::Storage)
     }
 
-    /// All `(repository, tag)` pairs with a stored manifest.
-    pub fn manifest_keys(&self) -> Result<Vec<(String, String)>, RegistryError> {
-        Ok(self
-            .store
-            .list_objects(MANIFEST_BUCKET, "manifests/")
-            .map_err(RegistryError::Storage)?
-            .into_iter()
-            .filter_map(|m| {
-                let (repo, tag) = m.key.strip_prefix("manifests/")?.rsplit_once('/')?;
-                Some((repo.to_string(), tag.to_string()))
-            })
-            .collect())
+    /// A snapshot of the manifest bucket, listed by [`tags`] without
+    /// copying a key. Drop it before writing a manifest.
+    pub(crate) fn manifest_bucket(&self) -> Result<Arc<Bucket>, RegistryError> {
+        self.store.bucket_snapshot(MANIFEST_BUCKET).map_err(RegistryError::Storage)
+    }
+
+    /// A snapshot of the blob bucket, listed by [`blob_hexes`] without
+    /// copying a key. Drop it before deleting a blob.
+    pub(crate) fn blob_bucket(&self) -> Result<Arc<Bucket>, RegistryError> {
+        self.store.bucket_snapshot(BLOB_BUCKET).map_err(RegistryError::Storage)
     }
 
     /// Load a manifest directly by repository and tag (GC path; bypasses
@@ -218,82 +240,84 @@ impl RegionalRegistry {
     ///
     /// Reads through the lineage's parse memo: a stored body byte-equal
     /// to a memoized one reuses that parse (a parse depends on the body
-    /// alone). Any other body is parsed, and its parse joins the memo only
-    /// if the body verifies against its digest sidecar: the memo holds
-    /// verified reads only, so a GC pass never makes a rotted or
-    /// unverified body resolvable.
+    /// alone), whether or not the entry was verified. Any other body is
+    /// parsed, and its parse joins the memo only if the body verifies
+    /// against its digest sidecar. Only memo entries with a sidecar are
+    /// verified reads ([`ManifestSource::resolve`] also memoizes a body
+    /// read without one), and a GC pass adds no entry without one, so it
+    /// never makes a rotted or unverified body resolvable.
     pub fn load_manifest(
         &self,
         repository: &str,
         tag: &str,
-    ) -> Result<ImageManifest, RegistryError> {
-        self.with_manifest(repository, tag, ImageManifest::clone)
+    ) -> Result<Arc<ImageManifest>, RegistryError> {
+        with_key(&["manifests/", repository, "/", tag], |key| {
+            let body =
+                self.store.get_object(MANIFEST_BUCKET, key).map_err(RegistryError::Storage)?;
+            if let Some(p) = self.parsed.read().get(key).filter(|p| p.body == body) {
+                return Ok(Arc::clone(&p.manifest));
+            }
+            let manifest: Arc<ImageManifest> = serde_json::from_slice(&body)
+                .map(Arc::new)
+                .map_err(|e| RegistryError::CorruptManifest(e.to_string()))?;
+            let sidecar = self.sidecar(repository, tag);
+            if sidecar.as_ref().is_some_and(|s| Digest::of(&body).hex().as_bytes() == &s[..]) {
+                self.memoize(key, body, sidecar, Arc::clone(&manifest));
+            }
+            Ok(manifest)
+        })
     }
 
-    /// [`RegionalRegistry::load_manifest`] lending the parse to `f`
-    /// instead of cloning it: a GC mark reads a few digests of each
-    /// manifest and keeps none of it.
-    pub(crate) fn with_manifest<R>(
+    /// The stored digest sidecar of `repository:tag`, if any.
+    fn sidecar(&self, repository: &str, tag: &str) -> Option<Bytes> {
+        with_key(&["digests/", repository, "/", tag], |key| {
+            self.store.get_object(MANIFEST_BUCKET, key).ok()
+        })
+    }
+
+    /// Insert a parse into the memo under `key`. At [`PARSE_MEMO_KEYS`]
+    /// keys the memo starts over.
+    fn memoize(
         &self,
-        repository: &str,
-        tag: &str,
-        f: impl FnOnce(&ImageManifest) -> R,
-    ) -> Result<R, RegistryError> {
-        let key = manifest_key(repository, tag);
-        let body = self.store.get_object(MANIFEST_BUCKET, &key).map_err(RegistryError::Storage)?;
-        if let Some(p) = self.parsed.read().get(&key).filter(|p| p.body == body) {
-            return Ok(f(&p.manifest));
-        }
-        let manifest: ImageManifest = serde_json::from_slice(&body)
-            .map_err(|e| RegistryError::CorruptManifest(e.to_string()))?;
-        let sidecar = self.store.get_object(MANIFEST_BUCKET, &sidecar_key(repository, tag)).ok();
-        if sidecar.as_ref().is_some_and(|s| Digest::of(&body).hex().as_bytes() == &s[..]) {
-            self.memoize(key, body, sidecar, &manifest);
-        }
-        Ok(f(&manifest))
-    }
-
-    /// Insert a verified parse into the memo. At [`PARSE_MEMO_KEYS`] keys
-    /// the memo starts over.
-    fn memoize(&self, key: String, body: Bytes, sidecar: Option<Bytes>, manifest: &ImageManifest) {
-        let parsed = ParsedManifest { body, sidecar, manifest: manifest.clone() };
+        key: &str,
+        body: Bytes,
+        sidecar: Option<Bytes>,
+        manifest: Arc<ImageManifest>,
+    ) {
+        let parsed = ParsedManifest { body, sidecar, manifest };
         let mut memo = self.parsed.write();
-        if memo.len() >= PARSE_MEMO_KEYS && !memo.contains_key(&key) {
+        if memo.len() >= PARSE_MEMO_KEYS && !memo.contains_key(key) {
             memo.clear();
         }
-        memo.insert(key, parsed);
+        memo.insert(key.to_string(), parsed);
     }
 
     /// Delete a manifest (the tag disappears; blobs stay until GC).
     pub fn delete_manifest(&mut self, repository: &str, tag: &str) -> Result<(), RegistryError> {
-        let key = manifest_key(repository, tag);
-        self.store.delete_object(MANIFEST_BUCKET, &key).map_err(RegistryError::Storage)?;
+        with_key(&["manifests/", repository, "/", tag], |key| {
+            self.store.delete_object(MANIFEST_BUCKET, key)
+        })
+        .map_err(RegistryError::Storage)?;
         // Integrity sidecar goes with it (absent for pre-digest pushes).
-        match self.store.delete_object(MANIFEST_BUCKET, &sidecar_key(repository, tag)) {
-            Ok(()) | Err(StoreError::NoSuchKey(_)) => Ok(()),
-            Err(e) => Err(RegistryError::Storage(e)),
-        }
-    }
-
-    /// All stored blob digests.
-    pub fn blob_digests(&self) -> Result<Vec<Digest>, RegistryError> {
-        Ok(self
-            .store
-            .list_objects(BLOB_BUCKET, "blobs/")
-            .map_err(RegistryError::Storage)?
-            .into_iter()
-            .filter_map(|m| Digest::from_hex(m.key.strip_prefix("blobs/")?))
-            .collect())
+        with_key(&["digests/", repository, "/", tag], |key| {
+            match self.store.delete_object(MANIFEST_BUCKET, key) {
+                Ok(()) | Err(StoreError::NoSuchKey(_)) => Ok(()),
+                Err(e) => Err(RegistryError::Storage(e)),
+            }
+        })
     }
 
     /// Delete one blob record (GC sweep).
     pub fn delete_blob(&mut self, digest: &Digest) -> Result<(), RegistryError> {
-        self.store.delete_object(BLOB_BUCKET, &blob_key(digest)).map_err(RegistryError::Storage)
+        with_key(&["blobs/", digest.hex()], |key| self.store.delete_object(BLOB_BUCKET, key))
+            .map_err(RegistryError::Storage)
     }
 
     /// Declared size of a stored blob, if present.
     pub fn blob_size(&self, digest: &Digest) -> Option<DataSize> {
-        let bytes = self.store.get_object(BLOB_BUCKET, &blob_key(digest)).ok()?;
+        let bytes = with_key(&["blobs/", digest.hex()], |key| {
+            self.store.get_object(BLOB_BUCKET, key).ok()
+        })?;
         let desc: crate::manifest::LayerDescriptor = serde_json::from_slice(&bytes).ok()?;
         Some(desc.size)
     }
@@ -307,18 +331,7 @@ impl BlobSource for RegionalRegistry {
     /// A presence check on `blobs/<hex>`, with the key built on the stack:
     /// pulls ask it for every layer, and it allocates nothing.
     fn has_blob(&self, digest: &Digest) -> bool {
-        const PREFIX: &[u8] = b"blobs/";
-        let hex = digest.hex().as_bytes();
-        let mut buf = [0u8; PREFIX.len() + 64];
-        let Some(key) = buf.get_mut(..PREFIX.len() + hex.len()) else {
-            // Longer than a SHA-256 hex (only a deserialized digest can
-            // be): build the key on the heap.
-            return self.store.contains_object(BLOB_BUCKET, &blob_key(digest));
-        };
-        key[..PREFIX.len()].copy_from_slice(PREFIX);
-        key[PREFIX.len()..].copy_from_slice(hex);
-        let key = std::str::from_utf8(key).expect("an ASCII prefix and a str are UTF-8");
-        self.store.contains_object(BLOB_BUCKET, key)
+        with_key(&["blobs/", digest.hex()], |key| self.store.contains_object(BLOB_BUCKET, key))
     }
 }
 
@@ -330,55 +343,57 @@ impl ManifestSource for RegionalRegistry {
     /// Read the stored manifest and its digest sidecar, verify the body
     /// against the sidecar (when one is recorded) and parse it. The
     /// verify-and-parse step is skipped only when both objects are
-    /// byte-equal to a read this lineage already verified; errors are
-    /// never memoized, and the platform is checked on every call.
+    /// byte-equal to a read this lineage already made; errors are never
+    /// memoized, and the platform is checked on every call. A memoized
+    /// read hands out the memo entry's shared manifest, so two resolves
+    /// of an unchanged tag return one allocation.
     fn resolve(
         &self,
         reference: &Reference,
         platform: Platform,
-    ) -> Result<ImageManifest, RegistryError> {
+    ) -> Result<Arc<ImageManifest>, RegistryError> {
         if reference.host != self.host {
             return Err(RegistryError::WrongRegistry {
                 expected: self.host.clone(),
                 got: reference.host.clone(),
             });
         }
-        let key = manifest_key(&reference.repository, &reference.tag);
-        let body = self.store.get_object(MANIFEST_BUCKET, &key).map_err(|e| match e {
-            StoreError::NoSuchKey(_) => RegistryError::ManifestNotFound(reference.canonical()),
-            other => RegistryError::Storage(other),
-        })?;
-        let digest_key = sidecar_key(&reference.repository, &reference.tag);
-        let sidecar = self.store.get_object(MANIFEST_BUCKET, &digest_key).ok();
-        // Both objects byte-equal to a memoized read: hashing and
-        // parsing them again would give the same result.
-        let memoized = self
-            .parsed
-            .read()
-            .get(&key)
-            .filter(|p| p.body == body && p.sidecar == sidecar)
-            .map(|p| p.manifest.clone());
-        let manifest = match memoized {
-            Some(manifest) => manifest,
-            None => {
-                // Verify the stored body against its recorded content
-                // digest — a rotted manifest must surface as corruption,
-                // not parse garbage. No sidecar means verification is
-                // unavailable, never corruption.
-                if let Some(recorded) = &sidecar {
-                    let actual = Digest::of(&body);
-                    if actual.hex().as_bytes() != &recorded[..] {
-                        return Err(RegistryError::CorruptManifest(format!(
-                            "manifest {key} digest mismatch: stored body hashes to {actual}"
-                        )));
-                    }
-                }
-                let manifest: ImageManifest = serde_json::from_slice(&body)
-                    .map_err(|e| RegistryError::CorruptManifest(e.to_string()))?;
-                self.memoize(key, body, sidecar, &manifest);
-                manifest
+        let (repository, tag) = (reference.repository.as_str(), reference.tag.as_str());
+        let manifest = with_key(&["manifests/", repository, "/", tag], |key| {
+            let body = self.store.get_object(MANIFEST_BUCKET, key).map_err(|e| match e {
+                StoreError::NoSuchKey(_) => RegistryError::ManifestNotFound(reference.canonical()),
+                other => RegistryError::Storage(other),
+            })?;
+            let sidecar = self.sidecar(repository, tag);
+            // Both objects byte-equal to a memoized read: hashing and
+            // parsing them again would give the same result.
+            let memoized = self
+                .parsed
+                .read()
+                .get(key)
+                .filter(|p| p.body == body && p.sidecar == sidecar)
+                .map(|p| Arc::clone(&p.manifest));
+            if let Some(manifest) = memoized {
+                return Ok(manifest);
             }
-        };
+            // Verify the stored body against its recorded content digest
+            // — a rotted manifest must surface as corruption, not parse
+            // garbage. No sidecar means verification is unavailable,
+            // never corruption.
+            if let Some(recorded) = &sidecar {
+                let actual = Digest::of(&body);
+                if actual.hex().as_bytes() != &recorded[..] {
+                    return Err(RegistryError::CorruptManifest(format!(
+                        "manifest {key} digest mismatch: stored body hashes to {actual}"
+                    )));
+                }
+            }
+            let manifest: Arc<ImageManifest> = serde_json::from_slice(&body)
+                .map(Arc::new)
+                .map_err(|e| RegistryError::CorruptManifest(e.to_string()))?;
+            self.memoize(key, body, sidecar, Arc::clone(&manifest));
+            Ok(manifest)
+        })?;
         if manifest.platform != platform {
             return Err(RegistryError::PlatformMismatch {
                 reference: reference.canonical(),
@@ -390,17 +405,8 @@ impl ManifestSource for RegionalRegistry {
     }
 
     fn repositories(&self) -> Vec<String> {
-        let mut repos: Vec<String> = self
-            .store
-            .list_objects(MANIFEST_BUCKET, "manifests/")
-            .unwrap_or_default()
-            .into_iter()
-            .filter_map(|m| {
-                // manifests/<repo...>/<tag> — strip prefix and tag.
-                let (repo, _tag) = m.key.strip_prefix("manifests/")?.rsplit_once('/')?;
-                Some(repo.to_string())
-            })
-            .collect();
+        let Ok(manifests) = self.manifest_bucket() else { return Vec::new() };
+        let mut repos: Vec<String> = tags(&manifests).map(|(repo, _)| repo.to_string()).collect();
         repos.sort_unstable();
         repos.dedup();
         repos
@@ -489,7 +495,7 @@ mod tests {
 
     /// Resolve vp-frame twice and check the second read found a memo
     /// entry for the stored bytes.
-    fn warm_frame(reg: &RegionalRegistry) -> ImageManifest {
+    fn warm_frame(reg: &RegionalRegistry) -> Arc<ImageManifest> {
         let cold = reg.resolve(&frame(), Platform::Amd64).unwrap();
         assert!(reg.parsed.read().contains_key(FRAME_KEY), "first resolve memoizes its parse");
         let warm = reg.resolve(&frame(), Platform::Amd64).unwrap();
@@ -512,6 +518,62 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn resolves_share_one_manifest_allocation() {
+        let reg = own_lineage();
+        let first = warm_frame(&reg);
+        let second = reg.resolve(&frame(), Platform::Amd64).unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+        // A fork reads through the same memo, and so does GC's load.
+        assert!(Arc::ptr_eq(&first, &reg.fork().resolve(&frame(), Platform::Amd64).unwrap()));
+        assert!(Arc::ptr_eq(&first, &reg.load_manifest("aau/vp-frame", "amd64").unwrap()));
+    }
+
+    #[test]
+    fn shared_resolves_still_see_every_tag_change() {
+        let cat = paper_catalog();
+        let transcode = find_entry(&cat, "video-processing", "transcode").unwrap();
+        let retagged = transcode.manifest(Platform::Amd64).clone();
+        // A deleted tag.
+        let mut reg = own_lineage();
+        let shared = warm_frame(&reg);
+        reg.delete_manifest("aau/vp-frame", "amd64").unwrap();
+        assert!(matches!(
+            reg.resolve(&frame(), Platform::Amd64).unwrap_err(),
+            RegistryError::ManifestNotFound(_)
+        ));
+        // A re-push of another manifest under the tag.
+        reg.push_manifest("aau/vp-frame", "amd64", &retagged).unwrap();
+        let repushed = reg.resolve(&frame(), Platform::Amd64).unwrap();
+        assert!(!Arc::ptr_eq(&repushed, &shared));
+        assert_eq!(*repushed, retagged);
+        assert_ne!(*shared, retagged, "a handed-out manifest keeps its bytes");
+        // Bitrot under a warm memo entry.
+        let reg = own_lineage();
+        warm_frame(&reg);
+        rot_frame_body(&reg);
+        assert!(matches!(
+            reg.resolve(&frame(), Platform::Amd64).unwrap_err(),
+            RegistryError::CorruptManifest(_)
+        ));
+    }
+
+    #[test]
+    fn long_keys_take_the_heap_path() {
+        let mut reg = own_lineage();
+        let repo = format!("aau/{}", "x".repeat(STACK_KEY));
+        let m = ImageManifest::synthetic(&repo, Platform::Amd64, &[(&repo, DataSize::bytes(9))]);
+        reg.push_manifest(&repo, "amd64", &m).unwrap();
+        let r = Reference::new(REGIONAL_HOST, &repo, "amd64");
+        assert_eq!(*reg.resolve(&r, Platform::Amd64).unwrap(), m);
+        assert!(tags(&reg.manifest_bucket().unwrap()).any(|listed| listed == (&repo, "amd64")));
+        reg.delete_manifest(&repo, "amd64").unwrap();
+        assert!(reg.resolve(&r, Platform::Amd64).is_err());
+        with_key(&["ab", "", "c"], |key| assert_eq!(key, "abc"));
+        let long = "y".repeat(STACK_KEY + 1);
+        with_key(&[&long], |key| assert_eq!(key, long));
     }
 
     #[test]
@@ -540,7 +602,7 @@ mod tests {
         let unverified = reg.resolve(&frame(), Platform::Amd64).unwrap();
         assert_ne!(unverified, pushed);
         let body = reg.store().get_object(MANIFEST_BUCKET, FRAME_KEY).unwrap();
-        assert_eq!(unverified, serde_json::from_slice::<ImageManifest>(&body).unwrap());
+        assert_eq!(*unverified, serde_json::from_slice::<ImageManifest>(&body).unwrap());
     }
 
     #[test]
@@ -579,7 +641,7 @@ mod tests {
         let mut repushing = original.fork();
         repushing.push_manifest("aau/vp-frame", "amd64", &replacement).unwrap();
         for _ in 0..2 {
-            assert_eq!(repushing.resolve(&frame(), Platform::Amd64).unwrap(), replacement);
+            assert_eq!(*repushing.resolve(&frame(), Platform::Amd64).unwrap(), replacement);
             assert_eq!(original.resolve(&frame(), Platform::Amd64).unwrap(), pushed);
         }
     }
@@ -661,7 +723,7 @@ mod tests {
         let body = reg.store().get_object(MANIFEST_BUCKET, FRAME_KEY).unwrap();
         let sidecar = reg.store().get_object(MANIFEST_BUCKET, FRAME_SIDECAR).unwrap();
         assert_eq!(&sidecar[..], Digest::of(&body).hex().as_bytes());
-        assert_eq!(reg.resolve(&frame(), Platform::Amd64).unwrap(), retagged);
+        assert_eq!(*reg.resolve(&frame(), Platform::Amd64).unwrap(), retagged);
     }
 
     #[test]
@@ -786,7 +848,7 @@ mod tests {
             let manifest = ImageManifest::synthetic(&repo, Platform::Amd64, &[(&repo, size)]);
             reg.push_manifest(&repo, "amd64", &manifest).unwrap();
             let r = Reference::new(REGIONAL_HOST, &repo, "amd64");
-            assert_eq!(reg.resolve(&r, Platform::Amd64).unwrap(), manifest);
+            assert_eq!(*reg.resolve(&r, Platform::Amd64).unwrap(), manifest);
             assert!(reg.parsed.read().len() <= PARSE_MEMO_KEYS);
         }
         // GC's verified parses follow the same rule.
@@ -867,7 +929,7 @@ mod tests {
                 for m in &entry.manifests {
                     let r =
                         Reference::new(REGIONAL_HOST, &entry.regional_repository, m.platform.tag());
-                    assert_eq!(reg.resolve(&r, m.platform).unwrap(), *m, "capacity {capacity}");
+                    assert_eq!(*reg.resolve(&r, m.platform).unwrap(), *m, "capacity {capacity}");
                 }
             }
             // The failed publish never leaves a tag that reads as anything
@@ -876,7 +938,7 @@ mod tests {
                 let r =
                     Reference::new(REGIONAL_HOST, &failed.regional_repository, m.platform.tag());
                 match reg.resolve(&r, m.platform) {
-                    Ok(got) => assert_eq!(got, *m, "capacity {capacity}"),
+                    Ok(got) => assert_eq!(*got, *m, "capacity {capacity}"),
                     Err(e) => {
                         assert!(matches!(e, RegistryError::ManifestNotFound(_)), "{e:?}")
                     }

@@ -24,6 +24,7 @@ use crate::pull::RegistryError;
 use crate::{BlobSource, ManifestSource, Registry};
 use deep_netsim::{splitmix64, unit_f64, Seconds};
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// Retry policy: exponential backoff with a cap and seeded jitter.
 #[derive(Debug, Clone, Copy)]
@@ -124,7 +125,7 @@ impl<R: Registry> ManifestSource for FlakyRegistry<R> {
         &self,
         reference: &Reference,
         platform: Platform,
-    ) -> Result<ImageManifest, RegistryError> {
+    ) -> Result<Arc<ImageManifest>, RegistryError> {
         let left = self.remaining_failures.get();
         if left > 0 {
             self.remaining_failures.set(left - 1);
@@ -202,7 +203,7 @@ impl<R: Registry> ManifestSource for FaultySource<R> {
         &self,
         reference: &Reference,
         platform: Platform,
-    ) -> Result<ImageManifest, RegistryError> {
+    ) -> Result<Arc<ImageManifest>, RegistryError> {
         self.inner.resolve(reference, platform)
     }
 

@@ -18,13 +18,14 @@ use crate::chaos::{ChaosEvent, ChaosKind};
 use crate::jitter::Jitter;
 use crate::metrics::{MicroserviceMetrics, RunReport};
 use crate::schedule::{Placement, RegistryChoice, Schedule};
-use crate::testbed::{peer_holder, PeerViews, RouteLoads, Testbed};
+use crate::testbed::{lookup_entry, peer_holder, PeerViews, RouteLoads, Testbed};
 use crate::trace::{ChaosEffect, Monitor, Recorder, Subject, Trace, TraceKind};
 use deep_dataflow::{stages, Application, MicroserviceId};
 use deep_energy::Joules;
 use deep_netsim::{DataSize, DeviceId, RegistryId, Seconds};
 use deep_registry::{FaultPlan, LayerCache, PullOutcome, PullSession, Reference, RegistryError};
 use std::fmt;
+use std::sync::Arc;
 
 /// How pulls discover which fleet peers hold which layers (only
 /// consulted when [`ExecutorConfig::peer_sharing`] is on).
@@ -264,7 +265,7 @@ pub fn validate_schedule(
 /// deployment (paper behaviour), one flat wave otherwise.
 pub fn plan_waves(app: &Application, staged: bool) -> Vec<Vec<MicroserviceId>> {
     if staged {
-        stages(app).iter().map(|s| s.members.clone()).collect()
+        stages(app).into_iter().map(|s| s.members).collect()
     } else {
         vec![app.ids().collect()]
     }
@@ -281,30 +282,26 @@ pub struct JobRun {
     /// The job's number in its session, naming its monitored events.
     job: usize,
     started: Seconds,
-    td: Vec<Seconds>,
-    tc: Vec<Seconds>,
-    tp: Vec<Seconds>,
-    downloaded_mb: Vec<f64>,
-    sources: Vec<Vec<deep_registry::SourcePull>>,
-    failed_sources: Vec<Vec<RegistryId>>,
-    backoff: Vec<Seconds>,
-    energy: Vec<Joules>,
+    /// Per microservice, by id.
+    members: Vec<MemberRun>,
+}
+
+/// One microservice's measurements within a [`JobRun`].
+#[derive(Debug, Clone, Default)]
+struct MemberRun {
+    td: Seconds,
+    tc: Seconds,
+    tp: Seconds,
+    downloaded_mb: f64,
+    sources: Vec<deep_registry::SourcePull>,
+    failed_sources: Vec<RegistryId>,
+    backoff: Seconds,
+    energy: Joules,
 }
 
 impl JobRun {
     fn new(job: usize, len: usize, started: Seconds) -> JobRun {
-        JobRun {
-            job,
-            started,
-            td: vec![Seconds::ZERO; len],
-            tc: vec![Seconds::ZERO; len],
-            tp: vec![Seconds::ZERO; len],
-            downloaded_mb: vec![0.0; len],
-            sources: vec![Vec::new(); len],
-            failed_sources: vec![Vec::new(); len],
-            backoff: vec![Seconds::ZERO; len],
-            energy: vec![Joules::ZERO; len],
-        }
+        JobRun { job, started, members: vec![MemberRun::default(); len] }
     }
 
     /// Executor clock when the job began.
@@ -314,9 +311,7 @@ impl JobRun {
 
     /// Fold the accumulated measurements into a [`RunReport`]; `end` is
     /// the executor clock after the job's last wave. The per-member source
-    /// lists are handed out at exact size: reports outlive the run (a
-    /// soak keeps every replication's), and a pull's growth slack would
-    /// ride along in each of them.
+    /// lists move in as the pull built them, at exact size.
     pub fn into_report(
         mut self,
         app: &Application,
@@ -327,17 +322,18 @@ impl JobRun {
             .ids()
             .map(|id| {
                 let ms = app.microservice(id);
+                let member = &mut self.members[id.0];
                 MicroserviceMetrics {
                     name: ms.name.clone(),
                     placement: schedule.placement(id),
-                    td: self.td[id.0],
-                    tc: self.tc[id.0],
-                    tp: self.tp[id.0],
-                    downloaded_mb: self.downloaded_mb[id.0],
-                    sources: exact(std::mem::take(&mut self.sources[id.0])),
-                    failed_sources: exact(std::mem::take(&mut self.failed_sources[id.0])),
-                    backoff_total: self.backoff[id.0],
-                    energy: self.energy[id.0],
+                    td: member.td,
+                    tc: member.tc,
+                    tp: member.tp,
+                    downloaded_mb: member.downloaded_mb,
+                    sources: std::mem::take(&mut member.sources),
+                    failed_sources: std::mem::take(&mut member.failed_sources),
+                    backoff_total: member.backoff,
+                    energy: member.energy,
                 }
             })
             .collect();
@@ -347,11 +343,6 @@ impl JobRun {
             makespan: end - self.started,
         }
     }
-}
-
-/// `v` with its capacity cut to its length.
-fn exact<T>(v: Vec<T>) -> Vec<T> {
-    v.into_boxed_slice().into_vec()
 }
 
 /// The executor's persistent cross-wave state, split out of
@@ -382,6 +373,9 @@ pub struct OnlineExecutor<M = Trace> {
     fault_plan: Option<FaultPlan>,
     timeline: Vec<ChaosEvent>,
     next_event: usize,
+    /// The same-wave route ledger, zeroed at each wave barrier and kept
+    /// across waves, so a wave allocates no lanes its predecessors made.
+    route_load: RouteLoads,
     /// The epidemic discovery plane, present iff `cfg.peer_sharing` with
     /// [`PeerDiscovery::Gossip`]. Session-scoped, like the fault plan:
     /// views persist across waves (and across jobs in an online
@@ -537,6 +531,7 @@ impl<M: Monitor> OnlineExecutor<M> {
             fault_plan,
             timeline,
             next_event: 0,
+            route_load: RouteLoads::new(testbed.devices.len()),
             gossip,
         }
     }
@@ -620,6 +615,7 @@ impl<M: Monitor> OnlineExecutor<M> {
             ref fault_plan,
             ref timeline,
             ref mut next_event,
+            ref mut route_load,
             ref mut gossip,
         } = *self;
 
@@ -627,9 +623,9 @@ impl<M: Monitor> OnlineExecutor<M> {
         // Same-wave contention is charged per *contention resource*
         // (`route_key`): a split pull loads every route its bytes
         // actually traverse — registry routes per (source, pulling
-        // device), peer traffic on the serving device's uplink. Fresh
-        // per wave, so peer-holder lanes never outlive their wave.
-        let mut route_load = RouteLoads::new(testbed.devices.len());
+        // device), peer traffic on the serving device's uplink. Zeroed
+        // per wave, so no load outlives its wave.
+        route_load.reset(testbed.devices.len());
         // Peer views taken at the wave barrier: peers advertise what they
         // held when the wave began (a gossip round per barrier),
         // decoupling the views from the per-pull cache updates below.
@@ -662,16 +658,20 @@ impl<M: Monitor> OnlineExecutor<M> {
             recorder,
         )?;
         let job = run.job;
+        // The catalog, held apart from the testbed the pulls mutate: each
+        // pull borrows its image's reference from it.
+        let entries = Arc::clone(&testbed.entries);
         // The wave's pull completions, in pull order.
         let mut completions: Vec<(Seconds, MicroserviceId)> = Vec::with_capacity(wave.len());
         for &id in wave {
             let ms = app.microservice(id);
             let placement = schedule.placement(id);
-            let entry =
-                testbed.entry(app.name(), &ms.name).ok_or_else(|| ExecError::UnknownImage {
+            let entry = lookup_entry(&entries, app.name(), &ms.name).ok_or_else(|| {
+                ExecError::UnknownImage {
                     application: app.name().to_string(),
                     microservice: ms.name.clone(),
-                })?;
+                }
+            })?;
             let reference =
                 testbed.reference(entry, placement.registry, testbed.device(placement.device).arch);
             let pull_idx = *pull_counter;
@@ -689,9 +689,9 @@ impl<M: Monitor> OnlineExecutor<M> {
             let pulled = pull_through(
                 testbed,
                 placement,
-                &reference,
+                reference,
                 &mut cache,
-                &route_load,
+                route_load,
                 &peer_views,
                 faults,
             );
@@ -703,11 +703,12 @@ impl<M: Monitor> OnlineExecutor<M> {
             // uplink rather than the puller's download route.
             route_load.charge_pull(testbed.params.contention_threshold, &outcome, placement.device);
             let t = jitter.apply(outcome.deployment_time());
-            run.td[id.0] = t;
-            run.downloaded_mb[id.0] = outcome.downloaded.as_megabytes();
-            run.sources[id.0] = outcome.per_source;
-            run.failed_sources[id.0] = outcome.failed_sources;
-            run.backoff[id.0] = outcome.backoff_total;
+            let member = &mut run.members[id.0];
+            member.td = t;
+            member.downloaded_mb = outcome.downloaded.as_megabytes();
+            member.sources = outcome.per_source;
+            member.failed_sources = outcome.failed_sources;
+            member.backoff = outcome.backoff_total;
             completions.push((t, id));
         }
         // Deployment is concurrent: record the completions in time order
@@ -754,11 +755,12 @@ impl<M: Monitor> OnlineExecutor<M> {
             *clock += proc;
             recorder.record(*clock, TraceKind::ProcessingFinished, placement.device, subject);
 
-            run.tc[id.0] = transfer;
-            run.tp[id.0] = proc;
+            let member = &mut run.members[id.0];
+            member.tc = transfer;
+            member.tp = proc;
 
             // Analytic energy over all three phases of this microservice.
-            run.energy[id.0] = device.phase_energy(process_watts, run.td[id.0], transfer, proc);
+            member.energy = device.phase_energy(process_watts, member.td, transfer, proc);
         }
         recorder.record(
             *clock,
@@ -1034,7 +1036,7 @@ mod tests {
                 let reference = tb.reference(entry, RegistryChoice::Hub, Platform::Arm64);
                 tb.pull_mesh(RegistryChoice::Hub, crate::testbed::DEVICE_CLOUD, 1.0)
                     .session(RegistryChoice::Hub.registry_id())
-                    .pull(&reference, Platform::Arm64, &mut cache)
+                    .pull(reference, Platform::Arm64, &mut cache)
                     .unwrap();
             }
             tb.device_mut(crate::testbed::DEVICE_CLOUD).cache = cache;

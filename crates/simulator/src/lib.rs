@@ -60,8 +60,8 @@ pub use jitter::Jitter;
 pub use metrics::{MicroserviceMetrics, RunReport};
 pub use schedule::{Placement, RegistryChoice, Schedule};
 pub use testbed::{
-    peer_holder, peer_source_id, route_key, PeerPlane, PeerViews, RegionalMirror, RouteLoads,
-    Testbed, TestbedParams, DEVICE_CLOUD, DEVICE_MEDIUM, DEVICE_SMALL, REGISTRY_MIRROR_BASE,
-    REGISTRY_PEER, REGISTRY_PEER_BASE,
+    peer_holder, peer_source_id, route_key, PeerPlane, PeerViews, PublishedEntry, RegionalMirror,
+    RouteLoads, Testbed, TestbedParams, DEVICE_CLOUD, DEVICE_MEDIUM, DEVICE_SMALL,
+    REGISTRY_MIRROR_BASE, REGISTRY_PEER, REGISTRY_PEER_BASE,
 };
 pub use trace::{ChaosEffect, Monitor, Subject, Trace, TraceEvent, TraceKind};

@@ -41,6 +41,7 @@ use deep_registry::{
     Reference, RegionalRegistry, Registry, RegistryMesh, SourceParams,
 };
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 /// Device id of the Intel i7-7700 "medium" device.
@@ -153,6 +154,16 @@ impl RouteLoads {
                 }
                 lane[key.1] += 1;
             }
+        }
+    }
+
+    /// Wave barrier on a testbed of `slots` devices: [`RouteLoads::clear`]
+    /// while the device count is unchanged, a fresh ledger otherwise.
+    pub(crate) fn reset(&mut self, slots: usize) {
+        if slots == self.slots {
+            self.clear();
+        } else {
+            *self = RouteLoads::new(slots);
         }
     }
 
@@ -555,14 +566,75 @@ pub struct Testbed {
     pub(crate) entries: Arc<CatalogEntries>,
 }
 
-/// application → microservice → catalog entry, so a lookup borrows both
-/// names.
-type CatalogEntries = HashMap<String, HashMap<String, CatalogEntry>>;
+/// application → microservice → published entry, so a lookup borrows
+/// both names.
+pub(crate) type CatalogEntries = HashMap<String, HashMap<String, PublishedEntry>>;
+
+/// The entry `entries` publishes for `(application, microservice)`.
+pub(crate) fn lookup_entry<'e>(
+    entries: &'e CatalogEntries,
+    application: &str,
+    microservice: &str,
+) -> Option<&'e PublishedEntry> {
+    entries.get(application)?.get(microservice)
+}
 
 /// Insert `entry` under its application and microservice.
 fn insert_entry(entries: &mut CatalogEntries, entry: CatalogEntry) {
     let row = entries.entry(entry.application.clone()).or_default();
-    row.insert(entry.microservice.clone(), entry);
+    row.insert(entry.microservice.clone(), PublishedEntry::new(entry));
+}
+
+/// A catalog entry as a testbed publishes it: the entry, plus the four
+/// references it resolves under (hub and regional namespace, each per
+/// platform). The first pull that names the entry builds all four, out of
+/// line, and every later pull borrows one through [`Testbed::reference`];
+/// an entry no pull names carries none. Dereferences to the
+/// [`CatalogEntry`]; two published entries are equal when their catalog
+/// entries are.
+#[derive(Debug, Clone)]
+pub struct PublishedEntry {
+    entry: CatalogEntry,
+    /// Hub amd64, hub arm64, regional amd64, regional arm64.
+    references: OnceLock<Box<[Reference; 4]>>,
+}
+
+impl PublishedEntry {
+    fn new(entry: CatalogEntry) -> Self {
+        PublishedEntry { entry, references: OnceLock::new() }
+    }
+
+    /// The reference of `platform`'s image in the regional namespace, or
+    /// in the hub's.
+    fn reference(&self, regional: bool, platform: Platform) -> &Reference {
+        let arch = match platform {
+            Platform::Amd64 => 0,
+            Platform::Arm64 => 1,
+        };
+        let references = self.references.get_or_init(|| {
+            Box::new([
+                self.entry.hub_reference(Platform::Amd64),
+                self.entry.hub_reference(Platform::Arm64),
+                self.entry.regional_reference(Platform::Amd64),
+                self.entry.regional_reference(Platform::Arm64),
+            ])
+        });
+        &references[2 * usize::from(regional) + arch]
+    }
+}
+
+impl PartialEq for PublishedEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.entry == other.entry
+    }
+}
+
+impl Deref for PublishedEntry {
+    type Target = CatalogEntry;
+
+    fn deref(&self) -> &CatalogEntry {
+        &self.entry
+    }
 }
 
 /// The Table I catalog keyed for [`Testbed::entry`], built once per
@@ -758,8 +830,8 @@ impl Testbed {
     }
 
     /// Catalog entry for `(application, microservice)`, if published.
-    pub fn entry(&self, application: &str, microservice: &str) -> Option<&CatalogEntry> {
-        self.entries.get(application)?.get(microservice)
+    pub fn entry(&self, application: &str, microservice: &str) -> Option<&PublishedEntry> {
+        lookup_entry(&self.entries, application, microservice)
     }
 
     /// Replace (or insert) the catalog entry used for reference lookup —
@@ -805,8 +877,8 @@ impl Testbed {
         let mut registry = RegionalRegistry::with_paper_catalog();
         let paper = paper_entries();
         for entry in self.entries.values().flat_map(HashMap::values) {
-            let row = paper.get(&entry.application);
-            if row.and_then(|row| row.get(&entry.microservice)) != Some(entry) {
+            let published = lookup_entry(&paper, &entry.application, &entry.microservice);
+            if !published.is_some_and(|p| std::ptr::eq(p, entry) || p == entry) {
                 registry.publish(entry).expect("mirror capacity fits the published catalog");
             }
         }
@@ -907,18 +979,19 @@ impl Testbed {
         }
     }
 
-    /// The reference `entry` is published under on `choice`'s registry.
-    /// Mirrors serve the regional namespace.
-    pub fn reference(
+    /// The reference `entry` is published under on `choice`'s registry,
+    /// lent from the entry (built once, by its first pull). Mirrors serve
+    /// the regional namespace.
+    pub fn reference<'e>(
         &self,
-        entry: &CatalogEntry,
+        entry: &'e PublishedEntry,
         choice: RegistryChoice,
         platform: Platform,
-    ) -> Reference {
+    ) -> &'e Reference {
         match choice.registry_id().0 {
-            0 => entry.hub_reference(platform),
-            1 => entry.regional_reference(platform),
-            _ if self.mirror(choice).is_some() => entry.regional_reference(platform),
+            0 => entry.reference(false, platform),
+            1 => entry.reference(true, platform),
+            _ if self.mirror(choice).is_some() => entry.reference(true, platform),
             n => panic!("no reference namespace for mesh id r{n}"),
         }
     }
@@ -1177,7 +1250,7 @@ mod tests {
         let out = t
             .pull_mesh(mirror, DEVICE_MEDIUM, 1.0)
             .session(mirror.registry_id())
-            .pull(&reference, Platform::Amd64, &mut cache)
+            .pull(reference, Platform::Amd64, &mut cache)
             .expect("mirror serves generated workloads");
         assert!(out.downloaded > DataSize::ZERO);
     }
@@ -1196,10 +1269,32 @@ mod tests {
     }
 
     #[test]
+    fn published_references_are_built_once_and_lent() {
+        let mut t = Testbed::paper();
+        let mirror = t.add_regional_mirror(Bandwidth::megabytes_per_sec(9.5), Seconds::new(5.0));
+        let entry = t.entry("text-processing", "retrieve").unwrap();
+        for platform in [Platform::Amd64, Platform::Arm64] {
+            let hub = t.reference(entry, RegistryChoice::Hub, platform);
+            assert_eq!(*hub, entry.hub_reference(platform));
+            let regional = t.reference(entry, RegistryChoice::Regional, platform);
+            assert_eq!(*regional, entry.regional_reference(platform));
+            assert!(std::ptr::eq(hub, t.reference(entry, RegistryChoice::Hub, platform)));
+            assert!(std::ptr::eq(regional, t.reference(entry, mirror, platform)));
+        }
+        // A replica shares the catalog, and with it the built references.
+        let replica = t.replica();
+        let shared = replica.entry("text-processing", "retrieve").unwrap();
+        assert!(std::ptr::eq(
+            t.reference(entry, RegistryChoice::Hub, Platform::Arm64),
+            replica.reference(shared, RegistryChoice::Hub, Platform::Arm64),
+        ));
+    }
+
+    #[test]
     fn mirrors_equal_a_full_republication() {
         let mut t = Testbed::paper();
         t.publish_application(&deep_dataflow::DagGenerator::default().generate(7));
-        let mut variant = t.entry("text-processing", "retrieve").unwrap().clone();
+        let mut variant = CatalogEntry::clone(t.entry("text-processing", "retrieve").unwrap());
         variant.manifests.iter_mut().for_each(|m| m.layers.truncate(1));
         t.replace_entry(variant);
         let mirror = t.add_regional_mirror(Bandwidth::megabytes_per_sec(9.5), Seconds::new(5.0));

@@ -94,7 +94,7 @@ impl<'t> SeedContext<'t> {
         let slowdown = self.testbed.params.contention_factor(load);
         let outcome = self
             .planner(registry, device, slowdown)
-            .estimate(self.testbed.registry(registry), &reference, dev.arch, &self.caches[device.0])
+            .estimate(self.testbed.registry(registry), reference, dev.arch, &self.caches[device.0])
             .expect("catalog images resolve");
         let td = outcome.deployment_time();
         let mut tc = Seconds::ZERO;
@@ -116,7 +116,7 @@ impl<'t> SeedContext<'t> {
             .planner(placement.registry, placement.device, 1.0)
             .pull(
                 self.testbed.registry(placement.registry),
-                &reference,
+                reference,
                 dev.arch,
                 &mut self.caches[placement.device.0],
             )
