@@ -131,12 +131,12 @@ mod tests {
         assert!(windows[0].is_dark());
         assert!(windows[0].active_at(Seconds::new(50.0)));
         // The inferred window lands in the scheduler's fault view.
-        let model = state.apply(&FaultModel::reliable());
+        let model = state.apply(&FaultModel::default());
         assert!(model.dark_at(hub, Seconds::new(50.0)));
         // One successful serve retracts the inference.
         assert!(state.observe(&cfg, &report(&[], &[hub]), Seconds::new(60.0)));
         assert!(state.windows().is_empty());
-        assert!(!state.apply(&FaultModel::reliable()).has_windows());
+        assert!(state.apply(&FaultModel::default()).windows().is_empty());
     }
 
     #[test]

@@ -111,11 +111,6 @@ impl ArrivalOutcome {
         self.measured().map(|j| j.queue_depth as f64).sum::<f64>() / n.max(1) as f64
     }
 
-    /// Deepest backlog any measured admission saw.
-    pub fn max_queue_depth(&self) -> usize {
-        self.measured().map(|j| j.queue_depth).max().unwrap_or(0)
-    }
-
     /// Measured microservice deployments that lost at least one source
     /// fatally.
     pub fn failovers(&self) -> usize {

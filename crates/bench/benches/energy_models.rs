@@ -2,12 +2,17 @@
 //! every microservice's energy.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use deep_energy::DevicePowerModel;
+use deep_energy::{DevicePowerModel, Watts};
 use deep_netsim::Seconds;
 use std::hint::black_box;
 
 fn bench_power_model(c: &mut Criterion) {
-    let model = DevicePowerModel::intel_i7_7700();
+    let model = DevicePowerModel::per_phase(
+        Watts::new(2.0),
+        Watts::new(2.5),
+        Watts::new(2.0),
+        Watts::new(6.0),
+    );
     c.bench_function("power_model_energy", |b| {
         b.iter(|| {
             let mut total = 0.0;

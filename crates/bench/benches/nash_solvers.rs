@@ -1,8 +1,8 @@
 //! Nash-equilibrium solver performance: support enumeration across game
-//! sizes, plus the classic validation games.
+//! sizes, plus the prisoner's dilemma.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use deep_game::{classic, support_enumeration, Bimatrix, Matrix};
+use deep_game::{support_enumeration, Bimatrix, Matrix};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -29,7 +29,9 @@ fn bench_deployment_shaped_game(c: &mut Criterion) {
     // The 2×2 (registry × device) game DEEP solves per microservice.
     let game = random_bimatrix(2, 2, 99);
     c.bench_function("deep_stage_game_2x2", |b| b.iter(|| black_box(support_enumeration(&game))));
-    let pd = classic::prisoners_dilemma();
+    // (T, R, P, S) = (5, 3, 1, 0); action 0 cooperates, 1 defects.
+    let pd_row = Matrix::from_rows(&[vec![3.0, 0.0], vec![5.0, 1.0]]);
+    let pd = Bimatrix::new(pd_row.clone(), pd_row.transpose());
     c.bench_function("prisoners_dilemma", |b| b.iter(|| black_box(support_enumeration(&pd))));
 }
 

@@ -1,4 +1,4 @@
-//! Run every table/figure regeneration in sequence (EXPERIMENTS.md source).
+//! Run every table/figure regeneration in sequence.
 
 fn main() {
     let exp = deep_bench::experiments_from_args();

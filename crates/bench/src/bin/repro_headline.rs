@@ -15,6 +15,7 @@ fn main() {
         h.text_regional_share * 100.0
     );
     println!(
-        "\npaper: video ~14 J (0.2 %), text ~18 J (0.34 %); shape preserved, see EXPERIMENTS.md."
+        "\npaper: video ~14 J (0.2 %), text ~18 J (0.34 %); deep-core's \
+         headline_matches_paper_shape test checks the shape."
     );
 }

@@ -10,5 +10,8 @@ fn main() {
     );
     let rows = exp.table2();
     print!("{}", exp.render_table2(&rows));
-    println!("\npaper columns shown alongside; see EXPERIMENTS.md for the deviation accounting.");
+    println!(
+        "\npaper columns shown alongside; tests/calibration_against_paper.rs bounds each \
+         row's energy at 0.25-3x of the paper's."
+    );
 }

@@ -1,6 +1,5 @@
 //! Ergonomic application construction.
 
-use crate::compute::Mi;
 use crate::dag::{Application, DagError, MicroserviceId};
 use crate::flow::Dataflow;
 use crate::microservice::Microservice;
@@ -66,16 +65,6 @@ impl ApplicationBuilder {
         id
     }
 
-    /// Convenience: microservice with [`Requirements::minimal`].
-    pub fn simple(
-        &mut self,
-        name: impl Into<String>,
-        image_size: DataSize,
-        cpu: Mi,
-    ) -> MicroserviceId {
-        self.microservice(name, image_size, Requirements::minimal(cpu))
-    }
-
     /// Add a dataflow between two named microservices.
     pub fn flow(&mut self, from: &str, to: &str, size: DataSize) -> &mut Self {
         self.flows.push((from.to_string(), to.to_string(), size));
@@ -97,6 +86,19 @@ impl ApplicationBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compute::Mi;
+
+    impl ApplicationBuilder {
+        /// Convenience: microservice with [`Requirements::minimal`].
+        pub(crate) fn simple(
+            &mut self,
+            name: impl Into<String>,
+            image_size: DataSize,
+            cpu: Mi,
+        ) -> MicroserviceId {
+            self.microservice(name, image_size, Requirements::minimal(cpu))
+        }
+    }
 
     #[test]
     fn builds_by_name() {
@@ -107,7 +109,7 @@ mod tests {
         let app = b.build().unwrap();
         assert_eq!(app.len(), 2);
         assert_eq!(app.flows().len(), 1);
-        assert_eq!(app.by_name("dst"), Some(MicroserviceId(1)));
+        assert_eq!(app.microservice(MicroserviceId(1)).name, "dst");
     }
 
     #[test]

@@ -23,17 +23,6 @@ impl Mi {
         assert!(v.is_finite() && v >= 0.0, "instruction count must be finite and non-negative");
         Mi(v)
     }
-
-    #[inline]
-    pub fn as_f64(self) -> f64 {
-        self.0
-    }
-
-    /// Scale by a dimensionless factor (e.g. workload multiplier).
-    #[inline]
-    pub fn scale(self, factor: f64) -> Mi {
-        Mi::new(self.0 * factor)
-    }
 }
 
 impl Add for Mi {
@@ -85,7 +74,7 @@ impl Mips {
     }
 
     #[inline]
-    pub fn as_f64(self) -> f64 {
+    pub(crate) fn as_f64(self) -> f64 {
         self.0
     }
 
@@ -117,11 +106,10 @@ mod tests {
     #[test]
     fn mi_arithmetic() {
         let total: Mi = [Mi::new(1.0), Mi::new(2.5)].into_iter().sum();
-        assert!((total.as_f64() - 3.5).abs() < 1e-12);
+        assert_eq!(total, Mi::new(3.5));
         let mut a = Mi::new(1.0);
         a += Mi::new(1.0);
         assert_eq!(a, Mi::new(2.0));
-        assert_eq!(Mi::new(10.0).scale(0.5), Mi::new(5.0));
     }
 
     #[test]

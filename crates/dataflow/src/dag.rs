@@ -2,7 +2,6 @@
 
 use crate::flow::Dataflow;
 use crate::microservice::Microservice;
-use deep_netsim::DataSize;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
@@ -56,8 +55,6 @@ pub struct Application {
     name: String,
     microservices: Vec<Microservice>,
     flows: Vec<Dataflow>,
-    /// `succ[i]` = indices into `flows` leaving `m_i`.
-    succ: Vec<Vec<usize>>,
     /// `pred[i]` = indices into `flows` entering `m_i`.
     pred: Vec<Vec<usize>>,
     /// A fixed topological order of microservice ids.
@@ -67,7 +64,7 @@ pub struct Application {
 impl Application {
     /// Validate and construct. Prefer [`crate::builder::ApplicationBuilder`]
     /// for ergonomic use.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         microservices: Vec<Microservice>,
         flows: Vec<Dataflow>,
@@ -119,7 +116,7 @@ impl Application {
         if topo.len() != n {
             return Err(DagError::Cyclic);
         }
-        Ok(Application { name, microservices, flows, succ, pred, topo })
+        Ok(Application { name, microservices, flows, pred, topo })
     }
 
     /// Application name.
@@ -148,11 +145,6 @@ impl Application {
         &self.microservices[id.0]
     }
 
-    /// Find a microservice by name.
-    pub fn by_name(&self, name: &str) -> Option<MicroserviceId> {
-        self.microservices.iter().position(|m| m.name == name).map(MicroserviceId)
-    }
-
     /// All dataflows.
     pub fn flows(&self) -> &[Dataflow] {
         &self.flows
@@ -164,38 +156,16 @@ impl Application {
     }
 
     /// Producers feeding `id`.
-    pub fn predecessors(&self, id: MicroserviceId) -> impl Iterator<Item = MicroserviceId> + '_ {
+    pub(crate) fn predecessors(
+        &self,
+        id: MicroserviceId,
+    ) -> impl Iterator<Item = MicroserviceId> + '_ {
         self.pred[id.0].iter().map(move |&e| self.flows[e].from)
     }
 
-    /// Consumers fed by `id`.
-    pub fn successors(&self, id: MicroserviceId) -> impl Iterator<Item = MicroserviceId> + '_ {
-        self.succ[id.0].iter().map(move |&e| self.flows[e].to)
-    }
-
-    /// Microservices with no producers (application entry points).
-    pub fn sources(&self) -> Vec<MicroserviceId> {
-        self.ids().filter(|&i| self.pred[i.0].is_empty()).collect()
-    }
-
-    /// Microservices with no consumers (application outputs).
-    pub fn sinks(&self) -> Vec<MicroserviceId> {
-        self.ids().filter(|&i| self.succ[i.0].is_empty()).collect()
-    }
-
     /// A topological order (fixed at construction, deterministic).
-    pub fn topological_order(&self) -> &[MicroserviceId] {
+    pub(crate) fn topological_order(&self) -> &[MicroserviceId] {
         &self.topo
-    }
-
-    /// Total bytes entering `id` per run: `Σ_u Size_ui`.
-    pub fn total_input_size(&self, id: MicroserviceId) -> DataSize {
-        self.incoming(id).map(|f| f.size).sum()
-    }
-
-    /// Sum of all image sizes — lower bound on registry storage.
-    pub fn total_image_size(&self) -> DataSize {
-        self.microservices.iter().map(|m| m.image_size).sum()
     }
 
     /// Render the DAG in Graphviz DOT format (Figure 2 regeneration).
@@ -216,10 +186,23 @@ impl Application {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::compute::Mi;
     use crate::requirements::Requirements;
+    use deep_netsim::DataSize;
+
+    /// The id of the microservice of `app` called `name`.
+    pub(crate) fn named(app: &Application, name: &str) -> MicroserviceId {
+        app.ids().find(|&id| app.microservice(id).name == name).unwrap()
+    }
+
+    impl Application {
+        /// Microservices with no producers (application entry points).
+        pub(crate) fn sources(&self) -> Vec<MicroserviceId> {
+            self.ids().filter(|&i| self.pred[i.0].is_empty()).collect()
+        }
+    }
 
     fn ms(name: &str) -> Microservice {
         Microservice::new(name, DataSize::gigabytes(1.0), Requirements::minimal(Mi::new(100.0)))
@@ -254,7 +237,9 @@ mod tests {
     fn sources_and_sinks() {
         let app = diamond();
         assert_eq!(app.sources(), vec![MicroserviceId(0)]);
-        assert_eq!(app.sinks(), vec![MicroserviceId(3)]);
+        let sinks: Vec<_> =
+            app.ids().filter(|&id| app.flows().iter().all(|f| f.from != id)).collect();
+        assert_eq!(sinks, vec![MicroserviceId(3)]);
     }
 
     #[test]
@@ -263,16 +248,8 @@ mod tests {
         let d = MicroserviceId(3);
         let preds: Vec<_> = app.predecessors(d).collect();
         assert_eq!(preds, vec![MicroserviceId(1), MicroserviceId(2)]);
-        let succs: Vec<_> = app.successors(MicroserviceId(0)).collect();
-        assert_eq!(succs, vec![MicroserviceId(1), MicroserviceId(2)]);
-        assert_eq!(app.total_input_size(d), DataSize::megabytes(70.0));
-    }
-
-    #[test]
-    fn by_name_lookup() {
-        let app = diamond();
-        assert_eq!(app.by_name("c"), Some(MicroserviceId(2)));
-        assert_eq!(app.by_name("zz"), None);
+        let inbound: DataSize = app.incoming(d).map(|f| f.size).sum();
+        assert_eq!(inbound, DataSize::megabytes(70.0));
     }
 
     #[test]
@@ -321,14 +298,15 @@ mod tests {
     }
 
     #[test]
-    fn empty_application_rejected() {
-        assert_eq!(Application::new("none", vec![], vec![]).unwrap_err(), DagError::Empty);
+    fn total_image_size_sums_nodes() {
+        let app = diamond();
+        let total: DataSize = app.ids().map(|id| app.microservice(id).image_size).sum();
+        assert_eq!(total, DataSize::gigabytes(4.0));
     }
 
     #[test]
-    fn total_image_size_sums_nodes() {
-        let app = diamond();
-        assert_eq!(app.total_image_size(), DataSize::gigabytes(4.0));
+    fn empty_application_rejected() {
+        assert_eq!(Application::new("none", vec![], vec![]).unwrap_err(), DagError::Empty);
     }
 
     #[test]
@@ -347,7 +325,6 @@ mod tests {
         // Independent microservices are legal (degenerate DAG).
         let app = Application::new("disc", vec![ms("a"), ms("b")], vec![]).unwrap();
         assert_eq!(app.sources().len(), 2);
-        assert_eq!(app.sinks().len(), 2);
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub struct Dataflow {
 }
 
 impl Dataflow {
-    pub fn new(from: MicroserviceId, to: MicroserviceId, size: DataSize) -> Self {
+    pub(crate) fn new(from: MicroserviceId, to: MicroserviceId, size: DataSize) -> Self {
         assert!(from != to, "a microservice cannot feed itself");
         Dataflow { from, to, size }
     }

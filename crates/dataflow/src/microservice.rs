@@ -18,7 +18,11 @@ pub struct Microservice {
 }
 
 impl Microservice {
-    pub fn new(name: impl Into<String>, image_size: DataSize, requirements: Requirements) -> Self {
+    pub(crate) fn new(
+        name: impl Into<String>,
+        image_size: DataSize,
+        requirements: Requirements,
+    ) -> Self {
         let name = name.into();
         assert!(!name.is_empty(), "microservice name must be non-empty");
         Microservice { name, image_size, requirements }

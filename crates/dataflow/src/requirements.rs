@@ -46,18 +46,6 @@ impl Requirements {
         Requirements { cores, cpu, memory, storage, class: None }
     }
 
-    /// A minimal requirement for tests and generators: one core, tiny
-    /// footprint.
-    pub fn minimal(cpu: Mi) -> Self {
-        Requirements {
-            cores: 1,
-            cpu,
-            memory: DataSize::megabytes(128.0),
-            storage: DataSize::megabytes(256.0),
-            class: None,
-        }
-    }
-
     /// Constrain placement to one device class.
     pub fn pinned_to(mut self, class: DeviceClass) -> Self {
         self.class = Some(class);
@@ -67,11 +55,11 @@ impl Requirements {
     /// True when a device offering `(cores, memory, storage)` can host this
     /// microservice — the admission predicate the executor checks before
     /// it deploys anything (via [`fits_class`](Self::fits_class)).
-    pub fn fits(&self, cores: u32, memory: DataSize, storage: DataSize) -> bool {
+    pub(crate) fn fits(&self, cores: u32, memory: DataSize, storage: DataSize) -> bool {
         self.cores <= cores && self.memory <= memory && self.storage <= storage
     }
 
-    /// [`fits`](Self::fits) plus the continuum constraint.
+    /// `fits` plus the continuum constraint.
     pub fn fits_class(
         &self,
         cores: u32,
@@ -86,6 +74,19 @@ impl Requirements {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Requirements {
+        /// A minimal requirement: one core, tiny footprint.
+        pub(crate) fn minimal(cpu: Mi) -> Self {
+            Requirements {
+                cores: 1,
+                cpu,
+                memory: DataSize::megabytes(128.0),
+                storage: DataSize::megabytes(256.0),
+                class: None,
+            }
+        }
+    }
 
     #[test]
     fn fits_requires_every_dimension() {

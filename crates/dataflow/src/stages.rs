@@ -42,16 +42,12 @@ pub fn stages(app: &Application) -> Vec<Stage> {
     out
 }
 
-/// Number of barriers = number of stage boundaries.
-pub fn barrier_count(app: &Application) -> usize {
-    stages(app).len().saturating_sub(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::ApplicationBuilder;
     use crate::compute::Mi;
+    use crate::dag::tests::named;
     use deep_netsim::DataSize;
 
     fn pipeline4() -> Application {
@@ -74,10 +70,10 @@ mod tests {
         let app = pipeline4();
         let st = stages(&app);
         assert_eq!(st.len(), 4);
-        assert_eq!(st[0].members, vec![app.by_name("a").unwrap()]);
-        assert_eq!(st[1].members, vec![app.by_name("b").unwrap()]);
-        assert_eq!(st[2].members, vec![app.by_name("c1").unwrap(), app.by_name("c2").unwrap()]);
-        assert_eq!(st[3].members, vec![app.by_name("d1").unwrap(), app.by_name("d2").unwrap()]);
+        assert_eq!(st[0].members, vec![named(&app, "a")]);
+        assert_eq!(st[1].members, vec![named(&app, "b")]);
+        assert_eq!(st[2].members, vec![named(&app, "c1"), named(&app, "c2")]);
+        assert_eq!(st[3].members, vec![named(&app, "d1"), named(&app, "d2")]);
     }
 
     #[test]
@@ -107,7 +103,7 @@ mod tests {
         let app = bld.build().unwrap();
         let st = stages(&app);
         assert_eq!(st.len(), 3);
-        assert_eq!(st[2].members, vec![app.by_name("c").unwrap()]);
+        assert_eq!(st[2].members, vec![named(&app, "c")]);
     }
 
     #[test]
@@ -119,7 +115,6 @@ mod tests {
         let st = stages(&app);
         assert_eq!(st.len(), 1);
         assert_eq!(st[0].members.len(), 2);
-        assert_eq!(barrier_count(&app), 0);
     }
 
     #[test]

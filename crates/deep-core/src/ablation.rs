@@ -32,7 +32,7 @@ pub struct AblationRow {
 
 impl AblationRow {
     /// Relative penalty of the variant (positive = variant is worse).
-    pub fn penalty(&self) -> f64 {
+    pub(crate) fn penalty(&self) -> f64 {
         (self.variant_j - self.baseline_j) / self.baseline_j
     }
 }

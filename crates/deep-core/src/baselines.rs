@@ -20,26 +20,15 @@ use rand_chacha::ChaCha8Rng;
 #[derive(Debug, Clone, Copy)]
 pub struct ExclusiveRegistry {
     pub registry: RegistryChoice,
-    /// Price `E[Td]` under the testbed's fault model when choosing
-    /// devices (the registry is fixed either way). Lets the fault sweeps
-    /// isolate what failover-aware *registry* selection buys on top of
-    /// failover-aware device selection.
-    pub price_faults: bool,
 }
 
 impl ExclusiveRegistry {
     pub fn hub() -> Self {
-        ExclusiveRegistry { registry: RegistryChoice::Hub, price_faults: false }
+        ExclusiveRegistry { registry: RegistryChoice::Hub }
     }
 
     pub fn regional() -> Self {
-        ExclusiveRegistry { registry: RegistryChoice::Regional, price_faults: false }
-    }
-
-    /// Failover-aware variant (builder-style).
-    pub fn fault_aware(mut self) -> Self {
-        self.price_faults = true;
-        self
+        ExclusiveRegistry { registry: RegistryChoice::Regional }
     }
 }
 
@@ -53,7 +42,7 @@ impl Scheduler for ExclusiveRegistry {
     }
 
     fn schedule(&self, app: &Application, testbed: &Testbed) -> Schedule {
-        let ctx = EstimationContext::new(testbed, app).price_faults(self.price_faults);
+        let ctx = EstimationContext::new(testbed, app);
         let placements = ctx.walk(|ctx, id| {
             let device = ctx
                 .admissible_devices(id)

@@ -311,6 +311,7 @@ pub fn calibrated_testbed() -> Testbed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::tests::named;
     use deep_dataflow::apps;
 
     #[test]
@@ -321,7 +322,11 @@ mod tests {
         let text = apps::text_processing();
         for row in &rows {
             let app = if row.application == "video-processing" { &video } else { &text };
-            assert!(app.by_name(row.microservice).is_some(), "{}", row.microservice);
+            assert!(
+                app.ids().any(|id| app.microservice(id).name == row.microservice),
+                "{}",
+                row.microservice
+            );
         }
     }
 
@@ -333,7 +338,7 @@ mod tests {
         let text = apps::text_processing();
         for row in paper_rows() {
             let app = if row.application == "video-processing" { &video } else { &text };
-            let id = app.by_name(row.microservice).unwrap();
+            let id = named(app, row.microservice);
             let tp = app.microservice(id).requirements.cpu / apps::medium_mips();
             assert!(
                 (tp.as_f64() - row.tp_mid()).abs() < 1e-9,
@@ -406,7 +411,7 @@ mod tests {
     fn calibrated_testbed_small_tp_uses_architecture_factors() {
         let tb = calibrated_testbed();
         let video = apps::video_processing();
-        let transcode = video.microservice(video.by_name("transcode").unwrap());
+        let transcode = video.microservice(named(&video, "transcode"));
         let t_small = tb.device(DEVICE_SMALL).processing_time(
             "video-processing",
             "transcode",
@@ -414,7 +419,7 @@ mod tests {
         );
         // transcode factor 1.0: same Tp as medium.
         assert!((t_small.as_f64() - 18.25).abs() < 1e-9, "{t_small}");
-        let ha = video.microservice(video.by_name("ha-train").unwrap());
+        let ha = video.microservice(named(&video, "ha-train"));
         let t_small = tb.device(DEVICE_SMALL).processing_time(
             "video-processing",
             "ha-train",
@@ -423,7 +428,7 @@ mod tests {
         assert!((t_small.as_f64() - 122.5 * 3.2).abs() < 1e-6, "{t_small}");
         // The text app's same-named trainer keeps its own factor.
         let text = apps::text_processing();
-        let tha = text.microservice(text.by_name("ha-train").unwrap());
+        let tha = text.microservice(named(&text, "ha-train"));
         let t_small = tb.device(DEVICE_SMALL).processing_time(
             "text-processing",
             "ha-train",

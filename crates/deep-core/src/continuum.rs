@@ -20,7 +20,7 @@ use crate::Scheduler;
 use deep_dataflow::{apps, Application, ApplicationBuilder, DeviceClass};
 use deep_energy::Joules;
 use deep_netsim::Seconds;
-use deep_simulator::{execute_monitored, ExecutorConfig, Schedule, Testbed, DEVICE_CLOUD};
+use deep_simulator::{execute_monitored, ExecutorConfig, Testbed, DEVICE_CLOUD};
 use serde::{Deserialize, Serialize};
 
 /// A calibrated continuum testbed: the paper's calibration applied to the
@@ -41,7 +41,7 @@ pub fn continuum_testbed() -> Testbed {
 /// testbed: the Table II edge calibration plus the cloud-tier parameters
 /// above. Factored out of [`continuum_testbed`] so scenario-built
 /// testbeds ([`crate::soak::scenario_testbed`]) calibrate identically.
-pub fn calibrate_continuum(tb: &mut Testbed) {
+pub(crate) fn calibrate_continuum(tb: &mut Testbed) {
     let rows = calibrate(tb);
     for (paper, cal) in paper_rows().iter().zip(&rows) {
         let (app, ms) = (paper.application, paper.microservice);
@@ -110,7 +110,7 @@ pub struct ContinuumRow {
 
 impl ContinuumRow {
     /// Relative energy change (negative = continuum saves energy).
-    pub fn energy_delta(&self) -> f64 {
+    pub(crate) fn energy_delta(&self) -> f64 {
         (self.continuum_energy.as_f64() - self.edge_energy.as_f64()) / self.edge_energy.as_f64()
     }
 }
@@ -181,25 +181,24 @@ pub fn render(rows: &[ContinuumRow]) -> String {
     )
 }
 
-/// Check the scheduled placements against continuum pins (used by tests
-/// and as a runtime guard in the repro binary).
-pub fn placements_respect_pins(app: &Application, schedule: &Schedule, tb: &Testbed) -> bool {
-    schedule.iter().all(|(id, p)| tb.device(p.device).admits(&app.microservice(id).requirements))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deep_simulator::RegistryChoice;
+    use crate::model::tests::named;
+    use deep_dataflow::MicroserviceId;
+    use deep_simulator::{Placement, RegistryChoice};
 
     #[test]
     fn pinned_transcode_never_reaches_the_cloud() {
         let tb = continuum_testbed();
         let app = &continuum_case_studies()[0];
         let schedule = DeepScheduler::paper().schedule(app, &tb);
-        let transcode = app.by_name("transcode").unwrap();
+        let transcode = named(app, "transcode");
         assert_ne!(schedule.placement(transcode).device, DEVICE_CLOUD);
-        assert!(placements_respect_pins(app, &schedule, &tb));
+        let admitted = |(id, p): (MicroserviceId, Placement)| {
+            tb.device(p.device).admits(&app.microservice(id).requirements)
+        };
+        assert!(schedule.iter().all(admitted), "every placement respects its pin");
     }
 
     #[test]
@@ -209,7 +208,7 @@ mod tests {
         let tb = continuum_testbed();
         let app = &continuum_case_studies()[0];
         let schedule = DeepScheduler::paper().schedule(app, &tb);
-        let ha = app.by_name("ha-train").unwrap();
+        let ha = named(app, "ha-train");
         assert_eq!(schedule.placement(ha).device, DEVICE_CLOUD, "{schedule:?}");
     }
 
@@ -284,9 +283,9 @@ mod tests {
         let pinned = pin_microservices(&original, &[("transcode", DeviceClass::Edge)]);
         assert_eq!(original.len(), pinned.len());
         assert_eq!(original.flows().len(), pinned.flows().len());
-        let t = pinned.by_name("transcode").unwrap();
+        let t = named(&pinned, "transcode");
         assert_eq!(pinned.microservice(t).requirements.class, Some(DeviceClass::Edge));
-        let f = pinned.by_name("frame").unwrap();
+        let f = named(&pinned, "frame");
         assert_eq!(pinned.microservice(f).requirements.class, None);
     }
 }

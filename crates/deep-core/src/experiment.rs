@@ -1,8 +1,8 @@
 //! Experiment drivers regenerating every table and figure of the paper.
 //!
 //! Each driver returns structured results plus a text rendering; the
-//! `deep-bench` repro binaries print them, and EXPERIMENTS.md records the
-//! paper-vs-measured comparison.
+//! `deep-bench` repro binaries print them beside the paper's values
+//! (`repro_all` runs every one).
 
 use crate::baselines::ExclusiveRegistry;
 use crate::calibration::{calibrated_testbed, paper_rows};
@@ -56,7 +56,8 @@ impl Range {
 }
 
 /// One regenerated Table II row (per-device columns; the paper folds both
-/// devices into single Tp/CT ranges, see EXPERIMENTS.md).
+/// devices into single Tp/CT ranges, which `repro_table2` prints beside
+/// them).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Table2Row {
     pub application: String,
@@ -86,7 +87,7 @@ pub struct Fig3bResult {
 
 impl Fig3bResult {
     /// Total for `(application, method)`.
-    pub fn total(&self, application: &str, method: &str) -> Option<f64> {
+    pub(crate) fn total(&self, application: &str, method: &str) -> Option<f64> {
         self.entries.iter().find(|(a, m, _)| a == application && m == method).map(|(_, _, e)| *e)
     }
 }

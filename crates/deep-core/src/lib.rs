@@ -129,8 +129,7 @@ pub use ablation::{run_all as run_ablations, AblationRow};
 pub use baselines::{ExclusiveRegistry, GreedyDecoupled, RandomScheduler, RoundRobin};
 pub use calibration::{calibrate, paper_rows, CalibratedRow, PaperRow};
 pub use continuum::{
-    calibrate_continuum, compare as continuum_compare, continuum_testbed, synthetic_fleet_testbed,
-    ContinuumRow,
+    compare as continuum_compare, continuum_testbed, synthetic_fleet_testbed, ContinuumRow,
 };
 pub use distribution::{distribution_table, DistributionRow};
 pub use experiment::{Experiments, Fig3aResult, Fig3bResult, HeadlineResult};

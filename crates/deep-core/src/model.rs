@@ -85,13 +85,6 @@ pub struct Estimate {
     pub downloaded: DataSize,
 }
 
-impl Estimate {
-    /// `CT = Td + Tc + Tp`.
-    pub fn ct(&self) -> Seconds {
-        self.td + self.tc + self.tp
-    }
-}
-
 /// One memoized primary-manifest resolution: the reference, lent by the
 /// testbed's published entry, and the manifest the registry resolved it
 /// to, sharing the registry's allocation.
@@ -531,11 +524,6 @@ impl<'t> EstimationContext<'t> {
         self.assigned.into_iter().collect()
     }
 
-    /// The committed placement of a microservice, if any.
-    pub fn placement(&self, id: MicroserviceId) -> Option<Placement> {
-        self.assigned[id.0]
-    }
-
     /// The testbed's registry-side strategy space (every full registry in
     /// the mesh — the paper pair plus any regional mirrors), owned, so a
     /// caller can keep it across the walk's `&mut` steps.
@@ -833,25 +821,10 @@ impl<'t> EstimationContext<'t> {
         }
     }
 
-    /// The happy-path pull *plan* of one candidate assignment: the
-    /// per-source byte buckets a session would fetch through the same
-    /// mesh [`EstimationContext::estimate`] prices (no standbys, no
-    /// fault weighting, cache untouched). The Rosenthal congestion
-    /// bridge ([`crate::nash::WaveRouteGame`]) derives each strategy's
-    /// resource subset — the routes and peer uplinks its bytes would
-    /// actually load — from this plan's buckets, read through
-    /// `plan_buckets`, which skips the session where the plan is already
-    /// decided.
-    pub fn plan(
-        &self,
-        id: MicroserviceId,
-        registry: RegistryChoice,
-        device: DeviceId,
-    ) -> deep_registry::PullOutcome {
-        self.session_plan(id, registry, device).expect("catalog images resolve")
-    }
-
-    /// [`EstimationContext::plan`]'s session, with its error.
+    /// The happy-path pull plan of one candidate assignment: the
+    /// per-source byte buckets a session would fetch through the same mesh
+    /// [`EstimationContext::estimate`] prices (no standbys, no fault
+    /// weighting, cache untouched).
     fn session_plan(
         &self,
         id: MicroserviceId,
@@ -905,7 +878,7 @@ impl<'t> EstimationContext<'t> {
         }
     }
 
-    /// The `(source, downloaded)` buckets of [`EstimationContext::plan`],
+    /// The `(source, downloaded)` buckets of the cell's session plan,
     /// in bucket order, written into `out`: all a wave game reads of a
     /// plan.
     ///
@@ -1014,7 +987,7 @@ impl<'t> EstimationContext<'t> {
     /// [`EstimationContext::admissible_devices`] into a caller-owned
     /// buffer — the fleet-scale solve loop re-filters per member per
     /// round and must not allocate in steady state.
-    pub fn admissible_devices_into(&self, id: MicroserviceId, out: &mut Vec<DeviceId>) {
+    pub(crate) fn admissible_devices_into(&self, id: MicroserviceId, out: &mut Vec<DeviceId>) {
         let req = &self.app.microservice(id).requirements;
         out.clear();
         out.extend(self.testbed.devices.iter().filter(|d| d.admits(req)).map(|d| d.id));
@@ -1022,11 +995,29 @@ impl<'t> EstimationContext<'t> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::calibration::calibrated_testbed;
     use deep_dataflow::apps;
     use deep_simulator::{DEVICE_MEDIUM, DEVICE_SMALL};
+
+    impl EstimationContext<'_> {
+        /// The full session plan of one candidate assignment, the
+        /// reference `plan_buckets` is pinned to.
+        pub(crate) fn plan(
+            &self,
+            id: MicroserviceId,
+            registry: RegistryChoice,
+            device: DeviceId,
+        ) -> deep_registry::PullOutcome {
+            self.session_plan(id, registry, device).expect("catalog images resolve")
+        }
+    }
+
+    /// The id of the microservice of `app` called `name`.
+    pub(crate) fn named(app: &Application, name: &str) -> MicroserviceId {
+        app.ids().find(|&id| app.microservice(id).name == name).unwrap()
+    }
 
     #[test]
     fn estimates_match_executor_for_a_fixed_schedule() {
@@ -1201,8 +1192,8 @@ mod tests {
             }
         }
         ctx.begin_wave();
-        let ha = app.by_name("ha-train").unwrap();
-        let la = app.by_name("la-train").unwrap();
+        let ha = named(&app, "ha-train");
+        let la = named(&app, "la-train");
         let before = ctx.estimate(la, RegistryChoice::Hub, DEVICE_MEDIUM);
         ctx.commit(ha, Placement { registry: RegistryChoice::Hub, device: DEVICE_MEDIUM });
         let after = ctx.estimate(la, RegistryChoice::Hub, DEVICE_MEDIUM);
@@ -1215,8 +1206,8 @@ mod tests {
     fn contention_raises_same_route_estimates() {
         let tb = calibrated_testbed();
         let app = apps::text_processing();
-        let decompress = app.by_name("decompress").unwrap();
-        let retrieve = app.by_name("retrieve").unwrap();
+        let decompress = named(&app, "decompress");
+        let retrieve = named(&app, "retrieve");
         // Context A: retrieve committed on the hub→medium route (congests
         // it). Context B: retrieve committed regionally (hub route free).
         // Both cache the shared python:3.9-slim base, so the pulls move
@@ -1244,12 +1235,12 @@ mod tests {
         let app = apps::text_processing();
         let mut ctx = EstimationContext::new(&tb, &app);
         ctx.begin_wave();
-        let retrieve = app.by_name("retrieve").unwrap();
+        let retrieve = named(&app, "retrieve");
         ctx.commit(
             retrieve,
             Placement { registry: RegistryChoice::Regional, device: DEVICE_SMALL },
         );
-        let decompress = app.by_name("decompress").unwrap();
+        let decompress = named(&app, "decompress");
         let contended = ctx.estimate(decompress, RegistryChoice::Regional, DEVICE_SMALL);
         ctx.begin_wave();
         let fresh = ctx.estimate(decompress, RegistryChoice::Regional, DEVICE_SMALL);
@@ -1276,7 +1267,7 @@ mod tests {
             )
             .with_retry(policy);
         let app = apps::text_processing();
-        let retrieve = app.by_name("retrieve").unwrap();
+        let retrieve = named(&app, "retrieve");
 
         let priced = EstimationContext::new(&tb, &app)
             .price_faults(true)
@@ -1380,7 +1371,7 @@ mod tests {
             Seconds::new(1e6),
         ));
         let app = apps::text_processing();
-        let retrieve = app.by_name("retrieve").unwrap();
+        let retrieve = named(&app, "retrieve");
         let pricing = ScenarioPricing { draws: 4, seed: 9 };
         let priced = EstimationContext::new(&tb, &app)
             .scenario_pricing(Some(pricing))
@@ -1433,7 +1424,7 @@ mod tests {
         tb.fault_model = FaultModel::default()
             .with_source(regional, FaultRates { fatal_per_pull: 0.5, transient_per_fetch: 0.0 });
         let app = apps::text_processing();
-        let retrieve = app.by_name("retrieve").unwrap();
+        let retrieve = named(&app, "retrieve");
         let pricing = ScenarioPricing { draws: 8, seed: 42 };
         // p̂ is the observed death frequency of pull #0 over the eight
         // plans the replications would draw — not the analytic 0.5.
@@ -1501,9 +1492,10 @@ mod tests {
             let hub = RegistryChoice::Hub.registry_id();
             let retry = RetryPolicy {
                 base_backoff: Seconds::new(0.5),
+                jitter: 0.4,
+                seed: seed ^ 0xA5A5,
                 ..RetryPolicy::default()
-            }
-            .with_jitter(0.4, seed ^ 0xA5A5);
+            };
             let model = |primary_fatal: f64, primary_dark: bool| {
                 // Both scripted channels exercised: the primary regional
                 // is degraded over the early waves (and scripted fully
@@ -1704,7 +1696,7 @@ mod tests {
             Seconds::new(100.0),
         ));
         let app = apps::text_processing();
-        let retrieve = app.by_name("retrieve").unwrap();
+        let retrieve = named(&app, "retrieve");
         let pricing = ScenarioPricing { draws: 4, seed: 0 };
         let priced_at = |clock: f64, pull: u64| {
             let mut ctx = EstimationContext::new(&tb, &app)
@@ -2101,7 +2093,7 @@ mod tests {
         use deep_registry::ManifestSource;
         let mut tb = calibrated_testbed();
         let app = apps::text_processing();
-        let retrieve = app.by_name("retrieve").unwrap();
+        let retrieve = named(&app, "retrieve");
         let entry = tb.entry("text-processing", "retrieve").unwrap().clone();
         let arch = tb.device(DEVICE_MEDIUM).arch;
         let reference = tb.reference(&entry, RegistryChoice::Regional, arch);
@@ -2139,7 +2131,7 @@ mod tests {
         let app = apps::video_processing();
         let ctx = EstimationContext::new(&tb, &app);
         // ha-train needs 4 cores / 4 GB: both devices qualify.
-        let ha = app.by_name("ha-train").unwrap();
+        let ha = named(&app, "ha-train");
         assert_eq!(ctx.admissible_devices(ha).len(), 2);
     }
 
@@ -2149,13 +2141,13 @@ mod tests {
         let app = apps::video_processing();
         let mut ctx = EstimationContext::new(&tb, &app);
         ctx.begin_wave();
-        let transcode = app.by_name("transcode").unwrap();
+        let transcode = named(&app, "transcode");
         ctx.commit(
             transcode,
             Placement { registry: RegistryChoice::Regional, device: DEVICE_SMALL },
         );
         ctx.begin_wave();
-        let frame = app.by_name("frame").unwrap();
+        let frame = named(&app, "frame");
         let cross = ctx.estimate(frame, RegistryChoice::Hub, DEVICE_MEDIUM);
         assert!((cross.tc.as_f64() - 3.0).abs() < 1e-9, "300 MB over 100 MB/s LAN");
         let colocated = ctx.estimate(frame, RegistryChoice::Hub, DEVICE_SMALL);

@@ -83,8 +83,8 @@
 //!   so every missing layer of such a cell goes to its registry: the
 //!   plan is one bucket of the missing bytes (none when nothing is
 //!   missing). Only the other cells, those a peer could serve, run the
-//!   session (`EstimationContext::plan_buckets`, pinned to
-//!   [`EstimationContext::plan`] by a property test). The wave games
+//!   session (`EstimationContext::plan_buckets`, pinned to the full
+//!   session plan by a property test). The wave games
 //!   are built only by [`DeepScheduler::wave_route_games`].
 //!
 //! Every path is one barrier walk (`EstimationContext::walk`) of one
@@ -113,9 +113,8 @@ use deep_simulator::{route_key, PeerDiscovery, Placement, RegistryChoice, Schedu
 /// `(registry, device)` placement; resources are the contention keys of
 /// [`deep_simulator::route_key`] — registry→device download routes plus
 /// peer-holder uplinks. Each strategy's resource *subset* is read off
-/// the pull plan its bytes would realise
-/// ([`EstimationContext::plan`]): the buckets at or above the
-/// contention threshold, charged to the route or uplink that carries
+/// the happy-path pull plan its bytes would realise: the buckets at or
+/// above the contention threshold, charged to the route or uplink that carries
 /// them — so a split pull occupies several resources at once and a
 /// fully-cached strategy occupies none. The per-resource cost is the
 /// mean unloaded transfer time of the buckets observed on it, scaled by
@@ -740,6 +739,7 @@ impl Scheduler for DeepScheduler {
 mod tests {
     use super::*;
     use crate::calibration::calibrated_testbed;
+    use crate::model::tests::named;
     use crate::model::Estimate;
     use deep_dataflow::apps;
     use deep_netsim::Bandwidth;
@@ -829,7 +829,7 @@ mod tests {
         let profile =
             vec![Placement { registry: RegistryChoice::Hub, device: DEVICE_CLOUD }; app.len()];
         let games = sched.wave_route_games(&app, &tb, &profile);
-        let ha = app.by_name("ha-train").unwrap();
+        let ha = named(&app, "ha-train");
         let wave = games.iter().find(|g| g.members.contains(&ha)).unwrap();
         let p = wave.members.iter().position(|&m| m == ha).unwrap();
         let uplink = (peer_source_id(DEVICE_MEDIUM), DEVICE_MEDIUM.0);
@@ -1111,8 +1111,8 @@ mod tests {
             let (x, y) = support_enumeration(&game)
                 .into_iter()
                 .max_by(|a, b| {
-                    let pa = game.expected_payoffs(&a.0, &a.1).0;
-                    let pb = game.expected_payoffs(&b.0, &b.1).0;
+                    let pa = game.a.quad(a.0.probs(), a.1.probs());
+                    let pb = game.a.quad(b.0.probs(), b.1.probs());
                     pa.partial_cmp(&pb).expect("payoffs are not NaN")
                 })
                 .expect("common-interest games always have a pure equilibrium");
@@ -1370,7 +1370,7 @@ mod tests {
         assert!(!sched.is_equilibrium(&app, &tb, &out_of_range));
         assert!(!sched.is_equilibrium_sampled(&app, &tb, &out_of_range, 8, 1));
         // The solve's small device no longer admits transcode.
-        let transcode = app.by_name("transcode").unwrap();
+        let transcode = named(&app, "transcode");
         assert_eq!(solved.placement(transcode).device, DEVICE_SMALL);
         tb.device_mut(DEVICE_SMALL).cores = 0;
         assert!(!sched.is_equilibrium(&app, &tb, &solved));

@@ -12,7 +12,6 @@
 
 use crate::model::EstimationContext;
 use deep_dataflow::{stages, Application};
-use deep_netsim::DeviceId;
 use deep_simulator::{Placement, Schedule, Testbed};
 use serde::{Deserialize, Serialize};
 
@@ -31,7 +30,7 @@ pub struct EvaluatedProfile {
 /// Evaluate one profile with the estimation model (energy + makespan) in
 /// one barrier walk. Each wave adds its longest `Td` and its members'
 /// serial `Tc + Tp` to the makespan.
-pub fn evaluate_profile(
+pub(crate) fn evaluate_profile(
     app: &Application,
     testbed: &Testbed,
     placements: &[Placement],
@@ -163,11 +162,6 @@ pub fn distance_to_front(
     FrontDistance { energy: me.energy, makespan: me.makespan, energy_excess: excess.max(0.0) }
 }
 
-/// Devices used along the front — which trade-offs the hardware offers.
-pub fn front_devices(front: &[EvaluatedProfile]) -> Vec<Vec<DeviceId>> {
-    front.iter().map(|p| p.placements.iter().map(|pl| pl.device).collect()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,8 +247,10 @@ mod tests {
         let tb = calibrated_testbed();
         let app = apps::video_processing();
         let front = pareto_front(enumerate_profiles(&app, &tb));
-        let devices = front_devices(&front);
-        assert_eq!(devices.len(), front.len());
-        assert!(devices.iter().all(|d| d.len() == app.len()));
+        assert!(!front.is_empty());
+        for profile in &front {
+            assert_eq!(profile.placements.len(), app.len());
+            assert!(profile.placements.iter().all(|p| p.device.0 < tb.devices.len()));
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Fixed-width text table rendering for the experiment drivers.
 
 /// Render a table with a header row, column-aligned.
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let cols = headers.len();
     for row in rows {
         assert_eq!(row.len(), cols, "ragged table row");
@@ -32,17 +32,17 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Format seconds compactly.
-pub fn fmt_s(v: f64) -> String {
+pub(crate) fn fmt_s(v: f64) -> String {
     format!("{v:.1}")
 }
 
 /// Format joules compactly.
-pub fn fmt_j(v: f64) -> String {
+pub(crate) fn fmt_j(v: f64) -> String {
     format!("{v:.0}")
 }
 
 /// Format a fraction as a percentage.
-pub fn fmt_pct(v: f64) -> String {
+pub(crate) fn fmt_pct(v: f64) -> String {
     format!("{:.0} %", v * 100.0)
 }
 

@@ -60,19 +60,6 @@ impl ScenarioOutcome {
             .filter(|m| !m.failed_sources.is_empty())
             .count()
     }
-
-    /// The `p`-th percentile (0–100) of realized per-microservice
-    /// deployment time across every replication — tail behaviour the
-    /// mean hides under bursty failover.
-    pub fn percentile_td(&self, p: f64) -> f64 {
-        let samples: Vec<f64> = self
-            .reports
-            .iter()
-            .flat_map(|r| r.microservices.iter())
-            .map(|m| m.td.as_f64())
-            .collect();
-        percentile(&samples, p)
-    }
 }
 
 /// The `p`-th percentile (0–100) of `samples` by linear interpolation

@@ -16,5 +16,5 @@
 pub mod power;
 pub mod units;
 
-pub use power::{DevicePowerModel, ExecutionPhase};
+pub use power::DevicePowerModel;
 pub use units::{Joules, Watts};

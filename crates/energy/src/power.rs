@@ -22,20 +22,13 @@ use serde::{Deserialize, Serialize};
 /// The phase of a microservice's lifetime on a device; mirrors the three
 /// terms of `CT = Td + Tc + Tp`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ExecutionPhase {
+pub(crate) enum ExecutionPhase {
     /// `Td`: pulling and unpacking the container image.
     Deployment,
     /// `Tc`: receiving the upstream dataflow.
     Transfer,
     /// `Tp`: executing the microservice over the dataflow.
     Processing,
-}
-
-impl ExecutionPhase {
-    /// All phases in `CT` order.
-    pub fn all() -> [ExecutionPhase; 3] {
-        [ExecutionPhase::Deployment, ExecutionPhase::Transfer, ExecutionPhase::Processing]
-    }
 }
 
 /// Power model of one edge device.
@@ -53,17 +46,6 @@ pub struct DevicePowerModel {
 }
 
 impl DevicePowerModel {
-    /// A model with uniform active draw across phases — the simplest
-    /// reading of the paper's `Ea ∝ CT`.
-    pub fn uniform(static_watts: Watts, active_watts: Watts) -> Self {
-        DevicePowerModel {
-            static_watts,
-            deploy_watts: active_watts,
-            transfer_watts: active_watts,
-            process_watts: active_watts,
-        }
-    }
-
     /// Fully phase-differentiated model.
     pub fn per_phase(
         static_watts: Watts,
@@ -75,7 +57,7 @@ impl DevicePowerModel {
     }
 
     /// Active draw during `phase` (excludes static draw).
-    pub fn active_watts(&self, phase: ExecutionPhase) -> Watts {
+    pub(crate) fn active_watts(&self, phase: ExecutionPhase) -> Watts {
         match phase {
             ExecutionPhase::Deployment => self.deploy_watts,
             ExecutionPhase::Transfer => self.transfer_watts,
@@ -83,18 +65,13 @@ impl DevicePowerModel {
         }
     }
 
-    /// Total draw during `phase` (active + static).
-    pub fn total_watts(&self, phase: ExecutionPhase) -> Watts {
-        self.active_watts(phase) + self.static_watts
-    }
-
     /// Active energy `Ea` for one phase of duration `t`.
-    pub fn active_energy(&self, phase: ExecutionPhase, t: Seconds) -> Joules {
+    pub(crate) fn active_energy(&self, phase: ExecutionPhase, t: Seconds) -> Joules {
         self.active_watts(phase) * t
     }
 
     /// Static energy `Es` over a total busy time `ct`.
-    pub fn static_energy(&self, ct: Seconds) -> Joules {
+    pub(crate) fn static_energy(&self, ct: Seconds) -> Joules {
         self.static_watts * ct
     }
 
@@ -107,48 +84,31 @@ impl DevicePowerModel {
             + self.active_energy(ExecutionPhase::Processing, tp)
             + self.static_energy(ct)
     }
-
-    /// The canonical medium device of the testbed (Intel i7-7700 class).
-    ///
-    /// Calibrated against Table II: e.g. text `HA Train` at `CT ≈ 467 s`
-    /// consumed ≈3.6 kJ, an average draw of ≈7.7 W above idle-adjusted
-    /// baseline — consistent with a partially-loaded 65 W-TDP desktop part
-    /// where pyRAPL only meters the package domain.
-    pub fn intel_i7_7700() -> Self {
-        DevicePowerModel::per_phase(
-            Watts::new(2.0), // package idle floor seen by RAPL
-            Watts::new(2.5), // NIC+disk during pull
-            Watts::new(2.0), // NIC during dataflow receive
-            Watts::new(6.0), // package under single-service ML load
-        )
-    }
-
-    /// The canonical small device of the testbed (Raspberry Pi 4 class).
-    ///
-    /// Wall-meter figures include PSU losses, so the static floor is a
-    /// larger fraction of total draw than on the Intel part; peak whole-
-    /// board draw under load is ≈7–8 W, consistent with Table II's small-
-    /// device energies (e.g. video `HA Train`: ≈5 kJ over ≈1.2 ks ≈ 4 W).
-    pub fn raspberry_pi_4() -> Self {
-        DevicePowerModel::per_phase(
-            Watts::new(2.7), // idle board + PSU overhead at the wall
-            Watts::new(0.9), // NIC+SD during pull
-            Watts::new(0.7), // NIC during dataflow receive
-            Watts::new(1.3), // CPU under load (whole-board delta)
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Static 2 W; 2.5 W deploying, 2 W receiving, 6 W processing.
+    fn desktop() -> DevicePowerModel {
+        DevicePowerModel::per_phase(
+            Watts::new(2.0),
+            Watts::new(2.5),
+            Watts::new(2.0),
+            Watts::new(6.0),
+        )
+    }
+
     #[test]
     fn uniform_model_charges_all_phases_equally() {
-        let m = DevicePowerModel::uniform(Watts::new(1.0), Watts::new(4.0));
-        for phase in ExecutionPhase::all() {
-            assert_eq!(m.active_watts(phase), Watts::new(4.0));
-            assert_eq!(m.total_watts(phase), Watts::new(5.0));
+        let w = Watts::new(4.0);
+        let m = DevicePowerModel::per_phase(Watts::new(1.0), w, w, w);
+        for phase in
+            [ExecutionPhase::Deployment, ExecutionPhase::Transfer, ExecutionPhase::Processing]
+        {
+            assert_eq!(m.active_watts(phase), w);
+            assert_eq!(m.active_energy(phase, Seconds::new(2.0)), Joules::new(8.0));
         }
     }
 
@@ -173,34 +133,14 @@ mod tests {
 
     #[test]
     fn zero_durations_cost_nothing() {
-        let m = DevicePowerModel::intel_i7_7700();
+        let m = desktop();
         assert_eq!(m.energy(Seconds::ZERO, Seconds::ZERO, Seconds::ZERO), Joules::ZERO);
-    }
-
-    #[test]
-    fn processing_draws_more_than_deployment_on_both_testbed_devices() {
-        // This asymmetry is what gives registry choice its (small) energy
-        // leverage: a second of pulling costs less than a second of compute.
-        for m in [DevicePowerModel::intel_i7_7700(), DevicePowerModel::raspberry_pi_4()] {
-            assert!(m.process_watts > m.deploy_watts);
-            assert!(m.process_watts > m.transfer_watts);
-        }
-    }
-
-    #[test]
-    fn medium_device_outdraw_small_under_load() {
-        let med = DevicePowerModel::intel_i7_7700();
-        let small = DevicePowerModel::raspberry_pi_4();
-        assert!(
-            med.total_watts(ExecutionPhase::Processing).as_f64()
-                > small.total_watts(ExecutionPhase::Processing).as_f64()
-        );
     }
 
     #[test]
     fn deployment_time_changes_energy() {
         // The crux of the paper: shaving deployment seconds saves energy.
-        let m = DevicePowerModel::intel_i7_7700();
+        let m = desktop();
         let slow = m.energy(Seconds::new(60.0), Seconds::new(5.0), Seconds::new(100.0));
         let fast = m.energy(Seconds::new(40.0), Seconds::new(5.0), Seconds::new(100.0));
         assert!(slow > fast);
@@ -211,7 +151,7 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let m = DevicePowerModel::raspberry_pi_4();
+        let m = desktop();
         let json = serde_json::to_string(&m).unwrap();
         let back: DevicePowerModel = serde_json::from_str(&json).unwrap();
         assert_eq!(m, back);

@@ -80,19 +80,6 @@ impl Joules {
     pub fn as_kilojoules(self) -> f64 {
         self.0 / 1e3
     }
-
-    /// Relative difference `(self - other) / other`, used for the paper's
-    /// "% improvement" claims.
-    pub fn relative_delta(self, other: Joules) -> f64 {
-        assert!(other.0 > 0.0, "relative delta against zero energy");
-        (self.0 - other.0) / other.0
-    }
-
-    /// Average power over a duration.
-    pub fn average_power(self, over: Seconds) -> Watts {
-        assert!(over.as_f64() > 0.0, "average power over non-positive duration");
-        Watts::new(self.0 / over.as_f64())
-    }
 }
 
 impl Add for Joules {
@@ -175,22 +162,6 @@ mod tests {
         assert!((a / b - 2.5).abs() < 1e-12);
         let total: Joules = [a, b].into_iter().sum();
         assert_eq!(total.as_f64(), 140.0);
-    }
-
-    #[test]
-    fn relative_delta_matches_paper_claim_shape() {
-        // DEEP saves ~18 J out of ~5.3 kJ => ~0.34 %.
-        let deep = Joules::new(5282.0);
-        let hub = Joules::new(5300.0);
-        let delta = deep.relative_delta(hub);
-        assert!(delta < 0.0);
-        assert!((delta.abs() - 0.0034).abs() < 5e-4);
-    }
-
-    #[test]
-    fn average_power() {
-        let p = Joules::new(650.0).average_power(Seconds::new(10.0));
-        assert!((p.as_f64() - 65.0).abs() < 1e-12);
     }
 
     #[test]

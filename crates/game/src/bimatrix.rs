@@ -1,7 +1,7 @@
 //! Two-player bimatrix games.
 
 use crate::matrix::Matrix;
-use crate::strategy::{MixedStrategy, EPS};
+use crate::strategy::MixedStrategy;
 use serde::{Deserialize, Serialize};
 
 /// A two-player game in strategic form: row player maximises `a`, column
@@ -23,12 +23,6 @@ impl Bimatrix {
         Bimatrix { a, b }
     }
 
-    /// Zero-sum game: `b = -a`.
-    pub fn zero_sum(a: Matrix) -> Self {
-        let b = Matrix::from_fn(a.rows(), a.cols(), |i, j| -a[(i, j)]);
-        Bimatrix { a, b }
-    }
-
     /// Common-interest (team) game: both players receive `a`. This is the
     /// shape DEEP uses — microservice and device "cooperate" on the shared
     /// energy objective.
@@ -37,30 +31,13 @@ impl Bimatrix {
     }
 
     /// Row-player action count.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.a.rows()
     }
 
     /// Column-player action count.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.a.cols()
-    }
-
-    /// Expected payoffs `(row, col)` under mixed strategies.
-    pub fn expected_payoffs(&self, x: &MixedStrategy, y: &MixedStrategy) -> (f64, f64) {
-        (self.a.quad(x.probs(), y.probs()), self.b.quad(x.probs(), y.probs()))
-    }
-
-    /// Row player's best pure responses to a column mixed strategy.
-    pub fn row_best_responses(&self, y: &MixedStrategy) -> Vec<usize> {
-        let payoffs = self.a.mat_vec(y.probs());
-        argmax_set(&payoffs)
-    }
-
-    /// Column player's best pure responses to a row mixed strategy.
-    pub fn col_best_responses(&self, x: &MixedStrategy) -> Vec<usize> {
-        let payoffs = self.b.vec_mat(x.probs());
-        argmax_set(&payoffs)
     }
 
     /// Is `(x, y)` a Nash equilibrium (within tolerance)? Checks the
@@ -83,47 +60,38 @@ impl Bimatrix {
         }
         true
     }
-
-    /// All pure-strategy Nash equilibria, by exhaustive best-response
-    /// check.
-    pub fn pure_equilibria(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for i in 0..self.rows() {
-            for j in 0..self.cols() {
-                let col_j = self.a.col(j);
-                let row_best = col_j.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                if self.a[(i, j)] < row_best - EPS {
-                    continue;
-                }
-                let row_i = self.b.row(i);
-                let col_best = row_i.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                if self.b[(i, j)] < col_best - EPS {
-                    continue;
-                }
-                out.push((i, j));
-            }
-        }
-        out
-    }
-}
-
-/// Indices attaining the maximum of `v` (within EPS).
-fn argmax_set(v: &[f64]) -> Vec<usize> {
-    let max = v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    v.iter().enumerate().filter(|(_, &p)| p >= max - EPS).map(|(i, _)| i).collect()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::classic;
+
+    impl Bimatrix {
+        /// Zero-sum game: `b = -a`.
+        pub(crate) fn zero_sum(a: Matrix) -> Self {
+            let b = Matrix::from_fn(a.rows(), a.cols(), |i, j| -a[(i, j)]);
+            Bimatrix { a, b }
+        }
+    }
+
+    /// Every pure profile `(i, j)` that is a Nash equilibrium of `g`, in
+    /// row-major order.
+    pub(crate) fn pure_equilibria(g: &Bimatrix) -> Vec<(usize, usize)> {
+        let (rows, cols) = (g.rows(), g.cols());
+        let pure = |i, n| MixedStrategy::pure(i, n);
+        (0..rows)
+            .flat_map(|i| (0..cols).map(move |j| (i, j)))
+            .filter(|&(i, j)| g.is_nash(&pure(i, rows), &pure(j, cols)))
+            .collect()
+    }
 
     #[test]
     fn prisoners_dilemma_unique_pure_equilibrium() {
         let g = classic::prisoners_dilemma();
         // Both defect (index 1) is the unique NE despite being Pareto-worse
         // than mutual cooperation — the paper's framing device.
-        assert_eq!(g.pure_equilibria(), vec![(1, 1)]);
+        assert_eq!(pure_equilibria(&g), vec![(1, 1)]);
         let x = MixedStrategy::pure(1, 2);
         let y = MixedStrategy::pure(1, 2);
         assert!(g.is_nash(&x, &y));
@@ -134,7 +102,7 @@ mod tests {
     #[test]
     fn matching_pennies_has_no_pure_equilibrium() {
         let g = classic::matching_pennies();
-        assert!(g.pure_equilibria().is_empty());
+        assert!(pure_equilibria(&g).is_empty());
         let mix = MixedStrategy::uniform(2);
         assert!(g.is_nash(&mix, &mix));
     }
@@ -142,23 +110,22 @@ mod tests {
     #[test]
     fn battle_of_sexes_two_pure_equilibria() {
         let g = classic::battle_of_the_sexes();
-        assert_eq!(g.pure_equilibria(), vec![(0, 0), (1, 1)]);
+        assert_eq!(pure_equilibria(&g), vec![(0, 0), (1, 1)]);
     }
 
     #[test]
     fn coordination_game_best_responses() {
+        // Each player's best response is to match the other's action, so
+        // the pure equilibria are the diagonal, the worse one included.
         let g = classic::coordination(3.0, 1.0);
-        let x = MixedStrategy::pure(0, 2);
-        assert_eq!(g.col_best_responses(&x), vec![0]);
-        let y = MixedStrategy::pure(1, 2);
-        assert_eq!(g.row_best_responses(&y), vec![1]);
+        assert_eq!(pure_equilibria(&g), vec![(0, 0), (1, 1)]);
     }
 
     #[test]
     fn expected_payoffs_zero_sum() {
         let g = classic::matching_pennies();
         let u = MixedStrategy::uniform(2);
-        let (r, c) = g.expected_payoffs(&u, &u);
+        let (r, c) = (g.a.quad(u.probs(), u.probs()), g.b.quad(u.probs(), u.probs()));
         assert!((r - 0.0).abs() < 1e-12);
         assert!((r + c).abs() < 1e-12, "zero-sum");
     }
@@ -167,27 +134,24 @@ mod tests {
     fn common_interest_shares_payoffs() {
         let m = Matrix::from_rows(&[vec![5.0, 1.0], vec![2.0, 4.0]]);
         let g = Bimatrix::common_interest(m);
-        let x = MixedStrategy::pure(0, 2);
-        let y = MixedStrategy::pure(0, 2);
-        let (r, c) = g.expected_payoffs(&x, &y);
-        assert_eq!(r, c);
+        assert_eq!(g.a, g.b);
         // Both diagonal cells are pure equilibria of the team game.
-        assert_eq!(g.pure_equilibria(), vec![(0, 0), (1, 1)]);
+        assert_eq!(pure_equilibria(&g), vec![(0, 0), (1, 1)]);
     }
 
     #[test]
     fn tied_best_responses_all_reported() {
         let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0]]);
         let g = Bimatrix::common_interest(a);
-        let y = MixedStrategy::uniform(2);
-        assert_eq!(g.row_best_responses(&y), vec![0, 1]);
-        // Every cell is an equilibrium of the constant game.
-        assert_eq!(g.pure_equilibria().len(), 4);
+        // Every action is a best response to every other, so every cell
+        // is an equilibrium of the constant game.
+        assert_eq!(pure_equilibria(&g).len(), 4);
     }
 
     #[test]
     #[should_panic(expected = "share a shape")]
     fn shape_mismatch_rejected() {
-        Bimatrix::new(Matrix::zeros(2, 2), Matrix::zeros(2, 3));
+        let zeros = |cols| Matrix::from_fn(2, cols, |_, _| 0.0);
+        Bimatrix::new(zeros(2), zeros(3));
     }
 }

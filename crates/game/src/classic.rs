@@ -1,18 +1,19 @@
-//! Canonical games for validation (the Nashpy test-suite staples) and the
-//! prisoner's-dilemma constructors the paper's model builds on.
+//! Canonical games the solver tests validate against (the Nashpy
+//! test-suite staples), including the prisoner's dilemma the paper frames
+//! deployment as.
 
 use crate::bimatrix::Bimatrix;
 use crate::matrix::Matrix;
 
 /// The classic prisoner's dilemma with the textbook payoffs
 /// `(T, R, P, S) = (5, 3, 1, 0)`: action 0 = cooperate, 1 = defect.
-pub fn prisoners_dilemma() -> Bimatrix {
+pub(crate) fn prisoners_dilemma() -> Bimatrix {
     prisoners_dilemma_with(5.0, 3.0, 1.0, 0.0)
 }
 
 /// A prisoner's dilemma with custom payoffs. Requires the defining chain
 /// `T > R > P > S` (temptation > reward > punishment > sucker).
-pub fn prisoners_dilemma_with(t: f64, r: f64, p: f64, s: f64) -> Bimatrix {
+pub(crate) fn prisoners_dilemma_with(t: f64, r: f64, p: f64, s: f64) -> Bimatrix {
     assert!(t > r && r > p && p > s, "PD requires T > R > P > S");
     let a = Matrix::from_rows(&[vec![r, s], vec![t, p]]);
     let b = a.transpose();
@@ -21,12 +22,12 @@ pub fn prisoners_dilemma_with(t: f64, r: f64, p: f64, s: f64) -> Bimatrix {
 
 /// Matching pennies: zero-sum, unique fully-mixed equilibrium at
 /// (1/2, 1/2).
-pub fn matching_pennies() -> Bimatrix {
+pub(crate) fn matching_pennies() -> Bimatrix {
     Bimatrix::zero_sum(Matrix::from_rows(&[vec![1.0, -1.0], vec![-1.0, 1.0]]))
 }
 
 /// Battle of the sexes: two pure equilibria and one mixed.
-pub fn battle_of_the_sexes() -> Bimatrix {
+pub(crate) fn battle_of_the_sexes() -> Bimatrix {
     let a = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 2.0]]);
     let b = Matrix::from_rows(&[vec![2.0, 0.0], vec![0.0, 3.0]]);
     Bimatrix::new(a, b)
@@ -34,13 +35,13 @@ pub fn battle_of_the_sexes() -> Bimatrix {
 
 /// Pure coordination: both prefer matching, `high`-payoff on (0,0),
 /// `low`-payoff on (1,1).
-pub fn coordination(high: f64, low: f64) -> Bimatrix {
+pub(crate) fn coordination(high: f64, low: f64) -> Bimatrix {
     assert!(high >= low, "by convention the first action is the better one");
     Bimatrix::common_interest(Matrix::from_rows(&[vec![high, 0.0], vec![0.0, low]]))
 }
 
 /// Rock-paper-scissors: unique equilibrium at uniform (1/3, 1/3, 1/3).
-pub fn rock_paper_scissors() -> Bimatrix {
+pub(crate) fn rock_paper_scissors() -> Bimatrix {
     Bimatrix::zero_sum(Matrix::from_rows(&[
         vec![0.0, -1.0, 1.0],
         vec![1.0, 0.0, -1.0],
@@ -51,6 +52,7 @@ pub fn rock_paper_scissors() -> Bimatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bimatrix::tests::pure_equilibria;
 
     #[test]
     fn pd_payoff_chain_enforced() {
@@ -77,7 +79,7 @@ mod tests {
                 assert_eq!(g.a[(i, j)], -g.a[(j, i)]);
             }
         }
-        assert!(g.pure_equilibria().is_empty());
+        assert!(pure_equilibria(&g).is_empty());
     }
 
     #[test]

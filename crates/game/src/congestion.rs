@@ -54,56 +54,8 @@ impl<'a> FiniteGame<'a> {
     }
 
     /// Number of players.
-    pub fn players(&self) -> usize {
+    pub(crate) fn players(&self) -> usize {
         self.strategy_counts.len()
-    }
-
-    /// Player `p`'s best response to the rest of `profile` (lowest cost,
-    /// lowest index on ties).
-    pub fn best_response(&self, p: usize, profile: &[usize]) -> usize {
-        let mut probe = profile.to_vec();
-        let mut best = (f64::INFINITY, 0usize);
-        for s in 0..self.strategy_counts[p] {
-            probe[p] = s;
-            let c = (self.cost)(p, &probe);
-            if c < best.0 - 1e-12 {
-                best = (c, s);
-            }
-        }
-        best.1
-    }
-
-    /// Round-robin best-response dynamics from `start`.
-    ///
-    /// One *pass* lets every player revise once. Terminates when a full
-    /// pass changes nothing (pure NE) or after `max_passes`.
-    pub fn best_response_dynamics(
-        &self,
-        start: Vec<usize>,
-        max_passes: usize,
-    ) -> BestResponseResult {
-        assert_eq!(start.len(), self.players(), "profile length mismatch");
-        for (p, &s) in start.iter().enumerate() {
-            assert!(s < self.strategy_counts[p], "start strategy out of range for player {p}");
-        }
-        let mut profile = start;
-        for pass in 0..max_passes {
-            let mut changed = false;
-            for p in 0..self.players() {
-                let current_cost = (self.cost)(p, &profile);
-                let br = self.best_response(p, &profile);
-                let mut probe = profile.clone();
-                probe[p] = br;
-                if (self.cost)(p, &probe) < current_cost - 1e-12 {
-                    profile = probe;
-                    changed = true;
-                }
-            }
-            if !changed {
-                return BestResponseResult { profile, converged: true, passes: pass + 1 };
-            }
-        }
-        BestResponseResult { profile, converged: false, passes: max_passes }
     }
 
     /// Is `profile` a pure Nash equilibrium?
@@ -120,44 +72,6 @@ impl<'a> FiniteGame<'a> {
             probe[p] = profile[p];
         }
         true
-    }
-
-    /// Exhaustively enumerate all pure equilibria (profile space must be
-    /// small; intended for tests and the 2-registry × 2-device games).
-    pub fn enumerate_equilibria(&self) -> Vec<Vec<usize>> {
-        let mut out = Vec::new();
-        let mut profile = vec![0usize; self.players()];
-        loop {
-            if self.is_equilibrium(&profile) {
-                out.push(profile.clone());
-            }
-            // Odometer increment.
-            let mut p = 0;
-            loop {
-                if p == self.players() {
-                    return out;
-                }
-                profile[p] += 1;
-                if profile[p] < self.strategy_counts[p] {
-                    break;
-                }
-                profile[p] = 0;
-                p += 1;
-            }
-        }
-    }
-
-    /// Total cost of a profile across players (the social objective DEEP
-    /// minimises).
-    pub fn social_cost(&self, profile: &[usize]) -> f64 {
-        (0..self.players()).map(|p| (self.cost)(p, profile)).sum()
-    }
-
-    /// The pure equilibrium with minimal social cost, if any exist.
-    pub fn best_equilibrium(&self) -> Option<Vec<usize>> {
-        self.enumerate_equilibria().into_iter().min_by(|a, b| {
-            self.social_cost(a).partial_cmp(&self.social_cost(b)).expect("costs are not NaN")
-        })
     }
 }
 
@@ -219,7 +133,7 @@ impl<'a> CongestionGame<'a> {
     }
 
     /// Per-resource load under a pure profile.
-    pub fn loads(&self, profile: &[usize]) -> Vec<usize> {
+    pub(crate) fn loads(&self, profile: &[usize]) -> Vec<usize> {
         assert_eq!(profile.len(), self.players(), "profile length mismatch");
         let mut loads = vec![0usize; self.resources];
         for (p, &s) in profile.iter().enumerate() {
@@ -246,22 +160,9 @@ impl<'a> CongestionGame<'a> {
             .sum()
     }
 
-    /// Total cost across players (the social objective).
-    pub fn social_cost(&self, profile: &[usize]) -> f64 {
-        (0..self.players()).map(|p| self.player_cost(p, profile)).sum()
-    }
-
-    /// The oracle form of the same game, for cross-checking against the
-    /// generic [`FiniteGame`] machinery.
-    pub fn as_finite_game(&self) -> FiniteGame<'_> {
-        FiniteGame::new(self.uses.iter().map(Vec::len).collect(), move |p, profile| {
-            self.player_cost(p, profile)
-        })
-    }
-
     /// Player `p`'s best response to the rest of `profile`: strictly
     /// lowest cost, lowest strategy index on ties (deterministic).
-    pub fn best_response(&self, p: usize, profile: &[usize]) -> usize {
+    pub(crate) fn best_response(&self, p: usize, profile: &[usize]) -> usize {
         let mut probe = profile.to_vec();
         let mut best = (f64::INFINITY, 0usize);
         for s in 0..self.strategy_count(p) {
@@ -538,6 +439,89 @@ impl DescentWorkspace {
 mod tests {
     use super::*;
 
+    impl FiniteGame<'_> {
+        /// Player `p`'s best response to the rest of `profile` (lowest cost,
+        /// lowest index on ties).
+        pub(crate) fn best_response(&self, p: usize, profile: &[usize]) -> usize {
+            let mut probe = profile.to_vec();
+            let mut best = (f64::INFINITY, 0usize);
+            for s in 0..self.strategy_counts[p] {
+                probe[p] = s;
+                let c = (self.cost)(p, &probe);
+                if c < best.0 - 1e-12 {
+                    best = (c, s);
+                }
+            }
+            best.1
+        }
+
+        /// Round-robin best-response dynamics from `start`.
+        ///
+        /// One *pass* lets every player revise once. Terminates when a full
+        /// pass changes nothing (pure NE) or after `max_passes`.
+        pub(crate) fn best_response_dynamics(
+            &self,
+            start: Vec<usize>,
+            max_passes: usize,
+        ) -> BestResponseResult {
+            assert_eq!(start.len(), self.players(), "profile length mismatch");
+            for (p, &s) in start.iter().enumerate() {
+                assert!(s < self.strategy_counts[p], "start strategy out of range for player {p}");
+            }
+            let mut profile = start;
+            for pass in 0..max_passes {
+                let mut changed = false;
+                for p in 0..self.players() {
+                    let current_cost = (self.cost)(p, &profile);
+                    let br = self.best_response(p, &profile);
+                    let mut probe = profile.clone();
+                    probe[p] = br;
+                    if (self.cost)(p, &probe) < current_cost - 1e-12 {
+                        profile = probe;
+                        changed = true;
+                    }
+                }
+                if !changed {
+                    return BestResponseResult { profile, converged: true, passes: pass + 1 };
+                }
+            }
+            BestResponseResult { profile, converged: false, passes: max_passes }
+        }
+    }
+
+    impl FiniteGame<'_> {
+        /// Exhaustively enumerate all pure equilibria (profile space must be
+        /// small; intended for tests and the 2-registry × 2-device games).
+        pub(crate) fn enumerate_equilibria(&self) -> Vec<Vec<usize>> {
+            let mut out = Vec::new();
+            let mut profile = vec![0usize; self.players()];
+            loop {
+                if self.is_equilibrium(&profile) {
+                    out.push(profile.clone());
+                }
+                // Odometer increment.
+                let mut p = 0;
+                loop {
+                    if p == self.players() {
+                        return out;
+                    }
+                    profile[p] += 1;
+                    if profile[p] < self.strategy_counts[p] {
+                        break;
+                    }
+                    profile[p] = 0;
+                    p += 1;
+                }
+            }
+        }
+
+        /// Total cost of a profile across players (the social objective DEEP
+        /// minimises).
+        pub(crate) fn social_cost(&self, profile: &[usize]) -> f64 {
+            (0..self.players()).map(|p| (self.cost)(p, profile)).sum()
+        }
+    }
+
     /// Two players, two routes; sharing a route doubles its cost —
     /// a minimal congestion game.
     fn two_route_game() -> FiniteGame<'static> {
@@ -580,9 +564,11 @@ mod tests {
     #[test]
     fn social_cost_and_best_equilibrium() {
         let g = two_route_game();
-        // Both equilibria cost 1.0 + 1.2 = 2.2.
-        let best = g.best_equilibrium().unwrap();
-        assert!((g.social_cost(&best) - 2.2).abs() < 1e-12);
+        // Both equilibria cost 1.0 + 1.2 = 2.2, so the cheapest does too.
+        let costs = g.enumerate_equilibria().iter().map(|eq| g.social_cost(eq)).collect::<Vec<_>>();
+        assert_eq!(costs.len(), 2);
+        let best = costs.into_iter().fold(f64::INFINITY, f64::min);
+        assert!((best - 2.2).abs() < 1e-12);
     }
 
     #[test]
@@ -708,7 +694,8 @@ mod tests {
     #[test]
     fn explicit_form_agrees_with_the_oracle_form() {
         let g = split_pull_game();
-        let oracle = g.as_finite_game();
+        let counts = g.uses.iter().map(Vec::len).collect();
+        let oracle = FiniteGame::new(counts, |p, profile| g.player_cost(p, profile));
         // Same costs on every profile, same equilibrium set.
         let mut profile = vec![0usize; 3];
         loop {

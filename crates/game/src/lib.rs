@@ -8,8 +8,7 @@
 //!
 //! * [`matrix`] — dense payoff matrices;
 //! * [`strategy`] — mixed strategies with support queries;
-//! * [`bimatrix`] — two-player games: best responses, pure-equilibrium
-//!   enumeration, equilibrium verification, expected payoffs;
+//! * [`bimatrix`] — two-player games and equilibrium verification;
 //! * [`support_enum`] — support enumeration of all equilibria of
 //!   nondegenerate bimatrix games (Nashpy's `support_enumeration`), the
 //!   test oracle for the scheduler's stage-game scan;
@@ -21,14 +20,20 @@
 //!   sparse potential-descent solver ([`CongestionGame::sparse_descent`])
 //!   over incremental per-resource load counters — trajectory-identical
 //!   to the dense dynamics but scaling with loaded resources, not
-//!   enumerated profiles — which is what the scheduler runs;
-//! * [`classic`] — canonical games (prisoner's dilemma, matching pennies,
-//!   ...) used for validation and by the paper's model.
+//!   enumerated profiles.
+//!
+//! No scheduling path solves a game from this crate: deep-core's wave
+//! games build a [`CongestionGame`] for the benchmark's descent probe and
+//! for tests. The bimatrix machinery, support enumeration and the dense
+//! dynamics are the oracles the tests and benches check the scheduler
+//! against; the canonical games they validate on (prisoner's dilemma,
+//! matching pennies, ...) are test fixtures.
 
 #![forbid(unsafe_code)]
 
 pub mod bimatrix;
-pub mod classic;
+#[cfg(test)]
+mod classic;
 pub mod congestion;
 pub mod linalg;
 pub mod matrix;

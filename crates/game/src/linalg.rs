@@ -3,7 +3,7 @@
 /// Solve `M x = b` by Gaussian elimination with partial pivoting.
 /// Returns `None` when `M` is (numerically) singular.
 #[allow(clippy::needless_range_loop)]
-pub fn solve(mut m: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
+pub(crate) fn solve(mut m: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
     let n = m.len();
     assert!(n > 0 && m.iter().all(|r| r.len() == n), "square system required");
     assert_eq!(b.len(), n, "rhs length mismatch");

@@ -13,17 +13,6 @@ pub struct Matrix {
 }
 
 impl Matrix {
-    /// A matrix filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        assert!(rows > 0 && cols > 0, "matrices must be non-empty");
-        Matrix { rows, cols, data: vec![value; rows * cols] }
-    }
-
-    /// A zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self::filled(rows, cols, 0.0)
-    }
-
     /// Build from nested rows (all rows must share a length).
     pub fn from_rows(rows: &[Vec<f64>]) -> Self {
         assert!(!rows.is_empty(), "matrices must be non-empty");
@@ -49,11 +38,11 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -63,38 +52,18 @@ impl Matrix {
     }
 
     /// One row as a slice.
-    pub fn row(&self, i: usize) -> &[f64] {
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// One column, collected.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
-    /// Minimum entry.
-    pub fn min(&self) -> f64 {
-        self.data.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Maximum entry.
-    pub fn max(&self) -> f64 {
-        self.data.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// `self + c` elementwise (payoff shifting preserves equilibria).
-    pub fn shift(&self, c: f64) -> Matrix {
-        Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|v| v + c).collect() }
-    }
-
     /// `M · y` for a column vector `y`.
-    pub fn mat_vec(&self, y: &[f64]) -> Vec<f64> {
+    pub(crate) fn mat_vec(&self, y: &[f64]) -> Vec<f64> {
         assert_eq!(y.len(), self.cols, "dimension mismatch");
         (0..self.rows).map(|i| self.row(i).iter().zip(y).map(|(a, b)| a * b).sum()).collect()
     }
 
     /// `xᵀ · M` for a row vector `x`.
-    pub fn vec_mat(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn vec_mat(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.rows, "dimension mismatch");
         (0..self.cols).map(|j| (0..self.rows).map(|i| x[i] * self[(i, j)]).sum()).collect()
     }
@@ -147,7 +116,6 @@ mod tests {
         assert_eq!(m[(0, 0)], 1.0);
         assert_eq!(m[(1, 2)], 6.0);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-        assert_eq!(m.col(1), vec![2.0, 5.0]);
     }
 
     #[test]
@@ -157,16 +125,6 @@ mod tests {
         assert_eq!((t.rows(), t.cols()), (3, 2));
         assert_eq!(t[(2, 1)], 6.0);
         assert_eq!(t.transpose(), m);
-    }
-
-    #[test]
-    fn min_max_shift() {
-        let m = m();
-        assert_eq!(m.min(), 1.0);
-        assert_eq!(m.max(), 6.0);
-        let s = m.shift(10.0);
-        assert_eq!(s.min(), 11.0);
-        assert_eq!(s[(0, 1)], 12.0);
     }
 
     #[test]
@@ -187,7 +145,7 @@ mod tests {
 
     #[test]
     fn mutation() {
-        let mut m = Matrix::zeros(2, 2);
+        let mut m = Matrix::from_fn(2, 2, |_, _| 0.0);
         m[(0, 1)] = 7.0;
         assert_eq!(m[(0, 1)], 7.0);
     }

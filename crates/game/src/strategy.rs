@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Tolerance for probability arithmetic across the crate.
-pub const EPS: f64 = 1e-9;
+pub(crate) const EPS: f64 = 1e-9;
 
 /// A probability distribution over a player's pure strategies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -12,7 +12,7 @@ pub struct MixedStrategy(Vec<f64>);
 
 impl MixedStrategy {
     /// Construct, validating non-negativity and unit mass.
-    pub fn new(probs: Vec<f64>) -> Self {
+    pub(crate) fn new(probs: Vec<f64>) -> Self {
         assert!(!probs.is_empty(), "strategy over zero actions");
         let sum: f64 = probs.iter().sum();
         assert!(
@@ -30,39 +30,19 @@ impl MixedStrategy {
         MixedStrategy(p)
     }
 
-    /// Uniform mixing over `n` actions.
-    pub fn uniform(n: usize) -> Self {
-        assert!(n > 0);
-        MixedStrategy(vec![1.0 / n as f64; n])
-    }
-
     /// Probability vector.
     pub fn probs(&self) -> &[f64] {
         &self.0
     }
 
     /// Number of actions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.0.len()
     }
 
-    /// Always false — strategies are non-empty by construction.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
     /// Actions played with probability > EPS.
-    pub fn support(&self) -> Vec<usize> {
+    pub(crate) fn support(&self) -> Vec<usize> {
         self.0.iter().enumerate().filter(|(_, &p)| p > EPS).map(|(i, _)| i).collect()
-    }
-
-    /// `Some(i)` when the strategy is (numerically) pure.
-    pub fn as_pure(&self) -> Option<usize> {
-        let support = self.support();
-        match support.as_slice() {
-            [only] if self.0[*only] > 1.0 - 1e-6 => Some(*only),
-            _ => None,
-        }
     }
 
     /// The most likely action (ties broken towards the lower index).
@@ -77,7 +57,7 @@ impl MixedStrategy {
     }
 
     /// Numerical equality within `tol`.
-    pub fn approx_eq(&self, other: &MixedStrategy, tol: f64) -> bool {
+    pub(crate) fn approx_eq(&self, other: &MixedStrategy, tol: f64) -> bool {
         self.len() == other.len()
             && self.0.iter().zip(other.probs()).all(|(a, b)| (a - b).abs() <= tol)
     }
@@ -94,16 +74,22 @@ impl fmt::Display for MixedStrategy {
 mod tests {
     use super::*;
 
+    impl MixedStrategy {
+        /// Uniform mixing over `n` actions.
+        pub(crate) fn uniform(n: usize) -> Self {
+            assert!(n > 0);
+            MixedStrategy(vec![1.0 / n as f64; n])
+        }
+    }
+
     #[test]
     fn pure_and_uniform_constructors() {
         let p = MixedStrategy::pure(1, 3);
         assert_eq!(p.probs(), &[0.0, 1.0, 0.0]);
-        assert_eq!(p.as_pure(), Some(1));
         assert_eq!(p.support(), vec![1]);
 
         let u = MixedStrategy::uniform(4);
         assert_eq!(u.support(), vec![0, 1, 2, 3]);
-        assert_eq!(u.as_pure(), None);
     }
 
     #[test]

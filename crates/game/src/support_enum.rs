@@ -153,6 +153,14 @@ mod tests {
     use crate::classic;
     use crate::matrix::Matrix;
 
+    /// The action a strategy plays, when it plays only one.
+    fn pure(s: &MixedStrategy) -> Option<usize> {
+        match s.support().as_slice() {
+            [only] => Some(*only),
+            _ => None,
+        }
+    }
+
     #[test]
     fn subsets_enumerate_correct_counts() {
         assert_eq!(subsets(4, 2).len(), 6);
@@ -166,8 +174,8 @@ mod tests {
         let eqs = support_enumeration(&classic::prisoners_dilemma());
         assert_eq!(eqs.len(), 1);
         let (x, y) = &eqs[0];
-        assert_eq!(x.as_pure(), Some(1));
-        assert_eq!(y.as_pure(), Some(1));
+        assert_eq!(pure(x), Some(1));
+        assert_eq!(pure(y), Some(1));
     }
 
     #[test]
@@ -183,12 +191,11 @@ mod tests {
     fn battle_of_sexes_three_equilibria() {
         let eqs = support_enumeration(&classic::battle_of_the_sexes());
         assert_eq!(eqs.len(), 3, "two pure + one mixed");
-        let pures: Vec<_> =
-            eqs.iter().filter_map(|(x, y)| Some((x.as_pure()?, y.as_pure()?))).collect();
+        let pures: Vec<_> = eqs.iter().filter_map(|(x, y)| Some((pure(x)?, pure(y)?))).collect();
         assert!(pures.contains(&(0, 0)));
         assert!(pures.contains(&(1, 1)));
         // The mixed one: x = (3/5, 2/5), y = (2/5, 3/5).
-        let mixed = eqs.iter().find(|(x, _)| x.as_pure().is_none()).unwrap();
+        let mixed = eqs.iter().find(|(x, _)| pure(x).is_none()).unwrap();
         assert!(mixed.0.approx_eq(&MixedStrategy::new(vec![0.6, 0.4]), 1e-9));
         assert!(mixed.1.approx_eq(&MixedStrategy::new(vec![0.4, 0.6]), 1e-9));
     }
@@ -233,8 +240,7 @@ mod tests {
     fn team_game_equilibria_include_both_coordination_points() {
         let g = classic::coordination(3.0, 1.0);
         let eqs = support_enumeration(&g);
-        let pures: Vec<_> =
-            eqs.iter().filter_map(|(x, y)| Some((x.as_pure()?, y.as_pure()?))).collect();
+        let pures: Vec<_> = eqs.iter().filter_map(|(x, y)| Some((pure(x)?, pure(y)?))).collect();
         assert!(pures.contains(&(0, 0)));
         assert!(pures.contains(&(1, 1)));
     }

@@ -38,7 +38,7 @@
 //!   this viewer lacks`) short-circuits the exchange entirely when both
 //!   partners are fully fresh — a barrier over an unchanged fleet is a
 //!   no-op that allocates nothing, with partner selection running out
-//!   of the reusable [`GossipWorkspace`] scratch buffer.
+//!   of the reusable `GossipWorkspace` scratch buffer.
 //!
 //! Everything observable is unchanged: the same seeded partner schedule
 //! (a pure splitmix64 function of `(seed, round, device, probe)`),
@@ -68,7 +68,7 @@ use crate::splitmix64;
 /// allocates nothing — which is what makes a steady-state wave barrier
 /// over an unchanged fleet allocation-free.
 #[derive(Debug, Clone, Default)]
-pub struct GossipWorkspace {
+pub(crate) struct GossipWorkspace {
     /// The partner picks of the device currently exchanging.
     partners: Vec<usize>,
 }
@@ -253,7 +253,7 @@ impl<T: Clone> GossipState<T> {
     /// either knew. Exchanges within a round see each other's effects
     /// (immediate visibility), which keeps the round deterministic
     /// without a message buffer and only speeds convergence up. Partner
-    /// selection runs out of the reused [`GossipWorkspace`]; on an
+    /// selection runs out of the reused `GossipWorkspace`; on an
     /// unchanged fleet (every staleness counter 0) the round performs
     /// no stores and no allocations.
     pub fn run_round(&mut self, fanout: u32) {
@@ -359,10 +359,6 @@ pub mod oracle {
             }
         }
 
-        pub fn devices(&self) -> usize {
-            self.views.len()
-        }
-
         pub fn rounds_run(&self) -> u64 {
             self.round
         }
@@ -374,7 +370,8 @@ pub mod oracle {
             epoch
         }
 
-        pub fn epoch(&self, holder: usize) -> u64 {
+        #[cfg(test)]
+        pub(crate) fn epoch(&self, holder: usize) -> u64 {
             self.epochs[holder]
         }
 
@@ -400,7 +397,7 @@ pub mod oracle {
             }
         }
 
-        pub fn run_round(&mut self, fanout: u32) {
+        pub(crate) fn run_round(&mut self, fanout: u32) {
             let n = self.views.len();
             if n >= 2 {
                 let fanout = (fanout as usize).min(n - 1);

@@ -30,12 +30,6 @@ impl DataSize {
         DataSize(n)
     }
 
-    /// Construct from kilobytes (decimal, 1 kB = 1000 B).
-    #[inline]
-    pub fn kilobytes(n: f64) -> Self {
-        DataSize((n * 1e3).round() as u64)
-    }
-
     /// Construct from megabytes (decimal, 1 MB = 1e6 B).
     #[inline]
     pub fn megabytes(n: f64) -> Self {
@@ -74,14 +68,8 @@ impl DataSize {
 
     /// True when the size is exactly zero bytes.
     #[inline]
-    pub const fn is_zero(self) -> bool {
+    pub(crate) const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Scale by a dimensionless factor, rounding to the nearest byte.
-    #[inline]
-    pub fn scale(self, factor: f64) -> DataSize {
-        DataSize((self.0 as f64 * factor).round() as u64)
     }
 }
 
@@ -153,7 +141,7 @@ pub struct Bandwidth(f64);
 impl Bandwidth {
     /// Construct from bytes per second.
     #[inline]
-    pub fn bytes_per_sec(v: f64) -> Self {
+    pub(crate) fn bytes_per_sec(v: f64) -> Self {
         assert!(v.is_finite() && v >= 0.0, "bandwidth must be finite and non-negative");
         Bandwidth(v)
     }
@@ -170,26 +158,9 @@ impl Bandwidth {
         Self::bytes_per_sec(v * 1e6)
     }
 
-    /// Construct from decimal gigabits per second (1 Gbit = 1.25e8 B).
-    #[inline]
-    pub fn gigabits_per_sec(v: f64) -> Self {
-        Self::bytes_per_sec(v * 1.25e8)
-    }
-
-    /// Construct from decimal megabits per second.
-    #[inline]
-    pub fn megabits_per_sec(v: f64) -> Self {
-        Self::bytes_per_sec(v * 1.25e5)
-    }
-
     #[inline]
     pub fn as_bytes_per_sec(self) -> f64 {
         self.0
-    }
-
-    #[inline]
-    pub fn as_megabytes_per_sec(self) -> f64 {
-        self.0 / 1e6
     }
 
     /// Scale by a dimensionless factor (e.g. contention share).
@@ -200,18 +171,8 @@ impl Bandwidth {
 
     /// True when no data can flow.
     #[inline]
-    pub fn is_zero(self) -> bool {
+    pub(crate) fn is_zero(self) -> bool {
         self.0 == 0.0
-    }
-
-    /// The smaller of two bandwidths — the bottleneck of a two-hop path.
-    #[inline]
-    pub fn min(self, other: Bandwidth) -> Bandwidth {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -254,20 +215,6 @@ impl Seconds {
         } else {
             other
         }
-    }
-
-    #[inline]
-    pub fn min(self, other: Seconds) -> Seconds {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    #[inline]
-    pub fn is_negative(self) -> bool {
-        self.0 < 0.0
     }
 
     /// Scale by a dimensionless factor (jitter, slowdown).
@@ -343,7 +290,6 @@ mod tests {
     fn datasize_constructors_round_trip() {
         assert_eq!(DataSize::gigabytes(0.17).as_bytes(), 170_000_000);
         assert_eq!(DataSize::megabytes(1.5).as_bytes(), 1_500_000);
-        assert_eq!(DataSize::kilobytes(2.0).as_bytes(), 2_000);
         assert!((DataSize::gigabytes(5.78).as_gigabytes() - 5.78).abs() < 1e-9);
         assert!((DataSize::megabytes(250.0).as_megabytes() - 250.0).abs() < 1e-9);
     }
@@ -366,7 +312,6 @@ mod tests {
     fn datasize_sum_and_scale() {
         let total: DataSize = [1.0, 2.0, 3.0].iter().map(|&g| DataSize::gigabytes(g)).sum();
         assert_eq!(total, DataSize::gigabytes(6.0));
-        assert_eq!(DataSize::megabytes(100.0).scale(0.5), DataSize::megabytes(50.0));
     }
 
     #[test]
@@ -384,11 +329,9 @@ mod tests {
 
     #[test]
     fn bandwidth_units() {
-        assert!((Bandwidth::gigabits_per_sec(1.0).as_megabytes_per_sec() - 125.0).abs() < 1e-9);
-        assert!((Bandwidth::megabits_per_sec(80.0).as_megabytes_per_sec() - 10.0).abs() < 1e-9);
         let bw = Bandwidth::megabytes_per_sec(40.0);
-        assert!((bw.scale(0.25).as_megabytes_per_sec() - 10.0).abs() < 1e-9);
-        assert_eq!(bw.min(Bandwidth::megabytes_per_sec(20.0)), Bandwidth::megabytes_per_sec(20.0));
+        assert!((bw.as_bytes_per_sec() - 4e7).abs() < 1e-3);
+        assert!((bw.scale(0.25).as_bytes_per_sec() - 1e7).abs() < 1e-3);
     }
 
     #[test]
@@ -405,9 +348,8 @@ mod tests {
         assert_eq!((a - b).as_f64(), 1.5);
         assert_eq!((-b).as_f64(), -1.0);
         assert_eq!(a.max(b), a);
-        assert_eq!(a.min(b), b);
         assert_eq!((a * 2.0).as_f64(), 5.0);
-        assert!((a - Seconds::new(3.0)).is_negative());
+        assert!((a - Seconds::new(3.0)).as_f64() < 0.0);
         let sum: Seconds = [a, b].into_iter().sum();
         assert_eq!(sum.as_f64(), 3.5);
     }

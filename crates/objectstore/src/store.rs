@@ -23,8 +23,6 @@ pub enum StoreError {
     NoSuchKey(String),
     /// The put would exceed the store's provisioned capacity.
     QuotaExceeded { requested: u64, available: u64 },
-    /// Bucket still contains objects.
-    BucketNotEmpty(String),
 }
 
 impl fmt::Display for StoreError {
@@ -36,7 +34,6 @@ impl fmt::Display for StoreError {
             StoreError::QuotaExceeded { requested, available } => {
                 write!(f, "quota exceeded: requested {requested} B, available {available} B")
             }
-            StoreError::BucketNotEmpty(b) => write!(f, "bucket {b:?} is not empty"),
         }
     }
 }
@@ -60,14 +57,17 @@ impl Bucket {
     /// The objects whose keys start with `prefix`, in key order, as
     /// `(key, size)` pairs borrowed from the bucket: a listing that copies
     /// no key.
-    pub fn list<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = (&'a str, DataSize)> + 'a {
+    pub(crate) fn list<'a>(
+        &'a self,
+        prefix: &'a str,
+    ) -> impl Iterator<Item = (&'a str, DataSize)> + 'a {
         self.objects
             .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(move |(key, _)| key.starts_with(prefix))
             .map(|(key, body)| (key.as_str(), DataSize::bytes(body.len() as u64)))
     }
 
-    /// The keys of [`Bucket::list`].
+    /// The keys of `Bucket::list`.
     pub fn keys<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a str> + 'a {
         self.list(prefix).map(|(key, _)| key)
     }
@@ -127,11 +127,6 @@ impl ObjectStore {
         DataSize::bytes(self.inner.read().used)
     }
 
-    /// Remaining quota.
-    pub fn available(&self) -> DataSize {
-        self.capacity().saturating_sub(self.used())
-    }
-
     /// Create a bucket.
     pub fn create_bucket(&self, name: &str) -> Result<(), StoreError> {
         let mut inner = self.inner.write();
@@ -140,24 +135,6 @@ impl ObjectStore {
         }
         inner.buckets.insert(name.to_string(), Arc::default());
         Ok(())
-    }
-
-    /// Delete an empty bucket.
-    pub fn delete_bucket(&self, name: &str) -> Result<(), StoreError> {
-        let mut inner = self.inner.write();
-        match inner.buckets.get(name) {
-            None => Err(StoreError::NoSuchBucket(name.to_string())),
-            Some(b) if !b.objects.is_empty() => Err(StoreError::BucketNotEmpty(name.to_string())),
-            Some(_) => {
-                inner.buckets.remove(name);
-                Ok(())
-            }
-        }
-    }
-
-    /// List bucket names.
-    pub fn list_buckets(&self) -> Vec<String> {
-        self.inner.read().buckets.keys().cloned().collect()
     }
 
     /// Put an object, replacing any existing value under the key. The
@@ -197,22 +174,7 @@ impl ObjectStore {
         b.objects.get(key).cloned().ok_or_else(|| StoreError::NoSuchKey(key.to_string()))
     }
 
-    /// Stat an object.
-    pub fn head_object(&self, bucket: &str, key: &str) -> Result<ObjectMeta, StoreError> {
-        let inner = self.inner.read();
-        let b = inner
-            .buckets
-            .get(bucket)
-            .ok_or_else(|| StoreError::NoSuchBucket(bucket.to_string()))?;
-        b.objects
-            .get(key)
-            .map(|o| ObjectMeta { key: key.to_string(), size: DataSize::bytes(o.len() as u64) })
-            .ok_or_else(|| StoreError::NoSuchKey(key.to_string()))
-    }
-
-    /// Whether `bucket` holds `key`: [`ObjectStore::head_object`]`.is_ok()`
-    /// without building an [`ObjectMeta`] (no allocation), for callers
-    /// that only test presence.
+    /// Whether `bucket` holds `key`.
     pub fn contains_object(&self, bucket: &str, key: &str) -> bool {
         self.inner.read().buckets.get(bucket).is_some_and(|b| b.objects.contains_key(key))
     }
@@ -232,19 +194,8 @@ impl ObjectStore {
         Ok(())
     }
 
-    /// List objects in a bucket with an optional key prefix, in key order.
-    pub fn list_objects(&self, bucket: &str, prefix: &str) -> Result<Vec<ObjectMeta>, StoreError> {
-        let inner = self.inner.read();
-        let b = inner
-            .buckets
-            .get(bucket)
-            .ok_or_else(|| StoreError::NoSuchBucket(bucket.to_string()))?;
-        Ok(b.list(prefix).map(|(key, size)| ObjectMeta { key: key.to_string(), size }).collect())
-    }
-
-    /// A point-in-time view of one bucket, for listings that borrow their
-    /// keys ([`Bucket::keys`]) instead of copying each into an
-    /// [`ObjectMeta`]. The view shares the bucket copy-on-write, like a
+    /// A point-in-time view of one bucket, for listings (`Bucket::list`,
+    /// [`Bucket::keys`]) that borrow their keys. The view shares the bucket copy-on-write, like a
     /// fork does: later writes never reach it, and a write to the bucket
     /// while the view is alive copies the bucket's key map first, so drop
     /// the view before writing.
@@ -274,7 +225,7 @@ mod tests {
         let meta = s.put_object("images", "layer/abc", Bytes::from_static(b"hello")).unwrap();
         assert_eq!(meta.size, DataSize::bytes(5));
         assert_eq!(s.get_object("images", "layer/abc").unwrap(), Bytes::from_static(b"hello"));
-        assert_eq!(s.head_object("images", "layer/abc").unwrap(), meta);
+        assert_eq!(meta.key, "layer/abc");
     }
 
     #[test]
@@ -288,7 +239,7 @@ mod tests {
         // Replacing x with 10 bytes is fine: 8 freed, 10 used.
         s.put_object("b", "x", Bytes::from_static(b"0123456789")).unwrap();
         assert_eq!(s.used(), DataSize::bytes(10));
-        assert_eq!(s.available(), DataSize::ZERO);
+        assert_eq!(s.used(), s.capacity());
     }
 
     #[test]
@@ -307,13 +258,8 @@ mod tests {
             StoreError::BucketExists("images".into())
         );
         s.put_object("images", "k", Bytes::from_static(b"data")).unwrap();
-        assert_eq!(
-            s.delete_bucket("images").unwrap_err(),
-            StoreError::BucketNotEmpty("images".into())
-        );
         s.delete_object("images", "k").unwrap();
-        s.delete_bucket("images").unwrap();
-        assert!(s.list_buckets().is_empty());
+        assert_eq!(s.bucket_snapshot("images").unwrap().list("").count(), 0);
     }
 
     #[test]
@@ -322,12 +268,10 @@ mod tests {
         for key in ["blobs/sha256/cc", "blobs/sha256/aa", "manifests/v1", "blobs/sha256/bb"] {
             s.put_object("images", key, Bytes::from_static(b"x")).unwrap();
         }
-        let listed = s.list_objects("images", "blobs/").unwrap();
-        let keys: Vec<&str> = listed.iter().map(|m| m.key.as_str()).collect();
-        assert_eq!(keys, vec!["blobs/sha256/aa", "blobs/sha256/bb", "blobs/sha256/cc"]);
-        assert_eq!(s.list_objects("images", "zzz").unwrap().len(), 0);
         let view = s.bucket_snapshot("images").unwrap();
-        assert_eq!(view.keys("blobs/").collect::<Vec<_>>(), keys);
+        let keys: Vec<&str> = view.keys("blobs/").collect();
+        assert_eq!(keys, vec!["blobs/sha256/aa", "blobs/sha256/bb", "blobs/sha256/cc"]);
+        assert!(view.list("blobs/").all(|(_, size)| size == DataSize::bytes(1)));
         assert_eq!(view.keys("zzz").count(), 0);
         // The view is a snapshot: later writes never reach it.
         s.put_object("images", "blobs/sha256/dd", Bytes::from_static(b"x")).unwrap();
@@ -354,13 +298,15 @@ mod tests {
         assert_eq!(s.used(), DataSize::bytes(500));
     }
 
-    /// Every object of every bucket as `(bucket, key, bytes)`.
+    /// Every object of every bucket these tests create, as
+    /// `(bucket, key, bytes)`.
     fn snapshot(s: &ObjectStore) -> Vec<(String, String, Bytes)> {
         let mut out = Vec::new();
-        for bucket in s.list_buckets() {
-            for meta in s.list_objects(&bucket, "").unwrap() {
-                let data = s.get_object(&bucket, &meta.key).unwrap();
-                out.push((bucket.clone(), meta.key, data));
+        for bucket in ["a", "b", "blobs", "images"] {
+            let Ok(view) = s.bucket_snapshot(bucket) else { continue };
+            for key in view.keys("") {
+                let data = s.get_object(bucket, key).unwrap();
+                out.push((bucket.to_string(), key.to_string(), data));
             }
         }
         out
@@ -450,9 +396,9 @@ mod tests {
         /// Random put / replace / delete / fork sequences: every store's
         /// running `used()` equals a recomputed sum, every outcome (quota
         /// errors included) equals the reference model's, every store
-        /// holds exactly its model's objects, `list_objects` lists its
+        /// holds exactly its model's objects, a bucket snapshot lists its
         /// model's keys and sizes in key order, and `contains_object`
-        /// answers `head_object(..).is_ok()` for every key.
+        /// answers as the model does for every key.
         #[test]
         fn running_usage_matches_a_recomputed_reference(
             ops in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..160),
@@ -496,18 +442,15 @@ mod tests {
                             let key = format!("k{k}");
                             proptest::prop_assert_eq!(
                                 s.contains_object(bucket, &key),
-                                s.head_object(bucket, &key).is_ok()
-                            );
-                            proptest::prop_assert_eq!(
-                                s.contains_object(bucket, &key),
                                 m.objects.contains_key(&(bucket.to_string(), key))
                             );
                         }
                     }
                     for bucket in BUCKETS {
                         for prefix in ["", "k3"] {
-                            let listed = s.list_objects(bucket, prefix).map(|metas| {
-                                metas.into_iter().map(|o| (o.key, o.size)).collect::<Vec<_>>()
+                            let listed = s.bucket_snapshot(bucket).map(|view| {
+                                let list = view.list(prefix);
+                                list.map(|(key, size)| (key.to_string(), size)).collect::<Vec<_>>()
                             });
                             proptest::prop_assert_eq!(listed, m.list(bucket, prefix));
                         }

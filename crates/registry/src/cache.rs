@@ -14,7 +14,7 @@ use deep_netsim::DataSize;
 /// The cache holds digests, not layer bytes: an entry shares its
 /// digest's hex with every manifest and peer view naming the layer (a
 /// [`Digest`] clone is a reference count), and the table hashes it with
-/// [`crate::digest::DigestHasher`], so a pull's per-layer lookups and
+/// `crate::digest::DigestHasher`, so a pull's per-layer lookups and
 /// inserts neither copy nor SipHash a digest.
 #[derive(Debug, Clone)]
 pub struct LayerCache {
@@ -52,7 +52,7 @@ impl LayerCache {
     }
 
     /// Whether a layer is present (refreshes recency).
-    pub fn touch(&mut self, digest: &Digest) -> bool {
+    pub(crate) fn touch(&mut self, digest: &Digest) -> bool {
         self.clock += 1;
         if let Some((_, tick)) = self.entries.get_mut(digest) {
             *tick = self.clock;

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Host name of Docker Hub.
-pub const HUB_HOST: &str = "docker.io";
+pub(crate) const HUB_HOST: &str = "docker.io";
 /// Host name of the AAU regional registry (footnote 3 of the paper).
 pub const REGIONAL_HOST: &str = "dcloud2.itec.aau.at";
 
@@ -196,18 +196,19 @@ fn build_paper_catalog() -> Vec<CatalogEntry> {
     ]
 }
 
-/// Find a catalog entry by application and microservice name.
-pub fn find_entry<'a>(
-    catalog: &'a [CatalogEntry],
-    application: &str,
-    microservice: &str,
-) -> Option<&'a CatalogEntry> {
-    catalog.iter().find(|e| e.application == application && e.microservice == microservice)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::manifest::tests::shared_bytes;
+
+    /// Find a catalog entry by application and microservice name.
+    pub(crate) fn find_entry<'a>(
+        catalog: &'a [CatalogEntry],
+        application: &str,
+        microservice: &str,
+    ) -> Option<&'a CatalogEntry> {
+        catalog.iter().find(|e| e.application == application && e.microservice == microservice)
+    }
 
     #[test]
     fn build_once_catalog_equals_a_from_scratch_build() {
@@ -272,7 +273,7 @@ mod tests {
         for app in ["video-processing", "text-processing"] {
             let ha = find_entry(&cat, app, "ha-train").unwrap().manifest(Platform::Amd64);
             let la = find_entry(&cat, app, "la-train").unwrap().manifest(Platform::Amd64);
-            let shared = ha.shared_bytes(la).as_bytes() as f64 / ha.total_size().as_bytes() as f64;
+            let shared = shared_bytes(ha, la).as_bytes() as f64 / ha.total_size().as_bytes() as f64;
             assert!(shared > 0.85, "{app} trainers share only {shared:.2}");
         }
     }
@@ -284,7 +285,7 @@ mod tests {
         let e = find_entry(&cat, "text-processing", "retrieve").unwrap();
         let amd = e.manifest(Platform::Amd64);
         let arm = e.manifest(Platform::Arm64);
-        assert_eq!(amd.shared_bytes(arm), DataSize::ZERO);
+        assert_eq!(shared_bytes(amd, arm), DataSize::ZERO);
         assert_eq!(amd.total_size(), arm.total_size());
     }
 
@@ -296,6 +297,6 @@ mod tests {
             find_entry(&cat, "video-processing", "ha-infer").unwrap().manifest(Platform::Amd64);
         let retrieve =
             find_entry(&cat, "text-processing", "retrieve").unwrap().manifest(Platform::Amd64);
-        assert_eq!(infer.shared_bytes(retrieve), DataSize::megabytes(120.0));
+        assert_eq!(shared_bytes(infer, retrieve), DataSize::megabytes(120.0));
     }
 }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 /// The hex is shared: a clone (every cache, manifest and peer view holds
 /// its layers' digests) bumps a reference count and copies no bytes.
 /// Equality, ordering and hashing are the hex string's, so a digest
-/// hashes as its [`Digest::hex`] does, a digest-keyed table can be
+/// hashes as its `Digest::hex` does, a digest-keyed table can be
 /// looked up by the bare hex (`Borrow<str>`), and it serializes as the
 /// bare hex.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,7 +39,7 @@ impl Borrow<str> for Digest {
 /// strings crafted to collide would slow a table down; the tables hold
 /// digests the program computed or read back from its own registries.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct DigestHasher(u64);
+pub(crate) struct DigestHasher(u64);
 
 impl DigestHasher {
     fn fold(&mut self, word: u64) {
@@ -71,13 +71,13 @@ impl Hasher for DigestHasher {
 }
 
 /// The [`std::hash::BuildHasher`] of every digest-keyed table.
-pub type DigestState = BuildHasherDefault<DigestHasher>;
+pub(crate) type DigestState = BuildHasherDefault<DigestHasher>;
 
 /// A set of digests hashed by [`DigestHasher`].
-pub type DigestSet = HashSet<Digest, DigestState>;
+pub(crate) type DigestSet = HashSet<Digest, DigestState>;
 
 /// A map keyed by digest, hashed by [`DigestHasher`].
-pub type DigestMap<V> = HashMap<Digest, V, DigestState>;
+pub(crate) type DigestMap<V> = HashMap<Digest, V, DigestState>;
 
 impl Serialize for Digest {
     fn to_value(&self) -> Value {
@@ -100,29 +100,19 @@ impl Digest {
     /// Digest of a logical concatenation, streamed part by part — lets a
     /// synthetic layer digest hash its name and size without assembling
     /// the concatenated seed.
-    pub fn of_parts<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> Self {
+    pub(crate) fn of_parts<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> Self {
         Digest(to_hex(&sha256_of_parts(parts)).into())
     }
 
     /// The 64-char lowercase hex, without the `sha256:` prefix.
-    pub fn hex(&self) -> &str {
+    pub(crate) fn hex(&self) -> &str {
         &self.0
-    }
-
-    /// Canonical `sha256:<hex>` string.
-    pub fn to_canonical(&self) -> String {
-        format!("sha256:{}", self.0)
     }
 
     /// A digest from its bare hex, as [`Digest::hex`] returns it: `None`
     /// unless it is 64 lowercase hex chars.
     pub(crate) fn from_hex(hex: &str) -> Option<Self> {
         is_hex(hex).then(|| Digest(hex.into()))
-    }
-
-    /// Short prefix for human-readable logs (like `docker images` output).
-    pub fn short(&self) -> &str {
-        &self.0[..12]
     }
 }
 
@@ -170,10 +160,9 @@ mod tests {
         let d = Digest::of(b"abc");
         assert_eq!(d.hex(), "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
         assert_eq!(
-            d.to_canonical(),
+            d.to_string(),
             "sha256:ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         );
-        assert_eq!(d.short(), "ba7816bf8f01");
     }
 
     #[test]
@@ -185,7 +174,7 @@ mod tests {
     #[test]
     fn parse_round_trip() {
         let d = Digest::of(b"x");
-        let parsed: Digest = d.to_canonical().parse().unwrap();
+        let parsed: Digest = d.to_string().parse().unwrap();
         assert_eq!(parsed, d);
     }
 
@@ -200,7 +189,7 @@ mod tests {
     #[test]
     fn display_matches_canonical() {
         let d = Digest::of(b"y");
-        assert_eq!(format!("{d}"), d.to_canonical());
+        assert_eq!(format!("{d}"), format!("sha256:{}", d.hex()));
     }
 
     #[test]
@@ -233,7 +222,7 @@ mod tests {
         use std::hash::BuildHasher;
         let state = DigestState::default();
         let a = Digest::of(b"layer");
-        let parsed: Digest = a.to_canonical().parse().unwrap();
+        let parsed: Digest = a.to_string().parse().unwrap();
         assert!(!std::ptr::eq(a.hex(), parsed.hex()), "two allocations of one hex");
         assert_eq!(state.hash_one(&a), state.hash_one(&parsed));
         assert_eq!(state.hash_one(&a), state.hash_one(a.hex()));
@@ -261,7 +250,7 @@ mod proptests {
         fn digest_round_trip(content in proptest::collection::vec(any::<u8>(), 0..256)) {
             let d = Digest::of(&content);
             prop_assert_eq!(d.hex().len(), 64);
-            let parsed: Digest = d.to_canonical().parse().expect("canonical digests parse");
+            let parsed: Digest = d.to_string().parse().expect("canonical digests parse");
             prop_assert_eq!(parsed, d);
         }
 

@@ -51,7 +51,7 @@
 //!   injections — the last allowed attempt always goes through, so an
 //!   injected run can never exhaust the policy and kill the pull. The
 //!   expected backoff per fetched layer is the truncated geometric sum
-//!   `Σ_{k=1}^{A−1} q^k · backoff(k)` ([`FaultModel::expected_backoff_per_fetch`]),
+//!   `Σ_{k=1}^{A−1} q^k · backoff(k)` (`FaultModel::expected_backoff_per_fetch`),
 //!   exact under the cap.
 //!
 //! With every rate at zero and no window the plan injects nothing, and a
@@ -84,7 +84,7 @@ impl FaultRates {
     pub const ZERO: FaultRates = FaultRates { fatal_per_pull: 0.0, transient_per_fetch: 0.0 };
 
     /// True when both channels are off.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.fatal_per_pull == 0.0 && self.transient_per_fetch == 0.0
     }
 }
@@ -162,11 +162,6 @@ pub struct FaultModel {
 }
 
 impl FaultModel {
-    /// The fault-free model (every source perfectly reliable).
-    pub fn reliable() -> Self {
-        Self::default()
-    }
-
     /// Set one source's rates (builder-style; replaces a prior entry).
     pub fn with_source(mut self, source: RegistryId, rates: FaultRates) -> Self {
         assert!(
@@ -216,11 +211,6 @@ impl FaultModel {
     /// The scripted outage windows.
     pub fn windows(&self) -> &[OutageWindow] {
         &self.windows
-    }
-
-    /// True when any scripted window exists.
-    pub fn has_windows(&self) -> bool {
-        !self.windows.is_empty()
     }
 
     /// Is `source` inside a dark window at clock time `at`?
@@ -278,7 +268,7 @@ impl FaultModel {
     /// truncated geometric sum `Σ_{k=1}^{A−1} q^k · backoff(k)` under
     /// the model's retry policy. Exact for the capped injection scheme
     /// a [`FaultPlan`] realises.
-    pub fn expected_backoff_per_fetch(&self, source: RegistryId) -> Seconds {
+    pub(crate) fn expected_backoff_per_fetch(&self, source: RegistryId) -> Seconds {
         let q = self.rates(source).transient_per_fetch;
         if q == 0.0 {
             return Seconds::ZERO;
@@ -328,13 +318,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The seed the plan was drawn with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Is `source` inside a dark window at clock time `at`?
-    pub fn dark_at(&self, source: RegistryId, at: Seconds) -> bool {
+    pub(crate) fn dark_at(&self, source: RegistryId, at: Seconds) -> bool {
         self.model.dark_at(source, at)
     }
 
@@ -350,7 +335,7 @@ impl FaultPlan {
     /// Saturating: the model's `retry` field is pub, so a zero-attempt
     /// policy written directly must degrade to "no injections", not
     /// underflow.
-    pub fn transient_cap(&self) -> usize {
+    pub(crate) fn transient_cap(&self) -> usize {
         self.model.retry.max_attempts.saturating_sub(1)
     }
 
@@ -369,7 +354,7 @@ impl FaultPlan {
     /// `pull` against `source` (before the consecutive-injection cap
     /// [`FaultPlan::transient_cap`] that a fault-injecting session
     /// applies per source).
-    pub fn fetch_transient(&self, pull: u64, source: RegistryId, fetch: u64) -> bool {
+    pub(crate) fn fetch_transient(&self, pull: u64, source: RegistryId, fetch: u64) -> bool {
         let q = self.model.rates(source).transient_per_fetch;
         q > 0.0 && self.unit(SALT_TRANSIENT, pull, source, fetch) < q
     }

@@ -67,7 +67,8 @@ pub fn collect(registry: &mut RegionalRegistry) -> Result<GcReport, RegistryErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{find_entry, paper_catalog};
+    use crate::catalog::paper_catalog;
+    use crate::catalog::tests::find_entry;
     use crate::image::Platform;
 
     #[test]

@@ -60,7 +60,7 @@ impl HubRegistry {
     }
 
     /// Push a single manifest under `repository:tag`.
-    pub fn push_manifest(&mut self, repository: &str, tag: &str, manifest: ImageManifest) {
+    pub(crate) fn push_manifest(&mut self, repository: &str, tag: &str, manifest: ImageManifest) {
         let blobs = Arc::make_mut(&mut self.blobs);
         for l in &manifest.layers {
             blobs.insert(l.digest.clone());

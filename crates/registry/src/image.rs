@@ -18,12 +18,12 @@ pub enum Platform {
 }
 
 impl Platform {
-    pub fn all() -> [Platform; 2] {
+    pub(crate) fn all() -> [Platform; 2] {
         [Platform::Amd64, Platform::Arm64]
     }
 
     /// The tag string the paper uses.
-    pub fn tag(self) -> &'static str {
+    pub(crate) fn tag(self) -> &'static str {
         match self {
             Platform::Amd64 => "amd64",
             Platform::Arm64 => "arm64",
@@ -54,7 +54,7 @@ impl Reference {
     }
 
     /// Full canonical form `host/repository:tag`.
-    pub fn canonical(&self) -> String {
+    pub(crate) fn canonical(&self) -> String {
         format!("{}/{}:{}", self.host, self.repository, self.tag)
     }
 }

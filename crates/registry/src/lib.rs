@@ -46,9 +46,9 @@
 //!   reproduces it byte-for-byte (property-tested), plus the
 //!   [`PullOutcome`] record with its per-source breakdown;
 //! * [`retry`] — [`RetryPolicy`] (exponential backoff with a cap and
-//!   deterministic seeded jitter) consumed by [`PullSession::with_retry`];
-//!   transient failures are classified by
-//!   [`RegistryError::is_transient`](pull::RegistryError::is_transient);
+//!   deterministic seeded jitter) consumed by [`PullSession::with_retry`],
+//!   plus the failure-injecting test doubles [`FaultySource`] and
+//!   [`FlakyRegistry`] the failover tests pull through;
 //! * [`fault`] — the seeded fault-injection harness: [`FaultModel`]
 //!   (per-source per-pull fatal probability + per-fetch transient rate),
 //!   [`FaultPlan`] (a splitmix64-seeded reproducible sampling of the

@@ -28,7 +28,7 @@ impl LayerDescriptor {
     /// Build a descriptor for a synthetic layer: the digest is the SHA-256
     /// of a deterministic seed string, so equal `(name, size)` pairs yield
     /// equal digests — the dedup mechanism.
-    pub fn synthetic(name: &str, size: DataSize) -> Self {
+    pub(crate) fn synthetic(name: &str, size: DataSize) -> Self {
         // Streamed parts: no concatenated seed string is materialised.
         let size_dec = size.as_bytes().to_string();
         let digest =
@@ -50,7 +50,11 @@ pub struct ImageManifest {
 
 impl ImageManifest {
     /// Build a manifest from named synthetic layers.
-    pub fn synthetic(image_name: &str, platform: Platform, layers: &[(&str, DataSize)]) -> Self {
+    pub(crate) fn synthetic(
+        image_name: &str,
+        platform: Platform,
+        layers: &[(&str, DataSize)],
+    ) -> Self {
         let config = Digest::of(format!("config:{image_name}:{platform}").as_bytes());
         ImageManifest {
             config,
@@ -63,20 +67,8 @@ impl ImageManifest {
     }
 
     /// Total compressed size `Size_mi` — the Table II column.
-    pub fn total_size(&self) -> DataSize {
+    pub(crate) fn total_size(&self) -> DataSize {
         self.layers.iter().map(|l| l.size).sum()
-    }
-
-    /// The manifest's own digest (over its canonical JSON), used as the
-    /// image id. This equals the SHA-256 of the exact bytes a registry
-    /// stores for the manifest, so pull-by-digest, the regional
-    /// integrity records, and client-side verification all agree on one
-    /// identity — the OCI rule. Computed on each call; no push, pull or
-    /// resolve asks for it (the regional registry hashes the stored body
-    /// itself).
-    pub fn digest(&self) -> Digest {
-        let json = serde_json::to_string(self).expect("manifest serializes");
-        Digest::of(json.as_bytes())
     }
 
     /// Layers of this manifest absent from `present` (the pull diff).
@@ -86,18 +78,26 @@ impl ImageManifest {
     ) -> impl Iterator<Item = &'a LayerDescriptor> {
         self.layers.iter().filter(move |l| !present(&l.digest))
     }
-
-    /// Bytes shared with another manifest (layer-digest intersection).
-    pub fn shared_bytes(&self, other: &ImageManifest) -> DataSize {
-        use std::collections::HashSet;
-        let theirs: HashSet<&Digest> = other.layers.iter().map(|l| &l.digest).collect();
-        self.layers.iter().filter(|l| theirs.contains(&l.digest)).map(|l| l.size).sum()
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The manifest's own digest: the SHA-256 of its canonical JSON, which
+    /// is the body a registry stores for it.
+    pub(crate) fn digest_of(manifest: &ImageManifest) -> Digest {
+        Digest::of(serde_json::to_string(manifest).unwrap().as_bytes())
+    }
+
+    /// Bytes of `a`'s layers that `b` also has (layer-digest intersection).
+    pub(crate) fn shared_bytes(a: &ImageManifest, b: &ImageManifest) -> DataSize {
+        a.layers
+            .iter()
+            .filter(|l| b.layers.iter().any(|m| m.digest == l.digest))
+            .map(|l| l.size)
+            .sum()
+    }
 
     fn mb(v: f64) -> DataSize {
         DataSize::megabytes(v)
@@ -127,7 +127,7 @@ mod tests {
         let a = ImageManifest::synthetic("img", Platform::Amd64, &[("l", mb(1.0))]);
         let b = ImageManifest::synthetic("img", Platform::Arm64, &[("l", mb(1.0))]);
         assert_ne!(a.config, b.config);
-        assert_ne!(a.digest(), b.digest());
+        assert_ne!(digest_of(&a), digest_of(&b));
     }
 
     #[test]
@@ -156,7 +156,7 @@ mod tests {
             Platform::Amd64,
             &[("python", mb(150.0)), ("ml-stack", mb(1900.0)), ("la-app", mb(310.0))],
         );
-        assert_eq!(ha.shared_bytes(&la), mb(2050.0));
+        assert_eq!(shared_bytes(&ha, &la), mb(2050.0));
         assert_eq!(ha.total_size(), la.total_size());
     }
 
@@ -164,8 +164,8 @@ mod tests {
     fn manifest_digest_is_content_address() {
         let a = ImageManifest::synthetic("x", Platform::Amd64, &[("l", mb(1.0))]);
         let b = ImageManifest::synthetic("x", Platform::Amd64, &[("l", mb(1.0))]);
-        assert_eq!(a.digest(), b.digest());
+        assert_eq!(digest_of(&a), digest_of(&b));
         let c = ImageManifest::synthetic("x", Platform::Amd64, &[("l", mb(2.0))]);
-        assert_ne!(a.digest(), c.digest());
+        assert_ne!(digest_of(&a), digest_of(&c));
     }
 }

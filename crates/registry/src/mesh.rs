@@ -66,27 +66,17 @@ impl<'a> MeshSource<'a> {
     }
 
     /// Display label ("docker.io", "peer-cache", …).
-    pub fn label(&self) -> &str {
+    pub(crate) fn label(&self) -> &str {
         self.blobs.label()
     }
 
-    /// Route cost parameters.
-    pub fn params(&self) -> SourceParams {
-        self.params
-    }
-
     /// Whether this source can resolve manifests (full registries only).
-    pub fn can_resolve(&self) -> bool {
+    pub(crate) fn can_resolve(&self) -> bool {
         self.manifests.is_some()
     }
 
-    /// Whether this source is a failover-only standby.
-    pub fn is_standby(&self) -> bool {
-        self.standby
-    }
-
     /// Blob availability.
-    pub fn has_blob(&self, digest: &Digest) -> bool {
+    pub(crate) fn has_blob(&self, digest: &Digest) -> bool {
         self.blobs.has_blob(digest)
     }
 }
@@ -165,7 +155,7 @@ impl<'a> RegistryMesh<'a> {
     }
 
     /// Look up a source by handle.
-    pub fn source(&self, id: RegistryId) -> Option<&MeshSource<'a>> {
+    pub(crate) fn source(&self, id: RegistryId) -> Option<&MeshSource<'a>> {
         self.sources.iter().find(|s| s.id == id)
     }
 
@@ -274,7 +264,7 @@ impl<'m, 'a> PullSession<'m, 'a> {
     }
 
     /// Attach a retry policy: transient resolve failures
-    /// ([`RegistryError::is_transient`]) are retried with backoff charged
+    /// (`RegistryError::is_transient`) are retried with backoff charged
     /// into the outcome's `backoff_total`.
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
         assert!(policy.max_attempts >= 1, "need at least one attempt");
@@ -307,9 +297,9 @@ impl<'m, 'a> PullSession<'m, 'a> {
     ///   fails its fetch with [`RegistryError::Unavailable`] and the
     ///   session fails over;
     /// * a live source fails an attempt with [`RegistryError::Transient`]
-    ///   when [`FaultPlan::fetch_transient`] draws it, its attempts
+    ///   when `FaultPlan::fetch_transient` draws it, its attempts
     ///   numbered per source from 0, except that no source sees more
-    ///   than [`FaultPlan::transient_cap`] injections in a row.
+    ///   than `FaultPlan::transient_cap` injections in a row.
     ///
     /// Sources keep advertising their blobs, so the plan is made against
     /// the advertisement, as a real mid-pull death is met. Estimates
@@ -318,11 +308,6 @@ impl<'m, 'a> PullSession<'m, 'a> {
     pub fn with_faults(mut self, plan: &'m FaultPlan, pull: u64, clock: Seconds) -> Self {
         self.faults = Some((plan, pull, clock));
         self
-    }
-
-    /// The primary source handle.
-    pub fn primary(&self) -> RegistryId {
-        self.primary
     }
 
     /// Execute the pull against `cache` (fetched layers are inserted).
@@ -658,11 +643,10 @@ impl CacheAccess<'_> {
 /// advertised digest set and the retraction set are all shared
 /// (`Arc`), so one wave barrier builds each holder's source once and
 /// every device's view hands the same allocation around. Both sets are
-/// copy-on-write: the first [`absorb`] or [`retract`] that changes a
+/// copy-on-write: the first `absorb` or [`retract`] that changes a
 /// clone copies the set it changes, so a clone's edits never reach the
 /// original, its sibling clones or the plane that built them.
 ///
-/// [`absorb`]: PeerCacheSource::absorb
 /// [`retract`]: PeerCacheSource::retract
 #[derive(Debug, Clone, Default)]
 pub struct PeerCacheSource {
@@ -683,7 +667,7 @@ pub struct PeerCacheSource {
 
 impl PeerCacheSource {
     /// An empty source with a display label.
-    pub fn new(label: &str) -> Self {
+    pub(crate) fn new(label: &str) -> Self {
         PeerCacheSource { label: label.into(), ..PeerCacheSource::default() }
     }
 
@@ -712,7 +696,7 @@ impl PeerCacheSource {
 
     /// Add every layer of `cache` to the snapshot (and re-validate any
     /// earlier retraction the cache has since re-acquired).
-    pub fn absorb(&mut self, cache: &LayerCache) {
+    pub(crate) fn absorb(&mut self, cache: &LayerCache) {
         let blobs = Arc::make_mut(&mut self.blobs);
         for digest in cache.digests() {
             if self.retracted.contains(digest) {
@@ -1278,7 +1262,7 @@ mod tests {
         let mut with_standby = RegistryMesh::new();
         with_standby.add_registry(HUB, &hub, hub_params());
         with_standby.add_standby_registry(REGIONAL, &regional, peer_params());
-        assert!(with_standby.source(REGIONAL).unwrap().is_standby());
+        assert!(with_standby.source(REGIONAL).unwrap().standby);
         let mut without = RegistryMesh::new();
         without.add_registry(HUB, &hub, hub_params());
         let a = with_standby.session(HUB).pull(&r, Platform::Amd64, &mut cache()).unwrap();

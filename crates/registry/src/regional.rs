@@ -25,7 +25,7 @@
 //! manifest. A resolve builds both object keys on the stack.
 //!
 //! Garbage collection marks through the same memo:
-//! [`RegionalRegistry::load_manifest`] reuses a memoized parse whenever the
+//! `RegionalRegistry::load_manifest` reuses a memoized parse whenever the
 //! stored body is byte-equal to the memoized one, and adds a parse of its
 //! own only when the body verifies against its digest sidecar, so GC never
 //! makes a rotted body resolvable.
@@ -162,7 +162,7 @@ impl RegionalRegistry {
     /// Not atomic: an error (say [`StoreError::QuotaExceeded`]) on the
     /// second manifest leaves the first one's tag published and
     /// resolvable, and an error inside a push leaves what
-    /// [`RegionalRegistry::push_manifest`] describes.
+    /// `RegionalRegistry::push_manifest` describes.
     pub fn publish(&mut self, entry: &CatalogEntry) -> Result<(), RegistryError> {
         for m in &entry.manifests {
             self.push_manifest(&entry.regional_repository, m.platform.tag(), m)?;
@@ -177,7 +177,7 @@ impl RegionalRegistry {
     /// stay until GC. A push that fails on the digest sidecar, after the
     /// body was written, leaves the tag resolvable to the new manifest
     /// *unverified* (no sidecar), while the call returns the error.
-    pub fn push_manifest(
+    pub(crate) fn push_manifest(
         &mut self,
         repository: &str,
         tag: &str,
@@ -246,7 +246,7 @@ impl RegionalRegistry {
     /// verified reads ([`ManifestSource::resolve`] also memoizes a body
     /// read without one), and a GC pass adds no entry without one, so it
     /// never makes a rotted or unverified body resolvable.
-    pub fn load_manifest(
+    pub(crate) fn load_manifest(
         &self,
         repository: &str,
         tag: &str,
@@ -314,7 +314,7 @@ impl RegionalRegistry {
     }
 
     /// Declared size of a stored blob, if present.
-    pub fn blob_size(&self, digest: &Digest) -> Option<DataSize> {
+    pub(crate) fn blob_size(&self, digest: &Digest) -> Option<DataSize> {
         let bytes = with_key(&["blobs/", digest.hex()], |key| {
             self.store.get_object(BLOB_BUCKET, key).ok()
         })?;
@@ -416,7 +416,9 @@ impl ManifestSource for RegionalRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{find_entry, paper_catalog, REGIONAL_HOST};
+    use crate::catalog::tests::find_entry;
+    use crate::catalog::{paper_catalog, REGIONAL_HOST};
+    use crate::manifest::tests::digest_of;
 
     #[test]
     fn resolve_round_trips_through_object_store() {
@@ -443,9 +445,9 @@ mod tests {
         // vp-ha-train and vp-la-train share 3 of 4 layers; the blob bucket
         // must hold one descriptor per unique digest.
         let reg = RegionalRegistry::with_paper_catalog();
-        let blobs = reg.store().list_objects("registry-blobs", "blobs/").unwrap();
-        let unique: std::collections::HashSet<&str> =
-            blobs.iter().map(|m| m.key.as_str()).collect();
+        let view = reg.store().bucket_snapshot(BLOB_BUCKET).unwrap();
+        let blobs: Vec<&str> = view.keys("blobs/").collect();
+        let unique: std::collections::HashSet<&str> = blobs.iter().copied().collect();
         assert_eq!(blobs.len(), unique.len());
         // 12 images × 2 platforms, heavily deduped: far fewer blobs than
         // 12 × 2 × ~3.3 layers.
@@ -511,10 +513,10 @@ mod tests {
 
     fn store_objects(store: &ObjectStore) -> Vec<(String, String, Bytes)> {
         let mut out = Vec::new();
-        for bucket in store.list_buckets() {
-            for meta in store.list_objects(&bucket, "").unwrap() {
-                let data = store.get_object(&bucket, &meta.key).unwrap();
-                out.push((bucket.clone(), meta.key, data));
+        for bucket in [BLOB_BUCKET, MANIFEST_BUCKET] {
+            for key in store.bucket_snapshot(bucket).unwrap().keys("") {
+                let data = store.get_object(bucket, key).unwrap();
+                out.push((bucket.to_string(), key.to_string(), data));
             }
         }
         out
@@ -669,11 +671,11 @@ mod tests {
         let warm = warm_frame(&reg);
         let body = reg.store().get_object(MANIFEST_BUCKET, FRAME_KEY).unwrap();
         let fresh: ImageManifest = serde_json::from_slice(&body).unwrap();
-        assert_eq!(warm.digest(), Digest::of(&body));
-        assert_eq!(warm.digest(), fresh.digest());
+        assert_eq!(digest_of(&warm), Digest::of(&body));
+        assert_eq!(digest_of(&warm), digest_of(&fresh));
         // GC's reads hit the same entry.
         let loaded = reg.load_manifest("aau/vp-frame", "amd64").unwrap();
-        assert_eq!(loaded.digest(), Digest::of(&body));
+        assert_eq!(digest_of(&loaded), Digest::of(&body));
 
         // A body that is not canonical JSON (here stored without a
         // sidecar, so it resolves unverified) still carries the digest of
@@ -685,8 +687,8 @@ mod tests {
         reg.resolve(&r, Platform::Amd64).unwrap();
         assert!(reg.parsed.read().contains_key(key));
         let hit = reg.resolve(&r, Platform::Amd64).unwrap();
-        assert_eq!(hit.digest(), fresh.digest());
-        assert_ne!(hit.digest(), Digest::of(spaced.as_bytes()));
+        assert_eq!(digest_of(&hit), digest_of(&fresh));
+        assert_ne!(digest_of(&hit), Digest::of(spaced.as_bytes()));
     }
 
     /// A registry with a parse memo of its own, so that no concurrently
@@ -763,21 +765,21 @@ mod tests {
     /// parsed from scratch, no memo.
     fn reference_gc(store: &ObjectStore) -> crate::gc::GcReport {
         let mut live = std::collections::HashSet::new();
-        for meta in store.list_objects(MANIFEST_BUCKET, "manifests/").unwrap() {
-            let body = store.get_object(MANIFEST_BUCKET, &meta.key).unwrap();
+        for key in store.bucket_snapshot(MANIFEST_BUCKET).unwrap().keys("manifests/") {
+            let body = store.get_object(MANIFEST_BUCKET, key).unwrap();
             let manifest: ImageManifest = serde_json::from_slice(&body).unwrap();
             live.insert(manifest.config.clone());
             live.extend(manifest.layers.iter().map(|l| l.digest.clone()));
         }
         let (mut swept, mut released) = (0, 0);
-        for meta in store.list_objects(BLOB_BUCKET, "blobs/").unwrap() {
-            let digest: Digest = format!("sha256:{}", &meta.key["blobs/".len()..]).parse().unwrap();
+        for key in store.bucket_snapshot(BLOB_BUCKET).unwrap().keys("blobs/") {
+            let digest: Digest = format!("sha256:{}", &key["blobs/".len()..]).parse().unwrap();
             if !live.contains(&digest) {
-                let record = store.get_object(BLOB_BUCKET, &meta.key).unwrap();
+                let record = store.get_object(BLOB_BUCKET, key).unwrap();
                 let desc: crate::manifest::LayerDescriptor =
                     serde_json::from_slice(&record).unwrap();
                 released += desc.size.as_bytes();
-                store.delete_object(BLOB_BUCKET, &meta.key).unwrap();
+                store.delete_object(BLOB_BUCKET, key).unwrap();
                 swept += 1;
             }
         }
@@ -877,7 +879,7 @@ mod tests {
         let m = reg.resolve(&r, Platform::Amd64).unwrap();
         let recorded =
             reg.store().get_object("registry-manifests", "digests/aau/tp-retrieve/amd64").unwrap();
-        assert_eq!(&recorded[..], m.digest().hex().as_bytes());
+        assert_eq!(&recorded[..], digest_of(&m).hex().as_bytes());
     }
 
     #[test]

@@ -57,14 +57,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Enable seeded jitter (builder-style).
-    pub fn with_jitter(mut self, jitter: f64, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&jitter), "jitter amplitude must be in [0, 1)");
-        self.jitter = jitter;
-        self.seed = seed;
-        self
-    }
-
     /// Backoff charged before the `k`-th retry (1-based): capped
     /// exponential, then jittered.
     pub fn backoff(&self, retry: usize) -> Seconds {
@@ -176,22 +168,6 @@ impl<R: Registry> FaultySource<R> {
             transient: false,
         }
     }
-
-    /// Fail `failures` blob fetches transiently after `healthy` successes,
-    /// then recover.
-    pub fn transient_run(inner: R, healthy: usize, failures: usize) -> Self {
-        FaultySource {
-            inner,
-            healthy: Cell::new(healthy),
-            failures: Cell::new(failures),
-            transient: true,
-        }
-    }
-
-    /// Injected failures still pending (`usize::MAX` = fails forever).
-    pub fn pending_failures(&self) -> usize {
-        self.failures.get()
-    }
 }
 
 impl<R: Registry> ManifestSource for FaultySource<R> {
@@ -247,6 +223,24 @@ mod tests {
     use super::*;
     use crate::cache::LayerCache;
     use crate::hub::HubRegistry;
+
+    impl<R> FaultySource<R> {
+        /// Fail `failures` blob fetches transiently after `healthy`
+        /// successes, then recover.
+        pub(crate) fn transient_run(inner: R, healthy: usize, failures: usize) -> Self {
+            FaultySource {
+                inner,
+                healthy: Cell::new(healthy),
+                failures: Cell::new(failures),
+                transient: true,
+            }
+        }
+
+        /// Injected failures still pending (`usize::MAX` = fails forever).
+        pub(crate) fn pending_failures(&self) -> usize {
+            self.failures.get()
+        }
+    }
     use crate::mesh::{RegistryMesh, SourceParams};
     use crate::pull::PullOutcome;
     use crate::RegistryId;
@@ -337,9 +331,9 @@ mod tests {
             max_attempts: 8,
             base_backoff: Seconds::new(2.0),
             max_backoff: Seconds::new(60.0),
-            ..Default::default()
-        }
-        .with_jitter(0.25, 42);
+            jitter: 0.25,
+            seed: 42,
+        };
         for retry in 1..=7 {
             let nominal = (2.0 * 2f64.powi(retry as i32 - 1)).min(60.0);
             let b = p.backoff(retry).as_f64();
@@ -351,7 +345,7 @@ mod tests {
             assert_eq!(p.backoff(retry), p.backoff(retry));
         }
         // Different seeds decorrelate.
-        let other = p.with_jitter(0.25, 43);
+        let other = RetryPolicy { seed: 43, ..p };
         assert!((1..=7).any(|k| p.backoff(k) != other.backoff(k)));
     }
 }

@@ -148,7 +148,7 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 
 /// Hash a logical concatenation without materialising it (the name and
 /// size parts of a synthetic layer digest).
-pub fn sha256_of_parts<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> [u8; 32] {
+pub(crate) fn sha256_of_parts<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> [u8; 32] {
     let mut h = Sha256::new();
     for part in parts {
         h.update(part);
@@ -157,7 +157,7 @@ pub fn sha256_of_parts<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> [u8; 32
 }
 
 /// Lowercase hex of a digest.
-pub fn to_hex(bytes: &[u8]) -> String {
+pub(crate) fn to_hex(bytes: &[u8]) -> String {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut out = Vec::with_capacity(bytes.len() * 2);
     for &b in bytes {

@@ -114,7 +114,7 @@ impl Target {
     }
 
     /// The mesh id the target resolves to.
-    pub fn registry_id(&self) -> RegistryId {
+    pub(crate) fn registry_id(&self) -> RegistryId {
         match self {
             Target::Hub => RegistryId(0),
             Target::Regional => RegistryId(1),
@@ -1246,12 +1246,28 @@ impl Scenario {
     /// `seed + r`.
     pub fn executor_config(&self, replication: u32) -> ExecutorConfig {
         ExecutorConfig {
-            fault_injection: !self.fault_model().is_zero(),
+            fault_injection: self.scripts_faults(),
             fault_seed: self.seed.wrapping_add(replication as u64),
             peer_sharing: self.peer_sharing,
             peer_discovery: self.peer_discovery(),
             ..Default::default()
         }
+    }
+
+    /// Whether [`Scenario::fault_model`] would inject anything, read off
+    /// the spec without building the model: a non-zero rate (parsing
+    /// admits one `[[rates]]` entry per source) or an event that scripts
+    /// a window.
+    fn scripts_faults(&self) -> bool {
+        let rated =
+            self.rates.iter().any(|r| r.fatal_per_pull != 0.0 || r.transient_per_fetch != 0.0);
+        rated
+            || self.events.iter().any(|event| {
+                matches!(
+                    event,
+                    Event::Outage { .. } | Event::Degrade { .. } | Event::PeerUplinkKill { .. }
+                )
+            })
     }
 
     /// The discovery mode the `[gossip]` section asks for —
@@ -1442,6 +1458,42 @@ warmup = 1
         assert!(!quiet.executor_config(0).fault_injection);
         assert_eq!(quiet.replications, 1);
         assert_eq!(quiet.time_scale, 1.0);
+        // The flag is read off the spec; the model it stands for agrees on
+        // each rate channel alone, on each event kind alone, and on every
+        // cell of every checked-in scenario file.
+        let injects =
+            |s: &Scenario| (s.executor_config(0).fault_injection, !s.fault_model().is_zero());
+        for rate in &s.rates {
+            for (fatal, transient) in [(rate.fatal_per_pull, 0.0), (0.0, rate.transient_per_fetch)]
+            {
+                let channel = RateSpec {
+                    fatal_per_pull: fatal,
+                    transient_per_fetch: transient,
+                    ..rate.clone()
+                };
+                let one = Scenario { rates: vec![channel], events: Vec::new(), ..s.clone() };
+                assert_eq!(injects(&one), (true, true), "{fatal} {transient}");
+            }
+        }
+        for event in &s.events {
+            let one = Scenario { rates: Vec::new(), events: vec![event.clone()], ..s.clone() };
+            let (flag, model) = injects(&one);
+            assert_eq!(flag, model, "{event:?}");
+        }
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+        let mut cells = [0, 0];
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|ext| ext != "toml") {
+                continue;
+            }
+            for cell in Scenario::load(path.to_str().unwrap()).unwrap().expand() {
+                let (flag, model) = injects(&cell);
+                assert_eq!(flag, model, "{}", cell.name);
+                cells[usize::from(model)] += 1;
+            }
+        }
+        assert!(cells[0] > 0 && cells[1] > 0, "cells without and with faults: {cells:?}");
     }
 
     #[test]

@@ -27,14 +27,14 @@ pub enum Value {
 }
 
 impl Value {
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
         }
     }
 
-    pub fn as_int(&self) -> Option<i64> {
+    pub(crate) fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(v) => Some(*v),
             _ => None,
@@ -43,7 +43,7 @@ impl Value {
 
     /// Numeric coercion: scenario quantities (seconds, rates, sizes)
     /// accept `10` and `10.0` interchangeably.
-    pub fn as_float(&self) -> Option<f64> {
+    pub(crate) fn as_float(&self) -> Option<f64> {
         match self {
             Value::Float(v) => Some(*v),
             Value::Int(v) => Some(*v as f64),
@@ -51,21 +51,21 @@ impl Value {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(v) => Some(*v),
             _ => None,
         }
     }
 
-    pub fn as_array(&self) -> Option<&[Value]> {
+    pub(crate) fn as_array(&self) -> Option<&[Value]> {
         match self {
             Value::Array(v) => Some(v),
             _ => None,
         }
     }
 
-    pub fn as_table(&self) -> Option<&BTreeMap<String, Value>> {
+    pub(crate) fn as_table(&self) -> Option<&BTreeMap<String, Value>> {
         match self {
             Value::Table(t) => Some(t),
             _ => None,

@@ -61,7 +61,7 @@ impl ChaosEvent {
 
     /// The device the event acts on (`DeviceId(0)` for registry-side
     /// events — the trace's convention for fleet-wide records).
-    pub fn device(&self) -> DeviceId {
+    pub(crate) fn device(&self) -> DeviceId {
         match &self.kind {
             ChaosKind::CachePressure { device, .. } => *device,
             ChaosKind::DeleteTag { .. } | ChaosKind::RegistryGc => DeviceId(0),

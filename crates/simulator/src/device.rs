@@ -60,7 +60,7 @@ pub struct SimDevice {
 impl SimDevice {
     /// Create a device with a neutral speed model.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         id: DeviceId,
         name: &str,
         arch: Platform,
@@ -90,14 +90,14 @@ impl SimDevice {
 
     /// Set the default architecture speed factor (>1 = slower than
     /// nominal).
-    pub fn with_base_speed_factor(mut self, f: f64) -> Self {
+    pub(crate) fn with_base_speed_factor(mut self, f: f64) -> Self {
         assert!(f > 0.0, "speed factor must be positive");
         self.base_speed_factor = f;
         self
     }
 
     /// Mark the device as a cloud-tier server.
-    pub fn with_class(mut self, class: DeviceClass) -> Self {
+    pub(crate) fn with_class(mut self, class: DeviceClass) -> Self {
         self.class = class;
         self
     }
@@ -105,7 +105,7 @@ impl SimDevice {
     /// The default architecture speed factor (what
     /// [`SimDevice::with_base_speed_factor`] set) — cloning an archetype
     /// into a synthetic fleet carries it over.
-    pub fn base_speed_factor(&self) -> f64 {
+    pub(crate) fn base_speed_factor(&self) -> f64 {
         self.base_speed_factor
     }
 
@@ -155,7 +155,7 @@ impl SimDevice {
     /// application because the two case-study apps share microservice
     /// names ("ha-train" exists in both) with different measured
     /// behaviour.
-    pub fn speed_factor(&self, application: &str, microservice: &str) -> f64 {
+    pub(crate) fn speed_factor(&self, application: &str, microservice: &str) -> f64 {
         self.overrides(application, microservice).speed_factor.unwrap_or(self.base_speed_factor)
     }
 

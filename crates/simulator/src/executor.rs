@@ -33,7 +33,7 @@ use std::sync::Arc;
 pub enum PeerDiscovery {
     /// The omniscient catalog, and the default discovery mode: every
     /// wave barrier snapshots every *other* device's current cache
-    /// ([`crate::PeerPlane::snapshot`]), served from one source per
+    /// (`crate::PeerPlane::snapshot`), served from one source per
     /// non-empty holder that every puller shares
     /// ([`crate::PeerPlane::barrier`]).
     #[default]
@@ -304,11 +304,6 @@ impl JobRun {
         JobRun { job, started, members: vec![MemberRun::default(); len] }
     }
 
-    /// Executor clock when the job began.
-    pub fn started(&self) -> Seconds {
-        self.started
-    }
-
     /// Fold the accumulated measurements into a [`RunReport`]; `end` is
     /// the executor clock after the job's last wave. The per-member source
     /// lists move in as the pull built them, at exact size.
@@ -490,11 +485,6 @@ impl OnlineExecutor {
     pub fn new(testbed: &Testbed, cfg: &ExecutorConfig, events: &[ChaosEvent]) -> OnlineExecutor {
         OnlineExecutor::with_monitor(testbed, cfg, events, Trace::new())
     }
-
-    /// Consume the session, returning its monitoring trace.
-    pub fn into_trace(self) -> Trace {
-        self.into_monitor()
-    }
 }
 
 impl<M: Monitor> OnlineExecutor<M> {
@@ -585,7 +575,7 @@ impl<M: Monitor> OnlineExecutor<M> {
     }
 
     /// Consume the session, returning its monitor.
-    pub fn into_monitor(self) -> M {
+    pub(crate) fn into_monitor(self) -> M {
         self.recorder.monitor
     }
 
@@ -780,6 +770,16 @@ mod tests {
     use deep_dataflow::apps;
     use deep_registry::Platform;
 
+    fn named(app: &Application, name: &str) -> MicroserviceId {
+        app.ids().find(|&id| app.microservice(id).name == name).unwrap()
+    }
+
+    /// Megabytes each peer device served in `report`, in device order.
+    fn peer_totals(report: &RunReport) -> Vec<(DeviceId, f64)> {
+        let by_source = report.downloaded_by_source().into_iter();
+        by_source.filter_map(|(id, mb)| Some((crate::testbed::peer_holder(id)?, mb))).collect()
+    }
+
     fn all_hub_medium(app: &Application) -> Schedule {
         Schedule::uniform(app.len(), RegistryChoice::Hub, DEVICE_MEDIUM)
     }
@@ -818,7 +818,7 @@ mod tests {
         // transcode on small, rest on medium: frame pays a LAN transfer.
         let mut placements =
             vec![Placement { registry: RegistryChoice::Hub, device: DEVICE_MEDIUM }; app.len()];
-        placements[app.by_name("transcode").unwrap().0] =
+        placements[named(&app, "transcode").0] =
             Placement { registry: RegistryChoice::Regional, device: DEVICE_SMALL };
         let schedule = Schedule::new(placements);
         let (report, _) = execute(&mut tb, &app, &schedule, &ExecutorConfig::default()).unwrap();
@@ -857,7 +857,7 @@ mod tests {
         // the regional route.
         let mut placements =
             vec![Placement { registry: RegistryChoice::Hub, device: DEVICE_MEDIUM }; app.len()];
-        placements[app.by_name("la-train").unwrap().0] =
+        placements[named(&app, "la-train").0] =
             Placement { registry: RegistryChoice::Regional, device: DEVICE_MEDIUM };
         let (split, _) =
             execute(&mut tb, &app, &Schedule::new(placements), &ExecutorConfig::default()).unwrap();
@@ -988,7 +988,7 @@ mod tests {
         };
         let without = run(false);
         let with = run(true);
-        let by_peer = with.downloaded_by_peer();
+        let by_peer = peer_totals(&with);
         assert_eq!(by_peer.len(), 1, "exactly one holder served: {by_peer:?}");
         assert_eq!(by_peer[0].0, DEVICE_MEDIUM, "the warm medium device is the holder");
         assert!(by_peer[0].1 > 1_000.0, "fleet-resident layers served by the peer: {by_peer:?}");
@@ -998,7 +998,7 @@ mod tests {
             .downloaded_by_source()
             .iter()
             .any(|(id, _)| *id == crate::testbed::peer_source_id(DEVICE_MEDIUM)));
-        assert!(without.downloaded_by_peer().is_empty(), "no peer source without the flag");
+        assert!(peer_totals(&without).is_empty(), "no peer source without the flag");
         let td_with: f64 = with.microservices.iter().map(|m| m.td.as_f64()).sum();
         let td_without: f64 = without.microservices.iter().map(|m| m.td.as_f64()).sum();
         assert!(td_with < td_without, "peer-served pulls are faster: {td_with} vs {td_without}");
@@ -1045,7 +1045,7 @@ mod tests {
             // cloud holder, so both pulls load the same uplink.
             let mut placements =
                 vec![Placement { registry: RegistryChoice::Hub, device: DEVICE_MEDIUM }; app.len()];
-            placements[app.by_name("la-train").unwrap().0] =
+            placements[named(&app, "la-train").0] =
                 Placement { registry: RegistryChoice::Hub, device: DEVICE_SMALL };
             let cfg = ExecutorConfig { peer_sharing: true, ..Default::default() };
             execute(&mut tb, &app, &Schedule::new(placements), &cfg).unwrap().0
@@ -1100,7 +1100,7 @@ mod tests {
         // Baseline: the peer serves the fleet-resident training stack;
         // its trace locates the training wave's start on the clock.
         let ((baseline, trace), _) = run(&[]);
-        assert!(!baseline.downloaded_by_peer().is_empty(), "baseline rides the peer");
+        assert!(!peer_totals(&baseline).is_empty(), "baseline rides the peer");
         let train_wave = trace
             .of_kind(TraceKind::DeploymentStarted)
             .find(|e| e.label == "ha-train")
@@ -1219,7 +1219,7 @@ mod tests {
         let mut placements =
             vec![Placement { registry: RegistryChoice::Hub, device: DEVICE_MEDIUM }; app.len()];
         for name in ["ha-train", "ha-score"] {
-            placements[app.by_name(name).unwrap().0] =
+            placements[named(&app, name).0] =
                 Placement { registry: RegistryChoice::Regional, device: DEVICE_SMALL };
         }
         let cfg = ExecutorConfig { seed: 3, jitter: 0.02, ..Default::default() };
@@ -1385,7 +1385,7 @@ mod tests {
         assert_eq!(exec.pulls(), app.len() as u64);
         let report = run.into_report(&app, &sched, exec.clock());
         assert_eq!(reference, report);
-        let trace = exec.into_trace();
+        let trace = exec.into_monitor();
         assert_eq!(
             ref_trace.of_kind(TraceKind::DeploymentFinished).count(),
             trace.of_kind(TraceKind::DeploymentFinished).count()
@@ -1410,7 +1410,7 @@ mod tests {
         exec.advance_to(Seconds::new(10.0));
         assert_eq!(exec.clock(), Seconds::new(500.0), "the clock never runs backwards");
         let mut run = exec.begin_job(&app);
-        assert_eq!(run.started(), Seconds::new(500.0));
+        assert_eq!(run.started, Seconds::new(500.0));
         for (i, wave) in plan_waves(&app, true).iter().enumerate() {
             exec.run_wave(&mut tb2, &app, &sched, wave, i, &mut run).unwrap();
         }

@@ -1,7 +1,7 @@
 //! Gossip-backed peer discovery: the decentralized replacement for the
 //! executor's omniscient per-wave peer snapshot.
 //!
-//! The snapshot plane ([`crate::testbed::PeerPlane::snapshot`]) hands a
+//! The snapshot plane (`crate::testbed::PeerPlane::snapshot`) hands a
 //! pulling device the *current* cache of every other device — a central
 //! catalog. [`GossipPlane`] replaces it with the epidemic protocol of
 //! [`deep_netsim::gossip`]: each device advertises its layer-cache

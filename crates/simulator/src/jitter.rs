@@ -12,30 +12,20 @@ use rand_chacha::ChaCha8Rng;
 
 /// A deterministic jitter source.
 #[derive(Debug, Clone)]
-pub struct Jitter {
+pub(crate) struct Jitter {
     rng: ChaCha8Rng,
     amplitude: f64,
 }
 
 impl Jitter {
     /// Jitter with the given relative amplitude (e.g. `0.02` = ±2 %).
-    pub fn new(seed: u64, amplitude: f64) -> Self {
+    pub(crate) fn new(seed: u64, amplitude: f64) -> Self {
         assert!((0.0..1.0).contains(&amplitude), "amplitude must be in [0, 1)");
         Jitter { rng: ChaCha8Rng::seed_from_u64(seed), amplitude }
     }
 
-    /// Zero-amplitude jitter: `apply` is the identity.
-    pub fn none() -> Self {
-        Jitter::new(0, 0.0)
-    }
-
-    /// The configured amplitude.
-    pub fn amplitude(&self) -> f64 {
-        self.amplitude
-    }
-
     /// Draw the next multiplicative factor.
-    pub fn factor(&mut self) -> f64 {
+    pub(crate) fn factor(&mut self) -> f64 {
         if self.amplitude == 0.0 {
             return 1.0;
         }
@@ -43,7 +33,7 @@ impl Jitter {
     }
 
     /// Apply jitter to a duration.
-    pub fn apply(&mut self, t: Seconds) -> Seconds {
+    pub(crate) fn apply(&mut self, t: Seconds) -> Seconds {
         t.scale(self.factor())
     }
 }
@@ -80,7 +70,7 @@ mod tests {
 
     #[test]
     fn none_is_identity() {
-        let mut j = Jitter::none();
+        let mut j = Jitter::new(0, 0.0);
         let t = Seconds::new(123.456);
         assert_eq!(j.apply(t), t);
         assert_eq!(j.factor(), 1.0);

@@ -56,7 +56,6 @@ pub use executor::{
     ExecutorConfig, JobRun, OnlineExecutor, PeerDiscovery,
 };
 pub use gossip::GossipPlane;
-pub use jitter::Jitter;
 pub use metrics::{MicroserviceMetrics, RunReport};
 pub use schedule::{Placement, RegistryChoice, Schedule};
 pub use testbed::{

@@ -3,7 +3,7 @@
 use crate::schedule::Placement;
 use crate::testbed::{peer_holder, REGISTRY_PEER};
 use deep_energy::Joules;
-use deep_netsim::{DeviceId, RegistryId, Seconds};
+use deep_netsim::{RegistryId, Seconds};
 use deep_registry::SourcePull;
 use serde::{Deserialize, Serialize};
 
@@ -41,20 +41,9 @@ impl MicroserviceMetrics {
         self.td + self.tc + self.tp
     }
 
-    /// Megabytes of this pull served by each peer device, in order of
-    /// first use — the per-holder breakdown of the per-pair peer
-    /// plane (empty when nothing rode a peer link, or under the
-    /// anonymous aggregate plane).
-    pub fn peer_downloads(&self) -> Vec<(DeviceId, f64)> {
-        self.sources
-            .iter()
-            .filter_map(|s| peer_holder(s.source).map(|h| (h, s.downloaded.as_megabytes())))
-            .collect()
-    }
-
     /// Megabytes of this pull that rode the peer plane, under either
     /// plane (per-holder sources or the aggregate [`REGISTRY_PEER`]).
-    pub fn peer_downloaded_mb(&self) -> f64 {
+    pub(crate) fn peer_downloaded_mb(&self) -> f64 {
         self.sources
             .iter()
             .filter(|s| s.source == REGISTRY_PEER || peer_holder(s.source).is_some())
@@ -98,19 +87,6 @@ impl RunReport {
         for m in &self.microservices {
             for s in &m.sources {
                 *totals.entry(s.source).or_insert(0.0) += s.downloaded.as_megabytes();
-            }
-        }
-        totals.into_iter().collect()
-    }
-
-    /// Total megabytes each *peer device* served across the run, sorted
-    /// by device — which holders carried the fleet's peer traffic.
-    pub fn downloaded_by_peer(&self) -> Vec<(DeviceId, f64)> {
-        let mut totals: std::collections::BTreeMap<DeviceId, f64> =
-            std::collections::BTreeMap::new();
-        for m in &self.microservices {
-            for (holder, mb) in m.peer_downloads() {
-                *totals.entry(holder).or_insert(0.0) += mb;
             }
         }
         totals.into_iter().collect()

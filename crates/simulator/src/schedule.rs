@@ -29,12 +29,6 @@ impl RegistryChoice {
         RegistryChoice(id)
     }
 
-    /// The paper testbed's strategy set: the two sources every scheduler
-    /// chooses between.
-    pub fn all() -> [RegistryChoice; 2] {
-        [RegistryChoice::Hub, RegistryChoice::Regional]
-    }
-
     /// The underlying mesh registry id.
     pub fn registry_id(self) -> RegistryId {
         self.0

@@ -2,8 +2,8 @@
 //!
 //! Link parameters are calibrated so simulated deployment times land in the
 //! neighbourhood of Table II's residual `Td ≈ CT − Tp` (see deep-core's
-//! calibration module and EXPERIMENTS.md for the paper-vs-measured
-//! accounting):
+//! calibration module; `repro_table2` prints every measured row beside
+//! the paper's):
 //!
 //! * Effective docker-pull rates are far below nominal NIC speed — Docker
 //!   Hub throttles per-client sessions and layer extraction is
@@ -19,11 +19,11 @@
 //!
 //! * a dataflow moves between two devices over the LAN, over the WAN when
 //!   either end is a cloud-class device, and for free on one device
-//!   ([`Testbed::device_bandwidth`]);
+//!   (`Testbed::device_bandwidth`);
 //! * the [`PeerPlane`] serves already-cached layers between devices at
 //!   the uniform `peer_bw` with a `peer_overhead` per holder, except on
 //!   the directed pairs a hot-peer scenario dents
-//!   ([`Testbed::set_peer_link`], [`Testbed::set_peer_uplink`]).
+//!   (`Testbed::set_peer_link`, [`Testbed::set_peer_uplink`]).
 //!   Per-holder peer sources get mesh ids from [`REGISTRY_PEER_BASE`] and
 //!   contend on the serving device's uplink (see [`route_key`]).
 //!
@@ -133,7 +133,12 @@ impl RouteLoads {
     /// The download slowdown a pull onto `pulling` sees from `source`:
     /// [`TestbedParams::contention_factor`] of the load on the source's
     /// contention resource (0 when never charged).
-    pub fn contention(&self, params: &TestbedParams, source: RegistryId, pulling: DeviceId) -> f64 {
+    pub(crate) fn contention(
+        &self,
+        params: &TestbedParams,
+        source: RegistryId,
+        pulling: DeviceId,
+    ) -> f64 {
         let (shard, slot) = route_key(source, pulling);
         debug_assert!(slot < self.slots, "device slot out of range");
         params.contention_factor(self.shards.get(&shard).map_or(0, |lane| lane[slot]))
@@ -189,7 +194,7 @@ pub struct TestbedParams {
     /// Effective pull bandwidth regional → small.
     pub regional_to_small: Bandwidth,
     /// Device-to-device LAN bandwidth (dataflow transfers between two
-    /// edge devices; read by [`Testbed::device_bandwidth`]).
+    /// edge devices; read by `Testbed::device_bandwidth`).
     pub lan: Bandwidth,
     /// Effective pull bandwidth hub → cloud (hub's CDN peers with cloud
     /// datacenters; continuum testbed only).
@@ -198,7 +203,7 @@ pub struct TestbedParams {
     /// uplink; continuum testbed only).
     pub regional_to_cloud: Bandwidth,
     /// Edge ↔ cloud WAN bandwidth (dataflow transfers with a cloud-class
-    /// device on either end; read by [`Testbed::device_bandwidth`]).
+    /// device on either end; read by `Testbed::device_bandwidth`).
     pub wan: Bandwidth,
     /// Fixed pull overhead per registry.
     pub hub_overhead: Seconds,
@@ -207,7 +212,7 @@ pub struct TestbedParams {
     /// LAN (below the raw LAN rate: the peer reads from its own disk).
     ///
     /// Both peer planes read it live: every [`PeerPlane::PerPair`] pair
-    /// that no [`Testbed::set_peer_link`] / [`Testbed::set_peer_uplink`]
+    /// that no `Testbed::set_peer_link` / [`Testbed::set_peer_uplink`]
     /// dented serves at this rate, and so does the
     /// [`PeerPlane::Aggregate`] source.
     pub peer_bw: Bandwidth,
@@ -324,7 +329,7 @@ impl TestbedParams {
 /// serves at `peer_bw` and every holder costs `peer_overhead`, which
 /// reproduces the scalar plane of earlier revisions exactly (single
 /// holder: byte for byte; see `tests/peer_plane.rs`). Sweeps dent
-/// individual pairs ([`Testbed::set_peer_link`]) or a whole uplink
+/// individual pairs (`Testbed::set_peer_link`) or a whole uplink
 /// ([`Testbed::set_peer_uplink`]), so a hot peer saturates like a real
 /// NIC instead of serving the whole fleet at full rate.
 ///
@@ -355,12 +360,12 @@ impl Default for PeerPlane {
 
 impl PeerPlane {
     /// Whether this is the scalar aggregate plane.
-    pub fn is_aggregate(&self) -> bool {
+    pub(crate) fn is_aggregate(&self) -> bool {
         matches!(self, PeerPlane::Aggregate)
     }
 
     /// The serving bandwidth of the `(serving, pulling)` pair.
-    pub fn bandwidth(
+    pub(crate) fn bandwidth(
         &self,
         params: &TestbedParams,
         serving: DeviceId,
@@ -379,7 +384,7 @@ impl PeerPlane {
     /// its [`GossipPlane::barrier_round`], then every target gets the
     /// peer sources the barrier advertises to it — its own bounded,
     /// possibly lagging view under gossip, the omniscient
-    /// [`PeerPlane::snapshot`] otherwise. The executor opens each wave
+    /// `PeerPlane::snapshot` otherwise. The executor opens each wave
     /// with it on the real caches for the wave's targets, the estimator
     /// on its estimated caches for every device; this one step is what
     /// keeps them bit for bit.
@@ -437,7 +442,7 @@ impl PeerPlane {
     /// device with a non-empty cache. [`PeerPlane::barrier`] serves
     /// the per-pair plane from one shared holder list instead; this
     /// per-target rule is the reference it is tested against.
-    pub fn snapshot(
+    pub(crate) fn snapshot(
         &self,
         caches: &[&LayerCache],
         target: usize,
@@ -499,7 +504,9 @@ impl PeerViews {
     /// Every source of every view, for an in-flight edit such as the
     /// chaos path's retraction. A source shared by the per-pair snapshot
     /// is edited once for every target that sees it.
-    pub fn sources_mut(&mut self) -> impl Iterator<Item = &mut (RegistryId, PeerCacheSource)> {
+    pub(crate) fn sources_mut(
+        &mut self,
+    ) -> impl Iterator<Item = &mut (RegistryId, PeerCacheSource)> {
         let lists: &mut [Vec<_>] = match &mut self.0 {
             Views::Shared(list) => std::slice::from_mut(list),
             Views::PerTarget(lists) => lists,
@@ -529,7 +536,7 @@ pub struct RegionalMirror {
 impl RegionalMirror {
     /// An independent copy (registry storage forked copy-on-write, never
     /// aliased).
-    pub fn fork(&self) -> RegionalMirror {
+    pub(crate) fn fork(&self) -> RegionalMirror {
         RegionalMirror {
             choice: self.choice,
             registry: self.registry.fork(),
@@ -772,7 +779,7 @@ impl Testbed {
     /// `registries` counts the full mesh sources: the hub + regional
     /// pair plus `registries − 2` regional mirrors at seeded site rates
     /// (7–12 MB/s, 4–6 s overhead). Dataflow links follow the device
-    /// classes ([`Testbed::device_bandwidth`]: the paper's LAN between
+    /// classes (`Testbed::device_bandwidth`: the paper's LAN between
     /// edge devices, the WAN on any cloud leg). The hub and regional
     /// routes are keyed by device id, not class
     /// ([`TestbedParams::route_bandwidth`] matches the medium and cloud
@@ -933,14 +940,14 @@ impl Testbed {
     }
 
     /// The serving bandwidth of one `(serving, pulling)` peer pair.
-    pub fn peer_bandwidth(&self, serving: DeviceId, pulling: DeviceId) -> Bandwidth {
+    pub(crate) fn peer_bandwidth(&self, serving: DeviceId, pulling: DeviceId) -> Bandwidth {
         self.peer_plane.bandwidth(&self.params, serving, pulling)
     }
 
     /// Dent one directed peer link (requires the per-pair plane; the
     /// scalar aggregate oracle has no pairs to dent). Both ends must be
     /// devices of this testbed.
-    pub fn set_peer_link(&mut self, serving: DeviceId, pulling: DeviceId, bw: Bandwidth) {
+    pub(crate) fn set_peer_link(&mut self, serving: DeviceId, pulling: DeviceId, bw: Bandwidth) {
         let n = self.devices.len();
         assert!(
             serving.0 < n && pulling.0 < n,
@@ -1077,7 +1084,7 @@ impl Testbed {
     /// unbounded on one device (co-located stages exchange data through
     /// the local filesystem), [`TestbedParams::wan`] when either end is a
     /// cloud-class device, [`TestbedParams::lan`] otherwise.
-    pub fn device_bandwidth(&self, from: DeviceId, to: DeviceId) -> Bandwidth {
+    pub(crate) fn device_bandwidth(&self, from: DeviceId, to: DeviceId) -> Bandwidth {
         let cloud = |d: DeviceId| self.device(d).class == deep_dataflow::DeviceClass::Cloud;
         if from == to {
             Bandwidth::infinite()
@@ -1089,7 +1096,7 @@ impl Testbed {
     }
 
     /// `Tc` of one dataflow: the time `size` takes from device `from` to
-    /// device `to` over [`Testbed::device_bandwidth`].
+    /// device `to` over `Testbed::device_bandwidth`.
     pub fn device_transfer_time(&self, from: DeviceId, to: DeviceId, size: DataSize) -> Seconds {
         deep_netsim::transfer_time(size, self.device_bandwidth(from, to))
     }
@@ -1259,10 +1266,10 @@ mod tests {
     fn objects(reg: &RegionalRegistry) -> Vec<(String, String, Vec<u8>)> {
         let store = reg.store();
         let mut out = Vec::new();
-        for bucket in store.list_buckets() {
-            for meta in store.list_objects(&bucket, "").unwrap() {
-                let data = store.get_object(&bucket, &meta.key).unwrap();
-                out.push((bucket.clone(), meta.key, data.to_vec()));
+        for bucket in ["registry-blobs", "registry-manifests"] {
+            for key in store.bucket_snapshot(bucket).unwrap().keys("") {
+                let data = store.get_object(bucket, key).unwrap();
+                out.push((bucket.to_string(), key.to_string(), data.to_vec()));
             }
         }
         out
@@ -1486,7 +1493,8 @@ mod continuum_tests {
     #[test]
     fn edge_pinned_requirements_rejected_by_cloud() {
         let t = Testbed::continuum();
-        let req = deep_dataflow::Requirements::minimal(deep_dataflow::Mi::new(1.0))
+        let (memory, storage) = (DataSize::megabytes(128.0), DataSize::megabytes(256.0));
+        let req = deep_dataflow::Requirements::new(1, deep_dataflow::Mi::new(1.0), memory, storage)
             .pinned_to(DeviceClass::Edge);
         assert!(t.device(DEVICE_MEDIUM).admits(&req));
         assert!(!t.device(DEVICE_CLOUD).admits(&req));

@@ -141,7 +141,7 @@ impl Monitor for Trace {
 }
 
 impl Trace {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -162,19 +162,9 @@ impl Trace {
         }
     }
 
-    /// All events in time order.
-    pub fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
-        self.events.iter().map(|e| self.read(e))
-    }
-
     /// Events of one kind.
     pub fn of_kind(&self, kind: TraceKind) -> impl Iterator<Item = TraceEvent> + '_ {
         self.events.iter().filter(move |e| e.kind == kind).map(|e| self.read(e))
-    }
-
-    /// Events touching one microservice.
-    pub fn for_label<'a>(&'a self, label: &'a str) -> impl Iterator<Item = TraceEvent> + 'a {
-        self.events.iter().filter(move |e| self.label(e) == label).map(|e| self.read(e))
     }
 
     /// Number of events.
@@ -225,6 +215,13 @@ mod tests {
     use deep_dataflow::{ApplicationBuilder, Mi, Requirements};
     use deep_netsim::DataSize;
 
+    impl Trace {
+        /// All events in time order.
+        pub(crate) fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+            self.events.iter().map(|e| self.read(e))
+        }
+    }
+
     /// A two-microservice job: `a` is id 0, `b` id 1.
     fn recorder() -> Recorder<Trace> {
         let mut b = ApplicationBuilder::new("t");
@@ -266,9 +263,10 @@ mod tests {
         );
         let t = r.monitor;
         assert_eq!(t.of_kind(TraceKind::DeploymentStarted).count(), 2);
-        assert_eq!(t.for_label("a").count(), 2);
-        assert_eq!(t.for_label("b").count(), 1);
-        assert_eq!(t.for_label("stage-3").count(), 1);
+        let labelled = |label: &str| t.events().filter(|e| e.label == label).count();
+        assert_eq!(labelled("a"), 2);
+        assert_eq!(labelled("b"), 1);
+        assert_eq!(labelled("stage-3"), 1);
     }
 
     #[test]

@@ -3,10 +3,13 @@
 # release build, full test suite, a compile check of every criterion
 # bench, a smoke-run of every example so the sweeps (registry_sweep's mesh/N-regional
 # scenarios and friends, fault_sweep's failure-rate × registry-count
-# grid) cannot silently rot, the perfbench self-test, and one untimed
-# perfbench round per cell whose digest must equal its pinned line in
+# grid) cannot silently rot, a run of every paper-reproduction binary
+# (repro_all), the perfbench self-test, and one untimed perfbench round
+# per cell whose digest must equal its pinned line in
 # scripts/perfbench_digests.txt. It ends by printing each crate's non-test
-# line count (scripts/nontest_lines.sh), which it does not gate on.
+# line count (scripts/nontest_lines.sh), which it does not gate on, and
+# the public items no product code calls (scripts/dead_pub.sh), which it
+# fails on when there are more than DEAD_PUB_FLOOR of them.
 #
 # Randomized suites stay deterministic in CI: the vendored proptest
 # seeds every case from the test name (no ambient RNG), and the
@@ -25,6 +28,12 @@ CRATES=(
   deep-registry deep-game deep-simulator deep-scenario
   deep-core deep-arrival deep-bench
 )
+
+# Public items scripts/dead_pub.sh lists: test oracles, test doubles and
+# test-only knobs that integration tests or benches need (CHANGES.md
+# gives each one's reason). A new public item without a product caller
+# fails tier 1: delete it, narrow it, or lower this floor with it.
+DEAD_PUB_FLOOR=28
 PKG_FLAGS=()
 for c in "${CRATES[@]}"; do PKG_FLAGS+=(-p "$c"); done
 
@@ -92,6 +101,12 @@ echo "==> arrival plane smoke (online admissions + incremental repair)"
 # checked-in arrival fixture stays wired to the example entry point.
 cargo run --quiet --release --example arrival_runner -- scenarios/arrival_soak.toml >/dev/null
 
+echo "==> paper reproduction (repro_all: the paper's tables and figures)"
+# repro_all regenerates Tables I-III, Figures 2, 3a and 3b and the
+# headline in sequence, so a reproduction that panics fails here rather
+# than only compiling.
+cargo run --quiet --release -p deep-bench --bin repro_all >/dev/null
+
 echo "==> perfbench self-test (smallest rung of both benchmark workloads)"
 # perfbench is its own cargo workspace (see perfbench/README.md). Its
 # self-test runs each workload on a tiny fleet and round, timed and
@@ -120,5 +135,14 @@ echo "==> non-test Rust lines per crate (reported, not gated)"
 # The size measure the change log quotes: each crate's src/ less its
 # `#[cfg(test)]`-gated modules, inline or out-of-line.
 scripts/nontest_lines.sh
+
+echo "==> public items without a product caller (at most ${DEAD_PUB_FLOOR})"
+dead="$(scripts/dead_pub.sh)"
+printf '%s\n' "${dead}"
+count="$(printf '%s' "${dead}" | grep -c . || true)"
+if ((count > DEAD_PUB_FLOOR)); then
+  echo "${count} public items have no product caller, above the floor of ${DEAD_PUB_FLOOR}" >&2
+  exit 1
+fi
 
 echo "tier-1 OK"

@@ -15,7 +15,7 @@
 //! | [`energy`] | `deep-energy` | units and the Section III-D2 power model |
 //! | [`objectstore`] | `deep-objectstore` | MinIO-like S3 store: buckets, objects, quota |
 //! | [`registry`] | `deep-registry` | Docker Hub + regional registries, pull path |
-//! | [`game`] | `deep-game` | Nash-equilibrium toolkit (Nashpy replacement) |
+//! | [`game`] | `deep-game` | Nash-equilibrium toolkit (Nashpy replacement), the schedulers' test oracle |
 //! | [`simulator`] | `deep-simulator` | discrete-event two-device testbed |
 //! | [`scenario`] | `deep-scenario` | TOML chaos/soak scenario DSL |
 //! | [`core`] | `deep-core` | the DEEP scheduler, baselines, experiments |

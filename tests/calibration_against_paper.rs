@@ -69,9 +69,9 @@ fn table2_training_rows_dominate_energy() {
 fn table2_energy_within_order_of_magnitude_of_paper() {
     // Absolute energies depend on deployment residuals that our bandwidth
     // model deliberately simplifies (the paper's testbed had large fixed
-    // per-pull costs our simulation halves for small images — see
-    // EXPERIMENTS.md). We therefore require the right order of magnitude
-    // here; exact per-row deviations are recorded in EXPERIMENTS.md.
+    // per-pull costs our simulation halves for small images). We therefore
+    // require the right order of magnitude here; `repro_table2` prints
+    // each row's measured energy beside the paper's.
     let exp = Experiments { trials: 3, base_seed: 9, jitter: 0.02 };
     let rows = exp.table2();
     let paper = calibration::paper_rows();

@@ -245,8 +245,13 @@ fn injected_transient_bursts_charge_exact_backoff() {
     // unjittered policies alike.
     for policy in [
         RetryPolicy { max_attempts: 4, base_backoff: Seconds::new(2.0), ..Default::default() },
-        RetryPolicy { max_attempts: 4, base_backoff: Seconds::new(2.0), ..Default::default() }
-            .with_jitter(0.4, 99),
+        RetryPolicy {
+            max_attempts: 4,
+            base_backoff: Seconds::new(2.0),
+            jitter: 0.4,
+            seed: 99,
+            ..Default::default()
+        },
     ] {
         let model = FaultModel::default()
             .with_source(HUB_ID, FaultRates { fatal_per_pull: 0.0, transient_per_fetch: 1.0 })
@@ -278,9 +283,13 @@ fn injected_transient_bursts_charge_exact_backoff() {
 
 #[test]
 fn resolve_bursts_count_attempts_under_jittered_policies() {
-    let policy =
-        RetryPolicy { max_attempts: 5, base_backoff: Seconds::new(2.0), ..Default::default() }
-            .with_jitter(0.3, 7);
+    let policy = RetryPolicy {
+        max_attempts: 5,
+        base_backoff: Seconds::new(2.0),
+        jitter: 0.3,
+        seed: 7,
+        ..Default::default()
+    };
     let flaky = FlakyRegistry::new(HubRegistry::with_paper_catalog(), 3);
     let mut mesh = RegistryMesh::new();
     mesh.add_registry(HUB_ID, &flaky, session_params());

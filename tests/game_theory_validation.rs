@@ -3,7 +3,7 @@
 //! waves' congestion games against the generic oracle form — the
 //! confidence basis for trusting DEEP's scheduler.
 
-use deep::game::{support_enumeration, Bimatrix, Matrix};
+use deep::game::{support_enumeration, Bimatrix, Matrix, MixedStrategy};
 use proptest::prelude::*;
 // Explicit trait imports: proptest's prelude globs its own (rand 0.9)
 // `Rng`, which would otherwise shadow the workspace rand 0.8 traits.
@@ -59,12 +59,13 @@ proptest! {
                 }
             }
         }
-        prop_assert!(game.pure_equilibria().contains(&best));
+        let pure = |i| MixedStrategy::pure(i, 2);
+        prop_assert!(game.is_nash(&pure(best.0), &pure(best.1)));
         // And support enumeration reports at least one equilibrium whose
         // value equals the argmax payoff.
         let eqs = support_enumeration(&game);
         let attained = eqs.iter().any(|(x, y)| {
-            (game.expected_payoffs(x, y).0 - a[best]).abs() < 1e-6
+            (a.quad(x.probs(), y.probs()) - a[best]).abs() < 1e-6
         });
         prop_assert!(attained);
     }

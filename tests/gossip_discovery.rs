@@ -36,15 +36,15 @@
 //!    cannot tell the two apart.
 
 use deep::core::{DeepScheduler, EstimationContext, Scheduler};
-use deep::dataflow::{self, apps, Application};
+use deep::dataflow::{self, apps, Application, MicroserviceId};
 use deep::netsim::gossip::{oracle, GossipState};
 use deep::netsim::{Bandwidth, DataSize, DeviceId, Seconds};
 use deep::registry::{
     BlobSource, Digest, FaultModel, FaultRates, LayerCache, PeerCacheSource, Platform,
 };
 use deep::simulator::{
-    execute, execute_with_events, peer_source_id, ChaosEvent, ExecutorConfig, GossipPlane,
-    PeerDiscovery, Placement, RegistryChoice, RunReport, Schedule, Testbed, TraceKind,
+    execute, execute_with_events, peer_holder, peer_source_id, ChaosEvent, ExecutorConfig,
+    GossipPlane, PeerDiscovery, Placement, RegistryChoice, RunReport, Schedule, Testbed, TraceKind,
     DEVICE_CLOUD, DEVICE_MEDIUM, DEVICE_SMALL,
 };
 use proptest::prelude::*;
@@ -60,6 +60,16 @@ fn continuum() -> Testbed {
 /// view, one epidemic round per wave — the snapshot-parity regime.
 fn converged_gossip() -> PeerDiscovery {
     PeerDiscovery::Gossip { fanout: u32::MAX, view_size: u32::MAX, rounds_per_wave: 1 }
+}
+
+/// The devices that served peer bytes in `report`, in device order.
+fn peer_holders(report: &RunReport) -> Vec<DeviceId> {
+    report.downloaded_by_source().iter().filter_map(|(id, _)| peer_holder(*id)).collect()
+}
+
+/// The id of the microservice of `app` called `name`.
+fn named(app: &Application, name: &str) -> MicroserviceId {
+    app.ids().find(|&id| app.microservice(id).name == name).unwrap()
 }
 
 /// Warm `holder`'s cache with every image of `app` for both platforms —
@@ -181,9 +191,9 @@ fn estimator_matches_executor_under_a_bounded_view() {
     tb.set_peer_uplink(DEVICE_CLOUD, Bandwidth::megabytes_per_sec(20.0));
     let mut placements =
         vec![Placement { registry: RegistryChoice::Hub, device: DEVICE_MEDIUM }; app.len()];
-    placements[app.by_name("transcode").unwrap().0] =
+    placements[named(&app, "transcode").0] =
         Placement { registry: RegistryChoice::Regional, device: DEVICE_SMALL };
-    placements[app.by_name("la-train").unwrap().0] =
+    placements[named(&app, "la-train").0] =
         Placement { registry: RegistryChoice::Regional, device: DEVICE_SMALL };
     let schedule = Schedule::new(placements);
     let mut predictions = Vec::new();
@@ -627,11 +637,7 @@ fn gossip_churn_kills_one_holder_not_the_plane() {
         );
     }
     assert!(failovers >= 2, "the run exercised per-holder failovers");
-    assert_eq!(
-        report.downloaded_by_peer().iter().map(|(d, _)| *d).collect::<Vec<_>>(),
-        vec![DEVICE_SMALL],
-        "only the survivor served"
-    );
+    assert_eq!(peer_holders(&report), vec![DEVICE_SMALL], "only the survivor served");
     assert!(report.peer_downloaded_mb() > 1_000.0, "the plane as a whole kept serving");
 }
 
@@ -660,7 +666,7 @@ fn post_eviction_pull_pays_failover_and_the_stale_ad_ages_out() {
     // Baseline: the peer serves the fleet-resident training stack; its
     // trace locates the training wave's start on the clock.
     let ((baseline, trace), _) = run(&[]);
-    assert!(!baseline.downloaded_by_peer().is_empty(), "baseline rides the peer");
+    assert!(!peer_holders(&baseline).is_empty(), "baseline rides the peer");
     let train_wave = trace
         .of_kind(TraceKind::DeploymentStarted)
         .find(|e| e.label == "ha-train")

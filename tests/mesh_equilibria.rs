@@ -21,7 +21,7 @@ use deep::game::{support_enumeration, Bimatrix, Matrix};
 use deep::netsim::{Bandwidth, DataSize, DeviceId, Seconds};
 use deep::registry::{LayerCache, PeerCacheSource, Platform, PullPlanner, Reference, SourceParams};
 use deep::simulator::{
-    execute, ExecutorConfig, Placement, RegistryChoice, RunReport, Schedule, Testbed,
+    execute, peer_holder, ExecutorConfig, Placement, RegistryChoice, RunReport, Schedule, Testbed,
     DEVICE_MEDIUM, REGISTRY_PEER,
 };
 use proptest::prelude::*;
@@ -138,8 +138,8 @@ fn seed_stage_game(ctx: &SeedContext<'_>, id: MicroserviceId) -> Placement {
     let (x, y) = support_enumeration(&game)
         .into_iter()
         .max_by(|a, b| {
-            let pa = game.expected_payoffs(&a.0, &a.1).0;
-            let pb = game.expected_payoffs(&b.0, &b.1).0;
+            let pa = game.a.quad(a.0.probs(), a.1.probs());
+            let pb = game.a.quad(b.0.probs(), b.1.probs());
             pa.partial_cmp(&pb).expect("payoffs are not NaN")
         })
         .expect("common-interest games have a pure equilibrium");
@@ -366,7 +366,9 @@ fn peer_mesh_equilibrium_beats_the_best_single_registry_schedule() {
         report.downloaded_by_source()
     );
     // The per-holder breakdown names the warm medium device.
-    assert_eq!(report.downloaded_by_peer()[0].0, DEVICE_MEDIUM);
+    let holders: Vec<_> =
+        report.downloaded_by_source().iter().filter_map(|(id, _)| peer_holder(*id)).collect();
+    assert_eq!(holders[0], DEVICE_MEDIUM);
 }
 
 #[test]

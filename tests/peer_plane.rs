@@ -28,12 +28,12 @@
 //!    holder before it ever touches a registry.
 
 use deep::core::{DeepScheduler, EstimationContext, Scheduler};
-use deep::dataflow::{self, apps, Application};
+use deep::dataflow::{self, apps, Application, MicroserviceId};
 use deep::netsim::Bandwidth;
 use deep::registry::{FaultModel, FaultRates, Platform};
 use deep::simulator::{
-    execute, peer_source_id, ExecutorConfig, PeerPlane, Placement, RegistryChoice, RunReport,
-    Schedule, Testbed, DEVICE_CLOUD, DEVICE_MEDIUM, DEVICE_SMALL,
+    execute, peer_holder, peer_source_id, ExecutorConfig, PeerPlane, Placement, RegistryChoice,
+    RunReport, Schedule, Testbed, DEVICE_CLOUD, DEVICE_MEDIUM, DEVICE_SMALL,
 };
 use proptest::prelude::*;
 
@@ -41,6 +41,16 @@ use proptest::prelude::*;
 /// devices: medium and cloud are both amd64).
 fn continuum() -> Testbed {
     deep::core::continuum_testbed()
+}
+
+/// The devices that served peer bytes in `report`, in device order.
+fn peer_holders(report: &RunReport) -> Vec<deep::netsim::DeviceId> {
+    report.downloaded_by_source().iter().filter_map(|(id, _)| peer_holder(*id)).collect()
+}
+
+/// The id of the microservice of `app` called `name`.
+fn named(app: &Application, name: &str) -> MicroserviceId {
+    app.ids().find(|&id| app.microservice(id).name == name).unwrap()
 }
 
 /// Warm `holder`'s cache with every image of `app` for both platforms —
@@ -148,9 +158,9 @@ fn estimator_matches_executor_on_a_hot_peer_plane() {
     // through the same hot holder.
     let mut placements =
         vec![Placement { registry: RegistryChoice::Hub, device: DEVICE_MEDIUM }; app.len()];
-    placements[app.by_name("transcode").unwrap().0] =
+    placements[named(&app, "transcode").0] =
         Placement { registry: RegistryChoice::Regional, device: DEVICE_SMALL };
-    placements[app.by_name("la-train").unwrap().0] =
+    placements[named(&app, "la-train").0] =
         Placement { registry: RegistryChoice::Regional, device: DEVICE_SMALL };
     let schedule = Schedule::new(placements);
     let mut predictions = Vec::new();
@@ -193,7 +203,7 @@ fn hot_uplink_divides_and_spills_onto_the_regional() {
         tb.set_peer_uplink(DEVICE_CLOUD, Bandwidth::megabytes_per_sec(uplink_mb));
         let mut placements =
             vec![Placement { registry: RegistryChoice::Hub, device: DEVICE_MEDIUM }; app.len()];
-        placements[app.by_name("la-train").unwrap().0] =
+        placements[named(&app, "la-train").0] =
             Placement { registry: RegistryChoice::Regional, device: DEVICE_SMALL };
         let cfg = ExecutorConfig { peer_sharing: true, ..Default::default() };
         execute(&mut tb, &app, &Schedule::new(placements), &cfg).unwrap().0
@@ -337,7 +347,7 @@ fn peer_churn_kills_one_holder_not_the_plane() {
     }
     assert!(failovers >= 2, "the run exercised per-holder failovers");
     assert_eq!(
-        report.downloaded_by_peer().iter().map(|(d, _)| *d).collect::<Vec<_>>(),
+        peer_holders(&report),
         vec![DEVICE_SMALL],
         "the plane survived on the remaining holder"
     );

@@ -266,7 +266,7 @@ fn digests_are_stable_across_testbed_instances() {
     let ref_a = Reference::new("docker.io", "sina88/vp-frame", "arm64");
     let m1 = a.hub.resolve(&ref_a, Platform::Arm64).unwrap();
     let m2 = b.hub.resolve(&ref_a, Platform::Arm64).unwrap();
-    assert_eq!(m1.digest(), m2.digest());
+    assert_eq!(m1, m2);
     let digests1: Vec<&Digest> = m1.layers.iter().map(|l| &l.digest).collect();
     let digests2: Vec<&Digest> = m2.layers.iter().map(|l| &l.digest).collect();
     assert_eq!(digests1, digests2);
